@@ -5,7 +5,7 @@
 //! these numbers include the fsync, which is the point.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use radd_protocol::Blocks;
+use radd_protocol::{Blocks, SiteMachine};
 use radd_storage::DiskBlocks;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -35,6 +35,49 @@ fn bench_disk(c: &mut Criterion) {
                 .expect("write");
             black_box(d.commit(|| vec![fill; 32]).expect("commit"));
         });
+        drop(d);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+
+    // The same write with the metadata a site really commits: the encoded
+    // `DurableSiteState` of a 512-row machine (9.7 KB) in which one block
+    // UID and the UID counter moved since the last commit. The 32-byte
+    // blob above is why this cost went unseen: logging the blob whole
+    // made this row three times the bytes of that one. The bytes line is
+    // a count (scripts/bench_check.sh gates it exactly): what one such
+    // commit appends to the log.
+    group.bench_function("commit_1x4k_site_meta_512", |bencher| {
+        const SITE_ROWS: u64 = 512;
+        let dir = scratch("commit-site-meta");
+        let mut d = DiskBlocks::open(&dir, SITE_ROWS, BLOCK).expect("open");
+        d.set_checkpoint_bytes(u64::MAX);
+        // State as a full preload leaves it: a UID array for every row
+        // this site holds parity for.
+        let mut machine = SiteMachine::new(0, 4, SITE_ROWS, BLOCK);
+        for r in 0..SITE_ROWS {
+            if machine.geometry().parity_site(r) == 0 {
+                machine.parity_uid_array(r);
+            }
+        }
+        let mut row = 0u64;
+        let mut commit_one = |d: &mut DiskBlocks| {
+            row = (row + 1) % SITE_ROWS;
+            let uid = machine.mint_uid();
+            machine.set_block_uid(row, uid);
+            d.write_owned(row, bytes::Bytes::from(vec![row as u8; BLOCK]))
+                .expect("write");
+            d.commit(|| machine.durable_snapshot().encode())
+                .expect("commit")
+        };
+        commit_one(&mut d); // the log's first metadata record is the whole blob
+        let before = d.wal_bytes();
+        for _ in 0..16 {
+            commit_one(&mut d);
+        }
+        let per_commit = (d.wal_bytes() - before) / 16;
+        let name = "disk_commit/commit_1x4k_site_meta_512_bytes";
+        println!("bench {name:50} {per_commit:>12} B/commit");
+        bencher.iter(|| black_box(commit_one(&mut d)));
         drop(d);
         let _ = std::fs::remove_dir_all(&dir);
     });

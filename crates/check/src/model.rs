@@ -386,7 +386,19 @@ impl Fabric {
             _ => None,
         };
         let mut out = Vec::new();
+        let version = self.sites[site].durable_version();
+        let durable = self.sites[site].durable_snapshot();
         self.sites[site].handle(&mut self.disks[site], src, msg, &mut out);
+        // The site loops skip the WAL commit for a message that leaves the
+        // version alone; that is only sound if the durable half did not
+        // move either.
+        if self.sites[site].durable_version() == version
+            && self.sites[site].durable_snapshot() != durable
+        {
+            self.flag(format!(
+                "site {site}: durable state changed under an unchanged durable_version"
+            ));
+        }
         if let Some((row, uid, from)) = update {
             let applied_now = out.iter().any(|e| {
                 matches!(

@@ -104,6 +104,10 @@ struct SiteDriver {
     cfg: SiteConfig,
     machine: SiteMachine,
     store: SiteStore,
+    /// [`SiteMachine::durable_version`] as of the snapshot the store holds
+    /// (`None` until it holds one): the skip rule in
+    /// [`SiteDriver::commit`] compares against it.
+    committed: Option<u64>,
     down: bool,
     /// Retransmit deadlines by outstanding tag.
     timers: BTreeMap<u64, Instant>,
@@ -151,6 +155,36 @@ impl SiteDriver {
         }
     }
 
+    /// WAL rule: group-commit what the message staged (block writes + the
+    /// durable half of the machine) *before* its effects are interpreted —
+    /// no ack may leave the process ahead of the log record that justifies
+    /// it. A message that staged nothing and left
+    /// [`SiteMachine::durable_version`] where the last commit found it
+    /// (`Read`, `Ack`, a probe, a replayed reply) has nothing to log, and
+    /// skips the O(rows) snapshot encode that `commit` would need to find
+    /// that out. Debug builds encode anyway and check the skip was sound.
+    /// A memory-backed store makes all of this a no-op.
+    fn commit(&mut self) {
+        let version = self.machine.durable_version();
+        if !self.store.has_staged() && self.committed == Some(version) {
+            debug_assert!(
+                self.store
+                    .meta()
+                    .is_none_or(|m| m == self.machine.durable_snapshot().encode()),
+                "site {}: durable state moved under an unchanged version",
+                self.cfg.site
+            );
+            return;
+        }
+        if let Err(e) = self
+            .store
+            .commit(|| self.machine.durable_snapshot().encode())
+        {
+            panic!("site {}: durable commit failed: {e}", self.cfg.site);
+        }
+        self.committed = Some(version);
+    }
+
     /// Fire every retransmit timer whose deadline has passed. The resend
     /// may itself be dropped by loss injection or refused during a
     /// partition; either way the timer re-arms with a doubled delay, so
@@ -180,13 +214,13 @@ impl SiteDriver {
 /// Each row the WAL replay re-applied is surfaced to `obs` as a
 /// [`IoPurpose::LogReplay`] read receipt, so the flight recorder shows the
 /// §3.4 recovery work a restart performed.
-fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine) {
+fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine, Option<u64>) {
     let store = cfg
         .storage
         .for_site(cfg.site)
         .open(cfg.rows, cfg.block_size)
         .unwrap_or_else(|e| panic!("site {}: cannot open durable store: {e}", cfg.site));
-    let machine = match store.meta().map(DurableSiteState::decode) {
+    let mut machine = match store.meta().map(DurableSiteState::decode) {
         Some(Ok(d)) => SiteMachine::restore_durable(&d),
         Some(Err(e)) => panic!("site {}: corrupt durable snapshot: {e}", cfg.site),
         None => SiteMachine::new(cfg.site, cfg.group_size, cfg.rows, cfg.block_size),
@@ -197,17 +231,21 @@ fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine
             purpose: IoPurpose::LogReplay,
         });
     }
-    (store, machine)
+    machine.set_coalesce(cfg.coalesce);
+    // A store that holds a snapshot holds this machine's: it was restored
+    // from it a few lines up.
+    let committed = store.meta().map(|_| machine.durable_version());
+    (store, machine, committed)
 }
 
 /// Run the site event loop until shutdown.
 pub fn run_site(cfg: SiteConfig, ep: &ThreadedEndpoint<Msg>, control: &Receiver<Control>) {
     let mut obs = MachineObs::new();
-    let (store, mut machine) = open_store(&cfg, &mut obs);
-    machine.set_coalesce(cfg.coalesce);
+    let (store, machine, committed) = open_store(&cfg, &mut obs);
     let mut st = SiteDriver {
         machine,
         store,
+        committed,
         down: false,
         timers: BTreeMap::new(),
         trace: None,
@@ -254,10 +292,7 @@ pub fn run_site(cfg: SiteConfig, ep: &ThreadedEndpoint<Msg>, control: &Receiver<
                         // log suffix and rebuilds the machine from the
                         // last durable snapshot (§3.4).
                         st.timers.clear();
-                        let (store, mut machine) = open_store(&st.cfg, &mut st.obs);
-                        machine.set_coalesce(st.cfg.coalesce);
-                        st.store = store;
-                        st.machine = machine;
+                        (st.store, st.machine, st.committed) = open_store(&st.cfg, &mut st.obs);
                         st.down = false;
                         let _ = reply.send(true);
                     } else {
@@ -284,13 +319,7 @@ pub fn run_site(cfg: SiteConfig, ep: &ThreadedEndpoint<Msg>, control: &Receiver<
         let mut out = Vec::new();
         st.machine
             .handle(&mut st.store, inbound.src, inbound.payload, &mut out);
-        // WAL rule: group-commit whatever the message staged (block
-        // writes + the durable half of the machine) *before* interpreting
-        // the effects — no ack may leave the process ahead of the log
-        // record that justifies it. A memory-backed store is a no-op.
-        if let Err(e) = st.store.commit(|| st.machine.durable_snapshot().encode()) {
-            panic!("site {}: durable commit failed: {e}", st.cfg.site);
-        }
+        st.commit();
         st.interpret(ep, out);
     }
 }

@@ -20,6 +20,10 @@
 //! workspace's serde shim is serialize-only) with a magic/version header
 //! and bounds-checked decoding, in the style of [`crate::codec`]: torn or
 //! truncated snapshots decode to an error, never to garbage state.
+//!
+//! The machine keeps the durable half behind `Versioned`, so a driver
+//! can tell from `SiteMachine::durable_version` that a message changed
+//! none of it without encoding a snapshot to compare.
 
 use crate::wire::SpareContent;
 use radd_parity::Uid;
@@ -80,6 +84,43 @@ pub struct DurableSiteState {
     pub uid_counter: u64,
     /// The request-tag counter.
     pub next_tag: u64,
+}
+
+/// A value behind one accessor pair that counts its own mutations: shared
+/// reads go through `Deref` and leave the version alone, and the only way
+/// to a `&mut T` is [`Versioned::w`], which bumps it first. The fields are
+/// private to this module, so the holder cannot forget a bump — "version
+/// unchanged" implies "value unchanged" by construction (the converse does
+/// not hold: a `w()` borrow that writes the same value back still bumps).
+#[derive(Debug, Clone)]
+pub(crate) struct Versioned<T> {
+    value: T,
+    version: u64,
+}
+
+impl<T> Versioned<T> {
+    pub(crate) fn new(value: T) -> Versioned<T> {
+        Versioned { value, version: 0 }
+    }
+
+    /// Mutable access; counts as a mutation whether or not the caller
+    /// ends up changing anything.
+    pub(crate) fn w(&mut self) -> &mut T {
+        self.version += 1;
+        &mut self.value
+    }
+
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+}
+
+impl<T> std::ops::Deref for Versioned<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
 }
 
 struct Reader<'a> {

@@ -33,7 +33,7 @@
 //! interpreter's Figure 3/4 cost receipts stay bit-for-bit unchanged; the
 //! threaded runtime switches it on.
 
-use crate::durable::DurableSiteState;
+use crate::durable::{DurableSiteState, Versioned};
 use crate::effect::{Blocks, Dest, Effect, IoPurpose};
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::wire::{Msg, NackReason, SpareContent, SpareSlotWire};
@@ -164,6 +164,18 @@ struct Inflight {
 /// How many distinct `(src, tag)` replies the at-most-once cache retains.
 const REPLY_CACHE_CAP: usize = 1024;
 
+/// The fields [`SiteMachine::durable_snapshot`] projects, apart from the
+/// static geometry.
+#[derive(Debug, Clone)]
+struct DurableFields {
+    block_uids: Vec<Uid>,
+    parity_uids: BTreeMap<u64, UidArray>,
+    spares: BTreeMap<u64, SpareSlot>,
+    invalid_rows: BTreeSet<u64>,
+    uid_gen: UidGen,
+    next_tag: u64,
+}
+
 /// The per-site server machine.
 #[derive(Debug, Clone)]
 pub struct SiteMachine {
@@ -171,12 +183,10 @@ pub struct SiteMachine {
     geo: Geometry,
     block_size: usize,
     state: SiteState,
-    block_uids: Vec<Uid>,
-    parity_uids: BTreeMap<u64, UidArray>,
-    spares: BTreeMap<u64, SpareSlot>,
-    invalid_rows: BTreeSet<u64>,
-    uid_gen: UidGen,
-    next_tag: u64,
+    /// The durable half (see [`crate::durable`]). Every `&mut` borrow goes
+    /// through [`Versioned::w`], which is what makes
+    /// [`SiteMachine::durable_version`] sound.
+    d: Versioned<DurableFields>,
     /// Writes whose client reply awaits a parity ack, keyed by the parity
     /// message's tag. Lookup-only (never iterated), so a fast hash map.
     pending: FxHashMap<u64, PendingWrite>,
@@ -206,12 +216,14 @@ impl SiteMachine {
             geo: Geometry::new(group_size, rows).expect("valid geometry"),
             block_size,
             state: SiteState::Up,
-            block_uids: vec![Uid::INVALID; rows as usize],
-            parity_uids: BTreeMap::new(),
-            spares: BTreeMap::new(),
-            invalid_rows: BTreeSet::new(),
-            uid_gen: UidGen::new(site as u16),
-            next_tag: 0,
+            d: Versioned::new(DurableFields {
+                block_uids: vec![Uid::INVALID; rows as usize],
+                parity_uids: BTreeMap::new(),
+                spares: BTreeMap::new(),
+                invalid_rows: BTreeSet::new(),
+                uid_gen: UidGen::new(site as u16),
+                next_tag: 0,
+            }),
             pending: FxHashMap::default(),
             in_progress: FxHashSet::default(),
             parity_queue: FxHashMap::default(),
@@ -264,68 +276,71 @@ impl SiteMachine {
 
     /// The UID stored with the block at `row`.
     pub fn block_uid(&self, row: u64) -> Uid {
-        self.block_uids[row as usize]
+        self.d.block_uids[row as usize]
     }
 
     /// Overwrite the UID stored with the block at `row` (recovery
     /// bookkeeping).
     pub fn set_block_uid(&mut self, row: u64, uid: Uid) {
-        self.block_uids[row as usize] = uid;
+        self.d.w().block_uids[row as usize] = uid;
     }
 
     /// UID arrays for the rows where this site is the parity site.
     pub fn parity_uids(&self) -> &BTreeMap<u64, UidArray> {
-        &self.parity_uids
+        &self.d.parity_uids
     }
 
     /// Mutable parity UID arrays (recovery bookkeeping).
     pub fn parity_uids_mut(&mut self) -> &mut BTreeMap<u64, UidArray> {
-        &mut self.parity_uids
+        &mut self.d.w().parity_uids
     }
 
     /// The UID array for a parity row, created empty on first touch (all
     /// slots zero — consistent with never-written data blocks).
     pub fn parity_uid_array(&mut self, row: u64) -> &mut UidArray {
         let n = self.geo.num_sites();
-        self.parity_uids
+        self.d
+            .w()
+            .parity_uids
             .entry(row)
             .or_insert_with(|| UidArray::new(n))
     }
 
     /// Valid spare slots held by this site.
     pub fn spares(&self) -> &BTreeMap<u64, SpareSlot> {
-        &self.spares
+        &self.d.spares
     }
 
     /// Mutable spare slots (driver-orchestrated installs/invalidations).
     pub fn spares_mut(&mut self) -> &mut BTreeMap<u64, SpareSlot> {
-        &mut self.spares
+        &mut self.d.w().spares
     }
 
     /// Is the spare block of `row` valid at this site?
     pub fn spare_valid(&self, row: u64) -> bool {
-        self.spares.contains_key(&row)
+        self.d.spares.contains_key(&row)
     }
 
     /// Rows whose local content is untrustworthy and must be rebuilt.
     pub fn invalid_rows(&self) -> &BTreeSet<u64> {
-        &self.invalid_rows
+        &self.d.invalid_rows
     }
 
     /// Mutable invalid-row set (failure injection / recovery bookkeeping).
     pub fn invalid_rows_mut(&mut self) -> &mut BTreeSet<u64> {
-        &mut self.invalid_rows
+        &mut self.d.w().invalid_rows
     }
 
     /// Mint a fresh UID from this site's generator.
     pub fn mint_uid(&mut self) -> Uid {
-        self.uid_gen.next_uid()
+        self.d.w().uid_gen.next_uid()
     }
 
     /// A fresh site-unique request tag (site id in the high bits).
     pub fn fresh_tag(&mut self) -> u64 {
-        self.next_tag += 1;
-        ((self.site as u64 + 1) << 48) | self.next_tag
+        let d = self.d.w();
+        d.next_tag += 1;
+        ((self.site as u64 + 1) << 48) | d.next_tag
     }
 
     /// Writes still awaiting their parity ack.
@@ -367,12 +382,11 @@ impl SiteMachine {
     /// Forget everything a site disaster loses: block UIDs, parity arrays,
     /// spare slots; every row becomes invalid.
     pub fn forget_all(&mut self) {
-        for u in &mut self.block_uids {
-            *u = Uid::INVALID;
-        }
-        self.parity_uids.clear();
-        self.spares.clear();
-        self.invalid_rows = (0..self.block_uids.len() as u64).collect();
+        let d = self.d.w();
+        d.block_uids.fill(Uid::INVALID);
+        d.parity_uids.clear();
+        d.spares.clear();
+        d.invalid_rows = (0..d.block_uids.len() as u64).collect();
     }
 
     /// The durable half of this machine's state, for persistence (see
@@ -382,23 +396,38 @@ impl SiteMachine {
         DurableSiteState {
             site: self.site,
             group_size: self.geo.group_size(),
-            rows: self.block_uids.len() as u64,
+            rows: self.d.block_uids.len() as u64,
             block_size: self.block_size,
-            block_uids: self.block_uids.clone(),
+            block_uids: self.d.block_uids.clone(),
             parity_uids: self
+                .d
                 .parity_uids
                 .iter()
                 .map(|(row, arr)| (*row, arr.slots().to_vec()))
                 .collect(),
             spares: self
+                .d
                 .spares
                 .iter()
                 .map(|(row, slot)| (*row, slot.for_site, slot.content()))
                 .collect(),
-            invalid_rows: self.invalid_rows.iter().copied().collect(),
-            uid_counter: self.uid_gen.counter(),
-            next_tag: self.next_tag,
+            invalid_rows: self.d.invalid_rows.iter().copied().collect(),
+            uid_counter: self.d.uid_gen.counter(),
+            next_tag: self.d.next_tag,
         }
+    }
+
+    /// A counter that moves whenever a field [`durable_snapshot`] projects
+    /// is borrowed mutably: two calls returning the same value bracket a
+    /// stretch in which the snapshot's encoding cannot have changed, so a
+    /// driver may skip the encode-and-compare (and the commit) for messages
+    /// that leave it alone — reads, acks, probes, replayed replies. It is
+    /// neither durable nor canonical state: a restored machine starts its
+    /// own count.
+    ///
+    /// [`durable_snapshot`]: SiteMachine::durable_snapshot
+    pub fn durable_version(&self) -> u64 {
+        self.d.version()
     }
 
     /// A machine rebuilt from a durable snapshot, as a restarting process
@@ -408,14 +437,15 @@ impl SiteMachine {
     /// [`SiteState::Up`]: a snapshot taken at quiesce is complete, so no
     /// §3.3 recovery pass is needed.
     pub fn restore_durable(d: &DurableSiteState) -> SiteMachine {
-        let mut m = SiteMachine::new(d.site, d.group_size, d.rows, d.block_size);
+        let mut machine = SiteMachine::new(d.site, d.group_size, d.rows, d.block_size);
+        let n = machine.geo.num_sites();
+        let m = machine.d.w();
         assert_eq!(
             d.block_uids.len(),
             m.block_uids.len(),
             "snapshot geometry mismatch"
         );
         m.block_uids = d.block_uids.clone();
-        let n = m.geo.num_sites();
         for (row, slots) in &d.parity_uids {
             let mut arr = UidArray::new(n);
             for (i, u) in slots.iter().enumerate().take(n) {
@@ -435,16 +465,17 @@ impl SiteMachine {
         m.invalid_rows = d.invalid_rows.iter().copied().collect();
         m.uid_gen = UidGen::restore(d.site as u16, d.uid_counter);
         m.next_tag = d.next_tag;
-        m
+        machine
     }
 
     /// Forget the metadata of `rows` (a replaced disk's blank blocks).
     pub fn forget_rows(&mut self, rows: std::ops::Range<u64>) {
+        let d = self.d.w();
         for row in rows {
-            self.block_uids[row as usize] = Uid::INVALID;
-            self.parity_uids.remove(&row);
-            self.spares.remove(&row);
-            self.invalid_rows.insert(row);
+            d.block_uids[row as usize] = Uid::INVALID;
+            d.parity_uids.remove(&row);
+            d.spares.remove(&row);
+            d.invalid_rows.insert(row);
         }
     }
 
@@ -459,14 +490,15 @@ impl SiteMachine {
         data: &[u8],
         out: &mut Vec<Effect>,
     ) -> Option<Uid> {
-        let uid = self.uid_gen.next_uid();
+        let uid = self.d.w().uid_gen.next_uid();
         blocks.write(row, data).ok()?;
         out.push(Effect::Write {
             row,
             purpose: IoPurpose::WriteData,
         });
-        self.block_uids[row as usize] = uid;
-        self.invalid_rows.remove(&row);
+        let d = self.d.w();
+        d.block_uids[row as usize] = uid;
+        d.invalid_rows.remove(&row);
         Some(uid)
     }
 
@@ -536,6 +568,7 @@ impl SiteMachine {
             Msg::BlockRead { row, tag } => self.on_block_read(blocks, src, row, tag, out),
             Msg::SpareDrainList { for_site, tag } => {
                 let rows: Vec<u64> = self
+                    .d
                     .spares
                     .iter()
                     .filter(|(_, s)| s.for_site == for_site)
@@ -552,7 +585,7 @@ impl SiteMachine {
                 #[cfg(not(feature = "mutations"))]
                 let take = true;
                 if take {
-                    self.spares.remove(&row);
+                    self.d.w().spares.remove(&row);
                 }
                 self.reply(out, src, tag, Msg::Ack { tag });
             }
@@ -585,7 +618,7 @@ impl SiteMachine {
             return self.nack(out, src, tag, NackReason::OutOfRange);
         }
         let row = self.geo.data_to_physical(self.site, index);
-        if self.invalid_rows.contains(&row) {
+        if self.d.invalid_rows.contains(&row) {
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
         let Ok(data) = blocks.read(row) else {
@@ -624,7 +657,7 @@ impl SiteMachine {
             purpose: IoPurpose::OldValue,
         });
         // W1: local write with a fresh UID.
-        let uid = self.uid_gen.next_uid();
+        let uid = self.d.w().uid_gen.next_uid();
         if blocks.write_owned(row, data.clone()).is_err() {
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
@@ -634,14 +667,15 @@ impl SiteMachine {
         });
         #[cfg(feature = "mutations")]
         let shipped_uid = if crate::mutations::is(crate::mutations::Mutation::DroppedUidBump) {
-            self.block_uids[row as usize] // the stale pre-W1 UID
+            self.d.block_uids[row as usize] // the stale pre-W1 UID
         } else {
             uid
         };
         #[cfg(not(feature = "mutations"))]
         let shipped_uid = uid;
-        self.block_uids[row as usize] = uid;
-        self.invalid_rows.remove(&row);
+        let d = self.d.w();
+        d.block_uids[row as usize] = uid;
+        d.invalid_rows.remove(&row);
         // W3: change mask to the parity site; defer the client reply until
         // the ack (the §6 "done = prepared" discipline).
         let mask = ChangeMask::diff(&old, data);
@@ -732,7 +766,7 @@ impl SiteMachine {
         // must have the row rebuilt before the mask lands on garbage. The
         // machine cannot rebuild (that needs remote reads); escalate to the
         // driver, which rebuilds and re-delivers.
-        if self.invalid_rows.contains(&row) {
+        if self.d.invalid_rows.contains(&row) {
             out.push(Effect::NeedParityRebuild { row });
             return;
         }
@@ -741,6 +775,7 @@ impl SiteMachine {
         // XOR mask would corrupt the parity block, so just ack again.
         let n = self.geo.num_sites();
         let already = self
+            .d
             .parity_uids
             .get(&row)
             .is_some_and(|a| a.get(from_site) == uid);
@@ -770,7 +805,9 @@ impl SiteMachine {
                 row,
                 purpose: IoPurpose::ParityApply,
             });
-            self.parity_uids
+            self.d
+                .w()
+                .parity_uids
                 .entry(row)
                 .or_insert_with(|| UidArray::new(n))
                 .set(from_site, uid); // W4
@@ -831,7 +868,7 @@ impl SiteMachine {
         out: &mut Vec<Effect>,
     ) {
         debug_assert_eq!(self.geo.spare_site(row), self.site);
-        let slot = match self.spares.get(&row) {
+        let slot = match self.d.spares.get(&row) {
             None => None,
             Some(s) => {
                 let (data, io) = if want_data {
@@ -880,7 +917,7 @@ impl SiteMachine {
         }
         // Two failures may not share one spare: an install for a site the
         // slot does not already stand in for is refused.
-        if let Some(slot) = self.spares.get(&row) {
+        if let Some(slot) = self.d.spares.get(&row) {
             if slot.for_site != for_site {
                 return self.nack(out, src, tag, NackReason::Conflict);
             }
@@ -893,7 +930,7 @@ impl SiteMachine {
             purpose: IoPurpose::SpareInstall,
         });
         let n = self.geo.num_sites();
-        self.spares.insert(
+        self.d.w().spares.insert(
             row,
             SpareSlot {
                 for_site,
@@ -911,7 +948,7 @@ impl SiteMachine {
         tag: u64,
         out: &mut Vec<Effect>,
     ) {
-        if self.invalid_rows.contains(&row) {
+        if self.d.invalid_rows.contains(&row) {
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
         let Ok(data) = blocks.read(row) else {
@@ -924,7 +961,8 @@ impl SiteMachine {
         let parity_uids = if self.geo.parity_site(row) == self.site {
             let n = self.geo.num_sites();
             Some(
-                self.parity_uids
+                self.d
+                    .parity_uids
                     .get(&row)
                     .cloned()
                     .unwrap_or_else(|| UidArray::new(n))
@@ -934,7 +972,7 @@ impl SiteMachine {
         } else {
             None
         };
-        let uid = self.block_uids[row as usize];
+        let uid = self.d.block_uids[row as usize];
         self.reply(
             out,
             src,
@@ -970,13 +1008,14 @@ impl SiteMachine {
             purpose: IoPurpose::Restore,
         });
         let n = self.geo.num_sites();
+        let d = self.d.w();
         match kind_from_content(content, n) {
-            SpareKind::Data { data_uid } => self.block_uids[row as usize] = data_uid,
+            SpareKind::Data { data_uid } => d.block_uids[row as usize] = data_uid,
             SpareKind::Parity { uids } => {
-                self.parity_uids.insert(row, uids);
+                d.parity_uids.insert(row, uids);
             }
         }
-        self.invalid_rows.remove(&row);
+        d.invalid_rows.remove(&row);
         self.reply(out, src, tag, Msg::Ack { tag });
     }
 
@@ -1012,16 +1051,16 @@ impl crate::check::Checkable for SiteMachine {
     /// (`site`, `geo`, `block_size`, `coalesce` — constant per model).
     fn canon(&self, c: &mut crate::check::Canonicalizer) {
         c.raw(&(self.state as u8));
-        for uid in &self.block_uids {
+        for uid in &self.d.block_uids {
             c.uid(*uid);
         }
-        for (row, arr) in &self.parity_uids {
+        for (row, arr) in &self.d.parity_uids {
             c.raw(row);
             for uid in arr.slots() {
                 c.uid(*uid);
             }
         }
-        for (row, slot) in &self.spares {
+        for (row, slot) in &self.d.spares {
             c.raw(row);
             c.raw(&slot.for_site);
             match &slot.kind {
@@ -1037,7 +1076,7 @@ impl crate::check::Checkable for SiteMachine {
                 }
             }
         }
-        for row in &self.invalid_rows {
+        for row in &self.d.invalid_rows {
             c.raw(row);
         }
         let mut pending: Vec<_> = self.pending.iter().collect();

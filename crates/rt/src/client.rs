@@ -215,7 +215,9 @@ impl ClientIo for SockIo {
 
     /// Pipelined batch with one attempt budget per site — structurally
     /// identical to the threaded client's `exchange_batch`; see its docs
-    /// for the rationale.
+    /// for the rationale. The budget counts *expired windows only* and a
+    /// reply refills it, so a healthy site answers a batch of any width
+    /// and nothing is resent before a window has expired.
     fn exchange_batch(
         &mut self,
         reqs: Vec<(usize, Msg)>,
@@ -242,23 +244,25 @@ impl ClientIo for SockIo {
                     return Err(ClientErr::Timeout { site });
                 }
                 loop {
-                    let attempts = used.entry(site).or_insert(0);
-                    let k = *attempts;
+                    let k = *used.entry(site).or_insert(0);
                     if k >= self.policy.attempts {
                         dead.insert(site);
                         return Err(ClientErr::Timeout { site });
                     }
-                    *attempts += 1;
-                    // The first window rides on the pipelined send above;
-                    // later windows resend (idempotent at the receiver).
+                    // The first window (`k == 0`) rides on the pipelined
+                    // send above; a window only opens with a resend after
+                    // an earlier one expired (idempotent at the receiver).
                     if k > 0 && self.send_attempt(site, &msg, true) == SendOutcome::Closed {
                         dead.insert(site);
                         return self.take_stashed(tag).ok_or(ClientErr::Timeout { site });
                     }
-                    let window = self.attempt_window(k);
-                    if let Some(reply) = self.wait(tag, window) {
+                    if let Some(reply) = self.wait(tag, self.attempt_window(k)) {
+                        // The site is alive: refill its budget so the rest
+                        // of the batch gets full ladders too.
+                        used.insert(site, 0);
                         return Ok(reply);
                     }
+                    *used.get_mut(&site).expect("inserted above") += 1;
                 }
             })
             .collect()

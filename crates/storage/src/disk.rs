@@ -7,12 +7,19 @@
 //!
 //! * **`wal.log`** — a checksummed, length-prefixed write-ahead log.
 //!   Block writes stage in memory and land here on [`commit`]
-//!   (group commit: one contiguous append + one `fdatasync` covers the
-//!   whole batch, its metadata snapshot, and the commit marker). Records
+//!   (group commit: the whole batch, its metadata record and the commit
+//!   marker are assembled in one buffer — each staged payload is copied
+//!   into it once — and go out as one append + one `fdatasync`). Records
 //!   reuse the `[len u32][crc32 u32][body]` framing of
-//!   [`wal.rs`](crate::wal)'s log, with the CRC computed incrementally so
-//!   an adopted message body ([`Blocks::write_owned`]) is checksummed and
-//!   written straight from its refcounted buffer — no intermediate copy.
+//!   [`wal.rs`](crate::wal)'s log. The metadata blob is opaque here, but
+//!   the log records *what changed* in it: when a commit's blob has the
+//!   length of the committed one, the record is the XOR span list between
+//!   the two (`REC_META_PATCH`, a [`ChangeMask`] in wire form) and the full
+//!   blob (`REC_META`) is the fallback for a length change, for a patch
+//!   that would not be smaller, and for the first metadata record of every
+//!   log — so a log replays from its own first record whatever `state.bin`
+//!   holds (a crash between the checkpoint's rename and its truncation
+//!   leaves a newer snapshot under an older log).
 //! * **`blocks.dat`** — the fixed-geometry block file (`rows × block_size`
 //!   bytes), updated by pwrite-at-offset only at [`checkpoint`] time, and
 //!   only for rows whose log records are already durable (the write-ahead
@@ -22,18 +29,24 @@
 //!   leaves a half-written snapshot.
 //!
 //! Recovery-on-open replays the committed log suffix over the block file
-//! and keeps the newest metadata blob. A torn tail — a partially written
-//! final batch — is *discarded*, exactly as §3.4's recovery discards
-//! loser transactions; but if any committed record lies **beyond** the
-//! tear, the log is genuinely corrupt (bit rot, not a torn write) and
-//! open fails with [`DiskError::TornLog`] rather than silently dropping
-//! acknowledged writes.
+//! and materialises the newest metadata blob: a batch's blocks and its
+//! metadata record are staged until its commit marker, where a full record
+//! replaces the blob and a patch is `XORed` into it. A committed patch that
+//! does not fit the blob it lands on (wrong base length, or no full record
+//! before it in the log) is damage and fails the open with
+//! [`DiskError::MetaPatch`] — never garbage state. A torn tail — a
+//! partially written final batch — is *discarded*, exactly as §3.4's
+//! recovery discards loser transactions; but if any committed record lies
+//! **beyond** the tear, the log is genuinely corrupt (bit rot, not a torn
+//! write) and open fails with [`DiskError::TornLog`] rather than silently
+//! dropping acknowledged writes.
 //!
 //! [`commit`]: DiskBlocks::commit
 //! [`checkpoint`]: DiskBlocks::checkpoint
 
 use bytes::Bytes;
 use radd_blockdev::checksum::{crc32, crc32_finish, crc32_init, crc32_update};
+use radd_parity::ChangeMask;
 use radd_protocol::{BlockFault, Blocks, MemBlocks};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -46,6 +59,7 @@ use std::path::{Path, PathBuf};
 const REC_BLOCK: u8 = 1;
 const REC_META: u8 = 2;
 const REC_COMMIT: u8 = 3;
+const REC_META_PATCH: u8 = 4;
 
 /// Checkpoint once the log outgrows this many bytes (tunable per store).
 const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
@@ -59,6 +73,12 @@ pub enum DiskError {
     /// log is damaged, not merely torn, and replay refuses to guess.
     TornLog {
         /// Byte offset of the corrupt record.
+        at: u64,
+    },
+    /// A committed metadata patch does not apply to the blob replay had
+    /// materialised when it reached it.
+    MetaPatch {
+        /// Byte offset of the patch record.
         at: u64,
     },
     /// The store on disk was created with a different geometry.
@@ -78,6 +98,12 @@ impl fmt::Display for DiskError {
                 write!(
                     f,
                     "corrupt log record at byte {at} with committed records beyond it"
+                )
+            }
+            DiskError::MetaPatch { at } => {
+                write!(
+                    f,
+                    "metadata patch at byte {at} does not fit the snapshot before it"
                 )
             }
             DiskError::Geometry { found, expected } => {
@@ -123,6 +149,15 @@ pub(crate) fn committed_record_beyond(
     None
 }
 
+/// Append one `[len][crc][head ++ payload]` record to `out`.
+fn put_record(out: &mut Vec<u8>, head: &[u8], payload: &[u8]) {
+    let crc = crc32_finish(crc32_update(crc32_update(crc32_init(), head), payload));
+    out.extend_from_slice(&((head.len() + payload.len()) as u32).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(head);
+    out.extend_from_slice(payload);
+}
+
 /// A staged-but-uncommitted block write.
 #[derive(Debug)]
 struct Staged {
@@ -149,6 +184,9 @@ pub struct DiskBlocks {
     dirty: BTreeSet<u64>,
     /// The durably committed metadata blob (opaque to this layer).
     meta: Vec<u8>,
+    /// The log holds a full `REC_META` record, so replay reaches a known
+    /// blob before any patch: the condition for logging one.
+    patch_base_logged: bool,
     /// Rows replayed from the committed log suffix at open — the §3.4
     /// recovery reads a driver should account as `IoPurpose::LogReplay`.
     replayed: Vec<u64>,
@@ -203,6 +241,7 @@ impl DiskBlocks {
             staged: Vec::new(),
             dirty: BTreeSet::new(),
             meta,
+            patch_base_logged: false,
             replayed: Vec::new(),
             checkpoint_bytes: DEFAULT_CHECKPOINT_BYTES,
         };
@@ -214,7 +253,8 @@ impl DiskBlocks {
     /// only up to the last commit marker; a torn tail past it is cut off.
     fn replay(&mut self, log: &[u8]) -> Result<(), DiskError> {
         let mut batch: Vec<(u64, Bytes)> = Vec::new();
-        let mut batch_meta: Option<Vec<u8>> = None;
+        // The batch's metadata record: (log offset, body with its tag).
+        let mut batch_meta: Option<(usize, &[u8])> = None;
         let mut at = 0usize;
         let mut durable_end = 0usize;
         loop {
@@ -254,7 +294,7 @@ impl DiskBlocks {
                         break;
                     }
                 }
-                Some(&REC_META) => batch_meta = Some(body[1..].to_vec()),
+                Some(&(REC_META | REC_META_PATCH)) => batch_meta = Some((at, body)),
                 Some(&REC_COMMIT) => {
                     for (row, data) in batch.drain(..) {
                         self.replayed.push(row);
@@ -262,8 +302,19 @@ impl DiskBlocks {
                         self.loaded[row as usize] = true;
                         let _ = self.cache.write_owned(row, data);
                     }
-                    if let Some(m) = batch_meta.take() {
-                        self.meta = m;
+                    match batch_meta.take() {
+                        Some((_, [REC_META, blob @ ..])) => {
+                            self.meta = blob.to_vec();
+                            self.patch_base_logged = true;
+                        }
+                        Some((rec_at, [_, patch @ ..])) => {
+                            let fits = self.patch_base_logged
+                                && ChangeMask::apply_wire(patch, &mut self.meta).is_some();
+                            if !fits {
+                                return Err(DiskError::MetaPatch { at: rec_at as u64 });
+                            }
+                        }
+                        _ => {}
                     }
                     durable_end = at + 8 + len;
                 }
@@ -323,47 +374,59 @@ impl DiskBlocks {
         Ok(())
     }
 
+    /// True while block writes are staged that no [`commit`] has logged.
+    ///
+    /// [`commit`]: DiskBlocks::commit
+    pub fn has_staged(&self) -> bool {
+        !self.staged.is_empty()
+    }
+
+    /// The span list taking the committed blob to `new`, when the log may
+    /// carry one in place of `new` itself and it is the smaller of the two.
+    fn meta_patch(&self, new: &[u8]) -> Option<Bytes> {
+        if !self.patch_base_logged || new.len() != self.meta.len() {
+            return None;
+        }
+        let patch = ChangeMask::diff(&self.meta, new).encode();
+        (patch.len() < new.len()).then_some(patch)
+    }
+
     /// Group-commit every staged write plus the caller's metadata snapshot:
     /// one log append, one `fdatasync`. Returns `true` if anything was
     /// forced (false = nothing staged and metadata unchanged). `meta` is
-    /// only invoked when a force is actually needed.
+    /// invoked on every call — the blob is what "unchanged" is judged by —
+    /// so a caller that already knows nothing changed should not call at
+    /// all (the site loops go by [`has_staged`] and the machine's
+    /// `durable_version`).
+    ///
+    /// [`has_staged`]: DiskBlocks::has_staged
     pub fn commit(&mut self, meta: impl FnOnce() -> Vec<u8>) -> Result<bool, DiskError> {
         let meta = meta();
         let meta_changed = meta != self.meta;
         if self.staged.is_empty() && !meta_changed {
             return Ok(false);
         }
-        // Assemble the batch: headers and small bodies build in one
-        // buffer, block payloads are written straight from their
-        // refcounted buffers (the CRC folds over header-then-payload
-        // incrementally, so adoption stays zero-copy).
-        let mut out: Vec<u8> = Vec::with_capacity(64 + meta.len());
+        // Assemble the batch in one buffer (payloads are copied into it;
+        // the CRC folds over header-then-payload without a second pass).
         let staged = std::mem::take(&mut self.staged);
+        // Room for the block records, a typical patch and the marker.
+        let blocks_len: usize = staged.iter().map(|s| 17 + s.data.len()).sum();
+        let mut out: Vec<u8> = Vec::with_capacity(blocks_len + 256);
         for s in &staged {
-            let body_len = 9 + s.data.len();
-            let mut prefix = [0u8; 9];
-            prefix[0] = REC_BLOCK;
-            prefix[1..9].copy_from_slice(&s.row.to_le_bytes());
-            let mut c = crc32_init();
-            c = crc32_update(c, &prefix);
-            c = crc32_update(c, &s.data);
-            out.extend_from_slice(&(body_len as u32).to_le_bytes());
-            out.extend_from_slice(&crc32_finish(c).to_le_bytes());
-            out.extend_from_slice(&prefix);
-            out.extend_from_slice(&s.data);
+            let mut head = [REC_BLOCK; 9];
+            head[1..].copy_from_slice(&s.row.to_le_bytes());
+            put_record(&mut out, &head, &s.data);
         }
+        let mut full_meta = false;
         if meta_changed {
-            let mut body = Vec::with_capacity(1 + meta.len());
-            body.push(REC_META);
-            body.extend_from_slice(&meta);
-            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(&body).to_le_bytes());
-            out.extend_from_slice(&body);
+            if let Some(patch) = self.meta_patch(&meta) {
+                put_record(&mut out, &[REC_META_PATCH], &patch);
+            } else {
+                put_record(&mut out, &[REC_META], &meta);
+                full_meta = true;
+            }
         }
-        let marker = [REC_COMMIT];
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&crc32(&marker).to_le_bytes());
-        out.extend_from_slice(&marker);
+        put_record(&mut out, &[REC_COMMIT], &[]);
         self.wal.write_all(&out)?;
         self.wal.sync_data()?;
         self.wal_len += out.len() as u64;
@@ -372,6 +435,7 @@ impl DiskBlocks {
         }
         if meta_changed {
             self.meta = meta;
+            self.patch_base_logged |= full_meta;
         }
         if self.wal_len > self.checkpoint_bytes {
             self.checkpoint()?;
@@ -403,6 +467,7 @@ impl DiskBlocks {
         self.wal.sync_data()?;
         self.wal.seek(SeekFrom::Start(0))?;
         self.wal_len = 0;
+        self.patch_base_logged = false;
         Ok(())
     }
 }
@@ -512,6 +577,15 @@ impl SiteStore {
         match self {
             SiteStore::Mem(_) => &[],
             SiteStore::Disk(d) => d.replayed_rows(),
+        }
+    }
+
+    /// True while a durable store holds block writes no commit has logged
+    /// (never for memory stores, which have nothing to log).
+    pub fn has_staged(&self) -> bool {
+        match self {
+            SiteStore::Mem(_) => false,
+            SiteStore::Disk(d) => d.has_staged(),
         }
     }
 

@@ -30,6 +30,13 @@
 # (RB_LIVE=0 skips); like the scaling gate, the bench is wire-bound so the
 # ratio survives slow CI machines.
 #
+# A fifth gate covers the WAL's metadata records (PR 13): a commit of one
+# 4 KiB block with a real 512-row site snapshot in which one UID moved must
+# append at most block + 256 bytes to the log (it was 13 805 when every
+# commit logged the whole snapshot). Bytes are a count, so the threshold is
+# exact, not a tolerance; checked in the recorded run
+# (results/BENCH_pr13.json) and in a fresh run of the disk_commit bench.
+#
 # Usage:
 #   scripts/bench_check.sh                # tolerance 2.0, obs ratio 1.05
 #   BENCH_TOLERANCE=4.0 scripts/bench_check.sh
@@ -149,4 +156,22 @@ if [ "${RB_LIVE:-1}" != "0" ]; then
         fail=1
     fi
 fi
+WAL_MAX_COMMIT_BYTES=$((4096 + 256))
+WAL_BASELINE=results/BENCH_pr13.json
+echo "== bench_check: WAL bytes per 1x4k commit with a 512-row site snapshot (recorded + live, max $WAL_MAX_COMMIT_BYTES B)"
+recorded="$(python3 -c "import json; print(json.load(open('$WAL_BASELINE'))['headline']['commit_1x4k_site_meta_512_bytes'])" 2>/dev/null || true)"
+live="$(cargo bench -p radd-bench --bench disk_commit 2>&1 | awk '$2 == "disk_commit/commit_1x4k_site_meta_512_bytes" { print $3 }')"
+for pair in "recorded:$recorded" "live:$live"; do
+    which="${pair%%:*}"
+    got="${pair#*:}"
+    if [ -z "$got" ]; then
+        echo "FAIL  wal commit bytes $which: no commit_1x4k_site_meta_512_bytes value" >&2
+        fail=1
+    elif [ "$got" -le "$WAL_MAX_COMMIT_BYTES" ]; then
+        echo "ok    wal commit bytes $which: $got B per commit (max $WAL_MAX_COMMIT_BYTES)"
+    else
+        echo "FAIL  wal commit bytes $which: $got B per commit exceeds $WAL_MAX_COMMIT_BYTES" >&2
+        fail=1
+    fi
+done
 exit "$fail"
