@@ -18,9 +18,13 @@
 //!   failure and the majority side proceeds; anything else must block.
 //! * [`threaded`] — a crossbeam-channel network for the threaded cluster
 //!   runtime (real concurrency rather than virtual time), with silent
-//!   message-loss injection and a wall-clock
-//!   [`threaded::ReliableChannel`] retransmission tracker mirroring the
-//!   simulated one.
+//!   message-loss injection and partitions. Retransmission over it is the
+//!   protocol machines' own stop-and-wait (`SiteMachine::all_acked` is the
+//!   quiescence test), scheduled by [`retry::RetryPolicy`].
+//! * [`transport`] — the [`Transport`] trait: what the one async
+//!   interpreter (site loop, client ladder, cluster harness, fault driver)
+//!   asks of a network. The threaded and the socket runtime each implement
+//!   it for their endpoint type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +35,7 @@ pub mod reliable;
 pub mod retry;
 pub mod stats;
 pub mod threaded;
+pub mod transport;
 
 pub use link::{Delivery, LinkConfig, LossyLink};
 pub use partition::{PartitionMap, PartitionVerdict};
@@ -38,3 +43,4 @@ pub use reliable::ReliableChannel;
 pub use retry::RetryPolicy;
 pub use stats::NetStats;
 pub use threaded::{ThreadedEndpoint, ThreadedNet, Wire};
+pub use transport::{Received, SendOutcome, Transport};

@@ -7,13 +7,11 @@
 //! a site makes its sends and receives fail, emulating the §5 model at the
 //! process level.
 
-use crate::retry::RetryPolicy;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A shared transmission line with finite capacity: one message at a time,
 /// each occupying the line for the wire's latency.
@@ -285,142 +283,11 @@ impl<M: Send + 'static> ThreadedEndpoint<M> {
     }
 }
 
-struct Outstanding<M> {
-    dst: usize,
-    msg: M,
-    next_resend: Instant,
-    /// How many resends have fired; indexes [`RetryPolicy::delay`].
-    step: u32,
-}
-
-/// Wall-clock counterpart of [`crate::reliable::ReliableChannel`]:
-/// retransmission-with-backoff bookkeeping for messages sent over a
-/// [`ThreadedEndpoint`]. The tracker never touches the wire itself — the
-/// owner sends a message once, [`track`](ReliableChannel::track)s it, and
-/// periodically resends whatever [`due`](ReliableChannel::due) returns
-/// until the matching [`ack`](ReliableChannel::ack) arrives. Because each
-/// retransmission is an independent trial, delivery converges whenever the
-/// transport loses messages with probability below certainty
-/// ([`ThreadedNet::set_loss`]) and partitions eventually heal.
-///
-/// The receiver must apply tracked messages *idempotently*: the lost
-/// message may have been the ack, in which case a retransmission arrives
-/// for work already done.
-pub struct ReliableChannel<M> {
-    outstanding: HashMap<u64, Outstanding<M>>,
-    policy: RetryPolicy,
-}
-
-impl<M: Clone> ReliableChannel<M> {
-    /// A tracker whose first retransmission fires after `base`, doubling up
-    /// to `cap` thereafter. Shorthand for [`with_policy`] over a ×2
-    /// schedule — tests tune the two durations directly.
-    ///
-    /// [`with_policy`]: ReliableChannel::with_policy
-    pub fn new(base: Duration, cap: Duration) -> ReliableChannel<M> {
-        Self::with_policy(RetryPolicy {
-            base_ms: base.as_millis() as u64,
-            numer: 2,
-            denom: 1,
-            cap_ms: cap.as_millis() as u64,
-            attempts: u32::MAX,
-        })
-    }
-
-    /// A tracker retransmitting on `policy`'s schedule. The policy's
-    /// `attempts` budget is *not* enforced here: a stop-and-wait parity
-    /// sender never abandons an update (§5), so the tracker resends until
-    /// acked and leaves finite budgets to request/reply ladders.
-    pub fn with_policy(policy: RetryPolicy) -> ReliableChannel<M> {
-        assert!(policy.base_ms > 0, "zero backoff would spin");
-        ReliableChannel {
-            outstanding: HashMap::new(),
-            policy,
-        }
-    }
-
-    /// Start tracking `msg` (already sent once to `dst`) under `tag`.
-    pub fn track(&mut self, tag: u64, dst: usize, msg: M) {
-        self.outstanding.insert(
-            tag,
-            Outstanding {
-                dst,
-                msg,
-                next_resend: Instant::now() + self.policy.delay(0),
-                step: 0,
-            },
-        );
-    }
-
-    /// An ack for `tag` arrived; returns whether it was outstanding (a
-    /// duplicate ack from a retransmission returns `false`).
-    pub fn ack(&mut self, tag: u64) -> bool {
-        self.outstanding.remove(&tag).is_some()
-    }
-
-    /// The messages whose backoff timers have expired, as `(dst, msg)`
-    /// pairs to resend now. Each returned entry has its timer doubled (up
-    /// to the cap) and stays tracked until acked.
-    pub fn due(&mut self, now: Instant) -> Vec<(usize, M)> {
-        let mut resend = Vec::new();
-        for o in self.outstanding.values_mut() {
-            if now >= o.next_resend {
-                resend.push((o.dst, o.msg.clone()));
-                o.step = o.step.saturating_add(1);
-                o.next_resend = now + self.policy.delay(o.step);
-            }
-        }
-        resend
-    }
-
-    /// True when nothing awaits an ack — the channel has quiesced. This is
-    /// the §5/§6 commit precondition in wall-clock form: a site may treat
-    /// its writes as fully reflected in parity only when this holds.
-    pub fn all_acked(&self) -> bool {
-        self.outstanding.is_empty()
-    }
-
-    /// Number of messages still awaiting their ack.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn tracker_starts_quiesced_and_counts_outstanding() {
-        let mut c: ReliableChannel<&str> =
-            ReliableChannel::new(Duration::from_millis(10), Duration::from_millis(40));
-        assert!(c.all_acked());
-        c.track(1, 5, "a");
-        c.track(2, 6, "b");
-        assert!(!c.all_acked());
-        assert_eq!(c.outstanding(), 2);
-        assert!(c.ack(1));
-        assert!(!c.ack(1), "second ack is a duplicate");
-    }
-
-    #[test]
-    fn tracker_resends_with_doubling_backoff_until_acked() {
-        let mut c: ReliableChannel<&str> =
-            ReliableChannel::new(Duration::from_millis(10), Duration::from_millis(40));
-        c.track(1, 3, "a");
-        let t0 = Instant::now();
-        assert!(c.due(t0).is_empty(), "nothing due before the base interval");
-        let r1 = c.due(t0 + Duration::from_millis(11));
-        assert_eq!(r1, vec![(3, "a")]);
-        // Backoff doubled to 20 ms: quiet at +26 ms, due again by +32 ms.
-        assert!(c.due(t0 + Duration::from_millis(26)).is_empty());
-        assert_eq!(c.due(t0 + Duration::from_millis(32)), vec![(3, "a")]);
-        assert_eq!(c.outstanding(), 1, "stays tracked until acked");
-        assert!(c.ack(1));
-        assert!(c.due(t0 + Duration::from_secs(10)).is_empty());
-        assert!(c.all_acked());
-    }
+    use std::time::Instant;
 
     #[test]
     fn point_to_point_delivery() {

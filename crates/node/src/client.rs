@@ -1,42 +1,41 @@
-//! The client library: a [`ClientMachine`] bound to a real endpoint.
+//! The client library: a [`ClientMachine`] bound to a real endpoint, over
+//! any [`Transport`]. One source file, compiled into both async runtimes
+//! (DESIGN.md §12).
 //!
 //! All §3.2/§3.3 client logic — degraded reads via spare or validated
 //! reconstruction, W1' redirected writes, the recovery drain — lives in
 //! [`radd_protocol::ClientMachine`]. This module supplies its
 //! [`ClientIo`]: requests are retried with a growing per-attempt timeout
-//! before the client gives up, so lost messages (see
-//! [`radd_net::ThreadedNet::set_loss`]) delay operations instead of
-//! failing them. Every request the client can resend is idempotent on the
-//! receiving site: reads and probes trivially, `SpareInstall` and
-//! `RestoreBlock` by overwriting with identical contents, `ParityUpdate`
-//! by the parity site's UID comparison, duplicates of anything else by the
-//! site's reply cache. The one destructive request, `SpareTake`, is only
-//! issued *after* the block it covers has been restored, so a lost reply
-//! costs nothing.
+//! ([`RetryPolicy::CLIENT_ATTEMPT`]) before the client gives up, so lost
+//! messages delay operations instead of failing them. Every request the
+//! client can resend is idempotent on the receiving site: reads and probes
+//! trivially, `SpareInstall` and `RestoreBlock` by overwriting with
+//! identical contents, `ParityUpdate` by the parity site's UID comparison,
+//! duplicates of anything else by the site's reply cache. The one
+//! destructive request, `SpareTake`, is only issued *after* the block it
+//! covers has been restored, so a lost reply costs nothing.
 //!
 //! Two degraded-path rules keep retries from compounding:
 //!
-//! * a send onto a **closed** channel fails the request immediately — a
-//!   disconnected endpoint can never answer, so burning the timeout ladder
-//!   only adds latency (a *partitioned* link keeps retrying: partitions
-//!   heal);
+//! * a send that comes back [`SendOutcome::Closed`] fails the request
+//!   immediately — such an endpoint can never answer, so burning the
+//!   timeout ladder only adds latency (a *partitioned* or redialling link
+//!   reports `Sent` and keeps retrying: partitions heal);
 //! * a batch ([`ClientIo::exchange_batch`]) shares **one** attempt budget
 //!   per site across all of its entries, and short-circuits the remaining
 //!   entries for a site that already exhausted it — a G-way degraded read
 //!   with one down site pays one ladder, not one per entry.
 //!
-//! Every wire attempt, retransmission, stash eviction and failed send is
+//! Every wire attempt, retransmission, stash eviction and `Closed` send is
 //! recorded in a per-client [`radd_obs::MachineObs`]; see
-//! [`NodeClient::obs_snapshot`].
+//! [`Client::obs_snapshot`].
 
-use crate::message::Msg;
-use radd_net::threaded::NetError;
-use radd_net::{RetryPolicy, ThreadedEndpoint};
+use radd_net::{Received, RetryPolicy, SendOutcome, Transport};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_parity::xor_in_place;
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
-    ClientErr, ClientIo, ClientMachine, Dest, RebuildReport, SparePolicy, TraceEntry,
+    ClientErr, ClientIo, ClientMachine, Dest, Msg, RebuildReport, SparePolicy, TraceEntry,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -47,7 +46,7 @@ const RECONSTRUCT_RETRIES: u32 = 20;
 /// (stale duplicates, e.g. a second `WriteOk` from a retransmitted write).
 const STASH_CAP: usize = 512;
 /// Tag-space bit marking requests minted outside the protocol machine
-/// (oracle sweeps like [`NodeClient::verify_parity`]).
+/// (oracle sweeps like [`Client::verify_parity`]).
 const ORACLE_TAG_BIT: u64 = 1 << 46;
 /// Client UID namespaces count *down* from `u16::MAX` while site machines
 /// count *up* from their site id. This cap keeps the two pools provably
@@ -56,8 +55,10 @@ const ORACLE_TAG_BIT: u64 = 1 << 46;
 /// the §3.2 requirement that UIDs never repeat across writers.
 const MAX_CLIENT_NAMESPACES: usize = 4096;
 
-/// The UID namespace for the client on endpoint `ep_id`. Panics when the
-/// endpoint id would not map injectively into the client pool.
+/// The UID namespace for the client on endpoint `ep_id` — the same on
+/// every transport, a precondition for byte-identical differential traces.
+/// Panics when the endpoint id would not map injectively into the client
+/// pool.
 fn client_uid_namespace(ep_id: usize) -> u16 {
     assert!(
         ep_id < MAX_CLIENT_NAMESPACES,
@@ -117,26 +118,14 @@ impl From<ClientErr> for ClientError {
     }
 }
 
-/// What became of one send attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendResult {
-    /// On the wire (or silently dropped by loss injection / refused by a
-    /// partition — both of which retries are for).
-    Sent,
-    /// The channel is closed or the destination does not exist; no retry
-    /// can ever succeed.
-    Closed,
-}
-
-/// The machine's transport: request/reply over a threaded endpoint with
-/// retry and backoff.
-struct NetIo {
-    ep: ThreadedEndpoint<Msg>,
-    ep_base: usize,
+/// The machine's transport: request/reply over an endpoint with retry and
+/// backoff.
+struct NetIo<T> {
+    ep: T,
     /// Replies that arrived while we were waiting for a different tag —
-    /// fan-out responses come back in arbitrary order.
-    stash: HashMap<u64, Msg>,
-    stash_order: VecDeque<u64>,
+    /// fan-out responses come back in arbitrary order — oldest first, at
+    /// most one per tag.
+    stash: VecDeque<Msg>,
     /// Attempt-ladder tuning — [`RetryPolicy::CLIENT_ATTEMPT`] in
     /// production; tests inject shrunken schedules.
     policy: RetryPolicy,
@@ -145,32 +134,42 @@ struct NetIo {
     obs: MachineObs,
 }
 
-impl NetIo {
-    fn new(ep: ThreadedEndpoint<Msg>, ep_base: usize) -> NetIo {
+impl<T: Transport> NetIo<T> {
+    fn new(ep: T) -> NetIo<T> {
         NetIo {
             ep,
-            ep_base,
-            stash: HashMap::new(),
-            stash_order: VecDeque::new(),
+            stash: VecDeque::new(),
             policy: RetryPolicy::CLIENT_ATTEMPT,
             stash_cap: STASH_CAP,
             obs: MachineObs::new(),
         }
     }
 
-    /// The wait window for a site's `k`-th attempt (0-based): the policy's
-    /// geometric schedule.
-    fn attempt_window(&self, k: u32) -> Duration {
-        self.policy.delay(k)
-    }
-
     /// A stashed reply for `tag`, if one already arrived out of band.
     fn take_stashed(&mut self, tag: u64) -> Option<Msg> {
-        self.stash.remove(&tag)
+        let at = self.stash.iter().position(|m| m.tag() == tag)?;
+        self.stash.remove(at)
+    }
+
+    /// Keep a reply to some *other* outstanding request for its own `wait`
+    /// call. A second reply for a tag (the answer to a retransmission)
+    /// replaces the first instead of taking another slot; past the cap the
+    /// oldest reply is dropped and counted — its request, if still
+    /// outstanding, recovers by retransmission.
+    fn stash(&mut self, msg: Msg) {
+        if let Some(slot) = self.stash.iter_mut().find(|m| m.tag() == msg.tag()) {
+            *slot = msg;
+            return;
+        }
+        self.stash.push_back(msg);
+        if self.stash.len() > self.stash_cap {
+            self.stash.pop_front();
+            self.obs.metrics().stash_eviction();
+        }
     }
 
     /// One wire attempt: record it, send it, classify the outcome.
-    fn send_attempt(&mut self, site: usize, msg: &Msg, retransmit: bool) -> SendResult {
+    fn send_attempt(&mut self, site: usize, msg: &Msg, retransmit: bool) -> SendOutcome {
         self.obs.event(ObsEvent::Send {
             to: Dest::Site(site),
             kind: msg.kind(),
@@ -179,26 +178,18 @@ impl NetIo {
             retransmit,
             replay: false,
         });
-        match self.ep.send(self.ep_base + site, msg.clone()) {
-            Ok(()) => SendResult::Sent,
-            Err(NetError::Disconnected) | Err(NetError::NoSuchSite(_)) => {
-                self.obs.metrics().send_failure();
-                SendResult::Closed
-            }
-            // A partitioned link refuses the send but may heal before the
-            // ladder is spent — keep retrying, exactly like silent loss.
-            Err(NetError::Partitioned) | Err(NetError::Timeout) => {
-                self.obs.metrics().send_failure();
-                SendResult::Sent
-            }
+        let out = self.ep.send(self.ep.ep_base() + site, msg);
+        if out == SendOutcome::Closed {
+            self.obs.metrics().send_failure();
         }
+        out
     }
 
     /// Wait for the reply carrying `tag`. Replies to *other* outstanding
     /// requests are stashed for their own `wait` calls; only a reply whose
     /// tag was never issued is truly stale.
     fn wait(&mut self, tag: u64, timeout: Duration) -> Option<Msg> {
-        if let Some(m) = self.stash.remove(&tag) {
+        if let Some(m) = self.take_stashed(tag) {
             return Some(m);
         }
         let deadline = Instant::now() + timeout;
@@ -207,21 +198,12 @@ impl NetIo {
             if left.is_zero() {
                 return None;
             }
-            match self.ep.recv_timeout(left) {
-                Ok(inbound) if inbound.payload.tag() == tag => return Some(inbound.payload),
-                Ok(other) => {
-                    let t = other.payload.tag();
-                    if self.stash.insert(t, other.payload).is_none() {
-                        self.stash_order.push_back(t);
-                        if self.stash_order.len() > self.stash_cap {
-                            if let Some(old) = self.stash_order.pop_front() {
-                                self.stash.remove(&old);
-                                self.obs.metrics().stash_eviction();
-                            }
-                        }
-                    }
-                }
-                Err(_) => return None,
+            match self.ep.recv_timeout(left)? {
+                Received::Msg { msg, .. } if msg.tag() == tag => return Some(msg),
+                Received::Msg { msg, .. } => self.stash(msg),
+                // Clients never listen, so an out-of-band item can only be
+                // a stray — drop it rather than letting it eat the window.
+                Received::Oob(_) => {}
             }
         }
     }
@@ -233,10 +215,10 @@ impl NetIo {
     fn request(&mut self, site: usize, msg: &Msg) -> Option<Msg> {
         let tag = msg.tag();
         for k in 0..self.policy.attempts {
-            if self.send_attempt(site, msg, k > 0) == SendResult::Closed {
+            if self.send_attempt(site, msg, k > 0) == SendOutcome::Closed {
                 return self.take_stashed(tag);
             }
-            if let Some(reply) = self.wait(tag, self.attempt_window(k)) {
+            if let Some(reply) = self.wait(tag, self.policy.delay(k)) {
                 return Some(reply);
             }
         }
@@ -244,7 +226,7 @@ impl NetIo {
     }
 }
 
-impl ClientIo for NetIo {
+impl<T: Transport> ClientIo for NetIo<T> {
     fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
         self.request(site, &msg).ok_or(ClientErr::Timeout { site })
     }
@@ -276,7 +258,7 @@ impl ClientIo for NetIo {
             if dead.contains(site) {
                 continue;
             }
-            if self.send_attempt(*site, msg, false) == SendResult::Closed {
+            if self.send_attempt(*site, msg, false) == SendOutcome::Closed {
                 dead.insert(*site);
             }
         }
@@ -299,11 +281,11 @@ impl ClientIo for NetIo {
                     // The first window (`k == 0`) rides on the pipelined
                     // send above; a window only opens with a resend after
                     // an earlier one expired (idempotent at the receiver).
-                    if k > 0 && self.send_attempt(site, &msg, true) == SendResult::Closed {
+                    if k > 0 && self.send_attempt(site, &msg, true) == SendOutcome::Closed {
                         dead.insert(site);
                         return self.take_stashed(tag).ok_or(ClientErr::Timeout { site });
                     }
-                    if let Some(reply) = self.wait(tag, self.attempt_window(k)) {
+                    if let Some(reply) = self.wait(tag, self.policy.delay(k)) {
                         // The site is alive: refill its budget so the rest
                         // of the batch gets full ladders too.
                         used.insert(site, 0);
@@ -314,32 +296,42 @@ impl ClientIo for NetIo {
             })
             .collect()
     }
-    // old_value stays `None`: this runtime has no buffer-pool oracle, so
+    // old_value stays `None`: these runtimes have no buffer-pool oracle, so
     // degraded writes fetch the old value through the protocol.
 }
 
-/// The cluster client.
-pub struct NodeClient {
+/// §3.3: an `Inconsistent` reconstruction means a parity update is in
+/// flight; back off and retry the whole operation, a bounded number of
+/// times.
+fn until_consistent<R>(mut op: impl FnMut() -> Result<R, ClientErr>) -> Result<R, ClientError> {
+    for _ in 0..RECONSTRUCT_RETRIES {
+        match op() {
+            Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
+            Ok(r) => return Ok(r),
+            Err(e) => return Err(ClientError::from(e)),
+        }
+    }
+    Err(ClientError::Inconsistent)
+}
+
+/// The cluster client over transport `T`.
+pub struct Client<T> {
     machine: ClientMachine,
-    io: NetIo,
+    io: NetIo<T>,
     block_size: usize,
     /// Tag counter for oracle sweeps issued outside the machine.
     next_oracle_tag: u64,
 }
 
-impl NodeClient {
-    pub(crate) fn new(
-        ep: ThreadedEndpoint<Msg>,
-        ep_base: usize,
-        g: usize,
-        rows: u64,
-        block_size: usize,
-    ) -> NodeClient {
+impl<T: Transport> Client<T> {
+    /// Bind a client to `ep` for a `g`-site cluster with `rows` block rows
+    /// of `block_size` bytes.
+    pub fn new(ep: T, g: usize, rows: u64, block_size: usize) -> Client<T> {
         // Every client mints UIDs from its own namespace keyed by its
         // endpoint id, so concurrent clients never collide. Any "local
         // system" may mint UIDs, per §3.2 — uniqueness is all that matters.
         let uid_namespace = client_uid_namespace(ep.id());
-        NodeClient {
+        Client {
             machine: ClientMachine::new(
                 g,
                 rows,
@@ -348,10 +340,20 @@ impl NodeClient {
                 true,
                 uid_namespace,
             ),
-            io: NetIo::new(ep, ep_base),
+            io: NetIo::new(ep),
             block_size,
             next_oracle_tag: 0,
         }
+    }
+
+    /// Salt request tags with a restart incarnation (see
+    /// [`ClientMachine::set_incarnation`]): standalone client processes
+    /// must call this with something unique per start, or a site's
+    /// at-most-once reply cache will replay answers meant for the previous
+    /// process on the same endpoint id. Cluster harnesses, whose clients
+    /// live as long as the sites, keep the default incarnation 0.
+    pub fn set_incarnation(&mut self, incarnation: u64) {
+        self.machine.set_incarnation(incarnation);
     }
 
     /// Tell the machine `site` is believed down (or back up). In a real
@@ -390,41 +392,23 @@ impl NodeClient {
     /// Read the `index`-th data block of `site`.
     pub fn read(&mut self, site: usize, index: u64) -> Result<Vec<u8>, ClientError> {
         let started = Instant::now();
-        // §3.3: an inconsistent reconstruction means a parity update is in
-        // flight; back off and retry the whole degraded read.
-        for _ in 0..RECONSTRUCT_RETRIES {
-            match self.machine.read(&mut self.io, site, index) {
-                Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
-                Ok(b) => {
-                    self.io
-                        .obs
-                        .metrics()
-                        .record_read_latency(started.elapsed().as_nanos() as u64);
-                    return Ok(b.to_vec());
-                }
-                Err(e) => return Err(ClientError::from(e)),
-            }
-        }
-        Err(ClientError::Inconsistent)
+        let block = until_consistent(|| self.machine.read(&mut self.io, site, index))?;
+        self.io
+            .obs
+            .metrics()
+            .record_read_latency(started.elapsed().as_nanos() as u64);
+        Ok(block.to_vec())
     }
 
     /// Write the `index`-th data block of `site`.
     pub fn write(&mut self, site: usize, index: u64, data: &[u8]) -> Result<(), ClientError> {
         let started = Instant::now();
-        for _ in 0..RECONSTRUCT_RETRIES {
-            match self.machine.write(&mut self.io, site, index, data) {
-                Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
-                Ok(()) => {
-                    self.io
-                        .obs
-                        .metrics()
-                        .record_write_latency(started.elapsed().as_nanos() as u64);
-                    return Ok(());
-                }
-                Err(e) => return Err(ClientError::from(e)),
-            }
-        }
-        Err(ClientError::Inconsistent)
+        until_consistent(|| self.machine.write(&mut self.io, site, index, data))?;
+        self.io
+            .obs
+            .metrics()
+            .record_write_latency(started.elapsed().as_nanos() as u64);
+        Ok(())
     }
 
     /// Recovery drain for a revived site (§3.2's background process, driven
@@ -444,27 +428,18 @@ impl NodeClient {
     }
 
     /// Bulk-rebuild every data block a believed-down `site` owns into the
-    /// row spares (§3.3 reconstruction fanned wave-by-wave across all
-    /// survivors). Idempotent: rows already absorbed are skipped, so an
-    /// `Inconsistent` fold (a parity update racing the rebuild) retries the
-    /// whole pass cheaply.
+    /// row spares (§3.3 reconstruction fanned wave-by-wave, `wave_rows`
+    /// rows per pipelined wave, across all survivors). Idempotent: rows
+    /// already absorbed are skipped, so an `Inconsistent` fold (a parity
+    /// update racing the rebuild) retries the whole pass cheaply.
     pub fn rebuild(&mut self, site: usize, wave_rows: usize) -> Result<RebuildReport, ClientError> {
-        for _ in 0..RECONSTRUCT_RETRIES {
-            match self.machine.rebuild_member(&mut self.io, site, wave_rows) {
-                Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
-                Ok(report) => {
-                    let m = self.io.obs.metrics();
-                    m.rebuild_run();
-                    m.add_rebuild(report.blocks_rebuilt, report.bytes_xored);
-                    m.set_rebuild_fanout(
-                        report.peer_reads.iter().filter(|&&n| n > 0).count() as u64
-                    );
-                    return Ok(report);
-                }
-                Err(e) => return Err(ClientError::from(e)),
-            }
-        }
-        Err(ClientError::Inconsistent)
+        let report =
+            until_consistent(|| self.machine.rebuild_member(&mut self.io, site, wave_rows))?;
+        let m = self.io.obs.metrics();
+        m.rebuild_run();
+        m.add_rebuild(report.blocks_rebuilt, report.bytes_xored);
+        m.set_rebuild_fanout(report.peer_reads.iter().filter(|&&n| n > 0).count() as u64);
+        Ok(report)
     }
 
     fn oracle_tag(&mut self) -> u64 {
@@ -508,10 +483,13 @@ impl NodeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radd_net::ThreadedNet;
+    use std::cell::RefCell;
+    use std::convert::Infallible;
 
     #[test]
     fn client_uid_namespaces_are_distinct_and_disjoint_from_sites() {
+        assert_eq!(client_uid_namespace(0), u16::MAX);
+        assert_eq!(client_uid_namespace(1), u16::MAX - 1);
         let mut seen = HashSet::new();
         for ep_id in 0..64 {
             let ns = client_uid_namespace(ep_id);
@@ -538,80 +516,124 @@ mod tests {
         let _ = client_uid_namespace(MAX_CLIENT_NAMESPACES);
     }
 
-    /// A deaf cluster: endpoints exist (sends succeed) but nothing ever
-    /// replies — the worst case for retry ladders.
-    fn deaf_io(sites: usize) -> NetIo {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(1 + sites);
-        // Keep the net handle alive inside the endpoint's lifetime by
-        // leaking it: dropping it would close channels and turn timeouts
-        // into instant Disconnected errors, which is not the case under
-        // test here.
-        std::mem::forget(net);
-        std::mem::forget(eps.split_off(1));
-        NetIo::new(eps.remove(0), 1)
+    /// The test transport: endpoint 0 of a one-client network whose sites
+    /// are a script. Every send runs the script, which sees the request
+    /// and may queue replies; `recv_timeout` hands queued replies over in
+    /// order and otherwise sleeps the window out, as a silent network
+    /// would. Single-threaded, so what the ladder sees is exactly what the
+    /// script decided.
+    struct Scripted<F> {
+        script: RefCell<F>,
+        inbox: RefCell<VecDeque<Msg>>,
+    }
+
+    impl<F: FnMut(&Msg, &mut VecDeque<Msg>) -> SendOutcome> Transport for Scripted<F> {
+        type Oob = Infallible;
+        fn id(&self) -> usize {
+            0
+        }
+        fn ep_base(&self) -> usize {
+            1
+        }
+        fn send(&self, _dst: usize, msg: &Msg) -> SendOutcome {
+            (self.script.borrow_mut())(msg, &mut self.inbox.borrow_mut())
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Option<Received<Infallible>> {
+            let next = self.inbox.borrow_mut().pop_front();
+            if next.is_none() {
+                std::thread::sleep(timeout);
+            }
+            next.map(|msg| Received::Msg { src: 1, msg })
+        }
+    }
+
+    /// A three-attempt ladder over `script` whose every window is
+    /// `window_ms` long. Windows are real time: a test whose replies are
+    /// always queued before the wait passes [`NEVER_EXPIRES`], so a loaded
+    /// machine cannot turn a slow drain into a spurious retransmission.
+    fn scripted_io<F>(script: F, window_ms: u64) -> NetIo<Scripted<F>>
+    where
+        F: FnMut(&Msg, &mut VecDeque<Msg>) -> SendOutcome,
+    {
+        let mut io = NetIo::new(Scripted {
+            script: RefCell::new(script),
+            inbox: RefCell::new(VecDeque::new()),
+        });
+        io.policy = RetryPolicy {
+            base_ms: window_ms,
+            numer: 1,
+            denom: 1,
+            cap_ms: window_ms,
+            attempts: 3,
+        };
+        io
+    }
+
+    const NEVER_EXPIRES: u64 = 60_000;
+
+    /// A site that holds the first `rounds` groups of `width` requests back
+    /// until each group is complete and then acknowledges it in *reverse*
+    /// order (forcing the client to stash the later tags); anything after
+    /// that (retransmissions) is acknowledged as it arrives.
+    fn reversing(
+        width: usize,
+        mut rounds: usize,
+    ) -> impl FnMut(&Msg, &mut VecDeque<Msg>) -> SendOutcome {
+        let mut held = Vec::new();
+        move |msg, inbox| {
+            held.push(msg.tag());
+            if rounds == 0 || held.len() == width {
+                rounds = rounds.saturating_sub(1);
+                inbox.extend(held.drain(..).rev().map(|tag| Msg::Ack { tag }));
+            }
+            SendOutcome::Sent
+        }
+    }
+
+    fn block_reads(tags: std::ops::Range<u64>) -> Vec<(usize, Msg)> {
+        tags.map(|tag| (0usize, Msg::BlockRead { row: tag, tag }))
+            .collect()
+    }
+
+    fn assert_answered_in_order(replies: &[Result<Msg, ClientErr>], first_tag: u64) {
+        for (i, r) in replies.iter().enumerate() {
+            match r {
+                Ok(m) => assert_eq!(m.tag(), first_tag + i as u64),
+                Err(e) => panic!("entry {i} failed: {e:?}"),
+            }
+        }
     }
 
     #[test]
     fn batch_against_a_dead_site_shares_one_attempt_budget() {
-        let mut io = deaf_io(2);
-        io.policy = RetryPolicy {
-            base_ms: 20,
-            numer: 3,
-            denom: 2,
-            cap_ms: 30,
-            attempts: 3,
-        };
+        // A deaf site: sends succeed, nothing ever replies — the worst
+        // case for retry ladders.
+        let sends = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let seen = sends.clone();
+        let mut io = scripted_io(
+            move |_, _| {
+                seen.set(seen.get() + 1);
+                SendOutcome::Sent
+            },
+            2,
+        );
         // 6 batch entries all target dead site 0. The shared budget means
-        // one ladder (20 + 30 + 30 ms), not six.
-        let reqs: Vec<(usize, Msg)> = (0..6)
-            .map(|i| (0usize, Msg::BlockRead { row: i, tag: i }))
-            .collect();
-        let started = Instant::now();
-        let replies = io.exchange_batch(reqs, false);
-        let elapsed = started.elapsed();
+        // one ladder (three windows), not six.
+        let replies = io.exchange_batch(block_reads(0..6), false);
         assert!(replies
             .iter()
             .all(|r| matches!(r, Err(ClientErr::Timeout { site: 0 }))));
-        // One full ladder is 80 ms; six serial ladders would be 480 ms.
-        // Allow generous slack for a loaded machine while still proving
-        // the budget is shared.
-        assert!(
-            elapsed < Duration::from_millis(300),
-            "batch against a dead site took {elapsed:?}; the attempt budget \
-             is being spent per entry instead of per site"
-        );
-        let snap = io.obs.snapshot("client");
         assert_eq!(
-            snap.metrics.retransmits, 2,
+            io.obs.snapshot("client").metrics.retransmits,
+            2,
             "3-attempt budget = 1 batched send + 2 retransmissions, shared \
              across the whole batch"
         );
-    }
-
-    /// A fake site that collects `batch` requests, acknowledges them in
-    /// *reverse* order (forcing the client to stash the later tags), then
-    /// echoes an ack for anything else that arrives (retransmissions).
-    fn reversing_site(ep: ThreadedEndpoint<Msg>, batch: usize) {
-        std::thread::spawn(move || {
-            let mut first: Vec<(usize, u64)> = Vec::new();
-            while first.len() < batch {
-                match ep.recv_timeout(Duration::from_secs(5)) {
-                    Ok(m) => first.push((m.src, m.payload.tag())),
-                    Err(_) => return,
-                }
-            }
-            for &(src, tag) in first.iter().rev() {
-                let _ = ep.send(src, Msg::Ack { tag });
-            }
-            while let Ok(m) = ep.recv_timeout(Duration::from_secs(2)) {
-                let _ = ep.send(
-                    m.src,
-                    Msg::Ack {
-                        tag: m.payload.tag(),
-                    },
-                );
-            }
-        });
+        assert_eq!(
+            sends.get(),
+            6 + 2,
+            "the attempt budget is per site, not per entry"
+        );
     }
 
     /// A batch far wider than the attempt budget, all to one *healthy*
@@ -622,66 +644,26 @@ mod tests {
     /// spuriously resent as retransmissions).
     #[test]
     fn wide_batch_to_a_healthy_site_outlives_the_attempt_budget() {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(2);
-        let client_ep = eps.remove(0);
-        reversing_site(eps.remove(0), 0); // pure echo: acks as requests arrive
-        let mut io = NetIo::new(client_ep, 1);
-        let width = io.policy.attempts as u64 * 3;
-        let reqs: Vec<(usize, Msg)> = (0..width)
-            .map(|i| {
-                (
-                    0usize,
-                    Msg::BlockRead {
-                        row: i,
-                        tag: 200 + i,
-                    },
-                )
-            })
-            .collect();
-        let replies = io.exchange_batch(reqs, false);
-        for (i, r) in replies.iter().enumerate() {
-            match r {
-                Ok(m) => assert_eq!(m.tag(), 200 + i as u64),
-                Err(e) => panic!("entry {i} of a healthy wide batch failed: {e:?}"),
-            }
-        }
-        let snap = io.obs.snapshot("client");
+        let mut io = scripted_io(reversing(1, 0), NEVER_EXPIRES);
+        let width = u64::from(io.policy.attempts) * 3;
+        let replies = io.exchange_batch(block_reads(200..200 + width), false);
+        assert_answered_in_order(&replies, 200);
         assert_eq!(
-            snap.metrics.retransmits, 0,
+            io.obs.snapshot("client").metrics.retransmits,
+            0,
             "a healthy site answered every pipelined request; nothing to resend"
         );
-        drop(net);
     }
 
     #[test]
     fn stash_eviction_of_a_batch_reply_converges_by_retransmission() {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(2);
-        let client_ep = eps.remove(0);
-        reversing_site(eps.remove(0), 3);
-        let mut io = NetIo::new(client_ep, 1);
+        let mut io = scripted_io(reversing(3, 1), 100);
         // One stash slot: when the replies for tags 101 and 102 both land
         // while entry 100 is being awaited, 102's reply is evicted even
         // though its batch entry is still outstanding.
         io.stash_cap = 1;
-        io.policy.base_ms = 50;
-        let reqs: Vec<(usize, Msg)> = (0..3)
-            .map(|i| {
-                (
-                    0usize,
-                    Msg::BlockRead {
-                        row: i,
-                        tag: 100 + i,
-                    },
-                )
-            })
-            .collect();
-        let replies = io.exchange_batch(reqs, false);
-        for (i, r) in replies.iter().enumerate() {
-            match r {
-                Ok(m) => assert_eq!(m.tag(), 100 + i as u64),
-                Err(e) => panic!("entry {i} failed: {e:?}"),
-            }
-        }
+        let replies = io.exchange_batch(block_reads(100..103), false);
+        assert_answered_in_order(&replies, 100);
         let snap = io.obs.snapshot("client");
         assert_eq!(
             snap.metrics.stash_evictions, 1,
@@ -691,25 +673,40 @@ mod tests {
             snap.metrics.retransmits, 1,
             "recovering the evicted reply takes exactly one retransmission"
         );
-        drop(net);
+    }
+
+    /// Taking a stashed reply frees its slot for good. The stash once kept
+    /// a taken reply's tag in its eviction order, so after `STASH_CAP`
+    /// replies had *ever* been stashed every further one popped a stale
+    /// tag and counted an eviction that dropped nothing.
+    #[test]
+    fn taken_replies_never_count_as_evictions() {
+        let width = STASH_CAP / 2;
+        let rounds = 3 * STASH_CAP / (width - 1) + 1;
+        let mut io = scripted_io(reversing(width, rounds), NEVER_EXPIRES);
+        for round in 0..rounds as u64 {
+            let first = round * width as u64;
+            let replies = io.exchange_batch(block_reads(first..first + width as u64), false);
+            assert_answered_in_order(&replies, first);
+        }
+        assert!(io.stash.is_empty(), "every stashed reply was taken");
+        let snap = io.obs.snapshot("client");
+        assert_eq!(snap.metrics.stash_evictions, 0);
+        assert_eq!(snap.metrics.retransmits, 0);
     }
 
     #[test]
     fn request_fails_fast_when_the_channel_is_closed() {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(2);
-        let io_ep = eps.remove(0);
-        drop(eps); // site endpoint gone: its inbox channel closes
-        drop(net);
-        let mut io = NetIo::new(io_ep, 1);
-        io.policy.base_ms = 200;
+        let mut io = scripted_io(|_, _| SendOutcome::Closed, 500);
         let started = Instant::now();
         let reply = io.request(0, &Msg::BlockRead { row: 0, tag: 1 });
-        let elapsed = started.elapsed();
         assert!(reply.is_none());
         assert!(
-            elapsed < Duration::from_millis(100),
-            "closed channel burned the timeout ladder: {elapsed:?}"
+            started.elapsed() < Duration::from_millis(250),
+            "closed channel burned the timeout ladder"
         );
-        assert_eq!(io.obs.snapshot("client").metrics.send_failures, 1);
+        let snap = io.obs.snapshot("client");
+        assert_eq!(snap.metrics.send_failures, 1);
+        assert_eq!(snap.metrics.retransmits, 0);
     }
 }

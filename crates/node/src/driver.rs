@@ -1,12 +1,13 @@
-//! [`FaultDriver`] implementation for the threaded cluster, so one
-//! [`FaultPlan`](radd_workload::faults::FaultPlan) exercises both the DES
-//! and the real-concurrency runtime.
+//! [`FaultDriver`] implementation for the async runtimes, so one
+//! [`FaultPlan`](radd_workload::faults::FaultPlan) exercises the DES and
+//! every real-concurrency runtime. One source file, compiled into both
+//! async runtimes (DESIGN.md §12).
 //!
-//! The threaded runtime models temporary site failures, partitions and
-//! message loss faithfully; two DES-only events degrade gracefully here:
+//! These runtimes model temporary site failures, partitions and message
+//! loss faithfully; two DES-only events degrade gracefully here:
 //!
 //! * **Disk events.** `FailDisk`/`ReplaceDisk` need failure injection
-//!   *inside* a site thread, which this runtime does not model; both are
+//!   *inside* a site thread, which these runtimes do not model; both are
 //!   no-ops (the paired `Recover` then drains nothing).
 //! * **Disaster** is applied as a temporary site failure: the protocol
 //!   exercise (kill, degraded operation, drain on recovery) is identical,
@@ -14,10 +15,10 @@
 //!
 //! One genuine protocol gap is *skipped* rather than faked: a write whose
 //! row's **parity site** is the currently failed/isolated site. The DES
-//! absorbs those with a parity stand-in spare (§3.2 step W3'); the
-//! threaded site would retransmit the parity update until the site
-//! returned, stalling the plan. Such writes are counted in
-//! [`ThreadedDriver::skipped_writes`] and left out of the oracle.
+//! absorbs those with a parity stand-in spare (§3.2 step W3'); a real site
+//! would retransmit the parity update until the site returned, stalling
+//! the plan. Such writes are counted in [`Driver::skipped_writes`] and left
+//! out of the oracle.
 //!
 //! A revived or healed site is kept on the client's down-list until the
 //! plan's `Recover` event drains the spares back to it — between those
@@ -25,7 +26,10 @@
 //! it was away), exactly the window §3.2's recovering state covers on the
 //! DES.
 
-use crate::{ClientError, NodeCluster};
+use super::client::ClientError;
+use super::harness::{Cluster, ClusterNet};
+use radd_protocol::CoalescePolicy;
+use radd_storage::StorageSpec;
 use radd_workload::faults::{payload, FailureKind, FaultDriver, FaultEvent};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -33,10 +37,10 @@ use std::time::Duration;
 /// How long a quiesce may poll before the plan is declared stuck.
 const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Drives a [`NodeCluster`] from a fault plan, tracking an oracle of every
+/// Drives a [`Cluster`] from a fault plan, tracking an oracle of every
 /// acknowledged write for content checks.
-pub struct ThreadedDriver {
-    cluster: NodeCluster,
+pub struct Driver<N: ClusterNet> {
+    cluster: Cluster<N>,
     block_size: usize,
     /// Logical content per `(site, index)` — every write the cluster
     /// acknowledged must read back exactly.
@@ -50,40 +54,31 @@ pub struct ThreadedDriver {
     skipped_writes: u64,
 }
 
-impl ThreadedDriver {
-    /// Spawn a fresh threaded cluster sized for a plan shape.
-    pub fn start(g: usize, rows: u64, block_size: usize) -> ThreadedDriver {
-        ThreadedDriver {
-            cluster: NodeCluster::start(g, rows, block_size),
-            block_size,
-            oracle: HashMap::new(),
-            impaired: None,
-            lossy: false,
-            skipped_writes: 0,
-        }
+impl<N: ClusterNet> Driver<N> {
+    /// Spawn a fresh memory-backed cluster sized for a plan shape.
+    pub fn start(g: usize, rows: u64, block_size: usize) -> Driver<N> {
+        Self::over(Cluster::start(g, rows, block_size), block_size)
     }
 
-    /// [`start`](ThreadedDriver::start) on durable storage: every site
-    /// runs a WAL-backed `radd_storage::DiskBlocks` under
-    /// `<dir>/site-<j>`, so plans containing
-    /// [`FaultEvent::KillRestart`] actually crash the sites and recover
-    /// them from disk (memory-backed clusters treat those events as
-    /// no-ops).
+    /// [`start`](Driver::start) on durable storage: every site runs a
+    /// WAL-backed `radd_storage::DiskBlocks` under `<dir>/site-<j>`, so
+    /// plans containing [`FaultEvent::KillRestart`] actually crash the
+    /// sites and recover them from disk (memory-backed clusters treat
+    /// those events as no-ops).
     pub fn start_durable(
         g: usize,
         rows: u64,
         block_size: usize,
         dir: std::path::PathBuf,
-    ) -> ThreadedDriver {
-        let (cluster, _extra) = NodeCluster::start_durable(
-            g,
-            rows,
-            block_size,
-            1,
-            radd_protocol::CoalescePolicy::Merge,
-            &radd_storage::StorageSpec::Disk { dir },
-        );
-        ThreadedDriver {
+    ) -> Driver<N> {
+        let storage = StorageSpec::Disk { dir };
+        let (cluster, _extra) =
+            Cluster::start_durable(g, rows, block_size, 1, CoalescePolicy::Merge, &storage);
+        Self::over(cluster, block_size)
+    }
+
+    fn over(cluster: Cluster<N>, block_size: usize) -> Driver<N> {
+        Driver {
             cluster,
             block_size,
             oracle: HashMap::new(),
@@ -94,12 +89,12 @@ impl ThreadedDriver {
     }
 
     /// The underlying cluster.
-    pub fn cluster(&self) -> &NodeCluster {
+    pub fn cluster(&self) -> &Cluster<N> {
         &self.cluster
     }
 
     /// Mutable access to the underlying cluster.
-    pub fn cluster_mut(&mut self) -> &mut NodeCluster {
+    pub fn cluster_mut(&mut self) -> &mut Cluster<N> {
         &mut self.cluster
     }
 
@@ -131,7 +126,7 @@ fn is_refusal(e: &ClientError) -> bool {
     matches!(e, ClientError::MultipleFailure)
 }
 
-impl FaultDriver for ThreadedDriver {
+impl<N: ClusterNet> FaultDriver for Driver<N> {
     fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
         match *event {
             FaultEvent::Write { site, index, fill } => {
@@ -224,8 +219,8 @@ impl FaultDriver for ThreadedDriver {
                 Ok(())
             }
             // Checker-granularity events address the model checker's
-            // explicit in-flight message vector; the threaded runtime's
-            // real channels are not event-addressable.
+            // explicit in-flight message vector; real channels and TCP
+            // connections are not event-addressable.
             FaultEvent::StepClient { .. }
             | FaultEvent::Deliver { .. }
             | FaultEvent::DropMsg { .. }

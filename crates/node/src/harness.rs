@@ -1,0 +1,342 @@
+//! The in-process cluster harness: `G + 2` site threads plus client
+//! handles over any network that implements [`ClusterNet`]. One source
+//! file, compiled into both async runtimes (DESIGN.md §12).
+//!
+//! Endpoint numbering is the same everywhere (clients at `0..ep_base`,
+//! site `j` at `ep_base + j`), and so is the control surface, so the
+//! differential test and the fault-plan engine drive every runtime through
+//! one interface. The harness keeps the network's control handle, so fault
+//! drivers can inject silent message loss ([`Cluster::set_loss`]) and
+//! network partitions ([`Cluster::isolate_site`]); sites absorb both by
+//! retransmitting unacked parity updates with backoff, and
+//! [`Cluster::quiesce`] waits until every pending table is empty.
+
+use super::client::Client;
+use super::site::{Control, SiteConfig};
+use radd_net::Transport;
+use radd_protocol::CoalescePolicy;
+use radd_storage::StorageSpec;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long a site may take to answer a control command.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// What a runtime supplies to the harness: how to wire a cluster's worth
+/// of endpoints, how to run a site on one, and the fault switchboard of
+/// the network between them.
+pub trait ClusterNet: Sized {
+    /// The endpoint type sites and clients talk through.
+    type Ep: Transport + Send + 'static;
+
+    /// Build a network of `clients` client endpoints (ids `0..clients`)
+    /// and `sites` site endpoints (ids `clients..`). Returns the control
+    /// handle, which owns whatever must outlive the site threads, then the
+    /// client endpoints, then the site endpoints.
+    fn wire(clients: usize, sites: usize) -> (Self, Vec<Self::Ep>, Vec<Self::Ep>);
+
+    /// Run one site's event loop on `ep` until shutdown.
+    fn run_site(cfg: SiteConfig, ep: &Self::Ep, control: &Receiver<Control>);
+
+    /// Start dropping roughly `permille`/1000 of protocol messages,
+    /// silently (the sender still sees success). `0` turns loss off.
+    fn set_loss(&self, permille: u16, seed: u64);
+
+    /// Messages dropped by loss injection so far.
+    fn dropped(&self) -> u64;
+
+    /// Cut endpoint `ep` off from everyone, or reconnect it.
+    fn set_partitioned(&self, ep: usize, partitioned: bool);
+}
+
+/// A running cluster: `G + 2` site threads plus a client handle.
+pub struct Cluster<N: ClusterNet> {
+    net: N,
+    client: Client<N::Ep>,
+    control: Vec<Sender<Control>>,
+    handles: Vec<JoinHandle<()>>,
+    ep_base: usize,
+}
+
+impl<N: ClusterNet> Cluster<N> {
+    /// Spawn a cluster with group size `g`, `rows` block rows per site and
+    /// `block_size`-byte blocks. Endpoint 0 is the client; site `j` lives
+    /// at endpoint `1 + j`.
+    pub fn start(g: usize, rows: u64, block_size: usize) -> Cluster<N> {
+        Self::start_multi(g, rows, block_size, 1).0
+    }
+
+    /// Like [`start`](Cluster::start) but with `clients ≥ 1` client
+    /// handles: one stays attached to the cluster, the rest are returned
+    /// for use from other threads (each owns its own endpoint and UID
+    /// namespace).
+    ///
+    /// Sites run with parity-update coalescing on
+    /// ([`CoalescePolicy::Merge`]): while a row's update is
+    /// unacknowledged, further queued masks XOR-merge into one pending
+    /// update. Use [`start_with`](Cluster::start_with) to pick the policy
+    /// explicitly (differential harnesses turn it off to stay
+    /// message-for-message identical to the DES interpreter).
+    pub fn start_multi(
+        g: usize,
+        rows: u64,
+        block_size: usize,
+        clients: usize,
+    ) -> (Cluster<N>, Vec<Client<N::Ep>>) {
+        Self::start_with(g, rows, block_size, clients, CoalescePolicy::Merge)
+    }
+
+    /// [`start_multi`](Cluster::start_multi) with an explicit
+    /// parity-update [`CoalescePolicy`].
+    pub fn start_with(
+        g: usize,
+        rows: u64,
+        block_size: usize,
+        clients: usize,
+        coalesce: CoalescePolicy,
+    ) -> (Cluster<N>, Vec<Client<N::Ep>>) {
+        Self::start_durable(g, rows, block_size, clients, coalesce, &StorageSpec::Mem)
+    }
+
+    /// [`start_with`](Cluster::start_with) plus a [`StorageSpec`]: pass
+    /// [`StorageSpec::Disk`] with a cluster root directory and every site
+    /// runs on a durable WAL-backed store under `<dir>/site-<j>`, which
+    /// survives [`kill_restart_site`](Cluster::kill_restart_site).
+    pub fn start_durable(
+        g: usize,
+        rows: u64,
+        block_size: usize,
+        clients: usize,
+        coalesce: CoalescePolicy,
+        storage: &StorageSpec,
+    ) -> (Cluster<N>, Vec<Client<N::Ep>>) {
+        assert!(clients >= 1, "need at least one client");
+        let ep_base = clients;
+        let (net, client_eps, site_eps) = N::wire(clients, g + 2);
+        let mut handles = Vec::new();
+        let mut control = Vec::new();
+        for (site, ep) in site_eps.into_iter().enumerate() {
+            let (ctl_tx, ctl_rx) = channel();
+            control.push(ctl_tx);
+            let cfg = SiteConfig {
+                site,
+                group_size: g,
+                rows,
+                block_size,
+                ep_base,
+                coalesce,
+                storage: storage.clone(),
+            };
+            handles.push(std::thread::spawn(move || N::run_site(cfg, &ep, &ctl_rx)));
+        }
+        let mut extra: Vec<Client<N::Ep>> = client_eps
+            .into_iter()
+            .map(|ep| Client::new(ep, g, rows, block_size))
+            .collect();
+        let cluster = Cluster {
+            net,
+            client: extra.remove(0),
+            control,
+            handles,
+            ep_base,
+        };
+        (cluster, extra)
+    }
+
+    /// The client handle for issuing operations.
+    pub fn client(&mut self) -> &mut Client<N::Ep> {
+        &mut self.client
+    }
+
+    /// Number of sites.
+    pub fn num_sites(&self) -> usize {
+        self.control.len()
+    }
+
+    /// The network's control handle.
+    pub fn net(&self) -> &N {
+        &self.net
+    }
+
+    /// Endpoint id of site `site`.
+    pub fn site_ep(&self, site: usize) -> usize {
+        self.ep_base + site
+    }
+
+    /// Send site `site` the command `make` builds around a reply channel
+    /// and wait (up to `timeout`) for the answer.
+    fn ask<R>(
+        &self,
+        site: usize,
+        timeout: Duration,
+        make: impl FnOnce(Sender<R>) -> Control,
+    ) -> Option<R> {
+        let (tx, rx) = channel();
+        let _ = self.control[site].send(make(tx));
+        rx.recv_timeout(timeout).ok()
+    }
+
+    fn set_down(&mut self, site: usize, down: bool) {
+        // Synchronous: the site has crossed the boundary before we return,
+        // so subsequent traffic observes a consistent state.
+        let _ = self.ask(site, CONTROL_TIMEOUT, |ack| Control::SetDown(down, ack));
+        self.client.mark_down(site, down);
+    }
+
+    /// Temporary site failure: the site stops answering protocol messages
+    /// (its disks keep their contents). Quiesce first (see
+    /// [`Cluster::quiesce`]) unless you *want* an in-doubt parity update
+    /// stranded at the dead site.
+    pub fn kill_site(&mut self, site: usize) {
+        self.set_down(site, true);
+    }
+
+    /// Bring a killed site back in the **recovering** state; run
+    /// [`Client::recover`] to drain its spares and mark it up.
+    pub fn revive_site(&mut self, site: usize) {
+        self.set_down(site, false);
+    }
+
+    /// Process crash + restart of site `site`: its machine, timers and any
+    /// uncommitted staged writes are dropped on the floor, then the site
+    /// re-opens its durable store — replaying the committed WAL suffix and
+    /// rebuilding the machine from the last snapshot (§3.4). Synchronous:
+    /// returns once the site is serving again. Returns `false` (and
+    /// changes nothing) when the cluster runs on memory-backed storage.
+    pub fn kill_restart_site(&mut self, site: usize) -> bool {
+        let restarted = self
+            .ask(site, 2 * CONTROL_TIMEOUT, Control::KillRestart)
+            .unwrap_or(false);
+        if restarted {
+            // The restarted machine is Up; make sure the client agrees
+            // (e.g. after a kill_site → kill_restart_site sequence).
+            self.client.mark_down(site, false);
+        }
+        restarted
+    }
+
+    /// Start dropping roughly `permille`/1000 of all protocol messages,
+    /// silently (sender still sees success). `0` turns loss off. Sites
+    /// converge anyway by retransmitting unacked parity updates.
+    pub fn set_loss(&self, permille: u16, seed: u64) {
+        self.net.set_loss(permille, seed);
+    }
+
+    /// Messages dropped by loss injection so far.
+    pub fn dropped_messages(&self) -> u64 {
+        self.net.dropped()
+    }
+
+    /// §5 partition: cut `site` off from the network (messages to and from
+    /// it are refused or dropped; its thread keeps running). The client
+    /// treats it like a down site and takes the degraded paths.
+    pub fn isolate_site(&mut self, site: usize) {
+        self.net.set_partitioned(self.site_ep(site), true);
+        self.client.mark_down(site, true);
+    }
+
+    /// Heal a partition created by [`Cluster::isolate_site`]. The site
+    /// immediately resumes retransmitting whatever parity updates it could
+    /// not deliver while cut off. Run [`Client::recover`] afterwards to
+    /// drain spares populated on its behalf during the partition.
+    pub fn heal_site(&mut self, site: usize) {
+        self.net.set_partitioned(self.site_ep(site), false);
+        self.client.mark_down(site, false);
+    }
+
+    /// How many writes at `site` still await their parity ack.
+    pub fn pending_writes(&self, site: usize) -> usize {
+        self.ask(site, CONTROL_TIMEOUT, Control::QueryPending)
+            .unwrap_or(0)
+    }
+
+    /// Whether every site machine reports
+    /// [`all_acked`](radd_protocol::SiteMachine::all_acked) —
+    /// i.e. no parity update anywhere is still awaiting its ack.
+    pub fn all_acked(&self) -> bool {
+        (0..self.num_sites()).all(|s| {
+            self.ask(s, CONTROL_TIMEOUT, Control::QueryAllAcked)
+                .unwrap_or(false)
+        })
+    }
+
+    /// Start (or stop) recording normalised effect traces on every site
+    /// machine and the attached client, for differential comparison with
+    /// the other interpreters.
+    pub fn record_traces(&mut self, on: bool) {
+        for s in 0..self.num_sites() {
+            let _ = self.ask(s, CONTROL_TIMEOUT, |ack| Control::RecordTrace(on, ack));
+        }
+        if on {
+            self.client.record_trace();
+        }
+    }
+
+    /// Collect the recorded traces: index 0 is the attached client, index
+    /// `1 + j` is site `j` — the same peer numbering the DES interpreter
+    /// uses.
+    pub fn take_traces(&mut self) -> Vec<Vec<radd_protocol::TraceEntry>> {
+        let mut all = vec![self.client.take_trace()];
+        for s in 0..self.num_sites() {
+            all.push(
+                self.ask(s, CONTROL_TIMEOUT, Control::TakeTrace)
+                    .unwrap_or_default(),
+            );
+        }
+        all
+    }
+
+    /// Freeze the whole cluster's observability state: the attached
+    /// client's metrics + flight recorder at index 0, then each site's at
+    /// index `1 + j` — the same machine numbering the traces use. Latency
+    /// histograms hold wall-clock nanoseconds (the DES records logical
+    /// ledger microseconds instead; see `radd-obs`'s crate docs).
+    ///
+    /// Snapshots are served from the sites' control drains, so a site
+    /// marked down still answers — its flight recorder is usually the one
+    /// worth reading.
+    pub fn obs_snapshot(&mut self) -> radd_obs::ObsSnapshot {
+        let mut machines = vec![self.client.obs_snapshot()];
+        for s in 0..self.num_sites() {
+            machines.push(
+                self.ask(s, CONTROL_TIMEOUT, Control::QueryObs)
+                    .unwrap_or_else(|| radd_obs::MachineObs::new().snapshot(&format!("site {s}"))),
+            );
+        }
+        radd_obs::ObsSnapshot { machines }
+    }
+
+    /// Wait until no site holds an unacked parity update (i.e. every
+    /// acknowledged write is fully reflected in parity), polling for up to
+    /// `timeout`. Partitioned sites cannot drain — heal them first.
+    pub fn quiesce(&self, timeout: Duration) -> Result<(), String> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let pending: Vec<(usize, usize)> = (0..self.num_sites())
+                .map(|s| (s, self.pending_writes(s)))
+                .filter(|&(_, n)| n > 0)
+                .collect();
+            if pending.is_empty() {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                return Err(format!(
+                    "quiesce timed out; unacked parity updates remain: {pending:?}"
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// Stop every site thread and join them, then drop the network handle
+    /// (and with it whatever the transport keeps running).
+    pub fn shutdown(mut self) {
+        for ctl in &self.control {
+            let _ = ctl.send(Control::Shutdown);
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}

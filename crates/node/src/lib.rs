@@ -1,10 +1,23 @@
-//! # radd-node — the threaded RADD cluster
+//! # radd-node — the threaded RADD cluster, and the one async interpreter
 //!
 //! The discrete-event cluster in `radd-core` measures the paper's numbers
 //! deterministically; this crate runs the *same protocol* as an actual
 //! local cluster: **one OS thread per site**, all coordination over real
 //! message passing (crossbeam channels via [`radd_net::ThreadedNet`]), no
 //! shared state between sites.
+//!
+//! Everything that interprets the sans-IO machines over a real network is
+//! written once here, against [`radd_net::Transport`]: the [`site`] event
+//! loop, the [`client`] attempt ladder, the [`harness`] that runs a
+//! cluster of both in one process, and the fault-plan [`driver`]. The
+//! socket runtime (`radd-rt`) compiles the same four source files over
+//! its TCP endpoint (DESIGN.md §12; §5 says why by `#[path]` and not by a
+//! dependency edge). What this crate adds for the threaded runtime is
+//! small: [`ThreadedTransport`] (a [`radd_net::ThreadedEndpoint`] that
+//! knows its `ep_base`), the [`ClusterNet`](harness::ClusterNet) wiring
+//! for [`ThreadedNet`], modelled wire time
+//! ([`NodeCluster::set_link_latency`], [`NodeCluster::set_site_wire`]),
+//! and the multi-group [`sharded`] cluster.
 //!
 //! * Each [`site`] thread owns its disk array, UID generator, parity UID
 //!   arrays and spare slots, and serves the Section 3 message protocol:
@@ -16,14 +29,9 @@
 //!   Site event loops never block on each other (acks are matched through
 //!   a pending table), so the protocol is deadlock-free by construction.
 //! * Degraded operation is client-driven, as in the paper: on a down
-//!   site, [`client::NodeClient`] probes the spare site, reconstructs from
-//!   the `G` survivors with §3.3 UID validation, installs the result into
-//!   the spare, and redirects writes (W1').
-//! * The cluster keeps its [`ThreadedNet`] control handle, so fault
-//!   harnesses can inject silent message loss ([`NodeCluster::set_loss`])
-//!   and network partitions ([`NodeCluster::isolate_site`]); sites absorb
-//!   both by retransmitting unacked parity updates with backoff, and
-//!   [`NodeCluster::quiesce`] waits until every pending table is empty.
+//!   site, [`NodeClient`] probes the spare site, reconstructs from the `G`
+//!   survivors with §3.3 UID validation, installs the result into the
+//!   spare, and redirects writes (W1').
 //!
 //! Temporary site failures and recovery are fully supported; disk
 //! failures and disasters are covered by the deterministic runtime (they
@@ -52,141 +60,113 @@
 
 pub mod client;
 pub mod driver;
+pub mod harness;
 pub mod message;
 pub mod sharded;
 pub mod site;
 
-pub use client::{ClientError, NodeClient};
-pub use driver::ThreadedDriver;
+pub use client::ClientError;
 pub use message::Msg;
 pub use sharded::{PoolRebuildReport, ShardedNodeCluster};
 
-use radd_net::ThreadedNet;
-use radd_protocol::CoalescePolicy;
-use radd_storage::StorageSpec;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use radd_net::threaded::NetError;
+use radd_net::{Received, SendOutcome, ThreadedEndpoint, ThreadedNet, Transport};
+use std::convert::Infallible;
+use std::sync::mpsc::Receiver;
+use std::time::Duration;
 
-/// A running threaded cluster: `G + 2` site threads plus a client handle.
-pub struct NodeCluster {
-    net: ThreadedNet<Msg>,
-    client: NodeClient,
-    control: Vec<std::sync::mpsc::Sender<site::Control>>,
-    handles: Vec<JoinHandle<()>>,
-    num_sites: usize,
+/// A [`ThreadedEndpoint`] plus the one thing [`Transport`] asks that a
+/// channel network does not know: where the site ids start.
+pub struct ThreadedTransport {
+    ep: ThreadedEndpoint<Msg>,
     ep_base: usize,
 }
 
-impl NodeCluster {
-    /// Spawn a cluster with group size `g`, `rows` block rows per site and
-    /// `block_size`-byte blocks. Endpoint 0 is the client; sites are
-    /// endpoints `1..=G+2` (site `j` lives at endpoint `j + 1`).
-    pub fn start(g: usize, rows: u64, block_size: usize) -> NodeCluster {
-        let (cluster, _extra) = NodeCluster::start_multi(g, rows, block_size, 1);
-        cluster
+impl Transport for ThreadedTransport {
+    type Oob = Infallible;
+
+    fn id(&self) -> usize {
+        self.ep.id()
     }
 
-    /// Like [`start`](NodeCluster::start) but with `clients ≥ 1` client
-    /// handles: one stays attached to the cluster, the rest are returned
-    /// for use from other threads (each owns its own endpoint and UID
-    /// namespace).
-    ///
-    /// Sites run with parity-update coalescing on
-    /// ([`radd_protocol::CoalescePolicy::Merge`]): while a row's update is
-    /// unacknowledged, further queued masks XOR-merge into one pending
-    /// update. Use [`start_with`](NodeCluster::start_with) to pick the
-    /// policy explicitly (differential harnesses turn it off to stay
-    /// message-for-message identical to the DES interpreter).
-    pub fn start_multi(
-        g: usize,
-        rows: u64,
-        block_size: usize,
-        clients: usize,
-    ) -> (NodeCluster, Vec<NodeClient>) {
-        NodeCluster::start_with(g, rows, block_size, clients, CoalescePolicy::Merge)
+    fn ep_base(&self) -> usize {
+        self.ep_base
     }
 
-    /// [`start_multi`](NodeCluster::start_multi) with an explicit
-    /// parity-update [`CoalescePolicy`].
-    pub fn start_with(
-        g: usize,
-        rows: u64,
-        block_size: usize,
-        clients: usize,
-        coalesce: CoalescePolicy,
-    ) -> (NodeCluster, Vec<NodeClient>) {
-        NodeCluster::start_durable(g, rows, block_size, clients, coalesce, &StorageSpec::Mem)
-    }
-
-    /// [`start_with`](NodeCluster::start_with) plus a [`StorageSpec`]: pass
-    /// [`StorageSpec::Disk`] with a cluster root directory and every site
-    /// runs on a durable WAL-backed store under `<dir>/site-<j>`, which
-    /// survives [`kill_restart_site`](NodeCluster::kill_restart_site).
-    pub fn start_durable(
-        g: usize,
-        rows: u64,
-        block_size: usize,
-        clients: usize,
-        coalesce: CoalescePolicy,
-        storage: &StorageSpec,
-    ) -> (NodeCluster, Vec<NodeClient>) {
-        assert!(clients >= 1, "need at least one client");
-        let num_sites = g + 2;
-        let ep_base = clients;
-        let (net, mut endpoints) = ThreadedNet::<Msg>::new(num_sites + clients);
-        let site_eps = endpoints.split_off(clients);
-        let mut client_eps = endpoints;
-        let mut handles = Vec::new();
-        let mut control = Vec::new();
-        for (j, ep) in site_eps.into_iter().enumerate() {
-            let (ctl_tx, ctl_rx) = std::sync::mpsc::channel();
-            control.push(ctl_tx);
-            let cfg = site::SiteConfig {
-                site: j,
-                group_size: g,
-                rows,
-                block_size,
-                ep_base,
-                coalesce,
-                storage: storage.clone(),
-            };
-            handles.push(std::thread::spawn(move || {
-                site::run_site(cfg, &ep, &ctl_rx);
-            }));
+    fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
+        match self.ep.send(dst, msg.clone()) {
+            // A partitioned link refuses the send but may heal before the
+            // sender's ladder is spent: loss, exactly like a silent drop.
+            Ok(()) | Err(NetError::Partitioned | NetError::Timeout) => SendOutcome::Sent,
+            Err(NetError::Disconnected | NetError::NoSuchSite(_)) => SendOutcome::Closed,
         }
-        let main_client = NodeClient::new(client_eps.remove(0), ep_base, g, rows, block_size);
-        let extra: Vec<NodeClient> = client_eps
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Option<Received<Infallible>> {
+        let m = self.ep.recv_timeout(timeout).ok()?;
+        Some(Received::Msg {
+            src: m.src,
+            msg: m.payload,
+        })
+    }
+}
+
+impl harness::ClusterNet for ThreadedNet<Msg> {
+    type Ep = ThreadedTransport;
+
+    fn wire(
+        clients: usize,
+        sites: usize,
+    ) -> (
+        ThreadedNet<Msg>,
+        Vec<ThreadedTransport>,
+        Vec<ThreadedTransport>,
+    ) {
+        let (net, endpoints) = ThreadedNet::new(clients + sites);
+        let mut client_eps: Vec<ThreadedTransport> = endpoints
             .into_iter()
-            .map(|ep| NodeClient::new(ep, ep_base, g, rows, block_size))
+            .map(|ep| ThreadedTransport {
+                ep,
+                ep_base: clients,
+            })
             .collect();
-        (
-            NodeCluster {
-                net,
-                client: main_client,
-                control,
-                handles,
-                num_sites,
-                ep_base,
-            },
-            extra,
-        )
+        let site_eps = client_eps.split_off(clients);
+        (net, client_eps, site_eps)
     }
 
-    /// The client handle for issuing operations.
-    pub fn client(&mut self) -> &mut NodeClient {
-        &mut self.client
+    fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receiver<site::Control>) {
+        site::run_site(cfg, ep, control);
     }
 
-    /// Number of sites.
-    pub fn num_sites(&self) -> usize {
-        self.num_sites
+    fn set_loss(&self, permille: u16, seed: u64) {
+        ThreadedNet::set_loss(self, permille, seed);
     }
 
+    fn dropped(&self) -> u64 {
+        ThreadedNet::dropped(self)
+    }
+
+    fn set_partitioned(&self, ep: usize, partitioned: bool) {
+        ThreadedNet::set_partitioned(self, ep, partitioned);
+    }
+}
+
+/// The cluster client over in-process channels.
+pub type NodeClient = client::Client<ThreadedTransport>;
+
+/// A running threaded cluster: `G + 2` site threads plus a client handle.
+/// See [`harness::Cluster`] for the control surface.
+pub type NodeCluster = harness::Cluster<ThreadedNet<Msg>>;
+
+/// Drives a [`NodeCluster`] from a fault plan; see [`driver::Driver`].
+pub type ThreadedDriver = driver::Driver<ThreadedNet<Msg>>;
+
+impl NodeCluster {
     /// Model wire time on every link: each send occupies the sending
     /// thread for `latency` (see [`radd_net::ThreadedNet::set_link_latency`]).
     /// Zero (the default) keeps sends instantaneous.
     pub fn set_link_latency(&self, latency: Duration) {
-        self.net.set_link_latency(latency);
+        self.net().set_link_latency(latency);
     }
 
     /// Attach (or detach with `None`) a shared transmission [`radd_net::Wire`] to
@@ -195,175 +175,6 @@ impl NodeCluster {
     /// rebuild benchmarks: one wire per *pool site* shared across all the
     /// groups it hosts makes a site's uplink the contended resource.
     pub fn set_site_wire(&self, site: usize, wire: Option<std::sync::Arc<radd_net::Wire>>) {
-        self.net.set_wire(self.ep_base + site, wire);
-    }
-
-    fn set_down(&mut self, site: usize, down: bool) {
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
-        let _ = self.control[site].send(site::Control::SetDown(down, ack_tx));
-        // Synchronous: the site has crossed the boundary before we return,
-        // so subsequent traffic observes a consistent state.
-        let _ = ack_rx.recv_timeout(Duration::from_secs(5));
-        self.client.mark_down(site, down);
-    }
-
-    /// Temporary site failure: the site stops answering protocol messages
-    /// (its disks keep their contents). Quiesce first (see
-    /// [`NodeCluster::quiesce`]) unless you *want* an in-doubt parity
-    /// update stranded at the dead site.
-    pub fn kill_site(&mut self, site: usize) {
-        self.set_down(site, true);
-    }
-
-    /// Bring a killed site back in the **recovering** state; run
-    /// [`NodeClient::recover`] to drain its spares and mark it up.
-    pub fn revive_site(&mut self, site: usize) {
-        self.set_down(site, false);
-    }
-
-    /// Process crash + restart of site `site`: its machine, timers and any
-    /// uncommitted staged writes are dropped on the floor, then the site
-    /// re-opens its durable store — replaying the committed WAL suffix and
-    /// rebuilding the machine from the last snapshot (§3.4). Synchronous:
-    /// returns once the site is serving again. Returns `false` (and
-    /// changes nothing) when the cluster runs on memory-backed storage.
-    pub fn kill_restart_site(&mut self, site: usize) -> bool {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = self.control[site].send(site::Control::KillRestart(tx));
-        let restarted = rx.recv_timeout(Duration::from_secs(10)).unwrap_or(false);
-        if restarted {
-            // The restarted machine is Up; make sure the client agrees
-            // (e.g. after a kill_site → kill_restart_site sequence).
-            self.client.mark_down(site, false);
-        }
-        restarted
-    }
-
-    /// Start dropping roughly `permille`/1000 of all network sends,
-    /// silently (sender still sees success). `0` turns loss off. Sites
-    /// converge anyway by retransmitting unacked parity updates.
-    pub fn set_loss(&self, permille: u16, seed: u64) {
-        self.net.set_loss(permille, seed);
-    }
-
-    /// Messages dropped by loss injection so far.
-    pub fn dropped_messages(&self) -> u64 {
-        self.net.dropped()
-    }
-
-    /// §5 partition: cut `site` off from the network (its sends and
-    /// receives fail; its thread keeps running). The client treats it like
-    /// a down site and takes the degraded paths.
-    pub fn isolate_site(&mut self, site: usize) {
-        self.net.set_partitioned(self.ep_base + site, true);
-        self.client.mark_down(site, true);
-    }
-
-    /// Heal a partition created by [`NodeCluster::isolate_site`]. The site
-    /// immediately resumes retransmitting whatever parity updates it could
-    /// not deliver while cut off. Run [`NodeClient::recover`] afterwards to
-    /// drain spares populated on its behalf during the partition.
-    pub fn heal_site(&mut self, site: usize) {
-        self.net.set_partitioned(self.ep_base + site, false);
-        self.client.mark_down(site, false);
-    }
-
-    /// How many writes at `site` still await their parity ack.
-    pub fn pending_writes(&self, site: usize) -> usize {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = self.control[site].send(site::Control::QueryPending(tx));
-        rx.recv_timeout(Duration::from_secs(5)).unwrap_or(0)
-    }
-
-    /// Whether every site machine reports
-    /// [`all_acked`](radd_protocol::SiteMachine::all_acked) —
-    /// i.e. no parity update anywhere is still awaiting its ack.
-    pub fn all_acked(&self) -> bool {
-        (0..self.num_sites).all(|s| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(site::Control::QueryAllAcked(tx));
-            rx.recv_timeout(Duration::from_secs(5)).unwrap_or(false)
-        })
-    }
-
-    /// Start (or stop) recording normalised effect traces on every site
-    /// machine and the attached client, for differential comparison with
-    /// the DES interpreter.
-    pub fn record_traces(&mut self, on: bool) {
-        for s in 0..self.num_sites {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(site::Control::RecordTrace(on, tx));
-            let _ = rx.recv_timeout(Duration::from_secs(5));
-        }
-        if on {
-            self.client.record_trace();
-        }
-    }
-
-    /// Collect the recorded traces: index 0 is the attached client, index
-    /// `1 + j` is site `j` — the same peer numbering the DES interpreter
-    /// uses.
-    pub fn take_traces(&mut self) -> Vec<Vec<radd_protocol::TraceEntry>> {
-        let mut all = vec![self.client.take_trace()];
-        for s in 0..self.num_sites {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(site::Control::TakeTrace(tx));
-            all.push(rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default());
-        }
-        all
-    }
-
-    /// Freeze the whole cluster's observability state: the attached
-    /// client's metrics + flight recorder at index 0, then each site's at
-    /// index `1 + j` — the same machine numbering the traces use. Latency
-    /// histograms hold wall-clock nanoseconds (the DES records logical
-    /// ledger microseconds instead; see `radd-obs`'s crate docs).
-    ///
-    /// Snapshots are served from the sites' control drains, so a site
-    /// marked down still answers — its flight recorder is usually the one
-    /// worth reading.
-    pub fn obs_snapshot(&mut self) -> radd_obs::ObsSnapshot {
-        let mut machines = vec![self.client.obs_snapshot()];
-        for s in 0..self.num_sites {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(site::Control::QueryObs(tx));
-            machines
-                .push(rx.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|_| {
-                    radd_obs::MachineObs::new().snapshot(&format!("site {s}"))
-                }));
-        }
-        radd_obs::ObsSnapshot { machines }
-    }
-
-    /// Wait until no site holds an unacked parity update (i.e. every
-    /// acknowledged write is fully reflected in parity), polling for up to
-    /// `timeout`. Partitioned sites cannot drain — heal them first.
-    pub fn quiesce(&self, timeout: Duration) -> Result<(), String> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let pending: Vec<(usize, usize)> = (0..self.num_sites)
-                .map(|s| (s, self.pending_writes(s)))
-                .filter(|&(_, n)| n > 0)
-                .collect();
-            if pending.is_empty() {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(format!(
-                    "quiesce timed out; unacked parity updates remain: {pending:?}"
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    /// Stop every site thread and join them.
-    pub fn shutdown(mut self) {
-        for ctl in &self.control {
-            let _ = ctl.send(site::Control::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.net().set_wire(self.site_ep(site), wire);
     }
 }

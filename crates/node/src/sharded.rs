@@ -13,8 +13,7 @@
 //! not the CPU — bounds each group's throughput, which is what the
 //! cross-group scaling bench measures.
 
-use crate::client::NodeClient;
-use crate::NodeCluster;
+use crate::{NodeClient, NodeCluster};
 use radd_layout::{Geometry, GlobalAddr, GroupId, ShardMap, ShardTarget, SiteId};
 use radd_net::Wire;
 use radd_protocol::{CoalescePolicy, Router, TraceEntry};

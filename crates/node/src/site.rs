@@ -1,5 +1,6 @@
 //! The per-site server thread: a [`SiteMachine`] driven by a real event
-//! loop.
+//! loop over any [`Transport`]. One source file, compiled into both async
+//! runtimes (DESIGN.md §12).
 //!
 //! All protocol logic — W1–W4 deferred acks, the parity UID idempotence
 //! guard, stop-and-wait per-row retransmission, spare slots, the
@@ -15,32 +16,35 @@
 //! → an exponential-backoff deadline in the local timer wheel, `ClearTimer`
 //! → disarm. Block I/O receipts need no interpretation here (the machine
 //! already performed the I/O against its [`radd_storage::SiteStore`] —
-//! in-memory by default, or a durable WAL-backed store when the harness
-//! asks for crash/restart coverage).
+//! in-memory by default, or a durable WAL-backed store).
+//!
+//! Whatever else the transport's inbox yields ([`Transport::Oob`]: the
+//! socket runtime's wire control requests) goes to the hook passed to
+//! [`run_site_with`]. Both the control channel and the hook are served
+//! while the site is marked down — a down site is deaf to the protocol,
+//! not to its operator.
 //!
 //! Fault harnesses must quiesce a site (wait for its pending table to
 //! drain, via [`Control::QueryPending`]) before killing it: a temporary
 //! failure with an in-doubt parity update would otherwise leave data and
 //! parity divergent, which is the §6 in-doubt-transaction problem the
-//! paper resolves with coordinator logs that this in-memory runtime does
-//! not model.
+//! paper resolves with coordinator logs that these runtimes do not model.
 
-use crate::message::Msg;
-use radd_net::{RetryPolicy, ThreadedEndpoint};
+use radd_net::{Received, RetryPolicy, Transport};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::{
     trace, CoalescePolicy, Dest, DurableSiteState, Effect, IoPurpose, SiteMachine, TraceEntry,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
-use std::sync::mpsc::Receiver;
+use std::convert::Infallible;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
-/// Retransmission schedule for unacked parity updates — the shared policy,
-/// so the threaded and socket runtimes stay tuned together.
+/// Retransmission schedule for unacked parity updates.
 const RETRANSMIT: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
 
-/// Control-plane commands (out of band, from the test harness).
+/// Control-plane commands (out of band, from an in-process harness).
 #[derive(Debug)]
 pub enum Control {
     /// Mark the site down (refuse protocol messages) or back up. The ack
@@ -48,29 +52,29 @@ pub enum Control {
     /// site has crossed the boundary before it issues further traffic
     /// (otherwise a revive could be observed *before* the kill, leaving
     /// the site transiently deaf).
-    SetDown(bool, std::sync::mpsc::Sender<()>),
+    SetDown(bool, Sender<()>),
     /// Report how many writes are still waiting for a parity ack. The
     /// harness polls this to quiesce the cluster before failure injection
     /// or invariant checks.
-    QueryPending(std::sync::mpsc::Sender<usize>),
+    QueryPending(Sender<usize>),
     /// Report whether no request of this site is awaiting an ack
     /// ([`SiteMachine::all_acked`]).
-    QueryAllAcked(std::sync::mpsc::Sender<bool>),
+    QueryAllAcked(Sender<bool>),
     /// Start (`true`) or stop recording the site's normalised effect trace
     /// (for differential tests against the DES interpreter).
-    RecordTrace(bool, std::sync::mpsc::Sender<()>),
+    RecordTrace(bool, Sender<()>),
     /// Hand over the recorded trace, clearing the buffer.
-    TakeTrace(std::sync::mpsc::Sender<Vec<TraceEntry>>),
+    TakeTrace(Sender<Vec<TraceEntry>>),
     /// Freeze and hand over the site's metrics + flight-recorder snapshot.
     /// Served from the control drain, so it works even while the site is
     /// marked down — exactly when the flight recorder is most interesting.
-    QueryObs(std::sync::mpsc::Sender<MachineSnapshot>),
+    QueryObs(Sender<MachineSnapshot>),
     /// Process crash + restart: drop the machine, the store, and every
     /// timer, then re-open from the site's durable storage. Replies `true`
     /// when the site actually restarted from disk; a memory-backed site
     /// replies `false` and keeps its state (there is nothing to restart
     /// *from* — losing everything would be a disaster, not a crash).
-    KillRestart(std::sync::mpsc::Sender<bool>),
+    KillRestart(Sender<bool>),
     /// Stop the thread.
     Shutdown,
 }
@@ -88,19 +92,22 @@ pub struct SiteConfig {
     pub block_size: usize,
     /// Endpoint id of site 0 (clients occupy the endpoints below it).
     pub ep_base: usize,
-    /// Parity-update coalescing policy. The threaded runtime defaults to
-    /// [`CoalescePolicy::Merge`] (queued masks for a row XOR-merge while an
-    /// update is in flight); differential harnesses pass
+    /// Parity-update coalescing policy. Deployments and harnesses default
+    /// to [`CoalescePolicy::Merge`] (queued masks for a row XOR-merge while
+    /// an update is in flight); differential harnesses pass
     /// [`CoalescePolicy::Off`] to stay message-for-message identical to the
     /// DES interpreter.
     pub coalesce: CoalescePolicy,
     /// Storage backend: volatile memory (default) or a durable
     /// [`radd_storage::DiskBlocks`] directory that survives
-    /// [`Control::KillRestart`].
+    /// [`Control::KillRestart`] — and, for a standalone `radd-server`
+    /// process, a plain `kill -9` + restart.
     pub storage: StorageSpec,
 }
 
-struct SiteDriver {
+/// One site's interpreter state. Public so a runtime's out-of-band hook
+/// ([`run_site_with`]) can answer operator queries from it.
+pub struct SiteDriver {
     cfg: SiteConfig,
     machine: SiteMachine,
     store: SiteStore,
@@ -119,7 +126,31 @@ struct SiteDriver {
 }
 
 impl SiteDriver {
-    fn interpret(&mut self, ep: &ThreadedEndpoint<Msg>, out: Vec<Effect>) {
+    /// Whether the site is marked down (deaf to protocol traffic).
+    pub fn is_down(&self) -> bool {
+        self.down
+    }
+
+    /// Mark the site down or back up.
+    pub fn set_down(&mut self, down: bool) {
+        self.down = down;
+    }
+
+    /// The site's protocol machine, for read-only queries.
+    pub fn machine(&self) -> &SiteMachine {
+        &self.machine
+    }
+
+    /// Snapshot this site's obs state under its canonical machine name.
+    pub fn obs_snapshot(&mut self) -> MachineSnapshot {
+        // Coalesced merges are counted inside the machine; mirror them
+        // into the gauge at snapshot time.
+        let merges = self.machine.coalesced_merges();
+        self.obs.metrics().set_coalesced_merges(merges);
+        self.obs.snapshot(&format!("site {}", self.cfg.site))
+    }
+
+    fn interpret<T: Transport>(&mut self, ep: &T, out: Vec<Effect>) {
         let now = Instant::now();
         for eff in out {
             if let Some(buf) = &mut self.trace {
@@ -134,7 +165,7 @@ impl SiteDriver {
                         Dest::Site(s) => self.cfg.ep_base + s,
                         Dest::Peer(p) => p,
                     };
-                    let _ = ep.send(dst, msg);
+                    let _ = ep.send(dst, &msg);
                 }
                 Effect::SetTimer { tag, step } => {
                     self.timers.insert(tag, now + RETRANSMIT.delay(step));
@@ -186,11 +217,11 @@ impl SiteDriver {
     }
 
     /// Fire every retransmit timer whose deadline has passed. The resend
-    /// may itself be dropped by loss injection or refused during a
-    /// partition; either way the timer re-arms with a doubled delay, so
-    /// convergence only needs the loss probability to be below certainty
-    /// and partitions to eventually heal.
-    fn fire_due_timers(&mut self, ep: &ThreadedEndpoint<Msg>) {
+    /// may itself be dropped by loss injection, refused during a partition
+    /// or vanish into a dead connection; either way the timer re-arms with
+    /// a doubled delay, so convergence only needs the loss probability to
+    /// be below certainty and partitions to eventually heal.
+    fn fire_due_timers<T: Transport>(&mut self, ep: &T) {
         let now = Instant::now();
         let due: Vec<u64> = self
             .timers
@@ -204,6 +235,50 @@ impl SiteDriver {
             self.machine.on_timer(tag, &mut out);
             self.interpret(ep, out);
         }
+    }
+
+    /// Serve one harness command. Returns `true` on [`Control::Shutdown`].
+    fn serve(&mut self, cmd: Control) -> bool {
+        match cmd {
+            Control::SetDown(d, ack) => {
+                self.down = d;
+                let _ = ack.send(());
+            }
+            Control::QueryPending(reply) => {
+                let _ = reply.send(self.machine.pending_writes());
+            }
+            Control::QueryAllAcked(reply) => {
+                let _ = reply.send(self.machine.all_acked());
+            }
+            Control::RecordTrace(on, ack) => {
+                self.trace = on.then(Vec::new);
+                let _ = ack.send(());
+            }
+            Control::TakeTrace(reply) => {
+                let buf = self.trace.replace(Vec::new()).unwrap_or_default();
+                let _ = reply.send(buf);
+            }
+            Control::QueryObs(reply) => {
+                let _ = reply.send(self.obs_snapshot());
+            }
+            Control::KillRestart(reply) => {
+                let durable = self.store.is_durable();
+                if durable {
+                    // Crash: every volatile structure dies — the machine,
+                    // the timer wheel, any staged-but-uncommitted writes
+                    // inside the store. Restart: re-open from disk, which
+                    // replays the committed log suffix and rebuilds the
+                    // machine from the last durable snapshot (§3.4).
+                    self.timers.clear();
+                    (self.store, self.machine, self.committed) =
+                        open_store(&self.cfg, &mut self.obs);
+                    self.down = false;
+                }
+                let _ = reply.send(durable);
+            }
+            Control::Shutdown => return true,
+        }
+        false
     }
 }
 
@@ -238,8 +313,15 @@ fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine
     (store, machine, committed)
 }
 
-/// Run the site event loop until shutdown.
-pub fn run_site(cfg: SiteConfig, ep: &ThreadedEndpoint<Msg>, control: &Receiver<Control>) {
+/// Run the site event loop until shutdown (by [`Control::Shutdown`], the
+/// control channel disconnecting, or `oob` returning `true`). `oob` is
+/// handed every out-of-band item the transport delivers.
+pub fn run_site_with<T: Transport>(
+    cfg: SiteConfig,
+    ep: &T,
+    control: &Receiver<Control>,
+    mut oob: impl FnMut(&mut SiteDriver, T::Oob) -> bool,
+) {
     let mut obs = MachineObs::new();
     let (store, machine, committed) = open_store(&cfg, &mut obs);
     let mut st = SiteDriver {
@@ -257,69 +339,43 @@ pub fn run_site(cfg: SiteConfig, ep: &ThreadedEndpoint<Msg>, control: &Receiver<
         // protocol traffic.
         loop {
             match control.try_recv() {
-                Ok(Control::SetDown(d, ack)) => {
-                    st.down = d;
-                    let _ = ack.send(());
-                }
-                Ok(Control::QueryPending(reply)) => {
-                    let _ = reply.send(st.machine.pending_writes());
-                }
-                Ok(Control::QueryAllAcked(reply)) => {
-                    let _ = reply.send(st.machine.all_acked());
-                }
-                Ok(Control::RecordTrace(on, ack)) => {
-                    st.trace = if on { Some(Vec::new()) } else { None };
-                    let _ = ack.send(());
-                }
-                Ok(Control::TakeTrace(reply)) => {
-                    let buf = st.trace.replace(Vec::new()).unwrap_or_default();
-                    let _ = reply.send(buf);
-                }
-                Ok(Control::QueryObs(reply)) => {
-                    // Coalesced merges are counted inside the machine;
-                    // mirror them into the gauge at snapshot time.
-                    let merges = st.machine.coalesced_merges();
-                    st.obs.metrics().set_coalesced_merges(merges);
-                    let name = format!("site {}", st.cfg.site);
-                    let _ = reply.send(st.obs.snapshot(&name));
-                }
-                Ok(Control::KillRestart(reply)) => {
-                    if st.store.is_durable() {
-                        // Crash: every volatile structure dies — the
-                        // machine, the timer wheel, any staged-but-
-                        // uncommitted writes inside the store. Restart:
-                        // re-open from disk, which replays the committed
-                        // log suffix and rebuilds the machine from the
-                        // last durable snapshot (§3.4).
-                        st.timers.clear();
-                        (st.store, st.machine, st.committed) = open_store(&st.cfg, &mut st.obs);
-                        st.down = false;
-                        let _ = reply.send(true);
-                    } else {
-                        let _ = reply.send(false);
+                Ok(cmd) => {
+                    if st.serve(cmd) {
+                        return;
                     }
                 }
-                Ok(Control::Shutdown) => return,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => return,
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => break,
             }
         }
         if !st.down {
             st.fire_due_timers(ep);
         }
-        let Ok(inbound) = ep.recv_timeout(Duration::from_millis(20)) else {
-            continue;
-        };
-        // A down site answers nothing, and its own pending acks never
-        // arrive either — exactly a crashed process from the network's
-        // point of view. (We swallow the message rather than queueing.)
-        if st.down {
-            continue;
+        match ep.recv_timeout(Duration::from_millis(20)) {
+            Some(Received::Oob(item)) => {
+                if oob(&mut st, item) {
+                    return;
+                }
+            }
+            // A down site answers nothing, and its own pending acks never
+            // arrive either — exactly a crashed process from the network's
+            // point of view. (We swallow the message rather than queueing.)
+            Some(Received::Msg { src, msg }) if !st.down => {
+                let mut out = Vec::new();
+                st.machine.handle(&mut st.store, src, msg, &mut out);
+                st.commit();
+                st.interpret(ep, out);
+            }
+            Some(Received::Msg { .. }) | None => {}
         }
-        let mut out = Vec::new();
-        st.machine
-            .handle(&mut st.store, inbound.src, inbound.payload, &mut out);
-        st.commit();
-        st.interpret(ep, out);
     }
+}
+
+/// [`run_site_with`] on a transport that delivers nothing out of band.
+pub fn run_site<T: Transport<Oob = Infallible>>(
+    cfg: SiteConfig,
+    ep: &T,
+    control: &Receiver<Control>,
+) {
+    run_site_with(cfg, ep, control, |_, never| match never {});
 }

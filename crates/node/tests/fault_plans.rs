@@ -1,8 +1,8 @@
 //! Fault plans against the threaded cluster: the same engine that drives
 //! the DES drives real site threads here, with message loss and a §5
-//! partition in the mix. Convergence relies on the sites' retransmission
-//! channels; at every quiesce point `ReliableChannel::all_acked()` must
-//! hold across the cluster.
+//! partition in the mix. Convergence relies on the site machines'
+//! stop-and-wait retransmission; at every quiesce point
+//! `SiteMachine::all_acked()` must hold across the cluster.
 
 use radd_node::ThreadedDriver;
 use radd_workload::faults::{
@@ -103,7 +103,7 @@ fn loss_burst_and_partition_converge_via_retransmission() {
         run_plan(&mut driver, &plan).unwrap_or_else(|f| dump_and_panic("threaded-loss-burst", &f));
     assert!(report.invariant_checks > 0);
     // The satellite assertion: after the plan's final quiesce, every
-    // site's ReliableChannel reports all_acked — retry/backoff drained
+    // site's `SiteMachine` reports all_acked — retry/backoff drained
     // every parity update the loss burst swallowed.
     assert!(driver.cluster().all_acked());
     assert!(driver.oracle_len() > 0);

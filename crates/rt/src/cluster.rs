@@ -1,94 +1,42 @@
 //! A loopback socket cluster: `G + 2` site threads behind real TCP
 //! listeners, every connection routed through a [`FaultProxy`].
 //!
-//! [`SocketCluster`] is the socket twin of `radd_node::NodeCluster` — same
-//! construction parameters, same endpoint numbering (clients at
-//! `0..ep_base`, site `j` at `ep_base + j`), same control vocabulary — so
-//! the differential test and the fault-plan harness drive all three
-//! runtimes through one interface. The one structural difference is the
-//! path a message takes: every site map entry points at the site's fault
-//! proxy rather than its listener, so *all* protocol traffic (client
-//! requests, parity updates between sites, recovery drains) is subject to
-//! the shared [`FaultState`] exactly once per message.
-//!
-//! [`SocketDriver`] adapts the cluster to
-//! [`radd_workload::faults::FaultDriver`] with the exact semantics of the
-//! threaded driver: disk events are DES-only no-ops, disasters degrade to
-//! temporary failures, writes whose parity site is impaired are skipped
-//! and counted, and a revived site stays on the client's down-list until
-//! the plan's `Recover` drains its spares.
+//! The harness ([`crate::harness::Cluster`]) and the fault-plan driver
+//! ([`crate::driver::Driver`]) are the one async interpreter's, shared
+//! with the threaded runtime — same construction parameters, same endpoint
+//! numbering, same control vocabulary, same DES-only degradations. What is
+//! socket-specific lives here: [`Loopback`] wires the cluster. The one
+//! structural difference from the threaded runtime is the path a message
+//! takes: every site map entry points at the site's fault proxy rather
+//! than its listener, so *all* protocol traffic (client requests, parity
+//! updates between sites, recovery drains) is subject to the shared
+//! [`FaultState`] exactly once per message.
 
-use crate::client::{ClientError, SocketClient};
+use crate::harness::{Cluster, ClusterNet};
 use crate::net::SocketEndpoint;
 use crate::proxy::{FaultProxy, FaultState};
 use crate::server::{self, Control, SiteConfig};
-use radd_protocol::CoalescePolicy;
-use radd_storage::StorageSpec;
-use radd_workload::faults::{payload, FailureKind, FaultDriver, FaultEvent};
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-/// How long a quiesce may poll before a plan is declared stuck.
-const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// A running socket cluster: `G + 2` site threads plus a client handle.
-pub struct SocketCluster {
+/// The loopback network behind a [`SocketCluster`]: the shared fault
+/// switchboard plus the proxies that consult it. Dropped after the site
+/// threads have been joined, which shuts the proxies down.
+pub struct Loopback {
     faults: Arc<FaultState>,
-    proxies: Vec<FaultProxy>,
-    client: SocketClient,
-    control: Vec<std::sync::mpsc::Sender<Control>>,
-    handles: Vec<JoinHandle<()>>,
-    num_sites: usize,
-    ep_base: usize,
+    _proxies: Vec<FaultProxy>,
 }
 
-impl SocketCluster {
-    /// Spawn a cluster with group size `g`, `rows` block rows per site and
-    /// `block_size`-byte blocks, all on loopback TCP. Endpoint 0 is the
-    /// client; site `j` listens behind its proxy at endpoint `1 + j`.
-    pub fn start(g: usize, rows: u64, block_size: usize) -> SocketCluster {
-        let (cluster, _extra) =
-            SocketCluster::start_with(g, rows, block_size, 1, CoalescePolicy::Merge);
-        cluster
-    }
+impl ClusterNet for Loopback {
+    type Ep = SocketEndpoint;
 
-    /// [`start`](SocketCluster::start) with `clients ≥ 1` client handles
-    /// and an explicit parity-update [`CoalescePolicy`] (differential
-    /// harnesses pass [`CoalescePolicy::Off`] to stay message-for-message
-    /// identical to the DES interpreter).
-    pub fn start_with(
-        g: usize,
-        rows: u64,
-        block_size: usize,
-        clients: usize,
-        coalesce: CoalescePolicy,
-    ) -> (SocketCluster, Vec<SocketClient>) {
-        SocketCluster::start_durable(g, rows, block_size, clients, coalesce, &StorageSpec::Mem)
-    }
-
-    /// [`start_with`](SocketCluster::start_with) plus a [`StorageSpec`]:
-    /// pass [`StorageSpec::Disk`] with a cluster root directory and every
-    /// site runs on a durable WAL-backed store under `<dir>/site-<j>`,
-    /// which survives
-    /// [`kill_restart_site`](SocketCluster::kill_restart_site).
-    pub fn start_durable(
-        g: usize,
-        rows: u64,
-        block_size: usize,
-        clients: usize,
-        coalesce: CoalescePolicy,
-        storage: &StorageSpec,
-    ) -> (SocketCluster, Vec<SocketClient>) {
-        assert!(clients >= 1, "need at least one client");
-        let num_sites = g + 2;
+    fn wire(clients: usize, sites: usize) -> (Loopback, Vec<SocketEndpoint>, Vec<SocketEndpoint>) {
         let ep_base = clients;
-        let faults = FaultState::new(clients + num_sites);
+        let faults = FaultState::new(clients + sites);
         // Bind every site's listener first, then front each with a proxy;
         // the site map every endpoint dials is the list of *proxy* addrs.
-        let listeners: Vec<TcpListener> = (0..num_sites)
+        let listeners: Vec<TcpListener> = (0..sites)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("site bind"))
             .collect();
         let proxies: Vec<FaultProxy> = listeners
@@ -100,460 +48,57 @@ impl SocketCluster {
             })
             .collect();
         let site_map: Vec<SocketAddr> = proxies.iter().map(FaultProxy::addr).collect();
-        let mut handles = Vec::new();
-        let mut control = Vec::new();
-        for (j, listener) in listeners.into_iter().enumerate() {
-            let (ctl_tx, ctl_rx) = std::sync::mpsc::channel();
-            control.push(ctl_tx);
-            let cfg = SiteConfig {
-                site: j,
-                group_size: g,
-                rows,
-                block_size,
-                ep_base,
-                coalesce,
-                storage: storage.clone(),
-            };
-            let ep = SocketEndpoint::site(ep_base + j, ep_base, site_map.clone(), listener);
-            handles.push(std::thread::spawn(move || {
-                server::run_site(cfg, &ep, &ctl_rx);
-            }));
-        }
-        let mut make_client = |id: usize| {
-            let ep = SocketEndpoint::client(id, ep_base, site_map.clone());
-            SocketClient::new(ep, g, rows, block_size)
+        let client_eps = (0..clients)
+            .map(|id| SocketEndpoint::client(id, ep_base, site_map.clone()))
+            .collect();
+        let site_eps = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(j, l)| SocketEndpoint::site(ep_base + j, ep_base, site_map.clone(), l))
+            .collect();
+        let net = Loopback {
+            faults,
+            _proxies: proxies,
         };
-        let main_client = make_client(0);
-        let extra: Vec<SocketClient> = (1..clients).map(&mut make_client).collect();
-        (
-            SocketCluster {
-                faults,
-                proxies,
-                client: main_client,
-                control,
-                handles,
-                num_sites,
-                ep_base,
-            },
-            extra,
-        )
+        (net, client_eps, site_eps)
     }
 
-    /// The client handle for issuing operations.
-    pub fn client(&mut self) -> &mut SocketClient {
-        &mut self.client
+    fn run_site(cfg: SiteConfig, ep: &SocketEndpoint, control: &Receiver<Control>) {
+        server::run_site(cfg, ep, control);
     }
 
-    /// Number of sites.
-    pub fn num_sites(&self) -> usize {
-        self.num_sites
-    }
-
-    /// The shared fault switchboard (loss, duplication, partitions).
-    pub fn faults(&self) -> &Arc<FaultState> {
-        &self.faults
-    }
-
-    fn set_down(&mut self, site: usize, down: bool) {
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
-        let _ = self.control[site].send(Control::SetDown(down, ack_tx));
-        // Synchronous: the site has crossed the boundary before we return.
-        let _ = ack_rx.recv_timeout(Duration::from_secs(5));
-        self.client.mark_down(site, down);
-    }
-
-    /// Temporary site failure: the site stops answering protocol messages
-    /// (its disks keep their contents, its listener stays bound). Quiesce
-    /// first unless you *want* an in-doubt parity update stranded.
-    pub fn kill_site(&mut self, site: usize) {
-        self.set_down(site, true);
-    }
-
-    /// Bring a killed site back in the **recovering** state; run
-    /// [`SocketClient::recover`] to drain its spares and mark it up.
-    pub fn revive_site(&mut self, site: usize) {
-        self.set_down(site, false);
-    }
-
-    /// Process crash + restart of site `site`: its machine, timers and any
-    /// uncommitted staged writes are dropped, then the site re-opens its
-    /// durable store — replaying the committed WAL suffix and rebuilding
-    /// the machine from the last snapshot (§3.4). Synchronous: returns
-    /// once the site is serving again. Returns `false` (and changes
-    /// nothing) when the cluster runs on memory-backed storage.
-    pub fn kill_restart_site(&mut self, site: usize) -> bool {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = self.control[site].send(Control::KillRestart(tx));
-        let restarted = rx.recv_timeout(Duration::from_secs(10)).unwrap_or(false);
-        if restarted {
-            self.client.mark_down(site, false);
-        }
-        restarted
-    }
-
-    /// Start dropping roughly `permille`/1000 of protocol frames at the
-    /// proxies, silently. `0` turns loss off.
-    pub fn set_loss(&self, permille: u16, seed: u64) {
+    fn set_loss(&self, permille: u16, seed: u64) {
         self.faults.set_loss(permille, seed);
     }
 
-    /// Protocol frames dropped by loss injection so far.
-    pub fn dropped_messages(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.faults.dropped()
     }
 
-    /// §5 partition: cut `site` off at every proxy (frames to and from it
-    /// drop; its thread and listener keep running). The client treats it
-    /// like a down site and takes the degraded paths.
-    pub fn isolate_site(&mut self, site: usize) {
-        self.faults.set_partitioned(self.ep_base + site, true);
-        self.client.mark_down(site, true);
-    }
-
-    /// Heal a partition created by [`SocketCluster::isolate_site`]. The
-    /// site immediately resumes retransmitting whatever parity updates it
-    /// could not deliver while cut off; run [`SocketClient::recover`]
-    /// afterwards to drain spares populated on its behalf.
-    pub fn heal_site(&mut self, site: usize) {
-        self.faults.set_partitioned(self.ep_base + site, false);
-        self.client.mark_down(site, false);
-    }
-
-    /// How many writes at `site` still await their parity ack.
-    pub fn pending_writes(&self, site: usize) -> usize {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = self.control[site].send(Control::QueryPending(tx));
-        rx.recv_timeout(Duration::from_secs(5)).unwrap_or(0)
-    }
-
-    /// Whether every site machine reports
-    /// [`all_acked`](radd_protocol::SiteMachine::all_acked).
-    pub fn all_acked(&self) -> bool {
-        (0..self.num_sites).all(|s| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(Control::QueryAllAcked(tx));
-            rx.recv_timeout(Duration::from_secs(5)).unwrap_or(false)
-        })
-    }
-
-    /// Start (or stop) recording normalised effect traces on every site
-    /// machine and the attached client.
-    pub fn record_traces(&mut self, on: bool) {
-        for s in 0..self.num_sites {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(Control::RecordTrace(on, tx));
-            let _ = rx.recv_timeout(Duration::from_secs(5));
-        }
-        if on {
-            self.client.record_trace();
-        }
-    }
-
-    /// Collect the recorded traces: index 0 is the attached client, index
-    /// `1 + j` is site `j` — the same peer numbering the DES interpreter
-    /// and the threaded cluster use.
-    pub fn take_traces(&mut self) -> Vec<Vec<radd_protocol::TraceEntry>> {
-        let mut all = vec![self.client.take_trace()];
-        for s in 0..self.num_sites {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(Control::TakeTrace(tx));
-            all.push(rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default());
-        }
-        all
-    }
-
-    /// Freeze the whole cluster's observability state: the attached
-    /// client's metrics + flight recorder at index 0, then each site's at
-    /// index `1 + j`. Served from the control drains, so a down site still
-    /// answers.
-    pub fn obs_snapshot(&mut self) -> radd_obs::ObsSnapshot {
-        let mut machines = vec![self.client.obs_snapshot()];
-        for s in 0..self.num_sites {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let _ = self.control[s].send(Control::QueryObs(tx));
-            machines
-                .push(rx.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|_| {
-                    radd_obs::MachineObs::new().snapshot(&format!("site {s}"))
-                }));
-        }
-        radd_obs::ObsSnapshot { machines }
-    }
-
-    /// Wait until no site holds an unacked parity update, polling for up
-    /// to `timeout`. Partitioned sites cannot drain — heal them first.
-    pub fn quiesce(&self, timeout: Duration) -> Result<(), String> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let pending: Vec<(usize, usize)> = (0..self.num_sites)
-                .map(|s| (s, self.pending_writes(s)))
-                .filter(|&(_, n)| n > 0)
-                .collect();
-            if pending.is_empty() {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(format!(
-                    "quiesce timed out; unacked parity updates remain: {pending:?}"
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    /// Stop every site thread and proxy and join them.
-    pub fn shutdown(mut self) {
-        for ctl in &self.control {
-            let _ = ctl.send(Control::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        for p in &mut self.proxies {
-            p.shutdown();
-        }
+    fn set_partitioned(&self, ep: usize, partitioned: bool) {
+        self.faults.set_partitioned(ep, partitioned);
     }
 }
 
-/// Drives a [`SocketCluster`] from a fault plan, tracking an oracle of
-/// every acknowledged write — semantics identical to the threaded
-/// driver's (see the module docs for the DES-only degradations).
-pub struct SocketDriver {
-    cluster: SocketCluster,
-    block_size: usize,
-    /// Logical content per `(site, index)` — every write the cluster
-    /// acknowledged must read back exactly.
-    oracle: HashMap<(usize, u64), Vec<u8>>,
-    /// The one site currently failed or isolated (plans carry at most one
-    /// failure at a time).
-    impaired: Option<usize>,
-    /// Whether a loss burst is active (suppresses invariant sweeps — they
-    /// would pass anyway, but each dropped probe costs a retry timeout).
-    lossy: bool,
-    skipped_writes: u64,
-}
+/// A running socket cluster: `G + 2` site threads plus a client handle,
+/// all on loopback TCP. See [`Cluster`] for the control surface.
+pub type SocketCluster = Cluster<Loopback>;
 
-impl SocketDriver {
-    /// Spawn a fresh socket cluster sized for a plan shape.
-    pub fn start(g: usize, rows: u64, block_size: usize) -> SocketDriver {
-        SocketDriver {
-            cluster: SocketCluster::start(g, rows, block_size),
-            block_size,
-            oracle: HashMap::new(),
-            impaired: None,
-            lossy: false,
-            skipped_writes: 0,
-        }
-    }
+/// Drives a [`SocketCluster`] from a fault plan; see
+/// [`crate::driver::Driver`].
+pub type SocketDriver = crate::driver::Driver<Loopback>;
 
-    /// [`start`](SocketDriver::start) on durable storage: every site runs
-    /// a WAL-backed `radd_storage::DiskBlocks` under `<dir>/site-<j>`, so
-    /// plans containing [`FaultEvent::KillRestart`] actually crash the
-    /// sites and recover them from disk.
-    pub fn start_durable(
-        g: usize,
-        rows: u64,
-        block_size: usize,
-        dir: std::path::PathBuf,
-    ) -> SocketDriver {
-        let (cluster, _extra) = SocketCluster::start_durable(
-            g,
-            rows,
-            block_size,
-            1,
-            CoalescePolicy::Merge,
-            &StorageSpec::Disk { dir },
-        );
-        SocketDriver {
-            cluster,
-            block_size,
-            oracle: HashMap::new(),
-            impaired: None,
-            lossy: false,
-            skipped_writes: 0,
-        }
-    }
-
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &SocketCluster {
-        &self.cluster
-    }
-
-    /// Mutable access to the underlying cluster.
-    pub fn cluster_mut(&mut self) -> &mut SocketCluster {
-        &mut self.cluster
-    }
-
-    /// Writes skipped because the row's parity site was the failed site.
-    pub fn skipped_writes(&self) -> u64 {
-        self.skipped_writes
-    }
-
-    /// Acknowledged writes tracked by the oracle.
-    pub fn oracle_len(&self) -> usize {
-        self.oracle.len()
-    }
-
-    /// Stop the cluster threads.
-    pub fn shutdown(self) {
-        self.cluster.shutdown();
-    }
-
-    fn parity_site_of(&mut self, site: usize, index: u64) -> usize {
-        let geo = self.cluster.client().geometry();
-        let row = geo.data_to_physical(site, index);
-        geo.parity_site(row)
-    }
-}
-
-/// Protocol refusals a scenario makes legal (vs. broken guarantees).
-fn is_refusal(e: &ClientError) -> bool {
-    matches!(e, ClientError::MultipleFailure)
-}
-
-impl FaultDriver for SocketDriver {
-    fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
-        match *event {
-            FaultEvent::Write { site, index, fill } => {
-                let parity_site = self.parity_site_of(site, index);
-                if self.impaired == Some(parity_site) {
-                    self.skipped_writes += 1;
-                    return Ok(());
-                }
-                let data = payload(fill, self.block_size);
-                match self.cluster.client().write(site, index, &data) {
-                    Ok(()) => {
-                        self.oracle.insert((site, index), data);
-                        Ok(())
-                    }
-                    Err(e) if is_refusal(&e) => Ok(()),
-                    Err(e) => Err(format!("write(site {site}, index {index}): {e}")),
-                }
-            }
-            FaultEvent::Read { site, index } => match self.cluster.client().read(site, index) {
-                Ok(data) => match self.oracle.get(&(site, index)) {
-                    Some(want) if *want != data => Err(format!(
-                        "read(site {site}, index {index}) returned stale or \
-                             corrupt data"
-                    )),
-                    _ => Ok(()),
-                },
-                Err(e) if is_refusal(&e) => Ok(()),
-                Err(e) => Err(format!("read(site {site}, index {index}): {e}")),
-            },
-            // Disk failures are DES-only; the other §3.1 kinds quiesce
-            // before killing — a site dying with an unacked parity update
-            // is the §6 in-doubt problem.
-            FaultEvent::Fail {
-                kind: FailureKind::DiskFailure { .. },
-                ..
-            }
-            | FaultEvent::ReplaceDisk { .. } => Ok(()),
-            FaultEvent::Fail { site, .. } => {
-                FaultDriver::quiesce(self)?;
-                self.cluster.kill_site(site);
-                self.impaired = Some(site);
-                Ok(())
-            }
-            FaultEvent::RestoreSite { site } => {
-                self.cluster.revive_site(site);
-                // Stale until its spares are drained: keep the degraded
-                // paths (which prefer the spare) until `Recover`.
-                self.cluster.client().mark_down(site, true);
-                Ok(())
-            }
-            FaultEvent::Recover { site } => match self.cluster.client().recover(site) {
-                Ok(_) => {
-                    self.cluster.client().mark_down(site, false);
-                    self.impaired = None;
-                    Ok(())
-                }
-                Err(e) => Err(format!("recovery of site {site}: {e}")),
-            },
-            FaultEvent::Isolate { site } => {
-                FaultDriver::quiesce(self)?;
-                self.cluster.isolate_site(site);
-                self.impaired = Some(site);
-                Ok(())
-            }
-            FaultEvent::Heal { site } => {
-                self.cluster.heal_site(site);
-                self.cluster.client().mark_down(site, true);
-                Ok(())
-            }
-            FaultEvent::LossBurst { permille, seed } => {
-                self.cluster.set_loss(permille, seed);
-                self.lossy = true;
-                Ok(())
-            }
-            FaultEvent::LossEnd => {
-                self.cluster.set_loss(0, 0);
-                self.lossy = false;
-                Ok(())
-            }
-            FaultEvent::FlushParity => FaultDriver::quiesce(self),
-            // §3.4 crash/restart: quiesce (same in-doubt rule as `Fail`),
-            // then crash the site and let it recover from its WAL + block
-            // file. Memory-backed clusters report `false` and change
-            // nothing — a legitimate no-op.
-            FaultEvent::KillRestart { site } => {
-                FaultDriver::quiesce(self)?;
-                self.cluster.kill_restart_site(site);
-                Ok(())
-            }
-            // Checker-granularity events address the model checker's
-            // explicit in-flight message vector; real TCP connections are
-            // not event-addressable.
-            FaultEvent::StepClient { .. }
-            | FaultEvent::Deliver { .. }
-            | FaultEvent::DropMsg { .. }
-            | FaultEvent::DupMsg { .. }
-            | FaultEvent::FireTimer { .. }
-            | FaultEvent::EvictReplies { .. } => Ok(()),
-        }
-    }
-
-    fn verify(&mut self) -> Result<bool, String> {
-        // Mid-failure the stripe invariant cannot be swept (a site won't
-        // answer); under loss it could be, but every dropped probe costs a
-        // retry timeout, so sweeps wait for the burst to end.
-        if self.impaired.is_some() || self.lossy {
-            return Ok(false);
-        }
-        FaultDriver::quiesce(self)?;
-        if !self.cluster.all_acked() {
-            return Err("quiesced but a retransmission channel still holds unacked \
-                 parity updates"
-                .to_string());
-        }
-        self.cluster.client().verify_parity()?;
-        let entries: Vec<((usize, u64), Vec<u8>)> =
-            self.oracle.iter().map(|(&k, v)| (k, v.clone())).collect();
-        for ((site, index), want) in entries {
-            match self.cluster.client().read(site, index) {
-                Ok(got) if got == want => {}
-                Ok(_) => return Err(format!("oracle mismatch at site {site} index {index}")),
-                Err(e) => {
-                    return Err(format!(
-                        "oracle read-back at site {site} index {index}: {e}"
-                    ))
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    fn quiesce(&mut self) -> Result<(), String> {
-        self.cluster.quiesce(QUIESCE_TIMEOUT)
-    }
-
-    fn obs_snapshot(&mut self) -> Option<radd_obs::ObsSnapshot> {
-        Some(self.cluster.obs_snapshot())
+impl SocketCluster {
+    /// The shared fault switchboard (loss, duplication, partitions).
+    pub fn faults(&self) -> &Arc<FaultState> {
+        &self.net().faults
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn write_read_kill_reconstruct_recover_round_trip() {

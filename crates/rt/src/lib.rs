@@ -1,36 +1,42 @@
-//! # radd-rt — the socket runtime for the sans-IO RADD core
+//! # radd-rt — the socket transport for the sans-IO RADD core
 //!
-//! The third interpreter of the protocol machines. `radd-core` drives
-//! [`radd_protocol::ClientMachine`]/[`radd_protocol::SiteMachine`] under a
-//! deterministic discrete-event simulator; `radd-node` drives them over
-//! in-process channels with real threads; this crate drives them over
-//! **real TCP sockets** — one listener per site, a length-prefixed,
-//! checksummed wire codec for the protocol vocabulary, reconnect with
-//! backoff, and the same [`radd_net::RetryPolicy`] retransmission
-//! schedules the threaded runtime uses. Because every runtime interprets
-//! the same effect stream, the differential test can demand their
-//! normalised traces match **byte for byte**.
+//! `radd-core` drives [`radd_protocol::ClientMachine`] /
+//! [`radd_protocol::SiteMachine`] under a deterministic discrete-event
+//! simulator. The *async* interpreter — the site event loop, the client
+//! attempt ladder, the in-process cluster harness and the fault-plan
+//! driver — exists once, written against [`radd_net::Transport`], and runs
+//! over two transports: `radd-node`'s in-process channels, and this
+//! crate's **real TCP sockets** — one listener per site, a
+//! length-prefixed, checksummed wire codec for the protocol vocabulary,
+//! reconnect with backoff. Because every runtime interprets the same
+//! effect stream, the differential test can demand their normalised
+//! traces match **byte for byte**.
 //!
-//! Layer map:
+//! The interpreter's four source files live in `crates/node/src` and are
+//! compiled into this crate as [`site`], [`client`], [`harness`] and
+//! [`driver`] (DESIGN.md §12; §5 records why by `#[path]` rather than a
+//! `radd-node` dependency, and the one-line swap that retires it).
+//!
+//! What is really socket, and lives here:
 //!
 //! * [`frame`] — the wire: `[len][checksum][payload]` frames over TCP,
 //!   hardened against truncation, oversized prefixes and corruption; the
 //!   payload vocabulary is `radd_protocol::codec`'s binary encoding plus a
 //!   `Hello` handshake and a small admin control protocol.
-//! * [`net`] — [`net::SocketEndpoint`]: connection management (dial on
-//!   demand, Hello attribution, reconnect with backoff), one reader thread
-//!   per connection feeding a single inbox.
-//! * [`server`] / [`client`] — the site event loop and the client library,
-//!   ported move-for-move from `radd-node` (any behavioural divergence is
-//!   a differential-trace failure).
+//! * [`net`] — [`net::SocketEndpoint`], the [`radd_net::Transport`] impl:
+//!   connection management (dial on demand, Hello attribution, reconnect
+//!   with backoff), one reader thread per connection feeding a single
+//!   inbox. Wire control requests are its out-of-band items.
+//! * [`server`] — the hook that answers those requests
+//!   ([`frame::CtlReq`]), and `run_site` with it installed.
 //! * [`proxy`] — [`proxy::FaultProxy`]: a frame-aware TCP relay that
 //!   drops, partitions and duplicates *protocol* frames under a shared
 //!   [`proxy::FaultState`], so fault plans run against real connections.
-//! * [`cluster`] — [`cluster::SocketCluster`], a loopback harness with the
-//!   `NodeCluster` control surface, and [`cluster::SocketDriver`], its
-//!   [`radd_workload::faults::FaultDriver`] adapter.
-//! * [`config`] — the static site-map format the standalone binaries
-//!   (`radd-server`, `radd-client`, `radd-cli`) deploy from.
+//! * [`cluster`] — listener and proxy assembly for the loopback harness:
+//!   [`SocketCluster`] and [`SocketDriver`].
+//! * [`config`] / [`admin`] — the static site-map format the standalone
+//!   binaries (`radd-server`, `radd-client`, `radd-cli`) deploy from, and
+//!   the control client `radd-cli` speaks through.
 //!
 //! ```
 //! use radd_rt::SocketCluster;
@@ -47,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod admin;
-pub mod client;
 pub mod cluster;
 pub mod config;
 pub mod frame;
@@ -55,11 +60,26 @@ pub mod net;
 pub mod proxy;
 pub mod server;
 
+// The one async interpreter, shared with `radd-node` source for source.
+// Each mount becomes `pub use radd_node::<module>` once `radd-rt` may
+// depend on `radd-node` (DESIGN.md §5).
+#[path = "../../node/src/client.rs"]
+pub mod client;
+#[path = "../../node/src/driver.rs"]
+pub mod driver;
+#[path = "../../node/src/harness.rs"]
+pub mod harness;
+#[path = "../../node/src/site.rs"]
+pub mod site;
+
 pub use admin::CtlClient;
-pub use client::{ClientError, SocketClient};
+pub use client::ClientError;
 pub use cluster::{SocketCluster, SocketDriver};
 pub use config::{ClusterConfig, StorageKind};
 pub use frame::{CtlRep, CtlReq, Frame, FrameDecoder, FrameError};
 pub use net::{Inbound, SendOutcome, SocketEndpoint};
 pub use proxy::{FaultProxy, FaultState};
 pub use server::{Control, SiteConfig};
+
+/// The cluster client over TCP.
+pub type SocketClient = client::Client<SocketEndpoint>;

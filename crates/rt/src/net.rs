@@ -1,12 +1,12 @@
-//! TCP endpoints with the [`radd_net::ThreadedEndpoint`] shape.
+//! TCP endpoints: the socket runtime's [`Transport`].
 //!
 //! A [`SocketEndpoint`] is one process's network identity: an endpoint id
 //! (clients `0..ep_base`, site `j` at `ep_base + j`), an optional listener
 //! (sites listen; clients only dial), and a table of live connections keyed
-//! by peer endpoint id. The API deliberately mirrors the threaded runtime's
-//! endpoint — `send(dst, msg)` / `recv_timeout` — so the site event loop
-//! and client attempt ladder port across runtimes with their logic (and
-//! therefore their normalised effect traces) intact.
+//! by peer endpoint id. It implements [`radd_net::Transport`], so the site
+//! event loop and the client attempt ladder that run over it are the same
+//! code the threaded runtime runs (and their normalised effect traces are
+//! therefore identical).
 //!
 //! Connection management:
 //!
@@ -30,8 +30,10 @@
 //! retries, idempotence) lives in the sans-IO machines and their drivers.
 
 use crate::frame::{write_frame, Frame, FrameDecoder};
-use radd_net::RetryPolicy;
+use radd_net::{Received, RetryPolicy, Transport};
 use radd_protocol::Msg;
+
+pub use radd_net::SendOutcome;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,38 +55,21 @@ const DIAL_RETRY: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
 /// are observed promptly.
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// What arrived on the endpoint's inbox.
+/// A wire control request: the socket runtime's out-of-band inbox item
+/// ([`Transport::Oob`]). Answer by writing a `CtlRep` frame to `reply`.
 #[derive(Debug)]
-pub enum Inbound {
-    /// A protocol message from endpoint `src`.
-    Proto {
-        /// Sender's endpoint id.
-        src: usize,
-        /// The message.
-        msg: Msg,
-    },
-    /// A control request; answer by writing a `CtlRep` frame to `reply`.
-    Ctl {
-        /// Request id to echo.
-        rid: u64,
-        /// The request.
-        req: crate::frame::CtlReq,
-        /// Write half of the requesting connection.
-        reply: WriteHalf,
-    },
+pub struct CtlItem {
+    /// Request id to echo.
+    pub rid: u64,
+    /// The request.
+    pub req: crate::frame::CtlReq,
+    /// Write half of the requesting connection.
+    pub reply: WriteHalf,
 }
 
-/// What became of one send attempt — mirrors the threaded client's
-/// classification: `Sent` covers everything a retry can fix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// Written to a connection, or silently lost (dial pending/backoff,
-    /// peer not connected) — retriable.
-    Sent,
-    /// No retry can succeed (destination outside the site map, endpoint
-    /// shut down).
-    Closed,
-}
+/// What arrives on the endpoint's inbox: a protocol message
+/// (`Inbound::Msg`) or a control request (`Inbound::Oob`).
+pub type Inbound = Received<CtlItem>;
 
 /// Shareable write half of a connection (the read half lives in its reader
 /// thread). Writes are whole frames under the lock, so frames never
@@ -216,7 +201,11 @@ impl SocketEndpoint {
         self.ep_base
     }
 
-    /// Send `msg` to endpoint `dst`, dialing if needed.
+    /// Send `msg` to endpoint `dst`, dialing if needed. A write into a
+    /// live connection, a dial that is pending or backing off and a client
+    /// that is not connected are all [`SendOutcome::Sent`] (retriable
+    /// loss); a destination outside the site map or a shut-down endpoint
+    /// is [`SendOutcome::Closed`].
     pub fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
         if self.shared.shutdown.load(Ordering::Relaxed) {
             return SendOutcome::Closed;
@@ -303,6 +292,26 @@ impl SocketEndpoint {
     }
 }
 
+impl Transport for SocketEndpoint {
+    type Oob = CtlItem;
+
+    fn id(&self) -> usize {
+        self.id
+    }
+
+    fn ep_base(&self) -> usize {
+        self.ep_base
+    }
+
+    fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
+        SocketEndpoint::send(self, dst, msg)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Option<Received<CtlItem>> {
+        self.inbox_rx.recv_timeout(timeout).ok()
+    }
+}
+
 impl Drop for SocketEndpoint {
     fn drop(&mut self) {
         self.shutdown();
@@ -363,16 +372,16 @@ fn reader_loop(stream: TcpStream, peer_id: Option<usize>, shared: &Arc<Shared>) 
                         // cannot receive replies anyway.
                         continue;
                     };
-                    if shared.inbox_tx.send(Inbound::Proto { src, msg }).is_err() {
+                    if shared.inbox_tx.send(Inbound::Msg { src, msg }).is_err() {
                         return;
                     }
                 }
                 Frame::CtlReq { rid, req } => {
-                    let item = Inbound::Ctl {
+                    let item = Inbound::Oob(CtlItem {
                         rid,
                         req,
                         reply: write.clone(),
-                    };
+                    });
                     if shared.inbox_tx.send(item).is_err() {
                         return;
                     }
@@ -415,7 +424,7 @@ mod tests {
             SendOutcome::Sent
         );
         let got = site.recv_timeout(Duration::from_secs(2)).unwrap();
-        let Inbound::Proto { src, msg } = got else {
+        let Inbound::Msg { src, msg } = got else {
             panic!("expected protocol message");
         };
         assert_eq!(src, 0);
@@ -423,7 +432,7 @@ mod tests {
         // Reply over the inbound connection (site never dials a client).
         assert_eq!(site.send(0, &Msg::WriteOk { tag: 9 }), SendOutcome::Sent);
         let back = client.recv_timeout(Duration::from_secs(2)).unwrap();
-        let Inbound::Proto { src, msg } = back else {
+        let Inbound::Msg { src, msg } = back else {
             panic!("expected protocol reply");
         };
         assert_eq!(src, 1);

@@ -1,13 +1,15 @@
 //! A batch wider than the client's attempt budget, against a healthy site.
 //!
-//! `SockIo::exchange_batch` keeps one attempt budget per site for the whole
-//! batch. It once spent an attempt on every request it *waited* for, timed
-//! out or not, and re-sent from the second one on: the thirteenth entry for
-//! one site failed with a synthesised `Timeout` although the site had
-//! answered everything, so `SocketClient::recover` failed as soon as a spare
-//! site held more than `attempts` blocks for the revived one, and most of a
-//! batch crossed the wire twice. The budget counts expired windows only and
-//! a reply refills it (the threaded client's rule since PR 8).
+//! The client ladder's `exchange_batch` keeps one attempt budget per site
+//! for the whole batch. It once spent an attempt on every request it
+//! *waited* for, timed out or not, and re-sent from the second one on: the
+//! thirteenth entry for one site failed with a synthesised `Timeout`
+//! although the site had answered everything, so `SocketClient::recover`
+//! failed as soon as a spare site held more than `attempts` blocks for the
+//! revived one, and most of a batch crossed the wire twice. The budget
+//! counts expired windows only and a reply refills it. The ladder's unit
+//! tests pin the rule on a scripted transport; this is the same drain over
+//! real sockets.
 //!
 //! The batch is driven through the public surface: a recovery drain probes
 //! every slot a spare site holds for the revived site in one wave, restores

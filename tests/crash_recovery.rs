@@ -133,41 +133,48 @@ fn run_des(label: &str, plan: &FaultPlan) {
     assert!(cc.oracle_len() > 0, "{label}: plan never wrote anything");
 }
 
-fn run_threaded(label: &str, plan: &FaultPlan) {
+/// One crash plan on an async runtime's fault driver, over durable stores
+/// under a scratch directory. `Driver<N>` is one source file compiled into
+/// each runtime crate, so the two instantiations share no nominal type:
+/// the harness comes in as its constructor plus `finish`, which reports
+/// `(oracle_len, all_acked)` and shuts the cluster down.
+fn run_durable<D: FaultDriver>(
+    runtime: &str,
+    label: &str,
+    plan: &FaultPlan,
+    start: impl FnOnce(usize, u64, usize, PathBuf) -> D,
+    finish: impl FnOnce(D) -> (usize, bool),
+) {
     let shape = crash_shape();
-    let dir = scratch(&format!("node-{label}"));
-    let mut driver =
-        ThreadedDriver::start_durable(shape.group_size, shape.rows, BLOCK, dir.clone());
+    let dir = scratch(&format!("{runtime}-{label}"));
+    let mut driver = start(shape.group_size, shape.rows, BLOCK, dir.clone());
     let report = run_plan(&mut driver, plan)
-        .unwrap_or_else(|f| dump_and_panic(&format!("crash-node-{label}"), &f));
+        .unwrap_or_else(|f| dump_and_panic(&format!("crash-{runtime}-{label}"), &f));
     check_report(label, &report, plan);
+    let (oracle_len, all_acked) = finish(driver);
+    assert!(oracle_len > 0, "{label}: plan never wrote anything");
     assert!(
-        driver.oracle_len() > 0,
-        "{label}: plan never wrote anything"
+        all_acked,
+        "{label}: parity update in flight after the final quiesce"
     );
-    driver.shutdown();
     assert_on_disk(&dir, shape.group_size + 2, shape.rows);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn run_threaded(label: &str, plan: &FaultPlan) {
+    run_durable("node", label, plan, ThreadedDriver::start_durable, |d| {
+        let seen = (d.oracle_len(), d.cluster().all_acked());
+        d.shutdown();
+        seen
+    });
+}
+
 fn run_socket(label: &str, plan: &FaultPlan) {
-    let shape = crash_shape();
-    let dir = scratch(&format!("sock-{label}"));
-    let mut driver = SocketDriver::start_durable(shape.group_size, shape.rows, BLOCK, dir.clone());
-    let report = run_plan(&mut driver, plan)
-        .unwrap_or_else(|f| dump_and_panic(&format!("crash-sock-{label}"), &f));
-    check_report(label, &report, plan);
-    assert!(
-        driver.oracle_len() > 0,
-        "{label}: plan never wrote anything"
-    );
-    assert!(
-        driver.cluster().all_acked(),
-        "{label}: parity update in flight after the final quiesce"
-    );
-    driver.shutdown();
-    assert_on_disk(&dir, shape.group_size + 2, shape.rows);
-    let _ = std::fs::remove_dir_all(&dir);
+    run_durable("sock", label, plan, SocketDriver::start_durable, |d| {
+        let seen = (d.oracle_len(), d.cluster().all_acked());
+        d.shutdown();
+        seen
+    });
 }
 
 /// The crash weave rides on top of the base generator without disturbing

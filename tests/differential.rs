@@ -14,9 +14,9 @@
 //! * every block the oracle knows must read back with the same content on
 //!   all three, and all three must pass the stripe-invariant sweep.
 //!
-//! The DES mirrors the asynchronous drivers' conventions (see
-//! `radd_node::driver` and `radd_rt::cluster`): disasters are applied as
-//! temporary site failures, disk events are skipped, a revived site stays
+//! The DES mirrors the asynchronous driver's conventions (see
+//! `radd_node::driver`, which both async runtimes compile): disasters are
+//! applied as temporary site failures, disk events are skipped, a revived site stays
 //! on the believed-down list until the plan's `Recover`, and writes whose
 //! row's parity site is the impaired site are skipped on every side.
 //!
