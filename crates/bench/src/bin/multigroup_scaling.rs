@@ -29,8 +29,8 @@
 //! configurations — per-group throughput at 8 groups came out *above* the
 //! 1-group baseline, a physical impossibility for a wire-bound workload.
 
-use radd_layout::GlobalAddr;
-use radd_node::ShardedNodeCluster;
+use radd_layout::{Geometry, GlobalAddr, ShardMap};
+use radd_node::NodeCluster;
 use radd_protocol::CoalescePolicy;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,9 +58,13 @@ struct Sample {
 }
 
 fn run_config(groups: usize, secs: u64, latency: Duration, warmup: Duration) -> Sample {
+    let geo = Geometry::new(G, ROWS).expect("valid geometry");
+    let map = ShardMap::uniform(groups, geo).expect("uniform pools always carve");
     let (mut cluster, mut extra) =
-        ShardedNodeCluster::start_with(groups, G, ROWS, BLOCK_SIZE, 2, CoalescePolicy::Merge);
-    cluster.set_link_latency(latency);
+        NodeCluster::start_sharded(map, BLOCK_SIZE, 2, CoalescePolicy::Merge);
+    for (_, group) in cluster.groups() {
+        group.set_link_latency(latency);
+    }
     // Each group's address list, resolved once: (member slot, data index).
     let cap = cluster.map().group_capacity();
     let targets: Vec<Vec<(usize, u64)>> = (0..groups as u64)
@@ -121,9 +125,7 @@ fn run_config(groups: usize, secs: u64, latency: Duration, warmup: Duration) -> 
     std::thread::sleep(Duration::from_secs(secs));
     stop.store(true, Ordering::Relaxed);
     let per_worker: Vec<(u64, Duration)> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-    cluster
-        .quiesce(Duration::from_secs(30))
-        .expect("quiesce after measure window");
+    cluster.quiesce().expect("quiesce after measure window");
     cluster.verify_parity().expect("stripe sweep after the run");
     cluster.shutdown();
     let total_ops: u64 = per_worker.iter().map(|&(ops, _)| ops).sum();

@@ -27,7 +27,7 @@
 //! * `RB_WAVE` — rows per rebuild wave (default 8)
 
 use radd_layout::{Geometry, Placement, ShardMap};
-use radd_node::ShardedNodeCluster;
+use radd_node::{NodeCluster, ShardedNodeExt};
 use radd_protocol::CoalescePolicy;
 use std::time::{Duration, Instant};
 
@@ -70,7 +70,7 @@ fn run_config(pool: usize, placement: Placement, k: &Knobs) -> Sample {
     let map = ShardMap::pool(pool, k.slots, geo, placement).expect("pool carves into groups");
     let groups = map.num_groups();
     let (mut cluster, mut extra) =
-        ShardedNodeCluster::start_with_map(map, BLOCK_SIZE, 2, CoalescePolicy::Merge);
+        NodeCluster::start_sharded(map, BLOCK_SIZE, 2, CoalescePolicy::Merge);
     let mut workers: Vec<_> = extra.iter_mut().map(|clients| clients.remove(0)).collect();
     // Seed one block per group so the rebuild moves real content, then
     // attach the wires *after* the writes — setup traffic is free.
@@ -80,9 +80,9 @@ fn run_config(pool: usize, placement: Placement, k: &Knobs) -> Sample {
             .write(radd_layout::GlobalAddr(g * cap), &[0x5A; BLOCK_SIZE])
             .expect("healthy-path write");
     }
-    cluster.quiesce(Duration::from_secs(30)).expect("quiesce");
+    cluster.quiesce().expect("quiesce");
     let _wires = cluster.set_pool_wires(k.latency);
-    cluster.kill_pool_site(VICTIM);
+    cluster.fail_pool_site(VICTIM);
     let t0 = Instant::now();
     let report = cluster
         .rebuild_pool_site_parallel(VICTIM, k.wave, &mut workers)
@@ -90,10 +90,11 @@ fn run_config(pool: usize, placement: Placement, k: &Knobs) -> Sample {
     let secs = t0.elapsed().as_secs_f64();
     // Leave the cluster clean: drain spares back and sweep the invariant.
     cluster.clear_pool_wires();
-    cluster.revive_pool_site(VICTIM);
+    cluster.restore_pool_site(VICTIM);
     cluster.recover_pool_site(VICTIM).expect("recover");
-    for worker in &mut workers {
-        worker.mark_down(VICTIM, false);
+    // The engine marked each affected worker's *member slot* down.
+    for (g, member) in cluster.map().pool_site_slots(VICTIM) {
+        workers[g.0].mark_down(member, false);
     }
     cluster.verify_parity().expect("stripe sweep after rebuild");
     cluster.shutdown();

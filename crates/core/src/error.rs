@@ -57,9 +57,6 @@ pub enum RaddError {
     Device(DevError),
     /// Configuration rejected at construction time.
     BadConfig(String),
-    /// The sharded router refused the operation (address outside the
-    /// global space, or a stale placement epoch).
-    Routing(String),
 }
 
 impl fmt::Display for RaddError {
@@ -96,15 +93,7 @@ impl fmt::Display for RaddError {
             }
             RaddError::Device(e) => write!(f, "device error: {e}"),
             RaddError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
-            RaddError::Routing(msg) => write!(f, "routing: {msg}"),
         }
-    }
-}
-
-impl RaddError {
-    /// Wrap a router refusal.
-    pub fn routing(e: radd_protocol::RouteError) -> RaddError {
-        RaddError::Routing(e.to_string())
     }
 }
 

@@ -1,206 +1,106 @@
-//! The sharded DES cluster: `A` groups behind one router.
+//! The sharded DES cluster: what [`RaddCluster`] supplies to the router.
 //!
-//! [`ShardedCluster`] is the multi-group face of the synchronous
-//! interpreter: a [`Router`] owning one [`RaddCluster`] per group (each in
-//! client mode, so every group transitively owns its own
-//! `ClientMachine`), plus the pool-site fault surface. Reads and writes
-//! take a [`GlobalAddr`]; faults take a **pool site** and fan out to every
-//! group with a member slot on that site — the behavioural meaning of
-//! "sites host rows from multiple groups".
-//!
-//! The threaded twin lives in `radd_node::ShardedNodeCluster`; the
-//! multi-group differential test drives both with the same event stream
-//! and compares normalised traces group by group.
+//! The sharded cluster itself is `radd_protocol::Router` (DESIGN.md §13):
+//! global-address reads and writes, the pool-site fault fan-out, traces
+//! and the invariant sweep are written once there, over any
+//! [`GroupCluster`]. This module is the DES's half of that contract — one
+//! [`RaddCluster`] in client mode per group, so every group owns its own
+//! `ClientMachine` — plus the constructor. The threaded and the socket
+//! runtime supply the other two impls from one source file
+//! (`radd_node::harness`); the multi-group differential test drives all
+//! three with the same event stream and compares traces group by group.
 
 use crate::cluster::RaddCluster;
 use crate::config::RaddConfig;
 use crate::error::RaddError;
-use radd_layout::{Geometry, GlobalAddr, GroupId, ShardMap, ShardTarget, SiteId};
-use radd_protocol::{Router, TraceEntry};
+use radd_layout::{DataIndex, Geometry, ShardMap, SiteId};
+use radd_protocol::{GroupCluster, RebuildReport, Router, TraceEntry};
 
 /// `A` synchronous groups over a shared site pool.
-pub struct ShardedCluster {
-    router: Router<RaddCluster>,
-    config: RaddConfig,
-}
+pub type ShardedCluster = Router<RaddCluster>;
 
-impl ShardedCluster {
-    /// Build over an explicit [`ShardMap`]. The map's geometry must match
-    /// `config` (group size and rows).
-    pub fn new(map: ShardMap, config: RaddConfig) -> Result<ShardedCluster, RaddError> {
+impl RaddCluster {
+    /// One cluster per group of `map`, behind the router. The map's
+    /// geometry must match `config` (group size and rows).
+    pub fn sharded(map: ShardMap, config: &RaddConfig) -> Result<ShardedCluster, RaddError> {
         assert_eq!(
             map.geometry(),
             Geometry::new(config.group_size, config.rows).expect("valid geometry"),
             "shard map geometry must match the per-group config"
         );
-        let router = Router::try_new(map, |_| RaddCluster::new(config.clone()))?;
-        Ok(ShardedCluster { router, config })
+        Router::try_new(map, |_| RaddCluster::new(config.clone()))
+    }
+}
+
+/// Client-mode operations with a caller-managed down list: the semantics
+/// the async runtimes' clients have, so traces compare byte for byte.
+impl GroupCluster for RaddCluster {
+    fn block_size(&self) -> usize {
+        self.config().block_size
     }
 
-    /// Build `num_groups` groups over the minimal uniform pool (`G + 2`
-    /// sites, each serving every group).
-    pub fn uniform(num_groups: usize, config: RaddConfig) -> Result<ShardedCluster, RaddError> {
-        let geo = Geometry::new(config.group_size, config.rows).expect("valid geometry");
-        let map = ShardMap::uniform(num_groups, geo)
-            .expect("uniform pools always carve into num_groups groups");
-        ShardedCluster::new(map, config)
+    fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, String> {
+        self.client_read(member, index).map_err(|e| e.to_string())
     }
 
-    /// The shard map.
-    pub fn map(&self) -> &ShardMap {
-        self.router.map()
+    fn write(&mut self, member: SiteId, index: DataIndex, data: &[u8]) -> Result<(), String> {
+        self.client_write(member, index, data)
+            .map_err(|e| e.to_string())
     }
 
-    /// The per-group configuration.
-    pub fn config(&self) -> &RaddConfig {
-        &self.config
+    fn fail(&mut self, member: SiteId) {
+        self.fail_site(member);
+        self.client_mark_down(member, true);
     }
 
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.router.num_groups()
+    fn restore(&mut self, member: SiteId) {
+        self.restore_site(member);
+        self.client_mark_down(member, true);
     }
 
-    /// Resolve a global address without touching any group.
-    pub fn locate(&self, addr: GlobalAddr) -> Option<ShardTarget> {
-        self.map().locate(addr)
+    fn recover(&mut self, member: SiteId) -> Result<u64, String> {
+        let drained = self.client_recover(member).map_err(|e| e.to_string())?;
+        self.client_mark_down(member, false);
+        Ok(drained)
     }
 
-    /// Direct access to one group's cluster (fault injection, invariant
-    /// sweeps, per-group statistics).
-    pub fn group_mut(&mut self, group: GroupId) -> &mut RaddCluster {
-        self.router.group_mut(group)
+    fn rebuild(&mut self, member: SiteId, wave_rows: usize) -> Result<RebuildReport, String> {
+        self.client_rebuild(member, wave_rows)
+            .map_err(|e| e.to_string())
     }
 
-    /// Client-machine read of a global address.
-    pub fn read(&mut self, addr: GlobalAddr) -> Result<Vec<u8>, RaddError> {
-        let (t, cluster) = self.router.route_mut(addr).map_err(RaddError::routing)?;
-        cluster.client_read(t.member, t.index)
+    fn record_traces(&mut self, on: bool) {
+        self.record_machine_traces(on);
     }
 
-    /// Client-machine write of a global address.
-    pub fn write(&mut self, addr: GlobalAddr, data: &[u8]) -> Result<(), RaddError> {
-        let (t, cluster) = self.router.route_mut(addr).map_err(RaddError::routing)?;
-        cluster.client_write(t.member, t.index, data)
+    fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+        self.take_machine_traces()
     }
 
-    /// Fail a pool site: every group with a member slot there loses that
-    /// slot (temporary failure — disks keep their contents) and the
-    /// group's client marks it down.
-    pub fn fail_pool_site(&mut self, pool_site: SiteId) {
-        self.router.for_pool_site(pool_site, |_, member, cluster| {
-            cluster.fail_site(member);
-            cluster.client_mark_down(member, true);
-        });
-    }
-
-    /// Restore a pool site's hardware in every affected group. Slots come
-    /// back **recovering** and stay on each client's believed-down list
-    /// until [`recover_pool_site`](ShardedCluster::recover_pool_site).
-    pub fn restore_pool_site(&mut self, pool_site: SiteId) {
-        self.router.for_pool_site(pool_site, |_, member, cluster| {
-            cluster.restore_site(member);
-            cluster.client_mark_down(member, true);
-        });
-    }
-
-    /// Drain spares back to a restored pool site in every affected group
-    /// and mark it up. Returns the total blocks drained across groups.
-    pub fn recover_pool_site(&mut self, pool_site: SiteId) -> Result<u64, RaddError> {
-        let mut total = 0;
-        let mut first_err = None;
-        self.router.for_pool_site(pool_site, |_, member, cluster| {
-            match cluster.client_recover(member) {
-                Ok(n) => total += n,
-                Err(e) => first_err = Some(e),
-            }
-            cluster.client_mark_down(member, false);
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
-    }
-
-    /// Bulk-rebuild a failed pool site's data into the row spares, group
-    /// by group (the DES twin of the threaded parallel engine — the
-    /// synchronous interpreter has no concurrency to exploit, so this is
-    /// the reference semantics the differential test pins). Returns
-    /// `(blocks_rebuilt, reads_per_pool_site)`.
-    pub fn rebuild_pool_site(
-        &mut self,
-        pool_site: SiteId,
-        wave_rows: usize,
-    ) -> Result<(u64, Vec<u64>), RaddError> {
-        let members: Vec<Vec<radd_layout::LogicalDrive>> = (0..self.num_groups())
-            .map(|g| self.map().group_members(GroupId(g)).to_vec())
-            .collect();
-        let mut rebuilt = 0;
-        let mut pool_reads = vec![0u64; self.map().pool_len()];
-        let mut first_err = None;
-        self.router.for_pool_site(pool_site, |g, member, cluster| {
-            match cluster.client_rebuild(member, wave_rows) {
-                Ok(r) => {
-                    rebuilt += r.blocks_rebuilt;
-                    for (m, &reads) in r.peer_reads.iter().enumerate() {
-                        if reads > 0 {
-                            pool_reads[members[g.0][m].site] += reads;
-                        }
-                    }
-                }
-                Err(e) => first_err = Some(e),
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((rebuilt, pool_reads)),
-        }
-    }
-
-    /// Record (or stop recording) normalised machine traces in every group.
-    pub fn record_machine_traces(&mut self, on: bool) {
-        for (_, cluster) in self.router.groups_mut() {
-            cluster.record_machine_traces(on);
-        }
-    }
-
-    /// Drain every group's machine traces: `traces[k]` is group `k`'s
-    /// per-machine trace vector (index 0 = client, `1 + j` = member `j`).
-    pub fn take_machine_traces(&mut self) -> Vec<Vec<Vec<TraceEntry>>> {
-        self.router
-            .groups_mut()
-            .map(|(_, cluster)| cluster.take_machine_traces())
-            .collect()
-    }
-
-    /// Run the stripe-invariant sweep in every group; the error names the
-    /// first failing group.
-    pub fn verify_parity(&mut self) -> Result<(), String> {
-        for (g, cluster) in self.router.groups_mut() {
-            cluster.verify_parity().map_err(|e| format!("{g}: {e}"))?;
-        }
-        Ok(())
+    fn verify_parity(&mut self) -> Result<(), String> {
+        RaddCluster::verify_parity(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radd_layout::{GlobalAddr, Placement};
 
     fn small() -> ShardedCluster {
-        ShardedCluster::uniform(4, RaddConfig::small_g4()).unwrap()
+        let config = RaddConfig::small_g4();
+        let geo = Geometry::new(config.group_size, config.rows).unwrap();
+        RaddCluster::sharded(ShardMap::uniform(4, geo).unwrap(), &config).unwrap()
     }
 
+    /// A handful of addresses spread across every group's range.
     fn fill(cluster: &mut ShardedCluster, tag: u8) -> Vec<(GlobalAddr, Vec<u8>)> {
-        let bs = cluster.config().block_size;
-        let total = cluster.map().total_data_blocks();
-        // A handful of addresses spread across every group's range.
+        let bs = cluster.block_size();
         let cap = cluster.map().group_capacity();
         let mut written = Vec::new();
         for k in 0..cluster.num_groups() as u64 {
             for off in [0, cap / 2, cap - 1] {
                 let addr = GlobalAddr(k * cap + off);
-                assert!(addr.0 < total);
                 let data = vec![tag ^ (addr.0 as u8); bs];
                 cluster.write(addr, &data).unwrap();
                 written.push((addr, data));
@@ -210,51 +110,23 @@ mod tests {
     }
 
     #[test]
-    fn cross_group_writes_read_back() {
-        let mut cluster = small();
-        let written = fill(&mut cluster, 0x5A);
-        for (addr, want) in &written {
-            assert_eq!(cluster.read(*addr).unwrap(), *want, "at {addr}");
-        }
-        cluster.verify_parity().unwrap();
-    }
-
-    #[test]
-    fn pool_site_failure_degrades_every_group_readably() {
-        let mut cluster = small();
-        let written = fill(&mut cluster, 0xC3);
-        cluster.fail_pool_site(2);
-        // Every written block — including those whose member slot sits on
-        // pool site 2 in some group — still reads back (degraded paths).
-        for (addr, want) in &written {
-            assert_eq!(cluster.read(*addr).unwrap(), *want, "degraded at {addr}");
-        }
-        cluster.restore_pool_site(2);
-        let drained = cluster.recover_pool_site(2).unwrap();
-        // Spare drains only happen for slots that took degraded writes;
-        // recovery itself must succeed and the sweep must pass.
-        let _ = drained;
-        cluster.verify_parity().unwrap();
-        for (addr, want) in &written {
-            assert_eq!(cluster.read(*addr).unwrap(), *want, "recovered at {addr}");
-        }
-    }
-
-    #[test]
     fn declustered_rebuild_fans_across_the_pool() {
         // 8-site pool, 3 member slots per site, groups of width 6 (G = 4):
         // four groups whose stripes the declustered placement spreads.
         let config = RaddConfig::small_g4();
         let geo = Geometry::new(config.group_size, config.rows).unwrap();
-        let map = ShardMap::pool(8, 3, geo, radd_layout::Placement::Declustered).unwrap();
-        let mut cluster = ShardedCluster::new(map, config).unwrap();
+        let map = ShardMap::pool(8, 3, geo, Placement::Declustered).unwrap();
+        let mut cluster = RaddCluster::sharded(map, &config).unwrap();
         let written = fill(&mut cluster, 0x7E);
 
         cluster.fail_pool_site(0);
-        let (rebuilt, pool_reads) = cluster.rebuild_pool_site(0, 4).unwrap();
-        assert!(rebuilt > 0, "the failed site owned data blocks");
-        assert_eq!(pool_reads[0], 0, "failed site serves no rebuild reads");
-        let spread = pool_reads.iter().filter(|&&n| n > 0).count();
+        let report = cluster.rebuild_pool_site(0, 4).unwrap();
+        assert!(
+            report.blocks_rebuilt > 0,
+            "the failed site owned data blocks"
+        );
+        assert_eq!(report.pool_peer_reads[0], 0, "failed site serves no reads");
+        let spread = report.pool_peer_reads.iter().filter(|&&n| n > 0).count();
         assert!(
             spread > 5,
             "declustered rebuild must out-fan one group's 5 peers, got {spread}"
@@ -273,22 +145,14 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_address_is_an_error() {
-        let mut cluster = small();
-        let end = cluster.map().total_data_blocks();
-        assert!(cluster.read(GlobalAddr(end)).is_err());
-        assert!(cluster.write(GlobalAddr(end), &[0; 64]).is_err());
-    }
-
-    #[test]
     fn traces_cover_every_group() {
         let mut cluster = small();
-        cluster.record_machine_traces(true);
+        cluster.record_traces(true);
         let _ = fill(&mut cluster, 0x11);
-        let traces = cluster.take_machine_traces();
+        let traces = cluster.take_traces();
         assert_eq!(traces.len(), 4);
         for (k, group) in traces.iter().enumerate() {
-            assert_eq!(group.len(), 1 + cluster.config().num_sites());
+            assert_eq!(group.len(), 1 + RaddConfig::small_g4().num_sites());
             assert!(
                 group.iter().map(Vec::len).sum::<usize>() > 0,
                 "group {k} saw no traffic"

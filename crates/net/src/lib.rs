@@ -2,17 +2,12 @@
 //!
 //! Section 3 assumes a reliable network; Section 5 then relaxes that to
 //! cover **lost messages** and **network partitions**. This crate provides
-//! both worlds:
+//! the network side of both; the retransmission that §5's commit
+//! conditions need ("the messages updating the parity block … have been
+//! received at the various parity sites") is the protocol machines' own.
 //!
 //! * [`stats::NetStats`] — byte and message accounting, the basis of the
 //!   §7.4 bandwidth comparison (change-mask traffic vs disk bandwidth).
-//! * [`link::LossyLink`] — a point-to-point link on the simulation clock
-//!   with configurable latency, loss probability and a partition switch.
-//! * [`reliable::ReliableChannel`] — sequence numbers, acknowledgements,
-//!   retransmission and receiver-side dedup over a lossy link. This is the
-//!   machinery behind §5's commit conditions: "the messages updating the
-//!   parity block … have been received at the various parity sites" before
-//!   a transaction commits.
 //! * [`partition::PartitionMap`] — group membership during a partition and
 //!   the §5 classification: a `G+1`/`1` split looks like a single site
 //!   failure and the majority side proceeds; anything else must block.
@@ -29,17 +24,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod link;
 pub mod partition;
-pub mod reliable;
 pub mod retry;
 pub mod stats;
 pub mod threaded;
 pub mod transport;
 
-pub use link::{Delivery, LinkConfig, LossyLink};
 pub use partition::{PartitionMap, PartitionVerdict};
-pub use reliable::ReliableChannel;
 pub use retry::RetryPolicy;
 pub use stats::NetStats;
 pub use threaded::{ThreadedEndpoint, ThreadedNet, Wire};

@@ -368,6 +368,11 @@ impl<T: Transport> Client<T> {
         self.machine.is_down(site)
     }
 
+    /// Block size in bytes.
+    pub fn block_size(&self) -> usize {
+        self.block_size
+    }
+
     /// The cluster geometry.
     pub fn geometry(&self) -> &radd_layout::Geometry {
         self.machine.geometry()

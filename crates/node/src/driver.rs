@@ -27,15 +27,11 @@
 //! DES.
 
 use super::client::ClientError;
-use super::harness::{Cluster, ClusterNet};
-use radd_protocol::CoalescePolicy;
+use super::harness::{Cluster, ClusterNet, QUIESCE_TIMEOUT};
+use radd_protocol::{CoalescePolicy, GroupCluster};
 use radd_storage::StorageSpec;
 use radd_workload::faults::{payload, FailureKind, FaultDriver, FaultEvent};
 use std::collections::HashMap;
-use std::time::Duration;
-
-/// How long a quiesce may poll before the plan is declared stuck.
-const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Drives a [`Cluster`] from a fault plan, tracking an oracle of every
 /// acknowledged write for content checks.
@@ -171,21 +167,19 @@ impl<N: ClusterNet> FaultDriver for Driver<N> {
                 self.impaired = Some(site);
                 Ok(())
             }
+            // Revived but stale until its spares are drained: the client
+            // keeps the degraded paths until `Recover` succeeds.
             FaultEvent::RestoreSite { site } => {
-                self.cluster.revive_site(site);
-                // Stale until its spares are drained: keep the degraded
-                // paths (which prefer the spare) until `Recover`.
-                self.cluster.client().mark_down(site, true);
+                self.cluster.restore(site);
                 Ok(())
             }
-            FaultEvent::Recover { site } => match self.cluster.client().recover(site) {
-                Ok(_) => {
-                    self.cluster.client().mark_down(site, false);
-                    self.impaired = None;
-                    Ok(())
-                }
-                Err(e) => Err(format!("recovery of site {site}: {e}")),
-            },
+            FaultEvent::Recover { site } => {
+                self.cluster
+                    .recover(site)
+                    .map_err(|e| format!("recovery of site {site}: {e}"))?;
+                self.impaired = None;
+                Ok(())
+            }
             FaultEvent::Isolate { site } => {
                 FaultDriver::quiesce(self)?;
                 self.cluster.isolate_site(site);

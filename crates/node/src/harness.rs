@@ -13,8 +13,9 @@
 
 use super::client::Client;
 use super::site::{Control, SiteConfig};
+use radd_layout::ShardMap;
 use radd_net::Transport;
-use radd_protocol::CoalescePolicy;
+use radd_protocol::{CoalescePolicy, GroupCluster, RebuildReport, Router, TraceEntry};
 use radd_storage::StorageSpec;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -22,6 +23,9 @@ use std::time::{Duration, Instant};
 
 /// How long a site may take to answer a control command.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a quiesce may poll before a fault plan is declared stuck.
+pub(super) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What a runtime supplies to the harness: how to wire a cluster's worth
 /// of endpoints, how to run a site on one, and the fault switchboard of
@@ -142,6 +146,34 @@ impl<N: ClusterNet> Cluster<N> {
             ep_base,
         };
         (cluster, extra)
+    }
+
+    /// One cluster per group of `map`, behind the router: the sharded
+    /// cluster of this runtime (DESIGN.md §13). Every group gets
+    /// `clients_per_group ≥ 1` client handles; one stays attached to its
+    /// group, the extras are returned as `extra[k]` (group `k`'s workers)
+    /// for use from other threads.
+    #[allow(clippy::type_complexity)] // the same pair `start_with` returns, per group
+    pub fn start_sharded(
+        map: ShardMap,
+        block_size: usize,
+        clients_per_group: usize,
+        coalesce: CoalescePolicy,
+    ) -> (Router<Cluster<N>>, Vec<Vec<Client<N::Ep>>>) {
+        let geo = map.geometry();
+        let mut extra = Vec::with_capacity(map.num_groups());
+        let router = Router::new(map, |_| {
+            let (cluster, workers) = Self::start_with(
+                geo.group_size(),
+                geo.rows(),
+                block_size,
+                clients_per_group,
+                coalesce,
+            );
+            extra.push(workers);
+            cluster
+        });
+        (router, extra)
     }
 
     /// The client handle for issuing operations.
@@ -276,7 +308,7 @@ impl<N: ClusterNet> Cluster<N> {
     /// Collect the recorded traces: index 0 is the attached client, index
     /// `1 + j` is site `j` — the same peer numbering the DES interpreter
     /// uses.
-    pub fn take_traces(&mut self) -> Vec<Vec<radd_protocol::TraceEntry>> {
+    pub fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
         let mut all = vec![self.client.take_trace()];
         for s in 0..self.num_sites() {
             all.push(
@@ -338,5 +370,70 @@ impl<N: ClusterNet> Cluster<N> {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+/// One group of a sharded cluster (DESIGN.md §13): the attached client's
+/// operations plus this harness's fault surface.
+impl<N: ClusterNet> GroupCluster for Cluster<N> {
+    fn block_size(&self) -> usize {
+        self.client.block_size()
+    }
+
+    fn read(&mut self, member: usize, index: u64) -> Result<Vec<u8>, String> {
+        self.client.read(member, index).map_err(|e| e.to_string())
+    }
+
+    fn write(&mut self, member: usize, index: u64, data: &[u8]) -> Result<(), String> {
+        self.client
+            .write(member, index, data)
+            .map_err(|e| e.to_string())
+    }
+
+    fn fail(&mut self, member: usize) {
+        self.kill_site(member);
+    }
+
+    fn restore(&mut self, member: usize) {
+        self.revive_site(member);
+        // Stale until its spares are drained: keep the degraded paths
+        // (which prefer the spare) until `recover`.
+        self.client.mark_down(member, true);
+    }
+
+    fn recover(&mut self, member: usize) -> Result<u64, String> {
+        let drained = self.client.recover(member).map_err(|e| e.to_string())?;
+        self.client.mark_down(member, false);
+        Ok(drained)
+    }
+
+    fn rebuild(&mut self, member: usize, wave_rows: usize) -> Result<RebuildReport, String> {
+        self.client
+            .rebuild(member, wave_rows)
+            .map_err(|e| e.to_string())
+    }
+
+    fn record_traces(&mut self, on: bool) {
+        Cluster::record_traces(self, on);
+    }
+
+    fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+        Cluster::take_traces(self)
+    }
+
+    fn verify_parity(&mut self) -> Result<(), String> {
+        self.client.verify_parity()
+    }
+
+    fn set_loss(&mut self, permille: u16, seed: u64) {
+        Cluster::set_loss(self, permille, seed);
+    }
+
+    fn quiesce(&mut self) -> Result<(), String> {
+        Cluster::quiesce(self, QUIESCE_TIMEOUT)
+    }
+
+    fn shutdown(self) {
+        Cluster::shutdown(self);
     }
 }

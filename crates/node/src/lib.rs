@@ -17,7 +17,9 @@
 //! knows its `ep_base`), the [`ClusterNet`](harness::ClusterNet) wiring
 //! for [`ThreadedNet`], modelled wire time
 //! ([`NodeCluster::set_link_latency`], [`NodeCluster::set_site_wire`]),
-//! and the multi-group [`sharded`] cluster.
+//! and what only a [`sharded`] cluster of this runtime can do. (The
+//! sharded cluster itself is `radd_protocol::Router` over
+//! [`harness::Cluster`], for either transport.)
 //!
 //! * Each [`site`] thread owns its disk array, UID generator, parity UID
 //!   arrays and spare slots, and serves the Section 3 message protocol:
@@ -67,7 +69,8 @@ pub mod site;
 
 pub use client::ClientError;
 pub use message::Msg;
-pub use sharded::{PoolRebuildReport, ShardedNodeCluster};
+pub use radd_protocol::PoolRebuildReport;
+pub use sharded::{ShardedNodeCluster, ShardedNodeExt};
 
 use radd_net::threaded::NetError;
 use radd_net::{Received, SendOutcome, ThreadedEndpoint, ThreadedNet, Transport};

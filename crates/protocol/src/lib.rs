@@ -53,7 +53,7 @@ pub use effect::{BlockFault, Blocks, Dest, Effect, IoPurpose, MemBlocks};
 pub use events::FailureKind;
 pub use obs::{obs_event, ObsEvent};
 pub use partition::{classify, gate, Gate, PartitionVerdict};
-pub use router::{RouteError, Router};
+pub use router::{GroupCluster, PoolRebuildReport, RouteError, Router};
 pub use server::{kind_from_content, CoalescePolicy, SiteMachine, SiteState, SpareKind, SpareSlot};
 pub use trace::{trace, TraceEntry};
 pub use wire::{

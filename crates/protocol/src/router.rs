@@ -1,4 +1,4 @@
-//! The multi-group router: shard lookup in front of per-group clients.
+//! The multi-group router, which *is* the sharded cluster.
 //!
 //! A sharded cluster runs `A` independent `G + 2` groups over a shared site
 //! pool ([`ShardMap`]). Every runtime needs the same thin coordinator in
@@ -6,17 +6,22 @@
 //! `(group, member slot, data index)`, hand the op to that group's handle,
 //! and fan pool-site faults out to every group the site serves. [`Router`]
 //! is that coordinator, written sans-IO like the rest of this crate: it is
-//! generic over the per-group handle `H`, so the DES cluster (`radd-core`),
-//! the threaded runtime (`radd-node`) and the socket runtime (`radd-rt`)
-//! all reuse it — each handle transitively owns that group's
-//! [`ClientMachine`](crate::ClientMachine).
+//! generic over the per-group handle `H`, and when `H` is a
+//! [`GroupCluster`] — one group of the DES (`radd-core`), of the threaded
+//! runtime (`radd-node`) or of the socket runtime (`radd-rt`) — the router
+//! has the whole sharded surface: global-address reads and writes, the
+//! pool-site fault fan-out, traces, the invariant sweep. The rule "which
+//! `(group, member)` slots does a pool site host, and what happens to each"
+//! is written here and nowhere else (DESIGN.md §13).
 //!
 //! The router also carries the map's **placement epoch**. Operations tagged
 //! with an epoch are checked first: a request routed under an older map is
 //! refused with [`RouteError::StaleEpoch`] instead of landing on the wrong
 //! site after a rebalance.
 
-use radd_layout::{GlobalAddr, GroupId, ShardMap, ShardTarget, SiteId};
+use crate::client::RebuildReport;
+use crate::trace::TraceEntry;
+use radd_layout::{DataIndex, GlobalAddr, GroupId, LogicalDrive, ShardMap, ShardTarget, SiteId};
 use std::fmt;
 
 /// Routing failures.
@@ -174,10 +179,219 @@ impl<H> Router<H> {
             f(group, member, &mut self.handles[group.0]);
         }
     }
+}
 
-    /// Consume the router, yielding the map and handles.
-    pub fn into_parts(self) -> (ShardMap, Vec<H>) {
-        (self.map, self.handles)
+/// What one `G + 2` group exposes so that [`Router`] can be a sharded
+/// cluster over it. Addresses are group-local `(member slot, data index)`;
+/// errors are strings because no caller matches on them and the three
+/// runtimes' native errors share nothing else.
+pub trait GroupCluster {
+    /// Block size in bytes.
+    fn block_size(&self) -> usize;
+    /// Read through the group's client machine.
+    fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, String>;
+    /// Write through the group's client machine.
+    fn write(&mut self, member: SiteId, index: DataIndex, data: &[u8]) -> Result<(), String>;
+    /// Temporary failure of `member` (its disks keep their contents); the
+    /// group's client marks it down.
+    fn fail(&mut self, member: SiteId);
+    /// Bring `member`'s hardware back **recovering**. It stays on the
+    /// client's believed-down list until [`recover`](GroupCluster::recover):
+    /// its local blocks may be stale.
+    fn restore(&mut self, member: SiteId);
+    /// Drain spares back to a restored `member` and, only if the drain
+    /// succeeded, mark it up at the client. Returns the blocks drained.
+    fn recover(&mut self, member: SiteId) -> Result<u64, String>;
+    /// Reconstruct every data block the believed-down `member` owns into
+    /// the row spares, `wave_rows` rows per pipelined wave.
+    fn rebuild(&mut self, member: SiteId, wave_rows: usize) -> Result<RebuildReport, String>;
+    /// Record (or stop recording) normalised machine traces.
+    fn record_traces(&mut self, on: bool);
+    /// Drain the traces: index 0 = client, `1 + j` = member `j`.
+    fn take_traces(&mut self) -> Vec<Vec<TraceEntry>>;
+    /// Run the stripe-invariant sweep.
+    fn verify_parity(&mut self) -> Result<(), String>;
+    /// Message-loss injection; a runtime with a reliable network ignores it.
+    fn set_loss(&mut self, _permille: u16, _seed: u64) {}
+    /// Wait until every parity update is acknowledged; a synchronous
+    /// runtime is always quiescent.
+    fn quiesce(&mut self) -> Result<(), String> {
+        Ok(())
+    }
+    /// Stop whatever the group keeps running.
+    fn shutdown(self)
+    where
+        Self: Sized,
+    {
+    }
+}
+
+/// Aggregated result of one pool-site rebuild across every affected group.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PoolRebuildReport {
+    /// Groups that hosted a member slot on the failed pool site.
+    pub groups: usize,
+    /// Blocks reconstructed into spares, summed over groups.
+    pub blocks_rebuilt: u64,
+    /// Blocks found already absorbed (earlier passes or degraded writes).
+    pub blocks_absorbed: u64,
+    /// Bytes folded through the XOR kernel.
+    pub bytes_xored: u64,
+    /// Reconstruction reads served per *pool* site (index = pool site id) —
+    /// the uniform-reconstruction-load invariant made measurable.
+    pub pool_peer_reads: Vec<u64>,
+}
+
+impl PoolRebuildReport {
+    /// An empty report over a pool of `pool_len` sites.
+    pub fn new(pool_len: usize) -> PoolRebuildReport {
+        PoolRebuildReport {
+            pool_peer_reads: vec![0; pool_len],
+            ..PoolRebuildReport::default()
+        }
+    }
+
+    /// Fold one group's report in, translating its member-indexed peer
+    /// reads to pool sites through the group's `members`.
+    pub fn absorb(&mut self, group: &RebuildReport, members: &[LogicalDrive]) {
+        self.groups += 1;
+        self.blocks_rebuilt += group.blocks_rebuilt;
+        self.blocks_absorbed += group.blocks_absorbed;
+        self.bytes_xored += group.bytes_xored;
+        for (member, &reads) in group.peer_reads.iter().enumerate() {
+            self.pool_peer_reads[members[member].site] += reads;
+        }
+    }
+}
+
+/// The sharded cluster: global addresses in, pool-site faults fanned out.
+impl<C: GroupCluster> Router<C> {
+    /// Block size in bytes (every group runs the same geometry).
+    pub fn block_size(&self) -> usize {
+        self.handles[0].block_size()
+    }
+
+    /// Read a global address through the owning group's client.
+    pub fn read(&mut self, addr: GlobalAddr) -> Result<Vec<u8>, String> {
+        let (t, cluster) = self.route_mut(addr).map_err(|e| e.to_string())?;
+        cluster.read(t.member, t.index)
+    }
+
+    /// Write a global address through the owning group's client.
+    pub fn write(&mut self, addr: GlobalAddr, data: &[u8]) -> Result<(), String> {
+        let (t, cluster) = self.route_mut(addr).map_err(|e| e.to_string())?;
+        cluster.write(t.member, t.index, data)
+    }
+
+    /// Fail a pool site: every group with a member slot there loses that
+    /// slot (temporary failure — disks keep their contents) and the
+    /// group's client marks it down. On a runtime with in-flight messages,
+    /// [`quiesce`](Router::quiesce) first unless you *want* in-doubt
+    /// parity updates stranded.
+    pub fn fail_pool_site(&mut self, pool_site: SiteId) {
+        self.for_pool_site(pool_site, |_, member, cluster| cluster.fail(member));
+    }
+
+    /// Restore a pool site's hardware in every affected group. Slots come
+    /// back **recovering** and stay on each client's believed-down list
+    /// until [`recover_pool_site`](Router::recover_pool_site).
+    pub fn restore_pool_site(&mut self, pool_site: SiteId) {
+        self.for_pool_site(pool_site, |_, member, cluster| cluster.restore(member));
+    }
+
+    /// Drain spares back to a restored pool site in every affected group;
+    /// a group whose drain succeeds marks its slot up, one whose drain
+    /// fails keeps it down (its blocks are stale) and the remaining groups
+    /// are still attempted. Returns the total blocks drained, or the first
+    /// failing group's error.
+    pub fn recover_pool_site(&mut self, pool_site: SiteId) -> Result<u64, String> {
+        let drained = self.try_pool_site(pool_site, |member, cluster| cluster.recover(member))?;
+        Ok(drained.iter().map(|&(_, n)| n).sum())
+    }
+
+    /// Bulk-rebuild a failed pool site's data into the row spares, one
+    /// affected group after another through the attached clients (the
+    /// reference semantics the differential test pins; the threaded
+    /// runtime's thread-per-group engine is the perf path). Every group
+    /// is attempted; the error is the first failing group's.
+    pub fn rebuild_pool_site(
+        &mut self,
+        pool_site: SiteId,
+        wave_rows: usize,
+    ) -> Result<PoolRebuildReport, String> {
+        let rebuilt = self.try_pool_site(pool_site, |member, cluster| {
+            cluster.rebuild(member, wave_rows)
+        })?;
+        let mut report = PoolRebuildReport::new(self.map.pool_len());
+        for (g, r) in &rebuilt {
+            report.absorb(r, self.map.group_members(*g));
+        }
+        Ok(report)
+    }
+
+    /// Run `f` on every slot `pool_site` hosts. A failing group does not
+    /// stop the fan-out: every group is attempted, and the error returned
+    /// is the first failing group's, prefixed with its id.
+    fn try_pool_site<T>(
+        &mut self,
+        pool_site: SiteId,
+        mut f: impl FnMut(SiteId, &mut C) -> Result<T, String>,
+    ) -> Result<Vec<(GroupId, T)>, String> {
+        let mut done = Vec::new();
+        let mut first_err = None;
+        self.for_pool_site(pool_site, |g, member, cluster| match f(member, cluster) {
+            Ok(v) => done.push((g, v)),
+            Err(e) => {
+                first_err.get_or_insert(format!("{g}: {e}"));
+            }
+        });
+        first_err.map_or(Ok(done), Err)
+    }
+
+    /// Message-loss injection across every group's network.
+    pub fn set_loss(&mut self, permille: u16, seed: u64) {
+        for cluster in &mut self.handles {
+            cluster.set_loss(permille, seed);
+        }
+    }
+
+    /// Wait until every group's parity updates are acknowledged.
+    pub fn quiesce(&mut self) -> Result<(), String> {
+        self.each_group(C::quiesce)
+    }
+
+    /// Record (or stop recording) normalised machine traces in every group.
+    pub fn record_traces(&mut self, on: bool) {
+        for cluster in &mut self.handles {
+            cluster.record_traces(on);
+        }
+    }
+
+    /// Drain every group's traces: `traces[k]` is group `k`'s per-machine
+    /// vector (index 0 = client, `1 + j` = member `j`).
+    pub fn take_traces(&mut self) -> Vec<Vec<Vec<TraceEntry>>> {
+        self.handles.iter_mut().map(C::take_traces).collect()
+    }
+
+    /// Run the stripe-invariant sweep in every group; the error names the
+    /// first failing group.
+    pub fn verify_parity(&mut self) -> Result<(), String> {
+        self.each_group(C::verify_parity)
+    }
+
+    /// Shut every group down.
+    pub fn shutdown(self) {
+        self.handles.into_iter().for_each(C::shutdown);
+    }
+
+    fn each_group(
+        &mut self,
+        mut f: impl FnMut(&mut C) -> Result<(), String>,
+    ) -> Result<(), String> {
+        for (g, cluster) in self.groups_mut() {
+            f(cluster).map_err(|e| format!("{g}: {e}"))?;
+        }
+        Ok(())
     }
 }
 
@@ -243,6 +457,127 @@ mod tests {
         let mut members: Vec<_> = hit.iter().map(|&(_, m)| m).collect();
         members.sort_unstable();
         assert_eq!(members, vec![0, 1, 2, 3]);
+    }
+
+    /// A scripted group for the fan-out tests: remembers which member
+    /// slots are believed down, and refuses `recover` / `rebuild` on
+    /// demand.
+    #[derive(Default)]
+    struct Scripted {
+        down: Vec<SiteId>,
+        drained: Vec<SiteId>,
+        refuse: bool,
+    }
+
+    impl GroupCluster for Scripted {
+        fn block_size(&self) -> usize {
+            16
+        }
+        fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, String> {
+            Ok(vec![member as u8, index as u8])
+        }
+        fn write(&mut self, _: SiteId, _: DataIndex, _: &[u8]) -> Result<(), String> {
+            Ok(())
+        }
+        fn fail(&mut self, member: SiteId) {
+            self.down.push(member);
+        }
+        fn restore(&mut self, _: SiteId) {}
+        fn recover(&mut self, member: SiteId) -> Result<u64, String> {
+            if self.refuse {
+                return Err("drain refused".into());
+            }
+            self.drained.push(member);
+            self.down.retain(|&m| m != member);
+            Ok(3)
+        }
+        fn rebuild(&mut self, member: SiteId, _: usize) -> Result<RebuildReport, String> {
+            if self.refuse {
+                return Err("rebuild refused".into());
+            }
+            // One read from every surviving member slot.
+            let peer_reads = (0..3).map(|m| u64::from(m != member)).collect();
+            Ok(RebuildReport {
+                blocks_rebuilt: 2,
+                peer_reads,
+                ..RebuildReport::default()
+            })
+        }
+        fn record_traces(&mut self, _: bool) {}
+        fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+            Vec::new()
+        }
+        fn verify_parity(&mut self) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// Three `G = 1` groups on the 3-site pool: every pool site hosts one
+    /// member slot of every group.
+    fn scripted3() -> Router<Scripted> {
+        let map = ShardMap::uniform(3, Geometry::new(1, 6).unwrap()).unwrap();
+        Router::new(map, |_| Scripted::default())
+    }
+
+    #[test]
+    fn a_failed_drain_keeps_its_group_down_and_the_others_recover() {
+        let mut r = scripted3();
+        r.fail_pool_site(0);
+        r.restore_pool_site(0);
+        r.group_mut(GroupId(1)).refuse = true;
+        let err = r.recover_pool_site(0).unwrap_err();
+        assert_eq!(err, "g1: drain refused", "the first failing group is named");
+        for (g, group) in r.groups() {
+            if g.0 == 1 {
+                assert_eq!(group.down.len(), 1, "{g}: stale slot must stay down");
+                assert!(group.drained.is_empty());
+            } else {
+                assert!(group.down.is_empty(), "{g}: drained slot is up");
+                assert_eq!(group.drained.len(), 1, "{g}: attempted despite g1");
+            }
+        }
+        // Repaired, the straggler drains on the next pass.
+        r.group_mut(GroupId(1)).refuse = false;
+        assert_eq!(r.recover_pool_site(0), Ok(9));
+    }
+
+    #[test]
+    fn the_first_of_several_errors_is_reported() {
+        let mut r = scripted3();
+        r.fail_pool_site(2);
+        r.group_mut(GroupId(0)).refuse = true;
+        r.group_mut(GroupId(2)).refuse = true;
+        assert_eq!(r.recover_pool_site(2).unwrap_err(), "g0: drain refused");
+        assert_eq!(
+            r.rebuild_pool_site(2, 4).unwrap_err(),
+            "g0: rebuild refused"
+        );
+    }
+
+    #[test]
+    fn rebuild_reads_are_charged_to_pool_sites() {
+        let mut r = scripted3();
+        r.fail_pool_site(1);
+        let report = r.rebuild_pool_site(1, 4).unwrap();
+        assert_eq!(report.groups, 3);
+        assert_eq!(report.blocks_rebuilt, 6);
+        // Each group read once from both survivors of pool site 1.
+        assert_eq!(report.pool_peer_reads, vec![3, 0, 3]);
+    }
+
+    #[test]
+    fn global_addresses_reach_the_owning_member() {
+        let mut r = scripted3();
+        let end = r.map().total_data_blocks();
+        for a in 0..end {
+            let t = r.map().locate(GlobalAddr(a)).unwrap();
+            assert_eq!(
+                r.read(GlobalAddr(a)).unwrap(),
+                vec![t.member as u8, t.index as u8]
+            );
+        }
+        assert!(r.read(GlobalAddr(end)).is_err());
+        assert!(r.write(GlobalAddr(end), &[0; 16]).is_err());
     }
 
     #[test]

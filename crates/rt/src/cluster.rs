@@ -88,6 +88,10 @@ pub type SocketCluster = Cluster<Loopback>;
 /// [`crate::driver::Driver`].
 pub type SocketDriver = crate::driver::Driver<Loopback>;
 
+/// `A` socket groups over a shared site pool, started by
+/// [`Cluster::start_sharded`].
+pub type ShardedSocketCluster = radd_protocol::Router<SocketCluster>;
+
 impl SocketCluster {
     /// The shared fault switchboard (loss, duplication, partitions).
     pub fn faults(&self) -> &Arc<FaultState> {

@@ -74,7 +74,7 @@ pub mod site;
 
 pub use admin::CtlClient;
 pub use client::ClientError;
-pub use cluster::{SocketCluster, SocketDriver};
+pub use cluster::{ShardedSocketCluster, SocketCluster, SocketDriver};
 pub use config::{ClusterConfig, StorageKind};
 pub use frame::{CtlRep, CtlReq, Frame, FrameDecoder, FrameError};
 pub use net::{Inbound, SendOutcome, SocketEndpoint};

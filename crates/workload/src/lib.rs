@@ -18,7 +18,7 @@
 //! * [`sharded`] — the multi-group counterpart: cross-group access plans
 //!   over a [`radd_layout::ShardMap`] (uniform traffic, hot-group bursts,
 //!   pool-site failures that degrade every group hosted there) replayed
-//!   through any [`sharded::ShardedFaultDriver`].
+//!   by [`run_sharded_plan`] on any runtime's sharded cluster.
 //!
 //! [`ReplicationScheme`]: radd_schemes::ReplicationScheme
 
@@ -40,6 +40,4 @@ pub use faults::{
 pub use mix::{run_mix, Mix, MixReport};
 pub use records::{run_record_workload, RecordReport, RecordWorkload};
 pub use scenario::{run_scenario, PhaseReport, ScenarioStep};
-pub use sharded::{
-    run_sharded_plan, ShardedEvent, ShardedFaultDriver, ShardedPlan, ShardedReport, ShardedShape,
-};
+pub use sharded::{run_sharded_plan, ShardedEvent, ShardedPlan, ShardedReport, ShardedShape};

@@ -6,8 +6,11 @@
 //! site failing degrades every group with a member slot there. This module
 //! is the multi-group counterpart: a deterministic generator of seeded
 //! mixed workloads (uniform cross-group traffic, hot-group bursts,
-//! pool-site failure/repair cycles, loss bursts) and a driver harness that
-//! replays them against any sharded runtime while checking an oracle.
+//! pool-site failure/repair cycles, loss bursts) and [`run_sharded_plan`],
+//! which replays them against the sharded cluster of any runtime (the
+//! `radd_protocol::Router` over its [`GroupCluster`]) while checking an
+//! oracle. The replay conventions (quiesce before a pool-site fail, skip
+//! writes whose parity pool site is impaired) live in that one function.
 //!
 //! Determinism mirrors `FaultPlan`: generation uses only [`SimRng`]
 //! streams, so a seed names the same plan on every platform, and plans end
@@ -15,6 +18,7 @@
 //! clean cluster.
 
 use radd_layout::{Geometry, GlobalAddr, ShardMap};
+use radd_protocol::{GroupCluster, Router};
 use radd_sim::SimRng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -230,34 +234,6 @@ impl ShardedPlan {
     }
 }
 
-/// What a sharded runtime must expose to replay a [`ShardedPlan`].
-///
-/// Both in-process runtimes ship adapters: `radd_core::ShardedCluster` and
-/// `radd_node::ShardedNodeCluster` (via the facade's integration tests).
-pub trait ShardedFaultDriver {
-    /// Cluster block size.
-    fn block_size(&self) -> usize;
-    /// The shard map (for skip decisions and fan-out accounting).
-    fn map(&self) -> &ShardMap;
-    /// Write `data` to a global address.
-    fn write(&mut self, addr: GlobalAddr, data: &[u8]) -> Result<(), String>;
-    /// Read a global address.
-    fn read(&mut self, addr: GlobalAddr) -> Result<Vec<u8>, String>;
-    /// Fail a pool site in every affected group.
-    fn fail_pool_site(&mut self, site: usize);
-    /// Restore + drain + mark up a pool site in every affected group.
-    fn recover_pool_site(&mut self, site: usize) -> Result<(), String>;
-    /// Message-loss injection (no-op for synchronous runtimes).
-    fn set_loss(&mut self, _permille: u16, _seed: u64) {}
-    /// Wait for all parity updates to be acknowledged (no-op for
-    /// synchronous runtimes).
-    fn quiesce(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-    /// Run the stripe-invariant sweep.
-    fn verify_parity(&mut self) -> Result<(), String>;
-}
-
 /// Replay statistics from [`run_sharded_plan`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardedReport {
@@ -276,8 +252,8 @@ pub struct ShardedReport {
 /// of acknowledged writes and running the final invariant sweep plus a
 /// full oracle readback. Returns the replay statistics; errors carry the
 /// failing step.
-pub fn run_sharded_plan<D: ShardedFaultDriver>(
-    driver: &mut D,
+pub fn run_sharded_plan<C: GroupCluster>(
+    driver: &mut Router<C>,
     plan: &ShardedPlan,
 ) -> Result<ShardedReport, String> {
     let bs = driver.block_size();
@@ -324,10 +300,16 @@ pub fn run_sharded_plan<D: ShardedFaultDriver>(
             }
             ShardedEvent::FailPoolSite { site } => {
                 report.degraded_groups += driver.map().pool_site_slots(site).len() as u64;
+                // The plan's `Quiesce` precedes every failure, but the kill
+                // itself must not race an in-flight parity update: a site
+                // dying with one unacked is the §6 in-doubt problem.
+                driver.quiesce().map_err(|e| step(i, event, e))?;
                 driver.fail_pool_site(site);
                 impaired = Some(site);
             }
+            // Repair is restore + drain + mark up, in every affected group.
             ShardedEvent::RecoverPoolSite { site } => {
+                driver.restore_pool_site(site);
                 driver
                     .recover_pool_site(site)
                     .map_err(|e| step(i, event, e))?;
@@ -406,44 +388,15 @@ mod tests {
 
     #[test]
     fn des_sharded_cluster_replays_a_seeded_plan() {
-        use radd_core::{RaddConfig, ShardedCluster};
-
-        struct Des(ShardedCluster);
-        impl ShardedFaultDriver for Des {
-            fn block_size(&self) -> usize {
-                self.0.config().block_size
-            }
-            fn map(&self) -> &ShardMap {
-                self.0.map()
-            }
-            fn write(&mut self, addr: GlobalAddr, data: &[u8]) -> Result<(), String> {
-                self.0.write(addr, data).map_err(|e| e.to_string())
-            }
-            fn read(&mut self, addr: GlobalAddr) -> Result<Vec<u8>, String> {
-                self.0.read(addr).map_err(|e| e.to_string())
-            }
-            fn fail_pool_site(&mut self, site: usize) {
-                self.0.fail_pool_site(site);
-            }
-            fn recover_pool_site(&mut self, site: usize) -> Result<(), String> {
-                self.0.restore_pool_site(site);
-                self.0
-                    .recover_pool_site(site)
-                    .map(drop)
-                    .map_err(|e| e.to_string())
-            }
-            fn verify_parity(&mut self) -> Result<(), String> {
-                self.0.verify_parity()
-            }
-        }
+        use radd_core::{RaddCluster, RaddConfig};
 
         let shape = ShardedShape::default();
         let mut config = RaddConfig::small_g4();
         config.group_size = shape.group_size;
         config.rows = shape.rows;
-        let mut driver = Des(ShardedCluster::uniform(shape.num_groups, config).unwrap());
+        let mut cluster = RaddCluster::sharded(shape.map(), &config).unwrap();
         let plan = ShardedPlan::generate(crate::faults::seed_from_name("0xRADD-MG"), &shape);
-        let report = run_sharded_plan(&mut driver, &plan).unwrap();
+        let report = run_sharded_plan(&mut cluster, &plan).unwrap();
         assert!(report.writes > 0, "plan must exercise writes");
         assert!(
             report.degraded_groups == 0 || report.degraded_groups >= shape.num_groups as u64,

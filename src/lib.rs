@@ -79,9 +79,9 @@ pub mod prelude {
     pub use radd_layout::{assign_groups, Geometry, GlobalAddr, GroupId, Role, ShardMap};
     pub use radd_node::{NodeCluster, ShardedNodeCluster, ThreadedDriver};
     pub use radd_obs::{MachineObs, MachineSnapshot, ObsSnapshot, DEFAULT_RING_CAP};
-    pub use radd_protocol::{RouteError, Router};
+    pub use radd_protocol::{GroupCluster, RouteError, Router};
     pub use radd_reliability::{Environment, MonteCarlo, Scheme};
-    pub use radd_rt::{ClusterConfig, SocketCluster, SocketDriver};
+    pub use radd_rt::{ClusterConfig, ShardedSocketCluster, SocketCluster, SocketDriver};
     pub use radd_schemes::{CRaid, FailureKind, Radd, Raid5, ReplicationScheme, Rowb, TwoDRadd};
     pub use radd_sim::{CostParams, OpCounts, SimRng};
     pub use radd_storage::{NoOverwriteManager, RecoveryContext, StorageManager, WalManager};
@@ -89,6 +89,6 @@ pub mod prelude {
     pub use radd_workload::{
         minimize_failure, run_mix, run_plan, run_scenario, run_sharded_plan, seed_from_name,
         AccessPattern, FaultDriver, FaultEvent, FaultPlan, Mix, PlanFailure, PlanReport, PlanShape,
-        ScenarioStep, ShardedEvent, ShardedFaultDriver, ShardedPlan, ShardedShape,
+        ScenarioStep, ShardedEvent, ShardedPlan, ShardedShape,
     };
 }

@@ -20,13 +20,15 @@
 //! on the believed-down list until the plan's `Recover`, and writes whose
 //! row's parity site is the impaired site are skipped on every side.
 //!
-//! The multi-group [`Duo`] repeats the exercise one level up: a 4-group
-//! sharded cluster (`ShardedCluster` vs `ShardedNodeCluster`) under a
-//! cross-group plan with pool-site faults, compared group by group.
+//! The multi-group differential ([`replay`]) repeats the exercise one
+//! level up: a 4-group sharded cluster on each of the three runtimes —
+//! the same `radd_protocol::Router` over each runtime's `GroupCluster` —
+//! under a cross-group plan with pool-site faults, compared group by group.
 
-use radd::core::{RaddCluster, RaddConfig, ShardedCluster, SiteId};
+use radd::core::{RaddCluster, RaddConfig, SiteId};
 use radd::layout::{Geometry, GlobalAddr, Placement, ShardMap};
-use radd::node::{NodeCluster, ShardedNodeCluster};
+use radd::node::NodeCluster;
+use radd::protocol::{GroupCluster, Router, TraceEntry};
 use radd::rt::SocketCluster;
 use radd::workload::faults::{
     payload, seed_from_name, FailureKind, FaultEvent, FaultPlan, PlanShape,
@@ -289,160 +291,161 @@ fn named_seed_plan_traces_identically_on_all_runtimes() {
     Trio::start().run_and_compare(&plan);
 }
 
-/// The multi-group differential: the DES sharded cluster and its threaded
-/// twin under one cross-group plan, compared group by group.
+/// One runtime's run of a sharded plan: what every event returned, then
+/// each group's normalised per-machine traces.
+struct Replay {
+    name: &'static str,
+    /// Per event: the bytes read (reads), the blocks drained (repairs),
+    /// nothing (everything else) — or the error.
+    outcomes: Vec<Result<Vec<u8>, String>>,
+    traces: Vec<Vec<Vec<TraceEntry>>>,
+}
+
+/// The multi-group differential, one runtime's half: replay a cross-group
+/// plan on that runtime's sharded cluster, which for every runtime is the
+/// one `Router` over its `GroupCluster`.
 ///
 /// Same discipline as the [`Trio`], one level up: faults arrive at
 /// **pool-site** granularity and fan out to every group hosting a member
-/// slot there, writes whose row's parity lands on the impaired pool site
-/// are skipped on both sides, and after the run every group's normalised
-/// per-machine traces must match byte for byte.
-struct Duo {
-    des: ShardedCluster,
-    node: ShardedNodeCluster,
-    oracle: BTreeMap<u64, Vec<u8>>,
-    impaired: Option<SiteId>,
-    skipped: u64,
-}
-
-impl Duo {
-    fn start(shape: &ShardedShape) -> Duo {
-        Duo::start_on(shape.map(), shape)
-    }
-
-    /// Start both runtimes over an explicit [`ShardMap`] — the entry point
-    /// for the declustered differential, where the pool is wider than one
-    /// group and the placement (not the Figure-1 rotation) decides which
-    /// pool site hosts which member slot.
-    fn start_on(map: ShardMap, shape: &ShardedShape) -> Duo {
-        let mut cfg = RaddConfig::small_g4();
-        cfg.group_size = shape.group_size;
-        cfg.rows = shape.rows;
-        let mut des = ShardedCluster::new(map.clone(), cfg.clone()).unwrap();
-        // Coalescing off, as in the Trio: the comparison is
-        // message-for-message.
-        let (mut node, _) = ShardedNodeCluster::start_with_map(
-            map,
-            cfg.block_size,
-            1,
-            radd::protocol::CoalescePolicy::Off,
-        );
-        des.record_machine_traces(true);
-        node.record_traces(true);
-        Duo {
-            des,
-            node,
-            oracle: BTreeMap::new(),
-            impaired: None,
-            skipped: 0,
-        }
-    }
-
-    fn apply(&mut self, event: &ShardedEvent) {
-        let bs = self.des.config().block_size;
-        match *event {
+/// slot there, and writes whose row's parity lands on the impaired pool
+/// site are skipped. The decisions depend only on the plan, so replaying
+/// the runtimes one after another and comparing what each saw is the
+/// lockstep run, without a type that holds three different routers.
+fn replay<C: GroupCluster>(
+    name: &'static str,
+    mut cluster: Router<C>,
+    plan: &ShardedPlan,
+) -> Replay {
+    cluster.record_traces(true);
+    let bs = cluster.block_size();
+    let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let mut impaired: Option<SiteId> = None;
+    let mut outcomes = Vec::with_capacity(plan.events.len());
+    for event in &plan.events {
+        outcomes.push(match *event {
+            ShardedEvent::Write { addr, .. }
+                if impaired.is_some()
+                    && cluster.map().parity_pool_site(GlobalAddr(addr)) == impaired =>
+            {
+                Ok(Vec::new())
+            }
             ShardedEvent::Write { addr, fill } => {
-                if self.impaired.is_some()
-                    && self.des.map().parity_pool_site(GlobalAddr(addr)) == self.impaired
-                {
-                    self.skipped += 1;
-                    return;
-                }
                 let data = payload(fill, bs);
-                let d = self.des.write(GlobalAddr(addr), &data);
-                let n = self.node.write(GlobalAddr(addr), &data);
-                assert_eq!(
-                    d.is_ok(),
-                    n.is_ok(),
-                    "write(@{addr}) diverged: des {d:?}, node {n:?}"
-                );
-                if d.is_ok() {
-                    self.oracle.insert(addr, data);
-                }
+                cluster.write(GlobalAddr(addr), &data).map(|()| {
+                    oracle.insert(addr, data);
+                    Vec::new()
+                })
             }
-            ShardedEvent::Read { addr } => {
-                let d = self.des.read(GlobalAddr(addr));
-                let n = self.node.read(GlobalAddr(addr));
-                assert_eq!(
-                    d.is_ok(),
-                    n.is_ok(),
-                    "read(@{addr}) diverged: des {d:?}, node {n:?}"
-                );
-                if let (Ok(d), Ok(n)) = (d, n) {
-                    assert_eq!(d, n, "read(@{addr}) content diverged");
-                }
-            }
+            ShardedEvent::Read { addr } => cluster.read(GlobalAddr(addr)),
             ShardedEvent::FailPoolSite { site } => {
-                self.node.quiesce(QUIESCE).unwrap();
-                self.node.kill_pool_site(site);
-                self.des.fail_pool_site(site);
-                self.impaired = Some(site);
+                cluster.quiesce().unwrap();
+                cluster.fail_pool_site(site);
+                impaired = Some(site);
+                Ok(Vec::new())
             }
             ShardedEvent::RecoverPoolSite { site } => {
-                self.node.revive_pool_site(site);
-                let n = self.node.recover_pool_site(site);
-                self.des.restore_pool_site(site);
-                let d = self.des.recover_pool_site(site);
-                assert_eq!(
-                    d.as_ref().ok(),
-                    n.as_ref().ok(),
-                    "recover pool site {site} diverged: des {d:?}, node {n:?}"
-                );
-                self.impaired = None;
+                cluster.restore_pool_site(site);
+                impaired = None;
+                cluster
+                    .recover_pool_site(site)
+                    .map(|drained| drained.to_le_bytes().to_vec())
             }
-            // Loss only exists on the threaded side; retransmissions are
-            // dropped by the trace normalisation.
-            ShardedEvent::LossBurst { permille, seed } => self.node.set_loss(permille, seed),
-            ShardedEvent::LossEnd => self.node.set_loss(0, 0),
-            ShardedEvent::Quiesce => self.node.quiesce(QUIESCE).unwrap(),
-        }
+            // Loss only exists on the asynchronous runtimes; retransmissions
+            // are dropped by the trace normalisation.
+            ShardedEvent::LossBurst { permille, seed } => {
+                cluster.set_loss(permille, seed);
+                Ok(Vec::new())
+            }
+            ShardedEvent::LossEnd => {
+                cluster.set_loss(0, 0);
+                Ok(Vec::new())
+            }
+            ShardedEvent::Quiesce => cluster.quiesce().map(|()| Vec::new()),
+        });
     }
+    cluster.quiesce().unwrap();
 
-    fn run_and_compare(mut self, plan: &ShardedPlan) {
-        for event in &plan.events {
-            self.apply(event);
+    // Traces first: the verification sweeps below issue reads of their own.
+    let traces = cluster.take_traces();
+    cluster.verify_parity().unwrap();
+    for (&addr, want) in &oracle {
+        let got = cluster.read(GlobalAddr(addr)).unwrap();
+        assert_eq!(&got, want, "{name} lost write at @{addr}");
+    }
+    cluster.shutdown();
+    Replay {
+        name,
+        outcomes,
+        traces,
+    }
+}
+
+/// Replay `plan` over `map` on all three runtimes and demand that every
+/// event returned the same thing and every group's normalised per-machine
+/// traces match byte for byte.
+fn run_and_compare_sharded(map: &ShardMap, shape: &ShardedShape, plan: &ShardedPlan) {
+    let mut cfg = RaddConfig::small_g4();
+    cfg.group_size = shape.group_size;
+    cfg.rows = shape.rows;
+    // Coalescing off, as in the Trio: the comparison is message-for-message.
+    let off = radd::protocol::CoalescePolicy::Off;
+    let des = replay(
+        "DES",
+        RaddCluster::sharded(map.clone(), &cfg).unwrap(),
+        plan,
+    );
+    let others = [
+        replay(
+            "threaded",
+            NodeCluster::start_sharded(map.clone(), cfg.block_size, 1, off).0,
+            plan,
+        ),
+        replay(
+            "socket",
+            SocketCluster::start_sharded(map.clone(), cfg.block_size, 1, off).0,
+            plan,
+        ),
+    ];
+
+    for (k, group) in des.traces.iter().enumerate() {
+        assert!(
+            group.iter().map(Vec::len).sum::<usize>() > 0,
+            "group {k} saw no protocol traffic — comparison is vacuous (seed {:#x})",
+            plan.seed
+        );
+    }
+    for other in &others {
+        for (i, (event, (d, o))) in plan
+            .events
+            .iter()
+            .zip(des.outcomes.iter().zip(&other.outcomes))
+            .enumerate()
+        {
+            assert_eq!(
+                d.as_ref().ok(),
+                o.as_ref().ok(),
+                "step {i} ({event}) diverged: {} {d:?}, {} {o:?}",
+                des.name,
+                other.name
+            );
         }
-        self.node.quiesce(QUIESCE).unwrap();
-
-        let des_traces = self.des.take_machine_traces();
-        let node_traces = self.node.take_traces();
-        assert_eq!(des_traces.len(), node_traces.len(), "group count");
-        let mut entries = 0usize;
-        for (k, (dg, ng)) in des_traces.iter().zip(&node_traces).enumerate() {
-            assert_eq!(dg.len(), ng.len(), "machine count in group {k}");
-            for (i, (d, n)) in dg.iter().zip(ng).enumerate() {
+        assert_eq!(des.traces.len(), other.traces.len(), "group count");
+        for (k, (dg, og)) in des.traces.iter().zip(&other.traces).enumerate() {
+            assert_eq!(dg.len(), og.len(), "machine count in group {k}");
+            for (i, (d, o)) in dg.iter().zip(og).enumerate() {
                 let who = if i == 0 {
                     "client".to_string()
                 } else {
                     format!("member {}", i - 1)
                 };
                 assert_eq!(
-                    d, n,
-                    "normalised effect trace of group {k} {who} diverged \
-                     between the sharded DES and the sharded threaded \
-                     runtime (seed {:#x})",
-                    plan.seed
+                    d, o,
+                    "normalised effect trace of group {k} {who} diverged between \
+                     the sharded DES and the sharded {} runtime (seed {:#x})",
+                    other.name, plan.seed
                 );
-                entries += d.len();
             }
-            assert!(
-                dg.iter().map(Vec::len).sum::<usize>() > 0,
-                "group {k} saw no protocol traffic — comparison is vacuous \
-                 (seed {:#x})",
-                plan.seed
-            );
         }
-        assert!(entries > 0, "plan exercised no protocol traffic");
-
-        self.des.verify_parity().unwrap();
-        self.node.verify_parity().unwrap();
-        for (&addr, want) in &self.oracle {
-            let d = self.des.read(GlobalAddr(addr)).unwrap();
-            let n = self.node.read(GlobalAddr(addr)).unwrap();
-            assert_eq!(&d, want, "DES lost write at @{addr}");
-            assert_eq!(&n, want, "node lost write at @{addr}");
-        }
-        self.node.shutdown();
     }
 }
 
@@ -450,10 +453,10 @@ impl Duo {
 /// generated cross-group plan with pool-site failure/repair cycles and
 /// loss bursts.
 #[test]
-fn multi_group_plan_traces_identically_on_both_runtimes() {
+fn multi_group_plan_traces_identically_on_all_runtimes() {
     let shape = ShardedShape::default();
     let plan = ShardedPlan::generate(seed_from_name("0xRADD-MG4"), &shape);
-    Duo::start(&shape).run_and_compare(&plan);
+    run_and_compare_sharded(&shape.map(), &shape, &plan);
 }
 
 /// The declustered differential: the same four groups, but placed by the
@@ -475,7 +478,7 @@ fn declustered_multi_group_plan_traces_identically() {
         "8×2 pool carves into 4 groups"
     );
     let plan = ShardedPlan::generate(seed_from_name("0xRADD-DC8"), &shape);
-    Duo::start_on(map, &shape).run_and_compare(&plan);
+    run_and_compare_sharded(&map, &shape, &plan);
 }
 
 /// Convergence under [`radd::protocol::CoalescePolicy::Merge`]: with

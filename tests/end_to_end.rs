@@ -1,10 +1,9 @@
 //! End-to-end integration across crates: transactions over a failing
-//! cluster, partitions with reliable delivery, storage managers feeding the
+//! cluster, partitions, retransmission under message loss, storage managers feeding the
 //! §3.4 comparison, and the threaded network substrate.
 
-use radd::net::{LinkConfig, PartitionMap, ReliableChannel, ThreadedNet};
+use radd::net::{PartitionMap, ThreadedNet};
 use radd::prelude::*;
-use radd::sim::{SimDuration, SimTime};
 use std::time::Duration;
 
 const BLOCK: usize = 256;
@@ -79,26 +78,31 @@ fn partition_then_heal_with_recovery() {
 fn reliable_channel_gates_the_done_reply() {
     // §5 + §6: the slave may reply `done` only once its parity-update
     // messages are acknowledged; over a lossy network that takes
-    // retransmissions, and commits made before `all_acked` would be unsafe.
-    let mut ch: ReliableChannel<Vec<u8>> = ReliableChannel::new(
-        LinkConfig {
-            latency: SimDuration::from_millis(5),
-            loss_probability: 0.5,
-        },
-        SimDuration::from_millis(25),
-        1234,
-    );
-    for i in 0..10 {
-        ch.send(vec![i as u8; 64], 64);
+    // retransmissions (the site machines' own stop-and-wait), and a write
+    // is acknowledged to the client only behind them.
+    // 25% loss: inside what the client's 12-attempt ladder is sized for.
+    let mut cluster = NodeCluster::start(4, 12, BLOCK);
+    cluster.set_loss(250, 1234);
+    for i in 0..10u64 {
+        let (site, index) = ((i % 4) as usize, i / 4);
+        cluster
+            .client()
+            .write(site, index, &vec![i as u8 + 1; BLOCK])
+            .unwrap();
     }
-    assert!(!ch.all_acked(), "cannot reply done yet");
-    ch.run_until(SimTime::from_millis(3_000), SimDuration::from_millis(1));
-    assert!(ch.all_acked(), "retransmission drove everything through");
-    assert_eq!(ch.take_delivered().len(), 10, "exactly-once delivery");
+    cluster.quiesce(Duration::from_secs(30)).unwrap();
     assert!(
-        ch.forward_stats().messages_sent > 10,
+        cluster.all_acked(),
+        "retransmission drove everything through"
+    );
+    cluster.set_loss(0, 0);
+    cluster.client().verify_parity().unwrap();
+    assert!(cluster.dropped_messages() > 0, "the burst dropped messages");
+    assert!(
+        cluster.obs_snapshot().total_retransmits() > 0,
         "loss forced retransmissions"
     );
+    cluster.shutdown();
 }
 
 #[test]
