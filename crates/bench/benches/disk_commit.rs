@@ -1,22 +1,61 @@
 //! The durable storage engine's hot paths: WAL group commit (the cost a
 //! site pays per acknowledged batch under the WAL rule), recovery-on-open
 //! (the §3.4 restart cost, proportional to the committed log suffix) and
-//! the checkpoint that bounds it. Real files under the OS temp dir —
-//! these numbers include the fsync, which is the point.
+//! the checkpoint that bounds it. Real files under the checkout's
+//! `target/` — these numbers include the fsync, which is the point, and
+//! the OS temp dir is often a tmpfs, where a sync costs nothing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radd_protocol::{Blocks, SiteMachine};
 use radd_storage::DiskBlocks;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const ROWS: u64 = 100;
 const BLOCK: usize = 4096;
 
 fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("radd-bench-disk-{label}-{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/bench-scratch")
+        .join(format!("disk-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Commits of the first lap of `commit_1x4k_site_meta_512_second_lap`:
+/// more than a bench function's timing loop makes (about 600), so every
+/// timed commit of the second lap overwrites a first-lap record.
+const SECOND_LAP_WARMUP: usize = 800;
+
+/// A 512-row store that never checkpoints on its own, and the commit a
+/// site really makes on it: one 4 KiB block plus the encoded
+/// `DurableSiteState` of a 512-row machine (9.7 KB) in which one block UID
+/// and the UID counter moved since the last commit. The 32-byte blob of
+/// `commit_1x4k` is why this cost went unseen: logging the blob whole made
+/// this row three times the bytes of that one.
+fn site_store(dir: &Path) -> (DiskBlocks, impl FnMut(&mut DiskBlocks) -> bool) {
+    const SITE_ROWS: u64 = 512;
+    let mut d = DiskBlocks::open(dir, SITE_ROWS, BLOCK).expect("open");
+    d.set_checkpoint_bytes(u64::MAX);
+    // State as a full preload leaves it: a UID array for every row this
+    // site holds parity for.
+    let mut machine = SiteMachine::new(0, 4, SITE_ROWS, BLOCK);
+    for r in 0..SITE_ROWS {
+        if machine.geometry().parity_site(r) == 0 {
+            machine.parity_uid_array(r);
+        }
+    }
+    let mut row = 0u64;
+    let commit_one = move |d: &mut DiskBlocks| {
+        row = (row + 1) % SITE_ROWS;
+        let uid = machine.mint_uid();
+        machine.set_block_uid(row, uid);
+        d.write_owned(row, bytes::Bytes::from(vec![row as u8; BLOCK]))
+            .expect("write");
+        d.commit(|| machine.durable_snapshot().encode())
+            .expect("commit")
+    };
+    (d, commit_one)
 }
 
 fn bench_disk(c: &mut Criterion) {
@@ -39,37 +78,13 @@ fn bench_disk(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // The same write with the metadata a site really commits: the encoded
-    // `DurableSiteState` of a 512-row machine (9.7 KB) in which one block
-    // UID and the UID counter moved since the last commit. The 32-byte
-    // blob above is why this cost went unseen: logging the blob whole
-    // made this row three times the bytes of that one. The bytes line is
-    // a count (scripts/bench_check.sh gates it exactly): what one such
-    // commit appends to the log.
+    // The same write with the metadata a site really commits (see
+    // `site_store`). The bytes line is a count (scripts/bench_check.sh
+    // gates it exactly): what one such commit adds to the log.
     group.bench_function("commit_1x4k_site_meta_512", |bencher| {
-        const SITE_ROWS: u64 = 512;
         let dir = scratch("commit-site-meta");
-        let mut d = DiskBlocks::open(&dir, SITE_ROWS, BLOCK).expect("open");
-        d.set_checkpoint_bytes(u64::MAX);
-        // State as a full preload leaves it: a UID array for every row
-        // this site holds parity for.
-        let mut machine = SiteMachine::new(0, 4, SITE_ROWS, BLOCK);
-        for r in 0..SITE_ROWS {
-            if machine.geometry().parity_site(r) == 0 {
-                machine.parity_uid_array(r);
-            }
-        }
-        let mut row = 0u64;
-        let mut commit_one = |d: &mut DiskBlocks| {
-            row = (row + 1) % SITE_ROWS;
-            let uid = machine.mint_uid();
-            machine.set_block_uid(row, uid);
-            d.write_owned(row, bytes::Bytes::from(vec![row as u8; BLOCK]))
-                .expect("write");
-            d.commit(|| machine.durable_snapshot().encode())
-                .expect("commit")
-        };
-        commit_one(&mut d); // the log's first metadata record is the whole blob
+        let (mut d, mut commit_one) = site_store(&dir);
+        commit_one(&mut d); // a fresh store's first metadata record is the whole blob
         let before = d.wal_bytes();
         for _ in 0..16 {
             commit_one(&mut d);
@@ -77,6 +92,21 @@ fn bench_disk(c: &mut Criterion) {
         let per_commit = (d.wal_bytes() - before) / 16;
         let name = "disk_commit/commit_1x4k_site_meta_512_bytes";
         println!("bench {name:50} {per_commit:>12} B/commit");
+        bencher.iter(|| black_box(commit_one(&mut d)));
+        drop(d);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+
+    // The steady state: the log has been round once, so a commit lands on
+    // the previous lap's records, not on the zeros the file was created
+    // with, and its first metadata record patches the checkpointed blob.
+    group.bench_function("commit_1x4k_site_meta_512_second_lap", |bencher| {
+        let dir = scratch("commit-second-lap");
+        let (mut d, mut commit_one) = site_store(&dir);
+        for _ in 0..SECOND_LAP_WARMUP {
+            commit_one(&mut d);
+        }
+        d.checkpoint().expect("checkpoint");
         bencher.iter(|| black_box(commit_one(&mut d)));
         drop(d);
         let _ = std::fs::remove_dir_all(&dir);
@@ -102,8 +132,11 @@ fn bench_disk(c: &mut Criterion) {
     });
 
     // Restart cost: reopen a store whose log holds 64 committed
-    // single-block batches. Open scans, checksums and replays the whole
-    // committed suffix — the §3.4 recovery path a KillRestart exercises.
+    // single-block batches. Open reads the log file, checksums and replays
+    // the whole committed suffix, and ends the lap with a checkpoint — the
+    // §3.4 recovery path a KillRestart exercises. That checkpoint retires
+    // the 64 batches by moving `state.bin` to the next lap, so putting the
+    // old `state.bin` back brings them to life for the next iteration.
     group.throughput(Throughput::Bytes((64 * BLOCK) as u64));
     group.bench_function("recover_open_64x4k_log", |bencher| {
         let dir = scratch("recover");
@@ -115,14 +148,18 @@ fn bench_disk(c: &mut Criterion) {
                 d.commit(|| vec![i as u8; 32]).expect("commit");
             }
         }
+        let first_lap = std::fs::read(dir.join("state.bin")).expect("state.bin");
         bencher.iter(|| {
-            black_box(DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen"));
+            std::fs::write(dir.join("state.bin"), &first_lap).expect("state.bin");
+            let d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen");
+            assert_eq!(d.replayed_rows().len(), 64);
+            black_box(d);
         });
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // The checkpoint that truncates the log: flush every dirty row to the
-    // block file, fsync it, then reset the WAL. Measured over a fresh
+    // The checkpoint that ends a lap: flush every dirty row to the block
+    // file, fsync it, then install the next lap's `state.bin`. Measured over a fresh
     // 16-row dirty set each iteration.
     group.throughput(Throughput::Bytes((16 * BLOCK) as u64));
     group.bench_function("checkpoint_16x4k", |bencher| {

@@ -33,7 +33,7 @@
 use radd_net::{Received, RetryPolicy, Transport};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::{
-    trace, CoalescePolicy, Dest, DurableSiteState, Effect, IoPurpose, SiteMachine, TraceEntry,
+    trace, CoalescePolicy, Dest, DurableSiteState, Effect, IoPurpose, Msg, SiteMachine, TraceEntry,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
@@ -195,7 +195,13 @@ impl SiteDriver {
     /// skips the O(rows) snapshot encode that `commit` would need to find
     /// that out. Debug builds encode anyway and check the skip was sound.
     /// A memory-backed store makes all of this a no-op.
-    fn commit(&mut self) {
+    ///
+    /// Returns `false` when the store failed the commit: the caller must
+    /// drop the message's effects. The machine is now ahead of the disk and
+    /// the store refuses further commits, so the site goes down — the single
+    /// site failure the paper tolerates — until [`Control::KillRestart`]
+    /// re-opens the store and rebuilds the machine from what is durable.
+    fn commit(&mut self) -> bool {
         let version = self.machine.durable_version();
         if !self.store.has_staged() && self.committed == Some(version) {
             debug_assert!(
@@ -205,15 +211,32 @@ impl SiteDriver {
                 "site {}: durable state moved under an unchanged version",
                 self.cfg.site
             );
-            return;
+            return true;
         }
         if let Err(e) = self
             .store
             .commit(|| self.machine.durable_snapshot().encode())
         {
-            panic!("site {}: durable commit failed: {e}", self.cfg.site);
+            eprintln!(
+                "site {}: durable commit failed, going down: {e}",
+                self.cfg.site
+            );
+            self.obs.metrics().commit_failure();
+            self.down = true;
+            return false;
         }
         self.committed = Some(version);
+        true
+    }
+
+    /// Handle one protocol message: stage its effects, commit, and only
+    /// then release them; a failed commit releases nothing.
+    fn deliver<T: Transport>(&mut self, ep: &T, src: usize, msg: Msg) {
+        let mut out = Vec::new();
+        self.machine.handle(&mut self.store, src, msg, &mut out);
+        if self.commit() {
+            self.interpret(ep, out);
+        }
     }
 
     /// Fire every retransmit timer whose deadline has passed. The resend
@@ -361,10 +384,7 @@ pub fn run_site_with<T: Transport>(
             // arrive either — exactly a crashed process from the network's
             // point of view. (We swallow the message rather than queueing.)
             Some(Received::Msg { src, msg }) if !st.down => {
-                let mut out = Vec::new();
-                st.machine.handle(&mut st.store, src, msg, &mut out);
-                st.commit();
-                st.interpret(ep, out);
+                st.deliver(ep, src, msg);
             }
             Some(Received::Msg { .. }) | None => {}
         }
@@ -378,4 +398,101 @@ pub fn run_site<T: Transport<Oob = Infallible>>(
     control: &Receiver<Control>,
 ) {
     run_site_with(cfg, ep, control, |_, never| match never {});
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use radd_net::SendOutcome;
+    use radd_protocol::Blocks;
+    use std::cell::Cell;
+
+    /// An endpoint that counts what is sent through it.
+    struct Sink(Cell<usize>);
+
+    impl Transport for Sink {
+        type Oob = Infallible;
+        fn id(&self) -> usize {
+            1
+        }
+        fn ep_base(&self) -> usize {
+            1
+        }
+        fn send(&self, _dst: usize, _msg: &Msg) -> SendOutcome {
+            self.0.set(self.0.get() + 1);
+            SendOutcome::Sent
+        }
+        fn recv_timeout(&self, _timeout: Duration) -> Option<Received<Infallible>> {
+            None
+        }
+    }
+
+    /// A commit the store fails takes the site down with the message's
+    /// effects unsent and is counted; `KillRestart` brings the site back
+    /// from what is durable. The failure is the filesystem's own: with the
+    /// checkpoint threshold at 0 every commit ends in a checkpoint, and a
+    /// directory squatting on `state.tmp` makes that checkpoint fail.
+    #[test]
+    fn a_failed_commit_takes_the_site_down_until_kill_restart() {
+        let root = std::env::temp_dir().join(format!("radd-site-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cfg = SiteConfig {
+            site: 0,
+            group_size: 4,
+            rows: 12,
+            block_size: 64,
+            ep_base: 1,
+            coalesce: CoalescePolicy::Merge,
+            storage: StorageSpec::Disk { dir: root.clone() },
+        };
+        let mut obs = MachineObs::new();
+        let (store, machine, committed) = open_store(&cfg, &mut obs);
+        let mut st = SiteDriver {
+            machine,
+            store,
+            committed,
+            down: false,
+            timers: BTreeMap::new(),
+            trace: None,
+            obs,
+            cfg,
+        };
+        let SiteStore::Disk(disk) = &mut st.store else {
+            panic!("a disk spec opens a disk store");
+        };
+        disk.set_checkpoint_bytes(0);
+        let ep = Sink(Cell::new(0));
+        let write = |index: u64, fill: u8| Msg::Write {
+            index,
+            data: vec![fill; 64].into(),
+            tag: index + 1,
+        };
+
+        st.deliver(&ep, 0, write(0, 0xA1));
+        let sent = ep.0.get();
+        assert!(sent > 0, "a healthy write ships its parity update");
+
+        let squatter = root.join("site-0").join("state.tmp");
+        std::fs::create_dir(&squatter).expect("squat on state.tmp");
+        st.deliver(&ep, 0, write(1, 0xB2));
+        assert!(st.is_down());
+        assert_eq!(
+            ep.0.get(),
+            sent,
+            "the failed message's effects were dropped"
+        );
+        assert_eq!(st.obs_snapshot().metrics.commit_failures, 1);
+
+        std::fs::remove_dir(&squatter).expect("clear state.tmp");
+        let (tx, rx) = std::sync::mpsc::channel();
+        assert!(!st.serve(Control::KillRestart(tx)));
+        assert!(rx.recv().expect("restart reply"), "restarted from disk");
+        assert!(!st.is_down());
+        let row = st.machine.geometry().data_to_physical(0, 0);
+        assert_eq!(&st.store.read(row).expect("in range")[..], &[0xA1; 64][..]);
+        st.deliver(&ep, 0, write(2, 0xC3));
+        assert!(!st.is_down(), "the restarted site commits again");
+        assert!(ep.0.get() > sent);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

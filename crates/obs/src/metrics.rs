@@ -92,6 +92,7 @@ pub struct MachineMetrics {
     parity_unservable: u64,
     send_failures: u64,
     stash_evictions: u64,
+    commit_failures: u64,
     coalesced_merges: u64,
     recovery_runs: u64,
     recovery_drained_rows: u64,
@@ -141,6 +142,11 @@ impl MachineMetrics {
     /// A stashed out-of-band reply was evicted before it was consumed.
     pub fn stash_eviction(&mut self) {
         self.stash_evictions += 1;
+    }
+
+    /// The durable store failed a commit and the site went down.
+    pub fn commit_failure(&mut self) {
+        self.commit_failures += 1;
     }
 
     /// A recovery drain started.
@@ -237,6 +243,7 @@ impl MachineMetrics {
             parity_unservable: self.parity_unservable,
             send_failures: self.send_failures,
             stash_evictions: self.stash_evictions,
+            commit_failures: self.commit_failures,
             coalesced_merges: self.coalesced_merges,
             recovery_runs: self.recovery_runs,
             recovery_drained_rows: self.recovery_drained_rows,

@@ -88,6 +88,8 @@ pub struct MetricsSnapshot {
     pub send_failures: u64,
     /// Stashed out-of-band replies evicted before use.
     pub stash_evictions: u64,
+    /// Durable commits the store failed (each took the site down).
+    pub commit_failures: u64,
     /// Writes absorbed by parity-update coalescing.
     pub coalesced_merges: u64,
     /// Recovery drains started.
@@ -225,6 +227,13 @@ impl ObsSnapshot {
                     s.write_latency.count,
                     s.write_latency.mean(),
                     s.write_latency.quantile(0.99),
+                );
+            }
+            if s.commit_failures > 0 {
+                let _ = writeln!(
+                    out,
+                    "           storage: commit_failures={}",
+                    s.commit_failures
                 );
             }
             if s.recovery_runs > 0 {

@@ -5,53 +5,63 @@
 //! could never be tested end-to-end. `DiskBlocks` persists a site's rows
 //! and its machine metadata in a directory:
 //!
-//! * **`wal.log`** — a checksummed, length-prefixed write-ahead log.
-//!   Block writes stage in memory and land here on [`commit`]
-//!   (group commit: the whole batch, its metadata record and the commit
-//!   marker are assembled in one buffer — each staged payload is copied
-//!   into it once — and go out as one append + one `fdatasync`). Records
-//!   reuse the `[len u32][crc32 u32][body]` framing of
-//!   [`wal.rs`](crate::wal)'s log. The metadata blob is opaque here, but
-//!   the log records *what changed* in it: when a commit's blob has the
-//!   length of the committed one, the record is the XOR span list between
-//!   the two (`REC_META_PATCH`, a [`ChangeMask`] in wire form) and the full
-//!   blob (`REC_META`) is the fallback for a length change, for a patch
-//!   that would not be smaller, and for the first metadata record of every
-//!   log — so a log replays from its own first record whatever `state.bin`
-//!   holds (a crash between the checkpoint's rename and its truncation
-//!   leaves a newer snapshot under an older log).
+//! * **`wal.log`** — a checksummed, length-prefixed write-ahead log in a
+//!   file that is allocated once: created zero-filled and synced at
+//!   4 MiB (`LOG_BYTES`), written in place at a head offset that [`checkpoint`]
+//!   rewinds to 0, and never truncated (a batch that lands past the end
+//!   grows it by plain append). In steady state a commit changes neither
+//!   the file's size nor its extents, so its `fdatasync` carries no
+//!   filesystem journal commit. Block writes stage in memory and land here
+//!   on [`commit`] (group commit: the whole batch, its metadata record and
+//!   the commit marker are assembled in one buffer — each staged payload is
+//!   copied into it once — and go out as one positional write + one
+//!   `fdatasync`). Records are `[len u32][crc32 u32][body]`, and every CRC
+//!   is salted with the **lap number**: the bytes beyond the head are the
+//!   previous lap's records, intact, and the salt is what makes them
+//!   invalid. The metadata blob is opaque here, but the log records *what
+//!   changed* in it: when a commit's blob has the length of the committed
+//!   one, the record is the XOR span list between the two
+//!   (`REC_META_PATCH`, a [`ChangeMask`] in wire form) and the full blob
+//!   (`REC_META`) is the fallback for a length change and for a patch that
+//!   would not be smaller.
 //! * **`blocks.dat`** — the fixed-geometry block file (`rows × block_size`
 //!   bytes), updated by pwrite-at-offset only at [`checkpoint`] time, and
 //!   only for rows whose log records are already durable (the write-ahead
 //!   rule).
-//! * **`state.bin`** — the metadata snapshot as of the last checkpoint,
-//!   replaced atomically (write-temp, fsync, rename) so a crash never
-//!   leaves a half-written snapshot.
+//! * **`state.bin`** — a header holding the lap number, then the metadata
+//!   snapshot as of the last checkpoint; replaced atomically (write-temp,
+//!   fsync, rename), and that rename is the whole checkpoint commit: it
+//!   retires the old lap's records and installs the base the new lap's
+//!   patches apply to in one step.
 //!
-//! Recovery-on-open replays the committed log suffix over the block file
-//! and materialises the newest metadata blob: a batch's blocks and its
-//! metadata record are staged until its commit marker, where a full record
-//! replaces the blob and a patch is `XORed` into it. A committed patch that
-//! does not fit the blob it lands on (wrong base length, or no full record
-//! before it in the log) is damage and fails the open with
-//! [`DiskError::MetaPatch`] — never garbage state. A torn tail — a
-//! partially written final batch — is *discarded*, exactly as §3.4's
-//! recovery discards loser transactions; but if any committed record lies
-//! **beyond** the tear, the log is genuinely corrupt (bit rot, not a torn
-//! write) and open fails with [`DiskError::TornLog`] rather than silently
-//! dropping acknowledged writes.
+//! Recovery-on-open replays the current lap's committed batches over the
+//! block file and the snapshot: a batch's blocks and its metadata record
+//! are staged until its commit marker, where a full record replaces the
+//! blob and a patch is `XORed` into it. A committed patch that does not fit
+//! the blob it lands on is damage and fails the open with
+//! [`DiskError::MetaPatch`] — never garbage state. The sectors of the last
+//! batch may have reached the device in any order, so a tear is *any
+//! subset* of them (DESIGN.md §15): the marker names its batch's start
+//! offset, a batch counts only whole, and anything less is *discarded*,
+//! exactly as §3.4's recovery discards loser transactions. A marker of this
+//! lap whose batch starts **beyond** the bad one proves a later batch was
+//! acknowledged: the log is corrupt (bit rot, not a torn write) and open
+//! fails with [`DiskError::TornLog`] rather than silently dropping
+//! acknowledged writes. Nothing on disk says how far a torn batch reached,
+//! so a re-open ends the lap with a checkpoint before it accepts writes:
+//! what a tear left behind can never splice into a later batch.
 //!
 //! [`commit`]: DiskBlocks::commit
 //! [`checkpoint`]: DiskBlocks::checkpoint
 
 use bytes::Bytes;
-use radd_blockdev::checksum::{crc32, crc32_finish, crc32_init, crc32_update};
+use radd_blockdev::checksum::{crc32_finish, crc32_init, crc32_update};
 use radd_parity::ChangeMask;
 use radd_protocol::{BlockFault, Blocks, MemBlocks};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -61,8 +71,19 @@ const REC_META: u8 = 2;
 const REC_COMMIT: u8 = 3;
 const REC_META_PATCH: u8 = 4;
 
+/// A commit marker on disk: `[len][crc][REC_COMMIT, batch start u64]`.
+const MARKER_BYTES: usize = 17;
+/// Its length field: the body is all of it but the 8 framing bytes.
+const MARKER_LEN: [u8; 4] = (MARKER_BYTES as u32 - 8).to_le_bytes();
+
 /// Checkpoint once the log outgrows this many bytes (tunable per store).
 const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
+
+/// Size `wal.log` is created at: the default threshold, so a lap fits.
+const LOG_BYTES: usize = DEFAULT_CHECKPOINT_BYTES as usize;
+
+/// `state.bin` is `[magic][lap u64][crc32 of lap ++ snapshot u32][snapshot]`.
+const STATE_MAGIC: [u8; 8] = *b"RADDLAP\x01";
 
 /// Errors opening or committing a [`DiskBlocks`] store.
 #[derive(Debug)]
@@ -88,6 +109,12 @@ pub enum DiskError {
         /// Rows × block size the caller asked for.
         expected: u64,
     },
+    /// `state.bin` is damaged, or the directory holds a store written by a
+    /// version that appended to and truncated its log (no lap header).
+    Format,
+    /// An earlier commit or checkpoint failed: what reached the device is
+    /// unknown, so the store refuses further work until it is re-opened.
+    Poisoned,
 }
 
 impl fmt::Display for DiskError {
@@ -109,6 +136,8 @@ impl fmt::Display for DiskError {
             DiskError::Geometry { found, expected } => {
                 write!(f, "block file is {found} bytes, geometry needs {expected}")
             }
+            DiskError::Format => write!(f, "no valid lap header in state.bin (older store?)"),
+            DiskError::Poisoned => write!(f, "an earlier commit failed; re-open to recover"),
         }
     }
 }
@@ -121,41 +150,103 @@ impl From<std::io::Error> for DiskError {
     }
 }
 
-/// Scan `buf` from byte `from` for any validly framed record whose body
-/// satisfies `is_commit`. Used when a scan hits a corrupt record: a torn
-/// *tail* has nothing committed beyond the tear and may be discarded,
-/// while a valid commit record further on means committed state would be
-/// silently lost — which callers must report instead.
-///
-/// The scan re-synchronises byte by byte; a false positive needs a sane
-/// length field *and* a matching CRC-32 at the same offset, so random
-/// damage is rejected with probability ~1 − 2⁻³².
-pub(crate) fn committed_record_beyond(
-    buf: &[u8],
-    from: usize,
-    is_commit: impl Fn(&[u8]) -> bool,
-) -> Option<u64> {
-    let mut at = from;
-    while at + 8 <= buf.len() {
-        let len = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]) as usize;
-        let crc = u32::from_le_bytes([buf[at + 4], buf[at + 5], buf[at + 6], buf[at + 7]]);
-        if let Some(body) = buf.get(at + 8..at + 8 + len) {
-            if crc32(body) == crc && is_commit(body) {
-                return Some(at as u64);
-            }
-        }
-        at += 1;
+/// The file calls a test can make fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    LogWrite,
+    LogSync,
+    StateWrite,
+    StateRename,
+    DirSync,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The failpoint: the next call of this step on this thread fails.
+    static FAIL_NEXT: std::cell::Cell<Option<Step>> = const { std::cell::Cell::new(None) };
+}
+
+/// Called ahead of each file call a commit or a checkpoint makes; fails
+/// only in tests, when the failpoint names `step`.
+fn failpoint(step: Step) -> std::io::Result<()> {
+    #[cfg(test)]
+    if FAIL_NEXT.get() == Some(step) {
+        FAIL_NEXT.set(None);
+        return Err(std::io::Error::other(format!("failpoint {step:?}")));
     }
-    None
+    let _ = step;
+    Ok(())
+}
+
+/// CRC state every record of lap `lap` starts from.
+fn lap_seed(lap: u64) -> u32 {
+    crc32_update(crc32_init(), &lap.to_le_bytes())
 }
 
 /// Append one `[len][crc][head ++ payload]` record to `out`.
-fn put_record(out: &mut Vec<u8>, head: &[u8], payload: &[u8]) {
-    let crc = crc32_finish(crc32_update(crc32_update(crc32_init(), head), payload));
+fn put_record(out: &mut Vec<u8>, seed: u32, head: &[u8], payload: &[u8]) {
+    let crc = crc32_finish(crc32_update(crc32_update(seed, head), payload));
     out.extend_from_slice(&((head.len() + payload.len()) as u32).to_le_bytes());
     out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(head);
     out.extend_from_slice(payload);
+}
+
+/// The body of the record framed at `at`, if its CRC is this lap's.
+fn record_at(log: &[u8], at: usize, seed: u32) -> Option<&[u8]> {
+    let (len, rest) = log.get(at..)?.split_first_chunk::<4>()?;
+    let (crc, rest) = rest.split_first_chunk::<4>()?;
+    let body = rest.get(..u32::from_le_bytes(*len) as usize)?;
+    (crc32_finish(crc32_update(seed, body)) == u32::from_le_bytes(*crc)).then_some(body)
+}
+
+/// True if a commit marker of this lap at or past `from` names a batch
+/// that starts after `from`: proof that the batch at `from` was
+/// acknowledged. The scan goes byte by byte, since nothing past a bad
+/// record says where the next one starts; a false positive needs the
+/// marker's length and tag bytes *and* a matching salted CRC-32.
+fn later_batch_committed(log: &[u8], from: usize, seed: u32) -> bool {
+    log[from..].windows(MARKER_BYTES).any(|w| {
+        w[..4] == MARKER_LEN
+            && w[8] == REC_COMMIT
+            && record_at(w, 0, seed).is_some_and(|body| {
+                u64::from_le_bytes(body[1..].try_into().expect("9-byte body")) > from as u64
+            })
+    })
+}
+
+fn encode_state(lap: u64, meta: &[u8]) -> Vec<u8> {
+    let crc = crc32_finish(crc32_update(lap_seed(lap), meta));
+    [
+        &STATE_MAGIC[..],
+        &lap.to_le_bytes(),
+        &crc.to_le_bytes(),
+        meta,
+    ]
+    .concat()
+}
+
+fn decode_state(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let (lap, rest) = bytes.strip_prefix(&STATE_MAGIC)?.split_first_chunk::<8>()?;
+    let (crc, meta) = rest.split_first_chunk::<4>()?;
+    let lap = u64::from_le_bytes(*lap);
+    let sound = u32::from_le_bytes(*crc) == crc32_finish(crc32_update(lap_seed(lap), meta));
+    sound.then_some((lap, meta))
+}
+
+/// Atomically replace `state.bin`: write-temp, fsync, rename, fsync the
+/// directory. Until the rename is durable the old file is the store's.
+fn install_state(dir: &Path, lap: u64, meta: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join("state.tmp");
+    failpoint(Step::StateWrite)?;
+    let mut f = File::create(&tmp)?;
+    f.write_all(&encode_state(lap, meta))?;
+    f.sync_data()?;
+    drop(f);
+    failpoint(Step::StateRename)?;
+    fs::rename(&tmp, dir.join("state.bin"))?;
+    failpoint(Step::DirSync)?;
+    File::open(dir)?.sync_all()
 }
 
 /// A staged-but-uncommitted block write.
@@ -173,7 +264,10 @@ pub struct DiskBlocks {
     block_size: usize,
     data: File,
     wal: File,
-    wal_len: u64,
+    /// Salts this lap's record CRCs; `state.bin` holds the durable copy.
+    lap: u64,
+    /// Where the next batch goes: the logical length of this lap's log.
+    head: u64,
     /// Committed + staged view of every row (`None` = read through to
     /// `blocks.dat` on demand).
     cache: MemBlocks,
@@ -184,13 +278,12 @@ pub struct DiskBlocks {
     dirty: BTreeSet<u64>,
     /// The durably committed metadata blob (opaque to this layer).
     meta: Vec<u8>,
-    /// The log holds a full `REC_META` record, so replay reaches a known
-    /// blob before any patch: the condition for logging one.
-    patch_base_logged: bool,
     /// Rows replayed from the committed log suffix at open — the §3.4
     /// recovery reads a driver should account as `IoPurpose::LogReplay`.
     replayed: Vec<u64>,
     checkpoint_bytes: u64,
+    /// A commit or checkpoint failed part-way (see [`DiskError::Poisoned`]).
+    poisoned: bool,
 }
 
 impl DiskBlocks {
@@ -203,6 +296,11 @@ impl DiskBlocks {
     ) -> Result<DiskBlocks, DiskError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        // A checkpoint that crashed before its rename left its temp file.
+        match fs::remove_file(dir.join("state.tmp")) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
         let expected = rows * block_size as u64;
         let data = OpenOptions::new()
             .read(true)
@@ -216,9 +314,9 @@ impl DiskBlocks {
         } else if found != expected {
             return Err(DiskError::Geometry { found, expected });
         }
-        let meta = match fs::read(dir.join("state.bin")) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        let state = match fs::read(dir.join("state.bin")) {
+            Ok(b) => Some(b),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
         let mut wal = OpenOptions::new()
@@ -235,67 +333,66 @@ impl DiskBlocks {
             block_size,
             data,
             wal,
-            wal_len: log.len() as u64,
+            lap: 1,
+            head: 0,
             cache: MemBlocks::new(rows, block_size),
             loaded: vec![false; rows as usize],
             staged: Vec::new(),
             dirty: BTreeSet::new(),
-            meta,
-            patch_base_logged: false,
+            meta: Vec::new(),
             replayed: Vec::new(),
             checkpoint_bytes: DEFAULT_CHECKPOINT_BYTES,
+            poisoned: false,
         };
+        let Some(state) = state else {
+            // No `state.bin`: a new store (its creation ends by installing
+            // one), which has logged nothing. A log with records in it
+            // belongs to a version that kept no lap header.
+            if log.iter().any(|&b| b != 0) {
+                return Err(DiskError::Format);
+            }
+            // Written, not `set_len`: a sync over unwritten extents still
+            // pays the journal commit that recycling the file is for. And
+            // written a page at a time: one large write leaves large folios
+            // in the page cache, and a commit then dirties (and is charged
+            // for, in `/proc/<pid>/io`) 2 MiB per 4 KiB record.
+            for at in (0..LOG_BYTES as u64).step_by(4096) {
+                store.wal.write_all_at(&[0u8; 4096], at)?;
+            }
+            store.wal.sync_all()?;
+            install_state(&store.dir, store.lap, &store.meta)?;
+            return Ok(store);
+        };
+        let (lap, meta) = decode_state(&state).ok_or(DiskError::Format)?;
+        (store.lap, store.meta) = (lap, meta.to_vec());
         store.replay(&log)?;
+        // A torn batch may have left sectors anywhere past the head, and
+        // the next batch of this lap would be written over them with the
+        // same salt: end the lap first.
+        store.end_lap()?;
         Ok(store)
     }
 
-    /// Replay the committed suffix of `log`: records apply in order, but
-    /// only up to the last commit marker; a torn tail past it is cut off.
+    /// Replay this lap's committed batches out of `log`. Records apply in
+    /// order up to the last marker that names its own batch's start; what
+    /// follows it is a torn batch or the previous lap, and is ignored.
     fn replay(&mut self, log: &[u8]) -> Result<(), DiskError> {
+        let seed = lap_seed(self.lap);
         let mut batch: Vec<(u64, Bytes)> = Vec::new();
         // The batch's metadata record: (log offset, body with its tag).
         let mut batch_meta: Option<(usize, &[u8])> = None;
-        let mut at = 0usize;
-        let mut durable_end = 0usize;
-        loop {
-            if at == log.len() {
-                break;
-            }
-            let torn_now = |a: usize| {
-                if committed_record_beyond(log, a, |body| body.first() == Some(&REC_COMMIT))
-                    .is_some()
-                {
-                    Err(DiskError::TornLog { at: a as u64 })
-                } else {
-                    Ok(())
-                }
-            };
-            let Some(hdr) = log.get(at..at + 8) else {
-                torn_now(at)?;
-                break;
-            };
-            let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
-            let crc = u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]);
-            let Some(body) = log.get(at + 8..at + 8 + len) else {
-                torn_now(at)?;
-                break;
-            };
-            if crc32(body) != crc {
-                torn_now(at + 1)?;
-                break;
-            }
-            match body.first() {
-                Some(&REC_BLOCK) if body.len() >= 9 => {
-                    let row = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
-                    if row < self.rows && body.len() - 9 == self.block_size {
-                        batch.push((row, Bytes::copy_from_slice(&body[9..])));
-                    } else {
-                        torn_now(at + 1)?;
+        let (mut at, mut batch_start) = (0usize, 0usize);
+        while let Some(body) = record_at(log, at, seed) {
+            match body {
+                [REC_BLOCK, rest @ ..] if rest.len() == 8 + self.block_size => {
+                    let row = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
+                    if row >= self.rows {
                         break;
                     }
+                    batch.push((row, Bytes::copy_from_slice(&rest[8..])));
                 }
-                Some(&(REC_META | REC_META_PATCH)) => batch_meta = Some((at, body)),
-                Some(&REC_COMMIT) => {
+                [REC_META | REC_META_PATCH, ..] => batch_meta = Some((at, body)),
+                [REC_COMMIT, start @ ..] if start == (batch_start as u64).to_le_bytes() => {
                     for (row, data) in batch.drain(..) {
                         self.replayed.push(row);
                         self.dirty.insert(row);
@@ -303,38 +400,23 @@ impl DiskBlocks {
                         let _ = self.cache.write_owned(row, data);
                     }
                     match batch_meta.take() {
-                        Some((_, [REC_META, blob @ ..])) => {
-                            self.meta = blob.to_vec();
-                            self.patch_base_logged = true;
-                        }
+                        Some((_, [REC_META, blob @ ..])) => self.meta = blob.to_vec(),
                         Some((rec_at, [_, patch @ ..])) => {
-                            let fits = self.patch_base_logged
-                                && ChangeMask::apply_wire(patch, &mut self.meta).is_some();
-                            if !fits {
-                                return Err(DiskError::MetaPatch { at: rec_at as u64 });
-                            }
+                            ChangeMask::apply_wire(patch, &mut self.meta)
+                                .ok_or(DiskError::MetaPatch { at: rec_at as u64 })?;
                         }
                         _ => {}
                     }
-                    durable_end = at + 8 + len;
+                    batch_start = at + 8 + body.len();
                 }
-                _ => {
-                    torn_now(at + 1)?;
-                    break;
-                }
+                _ => break,
             }
-            at += 8 + len;
+            at += 8 + body.len();
         }
-        // Cut the torn/uncommitted tail so the next append starts at a
-        // record boundary.
-        if (durable_end as u64) < self.wal_len {
-            self.wal.set_len(durable_end as u64)?;
-            self.wal.sync_data()?;
-            self.wal_len = durable_end as u64;
-            // Reposition the cursor: after `read_to_end` it sits at the old
-            // EOF, and appending there would leave a hole of zero bytes.
-            self.wal.seek(SeekFrom::Start(durable_end as u64))?;
+        if later_batch_committed(log, batch_start, seed) {
+            return Err(DiskError::TornLog { at: at as u64 });
         }
+        self.head = batch_start as u64;
         Ok(())
     }
 
@@ -353,9 +435,10 @@ impl DiskBlocks {
         &self.replayed
     }
 
-    /// Current size of the write-ahead log in bytes.
+    /// Bytes logged since the last checkpoint (the file itself never
+    /// shrinks).
     pub fn wal_bytes(&self) -> u64 {
-        self.wal_len
+        self.head
     }
 
     /// Set the log size that triggers an automatic checkpoint at commit.
@@ -381,93 +464,111 @@ impl DiskBlocks {
         !self.staged.is_empty()
     }
 
-    /// The span list taking the committed blob to `new`, when the log may
-    /// carry one in place of `new` itself and it is the smaller of the two.
+    /// The span list taking the committed blob to `new`, when it can stand
+    /// for `new` (same length) and is the smaller of the two.
     fn meta_patch(&self, new: &[u8]) -> Option<Bytes> {
-        if !self.patch_base_logged || new.len() != self.meta.len() {
+        if new.len() != self.meta.len() {
             return None;
         }
         let patch = ChangeMask::diff(&self.meta, new).encode();
         (patch.len() < new.len()).then_some(patch)
     }
 
+    /// Run one durable step. A failure part-way leaves the page cache and
+    /// the device in a state this process cannot know, so it poisons the
+    /// store: every later step fails until a re-open replays back to truth.
+    fn durably<T>(
+        &mut self,
+        step: impl FnOnce(&mut DiskBlocks) -> Result<T, DiskError>,
+    ) -> Result<T, DiskError> {
+        if self.poisoned {
+            return Err(DiskError::Poisoned);
+        }
+        let done = step(self);
+        self.poisoned = done.is_err();
+        done
+    }
+
     /// Group-commit every staged write plus the caller's metadata snapshot:
-    /// one log append, one `fdatasync`. Returns `true` if anything was
+    /// one log write, one `fdatasync`. Returns `true` if anything was
     /// forced (false = nothing staged and metadata unchanged). `meta` is
     /// invoked on every call — the blob is what "unchanged" is judged by —
     /// so a caller that already knows nothing changed should not call at
     /// all (the site loops go by [`has_staged`] and the machine's
-    /// `durable_version`).
+    /// `durable_version`). On an error the batch stays staged and the store
+    /// is poisoned ([`DiskError::Poisoned`]).
     ///
     /// [`has_staged`]: DiskBlocks::has_staged
     pub fn commit(&mut self, meta: impl FnOnce() -> Vec<u8>) -> Result<bool, DiskError> {
-        let meta = meta();
+        self.durably(|store| store.log_batch(meta()))
+    }
+
+    fn log_batch(&mut self, meta: Vec<u8>) -> Result<bool, DiskError> {
         let meta_changed = meta != self.meta;
         if self.staged.is_empty() && !meta_changed {
             return Ok(false);
         }
         // Assemble the batch in one buffer (payloads are copied into it;
         // the CRC folds over header-then-payload without a second pass).
-        let staged = std::mem::take(&mut self.staged);
+        let seed = lap_seed(self.lap);
         // Room for the block records, a typical patch and the marker.
-        let blocks_len: usize = staged.iter().map(|s| 17 + s.data.len()).sum();
+        let blocks_len: usize = self.staged.iter().map(|s| 17 + s.data.len()).sum();
         let mut out: Vec<u8> = Vec::with_capacity(blocks_len + 256);
-        for s in &staged {
+        for s in &self.staged {
             let mut head = [REC_BLOCK; 9];
             head[1..].copy_from_slice(&s.row.to_le_bytes());
-            put_record(&mut out, &head, &s.data);
+            put_record(&mut out, seed, &head, &s.data);
         }
-        let mut full_meta = false;
         if meta_changed {
-            if let Some(patch) = self.meta_patch(&meta) {
-                put_record(&mut out, &[REC_META_PATCH], &patch);
-            } else {
-                put_record(&mut out, &[REC_META], &meta);
-                full_meta = true;
+            match self.meta_patch(&meta) {
+                Some(patch) => put_record(&mut out, seed, &[REC_META_PATCH], &patch),
+                None => put_record(&mut out, seed, &[REC_META], &meta),
             }
         }
-        put_record(&mut out, &[REC_COMMIT], &[]);
-        self.wal.write_all(&out)?;
+        // The marker names where its batch starts, so the tail of a torn
+        // batch cannot commit whatever valid records happen to precede it.
+        let mut marker = [REC_COMMIT; 9];
+        marker[1..].copy_from_slice(&self.head.to_le_bytes());
+        put_record(&mut out, seed, &marker, &[]);
+        failpoint(Step::LogWrite)?;
+        self.wal.write_all_at(&out, self.head)?;
+        failpoint(Step::LogSync)?;
         self.wal.sync_data()?;
-        self.wal_len += out.len() as u64;
-        for s in staged {
+        self.head += out.len() as u64;
+        for s in self.staged.drain(..) {
             self.dirty.insert(s.row);
         }
         if meta_changed {
             self.meta = meta;
-            self.patch_base_logged |= full_meta;
         }
-        if self.wal_len > self.checkpoint_bytes {
-            self.checkpoint()?;
+        if self.head > self.checkpoint_bytes {
+            self.end_lap()?;
         }
         Ok(true)
     }
 
-    /// Push committed rows into `blocks.dat`, atomically replace the
-    /// metadata snapshot, and truncate the log. Ordering honours the
-    /// write-ahead rule: every row written here is already durable in the
-    /// log; the log is only truncated after both the block file and the
-    /// snapshot are synced.
+    /// Push committed rows into `blocks.dat`, then atomically replace
+    /// `state.bin` with the current blob under the next lap number, and
+    /// rewind the log head. Ordering honours the write-ahead rule: every
+    /// row written here is already durable in the log, and the old lap's
+    /// records stay valid until the rename, after which neither they nor
+    /// the old snapshot are needed. The log file is not touched.
     pub fn checkpoint(&mut self) -> Result<(), DiskError> {
-        for row in std::mem::take(&mut self.dirty) {
+        self.durably(DiskBlocks::end_lap)
+    }
+
+    fn end_lap(&mut self) -> Result<(), DiskError> {
+        for &row in &self.dirty {
             let block = self.cache.read(row).expect("MemBlocks never faults");
             debug_assert_eq!(block.len(), self.block_size);
             self.data
                 .write_all_at(&block, row * self.block_size as u64)?;
         }
         self.data.sync_data()?;
-        let tmp = self.dir.join("state.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&self.meta)?;
-        f.sync_data()?;
-        drop(f);
-        fs::rename(&tmp, self.dir.join("state.bin"))?;
-        File::open(&self.dir)?.sync_all()?;
-        self.wal.set_len(0)?;
-        self.wal.sync_data()?;
-        self.wal.seek(SeekFrom::Start(0))?;
-        self.wal_len = 0;
-        self.patch_base_logged = false;
+        install_state(&self.dir, self.lap + 1, &self.meta)?;
+        self.dirty.clear();
+        self.lap += 1;
+        self.head = 0;
         Ok(())
     }
 }
@@ -640,6 +741,12 @@ mod tests {
         Bytes::from(vec![tag; n])
     }
 
+    /// Stage one row and commit it with `meta`.
+    fn commit_row(d: &mut DiskBlocks, row: u64, tag: u8, meta: &[u8]) {
+        d.write_owned(row, block(tag, 16)).unwrap();
+        assert!(d.commit(|| meta.to_vec()).unwrap());
+    }
+
     #[test]
     fn committed_writes_survive_reopen() {
         let dir = tmpdir("basic");
@@ -663,8 +770,7 @@ mod tests {
         let dir = tmpdir("uncommitted");
         {
             let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
-            d.write_owned(1, block(1, 16)).unwrap();
-            d.commit(Vec::new).unwrap();
+            commit_row(&mut d, 1, 1, b"");
             d.write_owned(2, block(2, 16)).unwrap();
             // No commit: staged only.
         }
@@ -677,17 +783,17 @@ mod tests {
     #[test]
     fn torn_tail_is_discarded_cleanly() {
         let dir = tmpdir("torn-tail");
-        {
+        let head = {
             let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
-            d.write_owned(0, block(1, 16)).unwrap();
-            d.commit(|| b"m1".to_vec()).unwrap();
-            d.write_owned(1, block(2, 16)).unwrap();
-            d.commit(|| b"m2".to_vec()).unwrap();
-        }
-        // Tear the final batch: chop bytes off the log tail.
+            commit_row(&mut d, 0, 1, b"m1");
+            commit_row(&mut d, 1, 2, b"m2");
+            d.wal_bytes() as usize
+        };
+        // Tear the final batch: its marker never landed.
         let wal = dir.join("wal.log");
-        let full = fs::read(&wal).unwrap();
-        fs::write(&wal, &full[..full.len() - 5]).unwrap();
+        let mut full = fs::read(&wal).unwrap();
+        full[head - MARKER_BYTES..head].fill(0);
+        fs::write(&wal, &full).unwrap();
         let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
         assert_eq!(&d.read(0).unwrap()[..], &block(1, 16)[..]);
         assert_eq!(
@@ -696,10 +802,11 @@ mod tests {
             "torn batch discarded"
         );
         assert_eq!(d.meta(), b"m1");
-        // The tail was truncated; a fresh commit appends cleanly.
-        d.write_owned(2, block(3, 16)).unwrap();
-        d.commit(|| b"m3".to_vec()).unwrap();
+        // The open ended the lap; a fresh commit lands at the log's start.
+        assert_eq!(d.wal_bytes(), 0);
+        commit_row(&mut d, 2, 3, b"m3");
         let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+        assert_eq!(&d.read(0).unwrap()[..], &block(1, 16)[..]);
         assert_eq!(&d.read(2).unwrap()[..], &block(3, 16)[..]);
         assert_eq!(d.meta(), b"m3");
         fs::remove_dir_all(&dir).unwrap();
@@ -710,10 +817,8 @@ mod tests {
         let dir = tmpdir("mid-corrupt");
         {
             let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
-            d.write_owned(0, block(1, 16)).unwrap();
-            d.commit(Vec::new).unwrap();
-            d.write_owned(1, block(2, 16)).unwrap();
-            d.commit(Vec::new).unwrap();
+            commit_row(&mut d, 0, 1, b"");
+            commit_row(&mut d, 1, 2, b"");
         }
         // Flip a byte inside the *first* batch's payload: the second
         // batch's commit marker lies beyond the damage.
@@ -729,18 +834,21 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_moves_rows_to_block_file_and_truncates_log() {
+    fn checkpoint_moves_rows_to_block_file_and_rewinds_the_log() {
         let dir = tmpdir("checkpoint");
         {
             let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
-            d.write_owned(0, block(5, 16)).unwrap();
-            d.commit(|| b"snap".to_vec()).unwrap();
+            commit_row(&mut d, 0, 5, b"snap");
             assert!(d.wal_bytes() > 0);
             d.checkpoint().unwrap();
             assert_eq!(d.wal_bytes(), 0);
         }
-        assert_eq!(fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
-        assert_eq!(fs::read(dir.join("state.bin")).unwrap(), b"snap");
+        // The file keeps its size and its (now dead) records.
+        let log = fs::read(dir.join("wal.log")).unwrap();
+        assert_eq!(log.len(), LOG_BYTES);
+        assert!(record_at(&log, 0, lap_seed(1)).is_some());
+        let state = fs::read(dir.join("state.bin")).unwrap();
+        assert_eq!(decode_state(&state).unwrap(), (2, &b"snap"[..]));
         let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
         assert_eq!(&d.read(0).unwrap()[..], &block(5, 16)[..]);
         assert_eq!(d.meta(), b"snap");
@@ -754,8 +862,7 @@ mod tests {
         let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
         d.set_checkpoint_bytes(64);
         for i in 0..8u8 {
-            d.write_owned(u64::from(i) % 4, block(i, 16)).unwrap();
-            d.commit(Vec::new).unwrap();
+            commit_row(&mut d, u64::from(i) % 4, i, b"");
         }
         assert!(d.wal_bytes() < 64, "log was checkpointed away");
         drop(d);
@@ -765,11 +872,35 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_past_the_end_of_the_file_grows_it() {
+        let dir = tmpdir("grow");
+        let rows = LOG_BYTES as u64 / 4096 + 8;
+        let mut d = DiskBlocks::open(&dir, rows, 4096).unwrap();
+        d.set_checkpoint_bytes(u64::MAX);
+        for row in 0..rows {
+            d.write_owned(row, block(row as u8, 4096)).unwrap();
+        }
+        d.commit(Vec::new).unwrap();
+        assert!(d.wal_bytes() > LOG_BYTES as u64);
+        drop(d);
+        let mut d = DiskBlocks::open(&dir, rows, 4096).unwrap();
+        assert_eq!(d.replayed_rows().len() as u64, rows);
+        assert_eq!(
+            &d.read(rows - 1).unwrap()[..],
+            &block((rows - 1) as u8, 4096)[..]
+        );
+        assert!(
+            fs::metadata(dir.join("wal.log")).unwrap().len() > LOG_BYTES as u64,
+            "the file never shrinks"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn unchanged_meta_and_empty_batch_skip_the_force() {
         let dir = tmpdir("skip");
         let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
-        d.write_owned(0, block(1, 16)).unwrap();
-        assert!(d.commit(|| b"m".to_vec()).unwrap());
+        commit_row(&mut d, 0, 1, b"m");
         let len = d.wal_bytes();
         assert!(!d.commit(|| b"m".to_vec()).unwrap());
         assert_eq!(d.wal_bytes(), len, "no-op commit appended nothing");
@@ -788,6 +919,117 @@ mod tests {
             other => panic!("expected Geometry, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What earlier versions left behind: a bare snapshot in `state.bin`,
+    /// or (never checkpointed) unsalted records in an append-only log.
+    #[test]
+    fn a_store_from_before_the_recycled_log_is_refused() {
+        for file in ["state.bin", "wal.log"] {
+            let dir = tmpdir("old-format");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(file), b"\x01\x00\x00\x00\x1b\xdf\x05\xa5\x03").unwrap();
+            match DiskBlocks::open(&dir, 4, 16) {
+                Err(DiskError::Format) => {}
+                other => panic!("{file}: expected Format, got {other:?}"),
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A store whose creation crashed before `state.bin` was installed
+    /// (any amount of zero fill) is created again.
+    #[test]
+    fn a_half_created_store_is_created_again() {
+        let dir = tmpdir("half-created");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("wal.log"), vec![0u8; 1000]).unwrap();
+        let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+        commit_row(&mut d, 1, 9, b"m");
+        assert_eq!(
+            fs::metadata(dir.join("wal.log")).unwrap().len(),
+            LOG_BYTES as u64
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed log write or `fdatasync` fails the commit, keeps the batch
+    /// staged and poisons the store; a re-open lands on a commit boundary
+    /// with every acknowledged batch intact. Nothing of a failed write
+    /// reached the file; after a failed sync the batch sits whole in the
+    /// page cache, so the same-process re-open may (and here does) see it.
+    #[test]
+    fn a_failed_commit_poisons_the_store_and_reopen_recovers() {
+        for (step, lands) in [(Step::LogWrite, false), (Step::LogSync, true)] {
+            let dir = tmpdir("failed-commit");
+            let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+            commit_row(&mut d, 0, 1, b"m1");
+            d.write_owned(1, block(2, 16)).unwrap();
+            FAIL_NEXT.set(Some(step));
+            assert!(matches!(d.commit(|| b"m2".to_vec()), Err(DiskError::Io(_))));
+            assert!(d.has_staged(), "{step:?}: the batch was not dropped");
+            assert!(matches!(
+                d.commit(|| b"m2".to_vec()),
+                Err(DiskError::Poisoned)
+            ));
+            assert!(matches!(d.checkpoint(), Err(DiskError::Poisoned)));
+            drop(d);
+            let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+            assert_eq!(&d.read(0).unwrap()[..], &block(1, 16)[..]);
+            let (row1, meta) = if lands {
+                (block(2, 16), &b"m2"[..])
+            } else {
+                (block(0, 16), &b"m1"[..])
+            };
+            assert_eq!(&d.read(1).unwrap()[..], &row1[..], "{step:?}");
+            assert_eq!(d.meta(), meta, "{step:?}");
+            commit_row(&mut d, 2, 3, b"m3");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A crash after each step of `checkpoint()` re-opens to exactly the
+    /// old checkpoint plus its whole log, or to the new checkpoint under a
+    /// dead log; the same rows and blob either way.
+    #[test]
+    fn a_crash_at_any_step_of_a_checkpoint_reopens_to_the_old_or_the_new_one() {
+        // (the call that never happened, the lap `state.bin` is left at)
+        let crashes = [
+            (Step::StateWrite, 1), // after the blocks.dat sync  // after the blocks.dat sync
+            (Step::StateRename, 1), // after state.tmp is written
+            (Step::DirSync, 2),    // after the rename
+        ];
+        for (step, lap) in crashes {
+            let dir = tmpdir("ckpt-crash");
+            let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+            commit_row(&mut d, 0, 1, b"m1");
+            commit_row(&mut d, 1, 2, b"m2");
+            commit_row(&mut d, 0, 3, b"m3");
+            FAIL_NEXT.set(Some(step));
+            assert!(matches!(d.checkpoint(), Err(DiskError::Io(_))));
+            drop(d);
+            let state = fs::read(dir.join("state.bin")).unwrap();
+            let old = (1, &b""[..]);
+            let new = (2, &b"m3"[..]);
+            assert_eq!(
+                decode_state(&state).unwrap(),
+                if lap == 1 { old } else { new },
+                "{step:?}"
+            );
+            assert_eq!(
+                dir.join("state.tmp").exists(),
+                step == Step::StateRename,
+                "{step:?}"
+            );
+            let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+            assert!(!dir.join("state.tmp").exists(), "{step:?}");
+            let replayed: &[u64] = if lap == 1 { &[0, 1, 0] } else { &[] };
+            assert_eq!(d.replayed_rows(), replayed, "{step:?}");
+            assert_eq!(&d.read(0).unwrap()[..], &block(3, 16)[..], "{step:?}");
+            assert_eq!(&d.read(1).unwrap()[..], &block(2, 16)[..], "{step:?}");
+            assert_eq!(d.meta(), b"m3", "{step:?}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

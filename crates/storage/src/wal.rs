@@ -37,6 +37,34 @@ enum LogRecord {
     Abort(TxnId),
 }
 
+/// Scan `buf` from byte `from` for any validly framed record whose body
+/// satisfies `is_commit`. Used when a scan hits a corrupt record: a torn
+/// *tail* has nothing committed beyond the tear and may be discarded,
+/// while a valid commit record further on means committed state would be
+/// silently lost — which callers must report instead.
+///
+/// The scan re-synchronises byte by byte; a false positive needs a sane
+/// length field *and* a matching CRC-32 at the same offset, so random
+/// damage is rejected with probability ~1 − 2⁻³².
+fn committed_record_beyond(
+    buf: &[u8],
+    from: usize,
+    is_commit: impl Fn(&[u8]) -> bool,
+) -> Option<u64> {
+    let mut at = from;
+    while at + 8 <= buf.len() {
+        let len = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]) as usize;
+        let crc = u32::from_le_bytes([buf[at + 4], buf[at + 5], buf[at + 6], buf[at + 7]]);
+        if let Some(body) = buf.get(at + 8..at + 8 + len) {
+            if crc32(body) == crc && is_commit(body) {
+                return Some(at as u64);
+            }
+        }
+        at += 1;
+    }
+    None
+}
+
 impl LogRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         let mut body = Vec::new();
@@ -377,7 +405,7 @@ impl StorageManager for WalManager {
                     // the corruption instead (the old scan stopped short
                     // here and dropped those records on the floor).
                     let finisher = |body: &[u8]| matches!(body.first(), Some(2) | Some(3));
-                    if crate::disk::committed_record_beyond(&log, at + 1, finisher).is_some() {
+                    if committed_record_beyond(&log, at + 1, finisher).is_some() {
                         self.durable_log = log;
                         return Err(e);
                     }

@@ -30,12 +30,16 @@
 # (RB_LIVE=0 skips); like the scaling gate, the bench is wire-bound so the
 # ratio survives slow CI machines.
 #
-# A fifth gate covers the WAL's metadata records (PR 13): a commit of one
+# A fifth gate covers the WAL's commit (PR 13, PR 16): a commit of one
 # 4 KiB block with a real 512-row site snapshot in which one UID moved must
-# append at most block + 256 bytes to the log (it was 13 805 when every
+# add at most block + 256 bytes to the log (it was 13 805 when every
 # commit logged the whole snapshot). Bytes are a count, so the threshold is
 # exact, not a tolerance; checked in the recorded run
-# (results/BENCH_pr13.json) and in a fresh run of the disk_commit bench.
+# (results/BENCH_pr16.json) and in a fresh run of the disk_commit bench.
+# The same fresh run's commit_1x4k_site_meta_512 ns/iter must stay within
+# BENCH_TOLERANCE of the recorded value: the log is a preallocated file
+# written in place, so a commit's fdatasync carries no filesystem journal
+# commit, and an append creeping back in doubles it.
 #
 # Usage:
 #   scripts/bench_check.sh                # tolerance 2.0, obs ratio 1.05
@@ -157,10 +161,12 @@ if [ "${RB_LIVE:-1}" != "0" ]; then
     fi
 fi
 WAL_MAX_COMMIT_BYTES=$((4096 + 256))
-WAL_BASELINE=results/BENCH_pr13.json
+WAL_BASELINE=results/BENCH_pr16.json
 echo "== bench_check: WAL bytes per 1x4k commit with a 512-row site snapshot (recorded + live, max $WAL_MAX_COMMIT_BYTES B)"
 recorded="$(python3 -c "import json; print(json.load(open('$WAL_BASELINE'))['headline']['commit_1x4k_site_meta_512_bytes'])" 2>/dev/null || true)"
-live="$(cargo bench -p radd-bench --bench disk_commit 2>&1 | awk '$2 == "disk_commit/commit_1x4k_site_meta_512_bytes" { print $3 }')"
+DC_OUT="$(cargo bench -p radd-bench --bench disk_commit 2>&1 | grep '^bench ' || true)"
+echo "$DC_OUT"
+live="$(echo "$DC_OUT" | awk '$2 == "disk_commit/commit_1x4k_site_meta_512_bytes" { print $3 }')"
 for pair in "recorded:$recorded" "live:$live"; do
     which="${pair%%:*}"
     got="${pair#*:}"
@@ -174,4 +180,16 @@ for pair in "recorded:$recorded" "live:$live"; do
         fail=1
     fi
 done
+echo "== bench_check: 1x4k commit with a 512-row site snapshot vs $WAL_BASELINE (tolerance x$TOLERANCE)"
+base="$(python3 -c "import json; print(json.load(open('$WAL_BASELINE'))['headline']['commit_1x4k_site_meta_512_ns'])" 2>/dev/null || true)"
+got="$(echo "$DC_OUT" | awk '$2 == "disk_commit/commit_1x4k_site_meta_512" { print $3 }')"
+if [ -z "$base" ] || [ -z "$got" ]; then
+    echo "FAIL  wal commit ns: value missing (recorded='$base' live='$got')" >&2
+    fail=1
+elif awk -v m="$got" -v b="$base" -v t="$TOLERANCE" 'BEGIN { exit !(m <= b * t) }'; then
+    echo "ok    wal commit ns: $got ns/iter (recorded $base, limit $(awk -v b="$base" -v t="$TOLERANCE" 'BEGIN { printf "%d", b * t }'))"
+else
+    echo "FAIL  wal commit ns: $got ns/iter exceeds recorded $base x $TOLERANCE" >&2
+    fail=1
+fi
 exit "$fail"
