@@ -92,6 +92,19 @@ struct PendingParity {
     msg: Msg,
 }
 
+/// Where a parity update is in its life when it reaches
+/// [`RaddCluster::route_parity_update`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ParityHop {
+    /// Leaving its sender: charged here, subject to the parity mode.
+    Sent,
+    /// Leaving the [`ParityMode::Queued`] queue (charged when sent).
+    Flushed,
+    /// Bounced by a target whose disk for the row is failed (charged when
+    /// sent): the stand-in takes it whatever the site's state.
+    Unservable,
+}
+
 /// How the DES models each site's storage engine (§3.4).
 ///
 /// The real runtimes mount `radd_storage::DiskBlocks` — a checksummed WAL
@@ -519,18 +532,7 @@ impl RaddCluster {
                 let mut blocks = ArrayBlocks(&mut node.array);
                 node.machine.handle(&mut blocks, s, m.clone(), &mut out);
             }
-            if let Some(bufs) = &mut self.site_traces {
-                for eff in &out {
-                    if let Some(e) = trace(eff) {
-                        bufs[d].push(e);
-                    }
-                }
-            }
-            if let Some(obs) = &mut self.obs {
-                for eff in &out {
-                    obs.site(d).effect(eff);
-                }
-            }
+            self.tap_effects(d, &out);
             if let Msg::ParityUpdate { row, from_site, .. } = &m {
                 // Trace the apply itself, not redeliveries or duplicates.
                 let applied = out.iter().any(|e| {
@@ -559,12 +561,20 @@ impl RaddCluster {
                     Effect::Write { purpose, .. } => {
                         self.charge_io_write(actor, background, d, purpose);
                     }
-                    Effect::Send {
-                        to, msg: sm, wire, ..
-                    } => match to {
+                    Effect::Send { to, msg: sm, .. } => match to {
                         Dest::Peer(0) => reply = Some(sm),
                         Dest::Peer(p) => queue.push_back((p - 1, d + 1, sm)),
-                        Dest::Site(t) => self.route_site_send(actor, d, t, sm, wire, &mut queue)?,
+                        Dest::Site(t) => {
+                            let tag = sm.tag();
+                            match self.route_parity_update(actor, ParityHop::Sent, t, d + 1, sm)? {
+                                Some(sm) => queue.push_back((t, d + 1, sm)),
+                                // In flight or absorbed: ack the sender so
+                                // its stop-and-wait queue advances (the
+                                // flush-time ack is a duplicate the machine
+                                // ignores).
+                                None => queue.push_back((d, t + 1, Msg::Ack { tag })),
+                            }
+                        }
                     },
                     // Synchronous delivery: acks are immediate, timers are
                     // moot; DeferAck resolves within this same cascade.
@@ -579,24 +589,22 @@ impl RaddCluster {
                         self.rebuild_parity_row(d, row)?;
                         queue.push_front((d, s, m.clone()));
                     }
-                    Effect::ParityUnservable { row } => {
+                    Effect::ParityUnservable { .. } => {
                         // The disk holding the parity row is failed:
                         // redirect the update to the row's spare stand-in
                         // and ack on the stand-in's behalf.
-                        let Msg::ParityUpdate {
-                            mask_wire,
-                            uid,
-                            from_site,
-                            tag,
-                            ..
-                        } = m.clone()
-                        else {
-                            debug_assert!(false, "ParityUnservable from a non-parity-update");
-                            continue;
-                        };
-                        let mask = ChangeMask::decode(&mask_wire)
-                            .ok_or_else(|| RaddError::BadConfig("malformed change mask".into()))?;
-                        self.apply_parity_to_spare(actor, d, row, from_site, &mask, uid)?;
+                        let tag = m.tag();
+                        let passed = self.route_parity_update(
+                            actor,
+                            ParityHop::Unservable,
+                            d,
+                            s,
+                            m.clone(),
+                        )?;
+                        debug_assert!(
+                            passed.is_none(),
+                            "ParityUnservable from a non-parity-update"
+                        );
                         if s == 0 {
                             reply = Some(Msg::Ack { tag });
                         } else {
@@ -609,58 +617,60 @@ impl RaddCluster {
         Ok(reply)
     }
 
-    /// Route a site-to-site send. Parity updates get the paper's costing
-    /// (one remote write, charged at send time) and honour the parity mode;
-    /// everything else is delivered directly.
-    fn route_site_send(
+    /// The one routing decision for a message bound for site `to` as peer
+    /// `src_peer`. A parity update leaving its sender gets the paper's
+    /// costing (one remote write, charged at send time) and honours the
+    /// parity mode; one whose target cannot take it goes to the row's
+    /// spare stand-in. `Some(msg)` is handed back for delivery to `to`;
+    /// `None` means the update was queued or absorbed, and the caller acks
+    /// on the target's behalf. Anything but a parity update passes through.
+    fn route_parity_update(
         &mut self,
         actor: Actor,
-        from: SiteId,
+        hop: ParityHop,
         to: SiteId,
+        src_peer: usize,
         msg: Msg,
-        wire: usize,
-        queue: &mut VecDeque<(SiteId, usize, Msg)>,
-    ) -> Result<(), RaddError> {
-        if let Msg::ParityUpdate { row, .. } = msg {
-            self.traffic.parity_updates.record_send(wire);
+    ) -> Result<Option<Msg>, RaddError> {
+        let Msg::ParityUpdate {
+            row,
+            mask_wire,
+            uid,
+            from_site,
+            ..
+        } = &msg
+        else {
+            return Ok(Some(msg));
+        };
+        if hop == ParityHop::Sent {
+            self.traffic.parity_updates.record_send(msg.wire_size());
             self.charge_write(actor, to);
-            let tag = msg.tag();
-            match self.config.parity_mode {
-                ParityMode::Queued => {
-                    // Message in flight: store it, ack the sender so its
-                    // stop-and-wait queue advances (the flush-time ack is a
-                    // duplicate the machine ignores).
-                    self.pending_parity.push(PendingParity {
-                        to,
-                        src_peer: from + 1,
-                        msg,
-                    });
-                    queue.push_back((from, to + 1, Msg::Ack { tag }));
-                }
-                ParityMode::Sync => {
-                    if self.effective_state(to) == SiteState::Down {
-                        let Msg::ParityUpdate {
-                            mask_wire,
-                            uid,
-                            from_site,
-                            ..
-                        } = msg
-                        else {
-                            unreachable!("matched above");
-                        };
-                        let mask = ChangeMask::decode(&mask_wire)
-                            .ok_or_else(|| RaddError::BadConfig("malformed change mask".into()))?;
-                        self.apply_parity_to_spare(actor, to, row, from_site, &mask, uid)?;
-                        queue.push_back((from, to + 1, Msg::Ack { tag }));
-                    } else {
-                        queue.push_back((to, from + 1, msg));
-                    }
-                }
+            if self.config.parity_mode == ParityMode::Queued {
+                self.pending_parity
+                    .push(PendingParity { to, src_peer, msg });
+                return Ok(None);
             }
-        } else {
-            queue.push_back((to, from + 1, msg));
         }
-        Ok(())
+        if hop == ParityHop::Unservable || self.effective_state(to) == SiteState::Down {
+            let mask = ChangeMask::decode(mask_wire)
+                .ok_or_else(|| RaddError::BadConfig("malformed change mask".into()))?;
+            self.apply_parity_to_spare(actor, to, *row, *from_site, &mask, *uid)?;
+            return Ok(None);
+        }
+        Ok(Some(msg))
+    }
+
+    /// Feed one machine step's effects to the differential trace and the
+    /// observability tap of site `site`.
+    fn tap_effects(&mut self, site: SiteId, out: &[Effect]) {
+        if let Some(bufs) = &mut self.site_traces {
+            bufs[site].extend(out.iter().filter_map(trace));
+        }
+        if let Some(obs) = &mut self.obs {
+            for eff in out {
+                obs.site(site).effect(eff);
+            }
+        }
     }
 
     /// One client request into the cluster: control-traffic accounting, the
@@ -684,40 +694,12 @@ impl RaddCluster {
         }
         match &msg {
             Msg::ParityUpdate { .. } => {
-                self.traffic.parity_updates.record_send(msg.wire_size());
-                self.charge_write(actor, site);
                 let tag = msg.tag();
-                match self.config.parity_mode {
-                    ParityMode::Queued => {
-                        self.pending_parity.push(PendingParity {
-                            to: site,
-                            src_peer: 0,
-                            msg,
-                        });
-                        Ok(Msg::Ack { tag })
-                    }
-                    ParityMode::Sync => {
-                        if self.effective_state(site) == SiteState::Down {
-                            let Msg::ParityUpdate {
-                                row,
-                                mask_wire,
-                                uid,
-                                from_site,
-                                ..
-                            } = msg
-                            else {
-                                unreachable!("matched above");
-                            };
-                            let mask = ChangeMask::decode(&mask_wire).ok_or_else(|| {
-                                RaddError::BadConfig("malformed change mask".into())
-                            })?;
-                            self.apply_parity_to_spare(actor, site, row, from_site, &mask, uid)?;
-                            Ok(Msg::Ack { tag })
-                        } else {
-                            self.deliver(actor, background, site, 0, msg)?
-                                .ok_or(RaddError::Unavailable { site })
-                        }
-                    }
+                match self.route_parity_update(actor, ParityHop::Sent, site, 0, msg)? {
+                    Some(msg) => self
+                        .deliver(actor, background, site, 0, msg)?
+                        .ok_or(RaddError::Unavailable { site }),
+                    None => Ok(Msg::Ack { tag }),
                 }
             }
             // Spare-slot control plane: a validity probe is a UID check
@@ -1009,18 +991,7 @@ impl RaddCluster {
                 self.charge_io_write(actor, false, site, *purpose);
             }
         }
-        if let Some(bufs) = &mut self.site_traces {
-            for eff in &out {
-                if let Some(e) = trace(eff) {
-                    bufs[site].push(e);
-                }
-            }
-        }
-        if let Some(obs) = &mut self.obs {
-            for eff in &out {
-                obs.site(site).effect(eff);
-            }
-        }
+        self.tap_effects(site, &out);
         // W2–W4: change mask to the parity site.
         let mask = ChangeMask::diff(&old, data);
         self.send_parity_from(actor, site, row, &mask, uid)?;
@@ -1058,23 +1029,11 @@ impl RaddCluster {
             from_site,
             tag,
         };
-        self.traffic.parity_updates.record_send(msg.wire_size());
-        self.charge_write(actor, parity_site);
-        match self.config.parity_mode {
-            ParityMode::Queued => {
-                self.pending_parity.push(PendingParity {
-                    to: parity_site,
-                    src_peer: from_site + 1,
-                    msg,
-                });
-            }
-            ParityMode::Sync => {
-                if self.effective_state(parity_site) == SiteState::Down {
-                    self.apply_parity_to_spare(actor, parity_site, row, from_site, mask, uid)?;
-                } else {
-                    self.deliver(actor, false, parity_site, from_site + 1, msg)?;
-                }
-            }
+        let src_peer = from_site + 1;
+        if let Some(msg) =
+            self.route_parity_update(actor, ParityHop::Sent, parity_site, src_peer, msg)?
+        {
+            self.deliver(actor, false, parity_site, src_peer, msg)?;
         }
         Ok(())
     }
@@ -1163,22 +1122,14 @@ impl RaddCluster {
             // The RW was charged at send time; application is bookkeeping
             // (ParityApply receipts are free), so delivery here charges
             // nothing.
-            if self.effective_state(p.to) == SiteState::Down {
-                let Msg::ParityUpdate {
-                    row,
-                    mask_wire,
-                    uid,
-                    from_site,
-                    ..
-                } = p.msg
-                else {
-                    continue;
-                };
-                let mask = ChangeMask::decode(&mask_wire)
-                    .ok_or_else(|| RaddError::BadConfig("malformed change mask".into()))?;
-                self.apply_parity_to_spare(Actor::Client, p.to, row, from_site, &mask, uid)?;
-            } else {
-                self.deliver(Actor::Client, false, p.to, p.src_peer, p.msg)?;
+            if let Some(msg) = self.route_parity_update(
+                Actor::Client,
+                ParityHop::Flushed,
+                p.to,
+                p.src_peer,
+                p.msg,
+            )? {
+                self.deliver(Actor::Client, false, p.to, p.src_peer, msg)?;
             }
         }
         Ok(())

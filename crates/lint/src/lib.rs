@@ -50,6 +50,9 @@ pub enum RuleId {
     LockDiscipline,
     /// R005 — manifest hygiene: lint wall, unsafe pragmas, shim isolation.
     ManifestHygiene,
+    /// R006 — every `pub mod` of a crate root has a caller outside its own
+    /// file, its crate's tests and `lib.rs` re-exports.
+    OrphanModule,
 }
 
 impl RuleId {
@@ -62,6 +65,7 @@ impl RuleId {
             RuleId::UnsafeDiscipline => "R003",
             RuleId::LockDiscipline => "R004",
             RuleId::ManifestHygiene => "R005",
+            RuleId::OrphanModule => "R006",
         }
     }
 
@@ -74,6 +78,7 @@ impl RuleId {
             RuleId::UnsafeDiscipline => "unsafe-discipline",
             RuleId::LockDiscipline => "lock-discipline",
             RuleId::ManifestHygiene => "manifest-hygiene",
+            RuleId::OrphanModule => "orphan-module",
         }
     }
 
@@ -86,6 +91,7 @@ impl RuleId {
             "R003" => RuleId::UnsafeDiscipline,
             "R004" => RuleId::LockDiscipline,
             "R005" => RuleId::ManifestHygiene,
+            "R006" => RuleId::OrphanModule,
             _ => return None,
         })
     }
@@ -144,6 +150,7 @@ struct Member {
 /// rule findings are returned in the [`Report`].
 pub fn run(root: &Path) -> Result<Report, String> {
     let members = discover_members(root)?;
+    let tree = tree_files(root, &members)?;
     let mut diags = Vec::new();
     let mut files = 0usize;
 
@@ -153,15 +160,27 @@ pub fn run(root: &Path) -> Result<Report, String> {
         let toml = read(&manifest)?;
         files += 1;
 
+        let lib = m.dir.join(lib_path(&toml));
+        let lib_src = if lib.is_file() {
+            let src = read(&lib)?;
+            diags.extend(rules::orphan_modules(
+                &rel(root, &m.dir),
+                &rel(root, &lib),
+                &src,
+                &tree,
+            ));
+            Some(src)
+        } else {
+            None
+        };
+
         if m.is_shim {
             diags.extend(rules::shim_dependencies(&manifest_rel, &toml));
             continue;
         }
 
         diags.extend(rules::manifest_lints(&manifest_rel, &toml));
-        let lib = m.dir.join(lib_path(&toml));
-        if lib.is_file() {
-            let src = read(&lib)?;
+        if let Some(src) = lib_src {
             diags.extend(rules::lib_pragmas(
                 &rel(root, &lib),
                 &src,
@@ -205,6 +224,22 @@ pub fn run(root: &Path) -> Result<Report, String> {
     })
 }
 
+/// Every source file that can name a module (R006): each member's `src`,
+/// `tests`, `benches` and `examples`, plus the standalone `benchmark/`
+/// package, which is outside the workspace but builds from it.
+fn tree_files(root: &Path, members: &[Member]) -> Result<Vec<rules::TreeFile>, String> {
+    let mut tree = Vec::new();
+    let benchmark = root.join("benchmark");
+    for dir in members.iter().map(|m| &m.dir).chain([&benchmark]) {
+        for sub in ["src", "tests", "benches", "examples"] {
+            for file in rust_sources(&dir.join(sub))? {
+                tree.push(rules::TreeFile::new(&rel(root, &file), &read(&file)?));
+            }
+        }
+    }
+    Ok(tree)
+}
+
 /// Expand the root manifest's member globs (`crates/*`, `shims/*`) plus
 /// the root package itself, without `cargo metadata`.
 fn discover_members(root: &Path) -> Result<Vec<Member>, String> {
@@ -225,6 +260,9 @@ fn discover_members(root: &Path) -> Result<Vec<Member>, String> {
     }
     for (sub, is_shim) in [("crates", false), ("shims", true)] {
         let dir = root.join(sub);
+        if !dir.is_dir() {
+            continue;
+        }
         let mut found: Vec<PathBuf> = std::fs::read_dir(&dir)
             .map_err(|e| format!("{}: {e}", dir.display()))?
             .filter_map(Result::ok)
@@ -298,7 +336,10 @@ fn rust_sources(dir: &Path) -> Result<Vec<PathBuf>, String> {
         entries.sort();
         for p in entries {
             if p.is_dir() {
-                stack.push(p);
+                // Fixture trees are lint inputs, not code of this tree.
+                if p.file_name().is_some_and(|n| n != "fixtures") {
+                    stack.push(p);
+                }
             } else if p.extension().is_some_and(|e| e == "rs") {
                 out.push(p);
             }

@@ -8,6 +8,7 @@
 
 use crate::scan::{find_word, mask_code};
 use crate::{Diagnostic, RuleId};
+use std::collections::HashSet;
 
 /// R001 — sans-IO purity. Banned token → why it is banned.
 ///
@@ -306,6 +307,176 @@ pub fn lib_pragmas(path: &str, src: &str, is_parity: bool) -> Vec<Diagnostic> {
     }
 }
 
+/// One source file of the tree, reduced to what R006 asks of it: the
+/// identifiers its code (not its comments or strings) names.
+#[derive(Debug)]
+pub struct TreeFile {
+    /// Workspace-relative path with forward slashes.
+    pub path: String,
+    /// The `pub` type and free-function names the file declares.
+    declared: Vec<String>,
+    /// Every identifier in the masked text.
+    idents: HashSet<String>,
+    /// The identifiers directly followed by `::`.
+    path_heads: HashSet<String>,
+}
+
+impl TreeFile {
+    /// Mask and tokenise `src`. A crate root's `pub use …;` statements
+    /// are dropped first: re-exporting a module is not calling it, while
+    /// the root's own code (and its private `use`) is a caller like any
+    /// other file.
+    pub fn new(path: &str, src: &str) -> TreeFile {
+        let mut masked = mask_code(src);
+        if path == "lib.rs" || path.ends_with("/lib.rs") {
+            let mut kept = String::with_capacity(masked.len());
+            let mut in_reexport = false;
+            for line in masked.split_inclusive('\n') {
+                in_reexport |= line.trim_start().starts_with("pub use ");
+                if !in_reexport {
+                    kept.push_str(line);
+                }
+                in_reexport &= !line.contains(';');
+            }
+            masked = kept;
+        }
+        let b = masked.as_bytes();
+        let is_ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+        let (mut idents, mut path_heads) = (HashSet::new(), HashSet::new());
+        let mut i = 0;
+        while i < b.len() {
+            if !is_ident(b[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < b.len() && is_ident(b[i]) {
+                i += 1;
+            }
+            if masked[i..].starts_with("::") {
+                path_heads.insert(masked[start..i].to_owned());
+            }
+            idents.insert(masked[start..i].to_owned());
+        }
+        TreeFile {
+            path: path.to_owned(),
+            declared: declared_names(&masked),
+            idents,
+            path_heads,
+        }
+    }
+}
+
+/// The `pub` type and free-function names a module's file declares. A
+/// `pub fn` counts as free only at column 0 (rustfmt indents methods), and
+/// `pub(crate)` items are not public.
+fn declared_names(masked: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for line in masked.lines() {
+        let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+            continue;
+        };
+        let mut words = rest
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .skip_while(|w| matches!(*w, "const" | "async" | "unsafe"));
+        let name = match words.next() {
+            Some("struct" | "enum" | "trait" | "type" | "union") => words.next(),
+            Some("fn") if line.starts_with("pub ") => words.next(),
+            _ => None,
+        };
+        names.extend(name.map(str::to_owned));
+    }
+    names
+}
+
+/// Collapse `a/b/../c` to `a/c`.
+fn normalize(path: &str) -> String {
+    let mut parts: Vec<&str> = Vec::new();
+    for part in path.split('/') {
+        match part {
+            ".." if parts.last().is_some_and(|p| *p != "..") => {
+                parts.pop();
+            }
+            "." | "" => {}
+            p => parts.push(p),
+        }
+    }
+    parts.join("/")
+}
+
+/// R006 — orphan module. For every `pub mod m;` in the crate root
+/// `lib_path`, some file of the tree that could be a caller must name
+/// one of the `pub` types or free functions `m` declares, or an `m::`
+/// path. Not callers: `m`'s own files, the declaring crate's `tests/`
+/// (a module kept alive only by its own tests is the case this rule
+/// exists for) and the re-export and prelude lines of any `lib.rs`.
+///
+/// The match is by identifier, so a module whose public names are also
+/// used for something else (`reconstruct` is a free function in one place
+/// and a method in another) escapes: the rule finds modules nobody can
+/// reach, not every module nobody does.
+pub fn orphan_modules(
+    crate_dir: &str,
+    lib_path: &str,
+    lib_src: &str,
+    tree: &[TreeFile],
+) -> Vec<Diagnostic> {
+    let lib_dir = lib_path.rsplit_once('/').map_or("", |(d, _)| d);
+    // The root package's directory is "": normalising drops the empty part.
+    let crate_tests = normalize(&format!("{crate_dir}/tests")) + "/";
+    let masked = mask_code(lib_src);
+    let raw: Vec<&str> = lib_src.lines().collect();
+    let mut out = Vec::new();
+    for (lineno, line) in masked.lines().enumerate() {
+        let Some(m) = line
+            .strip_prefix("pub mod ")
+            .and_then(|r| r.strip_suffix(';'))
+        else {
+            continue;
+        };
+        // `#[path = "…"]` on the line above mounts the module from elsewhere.
+        let mounted = lineno
+            .checked_sub(1)
+            .and_then(|l| raw[l].trim().strip_prefix("#[path = \""))
+            .and_then(|r| r.strip_suffix("\"]"));
+        let (file, dir) = match mounted {
+            Some(rel) => (normalize(&format!("{lib_dir}/{rel}")), None),
+            None => (
+                normalize(&format!("{lib_dir}/{m}.rs")),
+                Some(normalize(&format!("{lib_dir}/{m}")) + "/"),
+            ),
+        };
+        let own =
+            |f: &TreeFile| f.path == file || dir.as_ref().is_some_and(|d| f.path.starts_with(d));
+        let names: Vec<&str> = tree
+            .iter()
+            .filter(|f| own(f))
+            .flat_map(|f| f.declared.iter().map(String::as_str))
+            .collect();
+        let called = tree.iter().any(|f| {
+            !own(f)
+                && !f.path.starts_with(&crate_tests)
+                && (f.path_heads.contains(m) || names.iter().any(|n| f.idents.contains(*n)))
+        });
+        if !called {
+            out.push(Diagnostic {
+                rule: RuleId::OrphanModule,
+                path: lib_path.to_owned(),
+                line: lineno + 1,
+                msg: format!(
+                    "`pub mod {m}` has no caller: none of its public names ({}) and no \
+                     `{m}::` path occurs outside its own file, this crate's `tests/` and \
+                     `lib.rs` re-export lines — wire it to a runtime, experiment, bench, \
+                     example or the CLI, or delete it with its tests and re-exports",
+                    names.join(", ")
+                ),
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +556,23 @@ mod tests {
             "[dependencies]\nserde = { path = \"../serde\" }\n"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn orphan_modules_follow_mounts_and_count_root_code_as_a_caller() {
+        let lib = "pub mod used;\n#[path = \"../../b/src/shared.rs\"]\npub mod shared;\n\
+                   pub mod idle;\npub use idle::Idle;\nfn run() { used::go(); }\n";
+        let tree = [
+            TreeFile::new("crates/a/src/lib.rs", lib),
+            TreeFile::new("crates/a/src/used.rs", "pub fn go() {}\n"),
+            TreeFile::new("crates/a/src/idle.rs", "pub struct Idle;\n"),
+            TreeFile::new("crates/a/tests/t.rs", "use a::Idle;\n"),
+            TreeFile::new("crates/b/src/shared.rs", "pub struct Shared;\n"),
+            TreeFile::new("crates/b/src/main.rs", "// Idle\nfn main() { Shared; }\n"),
+        ];
+        let d = orphan_modules("crates/a", "crates/a/src/lib.rs", lib, &tree);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].rule, d[0].line), (RuleId::OrphanModule, 4));
     }
 
     #[test]

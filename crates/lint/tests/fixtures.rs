@@ -1,7 +1,8 @@
 //! Fixture suite: every rule pinned to exact (rule id, file, line)
 //! diagnostics over checked-in bad/good snippets under
-//! `tests/fixtures/{bad,good}/`, plus end-to-end [`radd_lint::run`] walks
-//! over two miniature workspaces — one whose allowlist matches exactly,
+//! `tests/fixtures/{bad,good}/` (R006 needs a tree, so its pair are
+//! miniature workspaces), plus end-to-end [`radd_lint::run`] walks
+//! over two more miniature workspaces — one whose allowlist matches exactly,
 //! one whose allowlist has gone stale — and a round-trip check of the
 //! real committed `tidy.allow`.
 
@@ -122,6 +123,25 @@ fn good_fixtures_are_silent() {
     assert!(rules::manifest_lints("x", &read("good/manifest_ok.toml")).is_empty());
     assert!(rules::shim_dependencies("x", &read("good/shim_ok.toml")).is_empty());
     assert!(rules::lib_pragmas("x", &read("good/lib_pragma_ok.rs"), false).is_empty());
+}
+
+#[test]
+fn orphan_module_fixtures_flag_the_uncalled_module_only() {
+    // The two trees differ by one file: `good/` has an example that calls
+    // the module; in `bad/` only its own tests and `lib.rs` re-export do.
+    let report = run(&fixtures().join("bad/orphan_module")).expect("fixture walks");
+    assert_diags(
+        &report.diagnostics,
+        "crates/kernel/src/lib.rs",
+        &[(RuleId::OrphanModule, 5)],
+    );
+    assert!(
+        report.diagnostics[0].msg.contains("Queue, drain"),
+        "{:?}",
+        report.diagnostics[0]
+    );
+    let report = run(&fixtures().join("good/orphan_module")).expect("fixture walks");
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
 }
 
 #[test]

@@ -234,8 +234,8 @@ impl<N: ClusterNet> Cluster<N> {
     /// uncommitted staged writes are dropped on the floor, then the site
     /// re-opens its durable store — replaying the committed WAL suffix and
     /// rebuilding the machine from the last snapshot (§3.4). Synchronous:
-    /// returns once the site is serving again. Returns `false` (and
-    /// changes nothing) when the cluster runs on memory-backed storage.
+    /// returns once the site is serving again. Returns `false` on
+    /// memory-backed storage (nothing changes) or a failed re-open (down).
     pub fn kill_restart_site(&mut self, site: usize) -> bool {
         let restarted = self
             .ask(site, 2 * CONTROL_TIMEOUT, Control::KillRestart)

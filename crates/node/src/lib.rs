@@ -63,13 +63,11 @@
 pub mod client;
 pub mod driver;
 pub mod harness;
-pub mod message;
 pub mod sharded;
 pub mod site;
 
 pub use client::ClientError;
-pub use message::Msg;
-pub use radd_protocol::PoolRebuildReport;
+pub use radd_protocol::{Msg, PoolRebuildReport};
 pub use sharded::{ShardedNodeCluster, ShardedNodeExt};
 
 use radd_net::threaded::NetError;

@@ -73,7 +73,9 @@ pub enum Control {
     /// timer, then re-open from the site's durable storage. Replies `true`
     /// when the site actually restarted from disk; a memory-backed site
     /// replies `false` and keeps its state (there is nothing to restart
-    /// *from* — losing everything would be a disaster, not a crash).
+    /// *from* — losing everything would be a disaster, not a crash). So
+    /// does a site whose re-open fails: it stays down, and a later
+    /// `KillRestart` with the fault gone brings it back.
     KillRestart(Sender<bool>),
     /// Stop the thread.
     Shutdown,
@@ -285,19 +287,33 @@ impl SiteDriver {
                 let _ = reply.send(self.obs_snapshot());
             }
             Control::KillRestart(reply) => {
-                let durable = self.store.is_durable();
-                if durable {
+                let mut restarted = self.store.is_durable();
+                if restarted {
                     // Crash: every volatile structure dies — the machine,
                     // the timer wheel, any staged-but-uncommitted writes
                     // inside the store. Restart: re-open from disk, which
                     // replays the committed log suffix and rebuilds the
                     // machine from the last durable snapshot (§3.4).
                     self.timers.clear();
-                    (self.store, self.machine, self.committed) =
-                        open_store(&self.cfg, &mut self.obs);
-                    self.down = false;
+                    match open_store(&self.cfg, &mut self.obs) {
+                        Ok(reopened) => {
+                            (self.store, self.machine, self.committed) = reopened;
+                            self.down = false;
+                        }
+                        // The fault that took the site down may still be
+                        // there. A process that cannot restart is a down
+                        // site, not a dead thread: the old store and
+                        // machine stay (deaf), and the next `KillRestart`
+                        // tries again.
+                        Err(e) => {
+                            eprintln!("site {}: restart failed, staying down: {e}", self.cfg.site);
+                            self.obs.metrics().commit_failure();
+                            self.down = true;
+                            restarted = false;
+                        }
+                    }
                 }
-                let _ = reply.send(durable);
+                let _ = reply.send(restarted);
             }
             Control::Shutdown => return true,
         }
@@ -307,20 +323,24 @@ impl SiteDriver {
 
 /// Open (or re-open) the site's storage and rebuild the machine from its
 /// durable snapshot, if one exists. Returns the store and the machine; on a
-/// fresh (or memory-backed) store the machine starts from geometry.
+/// fresh (or memory-backed) store the machine starts from geometry. `Err`
+/// when the store cannot be opened or its snapshot does not decode.
 ///
 /// Each row the WAL replay re-applied is surfaced to `obs` as a
 /// [`IoPurpose::LogReplay`] read receipt, so the flight recorder shows the
 /// §3.4 recovery work a restart performed.
-fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine, Option<u64>) {
+fn open_store(
+    cfg: &SiteConfig,
+    obs: &mut MachineObs,
+) -> Result<(SiteStore, SiteMachine, Option<u64>), String> {
     let store = cfg
         .storage
         .for_site(cfg.site)
         .open(cfg.rows, cfg.block_size)
-        .unwrap_or_else(|e| panic!("site {}: cannot open durable store: {e}", cfg.site));
+        .map_err(|e| format!("cannot open durable store: {e}"))?;
     let mut machine = match store.meta().map(DurableSiteState::decode) {
         Some(Ok(d)) => SiteMachine::restore_durable(&d),
-        Some(Err(e)) => panic!("site {}: corrupt durable snapshot: {e}", cfg.site),
+        Some(Err(e)) => return Err(format!("corrupt durable snapshot: {e}")),
         None => SiteMachine::new(cfg.site, cfg.group_size, cfg.rows, cfg.block_size),
     };
     for row in store.replayed_rows() {
@@ -333,7 +353,7 @@ fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine
     // A store that holds a snapshot holds this machine's: it was restored
     // from it a few lines up.
     let committed = store.meta().map(|_| machine.durable_version());
-    (store, machine, committed)
+    Ok((store, machine, committed))
 }
 
 /// Run the site event loop until shutdown (by [`Control::Shutdown`], the
@@ -346,7 +366,9 @@ pub fn run_site_with<T: Transport>(
     mut oob: impl FnMut(&mut SiteDriver, T::Oob) -> bool,
 ) {
     let mut obs = MachineObs::new();
-    let (store, machine, committed) = open_store(&cfg, &mut obs);
+    // Start-up has no earlier state to fall back on: fail loudly.
+    let (store, machine, committed) =
+        open_store(&cfg, &mut obs).unwrap_or_else(|e| panic!("site {}: {e}", cfg.site));
     let mut st = SiteDriver {
         machine,
         store,
@@ -429,9 +451,11 @@ mod tests {
 
     /// A commit the store fails takes the site down with the message's
     /// effects unsent and is counted; `KillRestart` brings the site back
-    /// from what is durable. The failure is the filesystem's own: with the
-    /// checkpoint threshold at 0 every commit ends in a checkpoint, and a
-    /// directory squatting on `state.tmp` makes that checkpoint fail.
+    /// from what is durable, and while the fault lasts it fails without
+    /// killing the site thread. The failure is the filesystem's own: with
+    /// the checkpoint threshold at 0 every commit ends in a checkpoint, and
+    /// a directory squatting on `state.tmp` makes that checkpoint fail (and
+    /// the re-open's `remove_file` of it too).
     #[test]
     fn a_failed_commit_takes_the_site_down_until_kill_restart() {
         let root = std::env::temp_dir().join(format!("radd-site-commit-{}", std::process::id()));
@@ -446,7 +470,7 @@ mod tests {
             storage: StorageSpec::Disk { dir: root.clone() },
         };
         let mut obs = MachineObs::new();
-        let (store, machine, committed) = open_store(&cfg, &mut obs);
+        let (store, machine, committed) = open_store(&cfg, &mut obs).expect("fresh store opens");
         let mut st = SiteDriver {
             machine,
             store,
@@ -482,6 +506,14 @@ mod tests {
             "the failed message's effects were dropped"
         );
         assert_eq!(st.obs_snapshot().metrics.commit_failures, 1);
+
+        // The fault is still there: the restart fails, is counted, and the
+        // site stays down (and alive) on its old state.
+        let (tx, rx) = std::sync::mpsc::channel();
+        assert!(!st.serve(Control::KillRestart(tx)));
+        assert!(!rx.recv().expect("restart reply"), "re-open failed");
+        assert!(st.is_down());
+        assert_eq!(st.obs_snapshot().metrics.commit_failures, 2);
 
         std::fs::remove_dir(&squatter).expect("clear state.tmp");
         let (tx, rx) = std::sync::mpsc::channel();

@@ -14,11 +14,10 @@
 //!   k-way fold used by reconstruction.
 //! * [`mask`] — change masks with a run-length wire encoding (Section 7.4
 //!   argues masks make RADD's bandwidth comparable to a hot standby's).
-//! * [`delta`] — record-level page edits (insert/delete/overwrite) and their
-//!   wire sizes, the paper's B-tree insert/delete encoding argument.
 //! * [`uid`] — globally unique identifiers and the per-parity-block UID
-//!   array used for consistency validation (§3.3).
-//! * [`stripe`] — reconstruction with UID validation and retry.
+//!   array used for consistency validation (§3.3). The validated
+//!   reconstruction itself is `radd_protocol::ClientMachine::reconstruct`:
+//!   one [`xor_fold`] over the `G` survivors, then the UID check.
 
 // The SIMD kernels are this workspace's only unsafe code; every unsafe
 // operation inside them must sit in its own `unsafe {}` block with a
@@ -26,15 +25,11 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod delta;
 pub mod kernels;
 pub mod mask;
-pub mod stripe;
 pub mod uid;
 pub mod xor;
 
-pub use delta::PageEdit;
 pub use mask::ChangeMask;
-pub use stripe::{reconstruct, reconstruct_validated, StripeRead, ValidationError};
 pub use uid::{Uid, UidArray, UidGen};
 pub use xor::{xor_bytes, xor_fold, xor_in_place, xor_many};

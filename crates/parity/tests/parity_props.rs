@@ -3,9 +3,7 @@
 //! round-trip.
 
 use proptest::prelude::*;
-use radd_parity::{
-    kernels, reconstruct, xor_fold, xor_many, ChangeMask, PageEdit, StripeRead, Uid,
-};
+use radd_parity::{kernels, xor_fold, xor_many, ChangeMask};
 
 fn arb_block(len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), len)
@@ -13,7 +11,9 @@ fn arb_block(len: usize) -> impl Strategy<Value = Vec<u8>> {
 
 proptest! {
     /// parity = XOR(data blocks) stays true under masked updates, and any
-    /// single block is reconstructible afterwards.
+    /// single block is reconstructible afterwards (formula (2)): a zeroed
+    /// accumulator folded over the `G` survivors and the parity block, the
+    /// call `ClientMachine::reconstruct` and `rebuild_member` make.
     #[test]
     fn stripe_invariant_under_updates(
         seed_blocks in proptest::collection::vec(arb_block(64), 2..8),
@@ -32,11 +32,15 @@ proptest! {
         }
 
         let victim = victim_sel % g;
-        let survivors: Vec<StripeRead> = blocks.iter().enumerate()
+        let views: Vec<&[u8]> = blocks.iter().enumerate()
             .filter(|&(i, _)| i != victim)
-            .map(|(i, b)| StripeRead { site: i, data: b.clone(), uid: Uid::from_raw(1) })
+            .map(|(_, b)| b.as_slice())
+            .chain(std::iter::once(parity.as_slice()))
             .collect();
-        prop_assert_eq!(reconstruct(&survivors, &parity), blocks[victim].clone());
+        let mut acc = vec![0u8; 64];
+        xor_fold(&mut acc, &views);
+        prop_assert_eq!(&acc, &blocks[victim]);
+        prop_assert_eq!(xor_many(views.iter().copied()).unwrap(), acc);
     }
 
     /// ChangeMask::diff/apply converts old→new for arbitrary blocks.
@@ -130,29 +134,5 @@ proptest! {
         // And the merged mask stays canonical: re-diffing the endpoints
         // yields the identical span structure.
         prop_assert_eq!(merged, ChangeMask::diff(&v0, &v2));
-    }
-
-    /// Page edits keep the page length and replaying via change mask equals
-    /// direct application.
-    #[test]
-    fn page_edit_mask_equivalence(
-        page in arb_block(512),
-        offset in 0usize..600,
-        payload in arb_block(40),
-        del_len in 0usize..600,
-        which in 0u8..3,
-    ) {
-        let edit = match which {
-            0 => PageEdit::Insert { offset, bytes: payload },
-            1 => PageEdit::Delete { offset, len: del_len },
-            _ => PageEdit::Overwrite { offset, bytes: payload },
-        };
-        let mut direct = page.clone();
-        edit.apply(&mut direct);
-        prop_assert_eq!(direct.len(), page.len());
-        let mask = edit.to_change_mask(&page);
-        let mut via = page;
-        mask.apply(&mut via);
-        prop_assert_eq!(via, direct);
     }
 }

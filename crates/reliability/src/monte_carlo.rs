@@ -55,8 +55,8 @@ enum Ev {
     DiskRepair(usize, usize),
 }
 
-/// F64 time-ordered event queue (simpler than the integer kernel for pure
-/// hour-denominated processes).
+/// F64 time-ordered event queue for the hour-denominated failure
+/// processes (FIFO among simultaneous events by sequence number).
 #[derive(Debug, Default)]
 struct Queue {
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>, // (time bits, seq, index)

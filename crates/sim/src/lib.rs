@@ -7,28 +7,24 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock with microsecond
 //!   resolution (the paper's cost constants are milliseconds).
-//! * [`EventQueue`] — a cancellable priority queue of timestamped events,
-//!   generic over the event payload, with deterministic FIFO tie-breaking.
 //! * [`SimRng`] — a seeded random source with the exponential sampling the
 //!   reliability models need (`rand_distr` is intentionally not a dependency).
 //! * [`cost`] — the paper's Table-1 cost parameters (`R`, `W`, `RR`, `RW`)
 //!   and the operation counters that Figures 3 and 4 are built from.
 //!
 //! Determinism is a hard requirement: two runs with the same seed must
-//! produce byte-identical traces, so every source of ordering (the event
-//! queue, the RNG) is fully specified.
+//! produce byte-identical traces, so every source of ordering (the virtual
+//! clock, the RNG) is fully specified.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod events;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
 pub use cost::{CostLedger, CostParams, OpCounts, OpKind};
-pub use events::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, Tracer};

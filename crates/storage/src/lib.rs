@@ -30,12 +30,10 @@ pub mod disk;
 pub mod hot_standby;
 pub mod manager;
 pub mod no_overwrite;
-pub mod slotted;
 pub mod wal;
 
 pub use disk::{DiskBlocks, DiskError, SiteStore, StorageSpec};
 pub use hot_standby::HotStandby;
 pub use manager::{PageId, RecoveryContext, RecoveryStats, StorageError, StorageManager, TxnId};
 pub use no_overwrite::NoOverwriteManager;
-pub use slotted::{PageError, SlotId, SlottedPage};
 pub use wal::WalManager;

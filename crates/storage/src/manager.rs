@@ -104,15 +104,6 @@ pub trait StorageManager {
     /// Write a page within `txn`.
     fn write(&mut self, txn: TxnId, page: PageId, data: &[u8]) -> Result<(), StorageError>;
 
-    /// Write a page within `txn`, taking ownership of the buffer. Managers
-    /// that keep refcounted page images adopt `data` without a copy (the
-    /// [`Blocks::write_owned`](radd_protocol::Blocks::write_owned) contract
-    /// pushed down a layer); the default falls back to the copying
-    /// [`write`](StorageManager::write).
-    fn write_owned(&mut self, txn: TxnId, page: PageId, data: Bytes) -> Result<(), StorageError> {
-        self.write(txn, page, &data)
-    }
-
     /// Durably commit `txn`.
     fn commit(&mut self, txn: TxnId) -> Result<(), StorageError>;
 

@@ -149,32 +149,6 @@ impl StorageManager for NoOverwriteManager {
         Ok(())
     }
 
-    fn write_owned(&mut self, txn: TxnId, page: PageId, data: Bytes) -> Result<(), StorageError> {
-        self.check_live()?;
-        if !self.active.contains(&txn) {
-            return Err(StorageError::NoSuchTxn(txn));
-        }
-        self.check_page(page)?;
-        if data.len() != self.page_size {
-            return Err(StorageError::WrongPageSize {
-                got: data.len(),
-                expected: self.page_size,
-            });
-        }
-        // Same as `write`, but the version adopts the refcounted buffer.
-        let chain = self.versions.entry(page).or_default();
-        if let Some(last) = chain.last_mut() {
-            if last.txn == txn {
-                last.data = data;
-                self.version_writes += 1;
-                return Ok(());
-            }
-        }
-        chain.push(Version { txn, data });
-        self.version_writes += 1;
-        Ok(())
-    }
-
     fn commit(&mut self, txn: TxnId) -> Result<(), StorageError> {
         self.check_live()?;
         if !self.active.remove(&txn) {

@@ -277,32 +277,6 @@ impl StorageManager for WalManager {
         Ok(())
     }
 
-    fn write_owned(&mut self, txn: TxnId, page: PageId, data: Bytes) -> Result<(), StorageError> {
-        self.check_live()?;
-        if !self.active.contains(&txn) {
-            return Err(StorageError::NoSuchTxn(txn));
-        }
-        if data.len() != self.page_size {
-            return Err(StorageError::WrongPageSize {
-                got: data.len(),
-                expected: self.page_size,
-            });
-        }
-        let old = self.page_read(page)?.to_vec();
-        self.append(&LogRecord::Update {
-            txn,
-            page,
-            old: old.clone(),
-            new: data.to_vec(),
-        });
-        self.undo.get_mut(&txn).expect("active").push((page, old));
-        // The log record necessarily copies (it frames the body), but the
-        // buffered page image adopts the refcounted buffer as-is.
-        self.buffer.insert(page, data);
-        self.dirty.insert(page);
-        Ok(())
-    }
-
     fn commit(&mut self, txn: TxnId) -> Result<(), StorageError> {
         self.check_live()?;
         if !self.active.remove(&txn) {
@@ -683,19 +657,6 @@ mod tests {
             m.recover(RecoveryContext::Local).unwrap_err(),
             StorageError::TornLog { .. }
         ));
-    }
-
-    #[test]
-    fn write_owned_adopts_buffer_and_recovers_identically() {
-        let mut m = mgr();
-        let t = m.begin().unwrap();
-        m.write_owned(t, 3, Bytes::from(page(7))).unwrap();
-        m.commit(t).unwrap();
-        assert_eq!(&m.committed(3).unwrap()[..], &page(7)[..]);
-        m.crash();
-        let stats = m.recover(RecoveryContext::Local).unwrap();
-        assert_eq!(stats.winners, 1);
-        assert_eq!(&m.committed(3).unwrap()[..], &page(7)[..]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # radd-workload — workload generators and failure scenarios
+//! # radd-workload — workload generators and fault plans
 //!
 //! Drives the measured experiments:
 //!
@@ -9,7 +9,6 @@
 //! * [`records`] — the §7.4 record-update workload: 100-byte records in
 //!   4 KB pages, with buffer-pool write absorption, for the network/disk
 //!   bandwidth ratio;
-//! * [`scenario`] — scripted failure timelines interleaved with load;
 //! * [`faults`] — the deterministic fault-plan engine: seed-generated
 //!   event sequences (failures, partitions, loss bursts, repairs) that
 //!   run against any [`faults::FaultDriver`] with invariants checked
@@ -29,7 +28,6 @@ pub mod access;
 pub mod faults;
 pub mod mix;
 pub mod records;
-pub mod scenario;
 pub mod sharded;
 
 pub use access::AccessPattern;
@@ -39,5 +37,4 @@ pub use faults::{
 };
 pub use mix::{run_mix, Mix, MixReport};
 pub use records::{run_record_workload, RecordReport, RecordWorkload};
-pub use scenario::{run_scenario, PhaseReport, ScenarioStep};
 pub use sharded::{run_sharded_plan, ShardedEvent, ShardedPlan, ShardedReport, ShardedShape};

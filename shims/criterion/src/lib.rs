@@ -38,13 +38,6 @@ impl BenchmarkId {
             id: format!("{name}/{param}"),
         }
     }
-
-    /// A bare parameterised id.
-    pub fn from_parameter<P: std::fmt::Display>(param: P) -> BenchmarkId {
-        BenchmarkId {
-            id: param.to_string(),
-        }
-    }
 }
 
 impl std::fmt::Display for BenchmarkId {
@@ -93,29 +86,6 @@ impl Bencher {
         }
         self.measured = Some(best / u32::try_from(batch).unwrap_or(u32::MAX).max(1));
     }
-
-    /// Like [`iter`](Bencher::iter) with per-iteration setup excluded —
-    /// approximated here by timing setup + routine together (adequate for a
-    /// smoke-capable shim).
-    pub fn iter_batched<I, O, S: FnMut() -> I, F: FnMut(I) -> O>(
-        &mut self,
-        mut setup: S,
-        mut routine: F,
-        _size: BatchSize,
-    ) {
-        self.iter(|| routine(setup()));
-    }
-}
-
-/// Batch sizing hint (ignored by the shim).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small inputs.
-    SmallInput,
-    /// Large inputs.
-    LargeInput,
-    /// Per-iteration inputs.
-    PerIteration,
 }
 
 fn report(name: &str, time: Duration, throughput: Option<Throughput>) {

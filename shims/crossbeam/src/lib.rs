@@ -57,11 +57,6 @@ pub mod channel {
             self.inner.try_recv()
         }
 
-        /// Iterate over queued values without blocking.
-        pub fn try_iter(&self) -> mpsc::TryIter<'_, T> {
-            self.inner.try_iter()
-        }
-
         /// Iterate, blocking, until all senders disconnect.
         pub fn iter(&self) -> mpsc::Iter<'_, T> {
             self.inner.iter()

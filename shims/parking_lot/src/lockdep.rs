@@ -16,7 +16,7 @@
 //!   the conflicting edge), after dumping the same text under
 //!   `target/lockdep/` for CI artifact upload.
 //!
-//! `try_lock`/`try_read`/`try_write` acquisitions enter the held stack
+//! `try_lock` acquisitions enter the held stack
 //! (so later blocking acquisitions see them) but record no edges and
 //! trigger no panic: a non-blocking attempt cannot complete a deadlock
 //! cycle by itself. `RwLock` readers are tracked like writers — a

@@ -33,11 +33,11 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`sim`] | virtual clock, event queue, seeded RNG, the Table-1 cost model |
+//! | [`sim`] | virtual clock, seeded RNG, the Table-1 cost model |
 //! | [`blockdev`] | in-memory disks, disk arrays, failure injection |
 //! | [`net`] | lossy links, reliable transport, partitions, a threaded network |
 //! | [`layout`] | Figure-1 placement math and §4 group assignment |
-//! | [`parity`] | XOR parity, change masks, page deltas, UIDs |
+//! | [`parity`] | XOR parity, change masks, UIDs |
 //! | [`protocol`] | the sans-IO client/site machines both runtimes share |
 //! | [`core`] | the RADD cluster itself (§3) |
 //! | [`obs`] | metrics + flight recorder tapped off the shared effect stream |
@@ -45,7 +45,7 @@
 //! | [`storage`] | WAL and no-overwrite storage managers (§3.4) |
 //! | [`txn`] | 2PL transactions, 2PC, the §6 commit optimisation |
 //! | [`reliability`] | MTTU/MTTF closed forms and Monte Carlo (§7.5) |
-//! | [`workload`] | access patterns, mixes, failure scenarios (§7.3–7.4) |
+//! | [`workload`] | access patterns, mixes, fault plans (§7.3–7.4) |
 //! | [`node`] | the threaded cluster: one OS thread per site, real messages |
 //! | [`rt`] | the socket runtime: framed TCP transport, fault proxies, binaries |
 //! | [`check`] | bounded exhaustive model checker over the protocol machines |
@@ -87,8 +87,8 @@ pub mod prelude {
     pub use radd_storage::{NoOverwriteManager, RecoveryContext, StorageManager, WalManager};
     pub use radd_txn::{radd_commit, two_phase_commit, DistributedTxn, RaddCommitConfig};
     pub use radd_workload::{
-        minimize_failure, run_mix, run_plan, run_scenario, run_sharded_plan, seed_from_name,
-        AccessPattern, FaultDriver, FaultEvent, FaultPlan, Mix, PlanFailure, PlanReport, PlanShape,
-        ScenarioStep, ShardedEvent, ShardedPlan, ShardedShape,
+        minimize_failure, run_mix, run_plan, run_sharded_plan, seed_from_name, AccessPattern,
+        FaultDriver, FaultEvent, FaultPlan, Mix, PlanFailure, PlanReport, PlanShape, ShardedEvent,
+        ShardedPlan, ShardedShape,
     };
 }
