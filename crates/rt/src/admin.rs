@@ -46,9 +46,8 @@ impl CtlClient {
         let frame = Frame::CtlReq { rid, req };
         crate::frame::write_frame(&mut self.stream, &frame)
             .map_err(|e| format!("control send failed: {e}"))?;
-        let mut scratch = [0u8; 64 * 1024];
         loop {
-            match read_frame(&mut self.stream, &mut self.dec, &mut scratch) {
+            match read_frame(&mut self.stream, &mut self.dec, &mut []) {
                 Ok(Some(Frame::CtlRep { rid: got, rep })) if got == rid => return Ok(rep),
                 Ok(Some(_)) => {} // stray frame: skip
                 Ok(None) => return Err("site closed the control connection".into()),

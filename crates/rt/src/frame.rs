@@ -7,11 +7,16 @@
 //! [len: u32 LE] [check: u64 LE] [payload: len bytes]
 //! ```
 //!
-//! `len` counts the payload only; `check` is the `FxHash64` of the payload
-//! (the same multiply-rotate hash the protocol machines use for their
-//! bookkeeping maps — these are sanity checksums against framing bugs and
-//! truncated writes, not cryptographic integrity). The payload's first byte
-//! is a frame type:
+//! `len` counts the payload only; `check` is [`checksum`] of the payload:
+//! four independent multiply-rotate lanes over 32-byte strides, folded
+//! with the length at the end (a sanity check against framing bugs,
+//! truncated writes and damaged bytes, not cryptographic integrity). One
+//! lane is a serial chain of dependent multiplies, which is what made the
+//! check the largest term of a 64 KiB hop; four chains keep the multiplier
+//! busy and the check runs near memory speed. The value is not the one a
+//! build before PR 20 computes, and `Hello` carries no version byte: old
+//! and new binaries refuse each other's first frame with
+//! [`FrameError::BadChecksum`]. The payload's first byte is a frame type:
 //!
 //! * `0` — [`Frame::Hello`]: the dialer announces its endpoint id, once,
 //!   immediately after connecting. Everything either side needs to route
@@ -28,14 +33,20 @@
 //! splits and coalescings the kernel chooses, length prefixes are validated
 //! against [`MAX_FRAME`] *before* any buffer grows, and corrupt checksums
 //! or unknown frame types are clean errors, never panics.
+//!
+//! A payload is copied once on the way out and not at all on the way in:
+//! [`write_frame`] encodes into one buffer with the header's bytes reserved
+//! in front, checksums in place and issues one `write_all`;
+//! [`FrameDecoder::read_from`] reads the socket straight into the decoder's
+//! buffer and [`FrameDecoder::next_payload`] hands that buffer out as the
+//! [`Bytes`] the message's block is then a slice of (payloads under 1 KiB,
+//! which carry no block, are copied out instead and the buffer stays).
 
 use bytes::Bytes;
 use radd_protocol::codec::{decode_msg, encode_msg, CodecError};
-use radd_protocol::fasthash::FxHasher;
 use radd_protocol::Msg;
 use std::fmt;
-use std::hash::Hasher;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Hard ceiling on a frame's payload. Generous next to real traffic (the
 /// largest message is a block plus headers) while keeping a corrupt or
@@ -50,11 +61,73 @@ const FT_PROTO: u8 = 1;
 const FT_CTL_REQ: u8 = 2;
 const FT_CTL_REP: u8 = 3;
 
-/// `FxHash64` of a payload — the frame checksum.
+/// The most one [`FrameDecoder::read_from`] offers the socket, and how far
+/// the decoder's buffer may run ahead of the first step's worth of bytes.
+pub const READ_STEP: usize = 64 * 1024;
+
+/// What a read is offered between frames, when no header says how much is
+/// coming: enough for a 4 KiB block and its headers in one `read`, small
+/// enough that zeroing it costs nothing next to the system call.
+const IDLE_ROOM: usize = 8 * 1024;
+
+/// Payloads shorter than this (acks, probes, sparse parity updates) are
+/// copied out of the receive buffer, which costs less than giving the
+/// buffer away and zeroing the next one (176 against 347 ns for an `Ack`;
+/// from 4 KiB up the two cost the same and giving it away saves the copy).
+const COPY_BELOW: usize = 1024;
+
+/// The `FxHash` multiplier.
+const CHECK_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Lane seeds (digits of pi). Distinct and non-zero, so a run of zero
+/// words still moves every lane and no two lanes compute the same chain.
+const CHECK_LANES: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+#[inline(always)]
+fn check_mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(CHECK_MUL)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The frame checksum: one pass, four independent multiply-rotate lanes.
+///
+/// Word `i` of every 32-byte stride goes to lane `i`; after the strides
+/// the length, the four lanes, the up to three whole words left over and
+/// the up to seven bytes after them (zero-padded to a word) are folded
+/// through the same step in that order. Every step is a bijection of the
+/// word for a fixed state and of the state for a fixed word, so changing
+/// any one word changes the result; the length keeps a zero-padded tail
+/// apart from real zeros, and the ordered fold keeps lanes apart.
 pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    h.finish()
+    let mut lanes = CHECK_LANES;
+    let mut strides = payload.chunks_exact(32);
+    for stride in &mut strides {
+        for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+            *lane = check_mix(*lane, le_word(word));
+        }
+    }
+    let mut h = lanes
+        .iter()
+        .fold(payload.len() as u64, |h, &lane| check_mix(h, lane));
+    let mut words = strides.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = check_mix(h, le_word(word));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        h = check_mix(h, le_word(tail));
+    }
+    h
 }
 
 /// Why a byte stream failed to frame or a payload failed to parse.
@@ -172,18 +245,22 @@ pub fn payload_hello_id(payload: &[u8]) -> Option<u64> {
 }
 
 impl Frame {
-    /// Encode this frame's payload (no length/checksum header).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
+    /// Roughly how many bytes [`Frame::encode_into`] appends.
+    fn payload_hint(&self) -> usize {
+        match self {
+            Frame::Proto(msg) => proto_hint(msg),
+            _ => 32,
+        }
+    }
+
+    /// Append this frame's payload (no length/checksum header) to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Frame::Hello { id } => {
                 buf.push(FT_HELLO);
                 buf.extend_from_slice(&id.to_le_bytes());
             }
-            Frame::Proto(msg) => {
-                buf.push(FT_PROTO);
-                encode_msg(msg, &mut buf);
-            }
+            Frame::Proto(msg) => encode_proto(msg, buf),
             Frame::CtlReq { rid, req } => {
                 buf.push(FT_CTL_REQ);
                 buf.extend_from_slice(&rid.to_le_bytes());
@@ -228,7 +305,6 @@ impl Frame {
                 }
             }
         }
-        buf
     }
 
     /// Decode a frame from its raw payload.
@@ -296,53 +372,143 @@ fn split_rid(body: &[u8]) -> Result<(u64, &[u8]), FrameError> {
     Ok((rid, &body[8..]))
 }
 
-/// Write one frame (header + `payload`) to `w`.
-pub fn write_frame_payload(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
     assert!(payload.len() <= MAX_FRAME, "oversized outbound frame");
     let mut head = [0u8; FRAME_HEADER];
     head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     head[4..].copy_from_slice(&checksum(payload).to_le_bytes());
-    // One write per frame keeps a frame contiguous on the wire wherever
-    // the kernel allows; the decoder tolerates any split regardless.
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&head);
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)
+    head
 }
 
-/// Encode and write one [`Frame`].
+/// Write one frame (header + `payload`) to `w` without joining the two in
+/// a buffer first: one vectored write, which a socket takes whole in the
+/// common case, and `write_all` of whatever a short write left behind.
+pub fn write_frame_payload(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let head = frame_header(payload);
+    let sent = loop {
+        match w.write_vectored(&[IoSlice::new(&head), IoSlice::new(payload)]) {
+            // As `write_all` does: an interrupted write wrote nothing.
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            sent => break sent?,
+        }
+    };
+    match sent.checked_sub(FRAME_HEADER) {
+        Some(of_payload) => w.write_all(&payload[of_payload..]),
+        None => {
+            w.write_all(&head[sent..])?;
+            w.write_all(payload)
+        }
+    }
+}
+
+fn proto_hint(msg: &Msg) -> usize {
+    // The slack `codec::encode_msg_vec` allows over the accounted size.
+    1 + msg.wire_size() + 16
+}
+
+fn encode_proto(msg: &Msg, buf: &mut Vec<u8>) {
+    buf.push(FT_PROTO);
+    encode_msg(msg, buf);
+}
+
+/// Build one whole frame in one buffer: the header's bytes reserved in
+/// front, the payload encoded behind them once, checksummed where it lies.
+fn sealed(payload_hint: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(FRAME_HEADER + payload_hint);
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(&mut buf);
+    let head = frame_header(&buf[FRAME_HEADER..]);
+    buf[..FRAME_HEADER].copy_from_slice(&head);
+    buf
+}
+
+/// Encode and write one [`Frame`]: one buffer, one `write_all`, which keeps
+/// a frame contiguous on the wire wherever the kernel allows (the decoder
+/// tolerates any split regardless).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    write_frame_payload(w, &frame.encode())
+    w.write_all(&sealed(frame.payload_hint(), |buf| frame.encode_into(buf)))
+}
+
+/// [`write_frame`] of a [`Frame::Proto`] for a borrowed message.
+pub fn write_msg(w: &mut impl Write, msg: &Msg) -> std::io::Result<()> {
+    w.write_all(&sealed(proto_hint(msg), |buf| encode_proto(msg, buf)))
 }
 
 /// Incremental frame decoder over an arbitrary byte stream.
 ///
-/// Feed it whatever `read` returned — any split or coalescing of frames —
-/// and pull complete payloads out. The internal buffer only ever holds
-/// bytes actually received plus at most one frame, so a hostile length
-/// prefix cannot cause over-allocation: it is rejected against
-/// [`MAX_FRAME`] as soon as the 12-byte header is readable.
+/// Give it bytes, by [`read_from`](FrameDecoder::read_from) straight off a
+/// socket or by [`feed`](FrameDecoder::feed) from a buffer the caller
+/// filled, in any split or coalescing of frames, and pull complete
+/// payloads out. A length prefix is checked against [`MAX_FRAME`] as soon
+/// as the 12-byte header is in, and `read_from` allocates in proportion to
+/// what has arrived, never to what a header claims: at most [`READ_STEP`]
+/// bytes ahead until a step's worth is in, at most double after. A header
+/// that claims `MAX_FRAME` and then goes silent costs one step, not 16 MiB.
+/// (`feed` grows as a `Vec` does, by what the caller already holds.)
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// `buf[..filled]` is what has arrived; anything beyond is zeroed room
+    /// for the next `read_from`.
     buf: Vec<u8>,
+    filled: usize,
 }
 
 impl FrameDecoder {
     /// A fresh decoder.
     pub fn new() -> FrameDecoder {
-        FrameDecoder { buf: Vec::new() }
+        FrameDecoder::default()
+    }
+
+    /// Bytes the decoder holds allocated (the bound above is on this).
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Append newly received bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.truncate(self.filled);
         self.buf.extend_from_slice(bytes);
+        self.filled = self.buf.len();
     }
 
-    /// The next complete, checksum-verified payload, if one is buffered.
-    /// After an error the stream is unrecoverable (framing is lost) — the
-    /// caller must drop the connection.
-    pub fn next_payload(&mut self) -> Result<Option<Bytes>, FrameError> {
-        if self.buf.len() < FRAME_HEADER {
+    /// One `read` from `r` into the decoder's own buffer; returns what the
+    /// read returned (0 is end of stream). The read is offered the rest of
+    /// the frame whose header is in and no more, so a large frame ends
+    /// exactly at the end of its buffer and the next one starts a new one;
+    /// between frames it is offered a few KiB.
+    pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        let (room, frame_end) = match self.frame_end() {
+            Ok(Some(frame_end)) if frame_end > self.filled => {
+                ((frame_end - self.filled).min(READ_STEP), frame_end)
+            }
+            // Between frames, or an error `next_payload` reports.
+            _ => (IDLE_ROOM, self.filled + IDLE_ROOM),
+        };
+        let end = self.filled + room;
+        if self.buf.capacity() < end {
+            // One exact step while no more than a step has arrived; past
+            // that, double what has (never beyond the frame's end), so a
+            // frame near `MAX_FRAME` reallocates 8 times and not 256.
+            let grown = if self.filled > READ_STEP {
+                (self.filled * 2).clamp(end, frame_end)
+            } else {
+                end
+            };
+            self.buf.truncate(self.filled);
+            self.buf.reserve_exact(grown - self.filled);
+        }
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        let n = r.read(&mut self.buf[self.filled..end])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// Where the frame at the front of the buffer ends, once its header is
+    /// in and its length has passed the [`MAX_FRAME`] check.
+    fn frame_end(&self) -> Result<Option<usize>, FrameError> {
+        if self.filled < FRAME_HEADER {
             return Ok(None);
         }
         let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
@@ -351,17 +517,44 @@ impl FrameDecoder {
                 claimed: len as u64,
             });
         }
-        if self.buf.len() < FRAME_HEADER + len {
-            return Ok(None);
-        }
+        Ok(Some(FRAME_HEADER + len))
+    }
+
+    /// The next complete, checksum-verified payload, if one is buffered.
+    /// After an error the stream is unrecoverable (framing is lost) — the
+    /// caller must drop the connection.
+    ///
+    /// A payload of 1 KiB or more is a view of the receive buffer itself,
+    /// which the decoder gives up: bytes of a following frame that had
+    /// already arrived move to a new buffer, the frame's are not copied.
+    /// With at most one frame in flight per connection there are none,
+    /// since `read_from` stops at the frame's end once the header is in;
+    /// frames queued back to back do spill, up to the 8 KiB an idle read
+    /// is offered. A smaller payload is copied out and the buffer stays.
+    pub fn next_payload(&mut self) -> Result<Option<Bytes>, FrameError> {
+        let end = match self.frame_end()? {
+            Some(end) if end <= self.filled => end,
+            _ => return Ok(None),
+        };
         let check = u64::from_le_bytes(self.buf[4..12].try_into().expect("8 bytes"));
-        let payload = &self.buf[FRAME_HEADER..FRAME_HEADER + len];
-        if checksum(payload) != check {
+        if checksum(&self.buf[FRAME_HEADER..end]) != check {
             return Err(FrameError::BadChecksum);
         }
-        let out = Bytes::from(payload.to_vec());
-        self.buf.drain(..FRAME_HEADER + len);
-        Ok(Some(out))
+        let payload = if end - FRAME_HEADER < COPY_BELOW {
+            let payload = Bytes::copy_from_slice(&self.buf[FRAME_HEADER..end]);
+            self.buf.copy_within(end..self.filled, 0);
+            self.filled -= end;
+            payload
+        } else {
+            self.buf.truncate(self.filled);
+            let rest = self.buf.split_off(end);
+            self.filled = rest.len();
+            let mut frame = std::mem::replace(&mut self.buf, rest);
+            // A message that keeps its block keeps this allocation.
+            frame.shrink_to_fit();
+            Bytes::from(frame).slice(FRAME_HEADER..end)
+        };
+        Ok(Some(payload))
     }
 
     /// The next complete [`Frame`], if one is buffered.
@@ -373,13 +566,16 @@ impl FrameDecoder {
     }
 }
 
-/// Blocking frame reader over a [`Read`]: feeds a [`FrameDecoder`] from a
-/// fixed scratch buffer. Returns `Ok(None)` on clean EOF *between* frames;
-/// EOF mid-frame is an error (the peer died mid-write).
+/// Blocking frame reader over a [`Read`]. Returns `Ok(None)` on clean EOF
+/// *between* frames; EOF mid-frame is an error (the peer died mid-write).
+///
+/// `_scratch` is unused since the decoder reads into its own buffer; the
+/// parameter stays because `benchmark/` calls this function and may not
+/// change in the same PR (ROADMAP item 2).
 pub fn read_frame(
     r: &mut impl Read,
     dec: &mut FrameDecoder,
-    scratch: &mut [u8],
+    _scratch: &mut [u8],
 ) -> Result<Option<Frame>, std::io::Error> {
     loop {
         if let Some(f) = dec
@@ -388,19 +584,15 @@ pub fn read_frame(
         {
             return Ok(Some(f));
         }
-        match r.read(scratch) {
-            Ok(0) => {
-                return if dec.buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "peer closed mid-frame",
-                    ))
-                }
-            }
-            Ok(n) => dec.feed(&scratch[..n]),
-            Err(e) => return Err(e),
+        if dec.read_from(r)? == 0 {
+            return if dec.filled == 0 {
+                Ok(None)
+            } else {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "peer closed mid-frame",
+                ))
+            };
         }
     }
 }
@@ -467,10 +659,80 @@ mod tests {
         assert_eq!(dec.next_frame(), Err(FrameError::BadChecksum));
     }
 
+    /// Takes at most `step` bytes a call, and is interrupted before each.
+    struct Dribble {
+        step: usize,
+        interrupt: bool,
+        got: Vec<u8>,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.step);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_payload_survives_short_and_interrupted_writes() {
+        let payload: Vec<u8> = (0..40u8).collect();
+        let mut whole = Vec::new();
+        write_frame_payload(&mut whole, &payload).unwrap();
+        assert_eq!(whole[FRAME_HEADER..], payload[..]);
+        // Short of the header, at it, and into the payload.
+        for step in 1..=FRAME_HEADER + 3 {
+            let mut w = Dribble {
+                step,
+                interrupt: false,
+                got: Vec::new(),
+            };
+            write_frame_payload(&mut w, &payload).unwrap();
+            assert_eq!(w.got, whole, "{step} bytes a write");
+        }
+    }
+
+    /// A frame of many steps: the buffer at most doubles what has arrived
+    /// (so it is reallocated a handful of times) and ends at the frame's
+    /// end.
+    #[test]
+    fn a_large_frame_grows_the_buffer_geometrically() {
+        let payload = vec![0xA5u8; 40 * READ_STEP];
+        let mut wire = Vec::new();
+        write_frame_payload(&mut wire, &payload).unwrap();
+        let mut dec = FrameDecoder::new();
+        let mut socket = &wire[..];
+        let mut grew = 0;
+        loop {
+            let before = dec.capacity();
+            if dec.read_from(&mut socket).unwrap() == 0 {
+                break;
+            }
+            grew += usize::from(dec.capacity() != before);
+            assert!(dec.capacity() <= (dec.filled + READ_STEP).max(2 * dec.filled));
+            assert!(dec.capacity() <= wire.len().max(IDLE_ROOM));
+        }
+        assert!(grew <= 9, "{grew} reallocations");
+        assert_eq!(dec.next_payload().unwrap().unwrap()[..], payload[..]);
+    }
+
     #[test]
     fn proxy_snoops_classify_payloads() {
-        let hello = Frame::Hello { id: 5 }.encode();
-        let proto = Frame::Proto(Msg::Ack { tag: 1 }).encode();
+        let payload_of = |frame: &Frame| {
+            let mut payload = Vec::new();
+            frame.encode_into(&mut payload);
+            payload
+        };
+        let hello = payload_of(&Frame::Hello { id: 5 });
+        let proto = payload_of(&Frame::Proto(Msg::Ack { tag: 1 }));
         assert_eq!(payload_hello_id(&hello), Some(5));
         assert!(!payload_is_proto(&hello));
         assert!(payload_is_proto(&proto));

@@ -29,13 +29,12 @@
 //! Everything here is transport plumbing — protocol behaviour (dedup,
 //! retries, idempotence) lives in the sans-IO machines and their drivers.
 
-use crate::frame::{write_frame, Frame, FrameDecoder};
+use crate::frame::{write_frame, write_msg, Frame, FrameDecoder};
 use radd_net::{Received, RetryPolicy, Transport};
 use radd_protocol::Msg;
 
 pub use radd_net::SendOutcome;
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -88,17 +87,30 @@ impl WriteHalf {
 
     /// Write one frame; an io error means the connection is dead.
     pub fn write(&self, frame: &Frame) -> std::io::Result<()> {
+        write_frame(&mut *self.locked()?, frame)
+    }
+
+    /// Write one protocol message as a [`Frame::Proto`].
+    pub fn write_msg(&self, msg: &Msg) -> std::io::Result<()> {
+        write_msg(&mut *self.locked()?, msg)
+    }
+
+    fn locked(&self) -> std::io::Result<MutexGuard<'_, TcpStream>> {
         // A poisoned lock means another writer panicked mid-frame and may
         // have left a torn prefix on the stream; report the connection
         // dead (callers drop it and redial) instead of panicking the
         // whole site on top of it.
-        let mut s = self.stream.lock().map_err(|_| {
+        self.stream.lock().map_err(|_| {
             std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
                 "connection abandoned after a writer panic",
             )
-        })?;
-        write_frame(&mut *s, frame)
+        })
+    }
+
+    /// Whether `self` and `other` are halves of the same connection.
+    fn same_connection(&self, other: &WriteHalf) -> bool {
+        Arc::ptr_eq(&self.stream, &other.stream)
     }
 }
 
@@ -210,14 +222,13 @@ impl SocketEndpoint {
         if self.shared.shutdown.load(Ordering::Relaxed) {
             return SendOutcome::Closed;
         }
-        let frame = Frame::Proto(msg.clone());
         if let Some(w) = self.peer(dst) {
-            if w.write(&frame).is_ok() {
+            if w.write_msg(msg).is_ok() {
                 return SendOutcome::Sent;
             }
             // Dead connection: forget it. A site destination falls through
             // to a fresh dial below; a client destination is simply lost.
-            self.shared.peers().remove(&dst);
+            self.forget_peer(dst, &w);
         }
         if dst < self.ep_base {
             // A client we have no connection to: unreachable until it dials
@@ -230,7 +241,7 @@ impl SocketEndpoint {
         }
         match self.dial(site) {
             Some(w) => {
-                let _ = w.write(&frame);
+                let _ = w.write_msg(msg);
                 SendOutcome::Sent
             }
             // Dial refused or backing off: silent loss.
@@ -240,6 +251,18 @@ impl SocketEndpoint {
 
     fn peer(&self, dst: usize) -> Option<WriteHalf> {
         self.shared.peers().get(&dst).cloned()
+    }
+
+    /// Unregister `dst` after a write to `failed` failed, unless the entry
+    /// is no longer that connection: a reconnecting peer's `Hello` may have
+    /// registered its new connection since the lookup, and removing that
+    /// one would leave a peer whose socket is healthy (so it never
+    /// re-dials) without replies until its retry ladder runs out.
+    fn forget_peer(&self, dst: usize, failed: &WriteHalf) {
+        let mut peers = self.shared.peers();
+        if peers.get(&dst).is_some_and(|w| w.same_connection(failed)) {
+            peers.remove(&dst);
+        }
     }
 
     /// Dial site `site` (by index), handshake, and register the
@@ -346,7 +369,6 @@ fn reader_loop(stream: TcpStream, peer_id: Option<usize>, shared: &Arc<Shared>) 
     });
     let mut reader = stream;
     let mut dec = FrameDecoder::new();
-    let mut scratch = [0u8; 64 * 1024];
     let mut peer_id = peer_id;
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
@@ -358,7 +380,18 @@ fn reader_loop(stream: TcpStream, peer_id: Option<usize>, shared: &Arc<Shared>) 
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 // Framing lost (corrupt stream): the connection is useless.
-                Err(_) => return,
+                Err(e) => {
+                    let who = peer_id.map_or("a peer that sent no Hello".into(), |id| {
+                        format!("endpoint {id}")
+                    });
+                    eprintln!(
+                        "radd-rt: closing the connection from {who}: {e} (a checksum \
+                         mismatch on a connection's first frame usually means mixed \
+                         binaries: builds from before and after the laned frame \
+                         checksum refuse each other)"
+                    );
+                    return;
+                }
             };
             match frame {
                 Frame::Hello { id } => {
@@ -392,9 +425,9 @@ fn reader_loop(stream: TcpStream, peer_id: Option<usize>, shared: &Arc<Shared>) 
                 Frame::CtlRep { .. } => {}
             }
         }
-        match reader.read(&mut scratch) {
+        match dec.read_from(&mut reader) {
             Ok(0) => return, // peer closed
-            Ok(n) => dec.feed(&scratch[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -447,6 +480,42 @@ mod tests {
         // reply to it is silently lost — not an error.
         assert_eq!(site.send(0, &Msg::Ack { tag: 0 }), SendOutcome::Sent);
         drop(client);
+    }
+
+    /// A reply fails on a dead connection after the client's new `Hello`
+    /// has registered its replacement: the failure may forget only the
+    /// connection it happened on.
+    #[test]
+    fn a_failed_write_does_not_unregister_the_replacement_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let site = SocketEndpoint::client(1, 1, vec![]);
+        let connect = || {
+            let dialed = TcpStream::connect(addr).unwrap();
+            let (accepted, _) = listener.accept().unwrap();
+            (
+                dialed,
+                accepted.try_clone().unwrap(),
+                WriteHalf::new(accepted),
+            )
+        };
+        let (_client_side, stale_socket, stale) = connect();
+        site.shared.peers().insert(0, stale);
+
+        // `send` looks the connection up...
+        let looked_up = site.peer(0).unwrap();
+        // ...the client reconnects and its Hello replaces the entry...
+        let (_new_client_side, _, fresh) = connect();
+        site.shared.peers().insert(0, fresh.clone());
+        // ...and only then does the write on the old connection fail.
+        stale_socket.shutdown(std::net::Shutdown::Both).unwrap();
+        assert!(looked_up.write_msg(&Msg::Ack { tag: 1 }).is_err());
+        site.forget_peer(0, &looked_up);
+        assert!(site.peer(0).unwrap().same_connection(&fresh));
+
+        // A failure on the connection that is still registered forgets it.
+        site.forget_peer(0, &fresh);
+        assert!(site.peer(0).is_none());
     }
 
     #[test]

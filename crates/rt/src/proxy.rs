@@ -27,7 +27,6 @@
 //! [`FaultPlan`]: radd_workload::FaultPlan
 
 use crate::frame::{payload_hello_id, payload_is_proto, write_frame_payload, FrameDecoder};
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -303,7 +302,6 @@ fn pump(
     let _ = rd.set_read_timeout(Some(Duration::from_millis(50)));
     let mut rd = rd;
     let mut dec = FrameDecoder::new();
-    let mut scratch = [0u8; 64 * 1024];
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return;
@@ -346,9 +344,9 @@ fn pump(
                 }
             }
         }
-        match rd.read(&mut scratch) {
+        match dec.read_from(&mut rd) {
             Ok(0) => return,
-            Ok(n) => dec.feed(&scratch[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}

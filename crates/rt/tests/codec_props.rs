@@ -10,8 +10,10 @@ use proptest::strategy::Union;
 use radd_parity::Uid;
 use radd_protocol::wire::{Msg, NackReason, SpareContent, SpareSlotWire};
 use radd_rt::frame::{
-    write_frame, CtlRep, CtlReq, Frame, FrameDecoder, FrameError, FRAME_HEADER, MAX_FRAME,
+    checksum, write_frame, CtlRep, CtlReq, Frame, FrameDecoder, FrameError, FRAME_HEADER,
+    MAX_FRAME, READ_STEP,
 };
+use std::io::Read;
 
 // ---------------------------------------------------------------------
 // strategies: every message and frame kind
@@ -270,6 +272,148 @@ fn decode_split(wire: &[u8], cuts: &[usize]) -> Result<Vec<Frame>, FrameError> {
     Ok(got)
 }
 
+/// A socket that hands over `wire` in the chunk sizes of `cuts` (cycled),
+/// however much room the reader offers.
+struct Trickle<'a> {
+    wire: &'a [u8],
+    cuts: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let cut = self.cuts.next().copied().unwrap_or(1).max(1);
+        let n = cut.min(buf.len()).min(self.wire.len());
+        let (chunk, rest) = self.wire.split_at(n);
+        buf[..n].copy_from_slice(chunk);
+        self.wire = rest;
+        Ok(n)
+    }
+}
+
+/// [`decode_split`] through `read_from`: the decoder reads the trickling
+/// socket into its own buffer until the socket is dry.
+fn decode_read(wire: &[u8], cuts: &[usize]) -> Result<Vec<Frame>, FrameError> {
+    let mut socket = Trickle {
+        wire,
+        cuts: cuts.iter().cycle(),
+    };
+    let mut dec = FrameDecoder::new();
+    let mut got = Vec::new();
+    loop {
+        while let Some(f) = dec.next_frame()? {
+            got.push(f);
+        }
+        if dec.read_from(&mut socket).expect("Trickle never errors") == 0 {
+            return Ok(got);
+        }
+    }
+}
+
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut rng = proptest::TestRng::new(seed);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+// ---------------------------------------------------------------------
+// the checksum: what it must tell apart
+// ---------------------------------------------------------------------
+
+/// Every length from nothing to three strides: no stride, whole strides,
+/// one to three tail words, one to seven tail bytes, and every mix.
+#[test]
+fn checksum_tells_short_payloads_from_every_near_neighbour() {
+    for len in 0..=96usize {
+        let data = noise(len, len as u64);
+        let base = checksum(&data);
+        for bit in 0..len * 8 {
+            let mut flipped = data.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&flipped), base, "length {len}, bit {bit}");
+        }
+        for keep in 0..len {
+            assert_ne!(checksum(&data[..keep]), base, "{len} cut to {keep}");
+        }
+        let mut padded = data.clone();
+        for extra in 1..=40 {
+            padded.push(0);
+            assert_ne!(checksum(&padded), base, "{len} plus {extra} zeros");
+        }
+    }
+    // All-zero payloads are each other's truncations and zero-extensions.
+    let zeros: Vec<u64> = (0..=96).map(|len| checksum(&vec![0u8; len])).collect();
+    let distinct: std::collections::BTreeSet<u64> = zeros.iter().copied().collect();
+    assert_eq!(distinct.len(), zeros.len());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn checksum_sees_any_bit_flip_truncation_or_zero_extension(
+        len in 1usize..128 * 1024,
+        seed in any::<u64>(),
+        at in any::<usize>(),
+        extra in 1usize..100,
+    ) {
+        let data = noise(len, seed);
+        let base = checksum(&data);
+        let mut flipped = data.clone();
+        flipped[at % len] ^= 1 << (at % 8);
+        prop_assert_ne!(checksum(&flipped), base, "bit flip at byte {}", at % len);
+        prop_assert_ne!(checksum(&data[..at % len]), base, "cut to {}", at % len);
+        let mut padded = data;
+        padded.resize(len + extra, 0);
+        prop_assert_ne!(checksum(&padded), base, "{} zeros appended", extra);
+    }
+
+    /// Word `i` of a stride feeds lane `i % 4`: a swap within one lane
+    /// reorders that lane's chain, a swap across lanes moves a word from
+    /// one chain to another, and either must show.
+    #[test]
+    fn checksum_sees_two_words_swapped_within_or_across_lanes(
+        words in 2usize..16 * 1024,
+        seed in any::<u64>(),
+        a in any::<usize>(),
+        b in any::<usize>(),
+        same_lane in any::<bool>(),
+    ) {
+        let mut data = noise(words * 8, seed);
+        let a = a % words;
+        let mut b = b % words;
+        if same_lane {
+            b = (b - b % 4 + a % 4) % words;
+        }
+        let (wa, wb) = (a * 8..a * 8 + 8, b * 8..b * 8 + 8);
+        prop_assume!(data[wa.clone()] != data[wb.clone()]);
+        let base = checksum(&data);
+        let word_a = data[wa.clone()].to_vec();
+        data.copy_within(wb.clone(), wa.start);
+        data[wb].copy_from_slice(&word_a);
+        prop_assert_ne!(checksum(&data), base, "words {} and {} swapped", a, b);
+    }
+}
+
+/// A header that claims [`MAX_FRAME`] and then silence: the decoder may
+/// offer the socket one step of room, never the claimed 16 MiB.
+#[test]
+fn a_max_frame_header_then_silence_allocates_one_step() {
+    let mut head = Vec::with_capacity(FRAME_HEADER);
+    head.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+    head.extend_from_slice(&0u64.to_le_bytes());
+    let mut dec = FrameDecoder::new();
+    let mut socket = &head[..];
+    assert_eq!(dec.read_from(&mut socket).expect("header"), FRAME_HEADER);
+    for _ in 0..4 {
+        assert_eq!(dec.next_payload(), Ok(None));
+        assert_eq!(dec.read_from(&mut socket).expect("silence"), 0);
+        assert!(
+            dec.capacity() <= READ_STEP + FRAME_HEADER,
+            "capacity {} after a {MAX_FRAME}-byte claim",
+            dec.capacity()
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // roundtrip under arbitrary read splits, hardening against malformation
 // ---------------------------------------------------------------------
@@ -291,6 +435,28 @@ proptest! {
         // decodes to the identical sequence.
         let coalesced = decode_split(&wire, &[wire.len()]).expect("valid stream");
         prop_assert_eq!(&coalesced, &frames, "coalesced decode diverged");
+    }
+
+    /// The same through `read_from`, the call a reader thread makes: a
+    /// socket that returns random chunk sizes yields the frames `feed` does.
+    /// Blocks up to 8 KiB put frames on both sides of the copy-out
+    /// threshold and past the room a read is offered between frames.
+    #[test]
+    fn frames_roundtrip_through_read_from_under_any_chunking(
+        frames in proptest::collection::vec(arb_frame(), 1..6),
+        blocks in proptest::collection::vec(arb_bytes(8 * 1024), 0..3),
+        cuts in proptest::collection::vec(1usize..12_000, 1..8),
+    ) {
+        let mut frames = frames;
+        for (i, data) in blocks.into_iter().enumerate() {
+            let at = i.min(frames.len());
+            frames.insert(at, Frame::Proto(Msg::ReadOk { tag: i as u64, data }));
+        }
+        let wire = to_wire(&frames);
+        let read = decode_read(&wire, &cuts).expect("valid stream");
+        prop_assert_eq!(&read, &frames, "read_from decode diverged");
+        let fed = decode_split(&wire, &cuts).expect("valid stream");
+        prop_assert_eq!(&fed, &read, "feed and read_from disagree");
     }
 
     /// A truncated stream never errors and never fabricates the missing

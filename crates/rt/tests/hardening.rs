@@ -11,7 +11,7 @@
 use radd_protocol::CoalescePolicy;
 use radd_rt::server::run_site;
 use radd_rt::{Control, SiteConfig, SocketClient, SocketEndpoint};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
@@ -127,6 +127,47 @@ fn an_oversized_length_prefix_only_costs_that_connection() {
         client.read(0, 2).expect("read still served"),
         vec![0xEE; BLOCK]
     );
+    drop(client);
+    shutdown(&control, handles);
+}
+
+#[test]
+fn a_frame_with_the_serial_checksum_is_refused_and_the_site_serves_on() {
+    use std::hash::Hasher;
+    let (addrs, control, handles) = spawn_sites();
+
+    // A peer connected before the stranger arrives, and served.
+    let site_0 = addrs[0];
+    let ep = SocketEndpoint::client(0, EP_BASE, addrs);
+    let mut client = SocketClient::new(ep, G, ROWS, BLOCK);
+    client.write(0, 1, &[0x11; BLOCK]).expect("write served");
+
+    // A binary from before the laned checksum says Hello: a well-formed
+    // payload under the one-lane `FxHash64` the frame check used to be.
+    let mut payload = vec![0u8];
+    payload.extend_from_slice(&7u64.to_le_bytes());
+    let mut serial = radd_protocol::fasthash::FxHasher::default();
+    serial.write(&payload);
+    let mut old = TcpStream::connect(site_0).expect("dial site 0");
+    old.write_all(&(payload.len() as u32).to_le_bytes())
+        .expect("length");
+    old.write_all(&serial.finish().to_le_bytes())
+        .expect("check");
+    old.write_all(&payload).expect("payload");
+
+    // Refused: the site closes that connection (and says why on stderr).
+    old.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    assert_eq!(
+        old.read(&mut [0u8; 16]).expect("a close, not a timeout"),
+        0,
+        "the site answered a frame it should have refused"
+    );
+
+    // The peer that was there is served as before.
+    assert_eq!(client.read(0, 1).expect("still served"), vec![0x11; BLOCK]);
+    client.write(0, 2, &[0x22; BLOCK]).expect("write served");
+    assert_eq!(client.read(0, 2).expect("read served"), vec![0x22; BLOCK]);
     drop(client);
     shutdown(&control, handles);
 }

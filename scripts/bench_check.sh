@@ -41,6 +41,17 @@
 # written in place, so a commit's fdatasync carries no filesystem journal
 # commit, and an append creeping back in doubles it.
 #
+# A sixth gate covers the per-byte kernels of a socket hop and of a WAL
+# commit (PR 20): in one run of the frame_path bench the laned frame
+# checksum must beat the one-lane chain it replaced 2.5x at 64 KiB and
+# the slicing-by-8 CRC-32 must beat the byte-at-a-time table 3x at 4 KiB.
+# The floors are fixed: both comparands live in the bench only and both
+# sides run on the same machine seconds apart, so the ratios survive slow
+# CI machines and there is nothing to tune. The same run's
+# write_frame_64k and decode_64k must stay within BENCH_TOLERANCE of
+# results/BENCH_pr20.json: a payload-sized copy or a second buffer creeping
+# back into the frame path shows there.
+#
 # Usage:
 #   scripts/bench_check.sh                # tolerance 2.0, obs ratio 1.05
 #   BENCH_TOLERANCE=4.0 scripts/bench_check.sh
@@ -192,4 +203,37 @@ else
     echo "FAIL  wal commit ns: $got ns/iter exceeds recorded $base x $TOLERANCE" >&2
     fail=1
 fi
+
+FP_BASELINE=results/BENCH_pr20.json
+echo "== bench_check: frame path kernels (same-run ratios, then vs $FP_BASELINE at tolerance x$TOLERANCE)"
+FP_OUT="$(cargo bench -p radd-bench --bench frame_path 2>&1 | grep '^bench ' || true)"
+echo "$FP_OUT"
+fp_row() { echo "$FP_OUT" | awk -v n="frame_path/$1" '$2 == n { print $3 }'; }
+for spec in "checksum_serial_64k checksum_64k 2.5" "crc32_bytewise_4k crc32_4k 3.0"; do
+    set -- $spec
+    old="$(fp_row "$1")"
+    new="$(fp_row "$2")"
+    if [ -z "$old" ] || [ -z "$new" ]; then
+        echo "FAIL  $2: bench row missing ($1='$old' $2='$new')" >&2
+        fail=1
+    elif awk -v o="$old" -v n="$new" -v t="$3" 'BEGIN { exit !(o >= n * t) }'; then
+        echo "ok    $2: $new ns/iter, $(awk -v o="$old" -v n="$new" 'BEGIN { printf "%.1f", o / n }')x faster than $1 ($old; min ${3}x)"
+    else
+        echo "FAIL  $2: $new ns/iter is under ${3}x faster than $1 ($old)" >&2
+        fail=1
+    fi
+done
+for name in write_frame_64k decode_64k; do
+    base="$(python3 -c "import json; print(json.load(open('$FP_BASELINE'))['headline']['${name}_ns'])" 2>/dev/null || true)"
+    got="$(fp_row "$name")"
+    if [ -z "$base" ] || [ -z "$got" ]; then
+        echo "FAIL  $name: value missing (recorded='$base' live='$got')" >&2
+        fail=1
+    elif awk -v m="$got" -v b="$base" -v t="$TOLERANCE" 'BEGIN { exit !(m <= b * t) }'; then
+        echo "ok    $name: $got ns/iter (recorded $base, limit $(awk -v b="$base" -v t="$TOLERANCE" 'BEGIN { printf "%d", b * t }'))"
+    else
+        echo "FAIL  $name: $got ns/iter exceeds recorded $base x $TOLERANCE" >&2
+        fail=1
+    fi
+done
 exit "$fail"
