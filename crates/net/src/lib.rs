@@ -16,10 +16,10 @@
 //!   message-loss injection and partitions. Retransmission over it is the
 //!   protocol machines' own stop-and-wait (`SiteMachine::all_acked` is the
 //!   quiescence test), scheduled by [`retry::RetryPolicy`].
-//! * [`transport`] — the [`Transport`] trait: what the one async
-//!   interpreter (site loop, client ladder, cluster harness, fault driver)
-//!   asks of a network. The threaded and the socket runtime each implement
-//!   it for their endpoint type.
+//! * [`transport`] — [`Outbound`] and [`Transport`]: what the one async
+//!   interpreter (site driver, client ladder, cluster harness, fault
+//!   driver) asks of a network. The threaded and the socket runtime each
+//!   implement them for their endpoint type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,4 +34,4 @@ pub use partition::{PartitionMap, PartitionVerdict};
 pub use retry::RetryPolicy;
 pub use stats::NetStats;
 pub use threaded::{ThreadedEndpoint, ThreadedNet, Wire};
-pub use transport::{Received, SendOutcome, Transport};
+pub use transport::{Outbound, Received, SendOutcome, Transport};

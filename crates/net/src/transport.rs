@@ -1,10 +1,17 @@
-//! What the async interpreter asks of a network: the [`Transport`] trait.
+//! What the async interpreter asks of a network: [`Outbound`] to send,
+//! [`Transport`] to send and wait for an answer.
 //!
-//! The site event loop, the client attempt ladder, the cluster harness and
-//! the fault driver are written once against this trait; the threaded
+//! The site driver, the client attempt ladder, the cluster harness and
+//! the fault driver are written once against these traits; the threaded
 //! runtime (crossbeam channels) and the socket runtime (framed TCP) each
-//! supply an endpoint type that implements it. Addresses are endpoint ids:
-//! clients occupy `0..ep_base`, site `j` is endpoint `ep_base + j`.
+//! supply an endpoint type that implements them. Addresses are endpoint
+//! ids: clients occupy `0..ep_base`, site `j` is endpoint `ep_base + j`.
+//!
+//! A site only ever *sends* through its endpoint ([`Outbound`]): how a
+//! message reaches `SiteDriver::deliver` is each runtime's business (the
+//! threaded runtime pulls its channel, the socket runtime's connection
+//! reader threads call it themselves). A client sends and then waits for
+//! one peer's reply ([`Transport::recv_from`]).
 //!
 //! What an implementation promises:
 //!
@@ -35,40 +42,44 @@ pub enum SendOutcome {
     Closed,
 }
 
-/// One item from an endpoint's inbox.
+/// One protocol message as it arrives at an endpoint.
 #[derive(Debug)]
-pub enum Received<O> {
-    /// A protocol message from endpoint `src`.
-    Msg {
-        /// Sender's endpoint id.
-        src: usize,
-        /// The message.
-        msg: Msg,
-    },
-    /// Something the transport delivers besides protocol traffic
-    /// ([`Transport::Oob`]).
-    Oob(O),
+pub struct Received {
+    /// Sender's endpoint id.
+    pub src: usize,
+    /// The message.
+    pub msg: Msg,
 }
 
-/// One endpoint of a network that carries [`Msg`]s. See the module docs
-/// for the delivery contract.
-pub trait Transport {
-    /// Out-of-band items this transport's inbox can also yield: the socket
-    /// runtime's wire control requests, handed by the site loop to a
-    /// per-runtime hook. A transport with none uses
-    /// [`std::convert::Infallible`].
-    type Oob;
-
+/// The sending half of an endpoint: all a site needs to release a
+/// message's effects. Split from [`Transport`] because whoever *delivers*
+/// to a site already holds the message (the socket runtime's reader
+/// thread, the threaded runtime's pull loop), so
+/// `SiteDriver::deliver` and the timer wheel never receive.
+pub trait Outbound {
     /// This endpoint's id.
     fn id(&self) -> usize;
 
     /// Endpoint id of site 0 (clients occupy the ids below it).
     fn ep_base(&self) -> usize;
 
-    /// Send `msg` to endpoint `dst`. Never blocks on the receiver.
+    /// Send `msg` to endpoint `dst`. Never blocks on the receiver's
+    /// *application* (it may block briefly on its socket buffer; the socket
+    /// runtime bounds that with a write timeout and calls the rest loss).
     fn send(&self, dst: usize, msg: &Msg) -> SendOutcome;
+}
 
-    /// The next inbound item, waiting up to `timeout`; `None` when nothing
+/// One endpoint of a network that carries [`Msg`]s, as the client ladder
+/// uses it: send a request, then wait for what `peer` sends back. See the
+/// module docs for the delivery contract.
+pub trait Transport: Outbound {
+    /// The next message, waiting up to `timeout`; `None` when nothing
     /// arrived (or nothing can: the endpoint is cut off or shut down).
-    fn recv_timeout(&self, timeout: Duration) -> Option<Received<Self::Oob>>;
+    /// `peer` is the endpoint the caller is waiting on. A transport with
+    /// one inbox for all peers (the channel network) ignores it and hands
+    /// over the next message from anyone; one that reads each connection
+    /// where it is awaited (a socket client) reads only `peer`'s, and
+    /// leaves what others sent where it is until they are named. Either
+    /// way the caller must be ready for a message it did not ask for.
+    fn recv_from(&self, peer: usize, timeout: Duration) -> Option<Received>;
 }

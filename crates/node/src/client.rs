@@ -7,7 +7,10 @@
 //! [`radd_protocol::ClientMachine`]. This module supplies its
 //! [`ClientIo`]: requests are retried with a growing per-attempt timeout
 //! ([`RetryPolicy::CLIENT_ATTEMPT`]) before the client gives up, so lost
-//! messages delay operations instead of failing them. Every request the
+//! messages delay operations instead of failing them. Each wait names the
+//! site whose reply it wants ([`Transport::recv_from`]), so a transport
+//! that reads per connection can do so on the calling thread; whatever
+//! else arrives meanwhile is stashed by tag. Every request the
 //! client can resend is idempotent on the receiving site: reads and probes
 //! trivially, `SpareInstall` and `RestoreBlock` by overwriting with
 //! identical contents, `ParityUpdate` by the parity site's UID comparison,
@@ -30,7 +33,7 @@
 //! recorded in a per-client [`radd_obs::MachineObs`]; see
 //! [`Client::obs_snapshot`].
 
-use radd_net::{Received, RetryPolicy, SendOutcome, Transport};
+use radd_net::{RetryPolicy, SendOutcome, Transport};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_parity::xor_in_place;
 use radd_protocol::obs::ObsEvent;
@@ -185,26 +188,29 @@ impl<T: Transport> NetIo<T> {
         out
     }
 
-    /// Wait for the reply carrying `tag`. Replies to *other* outstanding
-    /// requests are stashed for their own `wait` calls; only a reply whose
+    /// Wait for `site`'s reply carrying `tag`. The transport is told which
+    /// site is awaited ([`Transport::recv_from`]): a socket client reads
+    /// that site's connection on this thread and leaves other sites'
+    /// replies unread until their own `wait`, which is the order a batch
+    /// collects in anyway. Replies to *other* outstanding requests that do
+    /// turn up are stashed for their own `wait` calls; only a reply whose
     /// tag was never issued is truly stale.
-    fn wait(&mut self, tag: u64, timeout: Duration) -> Option<Msg> {
+    fn wait(&mut self, site: usize, tag: u64, timeout: Duration) -> Option<Msg> {
         if let Some(m) = self.take_stashed(tag) {
             return Some(m);
         }
+        let peer = self.ep.ep_base() + site;
         let deadline = Instant::now() + timeout;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return None;
             }
-            match self.ep.recv_timeout(left)? {
-                Received::Msg { msg, .. } if msg.tag() == tag => return Some(msg),
-                Received::Msg { msg, .. } => self.stash(msg),
-                // Clients never listen, so an out-of-band item can only be
-                // a stray — drop it rather than letting it eat the window.
-                Received::Oob(_) => {}
+            let msg = self.ep.recv_from(peer, left)?.msg;
+            if msg.tag() == tag {
+                return Some(msg);
             }
+            self.stash(msg);
         }
     }
 
@@ -218,7 +224,7 @@ impl<T: Transport> NetIo<T> {
             if self.send_attempt(site, msg, k > 0) == SendOutcome::Closed {
                 return self.take_stashed(tag);
             }
-            if let Some(reply) = self.wait(tag, self.policy.delay(k)) {
+            if let Some(reply) = self.wait(site, tag, self.policy.delay(k)) {
                 return Some(reply);
             }
         }
@@ -285,7 +291,7 @@ impl<T: Transport> ClientIo for NetIo<T> {
                         dead.insert(site);
                         return self.take_stashed(tag).ok_or(ClientErr::Timeout { site });
                     }
-                    if let Some(reply) = self.wait(tag, self.policy.delay(k)) {
+                    if let Some(reply) = self.wait(site, tag, self.policy.delay(k)) {
                         // The site is alive: refill its budget so the rest
                         // of the batch gets full ladders too.
                         used.insert(site, 0);
@@ -488,8 +494,8 @@ impl<T: Transport> Client<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radd_net::{Outbound, Received};
     use std::cell::RefCell;
-    use std::convert::Infallible;
 
     #[test]
     fn client_uid_namespaces_are_distinct_and_disjoint_from_sites() {
@@ -523,7 +529,7 @@ mod tests {
 
     /// The test transport: endpoint 0 of a one-client network whose sites
     /// are a script. Every send runs the script, which sees the request
-    /// and may queue replies; `recv_timeout` hands queued replies over in
+    /// and may queue replies; `recv_from` hands queued replies over in
     /// order and otherwise sleeps the window out, as a silent network
     /// would. Single-threaded, so what the ladder sees is exactly what the
     /// script decided.
@@ -532,8 +538,7 @@ mod tests {
         inbox: RefCell<VecDeque<Msg>>,
     }
 
-    impl<F: FnMut(&Msg, &mut VecDeque<Msg>) -> SendOutcome> Transport for Scripted<F> {
-        type Oob = Infallible;
+    impl<F: FnMut(&Msg, &mut VecDeque<Msg>) -> SendOutcome> Outbound for Scripted<F> {
         fn id(&self) -> usize {
             0
         }
@@ -543,12 +548,15 @@ mod tests {
         fn send(&self, _dst: usize, msg: &Msg) -> SendOutcome {
             (self.script.borrow_mut())(msg, &mut self.inbox.borrow_mut())
         }
-        fn recv_timeout(&self, timeout: Duration) -> Option<Received<Infallible>> {
+    }
+
+    impl<F: FnMut(&Msg, &mut VecDeque<Msg>) -> SendOutcome> Transport for Scripted<F> {
+        fn recv_from(&self, peer: usize, timeout: Duration) -> Option<Received> {
             let next = self.inbox.borrow_mut().pop_front();
             if next.is_none() {
                 std::thread::sleep(timeout);
             }
-            next.map(|msg| Received::Msg { src: 1, msg })
+            next.map(|msg| Received { src: peer, msg })
         }
     }
 

@@ -40,7 +40,7 @@ pub trait ClusterNet: Sized {
     /// client endpoints, then the site endpoints.
     fn wire(clients: usize, sites: usize) -> (Self, Vec<Self::Ep>, Vec<Self::Ep>);
 
-    /// Run one site's event loop on `ep` until shutdown.
+    /// Run one site on `ep` until shutdown.
     fn run_site(cfg: SiteConfig, ep: &Self::Ep, control: &Receiver<Control>);
 
     /// Start dropping roughly `permille`/1000 of protocol messages,
@@ -325,8 +325,8 @@ impl<N: ClusterNet> Cluster<N> {
     /// histograms hold wall-clock nanoseconds (the DES records logical
     /// ledger microseconds instead; see `radd-obs`'s crate docs).
     ///
-    /// Snapshots are served from the sites' control drains, so a site
-    /// marked down still answers — its flight recorder is usually the one
+    /// Control is served whatever a site's state, so a site marked down
+    /// still answers — its flight recorder is usually the one
     /// worth reading.
     pub fn obs_snapshot(&mut self) -> radd_obs::ObsSnapshot {
         let mut machines = vec![self.client.obs_snapshot()];

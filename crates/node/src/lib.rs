@@ -7,14 +7,15 @@
 //! shared state between sites.
 //!
 //! Everything that interprets the sans-IO machines over a real network is
-//! written once here, against [`radd_net::Transport`]: the [`site`] event
-//! loop, the [`client`] attempt ladder, the [`harness`] that runs a
+//! written once here, against [`radd_net::Transport`]: the [`site`]
+//! driver, the [`client`] attempt ladder, the [`harness`] that runs a
 //! cluster of both in one process, and the fault-plan [`driver`]. The
 //! socket runtime (`radd-rt`) compiles the same four source files over
 //! its TCP endpoint (DESIGN.md §12; §5 says why by `#[path]` and not by a
 //! dependency edge). What this crate adds for the threaded runtime is
 //! small: [`ThreadedTransport`] (a [`radd_net::ThreadedEndpoint`] that
-//! knows its `ep_base`), the [`ClusterNet`](harness::ClusterNet) wiring
+//! knows its `ep_base`), [`run_site`] (the pull loop that feeds a site's
+//! channel to its driver), the [`ClusterNet`](harness::ClusterNet) wiring
 //! for [`ThreadedNet`], modelled wire time
 //! ([`NodeCluster::set_link_latency`], [`NodeCluster::set_site_wire`]),
 //! and what only a [`sharded`] cluster of this runtime can do. (The
@@ -28,8 +29,8 @@
 //! * Write path: the owning site performs W1 locally, ships the W3 change
 //!   mask to the parity site, and acknowledges the client only after the
 //!   parity site's ack — precisely the "done = prepared" discipline of §6.
-//!   Site event loops never block on each other (acks are matched through
-//!   a pending table), so the protocol is deadlock-free by construction.
+//!   Sites never wait for each other (acks are matched through a pending
+//!   table), so the protocol is deadlock-free by construction.
 //! * Degraded operation is client-driven, as in the paper: on a down
 //!   site, [`NodeClient`] probes the spare site, reconstructs from the `G`
 //!   survivors with §3.3 UID validation, installs the result into the
@@ -71,9 +72,8 @@ pub use radd_protocol::{Msg, PoolRebuildReport};
 pub use sharded::{ShardedNodeCluster, ShardedNodeExt};
 
 use radd_net::threaded::NetError;
-use radd_net::{Received, SendOutcome, ThreadedEndpoint, ThreadedNet, Transport};
-use std::convert::Infallible;
-use std::sync::mpsc::Receiver;
+use radd_net::{Outbound, Received, SendOutcome, ThreadedEndpoint, ThreadedNet, Transport};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::Duration;
 
 /// A [`ThreadedEndpoint`] plus the one thing [`Transport`] asks that a
@@ -83,9 +83,7 @@ pub struct ThreadedTransport {
     ep_base: usize,
 }
 
-impl Transport for ThreadedTransport {
-    type Oob = Infallible;
-
+impl Outbound for ThreadedTransport {
     fn id(&self) -> usize {
         self.ep.id()
     }
@@ -102,13 +100,47 @@ impl Transport for ThreadedTransport {
             Err(NetError::Disconnected | NetError::NoSuchSite(_)) => SendOutcome::Closed,
         }
     }
+}
 
-    fn recv_timeout(&self, timeout: Duration) -> Option<Received<Infallible>> {
+impl Transport for ThreadedTransport {
+    /// One channel holds what every peer sent: `peer` is not consulted.
+    fn recv_from(&self, _peer: usize, timeout: Duration) -> Option<Received> {
         let m = self.ep.recv_timeout(timeout).ok()?;
-        Some(Received::Msg {
+        Some(Received {
             src: m.src,
             msg: m.payload,
         })
+    }
+}
+
+/// Run one site on `ep` until shutdown (by [`site::Control::Shutdown`] or
+/// the control channel disconnecting): the threaded runtime's pull loop
+/// over [`site::SiteDriver`]'s three entry points. Each turn drains the
+/// control backlog, fires due retransmit timers, and delivers at most one
+/// message from the channel, waiting up to 20 ms for it. A channel send
+/// already wakes this thread directly, so there is no hand-off to remove
+/// here (the socket runtime, whose reader threads call `deliver`
+/// themselves, is `radd_rt::server::run_site`).
+pub fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receiver<site::Control>) {
+    // Start-up has no earlier state to fall back on: fail loudly.
+    let site = cfg.site;
+    let mut st = site::SiteDriver::open(cfg).unwrap_or_else(|e| panic!("site {site}: {e}"));
+    loop {
+        loop {
+            match control.try_recv() {
+                Ok(cmd) => {
+                    if st.serve(cmd) {
+                        return;
+                    }
+                }
+                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => break,
+            }
+        }
+        st.fire_due_timers(ep);
+        if let Ok(m) = ep.ep.recv_timeout(Duration::from_millis(20)) {
+            st.deliver(ep, m.src, m.payload);
+        }
     }
 }
 
@@ -136,7 +168,7 @@ impl harness::ClusterNet for ThreadedNet<Msg> {
     }
 
     fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receiver<site::Control>) {
-        site::run_site(cfg, ep, control);
+        run_site(cfg, ep, control);
     }
 
     fn set_loss(&self, permille: u16, seed: u64) {

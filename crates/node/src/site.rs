@@ -1,28 +1,34 @@
-//! The per-site server thread: a [`SiteMachine`] driven by a real event
-//! loop over any [`Transport`]. One source file, compiled into both async
-//! runtimes (DESIGN.md §12).
+//! One site's interpreter state: a [`SiteMachine`], its store and its timer
+//! wheel as a passive object, [`SiteDriver`], that a runtime calls into.
+//! One source file, compiled into both async runtimes (DESIGN.md §12).
 //!
 //! All protocol logic — W1–W4 deferred acks, the parity UID idempotence
 //! guard, stop-and-wait per-row retransmission, spare slots, the
 //! at-most-once reply cache — lives in [`radd_protocol::SiteMachine`]. This
-//! module owns only what the sans-IO machine cannot: the endpoint, the
-//! wall clock, and the control channel. Each loop iteration
+//! module owns only what the sans-IO machine cannot: the store, the wall
+//! clock and the interpretation of effects. It has three entry points and
+//! no thread of its own:
 //!
-//! 1. drains harness control commands,
-//! 2. fires due retransmit timers into [`SiteMachine::on_timer`],
-//! 3. feeds one inbound message into [`SiteMachine::handle`],
+//! 1. [`SiteDriver::deliver`] feeds one inbound message into
+//!    [`SiteMachine::handle`], commits, and only then releases the effects;
+//! 2. [`SiteDriver::fire_due_timers`] feeds due retransmit timers into
+//!    [`SiteMachine::on_timer`];
+//! 3. [`SiteDriver::serve`] answers one harness [`Control`] command.
 //!
-//! and interprets the resulting effects: `Send` → endpoint send, `SetTimer`
-//! → an exponential-backoff deadline in the local timer wheel, `ClearTimer`
-//! → disarm. Block I/O receipts need no interpretation here (the machine
+//! Effects are interpreted against the endpoint's sending half
+//! ([`Outbound`]): `Send` → endpoint send, `SetTimer` → an
+//! exponential-backoff deadline in the local timer wheel, `ClearTimer` →
+//! disarm. Block I/O receipts need no interpretation here (the machine
 //! already performed the I/O against its [`radd_storage::SiteStore`] —
 //! in-memory by default, or a durable WAL-backed store).
 //!
-//! Whatever else the transport's inbox yields ([`Transport::Oob`]: the
-//! socket runtime's wire control requests) goes to the hook passed to
-//! [`run_site_with`]. Both the control channel and the hook are served
-//! while the site is marked down — a down site is deaf to the protocol,
-//! not to its operator.
+//! Who calls the three is the runtime's choice (DESIGN.md §12, "Thread
+//! model"): the threaded runtime's site thread pulls its channel and calls
+//! them in turn (`radd_node::run_site`); the socket runtime puts the
+//! driver behind one mutex and each connection's reader thread calls
+//! `deliver` itself (`radd_rt::server::run_site`). Either way the calls
+//! are serialised, and control is served while the site is marked down — a
+//! down site is deaf to the protocol, not to its operator.
 //!
 //! Fault harnesses must quiesce a site (wait for its pending table to
 //! drain, via [`Control::QueryPending`]) before killing it: a temporary
@@ -30,16 +36,15 @@
 //! parity divergent, which is the §6 in-doubt-transaction problem the
 //! paper resolves with coordinator logs that these runtimes do not model.
 
-use radd_net::{Received, RetryPolicy, Transport};
+use radd_net::{Outbound, RetryPolicy};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::{
     trace, CoalescePolicy, Dest, DurableSiteState, Effect, IoPurpose, Msg, SiteMachine, TraceEntry,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
-use std::convert::Infallible;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::Sender;
+use std::time::Instant;
 
 /// Retransmission schedule for unacked parity updates.
 const RETRANSMIT: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
@@ -66,8 +71,9 @@ pub enum Control {
     /// Hand over the recorded trace, clearing the buffer.
     TakeTrace(Sender<Vec<TraceEntry>>),
     /// Freeze and hand over the site's metrics + flight-recorder snapshot.
-    /// Served from the control drain, so it works even while the site is
-    /// marked down — exactly when the flight recorder is most interesting.
+    /// Control is served whatever the site's state, so it works even while
+    /// the site is marked down — exactly when the flight recorder is most
+    /// interesting.
     QueryObs(Sender<MachineSnapshot>),
     /// Process crash + restart: drop the machine, the store, and every
     /// timer, then re-open from the site's durable storage. Replies `true`
@@ -77,7 +83,7 @@ pub enum Control {
     /// does a site whose re-open fails: it stays down, and a later
     /// `KillRestart` with the fault gone brings it back.
     KillRestart(Sender<bool>),
-    /// Stop the thread.
+    /// Stop the site.
     Shutdown,
 }
 
@@ -107,8 +113,9 @@ pub struct SiteConfig {
     pub storage: StorageSpec,
 }
 
-/// One site's interpreter state. Public so a runtime's out-of-band hook
-/// ([`run_site_with`]) can answer operator queries from it.
+/// One site's interpreter state. See the module docs for the three entry
+/// points; every call needs `&mut self`, so a runtime that calls from more
+/// than one thread serialises them behind a lock of its own.
 pub struct SiteDriver {
     cfg: SiteConfig,
     machine: SiteMachine,
@@ -128,6 +135,24 @@ pub struct SiteDriver {
 }
 
 impl SiteDriver {
+    /// Open the site's store and build its machine from what is durable
+    /// there (a fresh or memory-backed store starts from geometry). The
+    /// site starts up, with no timer armed.
+    pub fn open(cfg: SiteConfig) -> Result<SiteDriver, String> {
+        let mut obs = MachineObs::new();
+        let (store, machine, committed) = open_store(&cfg, &mut obs)?;
+        Ok(SiteDriver {
+            cfg,
+            machine,
+            store,
+            committed,
+            down: false,
+            timers: BTreeMap::new(),
+            trace: None,
+            obs,
+        })
+    }
+
     /// Whether the site is marked down (deaf to protocol traffic).
     pub fn is_down(&self) -> bool {
         self.down
@@ -152,7 +177,13 @@ impl SiteDriver {
         self.obs.snapshot(&format!("site {}", self.cfg.site))
     }
 
-    fn interpret<T: Transport>(&mut self, ep: &T, out: Vec<Effect>) {
+    /// A message reached the site while another was being handled (the
+    /// socket runtime: its reader thread found the site lock taken).
+    pub fn busy_arrival(&mut self) {
+        self.obs.metrics().site_busy_arrival();
+    }
+
+    fn interpret<T: Outbound>(&mut self, ep: &T, out: Vec<Effect>) {
         let now = Instant::now();
         for eff in out {
             if let Some(buf) = &mut self.trace {
@@ -232,8 +263,14 @@ impl SiteDriver {
     }
 
     /// Handle one protocol message: stage its effects, commit, and only
-    /// then release them; a failed commit releases nothing.
-    fn deliver<T: Transport>(&mut self, ep: &T, src: usize, msg: Msg) {
+    /// then release them through `ep`; a failed commit releases nothing.
+    /// A down site answers nothing, and its own pending acks never arrive
+    /// either — exactly a crashed process from the network's point of
+    /// view. (The message is swallowed, not queued.)
+    pub fn deliver<T: Outbound>(&mut self, ep: &T, src: usize, msg: Msg) {
+        if self.down {
+            return;
+        }
         let mut out = Vec::new();
         self.machine.handle(&mut self.store, src, msg, &mut out);
         if self.commit() {
@@ -245,8 +282,12 @@ impl SiteDriver {
     /// may itself be dropped by loss injection, refused during a partition
     /// or vanish into a dead connection; either way the timer re-arms with
     /// a doubled delay, so convergence only needs the loss probability to
-    /// be below certainty and partitions to eventually heal.
-    fn fire_due_timers<T: Transport>(&mut self, ep: &T) {
+    /// be below certainty and partitions to eventually heal. A down site
+    /// fires nothing (its timers keep their deadlines).
+    pub fn fire_due_timers<T: Outbound>(&mut self, ep: &T) {
+        if self.down {
+            return;
+        }
         let now = Instant::now();
         let due: Vec<u64> = self
             .timers
@@ -262,8 +303,14 @@ impl SiteDriver {
         }
     }
 
+    /// The earliest armed retransmit deadline: how long a runtime's timer
+    /// thread may sleep before the next [`SiteDriver::fire_due_timers`].
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.timers.values().min().copied()
+    }
+
     /// Serve one harness command. Returns `true` on [`Control::Shutdown`].
-    fn serve(&mut self, cmd: Control) -> bool {
+    pub fn serve(&mut self, cmd: Control) -> bool {
         match cmd {
             Control::SetDown(d, ack) => {
                 self.down = d;
@@ -356,72 +403,6 @@ fn open_store(
     Ok((store, machine, committed))
 }
 
-/// Run the site event loop until shutdown (by [`Control::Shutdown`], the
-/// control channel disconnecting, or `oob` returning `true`). `oob` is
-/// handed every out-of-band item the transport delivers.
-pub fn run_site_with<T: Transport>(
-    cfg: SiteConfig,
-    ep: &T,
-    control: &Receiver<Control>,
-    mut oob: impl FnMut(&mut SiteDriver, T::Oob) -> bool,
-) {
-    let mut obs = MachineObs::new();
-    // Start-up has no earlier state to fall back on: fail loudly.
-    let (store, machine, committed) =
-        open_store(&cfg, &mut obs).unwrap_or_else(|e| panic!("site {}: {e}", cfg.site));
-    let mut st = SiteDriver {
-        machine,
-        store,
-        committed,
-        down: false,
-        timers: BTreeMap::new(),
-        trace: None,
-        obs,
-        cfg,
-    };
-    loop {
-        // Drain the whole control backlog first (non-blocking), then serve
-        // protocol traffic.
-        loop {
-            match control.try_recv() {
-                Ok(cmd) => {
-                    if st.serve(cmd) {
-                        return;
-                    }
-                }
-                Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-        if !st.down {
-            st.fire_due_timers(ep);
-        }
-        match ep.recv_timeout(Duration::from_millis(20)) {
-            Some(Received::Oob(item)) => {
-                if oob(&mut st, item) {
-                    return;
-                }
-            }
-            // A down site answers nothing, and its own pending acks never
-            // arrive either — exactly a crashed process from the network's
-            // point of view. (We swallow the message rather than queueing.)
-            Some(Received::Msg { src, msg }) if !st.down => {
-                st.deliver(ep, src, msg);
-            }
-            Some(Received::Msg { .. }) | None => {}
-        }
-    }
-}
-
-/// [`run_site_with`] on a transport that delivers nothing out of band.
-pub fn run_site<T: Transport<Oob = Infallible>>(
-    cfg: SiteConfig,
-    ep: &T,
-    control: &Receiver<Control>,
-) {
-    run_site_with(cfg, ep, control, |_, never| match never {});
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,8 +413,7 @@ mod tests {
     /// An endpoint that counts what is sent through it.
     struct Sink(Cell<usize>);
 
-    impl Transport for Sink {
-        type Oob = Infallible;
+    impl Outbound for Sink {
         fn id(&self) -> usize {
             1
         }
@@ -443,9 +423,6 @@ mod tests {
         fn send(&self, _dst: usize, _msg: &Msg) -> SendOutcome {
             self.0.set(self.0.get() + 1);
             SendOutcome::Sent
-        }
-        fn recv_timeout(&self, _timeout: Duration) -> Option<Received<Infallible>> {
-            None
         }
     }
 
@@ -469,18 +446,7 @@ mod tests {
             coalesce: CoalescePolicy::Merge,
             storage: StorageSpec::Disk { dir: root.clone() },
         };
-        let mut obs = MachineObs::new();
-        let (store, machine, committed) = open_store(&cfg, &mut obs).expect("fresh store opens");
-        let mut st = SiteDriver {
-            machine,
-            store,
-            committed,
-            down: false,
-            timers: BTreeMap::new(),
-            trace: None,
-            obs,
-            cfg,
-        };
+        let mut st = SiteDriver::open(cfg).expect("fresh store opens");
         let SiteStore::Disk(disk) = &mut st.store else {
             panic!("a disk spec opens a disk store");
         };

@@ -93,6 +93,7 @@ pub struct MachineMetrics {
     send_failures: u64,
     stash_evictions: u64,
     commit_failures: u64,
+    site_busy_arrivals: u64,
     coalesced_merges: u64,
     recovery_runs: u64,
     recovery_drained_rows: u64,
@@ -147,6 +148,12 @@ impl MachineMetrics {
     /// The durable store failed a commit and the site went down.
     pub fn commit_failure(&mut self) {
         self.commit_failures += 1;
+    }
+
+    /// A message arrived while the site was handling another one: its
+    /// reader thread found the site lock taken and had to wait.
+    pub fn site_busy_arrival(&mut self) {
+        self.site_busy_arrivals += 1;
     }
 
     /// A recovery drain started.
@@ -244,6 +251,7 @@ impl MachineMetrics {
             send_failures: self.send_failures,
             stash_evictions: self.stash_evictions,
             commit_failures: self.commit_failures,
+            site_busy_arrivals: self.site_busy_arrivals,
             coalesced_merges: self.coalesced_merges,
             recovery_runs: self.recovery_runs,
             recovery_drained_rows: self.recovery_drained_rows,

@@ -90,6 +90,11 @@ pub struct MetricsSnapshot {
     pub stash_evictions: u64,
     /// Durable commits the store failed (each took the site down).
     pub commit_failures: u64,
+    /// Messages that found their site busy with another one (socket
+    /// runtime: the reader thread's `try_lock` on the site failed before
+    /// it blocked). Against total receives, the share of traffic a
+    /// cross-message group commit would have anything to batch.
+    pub site_busy_arrivals: u64,
     /// Writes absorbed by parity-update coalescing.
     pub coalesced_merges: u64,
     /// Recovery drains started.
@@ -234,6 +239,13 @@ impl ObsSnapshot {
                     out,
                     "           storage: commit_failures={}",
                     s.commit_failures
+                );
+            }
+            if s.site_busy_arrivals > 0 {
+                let _ = writeln!(
+                    out,
+                    "           queueing: site_busy_arrivals={}",
+                    s.site_busy_arrivals
                 );
             }
             if s.recovery_runs > 0 {

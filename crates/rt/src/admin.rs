@@ -1,9 +1,9 @@
 //! Wire control-plane client: what `radd-cli` speaks to a running
 //! `radd-server`.
 //!
-//! The site event loop answers [`CtlReq`] frames from its normal inbox —
-//! even while marked down (a down site is deaf to the protocol, not to
-//! its operator). This client dials a site's *real* address (control
+//! A site answers [`CtlReq`] frames on the reader thread of the connection
+//! they arrive on — even while marked down (a down site is deaf to the
+//! protocol, not to its operator). This client dials a site's *real* address (control
 //! traffic does not traverse fault proxies), issues one request at a
 //! time, and matches replies by request id.
 

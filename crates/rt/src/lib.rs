@@ -2,7 +2,7 @@
 //!
 //! `radd-core` drives [`radd_protocol::ClientMachine`] /
 //! [`radd_protocol::SiteMachine`] under a deterministic discrete-event
-//! simulator. The *async* interpreter — the site event loop, the client
+//! simulator. The *async* interpreter — the site driver, the client
 //! attempt ladder, the in-process cluster harness and the fault-plan
 //! driver — exists once, written against [`radd_net::Transport`], and runs
 //! over two transports: `radd-node`'s in-process channels, and this
@@ -25,10 +25,13 @@
 //!   `Hello` handshake and a small admin control protocol.
 //! * [`net`] — [`net::SocketEndpoint`], the [`radd_net::Transport`] impl:
 //!   connection management (dial on demand, Hello attribution, reconnect
-//!   with backoff), one reader thread per connection feeding a single
-//!   inbox. Wire control requests are its out-of-band items.
-//! * [`server`] — the hook that answers those requests
-//!   ([`frame::CtlReq`]), and `run_site` with it installed.
+//!   with backoff, write timeouts) and the run-to-completion thread model:
+//!   a client endpoint reads its own sockets on its caller's thread, a
+//!   site endpoint's per-connection reader threads call the site's
+//!   handler themselves.
+//! * [`server`] — that handler: `run_site` puts the site driver behind
+//!   one lock, answers wire control requests ([`frame::CtlReq`]) and keeps
+//!   the timer wheel.
 //! * [`proxy`] — [`proxy::FaultProxy`]: a frame-aware TCP relay that
 //!   drops, partitions and duplicates *protocol* frames under a shared
 //!   [`proxy::FaultState`], so fault plans run against real connections.

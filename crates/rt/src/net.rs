@@ -4,9 +4,35 @@
 //! (clients `0..ep_base`, site `j` at `ep_base + j`), an optional listener
 //! (sites listen; clients only dial), and a table of live connections keyed
 //! by peer endpoint id. It implements [`radd_net::Transport`], so the site
-//! event loop and the client attempt ladder that run over it are the same
-//! code the threaded runtime runs (and their normalised effect traces are
+//! driver and the client attempt ladder that run over it are the same code
+//! the threaded runtime runs (and their normalised effect traces are
 //! therefore identical).
+//!
+//! **Run to completion.** The thread that reads a frame off a socket is the
+//! thread that handles it; no frame is decoded by one thread and queued
+//! for another (DESIGN.md §12, "Thread model"). The two roles get there
+//! differently:
+//!
+//! * A **client** endpoint ([`SocketEndpoint::client`]) owns no thread and
+//!   no inbox. It keeps the read half and the [`FrameDecoder`] of every
+//!   connection it dialed, and [`Transport::recv_from`] reads the awaited
+//!   site's socket on the caller's own thread, with the rest of the
+//!   caller's window as the read timeout. What other sites sent stays in
+//!   their kernel buffers until they are the ones awaited. EOF or a
+//!   framing error forgets the connection (the next send redials), and a
+//!   site with no connection waits its window out, so a dead site paces
+//!   the client's ladder instead of collapsing it. One thread drives a
+//!   client endpoint: a receive holds the connection table while it
+//!   blocks.
+//! * A **site** endpoint ([`SocketEndpoint::site`]) has one reader thread
+//!   per connection, accepted or dialed, and that thread calls the site's
+//!   handler (`SocketEndpoint::attach`, called by `server::run_site`) with each
+//!   frame it decodes, under a read lock that the attach itself takes for
+//!   writing. Until a handler is attached, frames queue in an inbox
+//!   ([`SocketEndpoint::recv_timeout`]); attaching drains that inbox
+//!   through the handler *before* the handler is published, under the
+//!   lock every reader dispatches under, so no frame overtakes an earlier
+//!   frame of its own connection.
 //!
 //! Connection management:
 //!
@@ -18,32 +44,45 @@
 //!   absorb. A send to a *client* id with no live connection is dropped
 //!   outright: clients dial us, we never dial them, and the client's own
 //!   retransmission re-establishes the path.
-//! * **One reader thread per connection** feeds decoded frames into the
-//!   endpoint's single inbox channel, preserving TCP's per-connection
-//!   ordering; cross-connection interleaving is as arbitrary as it is
-//!   between the threaded runtime's channel senders.
-//! * **Reconnects replace** the send-side entry for a peer id; the old
-//!   connection's reader keeps draining until the stream dies, so no
-//!   buffered message is lost by the swap.
+//! * **A write that fails or times out is loss.** Every stream has
+//!   [`WRITE_TIMEOUT`]: a peer that stops reading cannot hold a writer
+//!   (which, at a site, holds the site lock) longer than that. The frame
+//!   may be torn, so the socket is shut down and the connection forgotten.
+//! * **Reconnects replace** the send-side entry for a peer id; a site's
+//!   reader of the old connection keeps draining until the stream dies, so
+//!   no buffered message is lost by the swap.
+//!
+//! Lock order, outermost first: the site lock (`server.rs`), the peer
+//! table, one connection's write half. A reader thread holds the handler
+//! read lock around all three; nothing takes them in another order.
 //!
 //! Everything here is transport plumbing — protocol behaviour (dedup,
 //! retries, idempotence) lives in the sans-IO machines and their drivers.
 
 use crate::frame::{write_frame, write_msg, Frame, FrameDecoder};
-use radd_net::{Received, RetryPolicy, Transport};
+use radd_net::{Outbound, Received, RetryPolicy, Transport};
 use radd_protocol::Msg;
 
 pub use radd_net::SendOutcome;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Dial timeout for one connection attempt.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long one `write` may wait for room in the peer's socket buffer
+/// before the connection is given up. A site writes while it holds its
+/// site lock, so this bounds what a peer that stopped reading (stopped
+/// process, a client that walked away from a wide batch) can cost every
+/// other peer, and it is what breaks the cycle of two sites each blocked
+/// writing to the other with both buffers full.
+pub const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Redial backoff after a failed dial: quick first retry, 640 ms ceiling.
 /// (The schedule is the site retransmit policy — dial failures and lost
@@ -54,8 +93,8 @@ const DIAL_RETRY: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
 /// are observed promptly.
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// A wire control request: the socket runtime's out-of-band inbox item
-/// ([`Transport::Oob`]). Answer by writing a `CtlRep` frame to `reply`.
+/// A wire control request, as a site endpoint delivers it. Answer by
+/// writing a `CtlRep` frame to `reply`.
 #[derive(Debug)]
 pub struct CtlItem {
     /// Request id to echo.
@@ -66,13 +105,29 @@ pub struct CtlItem {
     pub reply: WriteHalf,
 }
 
-/// What arrives on the endpoint's inbox: a protocol message
-/// (`Inbound::Msg`) or a control request (`Inbound::Oob`).
-pub type Inbound = Received<CtlItem>;
+/// What a site endpoint's connections deliver, to the attached handler or
+/// (before one is attached) to the inbox.
+#[derive(Debug)]
+pub enum Inbound {
+    /// A protocol message from endpoint `src`.
+    Msg {
+        /// Sender's endpoint id.
+        src: usize,
+        /// The message.
+        msg: Msg,
+    },
+    /// A wire control request.
+    Ctl(CtlItem),
+}
 
-/// Shareable write half of a connection (the read half lives in its reader
-/// thread). Writes are whole frames under the lock, so frames never
-/// interleave mid-stream.
+/// What a site does with each item its connections deliver, called on the
+/// reader thread that decoded it with the endpoint's sending half. Calls
+/// for one connection come in the connection's order; calls for different
+/// connections run concurrently.
+pub(crate) type Handler = Box<dyn Fn(&SendHalf, Inbound) + Send + Sync>;
+
+/// Shareable write half of a connection. Writes are whole frames under the
+/// lock, so frames never interleave mid-stream.
 #[derive(Debug, Clone)]
 pub struct WriteHalf {
     stream: Arc<Mutex<TcpStream>>,
@@ -87,25 +142,37 @@ impl WriteHalf {
 
     /// Write one frame; an io error means the connection is dead.
     pub fn write(&self, frame: &Frame) -> std::io::Result<()> {
-        write_frame(&mut *self.locked()?, frame)
+        self.whole(|stream| write_frame(stream, frame))
     }
 
     /// Write one protocol message as a [`Frame::Proto`].
     pub fn write_msg(&self, msg: &Msg) -> std::io::Result<()> {
-        write_msg(&mut *self.locked()?, msg)
+        self.whole(|stream| write_msg(stream, msg))
     }
 
-    fn locked(&self) -> std::io::Result<MutexGuard<'_, TcpStream>> {
+    /// Run one frame's write. A write that fails, or waits out
+    /// [`WRITE_TIMEOUT`], may have left a torn frame behind: the socket is
+    /// shut down both ways so nothing can follow the tear and whoever reads
+    /// this connection sees it end.
+    fn whole(
+        &self,
+        write: impl FnOnce(&mut TcpStream) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         // A poisoned lock means another writer panicked mid-frame and may
         // have left a torn prefix on the stream; report the connection
         // dead (callers drop it and redial) instead of panicking the
         // whole site on top of it.
-        self.stream.lock().map_err(|_| {
+        let mut stream = self.stream.lock().map_err(|_| {
             std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
+                ErrorKind::BrokenPipe,
                 "connection abandoned after a writer panic",
             )
-        })
+        })?;
+        let done = write(&mut stream);
+        if done.is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        done
     }
 
     /// Whether `self` and `other` are halves of the same connection.
@@ -114,112 +181,74 @@ impl WriteHalf {
     }
 }
 
+/// A connection a client endpoint dialed: the half it reads on its own
+/// thread, and the write half registered for the same peer (to tell this
+/// connection from its replacement when it dies).
+struct ClientConn {
+    read: TcpStream,
+    dec: FrameDecoder,
+    write: WriteHalf,
+}
+
+/// What differs between the two kinds of endpoint: who reads a connection.
+enum Role {
+    /// The caller of [`Transport::recv_from`] does, off this table.
+    Client {
+        conns: Mutex<HashMap<usize, ClientConn>>,
+    },
+    /// A reader thread per connection does, and hands each item to
+    /// `handler` — or to the inbox while there is none.
+    Site {
+        handler: RwLock<Option<Handler>>,
+        inbox_tx: Sender<Inbound>,
+        inbox_rx: Mutex<Receiver<Inbound>>,
+    },
+}
+
 struct Shared {
+    id: usize,
+    ep_base: usize,
+    site_addrs: Vec<SocketAddr>,
     /// Live send-side connections by peer endpoint id.
     peers: Mutex<HashMap<usize, WriteHalf>>,
     /// Failed-dial backoff per site index: (next allowed attempt, step).
     dial_backoff: Mutex<HashMap<usize, (Instant, u32)>>,
-    inbox_tx: Sender<Inbound>,
     shutdown: AtomicBool,
+    role: Role,
 }
 
-impl Shared {
-    /// The connection table. Poison-tolerant: holders only perform
-    /// infallible `HashMap` insert/remove/get under the lock, so a panic
-    /// elsewhere in a holding thread cannot leave the map half-updated —
-    /// recovering the guard is always safe, and it keeps one panicking
-    /// reader thread from cascading into every other connection.
-    fn peers(&self) -> MutexGuard<'_, HashMap<usize, WriteHalf>> {
-        self.peers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The dial-backoff table; same poison argument as [`Shared::peers`].
-    fn backoff(&self) -> MutexGuard<'_, HashMap<usize, (Instant, u32)>> {
-        self.dial_backoff
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
+/// Recover a guard whatever a panicking holder did. Sound for the tables
+/// here: holders only perform infallible `HashMap` insert/remove/get (or a
+/// channel receive) under the lock, so a panic elsewhere in a holding
+/// thread cannot leave one half-updated, and recovering keeps one
+/// panicking reader thread from cascading into every other connection.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One process's socket identity. See the module docs.
-pub struct SocketEndpoint {
-    id: usize,
-    ep_base: usize,
-    site_addrs: Vec<SocketAddr>,
-    shared: Arc<Shared>,
-    inbox_rx: Receiver<Inbound>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+/// The sending half of a [`SocketEndpoint`]: everything but the receive
+/// side. Reader threads own one (a dial made while handling a message
+/// starts the next reader), and a site's [`Handler`] is lent one.
+#[derive(Clone)]
+pub(crate) struct SendHalf(Arc<Shared>);
 
-impl SocketEndpoint {
-    /// A client endpoint: dials sites, never listens.
-    pub fn client(id: usize, ep_base: usize, site_addrs: Vec<SocketAddr>) -> SocketEndpoint {
-        Self::build(id, ep_base, site_addrs, None)
+impl Outbound for SendHalf {
+    fn id(&self) -> usize {
+        self.0.id
     }
 
-    /// A site endpoint serving on `listener` (bind it first — typically to
-    /// `127.0.0.1:0` in tests — so the chosen port is known to the caller).
-    pub fn site(
-        id: usize,
-        ep_base: usize,
-        site_addrs: Vec<SocketAddr>,
-        listener: TcpListener,
-    ) -> SocketEndpoint {
-        Self::build(id, ep_base, site_addrs, Some(listener))
-    }
-
-    fn build(
-        id: usize,
-        ep_base: usize,
-        site_addrs: Vec<SocketAddr>,
-        listener: Option<TcpListener>,
-    ) -> SocketEndpoint {
-        let (inbox_tx, inbox_rx) = std::sync::mpsc::channel();
-        let shared = Arc::new(Shared {
-            peers: Mutex::new(HashMap::new()),
-            dial_backoff: Mutex::new(HashMap::new()),
-            inbox_tx,
-            shutdown: AtomicBool::new(false),
-        });
-        let accept_thread = listener.and_then(|l| {
-            // A listener that cannot be polled would never observe the
-            // shutdown flag; running deaf (peers' dials fail and back
-            // off — silent loss, which the retransmission layer absorbs)
-            // beats panicking a site that may still hold durable state.
-            if let Err(e) = l.set_nonblocking(true) {
-                eprintln!("radd-rt: cannot poll listener ({e}); serving without accepts");
-                return None;
-            }
-            let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || accept_loop(&l, &shared)))
-        });
-        SocketEndpoint {
-            id,
-            ep_base,
-            site_addrs,
-            shared,
-            inbox_rx,
-            accept_thread,
-        }
-    }
-
-    /// This endpoint's id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// First site endpoint id (clients occupy `0..ep_base`).
-    pub fn ep_base(&self) -> usize {
-        self.ep_base
+    fn ep_base(&self) -> usize {
+        self.0.ep_base
     }
 
     /// Send `msg` to endpoint `dst`, dialing if needed. A write into a
-    /// live connection, a dial that is pending or backing off and a client
-    /// that is not connected are all [`SendOutcome::Sent`] (retriable
-    /// loss); a destination outside the site map or a shut-down endpoint
-    /// is [`SendOutcome::Closed`].
-    pub fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
-        if self.shared.shutdown.load(Ordering::Relaxed) {
+    /// live connection, a write that failed or timed out, a dial that is
+    /// pending or backing off and a client that is not connected are all
+    /// [`SendOutcome::Sent`] (retriable loss); a destination outside the
+    /// site map or a shut-down endpoint is [`SendOutcome::Closed`].
+    fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
+        let me = &*self.0;
+        if me.shutdown.load(Ordering::Relaxed) {
             return SendOutcome::Closed;
         }
         if let Some(w) = self.peer(dst) {
@@ -230,27 +259,28 @@ impl SocketEndpoint {
             // to a fresh dial below; a client destination is simply lost.
             self.forget_peer(dst, &w);
         }
-        if dst < self.ep_base {
+        if dst < me.ep_base {
             // A client we have no connection to: unreachable until it dials
             // us again. Loss, not closure — its retransmission recovers.
             return SendOutcome::Sent;
         }
-        let site = dst - self.ep_base;
-        if site >= self.site_addrs.len() {
+        let site = dst - me.ep_base;
+        if site >= me.site_addrs.len() {
             return SendOutcome::Closed;
         }
-        match self.dial(site) {
-            Some(w) => {
-                let _ = w.write_msg(msg);
-                SendOutcome::Sent
+        // Dial refused or backing off: silent loss.
+        if let Some(w) = self.dial(site) {
+            if w.write_msg(msg).is_err() {
+                self.forget_peer(dst, &w);
             }
-            // Dial refused or backing off: silent loss.
-            None => SendOutcome::Sent,
         }
+        SendOutcome::Sent
     }
+}
 
+impl SendHalf {
     fn peer(&self, dst: usize) -> Option<WriteHalf> {
-        self.shared.peers().get(&dst).cloned()
+        locked(&self.0.peers).get(&dst).cloned()
     }
 
     /// Unregister `dst` after a write to `failed` failed, unless the entry
@@ -259,40 +289,52 @@ impl SocketEndpoint {
     /// one would leave a peer whose socket is healthy (so it never
     /// re-dials) without replies until its retry ladder runs out.
     fn forget_peer(&self, dst: usize, failed: &WriteHalf) {
-        let mut peers = self.shared.peers();
+        let mut peers = locked(&self.0.peers);
         if peers.get(&dst).is_some_and(|w| w.same_connection(failed)) {
             peers.remove(&dst);
         }
     }
 
     /// Dial site `site` (by index), handshake, and register the
-    /// connection. `None` when the dial failed or its backoff window has
-    /// not elapsed yet.
+    /// connection: its write half in the peer table, its read half with
+    /// whoever reads for this role. `None` when the dial failed or its
+    /// backoff window has not elapsed yet.
     fn dial(&self, site: usize) -> Option<WriteHalf> {
-        let dst = self.ep_base + site;
-        {
-            let backoff = self.shared.backoff();
-            if let Some(&(next_at, _)) = backoff.get(&site) {
-                if Instant::now() < next_at {
-                    return None;
-                }
+        let me = &*self.0;
+        let dst = me.ep_base + site;
+        if let Some(&(next_at, _)) = locked(&me.dial_backoff).get(&site) {
+            if Instant::now() < next_at {
+                return None;
             }
         }
-        match TcpStream::connect_timeout(&self.site_addrs[site], DIAL_TIMEOUT) {
+        match TcpStream::connect_timeout(&me.site_addrs[site], DIAL_TIMEOUT) {
             Ok(stream) => {
-                let _ = stream.set_nodelay(true);
+                tune(&stream);
                 let write = WriteHalf::new(stream.try_clone().ok()?);
-                if write.write(&Frame::Hello { id: self.id as u64 }).is_err() {
+                if write.write(&Frame::Hello { id: me.id as u64 }).is_err() {
                     return None;
                 }
-                self.shared.backoff().remove(&site);
-                self.shared.peers().insert(dst, write.clone());
-                let shared = Arc::clone(&self.shared);
-                std::thread::spawn(move || reader_loop(stream, Some(dst), &shared));
+                locked(&me.dial_backoff).remove(&site);
+                locked(&me.peers).insert(dst, write.clone());
+                match &me.role {
+                    Role::Client { conns } => {
+                        let conn = ClientConn {
+                            read: stream,
+                            dec: FrameDecoder::new(),
+                            write: write.clone(),
+                        };
+                        locked(conns).insert(dst, conn);
+                    }
+                    Role::Site { .. } => {
+                        let out = self.clone();
+                        let write = write.clone();
+                        std::thread::spawn(move || reader_loop(stream, &write, Some(dst), &out));
+                    }
+                }
                 Some(write)
             }
             Err(_) => {
-                let mut backoff = self.shared.backoff();
+                let mut backoff = locked(&me.dial_backoff);
                 let step = backoff.get(&site).map_or(0, |&(_, s)| s.saturating_add(1));
                 backoff.insert(site, (Instant::now() + DIAL_RETRY.delay(step), step));
                 None
@@ -300,38 +342,234 @@ impl SocketEndpoint {
         }
     }
 
-    /// Receive the next inbound item, waiting up to `timeout`.
+    /// Hand `item` to the attached handler, on this (reader) thread, or
+    /// queue it while there is none. The read lock is held across the
+    /// handler so that [`SocketEndpoint::attach`], which writes, cannot
+    /// publish a handler between a reader queueing one frame and
+    /// dispatching the next.
+    fn dispatch(&self, item: Inbound) {
+        let Role::Site {
+            handler, inbox_tx, ..
+        } = &self.0.role
+        else {
+            return;
+        };
+        // Only `attach` writes, so poison means a handler panicked while
+        // draining; the slot itself is whole either way.
+        match &*handler.read().unwrap_or_else(PoisonError::into_inner) {
+            Some(handle) => handle(self, item),
+            None => {
+                let _ = inbox_tx.send(item);
+            }
+        }
+    }
+
+    /// A client's receive: read `peer`'s connection on this thread until a
+    /// protocol frame is in or `timeout` is spent.
+    fn read_peer(
+        &self,
+        conns: &Mutex<HashMap<usize, ClientConn>>,
+        peer: usize,
+        timeout: Duration,
+    ) -> Option<Received> {
+        let deadline = Instant::now() + timeout;
+        let mut conns = locked(conns);
+        let Some(conn) = conns.get_mut(&peer) else {
+            // Never dialed, dial backing off, or forgotten: nothing can
+            // arrive, but the window still paces the caller's ladder.
+            drop(conns);
+            std::thread::sleep(timeout);
+            return None;
+        };
+        loop {
+            match conn.dec.next_frame() {
+                Ok(Some(Frame::Proto(msg))) => return Some(Received { src: peer, msg }),
+                // A site sends a client nothing else.
+                Ok(Some(_)) => continue,
+                Ok(None) => {}
+                Err(e) => {
+                    eprintln!("radd-rt: dropping the connection to endpoint {peer}: {e}");
+                    break;
+                }
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || conn.read.set_read_timeout(Some(left)).is_err() {
+                return None;
+            }
+            match conn.dec.read_from(&mut conn.read) {
+                Ok(0) => break, // peer closed
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return None
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        // The connection is useless: forget both halves so the next send
+        // redials, and wait the window out as for any silent site.
+        let dead = conns.remove(&peer).expect("borrowed above");
+        drop(conns);
+        self.forget_peer(peer, &dead.write);
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+        None
+    }
+}
+
+/// Per-stream settings every connection gets, dialed or accepted.
+fn tune(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+}
+
+/// One process's socket identity. See the module docs.
+pub struct SocketEndpoint {
+    out: SendHalf,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl SocketEndpoint {
+    /// A client endpoint: dials sites, never listens, owns no thread.
+    pub fn client(id: usize, ep_base: usize, site_addrs: Vec<SocketAddr>) -> SocketEndpoint {
+        let role = Role::Client {
+            conns: Mutex::new(HashMap::new()),
+        };
+        Self::build(id, ep_base, site_addrs, role, None)
+    }
+
+    /// A site endpoint serving on `listener` (bind it first — typically to
+    /// `127.0.0.1:0` in tests — so the chosen port is known to the caller).
+    pub fn site(
+        id: usize,
+        ep_base: usize,
+        site_addrs: Vec<SocketAddr>,
+        listener: TcpListener,
+    ) -> SocketEndpoint {
+        let (inbox_tx, inbox_rx) = std::sync::mpsc::channel();
+        let role = Role::Site {
+            handler: RwLock::new(None),
+            inbox_tx,
+            inbox_rx: Mutex::new(inbox_rx),
+        };
+        Self::build(id, ep_base, site_addrs, role, Some(listener))
+    }
+
+    fn build(
+        id: usize,
+        ep_base: usize,
+        site_addrs: Vec<SocketAddr>,
+        role: Role,
+        listener: Option<TcpListener>,
+    ) -> SocketEndpoint {
+        let out = SendHalf(Arc::new(Shared {
+            id,
+            ep_base,
+            site_addrs,
+            peers: Mutex::new(HashMap::new()),
+            dial_backoff: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            role,
+        }));
+        let accept_thread = listener.and_then(|l| {
+            // A listener that cannot be polled would never observe the
+            // shutdown flag; running deaf (peers' dials fail and back
+            // off — silent loss, which the retransmission layer absorbs)
+            // beats panicking a site that may still hold durable state.
+            if let Err(e) = l.set_nonblocking(true) {
+                eprintln!("radd-rt: cannot poll listener ({e}); serving without accepts");
+                return None;
+            }
+            let out = out.clone();
+            Some(std::thread::spawn(move || accept_loop(&l, &out)))
+        });
+        SocketEndpoint { out, accept_thread }
+    }
+
+    /// The sending half, as reader threads and a site's handler hold it.
+    pub(crate) fn sender(&self) -> &SendHalf {
+        &self.out
+    }
+
+    /// A site endpoint's inbox: the next item that arrived while no handler
+    /// was attached, waiting up to `timeout`. (A client endpoint has no
+    /// inbox: [`Transport::recv_from`] names the peer to read.)
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Inbound, RecvTimeoutError> {
-        self.inbox_rx.recv_timeout(timeout)
+        match &self.out.0.role {
+            Role::Site { inbox_rx, .. } => locked(inbox_rx).recv_timeout(timeout),
+            Role::Client { .. } => Err(RecvTimeoutError::Disconnected),
+        }
+    }
+
+    /// Route everything this site endpoint's connections deliver to
+    /// `handler`, from now on and on the reader thread that decoded it.
+    /// What queued in the inbox until now goes through `handler` first, on
+    /// this thread and before any reader can see the handler: per-peer
+    /// FIFO survives the hand-over. Replaces an earlier handler. No-op on
+    /// a client endpoint, which has no readers.
+    pub(crate) fn attach(&self, handler: Handler) {
+        let Role::Site {
+            handler: slot,
+            inbox_rx,
+            ..
+        } = &self.out.0.role
+        else {
+            return;
+        };
+        let mut slot = slot.write().unwrap_or_else(PoisonError::into_inner);
+        let inbox = locked(inbox_rx);
+        while let Ok(item) = inbox.try_recv() {
+            handler(&self.out, item);
+        }
+        *slot = Some(handler);
+    }
+
+    /// Undo [`attach`](SocketEndpoint::attach) and drop the handler: later
+    /// frames queue in the inbox again. Returns once no reader thread is
+    /// inside the handler.
+    pub(crate) fn detach(&self) {
+        if let Role::Site { handler, .. } = &self.out.0.role {
+            *handler.write().unwrap_or_else(PoisonError::into_inner) = None;
+        }
     }
 
     /// Stop accepting and tell reader threads to wind down. Existing
     /// connections die as their reads next time out.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.out.0.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
     }
 }
 
-impl Transport for SocketEndpoint {
-    type Oob = CtlItem;
-
+impl Outbound for SocketEndpoint {
     fn id(&self) -> usize {
-        self.id
+        self.out.id()
     }
 
     fn ep_base(&self) -> usize {
-        self.ep_base
+        self.out.ep_base()
     }
 
+    /// Dials on demand; see the module docs for what counts as loss.
     fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
-        SocketEndpoint::send(self, dst, msg)
+        self.out.send(dst, msg)
     }
+}
 
-    fn recv_timeout(&self, timeout: Duration) -> Option<Received<CtlItem>> {
-        self.inbox_rx.recv_timeout(timeout).ok()
+impl Transport for SocketEndpoint {
+    /// A client reads `peer`'s connection on the calling thread. A site
+    /// endpoint has one inbox for all peers and takes its next item
+    /// (nothing arrives there once a handler is attached; a control
+    /// request found there is not a message and ends the wait).
+    fn recv_from(&self, peer: usize, timeout: Duration) -> Option<Received> {
+        match &self.out.0.role {
+            Role::Client { conns } => self.out.read_peer(conns, peer, timeout),
+            Role::Site { .. } => match self.recv_timeout(timeout) {
+                Ok(Inbound::Msg { src, msg }) => Some(Received { src, msg }),
+                _ => None,
+            },
+        }
     }
 }
 
@@ -342,15 +580,18 @@ impl Drop for SocketEndpoint {
 }
 
 /// Accept loop: non-blocking polls so the shutdown flag is honoured.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
+fn accept_loop(listener: &TcpListener, out: &SendHalf) {
+    while !out.0.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || reader_loop(stream, None, &shared));
+                tune(&stream);
+                let Ok(write) = stream.try_clone().map(WriteHalf::new) else {
+                    continue;
+                };
+                let out = out.clone();
+                std::thread::spawn(move || reader_loop(stream, &write, None, &out));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
@@ -358,20 +599,18 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Drain one connection into the inbox. `peer_id` is known for dialed
-/// connections; accepted ones learn it from the leading [`Frame::Hello`]
-/// and then register their write half so replies can route back.
-fn reader_loop(stream: TcpStream, peer_id: Option<usize>, shared: &Arc<Shared>) {
+/// A site's reader of one connection: decode each frame and run it to
+/// completion through [`SendHalf::dispatch`] before reading the next.
+/// `peer_id` is known for dialed connections; accepted ones learn it from
+/// the leading [`Frame::Hello`] and then register `write`, their write
+/// half, so replies can route back.
+fn reader_loop(stream: TcpStream, write: &WriteHalf, peer_id: Option<usize>, out: &SendHalf) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let write = WriteHalf::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
     let mut reader = stream;
     let mut dec = FrameDecoder::new();
     let mut peer_id = peer_id;
     loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
+        if out.0.shutdown.load(Ordering::Relaxed) {
             return;
         }
         // Drain every complete frame before reading again.
@@ -397,40 +636,30 @@ fn reader_loop(stream: TcpStream, peer_id: Option<usize>, shared: &Arc<Shared>) 
                 Frame::Hello { id } => {
                     let id = id as usize;
                     peer_id = Some(id);
-                    shared.peers().insert(id, write.clone());
+                    locked(&out.0.peers).insert(id, write.clone());
                 }
                 Frame::Proto(msg) => {
-                    let Some(src) = peer_id else {
-                        // Protocol before Hello: drop — an anonymous peer
-                        // cannot receive replies anyway.
-                        continue;
-                    };
-                    if shared.inbox_tx.send(Inbound::Msg { src, msg }).is_err() {
-                        return;
+                    // Protocol before Hello: drop — an anonymous peer
+                    // cannot receive replies anyway.
+                    if let Some(src) = peer_id {
+                        out.dispatch(Inbound::Msg { src, msg });
                     }
                 }
-                Frame::CtlReq { rid, req } => {
-                    let item = Inbound::Oob(CtlItem {
-                        rid,
-                        req,
-                        reply: write.clone(),
-                    });
-                    if shared.inbox_tx.send(item).is_err() {
-                        return;
-                    }
-                }
+                Frame::CtlReq { rid, req } => out.dispatch(Inbound::Ctl(CtlItem {
+                    rid,
+                    req,
+                    reply: write.clone(),
+                })),
                 // Replies are matched by the control *client* (radd-cli),
-                // which reads its connection directly; an endpoint inbox
-                // never expects one.
+                // which reads its connection directly; an endpoint never
+                // expects one.
                 Frame::CtlRep { .. } => {}
             }
         }
         match dec.read_from(&mut reader) {
             Ok(0) => return, // peer closed
             Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => return,
         }
     }
@@ -439,6 +668,9 @@ fn reader_loop(stream: TcpStream, peer_id: Option<usize>, shared: &Arc<Shared>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
+    const LONG: Duration = Duration::from_secs(5);
 
     fn loopback_pair() -> (SocketEndpoint, SocketEndpoint) {
         // One "site" (ep 1) and one "client" (ep 0).
@@ -449,6 +681,14 @@ mod tests {
         (client, site)
     }
 
+    /// The next protocol message in a site endpoint's inbox.
+    fn inbox_msg(site: &SocketEndpoint) -> (usize, Msg) {
+        match site.recv_timeout(LONG).expect("a frame arrives") {
+            Inbound::Msg { src, msg } => (src, msg),
+            Inbound::Ctl(_) => panic!("expected a protocol message"),
+        }
+    }
+
     #[test]
     fn request_and_reply_cross_the_wire() {
         let (client, site) = loopback_pair();
@@ -456,20 +696,11 @@ mod tests {
             client.send(1, &Msg::Read { index: 4, tag: 9 }),
             SendOutcome::Sent
         );
-        let got = site.recv_timeout(Duration::from_secs(2)).unwrap();
-        let Inbound::Msg { src, msg } = got else {
-            panic!("expected protocol message");
-        };
-        assert_eq!(src, 0);
-        assert_eq!(msg, Msg::Read { index: 4, tag: 9 });
+        assert_eq!(inbox_msg(&site), (0, Msg::Read { index: 4, tag: 9 }));
         // Reply over the inbound connection (site never dials a client).
         assert_eq!(site.send(0, &Msg::WriteOk { tag: 9 }), SendOutcome::Sent);
-        let back = client.recv_timeout(Duration::from_secs(2)).unwrap();
-        let Inbound::Msg { src, msg } = back else {
-            panic!("expected protocol reply");
-        };
-        assert_eq!(src, 1);
-        assert_eq!(msg, Msg::WriteOk { tag: 9 });
+        let back = client.recv_from(1, LONG).expect("the reply arrives");
+        assert_eq!((back.src, back.msg), (1, Msg::WriteOk { tag: 9 }));
     }
 
     #[test]
@@ -489,7 +720,8 @@ mod tests {
     fn a_failed_write_does_not_unregister_the_replacement_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let site = SocketEndpoint::client(1, 1, vec![]);
+        let endpoint = SocketEndpoint::client(1, 1, vec![]);
+        let site = endpoint.sender();
         let connect = || {
             let dialed = TcpStream::connect(addr).unwrap();
             let (accepted, _) = listener.accept().unwrap();
@@ -500,15 +732,15 @@ mod tests {
             )
         };
         let (_client_side, stale_socket, stale) = connect();
-        site.shared.peers().insert(0, stale);
+        locked(&site.0.peers).insert(0, stale);
 
         // `send` looks the connection up...
         let looked_up = site.peer(0).unwrap();
         // ...the client reconnects and its Hello replaces the entry...
         let (_new_client_side, _, fresh) = connect();
-        site.shared.peers().insert(0, fresh.clone());
+        locked(&site.0.peers).insert(0, fresh.clone());
         // ...and only then does the write on the old connection fail.
-        stale_socket.shutdown(std::net::Shutdown::Both).unwrap();
+        stale_socket.shutdown(Shutdown::Both).unwrap();
         assert!(looked_up.write_msg(&Msg::Ack { tag: 1 }).is_err());
         site.forget_peer(0, &looked_up);
         assert!(site.peer(0).unwrap().same_connection(&fresh));
@@ -528,5 +760,106 @@ mod tests {
         let client = SocketEndpoint::client(0, 1, vec![addr]);
         assert_eq!(client.send(1, &Msg::Ack { tag: 1 }), SendOutcome::Sent);
         assert_eq!(client.send(1, &Msg::Ack { tag: 2 }), SendOutcome::Sent);
+    }
+
+    /// Frames that reached the inbox before `attach` and frames the handler
+    /// gets after it are one stream, in the connection's order: the peer
+    /// keeps sending while the handler is attached mid-stream.
+    #[test]
+    fn attach_hands_over_in_connection_order_and_loses_nothing() {
+        const N: u64 = 2000;
+        let (client, site) = loopback_pair();
+        let streamer = std::thread::spawn(move || {
+            for tag in 0..N {
+                assert_eq!(client.send(1, &Msg::Ack { tag }), SendOutcome::Sent);
+            }
+            client // keep the connection open until the tags are counted
+        });
+        // Some of the stream is in the inbox before the handler exists.
+        let first = site.recv_timeout(LONG).expect("the stream started");
+        let Inbound::Msg {
+            msg: Msg::Ack { tag: 0 },
+            ..
+        } = first
+        else {
+            panic!("the stream starts at tag 0, got {first:?}");
+        };
+        let (tags_tx, tags_rx) = mpsc::channel();
+        let tags_tx = Mutex::new(tags_tx);
+        site.attach(Box::new(move |_, item| {
+            if let Inbound::Msg { msg, .. } = item {
+                let _ = locked(&tags_tx).send(msg.tag());
+            }
+        }));
+        for want in 1..N {
+            assert_eq!(tags_rx.recv_timeout(LONG), Ok(want));
+        }
+        drop(streamer.join().unwrap());
+    }
+
+    /// What site B sends while the client waits on site A stays on B's
+    /// connection and is delivered when B is the one awaited.
+    #[test]
+    fn a_reply_from_another_site_waits_for_its_own_turn() {
+        let listeners = [(); 2].map(|()| TcpListener::bind("127.0.0.1:0").unwrap());
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let [site_a, site_b] = [0, 1].map(|j| {
+            SocketEndpoint::site(1 + j, 1, addrs.clone(), listeners[j].try_clone().unwrap())
+        });
+        let client = SocketEndpoint::client(0, 1, addrs);
+        client.send(1, &Msg::Read { index: 0, tag: 1 });
+        client.send(2, &Msg::Read { index: 0, tag: 2 });
+        // Both sites have the client's Hello once its request is in.
+        assert_eq!(inbox_msg(&site_a).0, 0);
+        assert_eq!(inbox_msg(&site_b).0, 0);
+
+        site_b.send(0, &Msg::WriteOk { tag: 2 });
+        assert!(
+            client.recv_from(1, Duration::from_millis(100)).is_none(),
+            "A sent nothing; B's reply is not A's"
+        );
+        site_a.send(0, &Msg::WriteOk { tag: 1 });
+        let from_a = client.recv_from(1, LONG).expect("A's reply");
+        assert_eq!((from_a.src, from_a.msg), (1, Msg::WriteOk { tag: 1 }));
+        let from_b = client.recv_from(2, LONG).expect("B's reply was kept");
+        assert_eq!((from_b.src, from_b.msg), (2, Msg::WriteOk { tag: 2 }));
+    }
+
+    /// The peer closes mid-wait: the connection is forgotten, the wait
+    /// still lasts its window (a dead site must pace the ladder), and the
+    /// next send dials the listener that came back on the same port.
+    #[test]
+    fn a_connection_closed_mid_wait_is_forgotten_and_redialed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = SocketEndpoint::client(0, 1, vec![addr]);
+        client.send(1, &Msg::Ack { tag: 1 });
+        let (accepted, _) = listener.accept().unwrap();
+        let window = Duration::from_millis(300);
+        let closer = std::thread::spawn(move || {
+            std::thread::sleep(window / 3);
+            drop(accepted);
+            drop(listener);
+        });
+        let started = Instant::now();
+        assert!(client.recv_from(1, window).is_none());
+        assert!(started.elapsed() >= window, "the window was cut short");
+        closer.join().unwrap();
+        assert!(
+            client.out.peer(1).is_none(),
+            "the dead connection is forgotten"
+        );
+        // Nothing to read from: the window is still waited out.
+        let started = Instant::now();
+        assert!(client.recv_from(1, window / 3).is_none());
+        assert!(started.elapsed() >= window / 3);
+
+        let listener = TcpListener::bind(addr).expect("same port again");
+        client.send(1, &Msg::Ack { tag: 2 });
+        let (mut accepted, _) = listener.accept().unwrap();
+        let mut dec = FrameDecoder::new();
+        let mut next = || crate::frame::read_frame(&mut accepted, &mut dec, &mut []).unwrap();
+        assert_eq!(next(), Some(Frame::Hello { id: 0 }));
+        assert_eq!(next(), Some(Frame::Proto(Msg::Ack { tag: 2 })));
     }
 }

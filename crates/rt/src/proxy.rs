@@ -359,6 +359,7 @@ fn pump(
 mod tests {
     use super::*;
     use crate::net::{Inbound, SocketEndpoint};
+    use radd_net::{Outbound, Transport};
     use radd_protocol::wire::Msg;
 
     /// A site endpoint fronted by a proxy; the client's site map points at
@@ -372,6 +373,7 @@ mod tests {
         (client, site, proxy)
     }
 
+    /// The next protocol message in a site endpoint's inbox.
     fn recv_proto(ep: &SocketEndpoint, wait_ms: u64) -> Option<(usize, Msg)> {
         match ep.recv_timeout(Duration::from_millis(wait_ms)) {
             Ok(Inbound::Msg { src, msg }) => Some((src, msg)),
@@ -387,8 +389,10 @@ mod tests {
         let (src, msg) = recv_proto(&site, 2000).expect("request crosses the proxy");
         assert_eq!((src, msg), (0, Msg::Read { index: 3, tag: 7 }));
         site.send(0, &Msg::WriteOk { tag: 7 });
-        let (src, msg) = recv_proto(&client, 2000).expect("reply crosses back");
-        assert_eq!((src, msg), (1, Msg::WriteOk { tag: 7 }));
+        let back = client
+            .recv_from(1, Duration::from_secs(2))
+            .expect("reply crosses back");
+        assert_eq!((back.src, back.msg), (1, Msg::WriteOk { tag: 7 }));
     }
 
     #[test]

@@ -4,30 +4,44 @@
 //! The accept path hands every inbound connection to a reader thread that
 //! parses frames defensively — a peer that disconnects mid-handshake,
 //! ships a torn length prefix, or writes outright garbage costs the site
-//! exactly one reader thread, never the event loop. These tests drive a
-//! live site cluster through each abuse and then prove a well-formed
-//! client is still served.
+//! exactly one reader thread, never the site. These tests drive a live
+//! site cluster through each abuse and then prove a well-formed client is
+//! still served.
+//!
+//! A reader thread handles what it reads under the site lock and sends the
+//! effects while it holds it (DESIGN.md §12, "Thread model"), so one more
+//! thing belongs here: a peer that stops *reading* costs the site a write
+//! timeout and its own connection, nothing else. (`cross_traffic.rs` is
+//! the other half: sites sending to each other under their locks.)
 
-use radd_protocol::CoalescePolicy;
+use radd_protocol::{CoalescePolicy, Msg};
+use radd_rt::frame::write_frame;
+use radd_rt::net::WRITE_TIMEOUT;
 use radd_rt::server::run_site;
-use radd_rt::{Control, SiteConfig, SocketClient, SocketEndpoint};
+use radd_rt::{Control, Frame, SiteConfig, SocketClient, SocketEndpoint};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const G: usize = 1;
 const ROWS: u64 = 8;
 const BLOCK: usize = 64;
 const EP_BASE: usize = 1;
 
-/// A bare G+2 site cluster on loopback, memory-backed.
-fn spawn_sites() -> (
+type Sites = (
     Vec<SocketAddr>,
     Vec<mpsc::Sender<Control>>,
     Vec<thread::JoinHandle<()>>,
-) {
+);
+
+/// A bare G+2 site cluster on loopback, memory-backed.
+fn spawn_sites() -> Sites {
+    spawn_sites_with(EP_BASE, BLOCK)
+}
+
+fn spawn_sites_with(ep_base: usize, block_size: usize) -> Sites {
     let listeners: Vec<TcpListener> = (0..G + 2)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
         .collect();
@@ -37,13 +51,13 @@ fn spawn_sites() -> (
         .collect();
     let (mut control, mut handles) = (Vec::new(), Vec::new());
     for (site, listener) in listeners.into_iter().enumerate() {
-        let ep = SocketEndpoint::site(EP_BASE + site, EP_BASE, addrs.clone(), listener);
+        let ep = SocketEndpoint::site(ep_base + site, ep_base, addrs.clone(), listener);
         let cfg = SiteConfig {
             site,
             group_size: G,
             rows: ROWS,
-            block_size: BLOCK,
-            ep_base: EP_BASE,
+            block_size,
+            ep_base,
             coalesce: CoalescePolicy::Merge,
             storage: radd_storage::StorageSpec::Mem,
         };
@@ -168,6 +182,69 @@ fn a_frame_with_the_serial_checksum_is_refused_and_the_site_serves_on() {
     assert_eq!(client.read(0, 1).expect("still served"), vec![0x11; BLOCK]);
     client.write(0, 2, &[0x22; BLOCK]).expect("write served");
     assert_eq!(client.read(0, 2).expect("read served"), vec![0x22; BLOCK]);
+    drop(client);
+    shutdown(&control, handles);
+}
+
+/// A peer that asks for more than its socket buffers hold and never reads
+/// a byte of it. The site's reader thread blocks writing a reply while it
+/// holds the site lock; the write timeout must end that, forget the
+/// connection, and leave the site serving everyone else. The stall is up
+/// to two timeouts long: the `write` that was under way when the buffers
+/// filled returns short after one, and only the next, which moves nothing,
+/// fails after another. `STALL_BOUND` allows as much again for a loaded
+/// machine; without the timeout the wait is the client's whole ladder and
+/// then an error.
+#[test]
+fn a_peer_that_stops_reading_costs_one_write_timeout() {
+    const BIG: usize = 256 * 1024;
+    const CLIENTS: usize = 2;
+    const STALL_BOUND: Duration = WRITE_TIMEOUT.saturating_mul(4);
+    let (addrs, control, handles) = spawn_sites_with(CLIENTS, BIG);
+
+    // The well-behaved client is connected and served first.
+    let ep = SocketEndpoint::client(0, CLIENTS, addrs.clone());
+    let mut client = SocketClient::new(ep, G, ROWS, BIG);
+    client.write(0, 1, &vec![0x5C; BIG]).expect("write served");
+
+    // 256 MiB of replies owed to a socket nobody reads: several times what
+    // the two kernel buffers of a loopback connection may grow to (36 MiB
+    // where this was written). The site gets as far as they let it.
+    let mut deaf = TcpStream::connect(addrs[0]).expect("dial site 0");
+    write_frame(&mut deaf, &Frame::Hello { id: 1 }).expect("hello");
+    for tag in 1..=1024 {
+        write_frame(&mut deaf, &Frame::Proto(Msg::Read { index: 1, tag })).expect("request");
+    }
+
+    // Asked while the site is filling those buffers or already stuck behind
+    // them: one stall at most, then service as usual.
+    thread::sleep(WRITE_TIMEOUT / 2);
+    let asked = Instant::now();
+    assert_eq!(client.read(0, 1).expect("read served"), vec![0x5C; BIG]);
+    assert!(
+        asked.elapsed() < STALL_BOUND,
+        "a peer that stopped reading held the site for {:?}",
+        asked.elapsed()
+    );
+    let (tx, rx) = mpsc::channel();
+    control[0]
+        .send(Control::QueryPending(tx))
+        .expect("site alive");
+    assert_eq!(rx.recv_timeout(STALL_BOUND), Ok(0));
+
+    // The deaf peer's connection was given up, not left half-written: once
+    // the stall has certainly timed out, what the peer finally reads ends
+    // in a close. (Reading any sooner would un-stick the site instead.)
+    thread::sleep(STALL_BOUND);
+    deaf.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut sink = vec![0u8; 1 << 20];
+    while deaf
+        .read(&mut sink)
+        .expect("data or a close, not a timeout")
+        > 0
+    {}
+
     drop(client);
     shutdown(&control, handles);
 }

@@ -14,7 +14,7 @@
 //! member slots within that group.
 //!
 //! Control traffic rides the same framed TCP connections as the protocol
-//! (frame types 2/3) but is answered from the site's control drain, so a
+//! (frame types 2/3) but is answered whatever the site's state, so a
 //! site that is marked down — exactly when its flight recorder is most
 //! interesting — still responds. `obs` fetches the PR-4 observability
 //! snapshot (metrics + flight-recorder tail) as JSON and renders it.
