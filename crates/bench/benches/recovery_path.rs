@@ -1,67 +1,21 @@
 //! The client-driven recovery paths of §3.2/§3.3, machine-level: a full
 //! validated reconstruction (batched `BlockRead` fan-out + one multi-way
 //! XOR fold) and the degraded-write → spare-drain cycle behind a site
-//! revival. Same minimal synchronous interpreter as `protocol_core` — no
-//! disk, no network, so the numbers isolate protocol + parity cost.
+//! revival. Same minimal synchronous interpreter as `protocol_core`
+//! (`radd_protocol::loopback`) — no disk, no network, so the numbers
+//! isolate protocol + parity cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use radd_protocol::{
-    ClientErr, ClientIo, ClientMachine, Dest, Effect, Msg, SiteMachine, SparePolicy,
-};
-use radd_protocol::{MemBlocks, SiteState};
-use std::collections::VecDeque;
+use radd_protocol::loopback::Loopback;
+use radd_protocol::{ClientMachine, SiteState, SparePolicy};
 use std::hint::black_box;
 
 const G: usize = 8;
 const ROWS: u64 = 100;
 const BLOCK: usize = 4096;
 
-/// Minimal synchronous interpreter: machines + in-memory blocks.
-struct Net {
-    sites: Vec<(SiteMachine, MemBlocks)>,
-}
-
-impl Net {
-    fn new() -> Net {
-        Net {
-            sites: (0..G + 2)
-                .map(|j| {
-                    (
-                        SiteMachine::new(j, G, ROWS, BLOCK),
-                        MemBlocks::new(ROWS, BLOCK),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn deliver(&mut self, dst: usize, src: usize, msg: Msg) -> Option<Msg> {
-        let mut queue = VecDeque::new();
-        queue.push_back((dst, src, msg));
-        let mut reply = None;
-        while let Some((d, s, m)) = queue.pop_front() {
-            let (machine, blocks) = &mut self.sites[d];
-            let mut out = Vec::new();
-            machine.handle(blocks, s, m, &mut out);
-            for eff in out {
-                if let Effect::Send { to, msg: sm, .. } = eff {
-                    match to {
-                        Dest::Peer(0) => reply = Some(sm),
-                        Dest::Peer(p) => queue.push_back((p - 1, d + 1, sm)),
-                        Dest::Site(t) => queue.push_back((t, d + 1, sm)),
-                    }
-                }
-            }
-        }
-        reply
-    }
-}
-
-impl ClientIo for Net {
-    fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
-        self.deliver(site, 0, msg)
-            .ok_or(ClientErr::Unavailable { site })
-    }
+fn net() -> Loopback {
+    Loopback::new(G, ROWS, BLOCK, ())
 }
 
 fn bench_recovery(c: &mut Criterion) {
@@ -71,7 +25,7 @@ fn bench_recovery(c: &mut Criterion) {
     // reads, UID validation against the parity array, one G-way XOR fold.
     group.throughput(Throughput::Bytes(((G + 1) * BLOCK) as u64));
     group.bench_function("reconstruct_block_g8_4k", |bencher| {
-        let mut net = Net::new();
+        let mut net = net();
         let mut client =
             ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
         for s in 0..G + 2 {
@@ -92,7 +46,7 @@ fn bench_recovery(c: &mut Criterion) {
     // release wave — back to fully healthy.
     group.throughput(Throughput::Bytes((8 * BLOCK) as u64));
     group.bench_function("fail_write8_recover_g8_4k", |bencher| {
-        let mut net = Net::new();
+        let mut net = net();
         let mut client =
             ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
         for s in 0..G + 2 {

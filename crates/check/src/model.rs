@@ -622,6 +622,13 @@ impl Model {
         })
     }
 
+    /// Fixture hook: `site`'s protocol machine, to plant bookkeeping no
+    /// message produced. [`check_quiesce`](Model::check_quiesce) is
+    /// expected to catch it.
+    pub fn corrupt_machine(&mut self, site: usize) -> &mut SiteMachine {
+        &mut self.fabric.sites[site]
+    }
+
     /// The first invariant violation observed on this path, if any.
     pub fn violation(&self) -> Option<&str> {
         self.fabric.violation.as_deref()
@@ -1139,12 +1146,18 @@ impl Model {
         }
     }
 
-    /// Full invariant sweep, valid only at quiescence.
-    fn check_quiesce(&mut self) -> Result<(), String> {
+    /// Full invariant sweep, valid only at quiescence. Runs by itself at
+    /// every quiescent state [`apply`](Model::apply) reaches; public so a
+    /// fixture can put a hand-built violation
+    /// ([`corrupt_machine`](Model::corrupt_machine)) in front of it.
+    pub fn check_quiesce(&mut self) -> Result<(), String> {
         let (sites, disks) = (&self.fabric.sites, &mut self.fabric.disks);
         let mut read = |site: usize, row: u64| disks[site].read(row).ok().map(|b| b.to_vec());
+        // Structure first (as `check_step` does after every transition):
+        // the predicates below index spares by the sites it vouches for.
+        check_spare_structure(sites)?;
         check_stripe_parity(sites, &mut read)?;
-        check_uid_agreement(sites)?;
+        check_uid_agreement(sites, |_, _| true)?;
         check_spare_freshness(sites, &mut read)?;
         // Oracle content: every acknowledged write must be on disk.
         for (&(site, index), &fill) in &self.oracle {

@@ -5,9 +5,11 @@
 //!
 //! `small_world` is exercised by the `radd-check` binary (CI's
 //! model-check job) rather than here: its ~330k states are comfortable in
-//! release but would dominate a debug `cargo test` run. The two worlds
-//! below cover the same machinery — partition gate, failure/recovery,
+//! release but would dominate a debug `cargo test` run. The worlds below
+//! cover the same machinery — partition gate, failure/recovery,
 //! duplication, retransmission, eviction — at debug-friendly sizes.
+//! `crash_world` (the durability proof) is exhausted, with its recorded
+//! state count, by the root package's `tests/wall.rs`.
 
 use radd_check::driver::ModelDriver;
 use radd_check::{configs, explore};
@@ -42,23 +44,6 @@ fn adversarial_world_exhausts_clean() {
 #[test]
 fn rebuild_world_exhausts_clean() {
     let cfg = configs::rebuild_world();
-    let report = explore(&cfg);
-    assert!(
-        report.violation.is_none(),
-        "mainline violation: {:?}",
-        report.violation.map(|cx| cx.error)
-    );
-    assert!(report.complete, "no fixpoint within depth {}", report.depth);
-    assert!(report.states > 1000, "suspiciously small exploration");
-}
-
-/// The durability proof: every interleaving of writes, duplication,
-/// retransmission and a crash/restart from the durable snapshot keeps the
-/// paper's invariants — i.e. the WAL-covered half of `SiteMachine` state
-/// really is sufficient to come back from.
-#[test]
-fn crash_world_exhausts_clean() {
-    let cfg = configs::crash_world();
     let report = explore(&cfg);
     assert!(
         report.violation.is_none(),

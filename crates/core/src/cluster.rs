@@ -58,7 +58,7 @@ use radd_protocol::{
     trace, BlockFault, Blocks, ClientErr, ClientMachine, Dest, DurableSiteState, Effect, IoPurpose,
     Msg, RebuildReport, SiteMachine, TraceEntry, BLOCK_MSG_HEADER, CONTROL_MSG_BYTES,
 };
-use radd_sim::{CostLedger, OpKind, Tracer};
+use radd_sim::{CostLedger, OpKind};
 use std::collections::VecDeque;
 
 /// Recovery-drain locks are held by this pseudo transaction id.
@@ -155,7 +155,6 @@ pub struct RaddCluster {
     ledger: CostLedger,
     traffic: TrafficStats,
     locks: LockManager,
-    tracer: Tracer,
     partition: PartitionMap,
     pending_parity: Vec<PendingParity>,
     /// Per-site normalised effect traces (differential testing); index `j`
@@ -212,7 +211,6 @@ impl RaddCluster {
             client: Some(client),
             traffic: TrafficStats::default(),
             locks: LockManager::new(),
-            tracer: Tracer::disabled(),
             pending_parity: Vec::new(),
             site_traces: None,
             obs: None,
@@ -259,16 +257,6 @@ impl RaddCluster {
     /// The block lock table (§3.3; shared with `radd-txn`).
     pub fn locks(&mut self) -> &mut LockManager {
         &mut self.locks
-    }
-
-    /// Replace the tracer (enable with [`Tracer::enabled`] in tests).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The tracer, for inspecting recorded protocol steps.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Zero the ledger and traffic counters (between experiment phases).
@@ -533,26 +521,6 @@ impl RaddCluster {
                 node.machine.handle(&mut blocks, s, m.clone(), &mut out);
             }
             self.tap_effects(d, &out);
-            if let Msg::ParityUpdate { row, from_site, .. } = &m {
-                // Trace the apply itself, not redeliveries or duplicates.
-                let applied = out.iter().any(|e| {
-                    matches!(
-                        e,
-                        Effect::Write {
-                            purpose: IoPurpose::ParityApply,
-                            ..
-                        }
-                    )
-                });
-                if applied {
-                    self.tracer.emit(
-                        Default::default(),
-                        format!("site:{d}"),
-                        "parity_update",
-                        format!("row {row} from site {from_site}"),
-                    );
-                }
-            }
             for eff in out {
                 match eff {
                     Effect::Read { purpose, .. } => {
@@ -709,23 +677,9 @@ impl RaddCluster {
                 self.deliver(actor, background, site, 0, msg)?
                     .ok_or(RaddError::Unavailable { site })
             }
-            _ => {
-                if let Msg::BlockRead { row, .. } = &msg {
-                    if site == self.geometry.parity_site(*row) {
-                        // Exactly one BlockRead per reconstruction targets
-                        // the parity site — a stable once-per-reconstruction
-                        // trace hook.
-                        self.tracer.emit(
-                            Default::default(),
-                            format!("actor:{actor:?}"),
-                            "reconstruct",
-                            format!("row {row}"),
-                        );
-                    }
-                }
-                self.deliver(actor, background, site, 0, msg)?
-                    .ok_or(RaddError::Unavailable { site })
-            }
+            _ => self
+                .deliver(actor, background, site, 0, msg)?
+                .ok_or(RaddError::Unavailable { site }),
         }
     }
 
@@ -1238,15 +1192,6 @@ impl RaddCluster {
                 0,
             );
         }
-        self.tracer.emit(
-            Default::default(),
-            format!("site:{site}"),
-            "recovered",
-            format!(
-                "{} spares drained, {} data + {} parity rebuilt",
-                report.spares_drained, report.data_reconstructed, report.parity_rebuilt
-            ),
-        );
         Ok(report)
     }
 
@@ -1255,55 +1200,42 @@ impl RaddCluster {
     // ------------------------------------------------------------------
     //
     // These methods drive the cluster with the exact semantics of the
-    // threaded runtime's client: the believed-down list is managed by the
-    // caller (`client_mark_down`, like `NodeClient::mark_down`) and the
+    // async runtimes' client: the believed-down list is managed by the
+    // caller (`client_mark_down`, like `NodeClient::mark_down`), the
     // old-value oracle is disabled, so degraded writes fetch the old value
-    // through the protocol just as a real client must. With the same plan
-    // applied to both runtimes, the per-machine effect traces are
-    // byte-identical.
+    // through the protocol just as a real client must, and a failed
+    // operation is the machine's own [`ClientErr`], unlifted (an
+    // interpreter-level fault behind it has already been folded to
+    // `Unavailable` by the io adapter). With the same plan applied to every
+    // runtime, the per-machine effect traces are byte-identical. They are
+    // what `impl GroupCluster for RaddCluster` (`sharded.rs`) is made of.
 
     /// Mark `site` as believed-down on the client machine (the threaded
     /// runtime's `mark_down`). Only meaningful with the `client_*` ops —
     /// [`read`](Self::read)/[`write`](Self::write) refresh the mask from
     /// the effective site states.
-    pub fn client_mark_down(&mut self, site: SiteId, down: bool) {
+    pub(crate) fn client_mark_down(&mut self, site: SiteId, down: bool) {
         self.client
             .as_mut()
             .expect("client machine present")
             .set_down(site, down);
     }
 
-    /// Client-machine read with a caller-managed down list and no oracle.
-    pub fn client_read(&mut self, site: SiteId, index: DataIndex) -> Result<Vec<u8>, RaddError> {
-        self.check_args(site, index, None)?;
-        self.with_client(Actor::Client, false, false, |cm, io| {
-            cm.read(io, site, index)
-        })
-        .map(|b| b.to_vec())
-        .map_err(|f| self.lift(f, site, index, None))
-    }
-
-    /// Client-machine write with a caller-managed down list and no oracle.
-    pub fn client_write(
+    /// Run one client-machine operation in client mode: caller-managed
+    /// down list, no old-value oracle, the machine's own error.
+    pub(crate) fn client_op<R>(
         &mut self,
-        site: SiteId,
-        index: DataIndex,
-        data: &[u8],
-    ) -> Result<(), RaddError> {
-        self.check_args(site, index, Some(data))?;
-        self.with_client(Actor::Client, false, false, |cm, io| {
-            cm.write(io, site, index, data)
-        })
-        .map_err(|f| self.lift(f, site, index, Some(data.len())))
+        f: impl FnOnce(&mut ClientMachine, &mut DesIo<'_>) -> Result<R, ClientErr>,
+    ) -> Result<R, ClientErr> {
+        self.with_client(Actor::Client, false, false, f)
+            .map_err(|(e, _)| e)
     }
 
     /// Client-machine recovery drain (the threaded runtime's
     /// `NodeClient::recover`): drain spares back to `site`, then mark it
     /// up. Returns the number of blocks drained.
-    pub fn client_recover(&mut self, site: SiteId) -> Result<u64, RaddError> {
-        let drained = self
-            .with_client(Actor::Client, false, false, |cm, io| cm.recover(io, site))
-            .map_err(|f| self.lift(f, site, 0, None))?;
+    pub(crate) fn client_recover(&mut self, site: SiteId) -> Result<u64, ClientErr> {
+        let drained = self.client_op(|cm, io| cm.recover(io, site))?;
         if self.sites[site].machine.state() == SiteState::Recovering {
             self.sites[site].machine.set_state(SiteState::Up);
         }
@@ -1319,16 +1251,12 @@ impl RaddCluster {
     /// `NodeClient::rebuild`): reconstruct every data block the
     /// believed-down `site` owns into the row spares, `wave_rows` rows per
     /// pipelined wave. Idempotent — rows already absorbed are skipped.
-    pub fn client_rebuild(
+    pub(crate) fn client_rebuild(
         &mut self,
         site: SiteId,
         wave_rows: usize,
-    ) -> Result<RebuildReport, RaddError> {
-        let report = self
-            .with_client(Actor::Client, false, false, |cm, io| {
-                cm.rebuild_member(io, site, wave_rows)
-            })
-            .map_err(|f| self.lift(f, site, 0, None))?;
+    ) -> Result<RebuildReport, ClientErr> {
+        let report = self.client_op(|cm, io| cm.rebuild_member(io, site, wave_rows))?;
         if let Some(obs) = &mut self.obs {
             let m = obs.client().metrics();
             m.rebuild_run();
@@ -1466,6 +1394,14 @@ impl RaddCluster {
             .expect("row in range, right size");
     }
 
+    /// Fault-injection hook, the bookkeeping twin of
+    /// [`corrupt_block`](Self::corrupt_block): `site`'s protocol machine,
+    /// to plant a UID-array slot or a spare slot no message produced. The
+    /// invariant checker is expected to catch it.
+    pub fn corrupt_machine(&mut self, site: SiteId) -> &mut SiteMachine {
+        &mut self.sites[site].machine
+    }
+
     /// Public oracle: the logical content of a data block, bypassing all
     /// cost accounting. For assertions in tests, examples and benches.
     pub fn logical_content(&mut self, site: SiteId, index: DataIndex) -> Result<Bytes, RaddError> {
@@ -1504,7 +1440,7 @@ impl RaddCluster {
 
 /// The client machine's transport into the DES cluster: synchronous
 /// delivery, the buffer-pool oracle, and recovery-drain locking.
-struct DesIo<'a> {
+pub(crate) struct DesIo<'a> {
     cluster: &'a mut RaddCluster,
     actor: Actor,
     /// Serve [`radd_protocol::ClientIo::old_value`] from the logical

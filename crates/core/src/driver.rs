@@ -25,9 +25,10 @@
 use crate::cluster::RaddCluster;
 use crate::config::RaddConfig;
 use crate::error::RaddError;
-use crate::site::{SiteState, SpareKind};
+use crate::site::SiteState;
 use crate::stats::Actor;
 use radd_layout::{DataIndex, SiteId};
+use radd_protocol::{check_spare_structure, check_uid_agreement, SiteMachine};
 use std::collections::BTreeMap;
 
 /// Why a checked operation failed: an ordinary protocol outcome, or an
@@ -129,75 +130,26 @@ impl CheckedCluster {
 
     /// Validate every cluster invariant; returns a description of the
     /// first violation. See the module docs for what is checked and when a
-    /// check is legitimately skipped.
+    /// check is legitimately skipped. §3.3 agreement and spare structure
+    /// are `radd_protocol::check`'s predicates, the ones the model checker
+    /// sweeps with; what this driver adds is which rows an unrepaired
+    /// failure makes untrustworthy, and the spare policy.
     pub fn check_invariants(&mut self) -> Result<(), String> {
         self.checks += 1;
         let quiesced = self.cluster.pending_parity_updates() == 0;
         if quiesced {
             self.cluster.verify_parity()?;
-            self.check_uid_agreement()?;
         }
-        self.check_spare_slots()?;
+        let num_sites = self.cluster.config().num_sites();
+        let machines: Vec<&SiteMachine> = (0..num_sites)
+            .map(|s| &self.cluster.site(s).machine)
+            .collect();
+        if quiesced {
+            check_uid_agreement(&machines, |s, row| !self.site_row_untrusted(s, row))?;
+        }
+        check_spare_structure(&machines)?;
+        self.check_spare_policy(&machines)?;
         self.check_oracle()
-    }
-
-    /// §3.3 bookkeeping: for every row whose parity site holds a UID array,
-    /// each slot must equal the UID stored with the corresponding data
-    /// site's current logical block (its spare stand-in when one exists).
-    /// Rows touched by an unrepaired failure are skipped — their UIDs are
-    /// exactly what recovery will rebuild.
-    fn check_uid_agreement(&mut self) -> Result<(), String> {
-        let rows = self.cluster.config().rows;
-        for row in 0..rows {
-            let geo = self.cluster.geometry();
-            let parity_site = geo.parity_site(row);
-            let spare_site = geo.spare_site(row);
-            let data_sites: Vec<SiteId> = geo.data_sites(row);
-            if self.site_row_untrusted(parity_site, row) {
-                continue;
-            }
-            let Some(arr) = self
-                .cluster
-                .site(parity_site)
-                .machine
-                .parity_uids()
-                .get(&row)
-            else {
-                continue; // never written: all-invalid UIDs, trivially consistent
-            };
-            let arr = arr.clone();
-            for s in data_sites {
-                // The authoritative UID follows the same precedence as the
-                // content oracle: spare stand-in first, then the local block
-                // (skip if the local copy is untrusted).
-                let spare = self.cluster.site(spare_site).machine.spares().get(&row);
-                let current = match spare {
-                    Some(slot) if slot.for_site == s => match &slot.kind {
-                        SpareKind::Data { data_uid } => *data_uid,
-                        SpareKind::Parity { .. } => {
-                            return Err(format!(
-                                "row {row}: spare stands in for data site {s} \
-                                 but carries a parity-kind slot"
-                            ))
-                        }
-                    },
-                    _ => {
-                        if self.site_row_untrusted(s, row) {
-                            continue;
-                        }
-                        self.cluster.site(s).machine.block_uid(row)
-                    }
-                };
-                if arr.get(s) != current {
-                    return Err(format!(
-                        "row {row}: parity UID array slot {s} is {:?} but the \
-                         current block UID is {current:?}",
-                        arr.get(s)
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Is `site`'s local copy of `row` unreadable or known-stale (failed
@@ -212,36 +164,16 @@ impl CheckedCluster {
             || s.machine.invalid_rows().contains(&row)
     }
 
-    /// Structural validity of every spare slot.
-    fn check_spare_slots(&self) -> Result<(), String> {
-        let num_sites = self.cluster.config().num_sites();
+    /// A valid spare slot may only exist where the spare policy allocates
+    /// one (the policy is cluster configuration, not machine state).
+    fn check_spare_policy(&self, machines: &[&SiteMachine]) -> Result<(), String> {
         let policy = self.cluster.config().spare_policy;
-        for holder in 0..num_sites {
-            for (&row, slot) in self.cluster.site(holder).machine.spares() {
-                let expected_holder = self.cluster.geometry().spare_site(row);
-                if holder != expected_holder {
-                    return Err(format!(
-                        "site {holder} holds a spare for row {row}, but the \
-                         layout assigns that row's spare to site {expected_holder}"
-                    ));
-                }
-                if slot.for_site == holder {
-                    return Err(format!(
-                        "row {row}: spare at site {holder} stands in for itself"
-                    ));
-                }
-                if slot.for_site >= num_sites {
-                    return Err(format!(
-                        "row {row}: spare stands in for nonexistent site {}",
-                        slot.for_site
-                    ));
-                }
-                if !policy.has_spare(row) {
-                    return Err(format!(
-                        "row {row} has a valid spare slot but the spare policy \
-                         allocates none there"
-                    ));
-                }
+        for machine in machines {
+            if let Some(&row) = machine.spares().keys().find(|&&r| !policy.has_spare(r)) {
+                return Err(format!(
+                    "row {row} has a valid spare slot but the spare policy \
+                     allocates none there"
+                ));
             }
         }
         Ok(())
@@ -265,14 +197,8 @@ impl CheckedCluster {
                         ));
                     }
                 }
-                Err(
-                    RaddError::MultipleFailure { .. }
-                    | RaddError::Blocked
-                    | RaddError::ActorIsolated { .. }
-                    | RaddError::Unavailable { .. }
-                    | RaddError::InconsistentRead { .. }
-                    | RaddError::Device(_),
-                ) => {} // unreachable right now, not wrong
+                // unreachable right now, not wrong
+                Err(e) if e.is_refusal() || matches!(e, RaddError::Device(_)) => {}
                 Err(e) => {
                     return Err(format!(
                         "site {site} index {index}: oracle check hit an \

@@ -59,6 +59,23 @@ pub enum RaddError {
     BadConfig(String),
 }
 
+impl RaddError {
+    /// Is this a legitimate refusal under some failure or partition
+    /// scenario (the data is unreachable right now, not wrong), as opposed
+    /// to a broken guarantee? Wider than `ClientErr::is_refusal`: this
+    /// surface can be blocked by a partition and can read mid-update.
+    pub fn is_refusal(&self) -> bool {
+        matches!(
+            self,
+            RaddError::MultipleFailure { .. }
+                | RaddError::Blocked
+                | RaddError::ActorIsolated { .. }
+                | RaddError::Unavailable { .. }
+                | RaddError::InconsistentRead { .. }
+        )
+    }
+}
+
 impl fmt::Display for RaddError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -14,7 +14,8 @@ use crate::cluster::RaddCluster;
 use crate::config::RaddConfig;
 use crate::error::RaddError;
 use radd_layout::{DataIndex, Geometry, ShardMap, SiteId};
-use radd_protocol::{GroupCluster, RebuildReport, Router, TraceEntry};
+use radd_obs::ObsSnapshot;
+use radd_protocol::{ClientErr, GroupCluster, RebuildReport, Router, TraceEntry};
 
 /// `A` synchronous groups over a shared site pool.
 pub type ShardedCluster = Router<RaddCluster>;
@@ -33,19 +34,29 @@ impl RaddCluster {
 }
 
 /// Client-mode operations with a caller-managed down list: the semantics
-/// the async runtimes' clients have, so traces compare byte for byte.
+/// the async runtimes' clients have, so traces compare byte for byte. Of
+/// the trait's defaults the DES keeps `isolate`/`heal` (in client mode a
+/// partition is a believed-down site; the §5 gate belongs to the pricing
+/// surface), `set_loss`, `quiesce` and `all_acked` (the cascade is
+/// synchronous), and overrides the two it can really do.
 impl GroupCluster for RaddCluster {
+    type Obs = ObsSnapshot;
+
     fn block_size(&self) -> usize {
         self.config().block_size
     }
 
-    fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, String> {
-        self.client_read(member, index).map_err(|e| e.to_string())
+    fn geometry(&self) -> &Geometry {
+        RaddCluster::geometry(self)
     }
 
-    fn write(&mut self, member: SiteId, index: DataIndex, data: &[u8]) -> Result<(), String> {
-        self.client_write(member, index, data)
-            .map_err(|e| e.to_string())
+    fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, ClientErr> {
+        self.client_op(|cm, io| cm.read(io, member, index))
+            .map(|b| b.to_vec())
+    }
+
+    fn write(&mut self, member: SiteId, index: DataIndex, data: &[u8]) -> Result<(), ClientErr> {
+        self.client_op(|cm, io| cm.write(io, member, index, data))
     }
 
     fn fail(&mut self, member: SiteId) {
@@ -58,15 +69,14 @@ impl GroupCluster for RaddCluster {
         self.client_mark_down(member, true);
     }
 
-    fn recover(&mut self, member: SiteId) -> Result<u64, String> {
-        let drained = self.client_recover(member).map_err(|e| e.to_string())?;
+    fn recover(&mut self, member: SiteId) -> Result<u64, ClientErr> {
+        let drained = self.client_recover(member)?;
         self.client_mark_down(member, false);
         Ok(drained)
     }
 
-    fn rebuild(&mut self, member: SiteId, wave_rows: usize) -> Result<RebuildReport, String> {
+    fn rebuild(&mut self, member: SiteId, wave_rows: usize) -> Result<RebuildReport, ClientErr> {
         self.client_rebuild(member, wave_rows)
-            .map_err(|e| e.to_string())
     }
 
     fn record_traces(&mut self, on: bool) {
@@ -79,6 +89,14 @@ impl GroupCluster for RaddCluster {
 
     fn verify_parity(&mut self) -> Result<(), String> {
         RaddCluster::verify_parity(self)
+    }
+
+    fn kill_restart(&mut self, member: SiteId) -> bool {
+        self.kill_restart_site(member)
+    }
+
+    fn obs_snapshot(&mut self) -> Option<ObsSnapshot> {
+        RaddCluster::obs_snapshot(self)
     }
 }
 

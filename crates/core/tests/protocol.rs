@@ -568,13 +568,24 @@ fn small_edits_ship_small_parity_messages() {
     );
 }
 
+/// One degraded read is one reconstruction: every survivor of the row
+/// serves exactly one `reconstruct` read, and the write that preceded it
+/// applied its mask at the parity site. (`radd-obs` counts both off the
+/// effect stream; there is no second tracing layer to ask.)
 #[test]
-fn tracer_records_reconstruction() {
+fn a_degraded_read_is_one_reconstruction_in_obs() {
     let mut c = cluster_g4();
-    c.set_tracer(radd_sim::Tracer::enabled());
+    c.record_obs(true);
     c.write(Actor::Site(1), 1, 0, &block(&c, 1)).unwrap();
     c.fail_site(1);
     c.read(Actor::Client, 1, 0).unwrap();
-    assert_eq!(c.tracer().count_kind("reconstruct"), 1);
-    assert!(c.tracer().count_kind("parity_update") >= 1);
+    let row = c.geometry().data_to_physical(1, 0);
+    let (parity_site, spare_site) = (c.geometry().parity_site(row), c.geometry().spare_site(row));
+    let snap = c.obs_snapshot().expect("obs is on");
+    for s in (0..c.config().num_sites()).filter(|&s| s != 1 && s != spare_site) {
+        let site = snap.machine(&format!("site {s}")).expect("site snapshot");
+        assert_eq!(site.metrics.reads_named("reconstruct"), 1, "survivor {s}");
+    }
+    let parity = snap.machine(&format!("site {parity_site}")).unwrap();
+    assert!(parity.metrics.writes_named("parity_apply") >= 1);
 }

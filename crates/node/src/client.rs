@@ -72,55 +72,6 @@ fn client_uid_namespace(ep_id: usize) -> u16 {
     u16::MAX - ep_id as u16
 }
 
-/// Client-side errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientError {
-    /// Address out of range.
-    OutOfRange,
-    /// Payload size mismatch.
-    BadSize,
-    /// A needed peer did not answer (after all retries).
-    Timeout {
-        /// The unresponsive site.
-        site: usize,
-    },
-    /// Two failures overlap (e.g. the spare already stands in for another
-    /// site).
-    MultipleFailure,
-    /// Reconstruction kept failing §3.3 UID validation.
-    Inconsistent,
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::OutOfRange => write!(f, "address out of range"),
-            ClientError::BadSize => write!(f, "payload size mismatch"),
-            ClientError::Timeout { site } => write!(f, "site {site} did not answer"),
-            ClientError::MultipleFailure => write!(f, "multiple overlapping failures"),
-            ClientError::Inconsistent => {
-                write!(f, "reconstruction stayed inconsistent after retries")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-impl From<ClientErr> for ClientError {
-    fn from(e: ClientErr) -> ClientError {
-        match e {
-            ClientErr::OutOfRange => ClientError::OutOfRange,
-            ClientErr::BadSize => ClientError::BadSize,
-            ClientErr::Timeout { site } => ClientError::Timeout { site },
-            ClientErr::MultipleFailure { .. } | ClientErr::Unavailable { .. } => {
-                ClientError::MultipleFailure
-            }
-            ClientErr::Inconsistent { .. } => ClientError::Inconsistent,
-        }
-    }
-}
-
 /// The machine's transport: request/reply over an endpoint with retry and
 /// backoff.
 struct NetIo<T> {
@@ -308,16 +259,17 @@ impl<T: Transport> ClientIo for NetIo<T> {
 
 /// §3.3: an `Inconsistent` reconstruction means a parity update is in
 /// flight; back off and retry the whole operation, a bounded number of
-/// times.
-fn until_consistent<R>(mut op: impl FnMut() -> Result<R, ClientErr>) -> Result<R, ClientError> {
-    for _ in 0..RECONSTRUCT_RETRIES {
-        match op() {
-            Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
-            Ok(r) => return Ok(r),
-            Err(e) => return Err(ClientError::from(e)),
+/// times (the last `Inconsistent` is the error if it never settles).
+fn until_consistent<R>(mut op: impl FnMut() -> Result<R, ClientErr>) -> Result<R, ClientErr> {
+    let mut result = op();
+    for _ in 1..RECONSTRUCT_RETRIES {
+        if !matches!(result, Err(ClientErr::Inconsistent { .. })) {
+            break;
         }
+        std::thread::sleep(Duration::from_millis(5));
+        result = op();
     }
-    Err(ClientError::Inconsistent)
+    result
 }
 
 /// The cluster client over transport `T`.
@@ -369,11 +321,6 @@ impl<T: Transport> Client<T> {
         self.machine.set_down(site, down);
     }
 
-    /// Whether this client currently believes `site` is down.
-    pub fn is_marked_down(&self, site: usize) -> bool {
-        self.machine.is_down(site)
-    }
-
     /// Block size in bytes.
     pub fn block_size(&self) -> usize {
         self.block_size
@@ -401,7 +348,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// Read the `index`-th data block of `site`.
-    pub fn read(&mut self, site: usize, index: u64) -> Result<Vec<u8>, ClientError> {
+    pub fn read(&mut self, site: usize, index: u64) -> Result<Vec<u8>, ClientErr> {
         let started = Instant::now();
         let block = until_consistent(|| self.machine.read(&mut self.io, site, index))?;
         self.io
@@ -412,7 +359,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// Write the `index`-th data block of `site`.
-    pub fn write(&mut self, site: usize, index: u64, data: &[u8]) -> Result<(), ClientError> {
+    pub fn write(&mut self, site: usize, index: u64, data: &[u8]) -> Result<(), ClientErr> {
         let started = Instant::now();
         until_consistent(|| self.machine.write(&mut self.io, site, index, data))?;
         self.io
@@ -427,11 +374,8 @@ impl<T: Transport> Client<T> {
     /// the revived site first, *then* invalidate the spare — so a lost
     /// reply at any step leaves the data reachable and every step safe to
     /// retry. Returns the number of blocks drained.
-    pub fn recover(&mut self, site: usize) -> Result<u64, ClientError> {
-        let drained = self
-            .machine
-            .recover(&mut self.io, site)
-            .map_err(ClientError::from)?;
+    pub fn recover(&mut self, site: usize) -> Result<u64, ClientErr> {
+        let drained = self.machine.recover(&mut self.io, site)?;
         let m = self.io.obs.metrics();
         m.recovery_run();
         m.set_recovery_progress(drained, 0);
@@ -443,7 +387,7 @@ impl<T: Transport> Client<T> {
     /// rows per pipelined wave, across all survivors). Idempotent: rows
     /// already absorbed are skipped, so an `Inconsistent` fold (a parity
     /// update racing the rebuild) retries the whole pass cheaply.
-    pub fn rebuild(&mut self, site: usize, wave_rows: usize) -> Result<RebuildReport, ClientError> {
+    pub fn rebuild(&mut self, site: usize, wave_rows: usize) -> Result<RebuildReport, ClientErr> {
         let report =
             until_consistent(|| self.machine.rebuild_member(&mut self.io, site, wave_rows))?;
         let m = self.io.obs.metrics();

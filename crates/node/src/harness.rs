@@ -7,7 +7,7 @@
 //! differential test and the fault-plan engine drive every runtime through
 //! one interface. The harness keeps the network's control handle, so fault
 //! drivers can inject silent message loss ([`Cluster::set_loss`]) and
-//! network partitions ([`Cluster::isolate_site`]); sites absorb both by
+//! network partitions ([`GroupCluster::isolate`]); sites absorb both by
 //! retransmitting unacked parity updates with backoff, and
 //! [`Cluster::quiesce`] waits until every pending table is empty.
 
@@ -15,7 +15,7 @@ use super::client::Client;
 use super::site::{Control, SiteConfig};
 use radd_layout::ShardMap;
 use radd_net::Transport;
-use radd_protocol::{CoalescePolicy, GroupCluster, RebuildReport, Router, TraceEntry};
+use radd_protocol::{ClientErr, CoalescePolicy, GroupCluster, RebuildReport, Router, TraceEntry};
 use radd_storage::StorageSpec;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long a quiesce may poll before a fault plan is declared stuck.
-pub(super) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
+const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What a runtime supplies to the harness: how to wire a cluster's worth
 /// of endpoints, how to run a site on one, and the fault switchboard of
@@ -260,27 +260,13 @@ impl<N: ClusterNet> Cluster<N> {
         self.net.dropped()
     }
 
-    /// §5 partition: cut `site` off from the network (messages to and from
-    /// it are refused or dropped; its thread keeps running). The client
-    /// treats it like a down site and takes the degraded paths.
-    pub fn isolate_site(&mut self, site: usize) {
-        self.net.set_partitioned(self.site_ep(site), true);
-        self.client.mark_down(site, true);
-    }
-
-    /// Heal a partition created by [`Cluster::isolate_site`]. The site
-    /// immediately resumes retransmitting whatever parity updates it could
-    /// not deliver while cut off. Run [`Client::recover`] afterwards to
-    /// drain spares populated on its behalf during the partition.
-    pub fn heal_site(&mut self, site: usize) {
-        self.net.set_partitioned(self.site_ep(site), false);
-        self.client.mark_down(site, false);
-    }
-
-    /// How many writes at `site` still await their parity ack.
-    pub fn pending_writes(&self, site: usize) -> usize {
+    /// How many writes at `site` still await their parity ack. A site that
+    /// does not answer (control timeout, dead site thread) is an error
+    /// naming it, never a zero: silence says nothing about its pending
+    /// table.
+    pub fn pending_writes(&self, site: usize) -> Result<usize, String> {
         self.ask(site, CONTROL_TIMEOUT, Control::QueryPending)
-            .unwrap_or(0)
+            .ok_or_else(|| format!("site {site} did not answer QueryPending"))
     }
 
     /// Whether every site machine reports
@@ -341,14 +327,18 @@ impl<N: ClusterNet> Cluster<N> {
 
     /// Wait until no site holds an unacked parity update (i.e. every
     /// acknowledged write is fully reflected in parity), polling for up to
-    /// `timeout`. Partitioned sites cannot drain — heal them first.
+    /// `timeout`. Partitioned sites cannot drain — heal them first. A site
+    /// that does not answer fails the quiesce at once.
     pub fn quiesce(&self, timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
         loop {
-            let pending: Vec<(usize, usize)> = (0..self.num_sites())
-                .map(|s| (s, self.pending_writes(s)))
-                .filter(|&(_, n)| n > 0)
-                .collect();
+            let mut pending: Vec<(usize, usize)> = Vec::new();
+            for s in 0..self.num_sites() {
+                match self.pending_writes(s)? {
+                    0 => {}
+                    n => pending.push((s, n)),
+                }
+            }
             if pending.is_empty() {
                 return Ok(());
             }
@@ -373,21 +363,28 @@ impl<N: ClusterNet> Cluster<N> {
     }
 }
 
-/// One group of a sharded cluster (DESIGN.md §13): the attached client's
-/// operations plus this harness's fault surface.
+/// The per-runtime contract of both async runtimes (DESIGN.md §13): the
+/// attached client's operations plus this harness's fault surface. No
+/// method keeps its default: these runtimes have a lossy, partitionable
+/// network, in-flight parity updates and (with `StorageSpec::Disk`) a
+/// store to restart from.
 impl<N: ClusterNet> GroupCluster for Cluster<N> {
+    type Obs = radd_obs::ObsSnapshot;
+
     fn block_size(&self) -> usize {
         self.client.block_size()
     }
 
-    fn read(&mut self, member: usize, index: u64) -> Result<Vec<u8>, String> {
-        self.client.read(member, index).map_err(|e| e.to_string())
+    fn geometry(&self) -> &radd_layout::Geometry {
+        self.client.geometry()
     }
 
-    fn write(&mut self, member: usize, index: u64, data: &[u8]) -> Result<(), String> {
-        self.client
-            .write(member, index, data)
-            .map_err(|e| e.to_string())
+    fn read(&mut self, member: usize, index: u64) -> Result<Vec<u8>, ClientErr> {
+        self.client.read(member, index)
+    }
+
+    fn write(&mut self, member: usize, index: u64, data: &[u8]) -> Result<(), ClientErr> {
+        self.client.write(member, index, data)
     }
 
     fn fail(&mut self, member: usize) {
@@ -401,16 +398,14 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
         self.client.mark_down(member, true);
     }
 
-    fn recover(&mut self, member: usize) -> Result<u64, String> {
-        let drained = self.client.recover(member).map_err(|e| e.to_string())?;
+    fn recover(&mut self, member: usize) -> Result<u64, ClientErr> {
+        let drained = self.client.recover(member)?;
         self.client.mark_down(member, false);
         Ok(drained)
     }
 
-    fn rebuild(&mut self, member: usize, wave_rows: usize) -> Result<RebuildReport, String> {
-        self.client
-            .rebuild(member, wave_rows)
-            .map_err(|e| e.to_string())
+    fn rebuild(&mut self, member: usize, wave_rows: usize) -> Result<RebuildReport, ClientErr> {
+        self.client.rebuild(member, wave_rows)
     }
 
     fn record_traces(&mut self, on: bool) {
@@ -425,6 +420,33 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
         self.client.verify_parity()
     }
 
+    /// Messages to and from `member` are refused or dropped; its thread
+    /// keeps running and keeps retransmitting into the cut.
+    fn isolate(&mut self, member: usize) {
+        self.net.set_partitioned(self.site_ep(member), true);
+        self.client.mark_down(member, true);
+    }
+
+    /// The site at once resumes retransmitting whatever parity updates it
+    /// could not deliver. The client believes it down, as after `restore`:
+    /// spares absorbed writes while it was cut off.
+    fn heal(&mut self, member: usize) {
+        self.net.set_partitioned(self.site_ep(member), false);
+        self.client.mark_down(member, true);
+    }
+
+    fn kill_restart(&mut self, member: usize) -> bool {
+        self.kill_restart_site(member)
+    }
+
+    fn all_acked(&self) -> bool {
+        Cluster::all_acked(self)
+    }
+
+    fn obs_snapshot(&mut self) -> Option<radd_obs::ObsSnapshot> {
+        Some(Cluster::obs_snapshot(self))
+    }
+
     fn set_loss(&mut self, permille: u16, seed: u64) {
         Cluster::set_loss(self, permille, seed);
     }
@@ -435,5 +457,64 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
 
     fn shutdown(self) {
         Cluster::shutdown(self);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use radd_net::{Outbound, Received, SendOutcome};
+    use radd_protocol::Msg;
+
+    /// A network whose sites die at start-up: `run_site` returns at once,
+    /// dropping the control receiver (and any command already queued in
+    /// it), so no control command is ever answered.
+    struct DeadSites;
+
+    struct Deaf(usize);
+
+    impl Outbound for Deaf {
+        fn id(&self) -> usize {
+            self.0
+        }
+        fn ep_base(&self) -> usize {
+            1
+        }
+        fn send(&self, _dst: usize, _msg: &Msg) -> SendOutcome {
+            SendOutcome::Closed
+        }
+    }
+
+    impl Transport for Deaf {
+        fn recv_from(&self, _peer: usize, _timeout: Duration) -> Option<Received> {
+            None
+        }
+    }
+
+    impl ClusterNet for DeadSites {
+        type Ep = Deaf;
+
+        fn wire(clients: usize, sites: usize) -> (DeadSites, Vec<Deaf>, Vec<Deaf>) {
+            let eps = |ids: std::ops::Range<usize>| ids.map(Deaf).collect();
+            (DeadSites, eps(0..clients), eps(clients..clients + sites))
+        }
+        fn run_site(_cfg: SiteConfig, _ep: &Deaf, _control: &Receiver<Control>) {}
+        fn set_loss(&self, _permille: u16, _seed: u64) {}
+        fn dropped(&self) -> u64 {
+            0
+        }
+        fn set_partitioned(&self, _ep: usize, _partitioned: bool) {}
+    }
+
+    /// Silence is not "nothing pending". `quiesce` once counted a site that
+    /// never replied as drained and reported the cluster quiescent.
+    #[test]
+    fn a_site_that_does_not_answer_fails_the_quiesce() {
+        let cluster: Cluster<DeadSites> = Cluster::start(2, 6, 16);
+        let err = cluster.quiesce(Duration::from_secs(1)).unwrap_err();
+        assert!(err.contains("site 0 did not answer"), "got: {err}");
+        assert!(cluster.pending_writes(3).is_err());
+        assert!(!cluster.all_acked());
+        cluster.shutdown();
     }
 }

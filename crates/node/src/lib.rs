@@ -8,11 +8,14 @@
 //!
 //! Everything that interprets the sans-IO machines over a real network is
 //! written once here, against [`radd_net::Transport`]: the [`site`]
-//! driver, the [`client`] attempt ladder, the [`harness`] that runs a
-//! cluster of both in one process, and the fault-plan [`driver`]. The
-//! socket runtime (`radd-rt`) compiles the same four source files over
-//! its TCP endpoint (DESIGN.md §12; §5 says why by `#[path]` and not by a
-//! dependency edge). What this crate adds for the threaded runtime is
+//! driver, the [`client`] attempt ladder and the [`harness`] that runs a
+//! cluster of both in one process. The socket runtime (`radd-rt`)
+//! compiles the same three source files over its TCP endpoint (DESIGN.md
+//! §12; §5 says why by `#[path]` and not by a dependency edge). The
+//! fault-plan replayer is not among them: it is
+//! `radd_workload::faults::PlanDriver`, generic over the contract the
+//! harness implements (`radd_protocol::GroupCluster`), and
+//! [`ThreadedDriver`] is its alias over this runtime's cluster. What this crate adds for the threaded runtime is
 //! small: [`ThreadedTransport`] (a [`radd_net::ThreadedEndpoint`] that
 //! knows its `ep_base`), [`run_site`] (the pull loop that feeds a site's
 //! channel to its driver), the [`ClusterNet`](harness::ClusterNet) wiring
@@ -62,12 +65,10 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod driver;
 pub mod harness;
 pub mod sharded;
 pub mod site;
 
-pub use client::ClientError;
 pub use radd_protocol::{Msg, PoolRebuildReport};
 pub use sharded::{ShardedNodeCluster, ShardedNodeExt};
 
@@ -191,8 +192,10 @@ pub type NodeClient = client::Client<ThreadedTransport>;
 /// See [`harness::Cluster`] for the control surface.
 pub type NodeCluster = harness::Cluster<ThreadedNet<Msg>>;
 
-/// Drives a [`NodeCluster`] from a fault plan; see [`driver::Driver`].
-pub type ThreadedDriver = driver::Driver<ThreadedNet<Msg>>;
+/// Drives a [`NodeCluster`] from a fault plan: the one replayer,
+/// [`radd_workload::faults::PlanDriver`], over this runtime's cluster
+/// (`ThreadedDriver::new(NodeCluster::start(g, rows, block_size))`).
+pub type ThreadedDriver = radd_workload::faults::PlanDriver<NodeCluster>;
 
 impl NodeCluster {
     /// Model wire time on every link: each send occupies the sending

@@ -1,7 +1,8 @@
 //! Integration tests for the threaded cluster: the Section 3 protocol
 //! under real concurrency.
 
-use radd_node::{ClientError, NodeCluster};
+use radd_node::NodeCluster;
+use radd_protocol::ClientErr;
 
 const BLOCK: usize = 64;
 
@@ -75,11 +76,11 @@ fn out_of_range_and_bad_size_rejected() {
     let cap = cluster.client().geometry().data_capacity(0);
     assert_eq!(
         cluster.client().read(0, cap).unwrap_err(),
-        ClientError::OutOfRange
+        ClientErr::OutOfRange
     );
     assert_eq!(
         cluster.client().write(0, 0, &[1, 2, 3]).unwrap_err(),
-        ClientError::BadSize
+        ClientErr::BadSize
     );
     cluster.shutdown();
 }

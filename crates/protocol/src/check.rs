@@ -23,7 +23,10 @@
 //!   the paper's §3 guarantees: stripe parity is the XOR of the data blocks,
 //!   the §3.3 UID arrays agree with the data sites' block UIDs, and spare
 //!   stand-ins are structurally valid and fresh. The explorer calls these
-//!   at every quiescent state; drivers and tests can call them too.
+//!   at every quiescent state, and the DES's `CheckedCluster` calls the
+//!   UID-agreement and spare-structure predicates after every plan event
+//!   (generic over `Borrow<SiteMachine>` because its machines sit inside
+//!   site nodes).
 //!
 //! The hash is 128 bits assembled from two independently salted
 //! `DefaultHasher`s (`SipHash` with fixed keys — deterministic across
@@ -34,6 +37,7 @@ use crate::fasthash::FxHashMap;
 use crate::server::{SiteMachine, SpareKind};
 use crate::wire::{Msg, SpareContent};
 use radd_parity::Uid;
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -334,25 +338,52 @@ pub fn check_stripe_parity(
 /// §3.3: the parity site's UID array for each row agrees with every data
 /// site's current block UID (or with the row's spare stand-in UID while a
 /// spare covers that site).
-pub fn check_uid_agreement(sites: &[SiteMachine]) -> Result<(), String> {
-    let geo = *sites[0].geometry();
+///
+/// A stand-in takes precedence over the block it covers, up site or not:
+/// while a data-kind slot for site `s` exists the array must record the
+/// slot's UID, so a stale spare left behind for an up site is a violation
+/// here and not only in [`check_spare_freshness`].
+///
+/// `trusted(site, row)` says whether `site`'s local copy of `row` is
+/// readable and current. A row whose parity site is untrusted is skipped,
+/// and an untrusted data site is judged by its stand-in alone (or not at
+/// all without one): those UIDs are exactly what recovery will rebuild.
+/// The model checker sweeps only all-up quiescent states and passes
+/// `|_, _| true`; the DES driver, which sweeps mid-failure, passes its
+/// failed-disk / down-site / invalid-row test.
+pub fn check_uid_agreement<S: Borrow<SiteMachine>>(
+    sites: &[S],
+    trusted: impl Fn(usize, u64) -> bool,
+) -> Result<(), String> {
+    let geo = *sites[0].borrow().geometry();
     for row in 0..geo.rows() {
         let parity_site = geo.parity_site(row);
-        let Some(arr) = sites[parity_site].parity_uids().get(&row) else {
+        if !trusted(parity_site, row) {
+            continue;
+        }
+        let Some(arr) = sites[parity_site].borrow().parity_uids().get(&row) else {
             continue; // no update ever applied: nothing recorded, nothing owed
         };
-        let spare_site = geo.spare_site(row);
+        let spare = sites[geo.spare_site(row)].borrow().spares().get(&row);
         for data_site in geo.data_sites(row) {
             let recorded = arr.get(data_site);
-            let block = sites[data_site].block_uid(row);
-            let stand_in = sites[spare_site].spares().get(&row).and_then(|slot| {
-                (slot.for_site == data_site).then_some(match &slot.kind {
-                    SpareKind::Data { data_uid } => *data_uid,
-                    SpareKind::Parity { .. } => Uid::INVALID,
-                })
-            });
-            let ok = recorded == block || stand_in.is_some_and(|s| recorded == s);
-            if !ok {
+            let block = sites[data_site].borrow().block_uid(row);
+            let stand_in = match spare {
+                Some(slot) if slot.for_site == data_site => match &slot.kind {
+                    SpareKind::Data { data_uid } => Some(*data_uid),
+                    SpareKind::Parity { .. } => {
+                        return Err(format!(
+                            "row {row}: spare stands in for data site {data_site} \
+                             but carries a parity-kind slot"
+                        ))
+                    }
+                },
+                _ => None,
+            };
+            // The authoritative UID follows the content oracle's
+            // precedence: the stand-in first, then the trusted local block.
+            let current = stand_in.or_else(|| trusted(data_site, row).then_some(block));
+            if current.is_some_and(|c| recorded != c) {
                 return Err(format!(
                     "row {row}: §3.3 disagreement — parity site {parity_site} records \
                      {recorded:?} for site {data_site}, whose block UID is {block:?} \
@@ -365,11 +396,12 @@ pub fn check_uid_agreement(sites: &[SiteMachine]) -> Result<(), String> {
 }
 
 /// Spare slots are structurally valid: held by the row's spare site, stand
-/// in for a *different* in-range site.
-pub fn check_spare_structure(sites: &[SiteMachine]) -> Result<(), String> {
-    let geo = *sites[0].geometry();
+/// in for a *different* in-range site. (Whether the row may have a spare at
+/// all is the driver's question: the spare policy lives with the client.)
+pub fn check_spare_structure<S: Borrow<SiteMachine>>(sites: &[S]) -> Result<(), String> {
+    let geo = *sites[0].borrow().geometry();
     for (holder, site) in sites.iter().enumerate() {
-        for (&row, slot) in site.spares() {
+        for (&row, slot) in site.borrow().spares() {
             if geo.spare_site(row) != holder {
                 return Err(format!(
                     "site {holder} holds a spare for row {row}, whose spare site is {}",

@@ -115,7 +115,40 @@ impl ClientErr {
             detail: detail.into(),
         }
     }
+
+    /// Is this a refusal the paper's single-failure model makes legal (a
+    /// second failure overlaps the first, or the block waits for a repair),
+    /// as opposed to a broken guarantee? The one question a plan replayer
+    /// asks of a failed operation.
+    pub fn is_refusal(&self) -> bool {
+        matches!(
+            self,
+            ClientErr::MultipleFailure { .. } | ClientErr::Unavailable { .. }
+        )
+    }
 }
+
+impl std::fmt::Display for ClientErr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClientErr::OutOfRange => write!(f, "address out of range"),
+            ClientErr::BadSize => write!(f, "payload size mismatch"),
+            ClientErr::MultipleFailure { detail } => {
+                write!(f, "multiple overlapping failures: {detail}")
+            }
+            ClientErr::Inconsistent { site } => write!(
+                f,
+                "reconstruction stayed inconsistent with site {site} (parity update in flight)"
+            ),
+            ClientErr::Unavailable { site } => {
+                write!(f, "site {site} cannot serve the block until it is repaired")
+            }
+            ClientErr::Timeout { site } => write!(f, "site {site} did not answer"),
+        }
+    }
+}
+
+impl std::error::Error for ClientErr {}
 
 /// The transport half of a client: one request/reply exchange with a site.
 ///

@@ -33,6 +33,7 @@ pub mod durable;
 pub mod effect;
 pub mod events;
 pub mod fasthash;
+pub mod loopback;
 #[cfg(feature = "mutations")]
 pub mod mutations;
 pub mod obs;

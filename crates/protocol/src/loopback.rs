@@ -1,0 +1,106 @@
+//! The minimal synchronous interpreter: `G + 2` site machines over
+//! in-memory blocks, a delivery cascade, and nothing else.
+//!
+//! No network, no disk, no clock, no pricing: effects other than sends are
+//! dropped. This is what the machine-level property tests and the
+//! `recovery_path` bench stand the machines on when they want the protocol
+//! and nothing around it; the runtimes proper (the DES in `radd-core`, the
+//! async interpreter in `radd-node`) interpret the same effect stream with
+//! everything attached.
+//!
+//! A [`Hook`] sees every `handle` call and every client exchange. It is a
+//! type parameter, so a tap costs nothing where there is none:
+//! `Loopback<()>`'s hook calls compile away. That is also why the
+//! `protocol_core` bench keeps its own interpreter: its `_obs` rows are
+//! gated on a same-run ratio against their plain siblings, which only
+//! means "the tap's cost" while both rows of a pair run one compiled body
+//! (an `Option` tap), not two monomorphisations of this one.
+
+use crate::client::{ClientErr, ClientIo};
+use crate::effect::{Dest, Effect, MemBlocks};
+use crate::server::SiteMachine;
+use crate::wire::Msg;
+use std::collections::VecDeque;
+
+/// What a [`Loopback`] user can hang on the interpreter.
+pub trait Hook {
+    /// Site `site` is to handle `msg` from peer `src` (0 = the client,
+    /// `1 + j` = site `j`). The default is the bare call; a hook may look
+    /// at the machine before and after, tap `out`, deliver twice, or not
+    /// deliver at all (nothing left in `out` = the message was swallowed).
+    fn handle(
+        &mut self,
+        _site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        machine.handle(blocks, src, msg, out);
+    }
+
+    /// The client machine is about to exchange `msg` with `site`.
+    fn exchange(&mut self, _site: usize, _msg: &Msg) {}
+}
+
+/// No hook.
+impl Hook for () {}
+
+/// `G + 2` site machines with their blocks, delivering synchronously.
+pub struct Loopback<H = ()> {
+    /// Site `j`'s machine and its block store.
+    pub sites: Vec<(SiteMachine, MemBlocks)>,
+    /// The hook, for reading back whatever it gathered.
+    pub hook: H,
+}
+
+impl<H: Hook> Loopback<H> {
+    /// Fresh, healthy sites for a group of size `g` with `rows` rows of
+    /// `block_size` bytes each.
+    pub fn new(g: usize, rows: u64, block_size: usize, hook: H) -> Loopback<H> {
+        Loopback {
+            sites: (0..g + 2)
+                .map(|j| {
+                    (
+                        SiteMachine::new(j, g, rows, block_size),
+                        MemBlocks::new(rows, block_size),
+                    )
+                })
+                .collect(),
+            hook,
+        }
+    }
+
+    /// Deliver `msg` to site `dst` as peer `src` and run the cascade it
+    /// starts to completion, in FIFO order. Returns the reply addressed to
+    /// the client (peer 0), if the cascade produced one.
+    pub fn deliver(&mut self, dst: usize, src: usize, msg: Msg) -> Option<Msg> {
+        let mut queue = VecDeque::new();
+        queue.push_back((dst, src, msg));
+        let mut reply = None;
+        while let Some((d, s, m)) = queue.pop_front() {
+            let (machine, blocks) = &mut self.sites[d];
+            let mut out = Vec::new();
+            self.hook.handle(d, machine, blocks, s, m, &mut out);
+            for eff in out {
+                if let Effect::Send { to, msg: sm, .. } = eff {
+                    match to {
+                        Dest::Peer(0) => reply = Some(sm),
+                        Dest::Peer(p) => queue.push_back((p - 1, d + 1, sm)),
+                        Dest::Site(t) => queue.push_back((t, d + 1, sm)),
+                    }
+                }
+            }
+        }
+        reply
+    }
+}
+
+impl<H: Hook> ClientIo for Loopback<H> {
+    fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
+        self.hook.exchange(site, &msg);
+        self.deliver(site, 0, msg)
+            .ok_or(ClientErr::Unavailable { site })
+    }
+}

@@ -14,26 +14,26 @@
 //! `(group, member)` slots does a pool site host, and what happens to each"
 //! is written here and nowhere else (DESIGN.md §13).
 //!
+//! An address past the end of the sharded space is refused with
+//! [`ClientErr::OutOfRange`], the error an index past a site's capacity
+//! gets.
+//!
 //! The router also carries the map's **placement epoch**. Operations tagged
 //! with an epoch are checked first: a request routed under an older map is
 //! refused with [`RouteError::StaleEpoch`] instead of landing on the wrong
 //! site after a rebalance.
 
-use crate::client::RebuildReport;
+use crate::client::{ClientErr, RebuildReport};
 use crate::trace::TraceEntry;
-use radd_layout::{DataIndex, GlobalAddr, GroupId, LogicalDrive, ShardMap, ShardTarget, SiteId};
+use radd_layout::{
+    DataIndex, Geometry, GlobalAddr, GroupId, LogicalDrive, ShardMap, ShardTarget, SiteId,
+};
 use std::fmt;
 
-/// Routing failures.
+/// Routing failures that are not a client operation's: the operation was
+/// never attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {
-    /// The address is past the end of the sharded space.
-    OutOfRange {
-        /// The offending address.
-        addr: GlobalAddr,
-        /// Size of the space.
-        total: u64,
-    },
     /// The caller's map epoch does not match the router's.
     StaleEpoch {
         /// The router's current epoch.
@@ -46,12 +46,6 @@ pub enum RouteError {
 impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RouteError::OutOfRange { addr, total } => {
-                write!(
-                    f,
-                    "address {addr} is outside the sharded space [0, {total})"
-                )
-            }
             RouteError::StaleEpoch { current, seen } => {
                 write!(
                     f,
@@ -125,23 +119,10 @@ impl<H> Router<H> {
         }
     }
 
-    /// Resolve `addr` to its target and the owning group's handle.
-    pub fn route(&self, addr: GlobalAddr) -> Result<(ShardTarget, &H), RouteError> {
-        let target = self.map.locate(addr).ok_or(RouteError::OutOfRange {
-            addr,
-            total: self.map.total_data_blocks(),
-        })?;
-        Ok((target, &self.handles[target.group.0]))
-    }
-
-    /// Mutable version of [`route`].
-    ///
-    /// [`route`]: Router::route
-    pub fn route_mut(&mut self, addr: GlobalAddr) -> Result<(ShardTarget, &mut H), RouteError> {
-        let target = self.map.locate(addr).ok_or(RouteError::OutOfRange {
-            addr,
-            total: self.map.total_data_blocks(),
-        })?;
+    /// Resolve `addr` to its target and the owning group's handle, or
+    /// [`ClientErr::OutOfRange`] past the end of the sharded space.
+    pub fn route_mut(&mut self, addr: GlobalAddr) -> Result<(ShardTarget, &mut H), ClientErr> {
+        let target = self.map.locate(addr).ok_or(ClientErr::OutOfRange)?;
         Ok((target, &mut self.handles[target.group.0]))
     }
 
@@ -163,14 +144,6 @@ impl<H> Router<H> {
             .map(|(k, h)| (GroupId(k), h))
     }
 
-    /// Mutable iteration over `(group, handle)` pairs.
-    pub fn groups_mut(&mut self) -> impl Iterator<Item = (GroupId, &mut H)> {
-        self.handles
-            .iter_mut()
-            .enumerate()
-            .map(|(k, h)| (GroupId(k), h))
-    }
-
     /// Fan a pool-site fault out: every `(group, member slot)` hosted by
     /// `pool_site`, with mutable access to each group's handle. The
     /// callback runs once per affected group.
@@ -182,35 +155,82 @@ impl<H> Router<H> {
 }
 
 /// What one `G + 2` group exposes so that [`Router`] can be a sharded
-/// cluster over it. Addresses are group-local `(member slot, data index)`;
-/// errors are strings because no caller matches on them and the three
-/// runtimes' native errors share nothing else.
+/// cluster over it and a fault plan can be replayed on it: the per-runtime
+/// contract. Addresses are group-local `(member slot, data index)`. A
+/// client operation fails with [`ClientErr`] on every runtime; the two
+/// harness sweeps ([`quiesce`](GroupCluster::quiesce),
+/// [`verify_parity`](GroupCluster::verify_parity)) are not client
+/// operations and describe what they found in a `String`.
+///
+/// The defaulted methods are what a runtime that cannot express the fault
+/// does with it, so a plan written for the richest runtime replays
+/// everywhere: without a partitionable network a partition is a temporary
+/// failure, without a durable store a crash/restart changes nothing, and
+/// a synchronous interpreter is always quiescent and fully acknowledged.
+/// Failing a *disk* inside a site, a disaster that blanks the disks and
+/// the §5 blocking verdict are not on this surface at all: only the DES's
+/// omniscient driver (`radd_core::CheckedCluster`) can inject them, and a
+/// plan replayed over this trait treats a disaster as
+/// [`fail`](GroupCluster::fail) and disk events as no-ops.
 pub trait GroupCluster {
+    /// What [`obs_snapshot`](GroupCluster::obs_snapshot) freezes:
+    /// `radd_obs::ObsSnapshot` on every runtime (an associated type only
+    /// because `radd-obs` depends on this crate, not the other way round).
+    type Obs;
+
     /// Block size in bytes.
     fn block_size(&self) -> usize;
+    /// The group's geometry (every group of a sharded cluster shares it).
+    fn geometry(&self) -> &Geometry;
     /// Read through the group's client machine.
-    fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, String>;
+    fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, ClientErr>;
     /// Write through the group's client machine.
-    fn write(&mut self, member: SiteId, index: DataIndex, data: &[u8]) -> Result<(), String>;
+    fn write(&mut self, member: SiteId, index: DataIndex, data: &[u8]) -> Result<(), ClientErr>;
     /// Temporary failure of `member` (its disks keep their contents); the
     /// group's client marks it down.
     fn fail(&mut self, member: SiteId);
     /// Bring `member`'s hardware back **recovering**. It stays on the
     /// client's believed-down list until [`recover`](GroupCluster::recover):
-    /// its local blocks may be stale.
+    /// its local blocks may be stale (§3.2).
     fn restore(&mut self, member: SiteId);
     /// Drain spares back to a restored `member` and, only if the drain
     /// succeeded, mark it up at the client. Returns the blocks drained.
-    fn recover(&mut self, member: SiteId) -> Result<u64, String>;
+    fn recover(&mut self, member: SiteId) -> Result<u64, ClientErr>;
     /// Reconstruct every data block the believed-down `member` owns into
     /// the row spares, `wave_rows` rows per pipelined wave.
-    fn rebuild(&mut self, member: SiteId, wave_rows: usize) -> Result<RebuildReport, String>;
+    fn rebuild(&mut self, member: SiteId, wave_rows: usize) -> Result<RebuildReport, ClientErr>;
     /// Record (or stop recording) normalised machine traces.
     fn record_traces(&mut self, on: bool);
     /// Drain the traces: index 0 = client, `1 + j` = member `j`.
     fn take_traces(&mut self) -> Vec<Vec<TraceEntry>>;
     /// Run the stripe-invariant sweep.
     fn verify_parity(&mut self) -> Result<(), String>;
+    /// §5 partition: cut `member` off from the other `G + 1`; the client
+    /// takes the degraded paths. Default: a temporary failure (the
+    /// protocol exercise is the same; only the site's own view differs).
+    fn isolate(&mut self, member: SiteId) {
+        self.fail(member);
+    }
+    /// Reconnect an isolated `member`. Like a restored site it stays
+    /// believed-down until [`recover`](GroupCluster::recover): spares
+    /// absorbed writes on its behalf while it was cut off.
+    fn heal(&mut self, member: SiteId) {
+        self.restore(member);
+    }
+    /// Crash `member`'s process and restart it from its durable store
+    /// (§3.4). `false` (the default) when there is nothing to restart from.
+    fn kill_restart(&mut self, _member: SiteId) -> bool {
+        false
+    }
+    /// Whether no parity update anywhere still awaits its ack.
+    fn all_acked(&self) -> bool {
+        true
+    }
+    /// Freeze per-machine metrics and flight recorders, if the runtime
+    /// keeps any.
+    fn obs_snapshot(&mut self) -> Option<Self::Obs> {
+        None
+    }
     /// Message-loss injection; a runtime with a reliable network ignores it.
     fn set_loss(&mut self, _permille: u16, _seed: u64) {}
     /// Wait until every parity update is acknowledged; a synchronous
@@ -271,15 +291,17 @@ impl<C: GroupCluster> Router<C> {
         self.handles[0].block_size()
     }
 
-    /// Read a global address through the owning group's client.
-    pub fn read(&mut self, addr: GlobalAddr) -> Result<Vec<u8>, String> {
-        let (t, cluster) = self.route_mut(addr).map_err(|e| e.to_string())?;
+    /// Read a global address through the owning group's client. An
+    /// address past the end of the space is [`ClientErr::OutOfRange`],
+    /// exactly as an index past a site's capacity is.
+    pub fn read(&mut self, addr: GlobalAddr) -> Result<Vec<u8>, ClientErr> {
+        let (t, cluster) = self.route_mut(addr)?;
         cluster.read(t.member, t.index)
     }
 
     /// Write a global address through the owning group's client.
-    pub fn write(&mut self, addr: GlobalAddr, data: &[u8]) -> Result<(), String> {
-        let (t, cluster) = self.route_mut(addr).map_err(|e| e.to_string())?;
+    pub fn write(&mut self, addr: GlobalAddr, data: &[u8]) -> Result<(), ClientErr> {
+        let (t, cluster) = self.route_mut(addr)?;
         cluster.write(t.member, t.index, data)
     }
 
@@ -335,7 +357,7 @@ impl<C: GroupCluster> Router<C> {
     fn try_pool_site<T>(
         &mut self,
         pool_site: SiteId,
-        mut f: impl FnMut(SiteId, &mut C) -> Result<T, String>,
+        mut f: impl FnMut(SiteId, &mut C) -> Result<T, ClientErr>,
     ) -> Result<Vec<(GroupId, T)>, String> {
         let mut done = Vec::new();
         let mut first_err = None;
@@ -388,8 +410,8 @@ impl<C: GroupCluster> Router<C> {
         &mut self,
         mut f: impl FnMut(&mut C) -> Result<(), String>,
     ) -> Result<(), String> {
-        for (g, cluster) in self.groups_mut() {
-            f(cluster).map_err(|e| format!("{g}: {e}"))?;
+        for (k, cluster) in self.handles.iter_mut().enumerate() {
+            f(cluster).map_err(|e| format!("{}: {e}", GroupId(k)))?;
         }
         Ok(())
     }
@@ -418,15 +440,6 @@ mod tests {
         for (g, h) in r.groups() {
             assert_eq!(h.len() as u64, cap, "group {g} op count");
         }
-    }
-
-    #[test]
-    fn out_of_range_is_refused() {
-        let r = router4();
-        let end = r.map().total_data_blocks();
-        let err = r.route(GlobalAddr(end)).unwrap_err();
-        assert!(matches!(err, RouteError::OutOfRange { .. }));
-        assert!(err.to_string().contains(&format!("{end}")));
     }
 
     #[test]
@@ -470,30 +483,34 @@ mod tests {
     }
 
     impl GroupCluster for Scripted {
+        type Obs = ();
         fn block_size(&self) -> usize {
             16
         }
-        fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, String> {
+        fn geometry(&self) -> &Geometry {
+            unreachable!("the fan-out never asks a group for its geometry")
+        }
+        fn read(&mut self, member: SiteId, index: DataIndex) -> Result<Vec<u8>, ClientErr> {
             Ok(vec![member as u8, index as u8])
         }
-        fn write(&mut self, _: SiteId, _: DataIndex, _: &[u8]) -> Result<(), String> {
+        fn write(&mut self, _: SiteId, _: DataIndex, _: &[u8]) -> Result<(), ClientErr> {
             Ok(())
         }
         fn fail(&mut self, member: SiteId) {
             self.down.push(member);
         }
         fn restore(&mut self, _: SiteId) {}
-        fn recover(&mut self, member: SiteId) -> Result<u64, String> {
+        fn recover(&mut self, member: SiteId) -> Result<u64, ClientErr> {
             if self.refuse {
-                return Err("drain refused".into());
+                return Err(ClientErr::Timeout { site: member });
             }
             self.drained.push(member);
             self.down.retain(|&m| m != member);
             Ok(3)
         }
-        fn rebuild(&mut self, member: SiteId, _: usize) -> Result<RebuildReport, String> {
+        fn rebuild(&mut self, member: SiteId, _: usize) -> Result<RebuildReport, ClientErr> {
             if self.refuse {
-                return Err("rebuild refused".into());
+                return Err(ClientErr::Unavailable { site: member });
             }
             // One read from every surviving member slot.
             let peer_reads = (0..3).map(|m| u64::from(m != member)).collect();
@@ -526,7 +543,10 @@ mod tests {
         r.restore_pool_site(0);
         r.group_mut(GroupId(1)).refuse = true;
         let err = r.recover_pool_site(0).unwrap_err();
-        assert_eq!(err, "g1: drain refused", "the first failing group is named");
+        assert!(
+            err.starts_with("g1: ") && err.ends_with("did not answer"),
+            "the first failing group is named: {err}"
+        );
         for (g, group) in r.groups() {
             if g.0 == 1 {
                 assert_eq!(group.down.len(), 1, "{g}: stale slot must stay down");
@@ -547,11 +567,10 @@ mod tests {
         r.fail_pool_site(2);
         r.group_mut(GroupId(0)).refuse = true;
         r.group_mut(GroupId(2)).refuse = true;
-        assert_eq!(r.recover_pool_site(2).unwrap_err(), "g0: drain refused");
-        assert_eq!(
-            r.rebuild_pool_site(2, 4).unwrap_err(),
-            "g0: rebuild refused"
-        );
+        let drain = r.recover_pool_site(2).unwrap_err();
+        assert!(drain.starts_with("g0: ") && drain.ends_with("did not answer"));
+        let rebuild = r.rebuild_pool_site(2, 4).unwrap_err();
+        assert!(rebuild.starts_with("g0: ") && rebuild.ends_with("repaired"));
     }
 
     #[test]
@@ -576,8 +595,11 @@ mod tests {
                 vec![t.member as u8, t.index as u8]
             );
         }
-        assert!(r.read(GlobalAddr(end)).is_err());
-        assert!(r.write(GlobalAddr(end), &[0; 16]).is_err());
+        assert_eq!(r.read(GlobalAddr(end)), Err(ClientErr::OutOfRange));
+        assert_eq!(
+            r.write(GlobalAddr(end), &[0; 16]),
+            Err(ClientErr::OutOfRange)
+        );
     }
 
     #[test]

@@ -17,11 +17,8 @@
 use proptest::prelude::*;
 use radd_layout::Geometry;
 use radd_parity::{ChangeMask, Uid};
-use radd_protocol::{
-    Blocks, ClientErr, ClientIo, ClientMachine, Dest, Effect, MemBlocks, Msg, SiteMachine,
-    SparePolicy,
-};
-use std::collections::VecDeque;
+use radd_protocol::loopback::{Hook, Loopback};
+use radd_protocol::{Blocks, ClientMachine, Effect, MemBlocks, Msg, SiteMachine, SparePolicy};
 
 const G: usize = 4;
 const ROWS: u64 = 12;
@@ -89,12 +86,13 @@ proptest! {
 // (b) the client machine never exchanges with a believed-down site
 // ---------------------------------------------------------------------
 
-/// A pure synchronous interpreter over `G + 2` site machines that panics
-/// the moment the client exchanges with a believed-down site. Messages a
-/// site sends to a down peer are swallowed (the threaded runtime's
-/// behaviour; they would retransmit until the peer returned).
-struct Net {
-    sites: Vec<(SiteMachine, MemBlocks)>,
+/// The hook that turns [`Loopback`] into both properties' checker. It
+/// panics the moment the client exchanges with a believed-down site;
+/// messages a site sends to a down peer are swallowed (the threaded
+/// runtime's behaviour; they would retransmit until the peer returned);
+/// and every `handle` is audited against the skip rule the site loops
+/// rely on: same version, same snapshot bytes.
+struct Audit {
     down: Vec<bool>,
     /// Deliver every message twice, back to back (the transport's
     /// adjacent duplication).
@@ -103,86 +101,66 @@ struct Net {
     unchanged: u64,
 }
 
-impl Net {
-    fn new(n: usize) -> Net {
-        Net {
-            sites: (0..n)
-                .map(|j| {
-                    (
-                        SiteMachine::new(j, G, ROWS, BLOCK),
-                        MemBlocks::new(ROWS, BLOCK),
-                    )
-                })
-                .collect(),
-            down: vec![false; n],
-            duplicate: false,
-            unchanged: 0,
-        }
-    }
+type Net = Loopback<Audit>;
 
-    /// `handle` one message at site `d`, checking the skip rule the site
-    /// loops rely on: same version, same snapshot bytes.
-    fn handle_audited(&mut self, d: usize, s: usize, m: Msg, dup: bool, out: &mut Vec<Effect>) {
-        let (machine, blocks) = &mut self.sites[d];
-        let version = machine.durable_version();
-        let snapshot = machine.durable_snapshot().encode();
-        let changes_nothing = dup || matches!(m, Msg::Read { .. } | Msg::Ack { .. });
-        let what = format!("{m:?}");
-        machine.handle(blocks, s, m, out);
-        if machine.durable_version() == version {
-            self.unchanged += 1;
-            assert_eq!(
-                machine.durable_snapshot().encode(),
-                snapshot,
-                "site {d}: durable snapshot moved under an unchanged version by {what}"
-            );
-        } else {
-            assert!(
-                !changes_nothing,
-                "site {d}: {what} (duplicate: {dup}) bumped the durable version"
-            );
-        }
-    }
-
-    fn deliver(&mut self, dst: usize, src: usize, msg: Msg) -> Option<Msg> {
-        let mut queue = VecDeque::new();
-        queue.push_back((dst, src, msg));
-        let mut reply = None;
-        while let Some((d, s, m)) = queue.pop_front() {
-            if self.down[d] {
-                continue; // swallowed; a live sender would retransmit
-            }
-            let mut out = Vec::new();
-            if self.duplicate {
-                self.handle_audited(d, s, m.clone(), false, &mut out);
-                // The duplicate's effects are replays (or nothing): a real
-                // receiver drops them by tag, and so does this one.
-                self.handle_audited(d, s, m, true, &mut Vec::new());
-            } else {
-                self.handle_audited(d, s, m, false, &mut out);
-            }
-            for eff in out {
-                if let Effect::Send { to, msg: sm, .. } = eff {
-                    match to {
-                        Dest::Peer(0) => reply = Some(sm),
-                        Dest::Peer(p) => queue.push_back((p - 1, d + 1, sm)),
-                        Dest::Site(t) => queue.push_back((t, d + 1, sm)),
-                    }
-                }
-            }
-        }
-        reply
-    }
+fn net() -> Net {
+    let audit = Audit {
+        down: vec![false; G + 2],
+        duplicate: false,
+        unchanged: 0,
+    };
+    Loopback::new(G, ROWS, BLOCK, audit)
 }
 
-impl ClientIo for Net {
-    fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
+impl Hook for Audit {
+    fn handle(
+        &mut self,
+        d: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        s: usize,
+        m: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        if self.down[d] {
+            return; // swallowed; a live sender would retransmit
+        }
+        let unchanged = &mut self.unchanged;
+        let mut handle_audited = |m: Msg, dup: bool, out: &mut Vec<Effect>| {
+            let version = machine.durable_version();
+            let snapshot = machine.durable_snapshot().encode();
+            let changes_nothing = dup || matches!(m, Msg::Read { .. } | Msg::Ack { .. });
+            let what = format!("{m:?}");
+            machine.handle(blocks, s, m, out);
+            if machine.durable_version() == version {
+                *unchanged += 1;
+                assert_eq!(
+                    machine.durable_snapshot().encode(),
+                    snapshot,
+                    "site {d}: durable snapshot moved under an unchanged version by {what}"
+                );
+            } else {
+                assert!(
+                    !changes_nothing,
+                    "site {d}: {what} (duplicate: {dup}) bumped the durable version"
+                );
+            }
+        };
+        if self.duplicate {
+            handle_audited(m.clone(), false, out);
+            // The duplicate's effects are replays (or nothing): a real
+            // receiver drops them by tag, and so does this one.
+            handle_audited(m, true, &mut Vec::new());
+        } else {
+            handle_audited(m, false, out);
+        }
+    }
+
+    fn exchange(&mut self, site: usize, msg: &Msg) {
         assert!(
             !self.down[site],
             "client machine sent {msg:?} to believed-down site {site}"
         );
-        self.deliver(site, 0, msg)
-            .ok_or(ClientErr::Unavailable { site })
     }
 }
 
@@ -211,7 +189,7 @@ proptest! {
         down_site in 0..G + 2,
         ops in proptest::collection::vec(arb_op(), 1..40),
     ) {
-        let mut net = Net::new(G + 2);
+        let mut net = net();
         let mut client =
             ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
 
@@ -220,14 +198,14 @@ proptest! {
             let _ = client.write(&mut net, s, 0, &[s as u8 + 1; BLOCK]);
         }
 
-        net.down[down_site] = true;
+        net.hook.down[down_site] = true;
         net.sites[down_site].0.set_state(radd_protocol::SiteState::Down);
         client.set_down(down_site, true);
 
         for op in &ops {
             // Errors (multiple-failure refusals, unavailable spares) are
             // legitimate protocol outcomes; the property is only that the
-            // exchange assertion in `Net` never fires.
+            // exchange assertion in `Audit` never fires.
             match *op {
                 Op::Write { site, index, fill } => {
                     let _ = client.write(&mut net, site, index, &[fill; BLOCK]);
@@ -254,11 +232,11 @@ proptest! {
         degraded in proptest::collection::vec(arb_op(), 1..24),
         after in proptest::collection::vec(arb_op(), 1..12),
     ) {
-        let mut net = Net::new(G + 2);
-        net.duplicate = true;
+        let mut net = net();
+        net.hook.duplicate = true;
         let mut client =
             ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
-        // The checks live in `Net::handle_audited`; outcomes of the
+        // The checks live in `Audit`'s `handle`; outcomes of the
         // operations themselves are not the property.
         let run = |net: &mut Net, client: &mut ClientMachine, ops: &[Op]| {
             for op in ops {
@@ -274,18 +252,18 @@ proptest! {
         };
         run(&mut net, &mut client, &healthy);
 
-        net.down[down_site] = true;
+        net.hook.down[down_site] = true;
         client.set_down(down_site, true);
         run(&mut net, &mut client, &degraded);
         let _ = client.rebuild_member(&mut net, down_site, 4);
 
-        net.down[down_site] = false;
+        net.hook.down[down_site] = false;
         let _ = client.recover(&mut net, down_site);
         client.set_down(down_site, false);
         run(&mut net, &mut client, &after);
 
         // Every message was delivered twice, so at least every second
         // delivery must have taken the skip.
-        prop_assert!(net.unchanged > 0);
+        prop_assert!(net.hook.unchanged > 0);
     }
 }

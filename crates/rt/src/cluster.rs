@@ -1,10 +1,10 @@
 //! A loopback socket cluster: `G + 2` site threads behind real TCP
 //! listeners, every connection routed through a [`FaultProxy`].
 //!
-//! The harness ([`crate::harness::Cluster`]) and the fault-plan driver
-//! ([`crate::driver::Driver`]) are the one async interpreter's, shared
-//! with the threaded runtime — same construction parameters, same endpoint
-//! numbering, same control vocabulary, same DES-only degradations. What is
+//! The harness ([`crate::harness::Cluster`]) is the one async
+//! interpreter's, shared with the threaded runtime — same construction
+//! parameters, same endpoint numbering, same control vocabulary — and the
+//! fault-plan replayer ([`SocketDriver`]) is the workspace's one. What is
 //! socket-specific lives here: [`Loopback`] wires the cluster. The one
 //! structural difference from the threaded runtime is the path a message
 //! takes: every site map entry points at the site's fault proxy rather
@@ -84,9 +84,9 @@ impl ClusterNet for Loopback {
 /// all on loopback TCP. See [`Cluster`] for the control surface.
 pub type SocketCluster = Cluster<Loopback>;
 
-/// Drives a [`SocketCluster`] from a fault plan; see
-/// [`crate::driver::Driver`].
-pub type SocketDriver = crate::driver::Driver<Loopback>;
+/// Drives a [`SocketCluster`] from a fault plan: the one replayer,
+/// [`radd_workload::faults::PlanDriver`], over this runtime's cluster.
+pub type SocketDriver = radd_workload::faults::PlanDriver<SocketCluster>;
 
 /// `A` socket groups over a shared site pool, started by
 /// [`Cluster::start_sharded`].

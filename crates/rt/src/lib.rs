@@ -3,8 +3,8 @@
 //! `radd-core` drives [`radd_protocol::ClientMachine`] /
 //! [`radd_protocol::SiteMachine`] under a deterministic discrete-event
 //! simulator. The *async* interpreter — the site driver, the client
-//! attempt ladder, the in-process cluster harness and the fault-plan
-//! driver — exists once, written against [`radd_net::Transport`], and runs
+//! attempt ladder and the in-process cluster harness — exists once,
+//! written against [`radd_net::Transport`], and runs
 //! over two transports: `radd-node`'s in-process channels, and this
 //! crate's **real TCP sockets** — one listener per site, a
 //! length-prefixed, checksummed wire codec for the protocol vocabulary,
@@ -12,10 +12,12 @@
 //! effect stream, the differential test can demand their normalised
 //! traces match **byte for byte**.
 //!
-//! The interpreter's four source files live in `crates/node/src` and are
-//! compiled into this crate as [`site`], [`client`], [`harness`] and
-//! [`driver`] (DESIGN.md §12; §5 records why by `#[path]` rather than a
-//! `radd-node` dependency, and the one-line swap that retires it).
+//! The interpreter's three source files live in `crates/node/src` and are
+//! compiled into this crate as [`site`], [`client`] and [`harness`]
+//! (DESIGN.md §12; §5 records why by `#[path]` rather than a `radd-node`
+//! dependency, and the one-line swap that retires it). The fault-plan
+//! replayer needs no mount: `radd_workload::faults::PlanDriver` is generic
+//! over `radd_protocol::GroupCluster`, which the harness implements.
 //!
 //! What is really socket, and lives here:
 //!
@@ -68,15 +70,12 @@ pub mod server;
 // depend on `radd-node` (DESIGN.md §5).
 #[path = "../../node/src/client.rs"]
 pub mod client;
-#[path = "../../node/src/driver.rs"]
-pub mod driver;
 #[path = "../../node/src/harness.rs"]
 pub mod harness;
 #[path = "../../node/src/site.rs"]
 pub mod site;
 
 pub use admin::CtlClient;
-pub use client::ClientError;
 pub use cluster::{ShardedSocketCluster, SocketCluster, SocketDriver};
 pub use config::{ClusterConfig, StorageKind};
 pub use frame::{CtlRep, CtlReq, Frame, FrameDecoder, FrameError};

@@ -8,33 +8,19 @@
 //! machine-readable report — event log plus the cluster's observability
 //! snapshot — under `target/fault_dumps/` for CI to upload.
 
-use radd_rt::SocketDriver;
-use radd_workload::faults::{
-    run_plan, seed_from_name, FaultEvent, FaultPlan, PlanFailure, PlanShape,
-};
+use radd_rt::{SocketCluster, SocketDriver};
+use radd_workload::faults::{run_plan, seed_from_name, FaultDriver, FaultPlan, PlanShape};
 
 const BLOCK: usize = 64;
-
-/// Panic with the report, leaving a machine-readable dump (metrics +
-/// flight-recorder tails) under `target/fault_dumps/` for CI to upload.
-fn dump_and_panic(context: &str, failure: &PlanFailure) -> ! {
-    let dumped = failure
-        .write_dump(std::path::Path::new("target/fault_dumps"), context)
-        .map_or_else(
-            |e| format!("<dump failed: {e}>"),
-            |p| p.display().to_string(),
-        );
-    panic!("{context} (dump: {dumped}):\n{failure}")
-}
 
 /// Run one generated plan end to end on the socket runtime and assert the
 /// convergence obligations every CI seed shares.
 fn run_named_seed(name: &str) {
     let shape = PlanShape::default();
     let plan = FaultPlan::generate(seed_from_name(name), &shape);
-    let mut driver = SocketDriver::start(shape.group_size, shape.rows, BLOCK);
+    let mut driver = SocketDriver::new(SocketCluster::start(shape.group_size, shape.rows, BLOCK));
     let context = format!("socket-{name}");
-    let report = run_plan(&mut driver, &plan).unwrap_or_else(|f| dump_and_panic(&context, &f));
+    let report = run_plan(&mut driver, &plan).unwrap_or_else(|f| f.panic_with_dump(&context));
     assert_eq!(report.applied, plan.events.len());
     assert!(
         report.invariant_checks > 0,
@@ -68,68 +54,18 @@ fn named_seed_socket_soak_completes_on_the_socket_runtime() {
 
 #[test]
 fn loss_duplication_and_partition_converge_via_retransmission() {
-    use FaultEvent::*;
     // Hand-composed: a heavy loss burst (30% of protocol frames silently
     // dropped at the proxies) overlapping a partition, with frame
     // duplication running for the whole plan — the proxy's third fault
     // axis, which the threaded runtime's lossy channels never exercise.
     // Duplicates must be absorbed by the sites' reply caches; every write
     // must still be durably reflected in parity once the cluster quiesces.
-    let plan = FaultPlan::from_events(vec![
-        Write {
-            site: 0,
-            index: 0,
-            fill: 0x11,
-        },
-        Write {
-            site: 1,
-            index: 0,
-            fill: 0x22,
-        },
-        LossBurst {
-            permille: 300,
-            seed: 0xC0FFEE,
-        },
-        Write {
-            site: 2,
-            index: 0,
-            fill: 0x33,
-        },
-        Write {
-            site: 3,
-            index: 1,
-            fill: 0x44,
-        },
-        Isolate { site: 1 },
-        // Degraded write: the spare site absorbs it (W1').
-        Write {
-            site: 1,
-            index: 2,
-            fill: 0x55,
-        },
-        Write {
-            site: 4,
-            index: 1,
-            fill: 0x66,
-        },
-        // Degraded read straight back from the spare, under loss.
-        Read { site: 1, index: 2 },
-        Heal { site: 1 },
-        Recover { site: 1 },
-        LossEnd,
-        Write {
-            site: 0,
-            index: 3,
-            fill: 0x77,
-        },
-        Read { site: 1, index: 2 },
-        FlushParity,
-    ]);
-    let mut driver = SocketDriver::start(4, 12, BLOCK);
+    let plan = FaultPlan::loss_burst_over_partition();
+    let mut driver = SocketDriver::new(SocketCluster::start(4, 12, BLOCK));
     // One frame in five is delivered twice, for the entire plan.
     driver.cluster().faults().set_duplication(200, 0xD0D0);
     let report =
-        run_plan(&mut driver, &plan).unwrap_or_else(|f| dump_and_panic("socket-loss-burst", &f));
+        run_plan(&mut driver, &plan).unwrap_or_else(|f| f.panic_with_dump("socket-loss-burst"));
     assert!(report.invariant_checks > 0);
     // After the final quiesce every site's retransmission channel drained
     // despite drops and duplicates at the proxies.
@@ -149,7 +85,9 @@ fn loss_duplication_and_partition_converge_via_retransmission() {
     // every machine (client + G + 2 sites) answers its snapshot query, and
     // the protocol traffic shows up in the counters and flight rings.
     let num_sites = driver.cluster().num_sites();
-    let snap = driver.cluster_mut().obs_snapshot();
+    let snap = driver
+        .obs_snapshot()
+        .expect("the async runtimes always observe");
     assert_eq!(snap.machines.len(), 1 + num_sites);
     assert!(snap.total_flight_events() > 0, "flight rings are warm");
     let client = snap.machine("client").expect("client snapshot");
@@ -171,25 +109,11 @@ fn loss_duplication_and_partition_converge_via_retransmission() {
 
 #[test]
 fn quiesce_reports_all_acked_even_after_heavy_loss() {
-    use FaultEvent::*;
     // Loss only — no failures — so every event is followed by a full
     // invariant sweep once the burst ends.
-    let mut events = vec![LossBurst {
-        permille: 250,
-        seed: 0xFEED,
-    }];
-    for i in 0..8u64 {
-        events.push(Write {
-            site: (i % 6) as usize,
-            index: i % 4,
-            fill: 0x100 + i,
-        });
-    }
-    events.push(LossEnd);
-    events.push(FlushParity);
-    let plan = FaultPlan::from_events(events);
-    let mut driver = SocketDriver::start(4, 12, BLOCK);
-    run_plan(&mut driver, &plan).unwrap_or_else(|f| dump_and_panic("socket-heavy-loss", &f));
+    let plan = FaultPlan::heavy_loss();
+    let mut driver = SocketDriver::new(SocketCluster::start(4, 12, BLOCK));
+    run_plan(&mut driver, &plan).unwrap_or_else(|f| f.panic_with_dump("socket-heavy-loss"));
     assert!(driver.cluster().all_acked());
     driver.shutdown();
 }

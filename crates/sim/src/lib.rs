@@ -22,9 +22,7 @@
 pub mod cost;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use cost::{CostLedger, CostParams, OpCounts, OpKind};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};

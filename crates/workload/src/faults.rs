@@ -4,10 +4,20 @@
 //! and writes), failures (disk, site, disaster, partition, message-loss
 //! bursts) and their repairs — generated from a single `u64` seed by
 //! [`FaultPlan::generate`] or composed explicitly. One plan runs against
-//! any runtime implementing [`FaultDriver`]: the deterministic DES
-//! [`CheckedCluster`] (implemented here) and the threaded `radd-node`
-//! cluster (implemented in that crate), so the *same* scenario exercises
-//! both the simulated and the real-concurrency protocol code.
+//! anything implementing [`FaultDriver`], and there are three such things,
+//! which differ in what they can *express*, not in which runtime they were
+//! typed for:
+//!
+//! * [`PlanDriver`] (here): the replayer over the per-runtime contract
+//!   [`GroupCluster`], so over the DES in client mode, the threaded and the
+//!   socket cluster alike. It owns the replay conventions (see its docs):
+//!   written once, so the differential test compares runs of it instead of
+//!   re-implementing them.
+//! * [`CheckedCluster`] (impl here): the DES's omniscient surface, the only
+//!   driver that can fail a disk inside a site, blank a site's disks in a
+//!   disaster, or meet §5's blocking verdict.
+//! * `radd_check::ModelDriver`: the only driver of the message-granularity
+//!   events (one delivery, one drop, one timer firing at a time).
 //!
 //! [`run_plan`] applies events one at a time and validates the cluster
 //! invariants after every event. On a violation it stops with a
@@ -27,9 +37,11 @@
 //! the DES the same event log and invariant-check count — forever, on
 //! every platform.
 
-use radd_core::{CheckError, CheckedCluster, PartitionMap, RaddError, SiteState};
+use radd_core::{CheckError, CheckedCluster, PartitionMap, SiteState};
 use radd_obs::ObsSnapshot;
+use radd_protocol::{ClientErr, GroupCluster, TraceEntry};
 use radd_sim::SimRng;
+use std::collections::BTreeMap;
 use std::fmt;
 
 // The §3.1 failure vocabulary, shared with the scheme drivers — defined
@@ -222,6 +234,18 @@ pub fn seed_from_name(name: &str) -> u64 {
     h
 }
 
+/// A seed as a person spells it: `"0x1f"` and `"31"` are numbers, anything
+/// else (including `"0xRADD0001"`, which is not hex) is a name for
+/// [`seed_from_name`]. What `RADD_FAULT_SEED` / `RADD_CRASH_SEED` and the
+/// `fault_plan` example accept.
+pub fn parse_seed(s: &str) -> u64 {
+    let t = s.trim();
+    t.strip_prefix("0x")
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .or_else(|| t.parse::<u64>().ok())
+        .unwrap_or_else(|| seed_from_name(t))
+}
+
 /// Shape parameters for plan generation: the cluster the plan is meant for
 /// and how many load/fault steps to draw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,6 +294,54 @@ impl FaultPlan {
     /// A hand-composed plan.
     pub fn from_events(events: Vec<FaultEvent>) -> FaultPlan {
         FaultPlan { seed: 0, events }
+    }
+
+    /// Hand-composed for the runtimes with a lossy network: a heavy loss
+    /// burst (30% of all messages silently dropped) overlapping a §5
+    /// partition, with a degraded write and a degraded read inside both.
+    /// Every write must still be durably reflected in parity once the
+    /// cluster quiesces. Shaped for `G = 4`, 12 rows.
+    pub fn loss_burst_over_partition() -> FaultPlan {
+        use FaultEvent::*;
+        let write = |site, index, fill| Write { site, index, fill };
+        FaultPlan::from_events(vec![
+            write(0, 0, 0x11),
+            write(1, 0, 0x22),
+            LossBurst {
+                permille: 300,
+                seed: 0xC0FFEE,
+            },
+            write(2, 0, 0x33),
+            write(3, 1, 0x44),
+            Isolate { site: 1 },
+            // Degraded write: the spare site absorbs it (W1').
+            write(1, 2, 0x55),
+            write(4, 1, 0x66),
+            // Degraded read straight back from the spare, under loss.
+            Read { site: 1, index: 2 },
+            Heal { site: 1 },
+            Recover { site: 1 },
+            LossEnd,
+            write(0, 3, 0x77),
+            Read { site: 1, index: 2 },
+            FlushParity,
+        ])
+    }
+
+    /// Hand-composed: loss only (25%), no failures, so every event after
+    /// the burst ends is followed by a full invariant sweep.
+    pub fn heavy_loss() -> FaultPlan {
+        let mut events = vec![FaultEvent::LossBurst {
+            permille: 250,
+            seed: 0xFEED,
+        }];
+        events.extend((0..8u64).map(|i| FaultEvent::Write {
+            site: (i % 6) as usize,
+            index: i % 4,
+            fill: 0x100 + i,
+        }));
+        events.extend([FaultEvent::LossEnd, FaultEvent::FlushParity]);
+        FaultPlan::from_events(events)
     }
 
     /// Generate a plan from a seed: mostly load, with failure/repair
@@ -421,9 +493,9 @@ impl FaultPlan {
     }
 }
 
-/// A runtime a fault plan can drive. Both the DES [`CheckedCluster`] and
-/// the threaded `radd_node::ThreadedDriver` implement this, so one plan
-/// exercises both runtimes.
+/// Something a fault plan can drive: [`PlanDriver`] over any runtime's
+/// cluster, the DES's [`CheckedCluster`], the model checker's
+/// `ModelDriver` (the module docs say what only each can express).
 pub trait FaultDriver {
     /// Apply one event. `Err` means an *engine-level* failure (a violated
     /// guarantee), not a legitimate protocol refusal — drivers swallow
@@ -528,6 +600,19 @@ impl PlanFailure {
         std::fs::write(&path, self.dump_json())?;
         Ok(path)
     }
+
+    /// Panic with the report, leaving the dump (event log, per-machine
+    /// metrics, flight-recorder tails) at `target/fault_dumps/<context>.json`:
+    /// CI uploads that directory when a fault job goes red.
+    pub fn panic_with_dump(&self, context: &str) -> ! {
+        let dumped = self
+            .write_dump(std::path::Path::new("target/fault_dumps"), context)
+            .map_or_else(
+                |e| format!("<dump failed: {e}>"),
+                |p| p.display().to_string(),
+            );
+        panic!("{context} (dump: {dumped}):\n{self}")
+    }
 }
 
 /// Execute `plan` against `driver`, checking invariants after every event.
@@ -537,74 +622,40 @@ pub fn run_plan<D: FaultDriver>(
     driver: &mut D,
     plan: &FaultPlan,
 ) -> Result<PlanReport, PlanFailure> {
-    // Every failure path snapshots the driver's observability state, so the
-    // report shows what each machine was doing — not just what the harness
-    // asked of it.
-    fn fail<D: FaultDriver>(
-        driver: &mut D,
-        seed: u64,
-        failed_at: usize,
-        error: String,
-        log: &[String],
-    ) -> PlanFailure {
-        PlanFailure {
-            seed,
-            failed_at,
-            error,
-            event_log: log.to_vec(),
-            obs: driver.obs_snapshot(),
-        }
-    }
     let mut log = Vec::with_capacity(plan.events.len());
     let mut checks = 0u64;
-    for (i, event) in plan.events.iter().enumerate() {
-        log.push(format!("[{i}] {event}"));
-        if let Err(e) = driver.apply(event) {
-            return Err(fail(driver, plan.seed, i, e, &log));
+    let mut run = || -> Result<(), String> {
+        for (i, event) in plan.events.iter().enumerate() {
+            log.push(format!("[{i}] {event}"));
+            driver.apply(event)?;
+            let swept = driver.verify();
+            checks += u64::from(swept.map_err(|e| format!("invariant violated: {e}"))?);
         }
-        match driver.verify() {
-            Ok(true) => checks += 1,
-            Ok(false) => {}
-            Err(e) => {
-                return Err(fail(
-                    driver,
-                    plan.seed,
-                    i,
-                    format!("invariant violated: {e}"),
-                    &log,
-                ))
-            }
-        }
+        driver
+            .quiesce()
+            .map_err(|e| format!("failed to quiesce: {e}"))?;
+        let swept = driver.verify();
+        checks += u64::from(swept.map_err(|e| format!("invariant violated at quiesce: {e}"))?);
+        Ok(())
+    };
+    match run() {
+        Ok(()) => Ok(PlanReport {
+            seed: plan.seed,
+            applied: plan.events.len(),
+            invariant_checks: checks,
+            event_log: log,
+        }),
+        // Every failure path snapshots the driver's observability state, so
+        // the report shows what each machine was doing, not just what the
+        // harness asked of it.
+        Err(error) => Err(PlanFailure {
+            seed: plan.seed,
+            failed_at: log.len().saturating_sub(1),
+            error,
+            event_log: log,
+            obs: driver.obs_snapshot(),
+        }),
     }
-    let end = plan.events.len().saturating_sub(1);
-    if let Err(e) = driver.quiesce() {
-        return Err(fail(
-            driver,
-            plan.seed,
-            end,
-            format!("failed to quiesce: {e}"),
-            &log,
-        ));
-    }
-    match driver.verify() {
-        Ok(true) => checks += 1,
-        Ok(false) => {}
-        Err(e) => {
-            return Err(fail(
-                driver,
-                plan.seed,
-                end,
-                format!("invariant violated at quiesce: {e}"),
-                &log,
-            ))
-        }
-    }
-    Ok(PlanReport {
-        seed: plan.seed,
-        applied: plan.events.len(),
-        invariant_checks: checks,
-        event_log: log,
-    })
 }
 
 /// Greedily shrink a failing plan to a minimal subsequence that still
@@ -644,19 +695,11 @@ where
     }
 }
 
-/// Is this protocol error a legitimate refusal under some failure/partition
-/// scenario (as opposed to a broken guarantee)?
-fn is_refusal(e: &RaddError) -> bool {
-    matches!(
-        e,
-        RaddError::MultipleFailure { .. }
-            | RaddError::Blocked
-            | RaddError::ActorIsolated { .. }
-            | RaddError::Unavailable { .. }
-            | RaddError::InconsistentRead { .. }
-    )
-}
-
+/// Not a [`PlanDriver`] over one more cluster type: this is the only driver
+/// that applies a plan's disk failures, disasters and partitions for real
+/// (the DES fails a disk *inside* a site, blanks a site, and gates every
+/// operation through §5's partition verdict), with omniscient invariant
+/// checks and per-operation pricing that [`GroupCluster`] does not expose.
 impl FaultDriver for CheckedCluster {
     fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
         let num_sites = self.cluster().config().num_sites();
@@ -665,13 +708,13 @@ impl FaultDriver for CheckedCluster {
                 let data = payload(fill, self.cluster().config().block_size);
                 match self.write(site, index, &data) {
                     Ok(()) => Ok(()),
-                    Err(e) if is_refusal(&e) => Ok(()),
+                    Err(e) if e.is_refusal() => Ok(()),
                     Err(e) => Err(format!("write(site {site}, index {index}): {e}")),
                 }
             }
             FaultEvent::Read { site, index } => match self.read(site, index) {
                 Ok(_) => Ok(()),
-                Err(CheckError::Protocol(e)) if is_refusal(&e) => Ok(()),
+                Err(CheckError::Protocol(e)) if e.is_refusal() => Ok(()),
                 Err(e) => Err(format!("read(site {site}, index {index}): {e}")),
             },
             // Failure injection quiesces first: killing a site with parity
@@ -764,6 +807,273 @@ impl FaultDriver for CheckedCluster {
     }
 }
 
+/// What one plan event came to on a [`PlanDriver`], or one sharded event in
+/// [`run_sharded_plan`](crate::sharded::run_sharded_plan): the log two
+/// runtimes' replays are compared by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Outcome {
+    /// Applied, with nothing to report.
+    Done,
+    /// The bytes a read returned.
+    Read(Vec<u8>),
+    /// The blocks a repair drained back from the spares.
+    Drained(u64),
+    /// Legally refused ([`ClientErr::is_refusal`]); nothing happened.
+    Refused(ClientErr),
+    /// Not applied, by one of the replay conventions.
+    Skipped,
+}
+
+impl Outcome {
+    /// Did two runtimes see the same thing? Equal, or refused on both: two
+    /// legal refusals may still differ in `MultipleFailure`'s free-text
+    /// `detail`, or be `Unavailable` on one runtime and `MultipleFailure`
+    /// on the other. (A timeout is never a refusal: it fails the replay.)
+    pub fn agrees_with(&self, other: &Outcome) -> bool {
+        matches!((self, other), (Outcome::Refused(_), Outcome::Refused(_))) || self == other
+    }
+}
+
+/// The fault-plan replayer, over any runtime's cluster ([`GroupCluster`]):
+/// the DES in client mode, the threaded cluster, the socket cluster. It
+/// tracks an oracle of every acknowledged write and keeps, in this one
+/// place, the conventions the paper's model imposes on a replay:
+///
+/// * **One failure at a time** (the paper's algorithms survive single
+///   failures only): `impaired` is the one site currently failed or
+///   isolated.
+/// * **Quiesce before a kill.** A site dying with an unacknowledged parity
+///   update is §6's in-doubt case, which needs coordinator logs no runtime
+///   here models; `Fail`, `Isolate` and `KillRestart` settle first.
+/// * **Restored is not recovered** (§3.2). A revived or healed site stays
+///   believed-down until the plan's `Recover` drains its spares: between
+///   the two its local blocks may be stale. That rule is the contract of
+///   [`GroupCluster::restore`] / [`GroupCluster::heal`].
+/// * **What only the DES can inject degrades.** Disk events are no-ops (the
+///   paired `Recover` then drains nothing) and a disaster is a temporary
+///   failure: the protocol exercise (kill, degraded operation, drain) is
+///   the same, only the disks keep their contents. Message-granularity
+///   events are no-ops too. [`CheckedCluster`] and `radd_check::ModelDriver`
+///   are where those events are real.
+/// * **The skip rule.** A write whose row's *parity* site is the impaired
+///   site is not issued: a real data site would retransmit the parity
+///   update into the void until the site returned (ROADMAP item 3 moves the
+///   paper's stand-in for that case into the machines). Such writes are
+///   counted in [`skipped_writes`](PlanDriver::skipped_writes) and stay out
+///   of the oracle.
+/// * **The sweep**: stripe parity in every row, nothing unacknowledged,
+///   every acknowledged write reads back. It waits while a site is
+///   impaired (a site will not answer) or a loss burst runs (it would pass,
+///   but every dropped probe costs a retry timeout).
+pub struct PlanDriver<C> {
+    cluster: C,
+    /// Logical content per `(site, index)`: every write the cluster
+    /// acknowledged must read back exactly.
+    oracle: BTreeMap<(usize, u64), Vec<u8>>,
+    impaired: Option<usize>,
+    lossy: bool,
+    skipped_writes: u64,
+    outcomes: Vec<Outcome>,
+}
+
+impl<C: GroupCluster<Obs = ObsSnapshot>> PlanDriver<C> {
+    /// Drive `cluster`, which should be fresh: the oracle starts empty.
+    pub fn new(cluster: C) -> PlanDriver<C> {
+        PlanDriver {
+            cluster,
+            oracle: BTreeMap::new(),
+            impaired: None,
+            lossy: false,
+            skipped_writes: 0,
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// The underlying cluster.
+    pub fn cluster(&self) -> &C {
+        &self.cluster
+    }
+
+    /// Writes left out by the skip rule.
+    pub fn skipped_writes(&self) -> u64 {
+        self.skipped_writes
+    }
+
+    /// Acknowledged writes tracked by the oracle.
+    pub fn oracle_len(&self) -> usize {
+        self.oracle.len()
+    }
+
+    /// One [`Outcome`] per event applied so far, in order.
+    pub fn outcomes(&self) -> &[Outcome] {
+        &self.outcomes
+    }
+
+    /// Stop whatever the cluster keeps running.
+    pub fn shutdown(self) {
+        self.cluster.shutdown();
+    }
+
+    /// Replay for comparison with another runtime: every event applied
+    /// with no sweep in between (a sweep's reads would land in the site
+    /// traces, and differently per runtime), then quiesce, drain the
+    /// normalised traces (index 0 = client, `1 + j` = site `j`), and only
+    /// then the one final sweep. The other half of the comparison is
+    /// [`outcomes`](PlanDriver::outcomes).
+    pub fn replay(&mut self, plan: &FaultPlan) -> Result<Vec<Vec<TraceEntry>>, String> {
+        self.cluster.record_traces(true);
+        for (i, event) in plan.events.iter().enumerate() {
+            self.apply(event)
+                .map_err(|e| format!("event {i} ({event}): {e}"))?;
+        }
+        self.cluster.quiesce()?;
+        let traces = self.cluster.take_traces();
+        if !self.verify()? {
+            return Err("the plan ended impaired or lossy: no final sweep".to_string());
+        }
+        Ok(traces)
+    }
+}
+
+impl<C: GroupCluster<Obs = ObsSnapshot>> FaultDriver for PlanDriver<C> {
+    /// One event, under the conventions in the type's docs.
+    fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
+        let outcome = match *event {
+            FaultEvent::Write { site, index, .. }
+                if self.impaired == Some(parity_site_of(self.cluster.geometry(), site, index)) =>
+            {
+                self.skipped_writes += 1;
+                Outcome::Skipped
+            }
+            FaultEvent::Write { site, index, fill } => {
+                let data = payload(fill, self.cluster.block_size());
+                match self.cluster.write(site, index, &data) {
+                    Ok(()) => {
+                        self.oracle.insert((site, index), data);
+                        Outcome::Done
+                    }
+                    Err(e) if e.is_refusal() => Outcome::Refused(e),
+                    Err(e) => return Err(format!("write(site {site}, index {index}): {e}")),
+                }
+            }
+            FaultEvent::Read { site, index } => match self.cluster.read(site, index) {
+                Ok(data) => match self.oracle.get(&(site, index)) {
+                    Some(want) if *want != data => {
+                        return Err(format!(
+                            "read(site {site}, index {index}) returned stale or corrupt data"
+                        ))
+                    }
+                    _ => Outcome::Read(data),
+                },
+                Err(e) if e.is_refusal() => Outcome::Refused(e),
+                Err(e) => return Err(format!("read(site {site}, index {index}): {e}")),
+            },
+            FaultEvent::Fail {
+                kind: FailureKind::DiskFailure { .. },
+                ..
+            }
+            | FaultEvent::ReplaceDisk { .. } => Outcome::Skipped,
+            FaultEvent::Fail { site, .. } => {
+                self.cluster.quiesce()?;
+                self.cluster.fail(site);
+                self.impaired = Some(site);
+                Outcome::Done
+            }
+            FaultEvent::RestoreSite { site } => {
+                self.cluster.restore(site);
+                Outcome::Done
+            }
+            FaultEvent::Recover { site } => {
+                let drained = self
+                    .cluster
+                    .recover(site)
+                    .map_err(|e| format!("recovery of site {site}: {e}"))?;
+                self.impaired = None;
+                Outcome::Drained(drained)
+            }
+            FaultEvent::Isolate { site } => {
+                self.cluster.quiesce()?;
+                self.cluster.isolate(site);
+                self.impaired = Some(site);
+                Outcome::Done
+            }
+            FaultEvent::Heal { site } => {
+                self.cluster.heal(site);
+                Outcome::Done
+            }
+            FaultEvent::LossBurst { permille, seed } => {
+                self.cluster.set_loss(permille, seed);
+                self.lossy = true;
+                Outcome::Done
+            }
+            FaultEvent::LossEnd => {
+                self.cluster.set_loss(0, 0);
+                self.lossy = false;
+                Outcome::Done
+            }
+            FaultEvent::FlushParity => {
+                self.cluster.quiesce()?;
+                Outcome::Done
+            }
+            // A memory-backed cluster reports `false` and changes nothing,
+            // so crash plans replay against any cluster.
+            FaultEvent::KillRestart { site } => {
+                self.cluster.quiesce()?;
+                self.cluster.kill_restart(site);
+                Outcome::Done
+            }
+            FaultEvent::StepClient { .. }
+            | FaultEvent::Deliver { .. }
+            | FaultEvent::DropMsg { .. }
+            | FaultEvent::DupMsg { .. }
+            | FaultEvent::FireTimer { .. }
+            | FaultEvent::EvictReplies { .. } => Outcome::Skipped,
+        };
+        self.outcomes.push(outcome);
+        Ok(())
+    }
+
+    /// The sweep (see the type's docs). `Ok(false)` = legitimately waiting.
+    fn verify(&mut self) -> Result<bool, String> {
+        if self.impaired.is_some() || self.lossy {
+            return Ok(false);
+        }
+        self.cluster.quiesce()?;
+        if !self.cluster.all_acked() {
+            return Err(
+                "quiesced but a retransmission channel still holds unacked parity updates"
+                    .to_string(),
+            );
+        }
+        self.cluster.verify_parity()?;
+        for (&(site, index), want) in &self.oracle {
+            match self.cluster.read(site, index) {
+                Ok(got) if got == *want => {}
+                Ok(_) => return Err(format!("oracle mismatch at site {site} index {index}")),
+                Err(e) => {
+                    return Err(format!(
+                        "oracle read-back at site {site} index {index}: {e}"
+                    ))
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    fn quiesce(&mut self) -> Result<(), String> {
+        self.cluster.quiesce()
+    }
+
+    fn obs_snapshot(&mut self) -> Option<ObsSnapshot> {
+        self.cluster.obs_snapshot()
+    }
+}
+
+/// The site holding the parity block of `site`'s `index`-th data block.
+fn parity_site_of(geo: &radd_core::Geometry, site: usize, index: u64) -> usize {
+    geo.parity_site(geo.data_to_physical(site, index))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,74 +1091,6 @@ mod tests {
         assert_eq!(a, b);
         let c = FaultPlan::generate(43, &shape);
         assert_ne!(a.events, c.events);
-    }
-
-    #[test]
-    fn generated_plans_repair_everything() {
-        // After any generated plan, a fresh DES cluster ends fully healthy:
-        // every site up, no partition, no queued parity.
-        for seed in [1u64, 2, 3, 0xDEAD, 0xBEEF] {
-            let plan = FaultPlan::generate(seed, &PlanShape::default());
-            let mut cc = des();
-            let report = run_plan(&mut cc, &plan).unwrap_or_else(|f| panic!("seed {seed}: {f}"));
-            assert_eq!(report.applied, plan.events.len());
-            assert!(report.invariant_checks > 0);
-            for s in 0..cc.cluster().config().num_sites() {
-                assert_eq!(cc.cluster().site_state(s), SiteState::Up, "site {s}");
-            }
-            assert_eq!(cc.cluster().pending_parity_updates(), 0);
-        }
-    }
-
-    #[test]
-    fn same_seed_same_event_log_and_check_count() {
-        let plan = FaultPlan::generate(7, &PlanShape::default());
-        let r1 = run_plan(&mut des(), &plan).unwrap();
-        let r2 = run_plan(&mut des(), &plan).unwrap();
-        assert_eq!(r1, r2, "DES runs of one plan must be identical");
-    }
-
-    #[test]
-    fn corruption_is_reported_with_seed_and_prefix() {
-        // A plan that writes, then trips over concealed corruption.
-        let plan = FaultPlan {
-            seed: 0x51EE7,
-            events: vec![
-                FaultEvent::Write {
-                    site: 0,
-                    index: 0,
-                    fill: 1,
-                },
-                FaultEvent::Write {
-                    site: 1,
-                    index: 0,
-                    fill: 2,
-                },
-                FaultEvent::Read { site: 0, index: 0 },
-            ],
-        };
-        let mut cc = des();
-        // Run the first two events, then corrupt behind the protocol's back.
-        let prefix = FaultPlan {
-            seed: plan.seed,
-            events: plan.events[..2].to_vec(),
-        };
-        run_plan(&mut cc, &prefix).unwrap();
-        let row = cc.cluster().geometry().data_to_physical(0, 0);
-        let bs = cc.cluster().config().block_size;
-        cc.cluster_mut().corrupt_block(0, row, &vec![0xAA; bs]);
-        let failure = run_plan(
-            &mut cc,
-            &FaultPlan {
-                seed: plan.seed,
-                events: plan.events[2..].to_vec(),
-            },
-        )
-        .unwrap_err();
-        assert_eq!(failure.seed, 0x51EE7);
-        let msg = failure.to_string();
-        assert!(msg.contains("0x0000000000051ee7"), "seed in report: {msg}");
-        assert!(msg.contains("replay"), "replay instructions: {msg}");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   bandwidth ratio;
 //! * [`faults`] — the deterministic fault-plan engine: seed-generated
 //!   event sequences (failures, partitions, loss bursts, repairs) that
-//!   run against any [`faults::FaultDriver`] with invariants checked
-//!   after every event, reporting a replayable seed + minimized event
-//!   prefix on violation;
+//!   run against any [`faults::FaultDriver`] — [`PlanDriver`] over any
+//!   runtime's cluster, the DES's omniscient `CheckedCluster`, the model
+//!   checker — with invariants checked after every event, reporting a
+//!   replayable seed + minimized event prefix on violation;
 //! * [`sharded`] — the multi-group counterpart: cross-group access plans
 //!   over a [`radd_layout::ShardMap`] (uniform traffic, hot-group bursts,
 //!   pool-site failures that degrade every group hosted there) replayed
@@ -32,8 +33,8 @@ pub mod sharded;
 
 pub use access::AccessPattern;
 pub use faults::{
-    minimize_failure, run_plan, seed_from_name, FaultDriver, FaultEvent, FaultPlan, PlanFailure,
-    PlanReport, PlanShape,
+    minimize_failure, parse_seed, run_plan, seed_from_name, FaultDriver, FaultEvent, FaultPlan,
+    Outcome, PlanDriver, PlanFailure, PlanReport, PlanShape,
 };
 pub use mix::{run_mix, Mix, MixReport};
 pub use records::{run_record_workload, RecordReport, RecordWorkload};

@@ -10,15 +10,18 @@
 //! which replays them against the sharded cluster of any runtime (the
 //! `radd_protocol::Router` over its [`GroupCluster`]) while checking an
 //! oracle. The replay conventions (quiesce before a pool-site fail, skip
-//! writes whose parity pool site is impaired) live in that one function.
+//! writes whose parity pool site is impaired, sweep once after the traces
+//! are drained) live in that one function, beside their single-group
+//! statement in [`crate::faults::PlanDriver`].
 //!
 //! Determinism mirrors `FaultPlan`: generation uses only [`SimRng`]
 //! streams, so a seed names the same plan on every platform, and plans end
 //! healthy (failures repaired, bursts ended) so the final sweep runs on a
 //! clean cluster.
 
+use crate::faults::{payload, Outcome};
 use radd_layout::{Geometry, GlobalAddr, ShardMap};
-use radd_protocol::{GroupCluster, Router};
+use radd_protocol::{GroupCluster, Router, TraceEntry};
 use radd_sim::SimRng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,7 +29,7 @@ use std::fmt;
 /// One step of a sharded plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardedEvent {
-    /// Write the deterministic [`payload`](crate::faults::payload) of
+    /// Write the deterministic [`payload`] of
     /// `fill` to a global address.
     Write {
         /// Target address.
@@ -126,15 +129,6 @@ pub struct ShardedPlan {
 }
 
 impl ShardedPlan {
-    /// A hand-composed plan.
-    pub fn from_events(shape: ShardedShape, events: Vec<ShardedEvent>) -> ShardedPlan {
-        ShardedPlan {
-            seed: 0,
-            shape,
-            events,
-        }
-    }
-
     /// Generate a plan: mostly load — alternating uniform cross-group
     /// traffic with hot-group bursts (a run of accesses inside one group's
     /// range, the §4 locality case) — plus pool-site failure/repair
@@ -217,41 +211,46 @@ impl ShardedPlan {
             events,
         }
     }
-
-    /// Addresses the plan touches, for sizing oracles and reports.
-    pub fn touched(&self) -> usize {
-        let mut addrs: Vec<u64> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                ShardedEvent::Write { addr, .. } | ShardedEvent::Read { addr } => Some(*addr),
-                _ => None,
-            })
-            .collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        addrs.len()
-    }
 }
 
-/// Replay statistics from [`run_sharded_plan`].
+/// What [`run_sharded_plan`] saw: the replay statistics, and the two things
+/// another runtime's replay of the same plan is compared by.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardedReport {
     /// Writes applied (and recorded in the oracle).
     pub writes: u64,
     /// Reads issued.
     pub reads: u64,
-    /// Writes skipped because the address's parity pool site was down
-    /// (mirrors the single-group drivers' convention).
+    /// Writes left out by the skip rule.
     pub skipped: u64,
     /// Groups degraded across all pool-site failures (fan-out total).
     pub degraded_groups: u64,
+    /// One [`Outcome`] per plan event, in order.
+    pub outcomes: Vec<Outcome>,
+    /// `traces[k]` = group `k`'s normalised per-machine traces (index 0 =
+    /// client, `1 + j` = member `j`), drained after the final quiesce and
+    /// before the final sweep, whose reads would pollute them. Empty
+    /// vectors unless the caller turned `record_traces` on first.
+    pub traces: Vec<Vec<Vec<TraceEntry>>>,
 }
 
 /// Replay `plan` against `driver`, checking every read against an oracle
 /// of acknowledged writes and running the final invariant sweep plus a
-/// full oracle readback. Returns the replay statistics; errors carry the
-/// failing step.
+/// full oracle readback; errors carry the failing step.
+///
+/// This is [`PlanDriver`](crate::faults::PlanDriver) one level up, for the
+/// pool-site vocabulary, and the conventions are the same ones, stated
+/// once more here and nowhere else: a pool site is failed only on a
+/// quiesced cluster (§6's in-doubt case), a write whose row's parity lands
+/// on the impaired pool site is skipped (ROADMAP item 3), a repair is
+/// restore, then drain, then mark up, and the sweep runs once, at the end,
+/// after the traces are drained. The two replayers share [`Outcome`],
+/// [`payload`] and `ClientErr::is_refusal` and are otherwise kept side by
+/// side: their events, addresses and fault fan-out differ, and a trait
+/// whose only job was to let one loop serve both would be longer than the
+/// loop. Where this one is stricter: sharded plans contain no scenario
+/// that makes a refusal legal, so a refused write, or a refused read of
+/// written content, is a failure here.
 pub fn run_sharded_plan<C: GroupCluster>(
     driver: &mut Router<C>,
     plan: &ShardedPlan,
@@ -262,67 +261,74 @@ pub fn run_sharded_plan<C: GroupCluster>(
     let mut impaired: Option<usize> = None;
     let step = |i: usize, e: &ShardedEvent, msg: String| format!("step {i} ({e}): {msg}");
     for (i, event) in plan.events.iter().enumerate() {
-        match *event {
+        let outcome = match *event {
+            ShardedEvent::Write { addr, .. }
+                if impaired.is_some()
+                    && driver.map().parity_pool_site(GlobalAddr(addr)) == impaired =>
+            {
+                report.skipped += 1;
+                Outcome::Skipped
+            }
             ShardedEvent::Write { addr, fill } => {
-                // Same convention as the single-group drivers: a write
-                // whose row's parity site is the impaired pool site would
-                // strand, so the harness skips it.
-                if impaired.is_some() && driver.map().parity_pool_site(GlobalAddr(addr)) == impaired
-                {
-                    report.skipped += 1;
-                    continue;
-                }
-                let data = crate::faults::payload(fill, bs);
+                let data = payload(fill, bs);
                 driver
                     .write(GlobalAddr(addr), &data)
-                    .map_err(|e| step(i, event, e))?;
+                    .map_err(|e| step(i, event, e.to_string()))?;
                 oracle.insert(addr, data);
                 report.writes += 1;
+                Outcome::Done
             }
             ShardedEvent::Read { addr } => {
-                let got = driver.read(GlobalAddr(addr)).map_err(|e| step(i, event, e));
                 report.reads += 1;
-                match oracle.get(&addr) {
-                    Some(want) => {
-                        let got = got?;
-                        if &got != want {
-                            return Err(step(
-                                i,
-                                event,
-                                format!("content mismatch ({} vs {} bytes)", got.len(), want.len()),
-                            ));
-                        }
+                match (driver.read(GlobalAddr(addr)), oracle.get(&addr)) {
+                    (Ok(got), Some(want)) if got != *want => {
+                        let msg =
+                            format!("content mismatch ({} vs {} bytes)", got.len(), want.len());
+                        return Err(step(i, event, msg));
                     }
-                    // Unwritten blocks may legitimately fail on some
-                    // runtimes mid-fault; only written content is checked.
-                    None => drop(got),
+                    (Ok(got), _) => Outcome::Read(got),
+                    // An unwritten block owes nothing: mid-fault a runtime
+                    // may legally refuse it.
+                    (Err(e), None) if e.is_refusal() => Outcome::Refused(e),
+                    (Err(e), _) => return Err(step(i, event, e.to_string())),
                 }
             }
             ShardedEvent::FailPoolSite { site } => {
                 report.degraded_groups += driver.map().pool_site_slots(site).len() as u64;
                 // The plan's `Quiesce` precedes every failure, but the kill
-                // itself must not race an in-flight parity update: a site
-                // dying with one unacked is the §6 in-doubt problem.
+                // itself must not race an in-flight parity update.
                 driver.quiesce().map_err(|e| step(i, event, e))?;
                 driver.fail_pool_site(site);
                 impaired = Some(site);
+                Outcome::Done
             }
-            // Repair is restore + drain + mark up, in every affected group.
             ShardedEvent::RecoverPoolSite { site } => {
                 driver.restore_pool_site(site);
-                driver
+                let drained = driver
                     .recover_pool_site(site)
                     .map_err(|e| step(i, event, e))?;
                 impaired = None;
+                Outcome::Drained(drained)
             }
-            ShardedEvent::LossBurst { permille, seed } => driver.set_loss(permille, seed),
-            ShardedEvent::LossEnd => driver.set_loss(0, 0),
-            ShardedEvent::Quiesce => driver.quiesce().map_err(|e| step(i, event, e))?,
-        }
+            ShardedEvent::LossBurst { permille, seed } => {
+                driver.set_loss(permille, seed);
+                Outcome::Done
+            }
+            ShardedEvent::LossEnd => {
+                driver.set_loss(0, 0);
+                Outcome::Done
+            }
+            ShardedEvent::Quiesce => {
+                driver.quiesce().map_err(|e| step(i, event, e))?;
+                Outcome::Done
+            }
+        };
+        report.outcomes.push(outcome);
     }
     driver
         .quiesce()
         .map_err(|e| format!("final quiesce: {e}"))?;
+    report.traces = driver.take_traces();
     driver
         .verify_parity()
         .map_err(|e| format!("final invariant sweep: {e}"))?;
@@ -382,25 +388,6 @@ mod tests {
             groups_touched.len(),
             shape.num_groups,
             "a default-shape plan should touch every group"
-        );
-        assert!(plan.touched() > 0);
-    }
-
-    #[test]
-    fn des_sharded_cluster_replays_a_seeded_plan() {
-        use radd_core::{RaddCluster, RaddConfig};
-
-        let shape = ShardedShape::default();
-        let mut config = RaddConfig::small_g4();
-        config.group_size = shape.group_size;
-        config.rows = shape.rows;
-        let mut cluster = RaddCluster::sharded(shape.map(), &config).unwrap();
-        let plan = ShardedPlan::generate(crate::faults::seed_from_name("0xRADD-MG"), &shape);
-        let report = run_sharded_plan(&mut cluster, &plan).unwrap();
-        assert!(report.writes > 0, "plan must exercise writes");
-        assert!(
-            report.degraded_groups == 0 || report.degraded_groups >= shape.num_groups as u64,
-            "a pool-site failure on the uniform pool degrades every group"
         );
     }
 }

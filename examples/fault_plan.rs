@@ -12,14 +12,6 @@
 
 use radd::prelude::*;
 
-fn parse_seed(s: &str) -> u64 {
-    let t = s.trim();
-    t.strip_prefix("0x")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .or_else(|| t.parse::<u64>().ok())
-        .unwrap_or_else(|| seed_from_name(t))
-}
-
 fn des() -> CheckedCluster {
     CheckedCluster::new(RaddConfig::small_g4()).unwrap()
 }

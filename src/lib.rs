@@ -79,7 +79,7 @@ pub mod prelude {
     pub use radd_layout::{assign_groups, Geometry, GlobalAddr, GroupId, Role, ShardMap};
     pub use radd_node::{NodeCluster, ShardedNodeCluster, ThreadedDriver};
     pub use radd_obs::{MachineObs, MachineSnapshot, ObsSnapshot, DEFAULT_RING_CAP};
-    pub use radd_protocol::{GroupCluster, RouteError, Router};
+    pub use radd_protocol::{ClientErr, GroupCluster, RouteError, Router};
     pub use radd_reliability::{Environment, MonteCarlo, Scheme};
     pub use radd_rt::{ClusterConfig, ShardedSocketCluster, SocketCluster, SocketDriver};
     pub use radd_schemes::{CRaid, FailureKind, Radd, Raid5, ReplicationScheme, Rowb, TwoDRadd};
@@ -87,8 +87,8 @@ pub mod prelude {
     pub use radd_storage::{NoOverwriteManager, RecoveryContext, StorageManager, WalManager};
     pub use radd_txn::{radd_commit, two_phase_commit, DistributedTxn, RaddCommitConfig};
     pub use radd_workload::{
-        minimize_failure, run_mix, run_plan, run_sharded_plan, seed_from_name, AccessPattern,
-        FaultDriver, FaultEvent, FaultPlan, Mix, PlanFailure, PlanReport, PlanShape, ShardedEvent,
-        ShardedPlan, ShardedShape,
+        minimize_failure, parse_seed, run_mix, run_plan, run_sharded_plan, seed_from_name,
+        AccessPattern, FaultDriver, FaultEvent, FaultPlan, Mix, Outcome, PlanDriver, PlanFailure,
+        PlanReport, PlanShape, ShardedEvent, ShardedPlan, ShardedShape,
     };
 }

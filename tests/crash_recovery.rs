@@ -7,10 +7,12 @@
 //!
 //! * the DES [`CheckedCluster`] under [`StorageMode::Durable`] (the
 //!   process-crash model: volatile state gone, disk array preserved),
-//! * the threaded runtime via [`ThreadedDriver::start_durable`] (every
-//!   site journals through a WAL-backed `radd_storage::DiskBlocks`), and
-//! * the socket runtime via [`SocketDriver::start_durable`] (same engine,
-//!   real TCP on loopback behind fault proxies),
+//! * the threaded runtime, a [`PlanDriver`] over
+//!   [`NodeCluster::start_durable`] (every site journals through a
+//!   WAL-backed `radd_storage::DiskBlocks`), and
+//! * the socket runtime, the same [`PlanDriver`] over
+//!   [`SocketCluster::start_durable`] (same engine, real TCP on loopback
+//!   behind fault proxies),
 //!
 //! with the full invariant suite (stripe parity, UID-array agreement,
 //! oracle content equality) checked after every event. Two fixed named
@@ -25,44 +27,30 @@
 
 use radd::core::StorageMode;
 use radd::prelude::*;
+use radd::protocol::CoalescePolicy;
+use radd::storage::StorageSpec;
 use std::path::{Path, PathBuf};
 
 const BLOCK: usize = 64;
+/// `small_g4`'s shape.
+const G: usize = 4;
+const ROWS: u64 = 12;
+
+/// The async runtimes' default parity-update coalescing.
+const MERGE: CoalescePolicy = CoalescePolicy::Merge;
 
 /// The CI seed set (the mapping is `seed_from_name`, stable forever).
 const CI_SEEDS: [&str; 2] = ["radd-crash-steady", "radd-crash-storm"];
 
-/// `small_g4`'s shape, with enough steps that the 12% crash-weave fires
-/// several times beyond the guaranteed final `KillRestart`.
+/// Enough steps that the 12% crash-weave fires several times beyond the
+/// guaranteed final `KillRestart`.
 fn crash_shape() -> PlanShape {
     PlanShape {
-        group_size: 4,
-        rows: 12,
+        group_size: G,
+        rows: ROWS,
         disks_per_site: 1,
         steps: 60,
     }
-}
-
-/// `"0x1f"` and `"31"` parse as numeric seeds; anything else hashes
-/// through [`seed_from_name`].
-fn parse_seed(s: &str) -> u64 {
-    let t = s.trim();
-    t.strip_prefix("0x")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .or_else(|| t.parse::<u64>().ok())
-        .unwrap_or_else(|| seed_from_name(t))
-}
-
-/// Panic with the report, leaving a machine-readable dump under
-/// `target/fault_dumps/` for CI to upload.
-fn dump_and_panic(context: &str, failure: &PlanFailure) -> ! {
-    let dumped = failure
-        .write_dump(Path::new("target/fault_dumps"), context)
-        .map_or_else(
-            |e| format!("<dump failed: {e}>"),
-            |p| p.display().to_string(),
-        );
-    panic!("{context} (dump: {dumped}):\n{failure}")
 }
 
 /// A generated crash plan, asserted to actually contain kill/restart
@@ -120,7 +108,7 @@ fn run_des(label: &str, plan: &FaultPlan) {
     let mut cc = CheckedCluster::new(cfg).expect("valid crash config");
     cc.cluster_mut().set_storage_mode(StorageMode::Durable);
     let report = run_plan(&mut cc, plan)
-        .unwrap_or_else(|f| dump_and_panic(&format!("crash-des-{label}"), &f));
+        .unwrap_or_else(|f| f.panic_with_dump(&format!("crash-des-{label}")));
     check_report(label, &report, plan);
     for s in 0..cc.cluster().config().num_sites() {
         assert_eq!(
@@ -133,47 +121,49 @@ fn run_des(label: &str, plan: &FaultPlan) {
     assert!(cc.oracle_len() > 0, "{label}: plan never wrote anything");
 }
 
-/// One crash plan on an async runtime's fault driver, over durable stores
-/// under a scratch directory. `Driver<N>` is one source file compiled into
-/// each runtime crate, so the two instantiations share no nominal type:
-/// the harness comes in as its constructor plus `finish`, which reports
-/// `(oracle_len, all_acked)` and shuts the cluster down.
-fn run_durable<D: FaultDriver>(
+/// Every site journals through a WAL-backed `DiskBlocks` under
+/// `<dir>/site-<j>`.
+fn on_disk(dir: &Path) -> StorageSpec {
+    StorageSpec::Disk {
+        dir: dir.to_path_buf(),
+    }
+}
+
+/// One crash plan on an async runtime, over durable stores under a scratch
+/// directory: the one `PlanDriver`, over whichever cluster `start` builds.
+fn run_durable<C: GroupCluster<Obs = ObsSnapshot>>(
     runtime: &str,
     label: &str,
     plan: &FaultPlan,
-    start: impl FnOnce(usize, u64, usize, PathBuf) -> D,
-    finish: impl FnOnce(D) -> (usize, bool),
+    start: impl FnOnce(&Path) -> C,
 ) {
-    let shape = crash_shape();
     let dir = scratch(&format!("{runtime}-{label}"));
-    let mut driver = start(shape.group_size, shape.rows, BLOCK, dir.clone());
+    let mut driver = PlanDriver::new(start(&dir));
     let report = run_plan(&mut driver, plan)
-        .unwrap_or_else(|f| dump_and_panic(&format!("crash-{runtime}-{label}"), &f));
+        .unwrap_or_else(|f| f.panic_with_dump(&format!("crash-{runtime}-{label}")));
     check_report(label, &report, plan);
-    let (oracle_len, all_acked) = finish(driver);
-    assert!(oracle_len > 0, "{label}: plan never wrote anything");
     assert!(
-        all_acked,
+        driver.oracle_len() > 0,
+        "{label}: plan never wrote anything"
+    );
+    assert!(
+        driver.cluster().all_acked(),
         "{label}: parity update in flight after the final quiesce"
     );
-    assert_on_disk(&dir, shape.group_size + 2, shape.rows);
+    driver.shutdown();
+    assert_on_disk(&dir, G + 2, ROWS);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn run_threaded(label: &str, plan: &FaultPlan) {
-    run_durable("node", label, plan, ThreadedDriver::start_durable, |d| {
-        let seen = (d.oracle_len(), d.cluster().all_acked());
-        d.shutdown();
-        seen
+    run_durable("node", label, plan, |dir| {
+        NodeCluster::start_durable(G, ROWS, BLOCK, 1, MERGE, &on_disk(dir)).0
     });
 }
 
 fn run_socket(label: &str, plan: &FaultPlan) {
-    run_durable("sock", label, plan, SocketDriver::start_durable, |d| {
-        let seen = (d.oracle_len(), d.cluster().all_acked());
-        d.shutdown();
-        seen
+    run_durable("sock", label, plan, |dir| {
+        SocketCluster::start_durable(G, ROWS, BLOCK, 1, MERGE, &on_disk(dir)).0
     });
 }
 
@@ -210,8 +200,9 @@ fn crash_plans_extend_the_base_plan_deterministically() {
 #[test]
 fn a_killed_site_serves_its_acknowledged_writes_after_restart() {
     let dir = scratch("targeted");
-    let mut driver = ThreadedDriver::start_durable(4, 12, BLOCK, dir.clone());
-    let geo = Geometry::new(4, 12).expect("valid geometry");
+    let mut driver =
+        ThreadedDriver::new(NodeCluster::start_durable(G, ROWS, BLOCK, 1, MERGE, &on_disk(&dir)).0);
+    let geo = Geometry::new(G, ROWS).expect("valid geometry");
     let row = geo.data_to_physical(2, 0);
     let plan = FaultPlan::from_events(vec![
         FaultEvent::Write {
@@ -234,7 +225,7 @@ fn a_killed_site_serves_its_acknowledged_writes_after_restart() {
         FaultEvent::FlushParity,
     ]);
     let report =
-        run_plan(&mut driver, &plan).unwrap_or_else(|f| dump_and_panic("crash-targeted", &f));
+        run_plan(&mut driver, &plan).unwrap_or_else(|f| f.panic_with_dump("crash-targeted"));
     check_report("targeted", &report, &plan);
     assert_eq!(driver.oracle_len(), 2);
     driver.shutdown();

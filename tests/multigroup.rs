@@ -7,8 +7,9 @@
 //! * a [`ShardedPlan`] generated from a named seed replays through
 //!   [`run_sharded_plan`], which checks every read against the oracle, the
 //!   final stripe-invariant sweep in every group, and a full readback of
-//!   acknowledged writes (threaded and socket here; the DES replay is a
-//!   unit test of `radd_workload::sharded`). On failure the test drops a
+//!   acknowledged writes (threaded and socket here; the DES goes through
+//!   the same function in `tests/differential.rs`, which also compares
+//!   the three). On failure the test drops a
 //!   replay dump under `target/fault_dumps/` (CI's `multi-group` job
 //!   uploads the directory as an artifact), naming the seed so the run
 //!   reproduces with `ShardedPlan::generate(seed, &shape)`;

@@ -38,35 +38,11 @@ fn soak_cluster() -> CheckedCluster {
     CheckedCluster::new(cfg).expect("valid soak config")
 }
 
-/// `"0x1f"` and `"31"` parse as numeric seeds; anything else (including
-/// `"0xRADD0001"`, which is not hex) hashes through [`seed_from_name`].
-fn parse_seed(s: &str) -> u64 {
-    let t = s.trim();
-    t.strip_prefix("0x")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .or_else(|| t.parse::<u64>().ok())
-        .unwrap_or_else(|| seed_from_name(t))
-}
-
-/// Panic with the failure report, leaving a machine-readable dump (event
-/// log + per-machine metrics + flight-recorder tails) under
-/// `target/fault_dumps/` — CI uploads that directory as a workflow
-/// artifact when the fault matrix goes red.
-fn dump_and_panic(context: &str, failure: &PlanFailure) -> ! {
-    let dumped = failure
-        .write_dump(std::path::Path::new("target/fault_dumps"), context)
-        .map_or_else(
-            |e| format!("<dump failed: {e}>"),
-            |p| p.display().to_string(),
-        );
-    panic!("{context} (dump: {dumped}):\n{failure}")
-}
-
 fn run_seed(label: &str, seed: u64) {
     let plan = FaultPlan::generate(seed, &soak_shape());
     let mut cc = soak_cluster();
     let report = run_plan(&mut cc, &plan)
-        .unwrap_or_else(|failure| dump_and_panic(&format!("soak seed {label}"), &failure));
+        .unwrap_or_else(|failure| failure.panic_with_dump(&format!("soak seed {label}")));
     assert_eq!(report.applied, plan.events.len(), "seed {label}");
     assert!(
         report.invariant_checks > 0,
@@ -108,7 +84,7 @@ fn one_cluster_survives_consecutive_plans() {
     for round in 0..3u64 {
         let plan = FaultPlan::generate(seed_from_name("radd-soak-steady") ^ round, &soak_shape());
         run_plan(&mut cc, &plan)
-            .unwrap_or_else(|failure| dump_and_panic(&format!("soak round {round}"), &failure));
+            .unwrap_or_else(|failure| failure.panic_with_dump(&format!("soak round {round}")));
     }
     assert_eq!(cc.cluster().pending_parity_updates(), 0);
 }
