@@ -4,9 +4,15 @@
 //! the checkpoint that bounds it. Real files under the checkout's
 //! `target/` — these numbers include the fsync, which is the point, and
 //! the OS temp dir is often a tmpfs, where a sync costs nothing.
+//!
+//! The `site_meta_patch_*` / `snapshot_encode_512` rows are the exception:
+//! no file, no sync, only what a site's machine does between handling a
+//! write and handing the store its metadata record. They sit here because
+//! `scripts/bench_check.sh` gates them as same-run ratios next to the
+//! commit they are part of.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use radd_protocol::{Blocks, SiteMachine};
+use radd_protocol::{Blocks, DurableDelta, SiteMachine};
 use radd_storage::DiskBlocks;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -27,35 +33,76 @@ fn scratch(label: &str) -> PathBuf {
 /// timed commit of the second lap overwrites a first-lap record.
 const SECOND_LAP_WARMUP: usize = 800;
 
-/// A 512-row store that never checkpoints on its own, and the commit a
-/// site really makes on it: one 4 KiB block plus the encoded
-/// `DurableSiteState` of a 512-row machine (9.7 KB) in which one block UID
-/// and the UID counter moved since the last commit. The 32-byte blob of
-/// `commit_1x4k` is why this cost went unseen: logging the blob whole made
-/// this row three times the bytes of that one.
-fn site_store(dir: &Path) -> (DiskBlocks, impl FnMut(&mut DiskBlocks) -> bool) {
-    const SITE_ROWS: u64 = 512;
-    let mut d = DiskBlocks::open(dir, SITE_ROWS, BLOCK).expect("open");
-    d.set_checkpoint_bytes(u64::MAX);
-    // State as a full preload leaves it: a UID array for every row this
-    // site holds parity for.
-    let mut machine = SiteMachine::new(0, 4, SITE_ROWS, BLOCK);
-    for r in 0..SITE_ROWS {
+/// A site's machine as a full preload leaves it: a UID array for every
+/// row this site holds parity for.
+fn site_machine(rows: u64) -> SiteMachine {
+    let mut machine = SiteMachine::new(0, 4, rows, BLOCK);
+    for r in 0..rows {
         if machine.geometry().parity_site(r) == 0 {
             machine.parity_uid_array(r);
         }
     }
+    machine
+}
+
+/// What a write moves in the durable half of its data site: the UID
+/// counter and one block UID. (A live write bumps the tag counter too; it
+/// sits next to the UID counter and is journalled as the same field, so
+/// the patch path does the same work, and leaving it out keeps the bytes
+/// rows comparable with the recorded ones.)
+fn touch_one(machine: &mut SiteMachine, row: u64) {
+    let uid = machine.mint_uid();
+    machine.set_block_uid(row, uid);
+}
+
+/// A 512-row store that never checkpoints on its own, and the commit a
+/// site really makes on it: one 4 KiB block plus the metadata record for a
+/// 512-row machine (a 9.7 KB `DurableSiteState`) in which one block UID
+/// and the UID counter moved since the last commit. `by_patch` is the live site's way
+/// to that record (`SiteMachine::drain_durable`, then `commit_patch`);
+/// without it the blob is encoded whole and the store finds the difference
+/// (`commit(|| blob)`, what `benchmark/` replays). The 32-byte blob of
+/// `commit_1x4k` is why this cost went unseen: logging the blob whole made
+/// this row three times the bytes of that one.
+fn site_store(dir: &Path, by_patch: bool) -> (DiskBlocks, impl FnMut(&mut DiskBlocks) -> bool) {
+    const SITE_ROWS: u64 = 512;
+    let mut d = DiskBlocks::open(dir, SITE_ROWS, BLOCK).expect("open");
+    d.set_checkpoint_bytes(u64::MAX);
+    let mut machine = site_machine(SITE_ROWS);
     let mut row = 0u64;
     let commit_one = move |d: &mut DiskBlocks| {
         row = (row + 1) % SITE_ROWS;
-        let uid = machine.mint_uid();
-        machine.set_block_uid(row, uid);
+        touch_one(&mut machine, row);
         d.write_owned(row, bytes::Bytes::from(vec![row as u8; BLOCK]))
             .expect("write");
-        d.commit(|| machine.durable_snapshot().encode())
-            .expect("commit")
+        if !by_patch {
+            return d
+                .commit(|| machine.durable_snapshot().encode())
+                .expect("commit");
+        }
+        match machine.drain_durable(d.meta()) {
+            DurableDelta::Patch(patch) => d.commit_patch(patch),
+            DurableDelta::Whole(blob) => d.commit(|| blob),
+        }
+        .expect("commit")
     };
     (d, commit_one)
+}
+
+/// Log bytes per commit over sixteen of them, printed as the count row
+/// `name` (`scripts/bench_check.sh` gates it exactly).
+fn print_bytes_per_commit(
+    name: &str,
+    d: &mut DiskBlocks,
+    commit_one: &mut impl FnMut(&mut DiskBlocks) -> bool,
+) {
+    commit_one(d); // a fresh store's first metadata record is the whole blob
+    let before = d.wal_bytes();
+    for _ in 0..16 {
+        commit_one(d);
+    }
+    let per_commit = (d.wal_bytes() - before) / 16;
+    println!("bench {name:50} {per_commit:>12} B/commit");
 }
 
 fn bench_disk(c: &mut Criterion) {
@@ -83,15 +130,22 @@ fn bench_disk(c: &mut Criterion) {
     // gates it exactly): what one such commit adds to the log.
     group.bench_function("commit_1x4k_site_meta_512", |bencher| {
         let dir = scratch("commit-site-meta");
-        let (mut d, mut commit_one) = site_store(&dir);
-        commit_one(&mut d); // a fresh store's first metadata record is the whole blob
-        let before = d.wal_bytes();
-        for _ in 0..16 {
-            commit_one(&mut d);
-        }
-        let per_commit = (d.wal_bytes() - before) / 16;
+        let (mut d, mut commit_one) = site_store(&dir, false);
         let name = "disk_commit/commit_1x4k_site_meta_512_bytes";
-        println!("bench {name:50} {per_commit:>12} B/commit");
+        print_bytes_per_commit(name, &mut d, &mut commit_one);
+        bencher.iter(|| black_box(commit_one(&mut d)));
+        drop(d);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+
+    // The same commit the way a live site makes it: the machine says what
+    // the write touched and the store is handed the patch. Same record,
+    // so the bytes line must equal the one above.
+    group.bench_function("commit_1x4k_site_patch_512", |bencher| {
+        let dir = scratch("commit-site-patch");
+        let (mut d, mut commit_one) = site_store(&dir, true);
+        let name = "disk_commit/commit_1x4k_site_patch_512_bytes";
+        print_bytes_per_commit(name, &mut d, &mut commit_one);
         bencher.iter(|| black_box(commit_one(&mut d)));
         drop(d);
         let _ = std::fs::remove_dir_all(&dir);
@@ -102,7 +156,7 @@ fn bench_disk(c: &mut Criterion) {
     // with, and its first metadata record patches the checkpointed blob.
     group.bench_function("commit_1x4k_site_meta_512_second_lap", |bencher| {
         let dir = scratch("commit-second-lap");
-        let (mut d, mut commit_one) = site_store(&dir);
+        let (mut d, mut commit_one) = site_store(&dir, false);
         for _ in 0..SECOND_LAP_WARMUP {
             commit_one(&mut d);
         }
@@ -110,6 +164,41 @@ fn bench_disk(c: &mut Criterion) {
         bencher.iter(|| black_box(commit_one(&mut d)));
         drop(d);
         let _ = std::fs::remove_dir_all(&dir);
+    });
+
+    // Machine to metadata record, nothing else: what the write touched,
+    // drained into the patch against the last encoding and applied to it
+    // (the store's part, a few bytes of XOR), at a benchmark-sized site and
+    // at one sixteen times the rows. The gates are ratios within this run:
+    // the patch must not grow with the site (8192 / 512 <= 1.5), and must
+    // beat the whole encode it replaced, the next row, at least 8x.
+    group.throughput(Throughput::Elements(1));
+    for rows in [512u64, 8192] {
+        group.bench_function(format!("site_meta_patch_{rows}"), |bencher| {
+            let mut machine = site_machine(rows);
+            let DurableDelta::Whole(mut blob) = machine.drain_durable(&[]) else {
+                panic!("a first drain is whole");
+            };
+            let mut row = 0u64;
+            bencher.iter(|| {
+                row = (row + 1) % rows;
+                touch_one(&mut machine, row);
+                match machine.drain_durable(&blob) {
+                    DurableDelta::Patch(patch) => patch.apply(&mut blob),
+                    DurableDelta::Whole(_) => panic!("a write changes no shape"),
+                }
+                black_box(blob.len());
+            });
+        });
+    }
+    group.bench_function("snapshot_encode_512", |bencher| {
+        let mut machine = site_machine(512);
+        let mut row = 0u64;
+        bencher.iter(|| {
+            row = (row + 1) % 512;
+            touch_one(&mut machine, row);
+            black_box(machine.durable_snapshot().encode());
+        });
     });
 
     // Group commit: eight rows ride one log append and one fdatasync —

@@ -27,7 +27,7 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct Wire {
     line: Mutex<()>,
-    latency_ns: AtomicU64,
+    latency: Duration,
 }
 
 impl Wire {
@@ -35,22 +35,16 @@ impl Wire {
     pub fn new(latency: Duration) -> Arc<Wire> {
         Arc::new(Wire {
             line: Mutex::new(()),
-            latency_ns: AtomicU64::new(latency.as_nanos() as u64),
+            latency,
         })
     }
 
-    /// Change the wire time (0 disables the sleep but keeps serialization).
-    pub fn set_latency(&self, latency: Duration) {
-        self.latency_ns
-            .store(latency.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Occupy the line for one message.
+    /// Occupy the line for one message (a zero wire time skips the sleep
+    /// but keeps the serialization).
     fn transmit(&self) {
         let _line = self.line.lock();
-        let ns = self.latency_ns.load(Ordering::Relaxed);
-        if ns > 0 {
-            std::thread::sleep(Duration::from_nanos(ns));
+        if !self.latency.is_zero() {
+            std::thread::sleep(self.latency);
         }
     }
 }

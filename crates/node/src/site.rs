@@ -10,7 +10,10 @@
 //! no thread of its own:
 //!
 //! 1. [`SiteDriver::deliver`] feeds one inbound message into
-//!    [`SiteMachine::handle`], commits, and only then releases the effects;
+//!    [`SiteMachine::handle`], commits (the staged block writes plus what
+//!    the message touched of the machine's durable half, as a patch
+//!    against the store's committed blob: `SiteDriver::commit`), and only
+//!    then releases the effects;
 //! 2. [`SiteDriver::fire_due_timers`] feeds due retransmit timers into
 //!    [`SiteMachine::on_timer`];
 //! 3. [`SiteDriver::serve`] answers one harness [`Control`] command.
@@ -39,12 +42,13 @@
 use radd_net::{Outbound, RetryPolicy};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::{
-    trace, CoalescePolicy, Dest, DurableSiteState, Effect, IoPurpose, Msg, SiteMachine, TraceEntry,
+    trace, CoalescePolicy, Dest, DurableDelta, DurableSiteState, Effect, IoPurpose, Msg,
+    SiteMachine, TraceEntry,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Retransmission schedule for unacked parity updates.
 const RETRANSMIT: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
@@ -178,9 +182,10 @@ impl SiteDriver {
     }
 
     /// A message reached the site while another was being handled (the
-    /// socket runtime: its reader thread found the site lock taken).
-    pub fn busy_arrival(&mut self) {
-        self.obs.metrics().site_busy_arrival();
+    /// socket runtime: its reader thread found the site lock taken and
+    /// waited `waited` for it).
+    pub fn busy_arrival(&mut self, waited: Duration) {
+        self.obs.metrics().site_busy_arrival(waited);
     }
 
     fn interpret<T: Outbound>(&mut self, ep: &T, out: Vec<Effect>) {
@@ -224,10 +229,16 @@ impl SiteDriver {
     /// no ack may leave the process ahead of the log record that justifies
     /// it. A message that staged nothing and left
     /// [`SiteMachine::durable_version`] where the last commit found it
-    /// (`Read`, `Ack`, a probe, a replayed reply) has nothing to log, and
-    /// skips the O(rows) snapshot encode that `commit` would need to find
-    /// that out. Debug builds encode anyway and check the skip was sound.
-    /// A memory-backed store makes all of this a no-op.
+    /// (`Read`, `Ack`, a probe, a replayed reply) has nothing to log and
+    /// stops there. Any other logs what it touched:
+    /// [`SiteMachine::drain_durable`] turns the machine's journal into the
+    /// patch against the store's committed blob, which stays the only copy
+    /// of the encoding (a write costs three `u64`s of XOR, not an O(rows)
+    /// encode, compare and diff), and falls back to the whole encoding when
+    /// the message changed the blob's shape. Debug builds encode whole on
+    /// every call anyway and check that the skip, or the patch, was sound.
+    /// A memory-backed store makes all of this a no-op, and its machine's
+    /// journal is never drained.
     ///
     /// Returns `false` when the store failed the commit: the caller must
     /// drop the message's effects. The machine is now ahead of the disk and
@@ -235,30 +246,32 @@ impl SiteDriver {
     /// site failure the paper tolerates — until [`Control::KillRestart`]
     /// re-opens the store and rebuilds the machine from what is durable.
     fn commit(&mut self) -> bool {
-        let version = self.machine.durable_version();
-        if !self.store.has_staged() && self.committed == Some(version) {
-            debug_assert!(
-                self.store
-                    .meta()
-                    .is_none_or(|m| m == self.machine.durable_snapshot().encode()),
-                "site {}: durable state moved under an unchanged version",
-                self.cfg.site
-            );
+        if !self.store.is_durable() {
             return true;
         }
-        if let Err(e) = self
-            .store
-            .commit(|| self.machine.durable_snapshot().encode())
-        {
-            eprintln!(
-                "site {}: durable commit failed, going down: {e}",
-                self.cfg.site
-            );
-            self.obs.metrics().commit_failure();
-            self.down = true;
-            return false;
+        let version = self.machine.durable_version();
+        if self.store.has_staged() || self.committed != Some(version) {
+            let committed = self.store.meta().unwrap_or_default();
+            let done = match self.machine.drain_durable(committed) {
+                DurableDelta::Patch(patch) => self.store.commit_patch(patch),
+                DurableDelta::Whole(blob) => self.store.commit(|| blob),
+            };
+            if let Err(e) = done {
+                eprintln!(
+                    "site {}: durable commit failed, going down: {e}",
+                    self.cfg.site
+                );
+                self.obs.metrics().commit_failure();
+                self.down = true;
+                return false;
+            }
+            self.committed = Some(version);
         }
-        self.committed = Some(version);
+        debug_assert!(
+            self.store.meta() == Some(&self.machine.durable_snapshot().encode()[..]),
+            "site {}: the committed blob is not the machine's durable state",
+            self.cfg.site
+        );
         true
     }
 

@@ -61,14 +61,6 @@ impl MachineObs {
         MachineObs::default()
     }
 
-    /// A machine observer with a custom flight-ring capacity.
-    pub fn with_ring_cap(cap: usize) -> MachineObs {
-        MachineObs {
-            metrics: MachineMetrics::default(),
-            recorder: FlightRecorder::new(cap),
-        }
-    }
-
     /// Tap one interpreter effect: update counters and the flight ring.
     #[inline]
     pub fn effect(&mut self, effect: &Effect) {

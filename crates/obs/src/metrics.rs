@@ -5,6 +5,7 @@
 use crate::snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot, NamedCount};
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{IoPurpose, MsgKind};
+use std::time::Duration;
 
 /// Number of histogram buckets: one for zero plus one per bit width of a
 /// `u64` value (bucket `b ≥ 1` holds values in `[2^(b-1), 2^b)`).
@@ -73,6 +74,15 @@ impl Histogram {
     }
 }
 
+/// Upper bounds, in microseconds, of the site-lock wait buckets; one more
+/// bucket takes everything from the last bound up. Linear in the range
+/// that matters: a wait is a share of one commit (100-250 us with its
+/// `fdatasync`), where a log2 histogram of nanoseconds has two buckets.
+const LOCK_WAIT_BOUNDS_US: [u64; 4] = [10, 40, 80, 160];
+/// The buckets' names in a snapshot.
+const LOCK_WAIT_NAMES: [&str; LOCK_WAIT_BOUNDS_US.len() + 1] =
+    ["lt_10", "lt_40", "lt_80", "lt_160", "ge_160"];
+
 /// Dense counters for one protocol machine (a client or a site).
 ///
 /// Counter updates driven off the effect stream go through
@@ -94,6 +104,7 @@ pub struct MachineMetrics {
     stash_evictions: u64,
     commit_failures: u64,
     site_busy_arrivals: u64,
+    site_lock_wait: [u64; LOCK_WAIT_BOUNDS_US.len() + 1],
     coalesced_merges: u64,
     recovery_runs: u64,
     recovery_drained_rows: u64,
@@ -151,9 +162,12 @@ impl MachineMetrics {
     }
 
     /// A message arrived while the site was handling another one: its
-    /// reader thread found the site lock taken and had to wait.
-    pub fn site_busy_arrival(&mut self) {
+    /// reader thread found the site lock taken and waited `waited` for it.
+    pub fn site_busy_arrival(&mut self, waited: Duration) {
         self.site_busy_arrivals += 1;
+        let us = waited.as_micros() as u64;
+        let bucket = LOCK_WAIT_BOUNDS_US.partition_point(|&bound| bound <= us);
+        self.site_lock_wait[bucket] += 1;
     }
 
     /// A recovery drain started.
@@ -221,11 +235,6 @@ impl MachineMetrics {
         self.reads[purpose.index()]
     }
 
-    /// Local writes performed for `purpose`.
-    pub fn writes_of(&self, purpose: IoPurpose) -> u64 {
-        self.writes[purpose.index()]
-    }
-
     /// Copy the counters into a serializable snapshot (zero rows elided).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let named = |names: &dyn Fn(usize) -> &'static str, vals: &[u64]| -> Vec<NamedCount> {
@@ -252,6 +261,7 @@ impl MachineMetrics {
             stash_evictions: self.stash_evictions,
             commit_failures: self.commit_failures,
             site_busy_arrivals: self.site_busy_arrivals,
+            site_lock_wait_us: named(&|i| LOCK_WAIT_NAMES[i], &self.site_lock_wait),
             coalesced_merges: self.coalesced_merges,
             recovery_runs: self.recovery_runs,
             recovery_drained_rows: self.recovery_drained_rows,
@@ -285,6 +295,31 @@ mod tests {
         assert!(snap.buckets.iter().any(|b| b.hi == 0 && b.n == 1));
         assert!(snap.buckets.iter().any(|b| b.hi == 3 && b.n == 2));
         assert!(snap.buckets.iter().any(|b| b.hi == u64::MAX && b.n == 1));
+    }
+
+    #[test]
+    fn lock_waits_land_in_their_microsecond_buckets() {
+        let mut m = MachineMetrics::default();
+        for us in [0, 9, 10, 39, 40, 159, 160, 5_000] {
+            m.site_busy_arrival(Duration::from_micros(us));
+        }
+        let snap = m.snapshot();
+        assert_eq!(snap.site_busy_arrivals, 8);
+        let got: Vec<(&str, u64)> = snap
+            .site_lock_wait_us
+            .iter()
+            .map(|r| (&r.name[..], r.n))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("lt_10", 2),
+                ("lt_40", 2),
+                ("lt_80", 1),
+                ("lt_160", 1),
+                ("ge_160", 2)
+            ]
+        );
     }
 
     #[test]

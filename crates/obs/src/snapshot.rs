@@ -95,6 +95,11 @@ pub struct MetricsSnapshot {
     /// it blocked). Against total receives, the share of traffic a
     /// cross-message group commit would have anything to batch.
     pub site_busy_arrivals: u64,
+    /// How long those messages then waited for the site lock, in
+    /// microsecond buckets (`lt_10`, `lt_40`, `lt_80`, `lt_160`, `ge_160`;
+    /// non-zero only). Messages that found the site free are not timed:
+    /// they are the receives this list does not add up to.
+    pub site_lock_wait_us: Vec<NamedCount>,
     /// Writes absorbed by parity-update coalescing.
     pub coalesced_merges: u64,
     /// Recovery drains started.
@@ -242,9 +247,14 @@ impl ObsSnapshot {
                 );
             }
             if s.site_busy_arrivals > 0 {
+                let waits = s
+                    .site_lock_wait_us
+                    .iter()
+                    .map(|r| format!(" {}={}", r.name, r.n))
+                    .collect::<String>();
                 let _ = writeln!(
                     out,
-                    "           queueing: site_busy_arrivals={}",
+                    "           queueing: site_busy_arrivals={} lock_wait_us:{waits}",
                     s.site_busy_arrivals
                 );
             }

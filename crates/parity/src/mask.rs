@@ -137,18 +137,36 @@ impl ChangeMask {
             new.len(),
             "mask operands must be the same length"
         );
+        Self::from_windows(old, &[(0, new)])
+    }
+
+    /// The mask between `old` and the block that differs from it only
+    /// inside `windows`: each `(offset, bytes)` says the new block holds
+    /// `bytes` at `offset`. Windows come sorted by offset and do not
+    /// overlap. The result is [`diff`](ChangeMask::diff)'s for the same two
+    /// blocks, span for span (a short zero gap between two windows bridges
+    /// exactly as one inside a window does), at the cost of scanning the
+    /// windows alone: a caller that knows which fields of a large block
+    /// moved need not build the new block to say how.
+    pub fn from_windows(old: &[u8], windows: &[(usize, &[u8])]) -> ChangeMask {
         let mut mask = ChangeMask::empty(old.len());
-        let (ow, nw) = (old.chunks_exact(8), new.chunks_exact(8));
-        let tail = ow
-            .remainder()
-            .iter()
-            .zip(nw.remainder())
-            .map(|(a, b)| a ^ b);
-        scan_spans(
-            ow.clone().zip(nw.clone()).map(|(a, b)| word(a) ^ word(b)),
-            tail,
-            |start, end| mask.push_diff_span(start, end, old, new),
-        );
+        let mut floor = 0;
+        for &(base, new) in windows {
+            assert!(floor <= base, "windows must be sorted and disjoint");
+            floor = base + new.len();
+            let was = &old[base..floor];
+            let (ow, nw) = (was.chunks_exact(8), new.chunks_exact(8));
+            let tail = ow
+                .remainder()
+                .iter()
+                .zip(nw.remainder())
+                .map(|(a, b)| a ^ b);
+            scan_spans(
+                ow.clone().zip(nw.clone()).map(|(a, b)| word(a) ^ word(b)),
+                tail,
+                |start, end| mask.push_diff_span(base + start, &was[start..end], &new[start..end]),
+            );
+        }
         mask
     }
 
@@ -180,16 +198,26 @@ impl ChangeMask {
         mask
     }
 
-    /// Append span `start..end`, computing its payload as `old XOR new`
-    /// directly into the shared buffer.
-    fn push_diff_span(&mut self, start: usize, end: usize, old: &[u8], new: &[u8]) {
+    /// Append the span at `offset` whose payload is `old XOR new`, computed
+    /// directly into the shared buffer. A span that starts less than a span
+    /// header past the previous one extends it over the (zero) gap: within
+    /// one scan extents arrive already maximal, so this only ever joins
+    /// extents of neighbouring windows.
+    fn push_diff_span(&mut self, offset: usize, old: &[u8], new: &[u8]) {
+        match self.spans.last_mut() {
+            Some(last) if offset - (last.offset + last.len) < SPAN_HEADER_BYTES => {
+                let gap = offset - (last.offset + last.len);
+                self.payload.resize(self.payload.len() + gap, 0);
+                last.len += gap + new.len();
+            }
+            _ => self.spans.push(Span {
+                offset,
+                len: new.len(),
+            }),
+        }
         let at = self.payload.len();
-        self.payload.extend_from_slice(&new[start..end]);
-        xor_in_place(&mut self.payload[at..], &old[start..end]);
-        self.spans.push(Span {
-            offset: start,
-            len: end - start,
-        });
+        self.payload.extend_from_slice(new);
+        xor_in_place(&mut self.payload[at..], old);
     }
 
     /// An all-zero mask (no change) for a block of `block_len` bytes.

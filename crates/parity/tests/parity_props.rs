@@ -69,6 +69,43 @@ proptest! {
             "wire {} for 256-byte block", mask.wire_size());
     }
 
+    /// A mask built from the windows that changed is the mask `diff` finds
+    /// by scanning both blocks whole: same spans, same payload, hence the
+    /// same wire bytes and the same effect. Windows are cut at arbitrary
+    /// places (adjacent, a few bytes apart, far apart), and their new bytes
+    /// mostly keep the old ones, so extents end inside windows and short
+    /// zero gaps straddle window boundaries.
+    #[test]
+    fn mask_from_windows_is_the_diff_of_the_patched_block(
+        old in arb_block(300),
+        cuts in proptest::collection::vec(0usize..300, 0..12),
+        fresh in arb_block(300),
+        keep in proptest::collection::vec(0u8..4, 300),
+    ) {
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut new = old.clone();
+        let mut windows: Vec<(usize, Vec<u8>)> = Vec::new();
+        for pair in cuts.chunks_exact(2) {
+            let (lo, hi) = (pair[0], pair[1]);
+            for i in lo..hi {
+                if keep[i] == 0 {
+                    new[i] = fresh[i];
+                }
+            }
+            windows.push((lo, new[lo..hi].to_vec()));
+        }
+        let views: Vec<(usize, &[u8])> = windows.iter().map(|(at, w)| (*at, &w[..])).collect();
+        let mask = ChangeMask::from_windows(&old, &views);
+        let whole = ChangeMask::diff(&old, &new);
+        prop_assert_eq!(&mask, &whole);
+        prop_assert_eq!(mask.encode(), whole.encode());
+        let mut patched = old;
+        mask.apply(&mut patched);
+        prop_assert_eq!(patched, new);
+    }
+
     /// The runtime-dispatched XOR kernel agrees with the scalar reference
     /// for arbitrary lengths (0–4099 covers every vector-width remainder)
     /// and arbitrary sub-slice offsets (misaligned starts, so unaligned

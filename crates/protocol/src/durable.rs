@@ -21,18 +21,34 @@
 //! and bounds-checked decoding, in the style of [`crate::codec`]: torn or
 //! truncated snapshots decode to an error, never to garbage state.
 //!
-//! The machine keeps the durable half behind `Versioned`, so a driver
-//! can tell from `SiteMachine::durable_version` that a message changed
-//! none of it without encoding a snapshot to compare.
+//! The machine keeps the durable half behind `Versioned`, the one door to
+//! a `&mut` of it, and the door keeps two records. A version counter: a
+//! driver can tell from `SiteMachine::durable_version` that a message
+//! changed none of it without encoding a snapshot to compare. And a
+//! journal of *what* was borrowed (`Touch`): a block UID, a parity row's
+//! UID array and the two counters each sit at a known offset of the
+//! encoding and keep its length, so `SiteMachine::drain_durable` turns a
+//! drained journal into the XOR patch between the last encoding and the
+//! current one by looking at the touched fields alone ([`DurableDelta`]).
+//! Anything that can change the encoding's length or move a later field is
+//! `Touch::Shape`, and so is a journal that outgrew `JOURNAL_CAP`
+//! entries: the next drain encodes whole, which is also when the offsets
+//! of the parity rows are indexed (`Layout`). A machine nobody drains
+//! (DES, model checker, memory-backed sites) starts at `Shape` and stays
+//! there: it carries a flag, never a list.
 
 use crate::wire::SpareContent;
-use radd_parity::Uid;
+use radd_parity::{ChangeMask, Uid};
 use std::fmt;
 
 /// Magic prefix of an encoded snapshot: `"RDSS"` little-endian.
 const MAGIC: u32 = 0x5353_4452;
 /// Current snapshot format version.
 const VERSION: u16 = 1;
+/// Offset of the UID counter; the tag counter follows it.
+pub(crate) const COUNTERS_AT: usize = 26;
+/// Offset of row 0's block UID (after the counters and the UID count).
+pub(crate) const BLOCK_UIDS_AT: usize = 50;
 
 /// Errors decoding a durable snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,32 +102,86 @@ pub struct DurableSiteState {
     pub next_tag: u64,
 }
 
-/// A value behind one accessor pair that counts its own mutations: shared
-/// reads go through `Deref` and leave the version alone, and the only way
-/// to a `&mut T` is [`Versioned::w`], which bumps it first. The fields are
-/// private to this module, so the holder cannot forget a bump — "version
-/// unchanged" implies "value unchanged" by construction (the converse does
-/// not hold: a `w()` borrow that writes the same value back still bumps).
+/// What a mutable borrow of the durable half is for, in terms of the
+/// encoding: the field it may change, or [`Touch::Shape`] when it may
+/// change more than the bytes of one fixed-size field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Touch {
+    /// The block UID of one row.
+    BlockUid(u64),
+    /// The slots of one row's parity UID array; the row already has one.
+    ParityUids(u64),
+    /// The UID and tag counters.
+    Counters,
+    /// Anything else: spares, the invalid-row set, a parity row's first
+    /// array, wholesale forgetting and restoring.
+    Shape,
+}
+
+/// Distinct fields the journal lists before it gives up and says
+/// [`Touch::Shape`]. A message touches three at most (a write: both
+/// counters' field and one block UID).
+pub(crate) const JOURNAL_CAP: usize = 8;
+
+/// A value behind one accessor pair that records its own mutations: shared
+/// reads go through `Deref` and leave no trace, and the only way to a
+/// `&mut T` is [`Versioned::w`], which bumps the version and journals the
+/// touch first. The fields are private to this module, so the holder cannot
+/// forget either — "version unchanged" implies "value unchanged" by
+/// construction (the converse does not hold: a `w()` borrow that writes the
+/// same value back still bumps). That a borrow changes no more than its
+/// [`Touch`] says is the caller's word, checked against a whole encoding on
+/// every commit of a debug build and by `tests/props.rs` in release.
 #[derive(Debug, Clone)]
 pub(crate) struct Versioned<T> {
     value: T,
     version: u64,
+    /// Distinct fields touched since the last [`Versioned::rebase`], at
+    /// most [`JOURNAL_CAP`] of them; `None` is [`Touch::Shape`].
+    touched: Option<Vec<Touch>>,
 }
 
 impl<T> Versioned<T> {
+    /// Nothing has been encoded yet, so there is nothing to patch: the
+    /// journal starts at [`Touch::Shape`].
     pub(crate) fn new(value: T) -> Versioned<T> {
-        Versioned { value, version: 0 }
+        Versioned {
+            value,
+            version: 0,
+            touched: None,
+        }
     }
 
-    /// Mutable access; counts as a mutation whether or not the caller
-    /// ends up changing anything.
-    pub(crate) fn w(&mut self) -> &mut T {
+    /// Mutable access; counts as a mutation of `touch` whether or not the
+    /// caller ends up changing anything.
+    pub(crate) fn w(&mut self, touch: Touch) -> &mut T {
         self.version += 1;
+        if let Some(list) = &mut self.touched {
+            if !list.contains(&touch) {
+                if touch == Touch::Shape || list.len() == JOURNAL_CAP {
+                    self.touched = None;
+                } else {
+                    list.push(touch);
+                }
+            }
+        }
         &mut self.value
     }
 
     pub(crate) fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The fields touched since the last rebase, or `None` for
+    /// [`Touch::Shape`].
+    pub(crate) fn touched(&self) -> Option<&[Touch]> {
+        self.touched.as_deref()
+    }
+
+    /// Start the journal over: the value as it is now is what the next
+    /// drain patches from.
+    pub(crate) fn rebase(&mut self) {
+        self.touched.get_or_insert_with(Vec::new).clear();
     }
 }
 
@@ -121,6 +191,37 @@ impl<T> std::ops::Deref for Versioned<T> {
     fn deref(&self) -> &T {
         &self.value
     }
+}
+
+/// Where the variable part of one whole encoding put what a patch can
+/// reach: the encoding's length, and for every parity row the offset of
+/// its first slot. Block UIDs and the counters need no entry
+/// ([`BLOCK_UIDS_AT`], [`COUNTERS_AT`]). Valid until the next
+/// [`Touch::Shape`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Layout {
+    pub(crate) len: usize,
+    /// `(row, offset of its slots)`, ascending by row.
+    parity: Vec<(u64, usize)>,
+}
+
+impl Layout {
+    /// Offset of the slots of `row`'s parity UID array.
+    pub(crate) fn parity_slots_at(&self, row: u64) -> Option<usize> {
+        let i = self.parity.binary_search_by_key(&row, |e| e.0).ok()?;
+        Some(self.parity[i].1)
+    }
+}
+
+/// What [`SiteMachine::drain_durable`](crate::SiteMachine::drain_durable)
+/// hands a store: how to take the encoding it last handed over to the
+/// current one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DurableDelta {
+    /// XOR this into the last encoding (same length; possibly empty).
+    Patch(ChangeMask),
+    /// Replace the last encoding with this one.
+    Whole(Vec<u8>),
 }
 
 struct Reader<'a> {
@@ -186,6 +287,20 @@ fn put_uids(out: &mut Vec<u8>, uids: &[Uid]) {
 impl DurableSiteState {
     /// Encode to the versioned binary snapshot format.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_with(|_, _| {})
+    }
+
+    /// [`encode`](DurableSiteState::encode), leaving in `layout` where the
+    /// encoding put what a later patch can reach.
+    pub(crate) fn encode_indexed(&self, layout: &mut Layout) -> Vec<u8> {
+        layout.parity.clear();
+        let out = self.encode_with(|row, at| layout.parity.push((row, at)));
+        layout.len = out.len();
+        out
+    }
+
+    /// Encode, reporting each parity row and the offset of its slots.
+    fn encode_with(&self, mut parity_slots_at: impl FnMut(u64, usize)) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.block_uids.len() * 8);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -193,12 +308,15 @@ impl DurableSiteState {
         out.extend_from_slice(&(self.group_size as u32).to_le_bytes());
         out.extend_from_slice(&self.rows.to_le_bytes());
         out.extend_from_slice(&(self.block_size as u32).to_le_bytes());
+        debug_assert_eq!(out.len(), COUNTERS_AT);
         out.extend_from_slice(&self.uid_counter.to_le_bytes());
         out.extend_from_slice(&self.next_tag.to_le_bytes());
+        debug_assert_eq!(out.len() + 8, BLOCK_UIDS_AT);
         put_uids(&mut out, &self.block_uids);
         out.extend_from_slice(&(self.parity_uids.len() as u64).to_le_bytes());
         for (row, slots) in &self.parity_uids {
             out.extend_from_slice(&row.to_le_bytes());
+            parity_slots_at(*row, out.len() + 8);
             put_uids(&mut out, slots);
         }
         out.extend_from_slice(&(self.spares.len() as u64).to_le_bytes());

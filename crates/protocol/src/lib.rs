@@ -49,7 +49,7 @@ pub use check::{
 };
 pub use client::{ClientErr, ClientIo, ClientMachine, RebuildReport, SparePolicy};
 pub use codec::{decode_msg, encode_msg, encode_msg_vec, CodecError};
-pub use durable::{DurableError, DurableSiteState};
+pub use durable::{DurableDelta, DurableError, DurableSiteState};
 pub use effect::{BlockFault, Blocks, Dest, Effect, IoPurpose, MemBlocks};
 pub use events::FailureKind;
 pub use obs::{obs_event, ObsEvent};

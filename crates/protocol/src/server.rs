@@ -33,7 +33,10 @@
 //! interpreter's Figure 3/4 cost receipts stay bit-for-bit unchanged; the
 //! threaded runtime switches it on.
 
-use crate::durable::{DurableSiteState, Versioned};
+use crate::durable::{
+    DurableDelta, DurableSiteState, Layout, Touch, Versioned, BLOCK_UIDS_AT, COUNTERS_AT,
+    JOURNAL_CAP,
+};
 use crate::effect::{Blocks, Dest, Effect, IoPurpose};
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::wire::{Msg, NackReason, SpareContent, SpareSlotWire};
@@ -185,8 +188,13 @@ pub struct SiteMachine {
     state: SiteState,
     /// The durable half (see [`crate::durable`]). Every `&mut` borrow goes
     /// through [`Versioned::w`], which is what makes
-    /// [`SiteMachine::durable_version`] sound.
+    /// [`SiteMachine::durable_version`] and
+    /// [`SiteMachine::drain_durable`] sound.
     d: Versioned<DurableFields>,
+    /// Where the last whole encoding [`SiteMachine::drain_durable`]
+    /// returned put the parity rows. Like the journal it serves, neither
+    /// durable nor canonical state.
+    layout: Layout,
     /// Writes whose client reply awaits a parity ack, keyed by the parity
     /// message's tag. Lookup-only (never iterated), so a fast hash map.
     pending: FxHashMap<u64, PendingWrite>,
@@ -224,6 +232,7 @@ impl SiteMachine {
                 uid_gen: UidGen::new(site as u16),
                 next_tag: 0,
             }),
+            layout: Layout::default(),
             pending: FxHashMap::default(),
             in_progress: FxHashSet::default(),
             parity_queue: FxHashMap::default(),
@@ -282,7 +291,7 @@ impl SiteMachine {
     /// Overwrite the UID stored with the block at `row` (recovery
     /// bookkeeping).
     pub fn set_block_uid(&mut self, row: u64, uid: Uid) {
-        self.d.w().block_uids[row as usize] = uid;
+        self.d.w(Touch::BlockUid(row)).block_uids[row as usize] = uid;
     }
 
     /// UID arrays for the rows where this site is the parity site.
@@ -292,15 +301,22 @@ impl SiteMachine {
 
     /// Mutable parity UID arrays (recovery bookkeeping).
     pub fn parity_uids_mut(&mut self) -> &mut BTreeMap<u64, UidArray> {
-        &mut self.d.w().parity_uids
+        &mut self.d.w(Touch::Shape).parity_uids
     }
 
     /// The UID array for a parity row, created empty on first touch (all
     /// slots zero — consistent with never-written data blocks).
     pub fn parity_uid_array(&mut self, row: u64) -> &mut UidArray {
         let n = self.geo.num_sites();
+        // A first touch adds an entry to the encoding and moves what
+        // follows it; a later one rewrites the row's slots in place.
+        let touch = if self.d.parity_uids.contains_key(&row) {
+            Touch::ParityUids(row)
+        } else {
+            Touch::Shape
+        };
         self.d
-            .w()
+            .w(touch)
             .parity_uids
             .entry(row)
             .or_insert_with(|| UidArray::new(n))
@@ -313,7 +329,7 @@ impl SiteMachine {
 
     /// Mutable spare slots (driver-orchestrated installs/invalidations).
     pub fn spares_mut(&mut self) -> &mut BTreeMap<u64, SpareSlot> {
-        &mut self.d.w().spares
+        &mut self.d.w(Touch::Shape).spares
     }
 
     /// Is the spare block of `row` valid at this site?
@@ -328,17 +344,26 @@ impl SiteMachine {
 
     /// Mutable invalid-row set (failure injection / recovery bookkeeping).
     pub fn invalid_rows_mut(&mut self) -> &mut BTreeSet<u64> {
-        &mut self.d.w().invalid_rows
+        &mut self.d.w(Touch::Shape).invalid_rows
+    }
+
+    /// Clear `row`'s invalid mark if it carries one. The set is tested
+    /// through `Deref` first: a healthy write finds none, and must not
+    /// journal the [`Touch::Shape`] that removing one is.
+    fn validate_row(&mut self, row: u64) {
+        if self.d.invalid_rows.contains(&row) {
+            self.d.w(Touch::Shape).invalid_rows.remove(&row);
+        }
     }
 
     /// Mint a fresh UID from this site's generator.
     pub fn mint_uid(&mut self) -> Uid {
-        self.d.w().uid_gen.next_uid()
+        self.d.w(Touch::Counters).uid_gen.next_uid()
     }
 
     /// A fresh site-unique request tag (site id in the high bits).
     pub fn fresh_tag(&mut self) -> u64 {
-        let d = self.d.w();
+        let d = self.d.w(Touch::Counters);
         d.next_tag += 1;
         ((self.site as u64 + 1) << 48) | d.next_tag
     }
@@ -382,7 +407,7 @@ impl SiteMachine {
     /// Forget everything a site disaster loses: block UIDs, parity arrays,
     /// spare slots; every row becomes invalid.
     pub fn forget_all(&mut self) {
-        let d = self.d.w();
+        let d = self.d.w(Touch::Shape);
         d.block_uids.fill(Uid::INVALID);
         d.parity_uids.clear();
         d.spares.clear();
@@ -430,6 +455,76 @@ impl SiteMachine {
         self.d.version()
     }
 
+    /// Drain the journal of the durable half: how to take `committed`, the
+    /// encoding the previous call left its caller with, to
+    /// `durable_snapshot().encode()` as of now. While the messages since
+    /// then touched only block UIDs, UID arrays of parity rows that had
+    /// one and the two counters, that is a [`DurableDelta::Patch`] built
+    /// from those fields alone, whatever the number of rows; otherwise (and
+    /// on the first call, and when `committed` is not of the length this
+    /// machine last encoded) it is the whole encoding. Either way the next
+    /// call patches from this one's result, so the caller must make it its
+    /// `committed`, or discard the machine.
+    pub fn drain_durable(&mut self, committed: &[u8]) -> DurableDelta {
+        let patch = self
+            .d
+            .touched()
+            .and_then(|touched| self.patch(touched, committed));
+        self.d.rebase();
+        match patch {
+            Some(patch) => DurableDelta::Patch(patch),
+            None => DurableDelta::Whole(self.durable_snapshot().encode_indexed(&mut self.layout)),
+        }
+    }
+
+    /// The XOR between `committed` and the current encoding, given that
+    /// they differ in the `touched` fields at most.
+    fn patch(&self, touched: &[Touch], committed: &[u8]) -> Option<ChangeMask> {
+        if committed.len() != self.layout.len {
+            return None;
+        }
+        // The touched fields as they encode now, back to back, and where
+        // each belongs: (offset in the encoding, start and end in `bytes`).
+        let mut bytes = Vec::with_capacity(64);
+        let mut fields = [(0, 0, 0); JOURNAL_CAP];
+        let put = |bytes: &mut Vec<u8>, v: u64| bytes.extend_from_slice(&v.to_le_bytes());
+        for (field, touch) in fields.iter_mut().zip(touched) {
+            let from = bytes.len();
+            let at = match *touch {
+                Touch::Counters => {
+                    put(&mut bytes, self.d.uid_gen.counter());
+                    put(&mut bytes, self.d.next_tag);
+                    COUNTERS_AT
+                }
+                Touch::BlockUid(row) => {
+                    put(&mut bytes, self.d.block_uids[row as usize].as_raw());
+                    BLOCK_UIDS_AT + 8 * row as usize
+                }
+                Touch::ParityUids(row) => {
+                    for uid in self.d.parity_uids.get(&row)?.slots() {
+                        put(&mut bytes, uid.as_raw());
+                    }
+                    self.layout.parity_slots_at(row)?
+                }
+                Touch::Shape => return None,
+            };
+            if at + (bytes.len() - from) > committed.len() {
+                return None;
+            }
+            *field = (at, from, bytes.len());
+        }
+        let fields = &mut fields[..touched.len()];
+        fields.sort_unstable_by_key(|f| f.0);
+        let mut windows = [(0, &[][..]); JOURNAL_CAP];
+        for (window, &mut (at, from, to)) in windows.iter_mut().zip(fields) {
+            *window = (at, &bytes[from..to]);
+        }
+        Some(ChangeMask::from_windows(
+            committed,
+            &windows[..touched.len()],
+        ))
+    }
+
     /// A machine rebuilt from a durable snapshot, as a restarting process
     /// does after a crash. Volatile state (queues, in-flight requests, the
     /// reply cache) starts empty — peers retransmit what matters and the
@@ -439,7 +534,7 @@ impl SiteMachine {
     pub fn restore_durable(d: &DurableSiteState) -> SiteMachine {
         let mut machine = SiteMachine::new(d.site, d.group_size, d.rows, d.block_size);
         let n = machine.geo.num_sites();
-        let m = machine.d.w();
+        let m = machine.d.w(Touch::Shape);
         assert_eq!(
             d.block_uids.len(),
             m.block_uids.len(),
@@ -470,7 +565,7 @@ impl SiteMachine {
 
     /// Forget the metadata of `rows` (a replaced disk's blank blocks).
     pub fn forget_rows(&mut self, rows: std::ops::Range<u64>) {
-        let d = self.d.w();
+        let d = self.d.w(Touch::Shape);
         for row in rows {
             d.block_uids[row as usize] = Uid::INVALID;
             d.parity_uids.remove(&row);
@@ -490,15 +585,14 @@ impl SiteMachine {
         data: &[u8],
         out: &mut Vec<Effect>,
     ) -> Option<Uid> {
-        let uid = self.d.w().uid_gen.next_uid();
+        let uid = self.mint_uid();
         blocks.write(row, data).ok()?;
         out.push(Effect::Write {
             row,
             purpose: IoPurpose::WriteData,
         });
-        let d = self.d.w();
-        d.block_uids[row as usize] = uid;
-        d.invalid_rows.remove(&row);
+        self.set_block_uid(row, uid);
+        self.validate_row(row);
         Some(uid)
     }
 
@@ -584,8 +678,8 @@ impl SiteMachine {
                 let take = !crate::mutations::is(crate::mutations::Mutation::SpareNoInvalidate);
                 #[cfg(not(feature = "mutations"))]
                 let take = true;
-                if take {
-                    self.d.w().spares.remove(&row);
+                if take && self.d.spares.contains_key(&row) {
+                    self.d.w(Touch::Shape).spares.remove(&row);
                 }
                 self.reply(out, src, tag, Msg::Ack { tag });
             }
@@ -657,7 +751,7 @@ impl SiteMachine {
             purpose: IoPurpose::OldValue,
         });
         // W1: local write with a fresh UID.
-        let uid = self.d.w().uid_gen.next_uid();
+        let uid = self.mint_uid();
         if blocks.write_owned(row, data.clone()).is_err() {
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
@@ -673,9 +767,8 @@ impl SiteMachine {
         };
         #[cfg(not(feature = "mutations"))]
         let shipped_uid = uid;
-        let d = self.d.w();
-        d.block_uids[row as usize] = uid;
-        d.invalid_rows.remove(&row);
+        self.set_block_uid(row, uid);
+        self.validate_row(row);
         // W3: change mask to the parity site; defer the client reply until
         // the ack (the §6 "done = prepared" discipline).
         let mask = ChangeMask::diff(&old, data);
@@ -773,7 +866,6 @@ impl SiteMachine {
         // §3.2 idempotence guard: a retransmission whose ack was lost
         // arrives with a UID this slot already records — re-applying its
         // XOR mask would corrupt the parity block, so just ack again.
-        let n = self.geo.num_sites();
         let already = self
             .d
             .parity_uids
@@ -805,12 +897,7 @@ impl SiteMachine {
                 row,
                 purpose: IoPurpose::ParityApply,
             });
-            self.d
-                .w()
-                .parity_uids
-                .entry(row)
-                .or_insert_with(|| UidArray::new(n))
-                .set(from_site, uid); // W4
+            self.parity_uid_array(row).set(from_site, uid); // W4
         }
         self.reply(out, src, tag, Msg::Ack { tag });
     }
@@ -930,7 +1017,7 @@ impl SiteMachine {
             purpose: IoPurpose::SpareInstall,
         });
         let n = self.geo.num_sites();
-        self.d.w().spares.insert(
+        self.d.w(Touch::Shape).spares.insert(
             row,
             SpareSlot {
                 for_site,
@@ -1007,15 +1094,11 @@ impl SiteMachine {
             row,
             purpose: IoPurpose::Restore,
         });
-        let n = self.geo.num_sites();
-        let d = self.d.w();
-        match kind_from_content(content, n) {
-            SpareKind::Data { data_uid } => d.block_uids[row as usize] = data_uid,
-            SpareKind::Parity { uids } => {
-                d.parity_uids.insert(row, uids);
-            }
+        match kind_from_content(content, self.geo.num_sites()) {
+            SpareKind::Data { data_uid } => self.set_block_uid(row, data_uid),
+            SpareKind::Parity { uids } => *self.parity_uid_array(row) = uids,
         }
-        d.invalid_rows.remove(&row);
+        self.validate_row(row);
         self.reply(out, src, tag, Msg::Ack { tag });
     }
 

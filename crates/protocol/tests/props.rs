@@ -13,12 +13,22 @@
 //!   the encoded durable snapshot byte-identical (what lets the site loops
 //!   skip `commit`), and reads, acks and duplicate requests are among the
 //!   messages that leave it unchanged (what makes the skip worth having).
+//! * **Soundness of the patch**: over the same sequences, draining a
+//!   machine's journal every few messages and applying what comes out to
+//!   the encoding the previous drain left always lands on
+//!   `durable_snapshot().encode()`, byte for byte, whether the drain was a
+//!   patch, crossed a change of shape (a spare installed or taken, a parity
+//!   row's first update, a row validated) or overflowed the journal. The
+//!   live site asserts this in debug builds only; CI runs this file in
+//!   release too.
 
 use proptest::prelude::*;
 use radd_layout::Geometry;
 use radd_parity::{ChangeMask, Uid};
 use radd_protocol::loopback::{Hook, Loopback};
-use radd_protocol::{Blocks, ClientMachine, Effect, MemBlocks, Msg, SiteMachine, SparePolicy};
+use radd_protocol::{
+    Blocks, ClientMachine, DurableDelta, Effect, MemBlocks, Msg, SiteMachine, SparePolicy,
+};
 
 const G: usize = 4;
 const ROWS: u64 = 12;
@@ -90,8 +100,9 @@ proptest! {
 /// panics the moment the client exchanges with a believed-down site;
 /// messages a site sends to a down peer are swallowed (the threaded
 /// runtime's behaviour; they would retransmit until the peer returned);
-/// and every `handle` is audited against the skip rule the site loops
-/// rely on: same version, same snapshot bytes.
+/// and every `handle` is audited against the two rules the site loops
+/// rely on: same version, same snapshot bytes; and the encoding a site
+/// last drained to, plus what the next drain hands over, is the snapshot.
 struct Audit {
     down: Vec<bool>,
     /// Deliver every message twice, back to back (the transport's
@@ -99,6 +110,17 @@ struct Audit {
     duplicate: bool,
     /// Handled messages that left `durable_version` where it was.
     unchanged: u64,
+    /// Each site's encoding as of its last drain (a store's committed
+    /// blob) with the version it was drained at. A site is drained after
+    /// every `drain_every`-th message handled anywhere, if its version
+    /// moved: 1 is the live site's cadence, more lets one drain cover
+    /// several messages, up to a journal overflow.
+    blobs: Vec<(Vec<u8>, Option<u64>)>,
+    drain_every: u64,
+    handled: u64,
+    /// Drains that came out as a (non-empty) patch / as a whole encoding.
+    patches: u64,
+    wholes: u64,
 }
 
 type Net = Loopback<Audit>;
@@ -108,6 +130,11 @@ fn net() -> Net {
         down: vec![false; G + 2],
         duplicate: false,
         unchanged: 0,
+        blobs: vec![(Vec::new(), None); G + 2],
+        drain_every: 1,
+        handled: 0,
+        patches: 0,
+        wholes: 0,
     };
     Loopback::new(G, ROWS, BLOCK, audit)
 }
@@ -125,7 +152,16 @@ impl Hook for Audit {
         if self.down[d] {
             return; // swallowed; a live sender would retransmit
         }
-        let unchanged = &mut self.unchanged;
+        let Audit {
+            unchanged,
+            blobs,
+            drain_every,
+            handled,
+            patches,
+            wholes,
+            ..
+        } = self;
+        let (blob, drained_at) = &mut blobs[d];
         let mut handle_audited = |m: Msg, dup: bool, out: &mut Vec<Effect>| {
             let version = machine.durable_version();
             let snapshot = machine.durable_snapshot().encode();
@@ -143,6 +179,25 @@ impl Hook for Audit {
                 assert!(
                     !changes_nothing,
                     "site {d}: {what} (duplicate: {dup}) bumped the durable version"
+                );
+            }
+            *handled += 1;
+            if *handled % *drain_every == 0 && *drained_at != Some(machine.durable_version()) {
+                *drained_at = Some(machine.durable_version());
+                match machine.drain_durable(blob) {
+                    DurableDelta::Patch(patch) => {
+                        *patches += u64::from(!patch.is_empty());
+                        patch.apply(blob);
+                    }
+                    DurableDelta::Whole(whole) => {
+                        *wholes += 1;
+                        *blob = whole;
+                    }
+                }
+                assert_eq!(
+                    *blob,
+                    machine.durable_snapshot().encode(),
+                    "site {d}: the drained encoding is not the snapshot after {what}"
                 );
             }
         };
@@ -231,9 +286,11 @@ proptest! {
         healthy in proptest::collection::vec(arb_op(), 1..24),
         degraded in proptest::collection::vec(arb_op(), 1..24),
         after in proptest::collection::vec(arb_op(), 1..12),
+        drain_every in 1u64..8,
     ) {
         let mut net = net();
         net.hook.duplicate = true;
+        net.hook.drain_every = drain_every;
         let mut client =
             ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
         // The checks live in `Audit`'s `handle`; outcomes of the
@@ -266,4 +323,71 @@ proptest! {
         // delivery must have taken the skip.
         prop_assert!(net.hook.unchanged > 0);
     }
+}
+
+/// What keeps the property above from passing vacuously: at the live
+/// site's cadence a healthy write is a patch at its data site and at its
+/// parity site (the first one to reach each is that site's first drain, or
+/// the parity row's first array: whole), and a degraded write's spare
+/// install is a change of shape.
+#[test]
+fn a_healthy_write_drains_to_patches_and_a_spare_install_to_a_whole_encoding() {
+    let mut net = net();
+    let mut client = ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+    client.write(&mut net, 0, 0, &[1; BLOCK]).expect("healthy");
+    assert_eq!((net.hook.patches, net.hook.wholes), (0, 2));
+    client.write(&mut net, 0, 0, &[2; BLOCK]).expect("healthy");
+    assert_eq!((net.hook.patches, net.hook.wholes), (2, 2));
+
+    net.hook.down[0] = true;
+    client.set_down(0, true);
+    client.write(&mut net, 0, 0, &[3; BLOCK]).expect("degraded");
+    assert_eq!(net.hook.patches, 3, "the parity update patches");
+    // Every survivor was read for the reconstruction and has now made its
+    // first drain; from here on a whole encoding is a change of shape.
+    let wholes = net.hook.wholes;
+    client.write(&mut net, 0, 0, &[4; BLOCK]).expect("degraded");
+    assert_eq!(
+        (net.hook.patches, net.hook.wholes),
+        (4, wholes + 1),
+        "the parity update patches, the spare re-install does not"
+    );
+}
+
+/// The journal lists distinct fields up to its bound and says "shape" past
+/// it: eight touched rows drain to a patch, a ninth to the whole encoding,
+/// and both land on the snapshot. Touching one field many times is one
+/// entry.
+#[test]
+fn a_journal_past_its_bound_drains_whole() {
+    let mut machine = SiteMachine::new(1, G, 64, BLOCK);
+    let DurableDelta::Whole(mut blob) = machine.drain_durable(&[]) else {
+        panic!("a machine that was never drained has nothing to patch");
+    };
+    for (rows, patched) in [(8u64, true), (9, false)] {
+        for _ in 0..3 {
+            for row in 0..rows {
+                let uid = Uid::from_raw(0x77 + row);
+                machine.set_block_uid(row * 7, uid);
+            }
+        }
+        match machine.drain_durable(&blob) {
+            DurableDelta::Patch(patch) => {
+                assert!(patched, "{rows} rows fit the journal");
+                patch.apply(&mut blob);
+            }
+            DurableDelta::Whole(whole) => {
+                assert!(!patched, "{rows} rows overflow the journal");
+                blob = whole;
+            }
+        }
+        assert_eq!(blob, machine.durable_snapshot().encode());
+    }
+    // A committed blob of another length (not this machine's last
+    // encoding) is never patched.
+    machine.mint_uid();
+    assert!(matches!(
+        machine.drain_durable(&blob[1..]),
+        DurableDelta::Whole(_)
+    ));
 }

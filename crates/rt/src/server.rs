@@ -58,24 +58,28 @@ struct Site {
 }
 
 impl Site {
-    /// The site lock. `busy` reports whether it was taken when we came
-    /// (counted by the caller once it holds the driver). Poison: see the
-    /// module docs.
-    fn lock(&self) -> (MutexGuard<'_, SiteDriver>, bool) {
-        let (mut guard, busy) = match self.driver.try_lock() {
-            Ok(guard) => return (guard, false),
-            Err(TryLockError::WouldBlock) => match self.driver.lock() {
-                Ok(guard) => return (guard, true),
-                Err(poisoned) => (poisoned.into_inner(), true),
-            },
-            Err(TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), false),
+    /// The site lock, and how long we waited for it if it was taken when
+    /// we came (recorded by the caller once it holds the driver). The
+    /// clock is read on that path only: a message that finds its site free
+    /// pays for no `Instant`. Poison: see the module docs.
+    fn lock(&self) -> (MutexGuard<'_, SiteDriver>, Option<Duration>) {
+        let (mut guard, waited) = match self.driver.try_lock() {
+            Ok(guard) => return (guard, None),
+            Err(TryLockError::WouldBlock) => {
+                let came = Instant::now();
+                match self.driver.lock() {
+                    Ok(guard) => return (guard, Some(came.elapsed())),
+                    Err(poisoned) => (poisoned.into_inner(), Some(came.elapsed())),
+                }
+            }
+            Err(TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), None),
         };
         eprintln!("radd-rt: a thread panicked holding the site lock; going down");
         guard.set_down(true);
         // Down is now the record of it; `KillRestart` must be able to
         // bring the site back without tripping over the flag again.
         self.driver.clear_poison();
-        (guard, busy)
+        (guard, waited)
     }
 }
 
@@ -106,11 +110,11 @@ fn serve_ctl(site: &Site, st: &mut SiteDriver, CtlItem { rid, req, reply }: CtlI
 /// What every reader thread of the endpoint runs for each frame.
 fn handler(site: Arc<Site>) -> Handler {
     Box::new(move |out, item| {
-        let (mut st, busy) = site.lock();
+        let (mut st, waited) = site.lock();
         match item {
             Inbound::Msg { src, msg } => {
-                if busy {
-                    st.busy_arrival();
+                if let Some(waited) = waited {
+                    st.busy_arrival(waited);
                 }
                 st.deliver(out, src, msg);
             }

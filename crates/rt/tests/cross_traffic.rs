@@ -62,9 +62,15 @@ fn cross_traffic_from_twelve_callers_neither_deadlocks_nor_loses_a_write() {
         }
         cluster.quiesce(Duration::from_secs(30)).expect("quiesce");
         cluster.client().verify_parity().expect("parity");
-        let busy: u64 = (cluster.obs_snapshot().machines.iter())
+        let obs = cluster.obs_snapshot();
+        let busy: u64 = (obs.machines.iter())
             .map(|m| m.metrics.site_busy_arrivals)
             .sum();
+        let timed: u64 = (obs.machines.iter())
+            .flat_map(|m| &m.metrics.site_lock_wait_us)
+            .map(|bucket| bucket.n)
+            .sum();
+        assert_eq!(timed, busy, "every busy arrival's wait lands in a bucket");
         cluster.shutdown();
         let _ = done_tx.send((ops, worst, busy));
     });

@@ -23,7 +23,13 @@
 //!   one, the record is the XOR span list between the two
 //!   (`REC_META_PATCH`, a [`ChangeMask`] in wire form) and the full blob
 //!   (`REC_META`) is the fallback for a length change and for a patch that
-//!   would not be smaller.
+//!   would not be smaller. A caller that knows what changed hands over
+//!   that span list itself ([`commit_patch`]: a live site, whose machine
+//!   journals what each message touched, so a commit costs what the
+//!   message touched and not a compare and diff of the whole blob); one
+//!   that does not hands over the blob and the store finds the list
+//!   ([`commit`]). Same records either way, and the committed blob this
+//!   store holds is the only copy of it anywhere.
 //! * **`blocks.dat`** — the fixed-geometry block file (`rows × block_size`
 //!   bytes), updated by pwrite-at-offset only at [`checkpoint`] time, and
 //!   only for rows whose log records are already durable (the write-ahead
@@ -52,6 +58,7 @@
 //! what a tear left behind can never splice into a later batch.
 //!
 //! [`commit`]: DiskBlocks::commit
+//! [`commit_patch`]: DiskBlocks::commit_patch
 //! [`checkpoint`]: DiskBlocks::checkpoint
 
 use bytes::Bytes;
@@ -96,10 +103,12 @@ pub enum DiskError {
         /// Byte offset of the corrupt record.
         at: u64,
     },
-    /// A committed metadata patch does not apply to the blob replay had
-    /// materialised when it reached it.
+    /// A metadata patch does not fit the blob it is for: at open, a
+    /// committed one against what replay had materialised when it reached
+    /// it; at [`DiskBlocks::commit_patch`], the caller's against the
+    /// committed blob (nothing was written).
     MetaPatch {
-        /// Byte offset of the patch record.
+        /// Byte offset of the patch record (where it would have gone).
         at: u64,
     },
     /// The store on disk was created with a different geometry.
@@ -247,6 +256,16 @@ fn install_state(dir: &Path, lap: u64, meta: &[u8]) -> std::io::Result<()> {
     fs::rename(&tmp, dir.join("state.bin"))?;
     failpoint(Step::DirSync)?;
     File::open(dir)?.sync_all()
+}
+
+/// What a batch does to the committed metadata blob, as its log record.
+enum MetaChange {
+    /// Nothing: the batch carries no metadata record.
+    None,
+    /// `REC_META_PATCH`: XOR these spans into it.
+    Patch(ChangeMask),
+    /// `REC_META`: replace it.
+    Blob(Vec<u8>),
 }
 
 /// A staged-but-uncommitted block write.
@@ -464,16 +483,6 @@ impl DiskBlocks {
         !self.staged.is_empty()
     }
 
-    /// The span list taking the committed blob to `new`, when it can stand
-    /// for `new` (same length) and is the smaller of the two.
-    fn meta_patch(&self, new: &[u8]) -> Option<Bytes> {
-        if new.len() != self.meta.len() {
-            return None;
-        }
-        let patch = ChangeMask::diff(&self.meta, new).encode();
-        (patch.len() < new.len()).then_some(patch)
-    }
-
     /// Run one durable step. A failure part-way leaves the page cache and
     /// the device in a state this process cannot know, so it poisons the
     /// store: every later step fails until a re-open replays back to truth.
@@ -492,20 +501,60 @@ impl DiskBlocks {
     /// Group-commit every staged write plus the caller's metadata snapshot:
     /// one log write, one `fdatasync`. Returns `true` if anything was
     /// forced (false = nothing staged and metadata unchanged). `meta` is
-    /// invoked on every call — the blob is what "unchanged" is judged by —
-    /// so a caller that already knows nothing changed should not call at
-    /// all (the site loops go by [`has_staged`] and the machine's
-    /// `durable_version`). On an error the batch stays staged and the store
+    /// invoked on every call — the blob is what "unchanged" is judged by,
+    /// and what changed in it is found by comparing it with the committed
+    /// one — so a caller that already knows nothing changed should not call
+    /// at all (the site loops go by [`has_staged`] and the machine's
+    /// `durable_version`), and one that knows *what* changed calls
+    /// [`commit_patch`]. On an error the batch stays staged and the store
     /// is poisoned ([`DiskError::Poisoned`]).
     ///
     /// [`has_staged`]: DiskBlocks::has_staged
+    /// [`commit_patch`]: DiskBlocks::commit_patch
     pub fn commit(&mut self, meta: impl FnOnce() -> Vec<u8>) -> Result<bool, DiskError> {
-        self.durably(|store| store.log_batch(meta()))
+        self.durably(|store| {
+            let meta = meta();
+            let change = if meta.len() == store.meta.len() {
+                store.record_for(ChangeMask::diff(&store.meta, &meta))
+            } else {
+                MetaChange::Blob(meta)
+            };
+            store.log_batch(change)
+        })
     }
 
-    fn log_batch(&mut self, meta: Vec<u8>) -> Result<bool, DiskError> {
-        let meta_changed = meta != self.meta;
-        if self.staged.is_empty() && !meta_changed {
+    /// [`commit`](DiskBlocks::commit) for a caller that knows what changed:
+    /// `patch` is the XOR between the committed blob and the new one, and
+    /// the store never sees the new one whole. The log gets the bytes
+    /// `commit(|| new)` would have written, and `meta()` reads the same
+    /// afterwards. A patch that is not for a blob of the committed length
+    /// is refused with [`DiskError::MetaPatch`] before anything is written;
+    /// that is the caller's mistake, not a fault of the device, and does
+    /// not poison the store.
+    pub fn commit_patch(&mut self, patch: ChangeMask) -> Result<bool, DiskError> {
+        if patch.block_len() != self.meta.len() {
+            return Err(DiskError::MetaPatch { at: self.head });
+        }
+        self.durably(|store| store.log_batch(store.record_for(patch)))
+    }
+
+    /// The record for a change that keeps the blob's length: none when
+    /// nothing changed, the span list, or the new blob whole when that is
+    /// no larger (a few-byte blob, or one rewritten from end to end).
+    fn record_for(&self, patch: ChangeMask) -> MetaChange {
+        if patch.is_empty() {
+            MetaChange::None
+        } else if 8 + patch.wire_size() < self.meta.len() {
+            MetaChange::Patch(patch)
+        } else {
+            let mut meta = self.meta.clone();
+            patch.apply(&mut meta);
+            MetaChange::Blob(meta)
+        }
+    }
+
+    fn log_batch(&mut self, change: MetaChange) -> Result<bool, DiskError> {
+        if self.staged.is_empty() && matches!(change, MetaChange::None) {
             return Ok(false);
         }
         // Assemble the batch in one buffer (payloads are copied into it;
@@ -519,11 +568,12 @@ impl DiskBlocks {
             head[1..].copy_from_slice(&s.row.to_le_bytes());
             put_record(&mut out, seed, &head, &s.data);
         }
-        if meta_changed {
-            match self.meta_patch(&meta) {
-                Some(patch) => put_record(&mut out, seed, &[REC_META_PATCH], &patch),
-                None => put_record(&mut out, seed, &[REC_META], &meta),
+        match &change {
+            MetaChange::None => {}
+            MetaChange::Patch(patch) => {
+                put_record(&mut out, seed, &[REC_META_PATCH], &patch.encode());
             }
+            MetaChange::Blob(meta) => put_record(&mut out, seed, &[REC_META], meta),
         }
         // The marker names where its batch starts, so the tail of a torn
         // batch cannot commit whatever valid records happen to precede it.
@@ -538,8 +588,10 @@ impl DiskBlocks {
         for s in self.staged.drain(..) {
             self.dirty.insert(s.row);
         }
-        if meta_changed {
-            self.meta = meta;
+        match change {
+            MetaChange::None => {}
+            MetaChange::Patch(patch) => patch.apply(&mut self.meta),
+            MetaChange::Blob(meta) => self.meta = meta,
         }
         if self.head > self.checkpoint_bytes {
             self.end_lap()?;
@@ -634,8 +686,9 @@ impl StorageSpec {
 }
 
 /// A site's store: memory-backed (the historical default) or disk-backed.
-/// Runtime drivers hold one of these and call [`SiteStore::commit`] after
-/// every handled event; the memory arm makes both calls free.
+/// Runtime drivers hold one of these and call [`SiteStore::commit_patch`]
+/// or [`SiteStore::commit`] after every handled event that changed
+/// something; the memory arm makes both calls free.
 #[derive(Debug)]
 pub enum SiteStore {
     /// Volatile in-memory rows ([`MemBlocks`]).
@@ -696,6 +749,16 @@ impl SiteStore {
         match self {
             SiteStore::Mem(_) => Ok(false),
             SiteStore::Disk(d) => d.commit(meta),
+        }
+    }
+
+    /// Group-commit staged writes with the XOR patch between the committed
+    /// metadata blob and the new one (no-op and `Ok(false)` for memory
+    /// stores). See [`DiskBlocks::commit_patch`].
+    pub fn commit_patch(&mut self, patch: ChangeMask) -> Result<bool, DiskError> {
+        match self {
+            SiteStore::Mem(_) => Ok(false),
+            SiteStore::Disk(d) => d.commit_patch(patch),
         }
     }
 }
@@ -986,6 +1049,107 @@ mod tests {
             commit_row(&mut d, 2, 3, b"m3");
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A site's states committed through `commit_patch` (what the machine
+    /// says it touched, whole only across a change of shape) and the same
+    /// states committed whole through `commit(|| blob)` write the same log,
+    /// byte for byte, and re-open to the same blob and rows: the patch
+    /// path is a cheaper way to the record, not another record, so a store
+    /// written by either opens under the other.
+    #[test]
+    fn commit_patch_logs_the_bytes_a_whole_blob_commit_logs() {
+        use radd_protocol::{DurableDelta, SiteMachine};
+        let (blobs, patches) = (tmpdir("by-blob"), tmpdir("by-patch"));
+        let mut by_blob = DiskBlocks::open(&blobs, 24, 16).unwrap();
+        let mut by_patch = DiskBlocks::open(&patches, 24, 16).unwrap();
+        let mut machine = SiteMachine::new(0, 4, 24, 16);
+        let parity_row = (0..24)
+            .find(|&r| machine.geometry().parity_site(r) == 0)
+            .unwrap();
+        let mut patched = 0;
+        for i in 0..40u64 {
+            let row = i * 5 % 24;
+            let uid = machine.mint_uid();
+            machine.set_block_uid(row, uid);
+            machine.fresh_tag();
+            match i {
+                // A parity row's first array, then updates in place.
+                10 | 11 | 20 => machine
+                    .parity_uid_array(parity_row)
+                    .set(i as usize % 6, uid),
+                // A change of shape in the middle of the run.
+                15 => {
+                    machine.invalid_rows_mut().insert(3);
+                }
+                _ => {}
+            }
+            for d in [&mut by_blob, &mut by_patch] {
+                d.write_owned(row, block(i as u8, 16)).unwrap();
+            }
+            assert!(by_blob
+                .commit(|| machine.durable_snapshot().encode())
+                .unwrap());
+            assert!(match machine.drain_durable(by_patch.meta()) {
+                DurableDelta::Patch(patch) => {
+                    patched += 1;
+                    by_patch.commit_patch(patch).unwrap()
+                }
+                DurableDelta::Whole(blob) => by_patch.commit(|| blob).unwrap(),
+            });
+            assert_eq!(by_patch.meta(), by_blob.meta(), "commit {i}");
+        }
+        assert_eq!(patched, 37, "all but the first drain and two shape changes");
+        let head = by_blob.wal_bytes() as usize;
+        assert_eq!(by_patch.wal_bytes() as usize, head);
+        drop((by_blob, by_patch));
+        let log = |dir: &Path| fs::read(dir.join("wal.log")).unwrap()[..head].to_vec();
+        assert!(log(&blobs) == log(&patches), "the two logs differ");
+        let by_blob = DiskBlocks::open(&blobs, 24, 16).unwrap();
+        let by_patch = DiskBlocks::open(&patches, 24, 16).unwrap();
+        assert_eq!(by_patch.meta(), machine.durable_snapshot().encode());
+        assert_eq!(by_patch.meta(), by_blob.meta());
+        assert_eq!(by_patch.replayed_rows(), by_blob.replayed_rows());
+        fs::remove_dir_all(&blobs).unwrap();
+        fs::remove_dir_all(&patches).unwrap();
+    }
+
+    /// A patch for a blob of another length is the caller's mistake:
+    /// refused before a byte is written, the batch stays staged and the
+    /// store stays usable. A patch batch that meets a failing `fdatasync`
+    /// is left exactly as a blob batch is: staged, the store poisoned, and
+    /// (the write having reached the page cache) there after a re-open.
+    #[test]
+    fn commit_patch_refuses_a_misfit_and_fails_like_commit() {
+        let dir = tmpdir("patch-faults");
+        let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+        commit_row(&mut d, 0, 1, b"meta-one");
+        let head = d.wal_bytes();
+        d.write_owned(1, block(2, 16)).unwrap();
+        let misfit = ChangeMask::diff(b"meta-one!", b"meta-two!");
+        assert!(matches!(
+            d.commit_patch(misfit),
+            Err(DiskError::MetaPatch { at }) if at == head
+        ));
+        assert_eq!(d.wal_bytes(), head, "nothing was logged");
+        assert!(d.has_staged());
+
+        let patch = ChangeMask::diff(b"meta-one", b"meta-two");
+        FAIL_NEXT.set(Some(Step::LogSync));
+        assert!(matches!(
+            d.commit_patch(patch.clone()),
+            Err(DiskError::Io(_))
+        ));
+        assert!(d.has_staged(), "the batch was not dropped");
+        assert_eq!(d.meta(), b"meta-one");
+        assert!(matches!(d.commit_patch(patch), Err(DiskError::Poisoned)));
+        drop(d);
+        let mut d = DiskBlocks::open(&dir, 4, 16).unwrap();
+        assert_eq!(&d.read(1).unwrap()[..], &block(2, 16)[..]);
+        assert_eq!(d.meta(), b"meta-two");
+        // A patch that changes nothing logs nothing.
+        assert!(!d.commit_patch(ChangeMask::empty(8)).unwrap());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A crash after each step of `checkpoint()` re-opens to exactly the

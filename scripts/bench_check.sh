@@ -41,6 +41,15 @@
 # written in place, so a commit's fdatasync carries no filesystem journal
 # commit, and an append creeping back in doubles it.
 #
+# The same run also says what PR 24's metadata patch is for, as ratios
+# between rows of that one process (no absolute ns): turning what a write
+# touched into its log record must not grow with the site
+# (site_meta_patch_8192 / site_meta_patch_512 <= 1.5; it was an O(rows)
+# encode, compare and diff), must beat the whole encode it replaced at
+# least 8x at 512 rows (snapshot_encode_512 / site_meta_patch_512), and
+# must put the same bytes in the log as the whole-blob commit does
+# (commit_1x4k_site_patch_512_bytes == commit_1x4k_site_meta_512_bytes).
+#
 # A sixth gate covers the per-byte kernels of a socket hop and of a WAL
 # commit (PR 20): in one run of the frame_path bench the laned frame
 # checksum must beat the one-lane chain it replaced 2.5x at 64 KiB and
@@ -201,6 +210,37 @@ elif awk -v m="$got" -v b="$base" -v t="$TOLERANCE" 'BEGIN { exit !(m <= b * t) 
     echo "ok    wal commit ns: $got ns/iter (recorded $base, limit $(awk -v b="$base" -v t="$TOLERANCE" 'BEGIN { printf "%d", b * t }'))"
 else
     echo "FAIL  wal commit ns: $got ns/iter exceeds recorded $base x $TOLERANCE" >&2
+    fail=1
+fi
+
+echo "== bench_check: metadata patch (same-run ratios: flat in rows, 8x under the whole encode, same log bytes)"
+dc_row() { echo "$DC_OUT" | awk -v n="disk_commit/$1" '$2 == n { print $3 }'; }
+small="$(dc_row site_meta_patch_512)"
+large="$(dc_row site_meta_patch_8192)"
+whole="$(dc_row snapshot_encode_512)"
+patch_bytes="$(dc_row commit_1x4k_site_patch_512_bytes)"
+blob_bytes="$(dc_row commit_1x4k_site_meta_512_bytes)"
+if [ -z "$small" ] || [ -z "$large" ] || [ -z "$whole" ]; then
+    echo "FAIL  metadata patch: bench row missing (512='$small' 8192='$large' encode='$whole')" >&2
+    fail=1
+else
+    if awk -v s="$small" -v l="$large" 'BEGIN { exit !(l <= s * 1.5) }'; then
+        echo "ok    site_meta_patch: $large ns/iter at 8192 rows vs $small at 512 ($(awk -v s="$small" -v l="$large" 'BEGIN { printf "%.2f", l / s }')x; max 1.5x)"
+    else
+        echo "FAIL  site_meta_patch: $large ns/iter at 8192 rows is over 1.5x the $small at 512" >&2
+        fail=1
+    fi
+    if awk -v s="$small" -v w="$whole" 'BEGIN { exit !(w >= s * 8) }'; then
+        echo "ok    site_meta_patch_512: $small ns/iter, $(awk -v s="$small" -v w="$whole" 'BEGIN { printf "%.0f", w / s }')x under snapshot_encode_512 ($whole; min 8x)"
+    else
+        echo "FAIL  site_meta_patch_512: $small ns/iter is not 8x under snapshot_encode_512 ($whole)" >&2
+        fail=1
+    fi
+fi
+if [ -n "$patch_bytes" ] && [ "$patch_bytes" = "$blob_bytes" ]; then
+    echo "ok    wal commit bytes by patch: $patch_bytes B per commit, as by whole blob"
+else
+    echo "FAIL  wal commit bytes by patch: '$patch_bytes' B per commit against '$blob_bytes' by whole blob" >&2
     fail=1
 fi
 
