@@ -26,7 +26,7 @@ fn mutant_hunt() {
         let cfg = configs::adversarial_world();
         arm(Some(mutant));
         let t0 = Instant::now();
-        let report = explore::explore(&cfg);
+        let report = explore(&cfg);
         match report.violation {
             Some(cx) => {
                 let minimized = minimize_failure(|| ModelDriver::new(&cfg.model), &cx.plan);

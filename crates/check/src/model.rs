@@ -1156,7 +1156,7 @@ impl Model {
         // Structure first (as `check_step` does after every transition):
         // the predicates below index spares by the sites it vouches for.
         check_spare_structure(sites)?;
-        check_stripe_parity(sites, &mut read)?;
+        check_stripe_parity(&self.geo, &mut read)?;
         check_uid_agreement(sites, |_, _| true)?;
         check_spare_freshness(sites, &mut read)?;
         // Oracle content: every acknowledged write must be on disk.

@@ -1185,11 +1185,8 @@ impl RaddCluster {
 
         self.sites[site].machine.set_state(SiteState::Up);
         if let Some(obs) = &mut self.obs {
-            let m = obs.site(site).metrics();
-            m.recovery_run();
-            m.set_recovery_progress(
+            obs.site(site).metrics().record_recovery(
                 report.spares_drained + report.data_reconstructed + report.parity_rebuilt,
-                0,
             );
         }
         Ok(report)
@@ -1240,9 +1237,7 @@ impl RaddCluster {
             self.sites[site].machine.set_state(SiteState::Up);
         }
         if let Some(obs) = &mut self.obs {
-            let m = obs.site(site).metrics();
-            m.recovery_run();
-            m.set_recovery_progress(drained, 0);
+            obs.site(site).metrics().record_recovery(drained);
         }
         Ok(drained)
     }
@@ -1258,10 +1253,7 @@ impl RaddCluster {
     ) -> Result<RebuildReport, ClientErr> {
         let report = self.client_op(|cm, io| cm.rebuild_member(io, site, wave_rows))?;
         if let Some(obs) = &mut self.obs {
-            let m = obs.client().metrics();
-            m.rebuild_run();
-            m.add_rebuild(report.blocks_rebuilt, report.bytes_xored);
-            m.set_rebuild_fanout(report.peer_reads.iter().filter(|&&n| n > 0).count() as u64);
+            obs.client().metrics().record_rebuild(&report);
         }
         Ok(report)
     }

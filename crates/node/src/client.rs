@@ -29,18 +29,22 @@
 //!   entries for a site that already exhausted it — a G-way degraded read
 //!   with one down site pays one ladder, not one per entry.
 //!
+//! Both rules live in one ladder (`NetIo::ladder`). A single
+//! [`ClientIo::exchange`] is its one-entry case: a fresh budget, and the
+//! ladder makes the first send itself.
+//!
 //! Every wire attempt, retransmission, stash eviction and `Closed` send is
 //! recorded in a per-client [`radd_obs::MachineObs`]; see
 //! [`Client::obs_snapshot`].
 
 use radd_net::{RetryPolicy, SendOutcome, Transport};
 use radd_obs::{MachineObs, MachineSnapshot};
-use radd_parity::xor_in_place;
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
-    ClientErr, ClientIo, ClientMachine, Dest, Msg, RebuildReport, SparePolicy, TraceEntry,
+    check_stripe_parity, ClientErr, ClientIo, ClientMachine, Dest, Msg, RebuildReport, SparePolicy,
+    TraceEntry,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// §3.3 retry budget for inconsistent reconstruction reads.
@@ -165,27 +169,44 @@ impl<T: Transport> NetIo<T> {
         }
     }
 
-    /// Send `msg` to `site`, retrying with exponential backoff until a
-    /// reply arrives or the attempt budget is spent. All retried requests
-    /// are idempotent at the receiver (see the module docs). A closed
-    /// channel fails immediately — no answer can ever arrive on it.
-    fn request(&mut self, site: usize, msg: &Msg) -> Option<Msg> {
+    /// The retry ladder: await `site`'s reply to `msg`, resending with a
+    /// growing window until a reply arrives or the site's attempt budget is
+    /// spent. `used` is that budget — windows expired so far, `attempts`
+    /// once the site is given up on — and a reply refills it. `sent` says
+    /// the first attempt is already on the wire (a batch's pipelined send);
+    /// otherwise window 0 opens with it. All retried requests are
+    /// idempotent at the receiver (see the module docs). A closed channel
+    /// spends the budget at once — no answer can ever arrive on it — and a
+    /// spent budget still takes a reply that was stashed meanwhile.
+    fn ladder(
+        &mut self,
+        site: usize,
+        msg: &Msg,
+        sent: bool,
+        used: &mut u32,
+    ) -> Result<Msg, ClientErr> {
         let tag = msg.tag();
-        for k in 0..self.policy.attempts {
-            if self.send_attempt(site, msg, k > 0) == SendOutcome::Closed {
-                return self.take_stashed(tag);
+        loop {
+            let k = *used;
+            if k >= self.policy.attempts {
+                return self.take_stashed(tag).ok_or(ClientErr::Timeout { site });
+            }
+            if (k > 0 || !sent) && self.send_attempt(site, msg, k > 0) == SendOutcome::Closed {
+                *used = self.policy.attempts;
+                continue;
             }
             if let Some(reply) = self.wait(site, tag, self.policy.delay(k)) {
-                return Some(reply);
+                *used = 0;
+                return Ok(reply);
             }
+            *used += 1;
         }
-        None
     }
 }
 
 impl<T: Transport> ClientIo for NetIo<T> {
     fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
-        self.request(site, &msg).ok_or(ClientErr::Timeout { site })
+        self.ladder(site, &msg, false, &mut 0)
     }
 
     /// Pipelined batch: every request goes on the wire before any reply is
@@ -209,48 +230,18 @@ impl<T: Transport> ClientIo for NetIo<T> {
         reqs: Vec<(usize, Msg)>,
         _background: bool,
     ) -> Vec<Result<Msg, ClientErr>> {
-        let mut used: HashMap<usize, u32> = HashMap::new();
-        let mut dead: HashSet<usize> = HashSet::new();
+        // One budget per site, indexed by site: a batch spans one group.
+        let sites = reqs.iter().map(|(site, _)| site + 1).max().unwrap_or(0);
+        let mut used = vec![0u32; sites];
         for (site, msg) in &reqs {
-            if dead.contains(site) {
-                continue;
-            }
-            if self.send_attempt(*site, msg, false) == SendOutcome::Closed {
-                dead.insert(*site);
+            if used[*site] < self.policy.attempts
+                && self.send_attempt(*site, msg, false) == SendOutcome::Closed
+            {
+                used[*site] = self.policy.attempts;
             }
         }
         reqs.into_iter()
-            .map(|(site, msg)| {
-                let tag = msg.tag();
-                // Served while an earlier entry was waiting?
-                if let Some(reply) = self.take_stashed(tag) {
-                    return Ok(reply);
-                }
-                if dead.contains(&site) {
-                    return Err(ClientErr::Timeout { site });
-                }
-                loop {
-                    let k = *used.entry(site).or_insert(0);
-                    if k >= self.policy.attempts {
-                        dead.insert(site);
-                        return Err(ClientErr::Timeout { site });
-                    }
-                    // The first window (`k == 0`) rides on the pipelined
-                    // send above; a window only opens with a resend after
-                    // an earlier one expired (idempotent at the receiver).
-                    if k > 0 && self.send_attempt(site, &msg, true) == SendOutcome::Closed {
-                        dead.insert(site);
-                        return self.take_stashed(tag).ok_or(ClientErr::Timeout { site });
-                    }
-                    if let Some(reply) = self.wait(site, tag, self.policy.delay(k)) {
-                        // The site is alive: refill its budget so the rest
-                        // of the batch gets full ladders too.
-                        used.insert(site, 0);
-                        return Ok(reply);
-                    }
-                    *used.get_mut(&site).expect("inserted above") += 1;
-                }
-            })
+            .map(|(site, msg)| self.ladder(site, &msg, true, &mut used[site]))
             .collect()
     }
     // old_value stays `None`: these runtimes have no buffer-pool oracle, so
@@ -376,9 +367,7 @@ impl<T: Transport> Client<T> {
     /// retry. Returns the number of blocks drained.
     pub fn recover(&mut self, site: usize) -> Result<u64, ClientErr> {
         let drained = self.machine.recover(&mut self.io, site)?;
-        let m = self.io.obs.metrics();
-        m.recovery_run();
-        m.set_recovery_progress(drained, 0);
+        self.io.obs.metrics().record_recovery(drained);
         Ok(drained)
     }
 
@@ -390,10 +379,7 @@ impl<T: Transport> Client<T> {
     pub fn rebuild(&mut self, site: usize, wave_rows: usize) -> Result<RebuildReport, ClientErr> {
         let report =
             until_consistent(|| self.machine.rebuild_member(&mut self.io, site, wave_rows))?;
-        let m = self.io.obs.metrics();
-        m.rebuild_run();
-        m.add_rebuild(report.blocks_rebuilt, report.bytes_xored);
-        m.set_rebuild_fanout(report.peer_reads.iter().filter(|&&n| n > 0).count() as u64);
+        self.io.obs.metrics().record_rebuild(&report);
         Ok(report)
     }
 
@@ -403,35 +389,18 @@ impl<T: Transport> Client<T> {
     }
 
     /// Verify the stripe invariant over every row by reading all blocks
-    /// (requires every site up). Returns the first violated row.
+    /// (requires every site up): [`check_stripe_parity`], the model
+    /// checker's predicate, over `BlockRead`s. Returns the first violated
+    /// row.
     pub fn verify_parity(&mut self) -> Result<(), String> {
         let geo = *self.machine.geometry();
-        for row in 0..geo.rows() {
-            let parity_site = geo.parity_site(row);
-            let spare_site = geo.spare_site(row);
-            let mut acc = vec![0u8; self.block_size];
-            let mut parity = vec![0u8; self.block_size];
-            for s in 0..geo.num_sites() {
-                if s == spare_site {
-                    continue;
-                }
-                let tag = self.oracle_tag();
-                match self.io.request(s, &Msg::BlockRead { row, tag }) {
-                    Some(Msg::BlockData { data, .. }) => {
-                        if s == parity_site {
-                            parity = data.to_vec();
-                        } else {
-                            xor_in_place(&mut acc, &data);
-                        }
-                    }
-                    _ => return Err(format!("site {s} did not answer for row {row}")),
-                }
+        check_stripe_parity(&geo, &mut |site, row| {
+            let tag = self.oracle_tag();
+            match self.io.exchange(site, Msg::BlockRead { row, tag }, true) {
+                Ok(Msg::BlockData { data, .. }) => Some(data.to_vec()),
+                _ => None,
             }
-            if acc != parity {
-                return Err(format!("parity mismatch in row {row}"));
-            }
-        }
-        Ok(())
+        })
     }
 }
 
@@ -439,7 +408,9 @@ impl<T: Transport> Client<T> {
 mod tests {
     use super::*;
     use radd_net::{Outbound, Received};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+    use std::collections::HashSet;
+    use std::rc::Rc;
 
     #[test]
     fn client_uid_namespaces_are_distinct_and_disjoint_from_sites() {
@@ -561,19 +532,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_against_a_dead_site_shares_one_attempt_budget() {
-        // A deaf site: sends succeed, nothing ever replies — the worst
-        // case for retry ladders.
-        let sends = std::rc::Rc::new(std::cell::Cell::new(0u32));
+    /// A deaf site: sends succeed, nothing ever replies — the worst case
+    /// for retry ladders. Returns the ladder and its count of sends.
+    fn deaf_io() -> (NetIo<impl Transport>, Rc<Cell<u32>>) {
+        let sends = Rc::new(Cell::new(0u32));
         let seen = sends.clone();
-        let mut io = scripted_io(
+        let io = scripted_io(
             move |_, _| {
                 seen.set(seen.get() + 1);
                 SendOutcome::Sent
             },
             2,
         );
+        (io, sends)
+    }
+
+    #[test]
+    fn exchange_with_a_dead_site_spends_one_ladder() {
+        let (mut io, sends) = deaf_io();
+        let reply = io.exchange(0, Msg::BlockRead { row: 0, tag: 1 }, false);
+        assert!(matches!(reply, Err(ClientErr::Timeout { site: 0 })));
+        let attempts = io.policy.attempts;
+        assert_eq!(sends.get(), attempts, "one send per window");
+        assert_eq!(
+            io.obs.snapshot("client").metrics.retransmits,
+            u64::from(attempts - 1)
+        );
+    }
+
+    #[test]
+    fn batch_against_a_dead_site_shares_one_attempt_budget() {
+        let (mut io, sends) = deaf_io();
         // 6 batch entries all target dead site 0. The shared budget means
         // one ladder (three windows), not six.
         let replies = io.exchange_batch(block_reads(0..6), false);
@@ -653,11 +642,11 @@ mod tests {
     }
 
     #[test]
-    fn request_fails_fast_when_the_channel_is_closed() {
+    fn exchange_fails_fast_when_the_channel_is_closed() {
         let mut io = scripted_io(|_, _| SendOutcome::Closed, 500);
         let started = Instant::now();
-        let reply = io.request(0, &Msg::BlockRead { row: 0, tag: 1 });
-        assert!(reply.is_none());
+        let reply = io.exchange(0, Msg::BlockRead { row: 0, tag: 1 }, false);
+        assert!(matches!(reply, Err(ClientErr::Timeout { site: 0 })));
         assert!(
             started.elapsed() < Duration::from_millis(250),
             "closed channel burned the timeout ladder"

@@ -4,7 +4,7 @@
 
 use crate::snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot, NamedCount};
 use radd_protocol::obs::ObsEvent;
-use radd_protocol::{IoPurpose, MsgKind};
+use radd_protocol::{IoPurpose, MsgKind, RebuildReport};
 use std::time::Duration;
 
 /// Number of histogram buckets: one for zero plus one per bit width of a
@@ -170,33 +170,22 @@ impl MachineMetrics {
         self.site_lock_wait[bucket] += 1;
     }
 
-    /// A recovery drain started.
-    pub fn recovery_run(&mut self) {
+    /// A recovery finished, bringing back `rows` rows: counts the run and
+    /// sets the progress gauge (nothing left pending).
+    pub fn record_recovery(&mut self, rows: u64) {
         self.recovery_runs += 1;
+        self.recovery_drained_rows = rows;
+        self.recovery_pending_rows = 0;
     }
 
-    /// Gauge: progress of the current/last recovery drain.
-    pub fn set_recovery_progress(&mut self, drained_rows: u64, pending_rows: u64) {
-        self.recovery_drained_rows = drained_rows;
-        self.recovery_pending_rows = pending_rows;
-    }
-
-    /// A member rebuild pass started.
-    pub fn rebuild_run(&mut self) {
+    /// A member rebuild pass finished: counts the run, accumulates the
+    /// blocks reconstructed into spares and the bytes folded through the
+    /// XOR kernel, and sets the gauge of surviving peers it read from.
+    pub fn record_rebuild(&mut self, report: &RebuildReport) {
         self.rebuild_runs += 1;
-    }
-
-    /// Accumulate one rebuild pass's work: blocks reconstructed into
-    /// spares and bytes folded through the XOR kernel.
-    pub fn add_rebuild(&mut self, blocks: u64, bytes_xored: u64) {
-        self.rebuild_blocks += blocks;
-        self.rebuild_bytes_xored += bytes_xored;
-    }
-
-    /// Gauge: surviving peers the current/last rebuild fanned reconstruction
-    /// reads across.
-    pub fn set_rebuild_fanout(&mut self, peers: u64) {
-        self.rebuild_fanout_peers = peers;
+        self.rebuild_blocks += report.blocks_rebuilt;
+        self.rebuild_bytes_xored += report.bytes_xored;
+        self.rebuild_fanout_peers = report.peer_reads.iter().filter(|&&n| n > 0).count() as u64;
     }
 
     /// Gauge: writes absorbed by parity-update coalescing, owned by the

@@ -36,6 +36,7 @@
 use crate::fasthash::FxHashMap;
 use crate::server::{SiteMachine, SpareKind};
 use crate::wire::{Msg, SpareContent};
+use radd_layout::Geometry;
 use radd_parity::Uid;
 use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
@@ -301,17 +302,19 @@ impl Checkable for Msg {
 
 // ---- invariant predicates ---------------------------------------------
 
-/// §3.2/Formula (1): every row's parity block equals the XOR of the row's
-/// data blocks. `read(site, row)` returns the stored block, or `None` if
-/// unreadable (which is itself a violation at a quiescent, all-up state).
+/// §3.2/Formula (1): every row of `geo` has a parity block equal to the
+/// XOR of the row's data blocks. `read(site, row)` returns the stored
+/// block, or `None` if unreadable (which is itself a violation at a
+/// quiescent, all-up state). The model checker reads its sites' disks; the
+/// async client's sweep (`radd_node::client::Client::verify_parity`) reads
+/// over the wire.
 ///
 /// Only meaningful at quiesce — an in-flight parity update legitimately
 /// leaves the stripe inconsistent between W1 and W4.
 pub fn check_stripe_parity(
-    sites: &[SiteMachine],
+    geo: &Geometry,
     read: &mut dyn FnMut(usize, u64) -> Option<Vec<u8>>,
 ) -> Result<(), String> {
-    let geo = *sites[0].geometry();
     for row in 0..geo.rows() {
         let parity_site = geo.parity_site(row);
         let Some(parity) = read(parity_site, row) else {

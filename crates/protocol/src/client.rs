@@ -6,12 +6,18 @@
 //! reconstruction and how their UIDs are validated, and how a recovering
 //! site's redirected writes are drained — while delegating every *exchange*
 //! to a [`ClientIo`] implementation. The DES cluster implements `ClientIo`
-//! by synchronous in-memory delivery with cost-ledger charging; the threaded
-//! runtime implements it with endpoint sends, timeouts, and retries.
+//! by synchronous in-memory delivery with cost-ledger charging; the async
+//! interpreter both async runtimes compile (`radd_node::client`) implements
+//! it with endpoint sends, timeouts, and one retry ladder.
+//!
+//! Each rule is written once: `refused` judges every reply that is not an
+//! exchange's success, `stand_in` reads every `SpareProbe` reply, and
+//! `fold_row` is the §3.3 fold and UID check, for one reconstruction or for
+//! every row of a rebuild wave.
 
 use crate::effect::Dest;
 use crate::trace::TraceEntry;
-use crate::wire::{Msg, NackReason, SpareContent, SpareSlotWire};
+use crate::wire::{Msg, MsgKind, NackReason, SpareContent, SpareSlotWire};
 use bytes::Bytes;
 use radd_layout::Geometry;
 use radd_parity::{xor_fold, Uid, UidArray, UidGen};
@@ -277,6 +283,18 @@ impl ClientMachine {
         self.tag()
     }
 
+    /// Record `msg` to `site` in the trace, if one is being recorded.
+    fn record(&mut self, site: usize, msg: &Msg) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEntry::Send {
+                to: Dest::Site(site),
+                kind: msg.kind(),
+                tag: msg.tag(),
+                wire: msg.wire_size(),
+            });
+        }
+    }
+
     fn send(
         &mut self,
         io: &mut dyn ClientIo,
@@ -288,28 +306,7 @@ impl ClientMachine {
             !self.down[site],
             "protocol bug: request sent to believed-down site {site}"
         );
-        self.send_unchecked(io, site, msg, background)
-    }
-
-    /// Like [`send`](Self::send) but without the believed-down assertion:
-    /// the recovery drain legitimately targets the recovering site, which
-    /// stays on the down-list (degraded paths preferred) until the drain
-    /// completes.
-    fn send_unchecked(
-        &mut self,
-        io: &mut dyn ClientIo,
-        site: usize,
-        msg: Msg,
-        background: bool,
-    ) -> Result<Msg, ClientErr> {
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry::Send {
-                to: Dest::Site(site),
-                kind: msg.kind(),
-                tag: msg.tag(),
-                wire: msg.wire_size(),
-            });
-        }
+        self.record(site, &msg);
         io.exchange(site, msg, background)
     }
 
@@ -324,21 +321,23 @@ impl ClientMachine {
         reqs: Vec<(usize, Msg)>,
         background: bool,
     ) -> Vec<Result<Msg, ClientErr>> {
-        if let Some(trace) = &mut self.trace {
-            for (site, msg) in &reqs {
-                trace.push(TraceEntry::Send {
-                    to: Dest::Site(*site),
-                    kind: msg.kind(),
-                    tag: msg.tag(),
-                    wire: msg.wire_size(),
-                });
-            }
+        for (site, msg) in &reqs {
+            self.record(*site, msg);
         }
         io.exchange_batch(reqs, background)
     }
 
-    fn map_nack(site: usize, reason: NackReason) -> ClientErr {
-        match reason {
+    /// The error for `site`'s `reply` to a `request` that did not succeed:
+    /// a `Nack` says why, anything else is a reply the request never asks
+    /// for. Every exchange matches its success and hands the rest here.
+    fn refused(site: usize, request: MsgKind, reply: &Msg) -> ClientErr {
+        let Msg::Nack { reason, .. } = reply else {
+            return ClientErr::multiple(format!(
+                "unexpected reply {:?} to {request:?}",
+                reply.kind()
+            ));
+        };
+        match *reason {
             NackReason::OutOfRange => ClientErr::OutOfRange,
             NackReason::BadSize => ClientErr::BadSize,
             NackReason::Down | NackReason::Unavailable => ClientErr::multiple(format!(
@@ -347,6 +346,28 @@ impl ClientMachine {
             NackReason::Conflict => ClientErr::multiple(format!(
                 "row spare at site {site} already stands in for another site"
             )),
+        }
+    }
+
+    /// What `spare`'s reply to a `SpareProbe` of `row` says about `owner`'s
+    /// block there (§3.2): the slot standing in for it, or `None` while the
+    /// spare is free. A slot held for another site is two failures in one
+    /// parity group.
+    fn stand_in(
+        spare: usize,
+        owner: usize,
+        row: u64,
+        reply: Msg,
+    ) -> Result<Option<SpareSlotWire>, ClientErr> {
+        let Msg::SpareState { slot, .. } = reply else {
+            return Err(Self::refused(spare, MsgKind::SpareProbe, &reply));
+        };
+        match slot {
+            Some(slot) if slot.for_site != owner => Err(ClientErr::multiple(format!(
+                "row {row} spare already used by site {}",
+                slot.for_site
+            ))),
+            slot => Ok(slot),
         }
     }
 
@@ -370,11 +391,7 @@ impl ClientMachine {
         let tag = self.tag();
         match self.send(io, site, Msg::Read { index, tag }, false)? {
             Msg::ReadOk { data, .. } => Ok(data),
-            Msg::Nack { reason, .. } => Err(Self::map_nack(site, reason)),
-            other => Err(ClientErr::multiple(format!(
-                "unexpected reply {:?} to Read",
-                other.kind()
-            ))),
+            other => Err(Self::refused(site, MsgKind::Read, &other)),
         }
     }
 
@@ -396,29 +413,9 @@ impl ClientMachine {
                 want_data: true,
                 tag,
             };
-            match self.send(io, spare, probe, false)? {
-                Msg::SpareState {
-                    slot: Some(SpareSlotWire { for_site, data, .. }),
-                    ..
-                } if for_site == owner => return Ok(data),
-                Msg::SpareState {
-                    slot: Some(SpareSlotWire { for_site, .. }),
-                    ..
-                } => {
-                    // The spare absorbed a different site's failure: two
-                    // failures in one parity group.
-                    return Err(ClientErr::multiple(format!(
-                        "row {row} spare already used by site {for_site}"
-                    )));
-                }
-                Msg::SpareState { slot: None, .. } => {}
-                Msg::Nack { reason, .. } => return Err(Self::map_nack(spare, reason)),
-                other => {
-                    return Err(ClientErr::multiple(format!(
-                        "unexpected reply {:?} to SpareProbe",
-                        other.kind()
-                    )))
-                }
+            let reply = self.send(io, spare, probe, false)?;
+            if let Some(slot) = Self::stand_in(spare, owner, row, reply)? {
+                return Ok(slot.data);
             }
         }
         let (data, uid) = self.reconstruct(io, owner, row, false)?;
@@ -426,8 +423,9 @@ impl ClientMachine {
         if self.spare_policy.has_spare(row) && !self.down[spare] {
             // Cache the reconstruction in the spare (§3.2: subsequent reads
             // then cost one block access, not G). Installed in the
-            // background; a conflict just means a racing failure claimed the
-            // slot first — the read itself already succeeded.
+            // background, and its outcome is not the read's: a conflict
+            // means a racing failure claimed the slot first, no answer means
+            // the spare stays a miss, and the next read probes it again.
             let tag = self.tag();
             let install = Msg::SpareInstall {
                 row,
@@ -436,7 +434,7 @@ impl ClientMachine {
                 content: SpareContent::Data { uid },
                 tag,
             };
-            self.send(io, spare, install, true)?;
+            let _ = self.send(io, spare, install, true);
         }
         Ok(data)
     }
@@ -469,11 +467,7 @@ impl ClientMachine {
         };
         match self.send(io, site, msg, false)? {
             Msg::WriteOk { .. } => Ok(()),
-            Msg::Nack { reason, .. } => Err(Self::map_nack(site, reason)),
-            other => Err(ClientErr::multiple(format!(
-                "unexpected reply {:?} to Write",
-                other.kind()
-            ))),
+            other => Err(Self::refused(site, MsgKind::Write, &other)),
         }
     }
 
@@ -514,36 +508,11 @@ impl ClientMachine {
             want_data,
             tag,
         };
-        let old = match self.send(io, spare, probe, false)? {
-            Msg::SpareState {
-                slot: Some(SpareSlotWire { for_site, data, .. }),
-                ..
-            } if for_site == owner => {
-                if want_data {
-                    data.to_vec()
-                } else {
-                    oracle_old.expect("want_data is false only with an oracle value")
-                }
-            }
-            Msg::SpareState {
-                slot: Some(SpareSlotWire { for_site, .. }),
-                ..
-            } => {
-                return Err(ClientErr::multiple(format!(
-                    "row {row} spare already used by site {for_site}"
-                )));
-            }
-            Msg::SpareState { slot: None, .. } => match oracle_old {
-                Some(v) => v,
-                None => self.reconstruct(io, owner, row, false)?.0,
-            },
-            Msg::Nack { reason, .. } => return Err(Self::map_nack(spare, reason)),
-            other => {
-                return Err(ClientErr::multiple(format!(
-                    "unexpected reply {:?} to SpareProbe",
-                    other.kind()
-                )))
-            }
+        let reply = self.send(io, spare, probe, false)?;
+        let old = match (Self::stand_in(spare, owner, row, reply)?, oracle_old) {
+            (_, Some(v)) => v,
+            (Some(slot), None) => slot.data.to_vec(),
+            (None, None) => self.reconstruct(io, owner, row, false)?.0,
         };
         // W1': install the new content in the spare under a client-minted
         // UID…
@@ -558,13 +527,7 @@ impl ClientMachine {
         };
         match self.send(io, spare, install, false)? {
             Msg::Ack { .. } => {}
-            Msg::Nack { reason, .. } => return Err(Self::map_nack(spare, reason)),
-            other => {
-                return Err(ClientErr::multiple(format!(
-                    "unexpected reply {:?} to SpareInstall",
-                    other.kind()
-                )))
-            }
+            other => return Err(Self::refused(spare, MsgKind::SpareInstall, &other)),
         }
         // …and W3': ship the mask so the parity site records the new UID.
         let mask = radd_parity::ChangeMask::diff(&old, data);
@@ -578,11 +541,7 @@ impl ClientMachine {
         };
         match self.send(io, parity, update, false)? {
             Msg::Ack { .. } => Ok(()),
-            Msg::Nack { reason, .. } => Err(Self::map_nack(parity, reason)),
-            other => Err(ClientErr::multiple(format!(
-                "unexpected reply {:?} to ParityUpdate",
-                other.kind()
-            ))),
+            other => Err(Self::refused(parity, MsgKind::ParityUpdate, &other)),
         }
     }
 
@@ -603,30 +562,47 @@ impl ClientMachine {
         row: u64,
         background: bool,
     ) -> Result<(Vec<u8>, Uid), ClientErr> {
-        let n = self.geo.num_sites();
-        let spare = self.geo.spare_site(row);
-        let parity = self.geo.parity_site(row);
-        let read_sites: Vec<usize> = (0..n).filter(|&s| s != owner && s != spare).collect();
-        for &s in &read_sites {
-            if self.down[s] {
-                return Err(ClientErr::multiple(format!(
-                    "cannot reconstruct row {row}: source site {s} is down too"
-                )));
-            }
+        if let Some(s) = self.sources(owner, row).find(|&s| self.down[s]) {
+            return Err(ClientErr::multiple(format!(
+                "cannot reconstruct row {row}: source site {s} is down too"
+            )));
         }
-        let reqs: Vec<(usize, Msg)> = read_sites
-            .iter()
-            .map(|&s| {
+        let reqs: Vec<(usize, Msg)> = self
+            .sources(owner, row)
+            .map(|s| {
                 let tag = self.tag();
                 (s, Msg::BlockRead { row, tag })
             })
             .collect();
         let replies = self.send_batch(io, reqs, background);
-        let mut blocks: Vec<Bytes> = Vec::with_capacity(read_sites.len());
-        let mut sources: Vec<(usize, Uid)> = Vec::with_capacity(n - 2);
-        let mut parity_arr: Option<UidArray> = None;
-        for (&s, reply) in read_sites.iter().zip(replies) {
-            match reply? {
+        self.fold_row(owner, row, &mut replies.into_iter())
+    }
+
+    /// The sites a reconstruction of `owner`'s block at `row` reads,
+    /// ascending: every site but the owner and the row's spare.
+    fn sources(&self, owner: usize, row: u64) -> impl Iterator<Item = usize> {
+        let spare = self.geo.spare_site(row);
+        (0..self.geo.num_sites()).filter(move |&s| s != owner && s != spare)
+    }
+
+    /// §3.3's fold of one row: take the `BlockRead` replies of the row's
+    /// [`sources`](Self::sources), in order, from `replies`, XOR them in one multi-way [`xor_fold`] pass, and — when
+    /// validation is on — check every data source's UID against the parity
+    /// site's UID array. Returns the block and the UID the array records
+    /// for `owner`. The first failed reply, in source order, is the error.
+    fn fold_row(
+        &self,
+        owner: usize,
+        row: u64,
+        replies: &mut impl Iterator<Item = Result<Msg, ClientErr>>,
+    ) -> Result<(Vec<u8>, Uid), ClientErr> {
+        let n = self.geo.num_sites();
+        let parity = self.geo.parity_site(row);
+        let mut blocks: Vec<Bytes> = Vec::with_capacity(n - 2);
+        let mut sources: Vec<(usize, Uid)> = Vec::with_capacity(n - 3);
+        let mut arr = UidArray::new(n);
+        for s in self.sources(owner, row) {
+            match replies.next().expect("one reply per source")? {
                 Msg::BlockData {
                     data,
                     uid,
@@ -634,29 +610,20 @@ impl ClientMachine {
                     ..
                 } => {
                     if s == parity {
-                        let mut arr = UidArray::new(n);
                         for (i, u) in parity_uids.unwrap_or_default().iter().enumerate().take(n) {
                             arr.set(i, *u);
                         }
-                        parity_arr = Some(arr);
                     } else {
                         sources.push((s, uid));
                     }
                     blocks.push(data);
                 }
-                Msg::Nack { reason, .. } => return Err(Self::map_nack(s, reason)),
-                other => {
-                    return Err(ClientErr::multiple(format!(
-                        "unexpected reply {:?} to BlockRead",
-                        other.kind()
-                    )))
-                }
+                other => return Err(Self::refused(s, MsgKind::BlockRead, &other)),
             }
         }
         let mut acc = vec![0u8; self.block_size];
         let views: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
         xor_fold(&mut acc, &views);
-        let arr = parity_arr.unwrap_or_else(|| UidArray::new(n));
         if self.validate_uids {
             // §3.3: "the UIDs of the blocks used in the reconstruction must
             // agree with the UIDs in the [parity] array" — otherwise a
@@ -694,23 +661,13 @@ impl ClientMachine {
                 )));
             }
             let tag = self.tag();
-            let rows = match self.send(
-                io,
-                s,
-                Msg::SpareDrainList {
-                    for_site: site,
-                    tag,
-                },
-                true,
-            )? {
+            let list = Msg::SpareDrainList {
+                for_site: site,
+                tag,
+            };
+            let rows = match self.send(io, s, list, true)? {
                 Msg::SpareRows { rows, .. } => rows,
-                Msg::Nack { reason, .. } => return Err(Self::map_nack(s, reason)),
-                other => {
-                    return Err(ClientErr::multiple(format!(
-                        "unexpected reply {:?} to SpareDrainList",
-                        other.kind()
-                    )))
-                }
+                other => return Err(Self::refused(s, MsgKind::SpareDrainList, &other)),
             };
             if rows.is_empty() {
                 continue;
@@ -734,20 +691,13 @@ impl ClientMachine {
             let mut pending: Vec<(u64, SpareSlotWire)> = Vec::with_capacity(rows.len());
             for (&row, reply) in rows.iter().zip(replies) {
                 match reply? {
-                    Msg::SpareState { slot, .. } => match slot {
-                        // Raced with another drain or the slot is gone:
-                        // nothing to restore.
-                        None => {}
-                        Some(slot) if slot.for_site != site => {}
-                        Some(slot) => pending.push((row, slot)),
-                    },
-                    Msg::Nack { reason, .. } => return Err(Self::map_nack(s, reason)),
-                    other => {
-                        return Err(ClientErr::multiple(format!(
-                            "unexpected reply {:?} to SpareProbe",
-                            other.kind()
-                        )))
-                    }
+                    Msg::SpareState {
+                        slot: Some(slot), ..
+                    } if slot.for_site == site => pending.push((row, slot)),
+                    // Raced with another drain or the slot is gone: nothing
+                    // to restore.
+                    Msg::SpareState { .. } => {}
+                    other => return Err(Self::refused(s, MsgKind::SpareProbe, &other)),
                 }
             }
             if pending.is_empty() {
@@ -776,13 +726,7 @@ impl ClientMachine {
             for reply in self.send_batch(io, restores, true) {
                 match reply? {
                     Msg::Ack { .. } => {}
-                    Msg::Nack { reason, .. } => return Err(Self::map_nack(site, reason)),
-                    other => {
-                        return Err(ClientErr::multiple(format!(
-                            "unexpected reply {:?} to RestoreBlock",
-                            other.kind()
-                        )))
-                    }
+                    other => return Err(Self::refused(site, MsgKind::RestoreBlock, &other)),
                 }
             }
             // Wave 3: release the drained slots.
@@ -796,13 +740,7 @@ impl ClientMachine {
             for reply in self.send_batch(io, takes, true) {
                 match reply? {
                     Msg::Ack { .. } => {}
-                    Msg::Nack { reason, .. } => return Err(Self::map_nack(s, reason)),
-                    other => {
-                        return Err(ClientErr::multiple(format!(
-                            "unexpected reply {:?} to SpareTake",
-                            other.kind()
-                        )))
-                    }
+                    other => return Err(Self::refused(s, MsgKind::SpareTake, &other)),
                 }
                 drained += 1;
             }
@@ -904,27 +842,9 @@ impl ClientMachine {
             let mut rebuild_rows: Vec<u64> = Vec::with_capacity(wave.len());
             for (&row, reply) in wave.iter().zip(replies) {
                 let spare = self.geo.spare_site(row);
-                match reply? {
-                    Msg::SpareState {
-                        slot: Some(SpareSlotWire { for_site, .. }),
-                        ..
-                    } if for_site == owner => report.blocks_absorbed += 1,
-                    Msg::SpareState {
-                        slot: Some(SpareSlotWire { for_site, .. }),
-                        ..
-                    } => {
-                        return Err(ClientErr::multiple(format!(
-                            "row {row} spare already used by site {for_site}"
-                        )));
-                    }
-                    Msg::SpareState { slot: None, .. } => rebuild_rows.push(row),
-                    Msg::Nack { reason, .. } => return Err(Self::map_nack(spare, reason)),
-                    other => {
-                        return Err(ClientErr::multiple(format!(
-                            "unexpected reply {:?} to SpareProbe",
-                            other.kind()
-                        )))
-                    }
+                match Self::stand_in(spare, owner, row, reply?)? {
+                    Some(_) => report.blocks_absorbed += 1,
+                    None => rebuild_rows.push(row),
                 }
             }
             if rebuild_rows.is_empty() {
@@ -934,93 +854,37 @@ impl ClientMachine {
             // pipelined batch across all survivors.
             let mut reqs = Vec::with_capacity(rebuild_rows.len() * (n - 2));
             for &row in &rebuild_rows {
-                let spare = self.geo.spare_site(row);
-                for s in (0..n).filter(|&s| s != owner && s != spare) {
+                for s in self.sources(owner, row) {
                     let tag = self.tag();
                     reqs.push((s, Msg::BlockRead { row, tag }));
                     report.peer_reads[s] += 1;
                 }
             }
             let mut replies = self.send_batch(io, reqs, true).into_iter();
-            // Fold each row with the FOLD_WAYS kernel and validate UIDs.
+            // Fold and validate each row; mint its install's tag.
             let mut installs = Vec::with_capacity(rebuild_rows.len());
             for &row in &rebuild_rows {
-                let spare = self.geo.spare_site(row);
-                let parity = self.geo.parity_site(row);
-                let mut blocks: Vec<Bytes> = Vec::with_capacity(n - 2);
-                let mut sources: Vec<(usize, Uid)> = Vec::with_capacity(n - 3);
-                let mut parity_arr: Option<UidArray> = None;
-                for s in (0..n).filter(|&s| s != owner && s != spare) {
-                    match replies.next().expect("one reply per request")? {
-                        Msg::BlockData {
-                            data,
-                            uid,
-                            parity_uids,
-                            ..
-                        } => {
-                            if s == parity {
-                                let mut arr = UidArray::new(n);
-                                for (i, u) in
-                                    parity_uids.unwrap_or_default().iter().enumerate().take(n)
-                                {
-                                    arr.set(i, *u);
-                                }
-                                parity_arr = Some(arr);
-                            } else {
-                                sources.push((s, uid));
-                            }
-                            blocks.push(data);
-                        }
-                        Msg::Nack { reason, .. } => return Err(Self::map_nack(s, reason)),
-                        other => {
-                            return Err(ClientErr::multiple(format!(
-                                "unexpected reply {:?} to BlockRead",
-                                other.kind()
-                            )))
-                        }
-                    }
-                }
-                let mut acc = vec![0u8; self.block_size];
-                let views: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
-                xor_fold(&mut acc, &views);
-                report.bytes_xored += (views.len() * self.block_size) as u64;
-                let arr = parity_arr.unwrap_or_else(|| UidArray::new(n));
-                if self.validate_uids {
-                    for &(s, uid) in &sources {
-                        if !arr.matches(s, uid) {
-                            return Err(ClientErr::Inconsistent { site: s });
-                        }
-                    }
-                }
+                let (acc, uid) = self.fold_row(owner, row, &mut replies)?;
+                report.bytes_xored += ((n - 2) * self.block_size) as u64;
                 let tag = self.tag();
                 installs.push((
-                    spare,
+                    self.geo.spare_site(row),
                     Msg::SpareInstall {
                         row,
                         for_site: owner,
                         data: Bytes::from(acc),
-                        content: SpareContent::Data {
-                            uid: arr.get(owner),
-                        },
+                        content: SpareContent::Data { uid },
                         tag,
                     },
                 ));
             }
             // Wave 3: install the reconstructions into the spares.
-            let spares: Vec<usize> = rebuild_rows
-                .iter()
-                .map(|&row| self.geo.spare_site(row))
-                .collect();
-            for (&spare, reply) in spares.iter().zip(self.send_batch(io, installs, true)) {
+            let replies = self.send_batch(io, installs, true);
+            for (&row, reply) in rebuild_rows.iter().zip(replies) {
+                let spare = self.geo.spare_site(row);
                 match reply? {
                     Msg::Ack { .. } => report.blocks_rebuilt += 1,
-                    Msg::Nack { reason, .. } => return Err(Self::map_nack(spare, reason)),
-                    other => {
-                        return Err(ClientErr::multiple(format!(
-                            "unexpected reply {:?} to SpareInstall",
-                            other.kind()
-                        )))
-                    }
+                    other => return Err(Self::refused(spare, MsgKind::SpareInstall, &other)),
                 }
             }
         }

@@ -16,12 +16,15 @@
 //! * [`partition`] — §5: when a network partition may be treated as a
 //!   single site failure and when the system must block.
 //!
-//! Two drivers ship in this workspace: the deterministic DES cluster
-//! (`radd-core`), which interprets effects synchronously and turns them
-//! into Figure-3 cost receipts, and the threaded runtime (`radd-node`),
-//! which interprets them over lossy in-process endpoints with real
-//! retransmission timers. A differential test drives both with the same
-//! workload and asserts identical normalised effect traces.
+//! Three runtimes drive them: the deterministic DES cluster (`radd-core`),
+//! which interprets effects synchronously and turns them into Figure-3
+//! cost receipts, and one async interpreter (`radd-node`'s `site.rs`,
+//! `client.rs`, `harness.rs`) over two transports, lossy in-process
+//! endpoints (`radd-node`) and TCP (`radd-rt`), with real retransmission
+//! timers. [`loopback`] is the bare synchronous interpreter the property
+//! tests stand on, and the model checker (`radd-check`) enumerates their
+//! schedules. A differential test replays one fault plan on all three
+//! runtimes and asserts identical normalised effect traces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,6 +21,8 @@
 //!   row's first update, a row validated) or overflowed the journal. The
 //!   live site asserts this in debug builds only; CI runs this file in
 //!   release too.
+//! * **A cache fill is not the read**: a reconstructed degraded read
+//!   returns its block even when the spare never answers the fill.
 
 use proptest::prelude::*;
 use radd_layout::Geometry;
@@ -390,4 +392,44 @@ fn a_journal_past_its_bound_drains_whole() {
         machine.drain_durable(&blob[1..]),
         DurableDelta::Whole(_)
     ));
+}
+
+// ---------------------------------------------------------------------
+// (e) a degraded read does not wait on its cache fill's answer
+// ---------------------------------------------------------------------
+
+/// Loses every `SpareInstall` on its way to the spare.
+struct LoseInstalls;
+
+impl Hook for LoseInstalls {
+    fn handle(
+        &mut self,
+        _site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        if !matches!(msg, Msg::SpareInstall { .. }) {
+            machine.handle(blocks, src, msg, out);
+        }
+    }
+}
+
+/// The read has its data once the fold checks out; the fill that caches
+/// it in the spare is background work whose loss costs the next read a
+/// reconstruction, not this read its answer (it once failed the read with
+/// the spare's `Unavailable`, and on the socket runtime only after the
+/// whole retry ladder).
+#[test]
+fn a_reconstructed_read_survives_a_lost_cache_fill() {
+    let mut net = Loopback::new(G, ROWS, BLOCK, LoseInstalls);
+    let mut client = ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+    client.write(&mut net, 0, 0, &[7; BLOCK]).expect("healthy");
+    client.set_down(0, true);
+    for _ in 0..2 {
+        let block = client.read(&mut net, 0, 0).expect("reconstructed");
+        assert_eq!(&block[..], &[7; BLOCK]);
+    }
 }
