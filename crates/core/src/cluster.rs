@@ -5,8 +5,10 @@
 //! [`radd_protocol::SiteMachine`] paired with its disk array — plus one
 //! persistent [`radd_protocol::ClientMachine`], the lock table, the cost
 //! ledger and the per-category traffic counters. All §3 protocol logic
-//! (W1–W4 ordering, UID validation, spare-slot lifecycle, the recovery
-//! drain) lives in the machines; this module only
+//! (W1–W4 ordering, UID validation, spare-slot lifecycle, a recovering
+//! site's reads and writes, the recovery drain) lives in the machines:
+//! every client read and write, whatever the site's state, is one
+//! `ClientMachine` call. This module only
 //!
 //! * delivers machine-emitted [`Effect::Send`]s synchronously (a message
 //!   cascade runs to completion inside one client call),
@@ -18,9 +20,10 @@
 //!   the protocol: the §5 partition gate, recovery locking, and the
 //!   buffer-pool old-value oracle.
 //!
-//! The same machines, driven by threads and real sockets instead, are the
-//! `radd-node` runtime; the differential test in `tests/differential.rs`
-//! checks both interpreters produce identical protocol traces.
+//! The same machines, driven by threads and by real sockets instead, are
+//! the `radd-node` and `radd-rt` runtimes; the differential test in
+//! `tests/differential.rs` checks all three produce identical protocol
+//! traces.
 //!
 //! ### Cost accounting conventions
 //!
@@ -39,8 +42,8 @@
 //!   answered with a control message carrying no block payload. Reading a
 //!   *valid* spare is a normal block read;
 //! * side-effect work off the critical path (installing a reconstruction
-//!   result into the spare, refreshing a recovering site's local block) is
-//!   charged to the background ledger, not to the operation's latency.
+//!   result into the spare, draining a stand-in back to a recovering site)
+//!   is charged to the background ledger, not to the operation's latency.
 
 use crate::config::{ParityMode, RaddConfig};
 use crate::error::RaddError;
@@ -377,20 +380,6 @@ impl RaddCluster {
     // Charging helpers
     // ------------------------------------------------------------------
 
-    fn charge_read(&mut self, actor: Actor, at: SiteId) {
-        let kind = if actor.is_local_to(at) {
-            OpKind::LocalRead
-        } else {
-            OpKind::RemoteRead
-        };
-        if kind == OpKind::RemoteRead {
-            self.traffic
-                .remote_reads
-                .record_send(self.config.block_size + BLOCK_MSG_HEADER);
-        }
-        self.ledger.charge(kind);
-    }
-
     fn charge_write(&mut self, actor: Actor, at: SiteId) {
         let kind = if actor.is_local_to(at) {
             OpKind::LocalWrite
@@ -400,37 +389,31 @@ impl RaddCluster {
         self.ledger.charge(kind);
     }
 
-    fn control_message(&mut self) {
-        self.traffic.control.record_send(CONTROL_MSG_BYTES);
-    }
-
     /// Price one machine-emitted read receipt at `at` (Figure-3
     /// conventions; see the module docs).
     fn charge_io_read(&mut self, actor: Actor, background: bool, at: SiteId, purpose: IoPurpose) {
+        let kind = if actor.is_local_to(at) {
+            OpKind::LocalRead
+        } else {
+            OpKind::RemoteRead
+        };
+        let block = self.config.block_size + BLOCK_MSG_HEADER;
         match purpose {
             // Buffer-pool / prefetch assumptions: free.
             IoPurpose::OldValue | IoPurpose::ParityApply => {}
             // §3.4: a crashed site replaying its committed log suffix does
             // local reads off the critical path ("only one local read need
             // be done for each block accessed").
-            IoPurpose::LogReplay => self.ledger.charge_background(if actor.is_local_to(at) {
-                OpKind::LocalRead
-            } else {
-                OpKind::RemoteRead
-            }),
+            IoPurpose::LogReplay => self.ledger.charge_background(kind),
+            _ if background => {
+                self.ledger.charge_background(kind);
+                self.traffic.recovery.record_send(block);
+            }
             _ => {
-                if background {
-                    self.ledger.charge_background(if actor.is_local_to(at) {
-                        OpKind::LocalRead
-                    } else {
-                        OpKind::RemoteRead
-                    });
-                    self.traffic
-                        .recovery
-                        .record_send(self.config.block_size + BLOCK_MSG_HEADER);
-                } else {
-                    self.charge_read(actor, at);
+                if kind == OpKind::RemoteRead {
+                    self.traffic.remote_reads.record_send(block);
                 }
+                self.ledger.charge(kind);
             }
         }
     }
@@ -465,27 +448,6 @@ impl RaddCluster {
                 _ => Ok(()),
             },
         }
-    }
-
-    fn check_args(
-        &self,
-        site: SiteId,
-        index: DataIndex,
-        data: Option<&[u8]>,
-    ) -> Result<PhysRow, RaddError> {
-        let capacity = self.geometry.data_capacity(site);
-        if index >= capacity {
-            return Err(RaddError::OutOfRange { index, capacity });
-        }
-        if let Some(d) = data {
-            if d.len() != self.config.block_size {
-                return Err(RaddError::WrongBlockSize {
-                    got: d.len(),
-                    expected: self.config.block_size,
-                });
-            }
-        }
-        Ok(self.geometry.data_to_physical(site, index))
     }
 
     /// Is the local copy of `row` at `site` physically readable and
@@ -673,7 +635,7 @@ impl RaddCluster {
             // Spare-slot control plane: a validity probe is a UID check
             // answered with a control message, not a block transfer.
             Msg::SpareProbe { .. } | Msg::SpareTake { .. } | Msg::SpareDrainList { .. } => {
-                self.control_message();
+                self.traffic.control.record_send(CONTROL_MSG_BYTES);
                 self.deliver(actor, background, site, 0, msg)?
                     .ok_or(RaddError::Unavailable { site })
             }
@@ -714,15 +676,19 @@ impl RaddCluster {
         res.map_err(|e| (e, stash))
     }
 
-    /// Refresh the client machine's believed-down list from the effective
+    /// The persistent client machine.
+    pub(crate) fn client(&mut self) -> &mut ClientMachine {
+        self.client.as_mut().expect("client machine present")
+    }
+
+    /// Refresh the client machine's beliefs from the effective
     /// (partition-aware) site states.
     fn refresh_down_mask(&mut self) {
-        let mask: Vec<bool> = (0..self.sites.len())
-            .map(|s| self.effective_state(s) != SiteState::Up)
-            .collect();
-        let client = self.client.as_mut().expect("client machine present");
-        for (s, down) in mask.into_iter().enumerate() {
-            client.set_down(s, down);
+        for s in 0..self.sites.len() {
+            match self.effective_state(s) {
+                SiteState::Recovering => self.client().set_recovering(s),
+                state => self.client().set_down(s, state == SiteState::Down),
+            }
         }
     }
 
@@ -756,7 +722,7 @@ impl RaddCluster {
     }
 
     // ------------------------------------------------------------------
-    // Reads
+    // Reads and writes
     // ------------------------------------------------------------------
 
     /// Read the `index`-th data block of `site` on behalf of `actor`.
@@ -767,16 +733,11 @@ impl RaddCluster {
         index: DataIndex,
     ) -> Result<(Bytes, OpReceipt), RaddError> {
         self.gate_partition(actor)?;
-        let row = self.check_args(site, index, None)?;
         let snap = self.ledger.snapshot();
-        let data = match self.effective_state(site) {
-            SiteState::Recovering => self.read_recovering(actor, site, row)?,
-            _ => {
-                self.refresh_down_mask();
-                let res = self.with_client(actor, true, false, |cm, io| cm.read(io, site, index));
-                res.map_err(|f| self.lift(f, site, index, None))?
-            }
-        };
+        self.refresh_down_mask();
+        let data = self
+            .with_client(actor, true, false, |cm, io| cm.read(io, site, index))
+            .map_err(|f| self.lift(f, site, index, None))?;
         let (counts, latency) = self.ledger.since(snap);
         if let Some(obs) = &mut self.obs {
             obs.client()
@@ -793,87 +754,6 @@ impl RaddCluster {
         ))
     }
 
-    /// §3.2 recovering-site read: check the local block and the spare; a
-    /// valid spare supersedes the local copy. Driver-orchestrated because
-    /// it spans two sites' local state (the protocol client would treat the
-    /// site as simply down).
-    fn read_recovering(
-        &mut self,
-        actor: Actor,
-        owner: SiteId,
-        row: PhysRow,
-    ) -> Result<Bytes, RaddError> {
-        // Attempt the local read first. A failed disk errors immediately
-        // (no mechanical I/O happens, so nothing is charged); a healthy
-        // read is charged normally even if a valid spare supersedes it —
-        // this is the "read the spare block and perhaps also the normal
-        // block; counting both reads" convention behind Figure 3's R+RR.
-        let disk_ok = {
-            let a = &self.sites[owner].array;
-            !a.is_failed(a.disk_of(row))
-        };
-        let local: Option<Bytes> = if disk_ok {
-            self.charge_read(actor, owner);
-            Some(self.sites[owner].read_block(row)?)
-        } else {
-            None
-        };
-        let spare_site = self.geometry.spare_site(row);
-        self.control_message(); // validity probe
-        let spare_slot_valid = self.config.spare_policy.has_spare(row)
-            && self.effective_state(spare_site) == SiteState::Up
-            && self.sites[spare_site]
-                .machine
-                .spares()
-                .get(&row)
-                .is_some_and(|s| s.for_site == owner);
-        if spare_slot_valid {
-            self.charge_read(actor, spare_site);
-            let content = self.sites[spare_site].read_block(row)?;
-            // Side effects (§3.2): refresh the local block, invalidate the
-            // spare — off the critical path.
-            if disk_ok {
-                let slot = self.sites[spare_site]
-                    .machine
-                    .spares_mut()
-                    .remove(&row)
-                    .expect("checked valid");
-                self.sites[owner].write_block(row, &content)?;
-                if let SpareKind::Data { data_uid } = slot.kind {
-                    self.sites[owner].machine.set_block_uid(row, data_uid);
-                }
-                self.sites[owner].machine.invalid_rows_mut().remove(&row);
-                self.ledger.charge_background(OpKind::LocalWrite);
-                self.control_message(); // invalidation
-            }
-            return Ok(content);
-        }
-        if let Some(content) = local {
-            if !self.sites[owner].machine.invalid_rows().contains(&row) {
-                return Ok(content);
-            }
-        }
-        // Both invalid: "the block is reconstructed as if the site was
-        // down", then written back locally (background).
-        self.refresh_down_mask();
-        let (data, uid) = self
-            .with_client(actor, true, false, |cm, io| {
-                cm.reconstruct(io, owner, row, false)
-            })
-            .map_err(|f| self.lift(f, owner, 0, None))?;
-        if disk_ok {
-            self.sites[owner].write_block(row, &data)?;
-            self.sites[owner].machine.set_block_uid(row, uid);
-            self.sites[owner].machine.invalid_rows_mut().remove(&row);
-            self.ledger.charge_background(OpKind::LocalWrite);
-        }
-        Ok(Bytes::from(data))
-    }
-
-    // ------------------------------------------------------------------
-    // Writes
-    // ------------------------------------------------------------------
-
     /// Write the `index`-th data block of `site` on behalf of `actor`
     /// (steps W1–W4, or W1' when the site is down).
     pub fn write(
@@ -884,16 +764,10 @@ impl RaddCluster {
         data: &[u8],
     ) -> Result<OpReceipt, RaddError> {
         self.gate_partition(actor)?;
-        let row = self.check_args(site, index, Some(data))?;
         let snap = self.ledger.snapshot();
-        match self.effective_state(site) {
-            SiteState::Recovering => self.write_recovering(actor, site, row, index, data)?,
-            _ => {
-                self.refresh_down_mask();
-                self.with_client(actor, true, false, |cm, io| cm.write(io, site, index, data))
-                    .map_err(|f| self.lift(f, site, index, Some(data.len())))?;
-            }
-        }
+        self.refresh_down_mask();
+        self.with_client(actor, true, false, |cm, io| cm.write(io, site, index, data))
+            .map_err(|f| self.lift(f, site, index, Some(data.len())))?;
         let (counts, latency) = self.ledger.since(snap);
         if let Some(obs) = &mut self.obs {
             obs.client()
@@ -905,91 +779,6 @@ impl RaddCluster {
             latency,
             retries: 0,
         })
-    }
-
-    /// §3.2 recovering-site write. On a working disk "writes proceed in the
-    /// same way as for up sites. Moreover, the spare block should be
-    /// invalidated as a side effect." — orchestrated here with the old value
-    /// from the logical oracle (the true old value may live in the spare or
-    /// need reconstruction; masking against a blank local block would
-    /// corrupt parity). Rows on the failed disk redirect to the spare like a
-    /// down-site write.
-    fn write_recovering(
-        &mut self,
-        actor: Actor,
-        site: SiteId,
-        row: PhysRow,
-        index: DataIndex,
-        data: &[u8],
-    ) -> Result<(), RaddError> {
-        let disk_ok = {
-            let a = &self.sites[site].array;
-            !a.is_failed(a.disk_of(row))
-        };
-        if !disk_ok {
-            self.refresh_down_mask();
-            return self
-                .with_client(actor, true, false, |cm, io| cm.write(io, site, index, data))
-                .map_err(|f| self.lift(f, site, index, Some(data.len())));
-        }
-        let old = self.logical_content_by_row(site, row)?;
-        let mut out = Vec::new();
-        let uid = {
-            let node = &mut self.sites[site];
-            let mut blocks = ArrayBlocks(&mut node.array);
-            node.machine.apply_w1(&mut blocks, row, data, &mut out)
-        }
-        .ok_or(RaddError::Unavailable { site })?;
-        for eff in &out {
-            if let Effect::Write { purpose, .. } = eff {
-                self.charge_io_write(actor, false, site, *purpose);
-            }
-        }
-        self.tap_effects(site, &out);
-        // W2–W4: change mask to the parity site.
-        let mask = ChangeMask::diff(&old, data);
-        self.send_parity_from(actor, site, row, &mask, uid)?;
-        // Spare invalidation side effect.
-        let spare_site = self.geometry.spare_site(row);
-        let stale = self.sites[spare_site]
-            .machine
-            .spares()
-            .get(&row)
-            .is_some_and(|s| s.for_site == site);
-        if stale {
-            self.sites[spare_site].machine.spares_mut().remove(&row);
-            self.control_message();
-        }
-        Ok(())
-    }
-
-    /// Steps W2–W4 for a driver-orchestrated W1: route the change mask +
-    /// UID to the row's parity site (or to its stand-in spare when the
-    /// parity site is down), honouring the parity mode.
-    fn send_parity_from(
-        &mut self,
-        actor: Actor,
-        from_site: SiteId,
-        row: PhysRow,
-        mask: &ChangeMask,
-        uid: Uid,
-    ) -> Result<(), RaddError> {
-        let parity_site = self.geometry.parity_site(row);
-        let tag = self.sites[from_site].machine.fresh_tag();
-        let msg = Msg::ParityUpdate {
-            row,
-            mask_wire: mask.encode(),
-            uid,
-            from_site,
-            tag,
-        };
-        let src_peer = from_site + 1;
-        if let Some(msg) =
-            self.route_parity_update(actor, ParityHop::Sent, parity_site, src_peer, msg)?
-        {
-            self.deliver(actor, false, parity_site, src_peer, msg)?;
-        }
-        Ok(())
     }
 
     /// The parity site is down: the row's spare block stands in for the
@@ -1197,26 +986,17 @@ impl RaddCluster {
     // ------------------------------------------------------------------
     //
     // These methods drive the cluster with the exact semantics of the
-    // async runtimes' client: the believed-down list is managed by the
-    // caller (`client_mark_down`, like `NodeClient::mark_down`), the
-    // old-value oracle is disabled, so degraded writes fetch the old value
-    // through the protocol just as a real client must, and a failed
-    // operation is the machine's own [`ClientErr`], unlifted (an
-    // interpreter-level fault behind it has already been folded to
-    // `Unavailable` by the io adapter). With the same plan applied to every
-    // runtime, the per-machine effect traces are byte-identical. They are
-    // what `impl GroupCluster for RaddCluster` (`sharded.rs`) is made of.
-
-    /// Mark `site` as believed-down on the client machine (the threaded
-    /// runtime's `mark_down`). Only meaningful with the `client_*` ops —
-    /// [`read`](Self::read)/[`write`](Self::write) refresh the mask from
-    /// the effective site states.
-    pub(crate) fn client_mark_down(&mut self, site: SiteId, down: bool) {
-        self.client
-            .as_mut()
-            .expect("client machine present")
-            .set_down(site, down);
-    }
+    // async runtimes' client: the client machine's beliefs are set by the
+    // caller (through `client()`, as `NodeClient::mark_down` and
+    // `mark_recovering` do; `read`/`write` instead refresh them from the
+    // effective site states), the old-value oracle is disabled, so degraded
+    // writes fetch the old value through the protocol just as a real client
+    // must, and a failed operation is the machine's own [`ClientErr`],
+    // unlifted (an interpreter-level fault behind it has already been
+    // folded to `Unavailable` by the io adapter). With the same plan applied
+    // to every runtime, the per-machine effect traces are byte-identical.
+    // They are what `impl GroupCluster for RaddCluster` (`sharded.rs`) is
+    // made of.
 
     /// Run one client-machine operation in client mode: caller-managed
     /// down list, no old-value oracle, the machine's own error.
@@ -1291,10 +1071,7 @@ impl RaddCluster {
             None
         };
         if on {
-            self.client
-                .as_mut()
-                .expect("client machine present")
-                .record_trace();
+            self.client().record_trace();
         }
     }
 
@@ -1304,11 +1081,7 @@ impl RaddCluster {
     ///
     /// [`radd_node::NodeCluster::take_traces`]: ../radd_node/struct.NodeCluster.html#method.take_traces
     pub fn take_machine_traces(&mut self) -> Vec<Vec<TraceEntry>> {
-        let mut all = vec![self
-            .client
-            .as_mut()
-            .expect("client machine present")
-            .take_trace()];
+        let mut all = vec![self.client().take_trace()];
         match &mut self.site_traces {
             Some(bufs) => all.extend(bufs.iter_mut().map(std::mem::take)),
             None => all.extend((0..self.sites.len()).map(|_| Vec::new())),
@@ -1397,8 +1170,11 @@ impl RaddCluster {
     /// Public oracle: the logical content of a data block, bypassing all
     /// cost accounting. For assertions in tests, examples and benches.
     pub fn logical_content(&mut self, site: SiteId, index: DataIndex) -> Result<Bytes, RaddError> {
-        let row = self.check_args(site, index, None)?;
-        self.logical_content_by_row(site, row)
+        let capacity = self.geometry.data_capacity(site);
+        if index >= capacity {
+            return Err(RaddError::OutOfRange { index, capacity });
+        }
+        self.logical_content_by_row(site, self.geometry.data_to_physical(site, index))
     }
 
     /// Verify the stripe invariant on every fully healthy row: the parity

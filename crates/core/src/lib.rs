@@ -13,7 +13,9 @@
 //!   XOR of the `G` surviving blocks with UID validation (§3.3);
 //! * down-site writes redirected to the spare site (step W1');
 //! * the **recovering** state: reads prefer a valid spare over the possibly
-//!   stale local block, writes proceed normally and invalidate the spare;
+//!   stale local block, writes drain the spare back and then proceed
+//!   normally (both are `radd_protocol::ClientMachine`'s rules, priced
+//!   here);
 //! * the background recovery daemon that drains spares back to the restored
 //!   site and reconstructs blocks lost with a disk
 //!   ([`cluster::RaddCluster::run_recovery`]);

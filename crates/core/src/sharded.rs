@@ -33,11 +33,12 @@ impl RaddCluster {
     }
 }
 
-/// Client-mode operations with a caller-managed down list: the semantics
-/// the async runtimes' clients have, so traces compare byte for byte. Of
-/// the trait's defaults the DES keeps `isolate`/`heal` (in client mode a
-/// partition is a believed-down site; the §5 gate belongs to the pricing
-/// surface), `set_loss`, `quiesce` and `all_acked` (the cascade is
+/// Client-mode operations with caller-managed beliefs (a failed site is
+/// believed down, a restored or healed one recovering until `recover`): the
+/// semantics the async runtimes' clients have, so traces compare byte for
+/// byte. Of the trait's defaults the DES keeps `isolate`/`heal` (in client
+/// mode a partition is a believed-down site; the §5 gate belongs to the
+/// pricing surface), `set_loss`, `quiesce` and `all_acked` (the cascade is
 /// synchronous), and overrides the two it can really do.
 impl GroupCluster for RaddCluster {
     type Obs = ObsSnapshot;
@@ -61,17 +62,17 @@ impl GroupCluster for RaddCluster {
 
     fn fail(&mut self, member: SiteId) {
         self.fail_site(member);
-        self.client_mark_down(member, true);
+        self.client().set_down(member, true);
     }
 
     fn restore(&mut self, member: SiteId) {
         self.restore_site(member);
-        self.client_mark_down(member, true);
+        self.client().set_recovering(member);
     }
 
     fn recover(&mut self, member: SiteId) -> Result<u64, ClientErr> {
         let drained = self.client_recover(member)?;
-        self.client_mark_down(member, false);
+        self.client().set_down(member, false);
         Ok(drained)
     }
 

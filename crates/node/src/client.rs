@@ -312,6 +312,13 @@ impl<T: Transport> Client<T> {
         self.machine.set_down(site, down);
     }
 
+    /// Tell the machine `site` is back but recovering (§3.2): its reads and
+    /// writes consult the row's spare first until [`recover`](Self::recover)
+    /// has drained it and the caller marks the site up.
+    pub fn mark_recovering(&mut self, site: usize) {
+        self.machine.set_recovering(site);
+    }
+
     /// Block size in bytes.
     pub fn block_size(&self) -> usize {
         self.block_size

@@ -224,8 +224,10 @@ impl<N: ClusterNet> Cluster<N> {
         self.set_down(site, true);
     }
 
-    /// Bring a killed site back in the **recovering** state; run
-    /// [`Client::recover`] to drain its spares and mark it up.
+    /// Bring a killed site back. The attached client believes it up; a
+    /// caller that wants §3.2's recovering reads and writes until the
+    /// spares are drained marks it recovering ([`Client::mark_recovering`],
+    /// what [`GroupCluster::restore`] does), then runs [`Client::recover`].
     pub fn revive_site(&mut self, site: usize) {
         self.set_down(site, false);
     }
@@ -393,9 +395,7 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
 
     fn restore(&mut self, member: usize) {
         self.revive_site(member);
-        // Stale until its spares are drained: keep the degraded paths
-        // (which prefer the spare) until `recover`.
-        self.client.mark_down(member, true);
+        self.client.mark_recovering(member);
     }
 
     fn recover(&mut self, member: usize) -> Result<u64, ClientErr> {
@@ -428,11 +428,11 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
     }
 
     /// The site at once resumes retransmitting whatever parity updates it
-    /// could not deliver. The client believes it down, as after `restore`:
-    /// spares absorbed writes while it was cut off.
+    /// could not deliver. The client believes it recovering, as after
+    /// `restore`: spares absorbed writes while it was cut off.
     fn heal(&mut self, member: usize) {
         self.net.set_partitioned(self.site_ep(member), false);
-        self.client.mark_down(member, true);
+        self.client.mark_recovering(member);
     }
 
     fn kill_restart(&mut self, member: usize) -> bool {

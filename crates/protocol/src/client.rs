@@ -3,19 +3,26 @@
 //!
 //! [`ClientMachine`] owns every §3 *decision* a RADD client makes — when to
 //! go degraded, how to probe/install spares, which sources feed an XOR
-//! reconstruction and how their UIDs are validated, and how a recovering
-//! site's redirected writes are drained — while delegating every *exchange*
-//! to a [`ClientIo`] implementation. The DES cluster implements `ClientIo`
-//! by synchronous in-memory delivery with cost-ledger charging; the async
-//! interpreter both async runtimes compile (`radd_node::client`) implements
-//! it with endpoint sends, timeouts, and one retry ladder.
+//! reconstruction and how their UIDs are validated, how a recovering site's
+//! reads and writes are served, and how its redirected writes are drained —
+//! while delegating every *exchange* to a [`ClientIo`] implementation. The
+//! DES cluster implements `ClientIo` by synchronous in-memory delivery with
+//! cost-ledger charging; the async interpreter both async runtimes compile
+//! (`radd_node::client`) implements it with endpoint sends, timeouts, and
+//! one retry ladder.
+//!
+//! What the machine believes of each site is one of §3.1's three states:
+//! up, down (never contacted; reads and writes go degraded) or recovering
+//! (back, but its copy of a row may be superseded by the row's spare).
 //!
 //! Each rule is written once: `refused` judges every reply that is not an
-//! exchange's success, `stand_in` reads every `SpareProbe` reply, and
+//! exchange's success, `stand_in` reads every `SpareProbe` reply,
+//! `drain_row` hands one stand-in back to its recovering owner, and
 //! `fold_row` is the §3.3 fold and UID check, for one reconstruction or for
 //! every row of a rebuild wave.
 
 use crate::effect::Dest;
+use crate::server::SiteState;
 use crate::trace::TraceEntry;
 use crate::wire::{Msg, MsgKind, NackReason, SpareContent, SpareSlotWire};
 use bytes::Bytes;
@@ -198,7 +205,8 @@ pub struct ClientMachine {
     validate_uids: bool,
     uid_gen: UidGen,
     next_tag: u64,
-    down: Vec<bool>,
+    /// What this client believes of each site.
+    sites: Vec<SiteState>,
     trace: Option<Vec<TraceEntry>>,
 }
 
@@ -223,7 +231,7 @@ impl ClientMachine {
             validate_uids,
             uid_gen: UidGen::new(uid_namespace),
             next_tag: 0,
-            down: vec![false; n],
+            sites: vec![SiteState::Up; n],
             trace: None,
         }
     }
@@ -233,16 +241,24 @@ impl ClientMachine {
         &self.geo
     }
 
-    /// Mark `site` as believed-down (`true`) or back up (`false`). While a
-    /// site is believed down the machine never sends to it — it serves reads
-    /// by spare/reconstruction and absorbs writes into the row's spare.
+    /// Mark `site` as believed-down (`true`) or up (`false`). While a site
+    /// is believed down the machine never sends to it — it serves reads by
+    /// spare/reconstruction and absorbs writes into the row's spare.
     pub fn set_down(&mut self, site: usize, down: bool) {
-        self.down[site] = down;
+        self.sites[site] = if down { SiteState::Down } else { SiteState::Up };
+    }
+
+    /// Mark `site` as believed recovering (§3.2): back, but a row's spare
+    /// may still stand in for its copy of the row. Its reads and writes
+    /// consult the spare first; [`recover`](Self::recover) drains what is
+    /// left, after which the caller marks it up.
+    pub fn set_recovering(&mut self, site: usize) {
+        self.sites[site] = SiteState::Recovering;
     }
 
     /// Is `site` currently believed down?
     pub fn is_down(&self, site: usize) -> bool {
-        self.down[site]
+        self.sites[site] == SiteState::Down
     }
 
     /// Start recording a normalised request trace (for differential tests).
@@ -303,7 +319,7 @@ impl ClientMachine {
         background: bool,
     ) -> Result<Msg, ClientErr> {
         debug_assert!(
-            !self.down[site],
+            !self.is_down(site),
             "protocol bug: request sent to believed-down site {site}"
         );
         self.record(site, &msg);
@@ -313,8 +329,8 @@ impl ClientMachine {
     /// Batched counterpart of [`send`](Self::send): records one trace entry
     /// per request (in request order — identical to issuing them serially)
     /// and hands the whole batch to the transport, which may pipeline it.
-    /// No believed-down assertion; callers vet targets (the recovery drain
-    /// legitimately restores onto the still-listed-down recovering site).
+    /// No believed-down assertion; callers vet targets (a recovery drain may
+    /// restore onto a revived site its caller still lists down).
     fn send_batch(
         &mut self,
         io: &mut dyn ClientIo,
@@ -349,6 +365,18 @@ impl ClientMachine {
         }
     }
 
+    /// Did a site refuse because it cannot hold the row (a dead disk, or a
+    /// row lost with one)? A recovering site then goes without the block.
+    fn lost(reply: &Msg) -> bool {
+        matches!(
+            reply,
+            Msg::Nack {
+                reason: NackReason::Unavailable,
+                ..
+            }
+        )
+    }
+
     /// What `spare`'s reply to a `SpareProbe` of `row` says about `owner`'s
     /// block there (§3.2): the slot standing in for it, or `None` while the
     /// spare is free. A slot held for another site is two failures in one
@@ -371,11 +399,76 @@ impl ClientMachine {
         }
     }
 
+    /// Probe `row`'s spare for a stand-in for `owner`'s block, with its
+    /// payload if `want_data`. `None` when the spare is free, and without a
+    /// message when the policy allocates no spare to the row or its site is
+    /// believed down.
+    fn probe(
+        &mut self,
+        io: &mut dyn ClientIo,
+        owner: usize,
+        row: u64,
+        want_data: bool,
+        background: bool,
+    ) -> Result<Option<SpareSlotWire>, ClientErr> {
+        let spare = self.geo.spare_site(row);
+        if !self.spare_policy.has_spare(row) || self.is_down(spare) {
+            return Ok(None);
+        }
+        let tag = self.tag();
+        let probe = Msg::SpareProbe {
+            row,
+            want_data,
+            tag,
+        };
+        let reply = self.send(io, spare, probe, background)?;
+        Self::stand_in(spare, owner, row, reply)
+    }
+
+    /// Hand `row`'s stand-in `slot` back to its recovering `owner` (§3.2):
+    /// restore the block there, and release the spare only once the owner
+    /// has acknowledged it, so a lost reply leaves the block reachable.
+    /// `false` when the owner refused the block (its disk for the row is
+    /// dead): the spare keeps standing in. Background traffic.
+    fn drain_row(
+        &mut self,
+        io: &mut dyn ClientIo,
+        owner: usize,
+        row: u64,
+        slot: SpareSlotWire,
+    ) -> Result<bool, ClientErr> {
+        let tag = self.tag();
+        let restore = Msg::RestoreBlock {
+            row,
+            data: slot.data,
+            content: slot.content,
+            tag,
+        };
+        match self.send(io, owner, restore, true)? {
+            Msg::Ack { .. } => {}
+            reply if Self::lost(&reply) => return Ok(false),
+            other => return Err(Self::refused(owner, MsgKind::RestoreBlock, &other)),
+        }
+        let spare = self.geo.spare_site(row);
+        let tag = self.tag();
+        match self.send(io, spare, Msg::SpareTake { row, tag }, true)? {
+            Msg::Ack { .. } => Ok(true),
+            other => Err(Self::refused(spare, MsgKind::SpareTake, &other)),
+        }
+    }
+
     // -- §3.2 reads ------------------------------------------------------
 
     /// Read data block `index` of `site`, going degraded if the site is
     /// believed down. The returned [`Bytes`] is the refcounted buffer the
     /// reply carried — no copy between storage and caller.
+    ///
+    /// A recovering site's block is superseded by a valid spare (§3.2),
+    /// which is then drained back to it in the background, an outcome that
+    /// is not the read's. Without one the site's own copy stands; if the
+    /// site refused that too (a dead disk or a lost row), "the block is
+    /// reconstructed as if the site was down" and written back to it in
+    /// the background.
     pub fn read(
         &mut self,
         io: &mut dyn ClientIo,
@@ -385,11 +478,33 @@ impl ClientMachine {
         if index >= self.geo.data_capacity(site) {
             return Err(ClientErr::OutOfRange);
         }
-        if self.down[site] {
+        if self.is_down(site) {
             return self.degraded_read(io, site, index);
         }
         let tag = self.tag();
-        match self.send(io, site, Msg::Read { index, tag }, false)? {
+        let local = self.send(io, site, Msg::Read { index, tag }, false)?;
+        if self.sites[site] == SiteState::Recovering {
+            let row = self.geo.data_to_physical(site, index);
+            if let Some(slot) = self.probe(io, site, row, true, false)? {
+                let data = slot.data.clone();
+                let _ = self.drain_row(io, site, row, slot);
+                return Ok(data);
+            }
+            if Self::lost(&local) {
+                let (data, uid) = self.reconstruct(io, site, row, false)?;
+                let data = Bytes::from(data);
+                let tag = self.tag();
+                let restore = Msg::RestoreBlock {
+                    row,
+                    data: data.clone(),
+                    content: SpareContent::Data { uid },
+                    tag,
+                };
+                let _ = self.send(io, site, restore, true);
+                return Ok(data);
+            }
+        }
+        match local {
             Msg::ReadOk { data, .. } => Ok(data),
             other => Err(Self::refused(site, MsgKind::Read, &other)),
         }
@@ -406,21 +521,12 @@ impl ClientMachine {
     ) -> Result<Bytes, ClientErr> {
         let row = self.geo.data_to_physical(owner, index);
         let spare = self.geo.spare_site(row);
-        if self.spare_policy.has_spare(row) && !self.down[spare] {
-            let tag = self.tag();
-            let probe = Msg::SpareProbe {
-                row,
-                want_data: true,
-                tag,
-            };
-            let reply = self.send(io, spare, probe, false)?;
-            if let Some(slot) = Self::stand_in(spare, owner, row, reply)? {
-                return Ok(slot.data);
-            }
+        if let Some(slot) = self.probe(io, owner, row, true, false)? {
+            return Ok(slot.data);
         }
         let (data, uid) = self.reconstruct(io, owner, row, false)?;
         let data = Bytes::from(data);
-        if self.spare_policy.has_spare(row) && !self.down[spare] {
+        if self.spare_policy.has_spare(row) && !self.is_down(spare) {
             // Cache the reconstruction in the spare (§3.2: subsequent reads
             // then cost one block access, not G). Installed in the
             // background, and its outcome is not the read's: a conflict
@@ -443,6 +549,14 @@ impl ClientMachine {
 
     /// Write data block `index` of `site` (W1–W4 at the site, or the W1'
     /// spare redirect if the site is believed down).
+    ///
+    /// A recovering site's writes "proceed in the same way as for up sites"
+    /// (§3.2), once the row's stand-in, if any, is drained back to it: the
+    /// stand-in is newer than the site's copy, which the site takes its
+    /// change mask against, and the drain is what invalidates the spare
+    /// "as a side effect". A recovering site that cannot take the block
+    /// (the drain, or the write itself, refused: a dead disk or a lost row)
+    /// is written W1'.
     pub fn write(
         &mut self,
         io: &mut dyn ClientIo,
@@ -456,7 +570,15 @@ impl ClientMachine {
         if data.len() != self.block_size {
             return Err(ClientErr::BadSize);
         }
-        if self.down[site] {
+        let recovering = self.sites[site] == SiteState::Recovering;
+        if recovering {
+            let row = self.geo.data_to_physical(site, index);
+            if let Some(slot) = self.probe(io, site, row, true, true)? {
+                if !self.drain_row(io, site, row, slot)? {
+                    return self.degraded_write(io, site, index, data);
+                }
+            }
+        } else if self.is_down(site) {
             return self.degraded_write(io, site, index, data);
         }
         let tag = self.tag();
@@ -467,6 +589,7 @@ impl ClientMachine {
         };
         match self.send(io, site, msg, false)? {
             Msg::WriteOk { .. } => Ok(()),
+            reply if recovering && Self::lost(&reply) => self.degraded_write(io, site, index, data),
             other => Err(Self::refused(site, MsgKind::Write, &other)),
         }
     }
@@ -487,12 +610,12 @@ impl ClientMachine {
         if !self.spare_policy.has_spare(row) {
             return Err(ClientErr::Unavailable { site: owner });
         }
-        if self.down[spare] {
+        if self.is_down(spare) {
             return Err(ClientErr::multiple(format!(
                 "row {row} spare site {spare} is down along with site {owner}"
             )));
         }
-        if self.down[parity] {
+        if self.is_down(parity) {
             return Err(ClientErr::multiple(format!(
                 "row {row} parity site {parity} is down along with site {owner}"
             )));
@@ -501,15 +624,8 @@ impl ClientMachine {
         // have it in its buffer pool (the paper's costing); otherwise fetch
         // whatever the spare already absorbed, or reconstruct.
         let oracle_old = io.old_value(owner, row);
-        let want_data = oracle_old.is_none();
-        let tag = self.tag();
-        let probe = Msg::SpareProbe {
-            row,
-            want_data,
-            tag,
-        };
-        let reply = self.send(io, spare, probe, false)?;
-        let old = match (Self::stand_in(spare, owner, row, reply)?, oracle_old) {
+        let slot = self.probe(io, owner, row, oracle_old.is_none(), false)?;
+        let old = match (slot, oracle_old) {
             (_, Some(v)) => v,
             (Some(slot), None) => slot.data.to_vec(),
             (None, None) => self.reconstruct(io, owner, row, false)?.0,
@@ -562,7 +678,7 @@ impl ClientMachine {
         row: u64,
         background: bool,
     ) -> Result<(Vec<u8>, Uid), ClientErr> {
-        if let Some(s) = self.sources(owner, row).find(|&s| self.down[s]) {
+        if let Some(s) = self.sources(owner, row).find(|&s| self.is_down(s)) {
             return Err(ClientErr::multiple(format!(
                 "cannot reconstruct row {row}: source site {s} is down too"
             )));
@@ -655,7 +771,7 @@ impl ClientMachine {
         let n = self.geo.num_sites();
         let mut drained = 0u64;
         for s in (0..n).filter(|&s| s != site) {
-            if self.down[s] {
+            if self.is_down(s) {
                 return Err(ClientErr::multiple(format!(
                     "cannot drain spares: site {s} is down during recovery of {site}"
                 )));
@@ -794,11 +910,11 @@ impl ClientMachine {
         wave_rows: usize,
     ) -> Result<RebuildReport, ClientErr> {
         let n = self.geo.num_sites();
-        if !self.down[owner] {
+        if !self.is_down(owner) {
             return Err(ClientErr::Unavailable { site: owner });
         }
         for s in (0..n).filter(|&s| s != owner) {
-            if self.down[s] {
+            if self.is_down(s) {
                 return Err(ClientErr::multiple(format!(
                     "cannot rebuild site {owner}: site {s} is down too"
                 )));
@@ -893,13 +1009,13 @@ impl ClientMachine {
 }
 
 impl crate::check::Checkable for ClientMachine {
-    /// Only the believed-down list is observable, varying state: the
+    /// Only the per-site beliefs are observable, varying state: the
     /// geometry/policy fields are static configuration, `uid_gen` and
     /// `next_tag` are generator positions erased by renaming, and `trace`
     /// is diagnostic.
     fn canon(&self, c: &mut crate::check::Canonicalizer) {
-        for flag in &self.down {
-            c.raw(flag);
+        for state in &self.sites {
+            c.raw(&(*state as u8));
         }
     }
 }

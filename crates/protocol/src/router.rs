@@ -189,12 +189,14 @@ pub trait GroupCluster {
     /// Temporary failure of `member` (its disks keep their contents); the
     /// group's client marks it down.
     fn fail(&mut self, member: SiteId);
-    /// Bring `member`'s hardware back **recovering**. It stays on the
-    /// client's believed-down list until [`recover`](GroupCluster::recover):
-    /// its local blocks may be stale (§3.2).
+    /// Bring `member`'s hardware back **recovering**, and the client
+    /// believes it so until [`recover`](GroupCluster::recover): a row's
+    /// spare may supersede its local copy, so its reads and writes consult
+    /// the spare first and drain what they find (§3.2).
     fn restore(&mut self, member: SiteId);
-    /// Drain spares back to a restored `member` and, only if the drain
-    /// succeeded, mark it up at the client. Returns the blocks drained.
+    /// Drain what spares still hold for a restored `member` and, only if
+    /// the drain succeeded, mark it up at the client. Returns the blocks
+    /// drained.
     fn recover(&mut self, member: SiteId) -> Result<u64, ClientErr>;
     /// Reconstruct every data block the believed-down `member` owns into
     /// the row spares, `wave_rows` rows per pipelined wave.
@@ -211,9 +213,9 @@ pub trait GroupCluster {
     fn isolate(&mut self, member: SiteId) {
         self.fail(member);
     }
-    /// Reconnect an isolated `member`. Like a restored site it stays
-    /// believed-down until [`recover`](GroupCluster::recover): spares
-    /// absorbed writes on its behalf while it was cut off.
+    /// Reconnect an isolated `member`. Like a restored site it is believed
+    /// recovering until [`recover`](GroupCluster::recover): spares absorbed
+    /// writes on its behalf while it was cut off.
     fn heal(&mut self, member: SiteId) {
         self.restore(member);
     }
@@ -315,15 +317,16 @@ impl<C: GroupCluster> Router<C> {
     }
 
     /// Restore a pool site's hardware in every affected group. Slots come
-    /// back **recovering** and stay on each client's believed-down list
-    /// until [`recover_pool_site`](Router::recover_pool_site).
+    /// back **recovering**, and each client believes them so until
+    /// [`recover_pool_site`](Router::recover_pool_site).
     pub fn restore_pool_site(&mut self, pool_site: SiteId) {
         self.for_pool_site(pool_site, |_, member, cluster| cluster.restore(member));
     }
 
     /// Drain spares back to a restored pool site in every affected group;
     /// a group whose drain succeeds marks its slot up, one whose drain
-    /// fails keeps it down (its blocks are stale) and the remaining groups
+    /// fails keeps it recovering (spares still supersede some of its
+    /// blocks) and the remaining groups
     /// are still attempted. Returns the total blocks drained, or the first
     /// failing group's error.
     pub fn recover_pool_site(&mut self, pool_site: SiteId) -> Result<u64, String> {

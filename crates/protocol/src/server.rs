@@ -6,7 +6,13 @@
 //! UIDs, parity UID arrays, spare slots, the W1–W4 deferred-ack pipeline,
 //! per-row stop-and-wait parity retransmission, and an at-most-once reply
 //! cache — but never touches a socket, a thread, or a clock. The DES
-//! cluster and the threaded runtime are both thin interpreters around it.
+//! cluster and the async runtimes are all thin interpreters around it.
+//!
+//! The machine keeps no rule of its own for §3.1's recovering state: a
+//! recovering site serves what it holds, refuses a read or write of a row
+//! it lost (no old value to mask against), and takes drained blocks back
+//! through `RestoreBlock`. Which copy supersedes which is the client's
+//! decision (`crate::client`).
 //!
 //! ### Idempotence and retransmission
 //!
@@ -347,15 +353,6 @@ impl SiteMachine {
         &mut self.d.w(Touch::Shape).invalid_rows
     }
 
-    /// Clear `row`'s invalid mark if it carries one. The set is tested
-    /// through `Deref` first: a healthy write finds none, and must not
-    /// journal the [`Touch::Shape`] that removing one is.
-    fn validate_row(&mut self, row: u64) {
-        if self.d.invalid_rows.contains(&row) {
-            self.d.w(Touch::Shape).invalid_rows.remove(&row);
-        }
-    }
-
     /// Mint a fresh UID from this site's generator.
     pub fn mint_uid(&mut self) -> Uid {
         self.d.w(Touch::Counters).uid_gen.next_uid()
@@ -574,28 +571,6 @@ impl SiteMachine {
         }
     }
 
-    /// W1 applied under driver orchestration (a recovering site's write,
-    /// where the driver supplies the old value from its oracle): write the
-    /// block with a fresh UID, clear the row's invalid mark, and return the
-    /// UID for the caller's W3.
-    pub fn apply_w1(
-        &mut self,
-        blocks: &mut dyn Blocks,
-        row: u64,
-        data: &[u8],
-        out: &mut Vec<Effect>,
-    ) -> Option<Uid> {
-        let uid = self.mint_uid();
-        blocks.write(row, data).ok()?;
-        out.push(Effect::Write {
-            row,
-            purpose: IoPurpose::WriteData,
-        });
-        self.set_block_uid(row, uid);
-        self.validate_row(row);
-        Some(uid)
-    }
-
     // -- the event handlers ----------------------------------------------
 
     fn reply(&mut self, out: &mut Vec<Effect>, src: usize, request_tag: u64, msg: Msg) {
@@ -742,6 +717,11 @@ impl SiteMachine {
             return self.nack(out, src, tag, NackReason::BadSize);
         }
         let row = self.geo.data_to_physical(self.site, index);
+        // A row lost with its disk holds no old value to take a change mask
+        // against: the client writes it W1' instead (§3.2).
+        if self.d.invalid_rows.contains(&row) {
+            return self.nack(out, src, tag, NackReason::Unavailable);
+        }
         // W2: old value from the "buffer pool" — our own storage.
         let Ok(old) = blocks.read(row) else {
             return self.nack(out, src, tag, NackReason::Unavailable);
@@ -768,7 +748,6 @@ impl SiteMachine {
         #[cfg(not(feature = "mutations"))]
         let shipped_uid = uid;
         self.set_block_uid(row, uid);
-        self.validate_row(row);
         // W3: change mask to the parity site; defer the client reply until
         // the ack (the §6 "done = prepared" discipline).
         let mask = ChangeMask::diff(&old, data);
@@ -1098,7 +1077,12 @@ impl SiteMachine {
             SpareKind::Data { data_uid } => self.set_block_uid(row, data_uid),
             SpareKind::Parity { uids } => *self.parity_uid_array(row) = uids,
         }
-        self.validate_row(row);
+        // The row is whole again. Tested through `Deref` first: a restore
+        // onto a valid row must not journal the `Touch::Shape` that
+        // removing an invalid mark is.
+        if self.d.invalid_rows.contains(&row) {
+            self.d.w(Touch::Shape).invalid_rows.remove(&row);
+        }
         self.reply(out, src, tag, Msg::Ack { tag });
     }
 

@@ -23,14 +23,24 @@
 //!   release too.
 //! * **A cache fill is not the read**: a reconstructed degraded read
 //!   returns its block even when the spare never answers the fill.
+//! * **Every belief reads the last write**: through healthy, down,
+//!   recovering (§3.2's spare-first reads and drain-first writes) and
+//!   drained, every successful read returns the block's last acknowledged
+//!   write, and after the drain every stripe's parity is the XOR of its
+//!   data.
+//! * **A lost row is not masked against the blank**: a write to a row lost
+//!   with its disk is refused; a client that believes the site recovering
+//!   writes it W1' instead.
 
 use proptest::prelude::*;
 use radd_layout::Geometry;
 use radd_parity::{ChangeMask, Uid};
 use radd_protocol::loopback::{Hook, Loopback};
 use radd_protocol::{
-    Blocks, ClientMachine, DurableDelta, Effect, MemBlocks, Msg, SiteMachine, SparePolicy,
+    check_stripe_parity, Blocks, ClientMachine, DurableDelta, Effect, MemBlocks, Msg, SiteMachine,
+    SparePolicy,
 };
+use std::collections::BTreeMap;
 
 const G: usize = 4;
 const ROWS: u64 = 12;
@@ -287,6 +297,7 @@ proptest! {
         down_site in 0..G + 2,
         healthy in proptest::collection::vec(arb_op(), 1..24),
         degraded in proptest::collection::vec(arb_op(), 1..24),
+        recovering in proptest::collection::vec(arb_op(), 1..24),
         after in proptest::collection::vec(arb_op(), 1..12),
         drain_every in 1u64..8,
     ) {
@@ -317,6 +328,8 @@ proptest! {
         let _ = client.rebuild_member(&mut net, down_site, 4);
 
         net.hook.down[down_site] = false;
+        client.set_recovering(down_site);
+        run(&mut net, &mut client, &recovering);
         let _ = client.recover(&mut net, down_site);
         client.set_down(down_site, false);
         run(&mut net, &mut client, &after);
@@ -432,4 +445,123 @@ fn a_reconstructed_read_survives_a_lost_cache_fill() {
         let block = client.read(&mut net, 0, 0).expect("reconstructed");
         assert_eq!(&block[..], &[7; BLOCK]);
     }
+}
+
+// ---------------------------------------------------------------------
+// (f) every belief about a site reads the last acknowledged write
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_belief_reads_the_last_acknowledged_write(
+        site in 0..G + 2,
+        healthy in proptest::collection::vec(arb_op(), 1..24),
+        down in proptest::collection::vec(arb_op(), 1..24),
+        recovering in proptest::collection::vec(arb_op(), 1..24),
+        drained in proptest::collection::vec(arb_op(), 1..12),
+    ) {
+        let mut net = net();
+        let mut client =
+            ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+        let geo = *client.geometry();
+        // Acknowledged content per block; a block never written reads zero.
+        let mut acked: BTreeMap<(usize, u64), Vec<u8>> = BTreeMap::new();
+        let mut run = |net: &mut Net, client: &mut ClientMachine, ops: &[Op], down: Option<usize>| {
+            for op in ops {
+                match *op {
+                    Op::Write { site, index, fill } => {
+                        // The parity site's stand-in is not the machines'
+                        // yet (ROADMAP item 3): a write whose parity site is
+                        // down is not issued, as the plan replayers skip it.
+                        if down == Some(geo.parity_site(geo.data_to_physical(site, index))) {
+                            continue;
+                        }
+                        let data = vec![fill; BLOCK];
+                        client.write(net, site, index, &data).expect("single failure");
+                        acked.insert((site, index), data);
+                    }
+                    Op::Read { site, index } => {
+                        let got = client.read(net, site, index).expect("single failure");
+                        let want = acked.get(&(site, index)).cloned().unwrap_or(vec![0; BLOCK]);
+                        assert_eq!(&got[..], &want[..], "read of ({site}, {index})");
+                    }
+                }
+            }
+        };
+        run(&mut net, &mut client, &healthy, None);
+
+        net.hook.down[site] = true;
+        client.set_down(site, true);
+        run(&mut net, &mut client, &down, Some(site));
+
+        net.hook.down[site] = false;
+        client.set_recovering(site);
+        run(&mut net, &mut client, &recovering, None);
+
+        client.recover(&mut net, site).expect("drain");
+        client.set_down(site, false);
+        run(&mut net, &mut client, &drained, None);
+
+        prop_assert_eq!(
+            check_stripe_parity(&geo, &mut |s, row| {
+                Blocks::read(&mut net.sites[s].1, row).ok().map(|b| b.to_vec())
+            }),
+            Ok(())
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// (g) a write to a lost row is refused, not masked against the blank
+// ---------------------------------------------------------------------
+
+/// A row lost with its disk holds a blank block and no UID: a change mask
+/// taken against it would corrupt the row's parity. The site refuses the
+/// write (it once acknowledged it), and a client that believes the site
+/// recovering writes the block W1' into the spare instead, from where the
+/// next read drains it back.
+#[test]
+fn a_write_to_a_lost_row_is_refused_and_a_recovering_one_goes_w1_prime() {
+    let mut net = Loopback::new(G, ROWS, BLOCK, ());
+    let mut client = ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+    client.write(&mut net, 0, 0, &[7; BLOCK]).expect("healthy");
+    let row = client.geometry().data_to_physical(0, 0);
+    let (machine, blocks) = &mut net.sites[0];
+    machine.forget_rows(row..row + 1);
+    Blocks::write(blocks, row, &[0; BLOCK]).unwrap();
+
+    let err = client.write(&mut net, 0, 0, &[9; BLOCK]).unwrap_err();
+    assert!(
+        err.is_refusal(),
+        "a lost row must refuse the write: {err:?}"
+    );
+    assert_eq!(
+        &Blocks::read(&mut net.sites[0].1, row).unwrap()[..],
+        &[0; BLOCK]
+    );
+
+    client.set_recovering(0);
+    client.write(&mut net, 0, 0, &[9; BLOCK]).expect("W1'");
+    let spare = client.geometry().spare_site(row);
+    assert!(
+        net.sites[spare].0.spare_valid(row),
+        "the spare took the write"
+    );
+    assert_eq!(&client.read(&mut net, 0, 0).unwrap()[..], &[9; BLOCK]);
+    assert!(
+        !net.sites[spare].0.spare_valid(row),
+        "the read drained it back"
+    );
+    assert_eq!(client.recover(&mut net, 0), Ok(0));
+    client.set_down(0, false);
+    assert_eq!(&client.read(&mut net, 0, 0).unwrap()[..], &[9; BLOCK]);
+    let geo = *client.geometry();
+    check_stripe_parity(&geo, &mut |s, row| {
+        Blocks::read(&mut net.sites[s].1, row)
+            .ok()
+            .map(|b| b.to_vec())
+    })
+    .unwrap();
 }

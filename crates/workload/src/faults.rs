@@ -328,6 +328,43 @@ impl FaultPlan {
         ])
     }
 
+    /// Hand-composed around §3.2's recovering window: site 1's indexes 0 and
+    /// 2 are written degraded into their rows' spares, then, between its
+    /// restore and its `Recover`, it reads a block a spare supersedes and
+    /// one it does not, and takes writes to a block with a stand-in and to
+    /// one without. Those operations drain every stand-in, so the `Recover`
+    /// finds none. Shaped for `G = 4`, 12 rows.
+    pub fn recovering_window() -> FaultPlan {
+        use FaultEvent::*;
+        let write = |index, fill| Write {
+            site: 1,
+            index,
+            fill,
+        };
+        let read = |index| Read { site: 1, index };
+        let kind = FailureKind::SiteFailure;
+        FaultPlan::from_events(vec![
+            write(0, 0x10),
+            write(1, 0x11),
+            write(2, 0x12),
+            Fail { site: 1, kind },
+            write(0, 0x20),
+            write(2, 0x22),
+            RestoreSite { site: 1 },
+            read(0),
+            read(1),
+            write(2, 0x32),
+            write(1, 0x31),
+            read(2),
+            read(1),
+            Recover { site: 1 },
+            read(0),
+            read(1),
+            read(2),
+            FlushParity,
+        ])
+    }
+
     /// Hand-composed: loss only (25%), no failures, so every event after
     /// the burst ends is followed by a full invariant sweep.
     pub fn heavy_loss() -> FaultPlan {
@@ -845,10 +882,13 @@ impl Outcome {
 /// * **Quiesce before a kill.** A site dying with an unacknowledged parity
 ///   update is §6's in-doubt case, which needs coordinator logs no runtime
 ///   here models; `Fail`, `Isolate` and `KillRestart` settle first.
-/// * **Restored is not recovered** (§3.2). A revived or healed site stays
-///   believed-down until the plan's `Recover` drains its spares: between
-///   the two its local blocks may be stale. That rule is the contract of
-///   [`GroupCluster::restore`] / [`GroupCluster::heal`].
+/// * **Restored is recovering, not recovered** (§3.2). A revived or healed
+///   site is believed recovering until the plan's `Recover` drains its
+///   spares: between the two a row's spare may supersede its local copy,
+///   so its reads and writes consult the spare first (the client
+///   machine's rule, not this driver's). That is the contract of
+///   [`GroupCluster::restore`] / [`GroupCluster::heal`]. The site stays
+///   `impaired` until the `Recover`.
 /// * **What only the DES can inject degrades.** Disk events are no-ops (the
 ///   paired `Recover` then drains nothing) and a disaster is a temporary
 ///   failure: the protocol exercise (kill, degraded operation, drain) is

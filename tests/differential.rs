@@ -17,15 +17,19 @@
 //!   every row and every acknowledged write read back.
 //!
 //! Nothing here interprets a plan. The replay conventions (disasters as
-//! temporary failures, disk events skipped, a restored site believed down
-//! until its `Recover`, writes to a parity-impaired row skipped, quiesce
-//! before a kill) live once in `radd_workload::faults::PlanDriver`, which is
+//! temporary failures, disk events skipped, writes to a parity-impaired
+//! row skipped, quiesce before a kill) live once in
+//! `radd_workload::faults::PlanDriver`, which is
 //! generic over the per-runtime contract `radd_protocol::GroupCluster`; the
 //! decisions depend only on the plan, so running that one driver over the
 //! three clusters one after another and comparing what each saw *is* the
-//! lockstep run. The multi-group differential does the same one level up
-//! with `run_sharded_plan` over the one `Router`: a 4-group sharded cluster
-//! per runtime, pool-site faults fanned out, compared group by group.
+//! lockstep run. What a restored site's reads and writes do until its
+//! `Recover` (§3.2's recovering state) is not a convention either: it is the
+//! client machine's, the same on every runtime, and the recovering-window
+//! plan compares it. The multi-group differential does the same one level
+//! up with `run_sharded_plan` over the one `Router`: a 4-group sharded
+//! cluster per runtime, pool-site faults fanned out, compared group by
+//! group.
 
 use radd::core::{RaddCluster, RaddConfig};
 use radd::layout::{Geometry, Placement, ShardMap};
@@ -126,8 +130,9 @@ fn compare<E: std::fmt::Display>(seed: u64, events: &[E], des: &Replay, others: 
     }
 }
 
-/// Replay a single-group plan on all three runtimes and compare.
-fn run_and_compare(plan: &FaultPlan) {
+/// Replay a single-group plan on all three runtimes and compare. Returns
+/// what each event came to (the same on every runtime).
+fn run_and_compare(plan: &FaultPlan) -> Vec<Outcome> {
     let cfg = RaddConfig::small_g4();
     let (g, rows, bs) = (cfg.group_size, cfg.rows, cfg.block_size);
     // Coalescing off: the comparison demands *message-for-message*
@@ -149,6 +154,7 @@ fn run_and_compare(plan: &FaultPlan) {
         ),
     ];
     compare(plan.seed, &plan.events, &des, &others);
+    des.outcomes
 }
 
 /// CI's named seed: a generated plan with failure/repair cycles.
@@ -317,4 +323,20 @@ fn loss_burst_plan_traces_identically_on_all_runtimes() {
         FlushParity,
     ]);
     run_and_compare(&plan);
+}
+
+/// §3.2's recovering window: between a restore and its `Recover`, reads
+/// prefer a spare that supersedes the local block and writes drain the
+/// stand-in first, on all three runtimes alike. The window's own reads and
+/// writes drain every stand-in, so the `Recover` finds none.
+#[test]
+fn recovering_window_traces_identically_on_all_runtimes() {
+    let plan = FaultPlan::recovering_window();
+    let outcomes = run_and_compare(&plan);
+    let recover = plan
+        .events
+        .iter()
+        .position(|e| matches!(e, FaultEvent::Recover { .. }))
+        .expect("the plan recovers its site");
+    assert_eq!(outcomes[recover], Outcome::Drained(0));
 }
