@@ -29,32 +29,39 @@
 //! # Failure semantics
 //!
 //! [`Action::Fail`] is pause-crash with stable protocol state: the site
-//! stops receiving (deliveries to it stay queued) and every client's
-//! failure detector flips atomically — the perfect-detector idealisation
-//! the paper assumes in §3.2. The reply cache and parity bookkeeping
-//! survive, standing in for the stable storage a real site would recover
-//! them from. A site may only fail while it has no unacknowledged parity
-//! traffic of its own (`all_acked`), the paper's §6 caveat: a site dying
-//! mid-update is the in-doubt case RADD explicitly does not solve. For
-//! the same reason, failure also waits until the site's *outbound*
-//! in-flight messages have drained: a crash severs connections, so a
-//! message from the dead site lingering in the fabric would correspond
-//! to no real schedule (the lossy version of that schedule is `Drop`
-//! followed by `Fail`, which the checker explores separately).
+//! stops receiving and every client's and every other site's failure
+//! detector flips atomically — the perfect-detector idealisation the paper
+//! assumes in §3.2. The reply cache and parity bookkeeping survive,
+//! standing in for the stable storage a real site would recover them from.
+//! A site may only fail while it has no unacknowledged parity traffic of
+//! its own (`all_acked`), the paper's §6 caveat: a site dying mid-update is
+//! the in-doubt case RADD explicitly does not solve. For the same reason,
+//! failure also waits until the site's *outbound* in-flight messages have
+//! drained: a crash severs connections, so a message from the dead site
+//! lingering in the fabric would correspond to no real schedule (the lossy
+//! version of that schedule is `Drop` followed by `Fail`, which the checker
+//! explores separately). The cut also loses what was on its way *to* the
+//! site: only the parity updates a sender still awaits an ack for stay
+//! queued, standing in for the retransmission that would carry them after
+//! the revival. (A duplicate of an acknowledged one, delivered after the
+//! §3.2 drain handed the site its stand-in's newer UID array, would get
+//! past the idempotence guard; nobody would resend it.) [`Action::Isolate`]
+//! cuts the same way: the runtimes refuse or drop traffic across a
+//! partition, they do not delay it.
 //!
 //! # Healthy writes are wire-level
 //!
 //! A healthy write is where every interesting race lives (W1 vs W3 vs the
-//! client ack), so the model puts the `Write` request on the fabric itself
-//! (tag minted by the real client machine) and commits the oracle only
-//! when the `WriteOk` is delivered. Every other operation — reads,
-//! degraded reads/writes, the recovery drain — runs atomically through
+//! client ack), so the model's `SyncIo` puts the real client machine's
+//! `Write` request on the fabric itself and the model commits the oracle
+//! only when the `WriteOk` is delivered. Every other exchange — reads,
+//! degraded reads/writes, the parity stand-in a write builds while the
+//! row's parity site is down, the recovery drain — runs atomically through
 //! `SyncIo`, which routes each exchange straight into the target
 //! machine; that is one of the schedules the real cluster can produce
 //! (request and reply delivered promptly), so exploring only it never
 //! fabricates a race.
 
-use bytes::Bytes;
 use radd_layout::Geometry;
 use radd_obs::MachineObs;
 use radd_parity::Uid;
@@ -338,24 +345,30 @@ impl Fabric {
                 Effect::ClearTimer { tag } => {
                     self.timers[site].remove(&tag);
                 }
-                Effect::NeedParityRebuild { row } => {
-                    self.flag(format!(
-                        "site {site} needs a parity rebuild of row {row} in a model \
-                         with no disk faults"
-                    ));
-                }
-                Effect::ParityUnservable { row } => {
-                    self.flag(format!(
-                        "site {site} cannot serve parity row {row} in a model with \
-                         no disk faults"
-                    ));
-                }
                 // Local I/O receipts and deferred-ack notices carry no
                 // routing; the obs tap above already recorded them.
                 Effect::Read { .. } | Effect::Write { .. } | Effect::DeferAck { .. } => {}
             }
         }
         reply
+    }
+
+    /// `site` is cut off: lose every parity update on its way there that no
+    /// sender still awaits an ack for (see the module docs).
+    fn sever(&mut self, site: usize) {
+        let awaited: BTreeSet<(usize, u64)> = (0..self.num_sites)
+            .flat_map(|s| {
+                self.sites[s]
+                    .inflight_updates()
+                    .into_iter()
+                    .map(move |(_, tag, _, _)| (Self::site_peer(s), tag))
+            })
+            .collect();
+        self.net.retain(|e| {
+            e.dst != EndpointId::Site(site)
+                || !matches!(e.msg, Msg::ParityUpdate { .. })
+                || awaited.contains(&(e.src, e.msg.tag()))
+        });
     }
 
     fn endpoint_of_peer(&self, p: usize) -> Option<EndpointId> {
@@ -444,15 +457,35 @@ impl Fabric {
 
 /// Synchronous [`ClientIo`]: each exchange is delivered and answered
 /// immediately, with any *other* effects (site-to-site sends, timers)
-/// feeding the shared fabric.
+/// feeding the shared fabric. A `Write` is the exception: it goes onto the
+/// fabric as it is, and the operation ends there (`wire_write` names it),
+/// so a healthy write's W1/W3/ack interleave with everything else.
 struct SyncIo<'a> {
     fabric: &'a mut Fabric,
     src_peer: usize,
     attachment: Option<usize>,
+    wire_write: Option<u64>,
+}
+
+impl<'a> SyncIo<'a> {
+    fn new(fabric: &'a mut Fabric, src_peer: usize, attachment: Option<usize>) -> SyncIo<'a> {
+        SyncIo {
+            fabric,
+            src_peer,
+            attachment,
+            wire_write: None,
+        }
+    }
 }
 
 impl ClientIo for SyncIo<'_> {
     fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
+        if let Msg::Write { tag, .. } = msg {
+            self.fabric
+                .enqueue(self.src_peer, EndpointId::Site(site), msg);
+            self.wire_write = Some(tag);
+            return Err(ClientErr::Timeout { site });
+        }
         let cut = match self.fabric.isolated {
             None => false,
             Some(iso) => (self.attachment == Some(iso)) != (site == iso),
@@ -859,10 +892,8 @@ impl Model {
             Action::Fail { site } => {
                 self.budgets.fail = self.budgets.fail.saturating_sub(1);
                 self.fabric.up[site] = false;
-                for slot in &mut self.clients {
-                    slot.machine.set_down(site, true);
-                }
-                self.daemon.set_down(site, true);
+                self.fabric.sever(site);
+                self.believe_down(site, true);
             }
             Action::Recover { site } => {
                 self.fabric.up[site] = true;
@@ -871,10 +902,8 @@ impl Model {
             Action::Isolate { site } => {
                 self.budgets.partition = self.budgets.partition.saturating_sub(1);
                 self.fabric.isolated = Some(site);
-                for slot in &mut self.clients {
-                    slot.machine.set_down(site, true);
-                }
-                self.daemon.set_down(site, true);
+                self.fabric.sever(site);
+                self.believe_down(site, true);
             }
             Action::Heal { site } => {
                 debug_assert_eq!(self.fabric.isolated, Some(site));
@@ -911,23 +940,28 @@ impl Model {
         }
     }
 
+    /// Every failure detector — each client's, the daemon's and every
+    /// other site's — flips for `site` at once (the perfect detector).
+    fn believe_down(&mut self, site: usize, down: bool) {
+        for slot in &mut self.clients {
+            slot.machine.set_down(site, down);
+        }
+        self.daemon.set_down(site, down);
+        for (s, machine) in self.fabric.sites.iter_mut().enumerate() {
+            if s != site {
+                machine.set_peer_down(site, down);
+            }
+        }
+    }
+
     /// §3.2 recovery drain after a revival or heal: the daemon's real
     /// client machine copies absorbed spares back and releases them, then
     /// every failure detector clears.
     fn drain(&mut self, site: usize) {
         let peer = self.fabric.daemon_peer();
-        let mut io = SyncIo {
-            fabric: &mut self.fabric,
-            src_peer: peer,
-            attachment: None,
-        };
+        let mut io = SyncIo::new(&mut self.fabric, peer, None);
         match self.daemon.recover(&mut io, site) {
-            Ok(_) => {
-                for slot in &mut self.clients {
-                    slot.machine.set_down(site, false);
-                }
-                self.daemon.set_down(site, false);
-            }
+            Ok(_) => self.believe_down(site, false),
             Err(e) => self
                 .fabric
                 .flag(format!("recovery drain of site {site} failed: {e:?}")),
@@ -967,50 +1001,36 @@ impl Model {
         let peer = self.fabric.client_peer(c);
         match op {
             ClientOp::Write { site, index, fill } => {
-                if self.clients[c].machine.is_down(site) {
-                    // Degraded write: W1'/W3' run as atomic exchanges.
-                    let data = payload(fill, self.cfg.block_size);
-                    let mut io = SyncIo {
-                        fabric: &mut self.fabric,
-                        src_peer: peer,
-                        attachment: self.cfg.attachment[c],
-                    };
-                    match self.clients[c].machine.write(&mut io, site, index, &data) {
-                        Ok(()) => self.commit(site, index, fill),
-                        Err(ClientErr::Inconsistent { .. }) => self.refusals += 1,
-                        Err(e) => self.fabric.flag(format!(
-                            "degraded write(site {site}, index {index}) by client {c} \
-                             failed under a single failure: {e:?}"
-                        )),
+                // Through the real client machine: a degraded write, and the
+                // parity stand-in a healthy one may need first, run as
+                // atomic exchanges; a healthy write's request goes onto the
+                // fabric and is committed when its `WriteOk` is delivered.
+                let data = payload(fill, self.cfg.block_size);
+                let mut io = SyncIo::new(&mut self.fabric, peer, self.cfg.attachment[c]);
+                let done = self.clients[c].machine.write(&mut io, site, index, &data);
+                match (io.wire_write, done) {
+                    (Some(tag), _) => {
+                        self.clients[c].wait = Some(WireWait {
+                            tag,
+                            site,
+                            index,
+                            fill,
+                        });
+                        self.inflight_fills
+                            .entry((site, index))
+                            .or_default()
+                            .insert(fill);
                     }
-                } else {
-                    // Healthy write: wire-level, so W1/W3/ack interleave
-                    // with everything else.
-                    let tag = self.clients[c].machine.mint_tag();
-                    let data = Bytes::from(payload(fill, self.cfg.block_size));
-                    self.fabric.enqueue(
-                        peer,
-                        EndpointId::Site(site),
-                        Msg::Write { index, data, tag },
-                    );
-                    self.clients[c].wait = Some(WireWait {
-                        tag,
-                        site,
-                        index,
-                        fill,
-                    });
-                    self.inflight_fills
-                        .entry((site, index))
-                        .or_default()
-                        .insert(fill);
+                    (None, Ok(())) => self.commit(site, index, fill),
+                    (None, Err(ClientErr::Inconsistent { .. })) => self.refusals += 1,
+                    (None, Err(e)) => self.fabric.flag(format!(
+                        "write(site {site}, index {index}) by client {c} failed \
+                         under a single failure: {e:?}"
+                    )),
                 }
             }
             ClientOp::Read { site, index } => {
-                let mut io = SyncIo {
-                    fabric: &mut self.fabric,
-                    src_peer: peer,
-                    attachment: self.cfg.attachment[c],
-                };
+                let mut io = SyncIo::new(&mut self.fabric, peer, self.cfg.attachment[c]);
                 match self.clients[c].machine.read(&mut io, site, index) {
                     Ok(got) => self.check_read(c, site, index, &got),
                     // §3.3: a reconstruction raced a parity update still in
@@ -1023,11 +1043,7 @@ impl Model {
                 }
             }
             ClientOp::Rebuild { site } => {
-                let mut io = SyncIo {
-                    fabric: &mut self.fabric,
-                    src_peer: peer,
-                    attachment: self.cfg.attachment[c],
-                };
+                let mut io = SyncIo::new(&mut self.fabric, peer, self.cfg.attachment[c]);
                 match self.clients[c].machine.rebuild_member(&mut io, site, 1) {
                     Ok(_) => {}
                     // Unavailable: this schedule never failed the site, so

@@ -9,7 +9,9 @@
 //! cover the same machinery — partition gate, failure/recovery,
 //! duplication, retransmission, eviction — at debug-friendly sizes.
 //! `crash_world` (the durability proof) is exhausted, with its recorded
-//! state count, by the root package's `tests/wall.rs`.
+//! state count, by the root package's `tests/wall.rs`. Each world here
+//! pins its recorded count too, so a change to the machines that adds or
+//! removes a reachable state is a test diff, not a pass.
 
 use radd_check::driver::ModelDriver;
 use radd_check::{configs, explore};
@@ -25,7 +27,10 @@ fn partition_world_exhausts_clean() {
         report.violation.map(|cx| cx.error)
     );
     assert!(report.complete, "no fixpoint within depth {}", report.depth);
-    assert!(report.states > 1000, "suspiciously small exploration");
+    assert_eq!(
+        report.states, 13_995,
+        "the recorded state count (EXPERIMENTS.md)"
+    );
 }
 
 #[test]
@@ -38,7 +43,10 @@ fn adversarial_world_exhausts_clean() {
         report.violation.map(|cx| cx.error)
     );
     assert!(report.complete, "no fixpoint within depth {}", report.depth);
-    assert!(report.states > 1000, "suspiciously small exploration");
+    assert_eq!(
+        report.states, 60_706,
+        "the recorded state count (EXPERIMENTS.md)"
+    );
 }
 
 #[test]
@@ -51,7 +59,10 @@ fn rebuild_world_exhausts_clean() {
         report.violation.map(|cx| cx.error)
     );
     assert!(report.complete, "no fixpoint within depth {}", report.depth);
-    assert!(report.states > 1000, "suspiciously small exploration");
+    assert_eq!(
+        report.states, 16_213,
+        "the recorded state count (EXPERIMENTS.md)"
+    );
 }
 
 /// Sleep sets are a sound reduction: same verdict, same completeness,

@@ -6,16 +6,18 @@
 //! persistent [`radd_protocol::ClientMachine`], the lock table, the cost
 //! ledger and the per-category traffic counters. All §3 protocol logic
 //! (W1–W4 ordering, UID validation, spare-slot lifecycle, a recovering
-//! site's reads and writes, the recovery drain) lives in the machines:
-//! every client read and write, whatever the site's state, is one
-//! `ClientMachine` call. This module only
+//! site's reads and writes, the parity stand-in while a parity site is
+//! down, the recovery drain) lives in the machines: every client read and
+//! write, whatever the sites' states, is one `ClientMachine` call. This
+//! module only
 //!
 //! * delivers machine-emitted [`Effect::Send`]s synchronously (a message
 //!   cascade runs to completion inside one client call),
 //! * prices [`Effect::Read`]/[`Effect::Write`] receipts into the Figure-3
 //!   cost ledger by their [`IoPurpose`],
 //! * injects failures (which machines only observe as
-//!   [`radd_protocol::BlockFault`]s and state transitions), and
+//!   [`radd_protocol::BlockFault`]s and state transitions) and tells the
+//!   client and site machines what to believe of each site, and
 //! * orchestrates the parts the paper assigns to the *system* rather than
 //!   the protocol: the §5 partition gate, recovery locking, and the
 //!   buffer-pool old-value oracle.
@@ -48,18 +50,18 @@
 use crate::config::{ParityMode, RaddConfig};
 use crate::error::RaddError;
 use crate::locks::{LockKind, LockManager};
-use crate::site::{SiteNode, SiteState, SpareKind, SpareSlot};
+use crate::site::{SiteNode, SiteState, SpareKind};
 use crate::stats::{Actor, OpReceipt, TrafficStats};
 use bytes::Bytes;
 use radd_blockdev::{BlockDevice, DiskArray};
 use radd_layout::{DataIndex, Geometry, PhysRow, Role, SiteId};
 use radd_net::{PartitionMap, PartitionVerdict};
 use radd_obs::{ClusterObs, ObsSnapshot};
-use radd_parity::{ChangeMask, Uid, UidArray};
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
-    trace, BlockFault, Blocks, ClientErr, ClientMachine, Dest, DurableSiteState, Effect, IoPurpose,
-    Msg, RebuildReport, SiteMachine, TraceEntry, BLOCK_MSG_HEADER, CONTROL_MSG_BYTES,
+    kind_from_content, trace, BlockFault, Blocks, ClientErr, ClientMachine, Dest, DurableSiteState,
+    Effect, IoPurpose, Msg, RebuildReport, SiteMachine, TraceEntry, BLOCK_MSG_HEADER,
+    CONTROL_MSG_BYTES,
 };
 use radd_sim::{CostLedger, OpKind};
 use std::collections::VecDeque;
@@ -93,19 +95,6 @@ struct PendingParity {
     to: SiteId,
     src_peer: usize,
     msg: Msg,
-}
-
-/// Where a parity update is in its life when it reaches
-/// [`RaddCluster::route_parity_update`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ParityHop {
-    /// Leaving its sender: charged here, subject to the parity mode.
-    Sent,
-    /// Leaving the [`ParityMode::Queued`] queue (charged when sent).
-    Flushed,
-    /// Bounced by a target whose disk for the row is failed (charged when
-    /// sent): the stand-in takes it whatever the site's state.
-    Unservable,
 }
 
 /// How the DES models each site's storage engine (§3.4).
@@ -352,6 +341,11 @@ impl RaddCluster {
             .filter(|uid| uid.is_valid())
             .count();
         self.sites[site].machine = SiteMachine::restore_durable(&restored);
+        // The restarted machine's beliefs were volatile: tell it again.
+        for peer in (0..self.sites.len()).filter(|&p| p != site) {
+            let down = self.client().is_down(peer);
+            self.sites[site].machine.set_peer_down(peer, down);
+        }
         for _ in 0..replay_reads {
             self.charge_io_read(Actor::Site(site), true, site, IoPurpose::LogReplay);
         }
@@ -471,7 +465,7 @@ impl RaddCluster {
         dst: SiteId,
         src: usize,
         msg: Msg,
-    ) -> Result<Option<Msg>, RaddError> {
+    ) -> Option<Msg> {
         let mut queue: VecDeque<(SiteId, usize, Msg)> = VecDeque::new();
         queue.push_back((dst, src, msg));
         let mut reply: Option<Msg> = None;
@@ -496,7 +490,7 @@ impl RaddCluster {
                         Dest::Peer(p) => queue.push_back((p - 1, d + 1, sm)),
                         Dest::Site(t) => {
                             let tag = sm.tag();
-                            match self.route_parity_update(actor, ParityHop::Sent, t, d + 1, sm)? {
+                            match self.route_parity_update(actor, t, d + 1, sm) {
                                 Some(sm) => queue.push_back((t, d + 1, sm)),
                                 // In flight or absorbed: ack the sender so
                                 // its stop-and-wait queue advances (the
@@ -511,83 +505,36 @@ impl RaddCluster {
                     Effect::DeferAck { .. }
                     | Effect::SetTimer { .. }
                     | Effect::ClearTimer { .. } => {}
-                    Effect::NeedParityRebuild { row } => {
-                        // Recovering parity site, row not yet rebuilt: the
-                        // paper's recovery daemon rebuilds it, then the
-                        // update is re-delivered (no reply was cached, so
-                        // the replay guard does not fire).
-                        self.rebuild_parity_row(d, row)?;
-                        queue.push_front((d, s, m.clone()));
-                    }
-                    Effect::ParityUnservable { .. } => {
-                        // The disk holding the parity row is failed:
-                        // redirect the update to the row's spare stand-in
-                        // and ack on the stand-in's behalf.
-                        let tag = m.tag();
-                        let passed = self.route_parity_update(
-                            actor,
-                            ParityHop::Unservable,
-                            d,
-                            s,
-                            m.clone(),
-                        )?;
-                        debug_assert!(
-                            passed.is_none(),
-                            "ParityUnservable from a non-parity-update"
-                        );
-                        if s == 0 {
-                            reply = Some(Msg::Ack { tag });
-                        } else {
-                            queue.push_back((s - 1, d + 1, Msg::Ack { tag }));
-                        }
-                    }
                 }
             }
         }
-        Ok(reply)
+        reply
     }
 
-    /// The one routing decision for a message bound for site `to` as peer
-    /// `src_peer`. A parity update leaving its sender gets the paper's
-    /// costing (one remote write, charged at send time) and honours the
-    /// parity mode; one whose target cannot take it goes to the row's
-    /// spare stand-in. `Some(msg)` is handed back for delivery to `to`;
-    /// `None` means the update was queued or absorbed, and the caller acks
-    /// on the target's behalf. Anything but a parity update passes through.
+    /// A message leaving a site for site `to` as peer `src_peer`. A parity
+    /// update gets the paper's costing (one remote write, charged at send
+    /// time) and honours the parity mode. `Some(msg)` is handed back for
+    /// delivery to `to`; `None` means the update was queued, and the caller
+    /// acks on the target's behalf. Anything but a parity update passes
+    /// through.
     fn route_parity_update(
         &mut self,
         actor: Actor,
-        hop: ParityHop,
         to: SiteId,
         src_peer: usize,
         msg: Msg,
-    ) -> Result<Option<Msg>, RaddError> {
-        let Msg::ParityUpdate {
-            row,
-            mask_wire,
-            uid,
-            from_site,
-            ..
-        } = &msg
-        else {
-            return Ok(Some(msg));
-        };
-        if hop == ParityHop::Sent {
-            self.traffic.parity_updates.record_send(msg.wire_size());
-            self.charge_write(actor, to);
-            if self.config.parity_mode == ParityMode::Queued {
-                self.pending_parity
-                    .push(PendingParity { to, src_peer, msg });
-                return Ok(None);
-            }
+    ) -> Option<Msg> {
+        if !matches!(msg, Msg::ParityUpdate { .. }) {
+            return Some(msg);
         }
-        if hop == ParityHop::Unservable || self.effective_state(to) == SiteState::Down {
-            let mask = ChangeMask::decode(mask_wire)
-                .ok_or_else(|| RaddError::BadConfig("malformed change mask".into()))?;
-            self.apply_parity_to_spare(actor, to, *row, *from_site, &mask, *uid)?;
-            return Ok(None);
+        self.traffic.parity_updates.record_send(msg.wire_size());
+        self.charge_write(actor, to);
+        if self.config.parity_mode == ParityMode::Queued {
+            self.pending_parity
+                .push(PendingParity { to, src_peer, msg });
+            return None;
         }
-        Ok(Some(msg))
+        Some(msg)
     }
 
     /// Feed one machine step's effects to the differential trace and the
@@ -605,13 +552,14 @@ impl RaddCluster {
 
     /// One client request into the cluster: control-traffic accounting, the
     /// parity-mode split for client-originated W3' updates, then delivery.
+    /// `None` when no reply came back (the site is down).
     fn client_request(
         &mut self,
         actor: Actor,
         site: SiteId,
         msg: Msg,
         background: bool,
-    ) -> Result<Msg, RaddError> {
+    ) -> Option<Msg> {
         if let Some(obs) = &mut self.obs {
             obs.client().event(ObsEvent::Send {
                 to: Dest::Site(site),
@@ -622,27 +570,21 @@ impl RaddCluster {
                 replay: false,
             });
         }
-        match &msg {
-            Msg::ParityUpdate { .. } => {
-                let tag = msg.tag();
-                match self.route_parity_update(actor, ParityHop::Sent, site, 0, msg)? {
-                    Some(msg) => self
-                        .deliver(actor, background, site, 0, msg)?
-                        .ok_or(RaddError::Unavailable { site }),
-                    None => Ok(Msg::Ack { tag }),
-                }
-            }
+        let tag = msg.tag();
+        let msg = match msg {
+            Msg::ParityUpdate { .. } => match self.route_parity_update(actor, site, 0, msg) {
+                Some(msg) => msg,
+                None => return Some(Msg::Ack { tag }),
+            },
             // Spare-slot control plane: a validity probe is a UID check
             // answered with a control message, not a block transfer.
             Msg::SpareProbe { .. } | Msg::SpareTake { .. } | Msg::SpareDrainList { .. } => {
                 self.traffic.control.record_send(CONTROL_MSG_BYTES);
-                self.deliver(actor, background, site, 0, msg)?
-                    .ok_or(RaddError::Unavailable { site })
+                msg
             }
-            _ => self
-                .deliver(actor, background, site, 0, msg)?
-                .ok_or(RaddError::Unavailable { site }),
-        }
+            msg => msg,
+        };
+        self.deliver(actor, background, site, 0, msg)
     }
 
     /// Run `f` against the detached client machine with a [`DesIo`] adapter
@@ -681,14 +623,25 @@ impl RaddCluster {
         self.client.as_mut().expect("client machine present")
     }
 
-    /// Refresh the client machine's beliefs from the effective
-    /// (partition-aware) site states.
+    /// Tell the client machine, and every other site machine, to believe
+    /// `site` in `state`.
+    pub(crate) fn believe(&mut self, site: SiteId, state: SiteState) {
+        match state {
+            SiteState::Recovering => self.client().set_recovering(site),
+            state => self.client().set_down(site, state == SiteState::Down),
+        }
+        for (s, node) in self.sites.iter_mut().enumerate() {
+            if s != site {
+                node.machine.set_peer_down(site, state == SiteState::Down);
+            }
+        }
+    }
+
+    /// Refresh every machine's beliefs from the effective (partition-aware)
+    /// site states.
     fn refresh_down_mask(&mut self) {
         for s in 0..self.sites.len() {
-            match self.effective_state(s) {
-                SiteState::Recovering => self.client().set_recovering(s),
-                state => self.client().set_down(s, state == SiteState::Down),
-            }
+            self.believe(s, self.effective_state(s));
         }
     }
 
@@ -755,7 +708,10 @@ impl RaddCluster {
     }
 
     /// Write the `index`-th data block of `site` on behalf of `actor`
-    /// (steps W1–W4, or W1' when the site is down).
+    /// (steps W1–W4, or W1' when the site is down). A parity site whose
+    /// copy of the row cannot take the write's update (its disk for the
+    /// row failed, or the row was lost with one) is down for this write:
+    /// the row's spare stands in for it (§3.2).
     pub fn write(
         &mut self,
         actor: Actor,
@@ -766,6 +722,13 @@ impl RaddCluster {
         self.gate_partition(actor)?;
         let snap = self.ledger.snapshot();
         self.refresh_down_mask();
+        if index < self.geometry.data_capacity(site) {
+            let row = self.geometry.data_to_physical(site, index);
+            let parity = self.geometry.parity_site(row);
+            if !self.local_row_ok(parity, row) {
+                self.believe(parity, SiteState::Down);
+            }
+        }
         self.with_client(actor, true, false, |cm, io| cm.write(io, site, index, data))
             .map_err(|f| self.lift(f, site, index, Some(data.len())))?;
         let (counts, latency) = self.ledger.since(snap);
@@ -781,83 +744,6 @@ impl RaddCluster {
         })
     }
 
-    /// The parity site is down: the row's spare block stands in for the
-    /// parity block. Materialise it by reconstruction on first touch.
-    fn apply_parity_to_spare(
-        &mut self,
-        actor: Actor,
-        parity_site: SiteId,
-        row: PhysRow,
-        from_site: SiteId,
-        mask: &ChangeMask,
-        uid: Uid,
-    ) -> Result<(), RaddError> {
-        if !self.config.spare_policy.has_spare(row) {
-            return Err(RaddError::Unavailable { site: parity_site });
-        }
-        let spare_site = self.geometry.spare_site(row);
-        if self.effective_state(spare_site) != SiteState::Up {
-            return Err(RaddError::MultipleFailure {
-                detail: format!("parity site {parity_site} down and spare site {spare_site} too"),
-            });
-        }
-        let has_slot = self.sites[spare_site]
-            .machine
-            .spares()
-            .get(&row)
-            .is_some_and(|s| s.for_site == parity_site);
-        if !has_slot {
-            if let Some(other) = self.sites[spare_site].machine.spares().get(&row) {
-                return Err(RaddError::MultipleFailure {
-                    detail: format!("row {row} spare already used by site {}", other.for_site),
-                });
-            }
-            // First parity update while the parity site is down: construct
-            // the NEW parity directly (XOR of logical contents, which
-            // already include `from_site`'s new data) with UIDs from the
-            // current logical state plus the sender's fresh one — all
-            // background reads.
-            let mut acc = vec![0u8; self.config.block_size];
-            let mut uids = UidArray::new(self.sites.len());
-            for s in (0..self.sites.len()).filter(|&s| s != parity_site && s != spare_site) {
-                let content = self.logical_content_by_row(s, row)?;
-                self.ledger.charge_background(if actor.is_local_to(s) {
-                    OpKind::LocalRead
-                } else {
-                    OpKind::RemoteRead
-                });
-                self.traffic
-                    .remote_reads
-                    .record_send(self.config.block_size + BLOCK_MSG_HEADER);
-                radd_parity::xor_in_place(&mut acc, &content);
-                uids.set(s, self.current_uid_by_row(s, row));
-            }
-            uids.set(from_site, uid);
-            self.sites[spare_site].write_block(row, &acc)?;
-            self.sites[spare_site].machine.spares_mut().insert(
-                row,
-                SpareSlot {
-                    for_site: parity_site,
-                    kind: SpareKind::Parity { uids },
-                },
-            );
-            self.ledger.charge_background(OpKind::RemoteWrite);
-            return Ok(());
-        }
-        // Subsequent updates: normal masked apply against the stand-in.
-        let mut parity = self.sites[spare_site].read_block(row)?.to_vec();
-        mask.apply(&mut parity);
-        self.sites[spare_site].write_block(row, &parity)?;
-        if let Some(SpareSlot {
-            kind: SpareKind::Parity { uids },
-            ..
-        }) = self.sites[spare_site].machine.spares_mut().get_mut(&row)
-        {
-            uids.set(from_site, uid);
-        }
-        Ok(())
-    }
-
     /// Apply all queued parity updates (queued mode only).
     pub fn flush_parity(&mut self) -> Result<(), RaddError> {
         let pending = std::mem::take(&mut self.pending_parity);
@@ -865,15 +751,7 @@ impl RaddCluster {
             // The RW was charged at send time; application is bookkeeping
             // (ParityApply receipts are free), so delivery here charges
             // nothing.
-            if let Some(msg) = self.route_parity_update(
-                Actor::Client,
-                ParityHop::Flushed,
-                p.to,
-                p.src_peer,
-                p.msg,
-            )? {
-                self.deliver(Actor::Client, false, p.to, p.src_peer, msg)?;
-            }
+            self.deliver(Actor::Client, false, p.to, p.src_peer, p.msg);
         }
         Ok(())
     }
@@ -886,34 +764,6 @@ impl RaddCluster {
     // ------------------------------------------------------------------
     // Recovery
     // ------------------------------------------------------------------
-
-    /// Rebuild one parity row in place: XOR of the row's data blocks, UID
-    /// array re-derived from their stored UIDs (background reads).
-    fn rebuild_parity_row(&mut self, parity_site: SiteId, row: PhysRow) -> Result<(), RaddError> {
-        let spare_site = self.geometry.spare_site(row);
-        let mut acc = vec![0u8; self.config.block_size];
-        let mut uids = UidArray::new(self.sites.len());
-        for s in (0..self.sites.len()).filter(|&s| s != parity_site && s != spare_site) {
-            let content = self.logical_content_by_row(s, row)?;
-            self.ledger.charge_background(OpKind::RemoteRead);
-            self.traffic
-                .recovery
-                .record_send(self.config.block_size + BLOCK_MSG_HEADER);
-            radd_parity::xor_in_place(&mut acc, &content);
-            uids.set(s, self.current_uid_by_row(s, row));
-        }
-        self.sites[parity_site].write_block(row, &acc)?;
-        self.ledger.charge_background(OpKind::LocalWrite);
-        self.sites[parity_site]
-            .machine
-            .parity_uids_mut()
-            .insert(row, uids);
-        self.sites[parity_site]
-            .machine
-            .invalid_rows_mut()
-            .remove(&row);
-        Ok(())
-    }
 
     /// The §3.2 background recovery daemon for a recovering site: drain
     /// every valid spare standing in for it (through the protocol's
@@ -949,24 +799,25 @@ impl RaddCluster {
             .copied()
             .collect();
         for row in invalid {
-            match self.geometry.role(site, row) {
-                Role::Data(_) => {
-                    let (data, uid) = self
-                        .with_client(Actor::Site(site), true, false, |cm, io| {
-                            cm.reconstruct(io, site, row, true)
-                        })
-                        .map_err(|f| self.lift(f, site, 0, None))?;
-                    self.sites[site].write_block(row, &data)?;
-                    self.ledger.charge_background(OpKind::LocalWrite);
-                    self.sites[site].machine.set_block_uid(row, uid);
-                    report.data_reconstructed += 1;
-                }
-                Role::Parity => {
-                    self.rebuild_parity_row(site, row)?;
-                    report.parity_rebuilt += 1;
-                }
-                Role::Spare => {
-                    // An invalid spare block is simply empty — nothing to do.
+            // An invalid spare block is simply empty — nothing to do.
+            if self.geometry.role(site, row) != Role::Spare {
+                let (data, content) = self
+                    .with_client(Actor::Site(site), true, false, |cm, io| {
+                        cm.reconstruct(io, site, row, true)
+                    })
+                    .map_err(|f| self.lift(f, site, 0, None))?;
+                self.sites[site].write_block(row, &data)?;
+                self.ledger.charge_background(OpKind::LocalWrite);
+                let machine = &mut self.sites[site].machine;
+                match kind_from_content(&content, self.config.num_sites()) {
+                    SpareKind::Data { data_uid } => {
+                        machine.set_block_uid(row, data_uid);
+                        report.data_reconstructed += 1;
+                    }
+                    SpareKind::Parity { uids } => {
+                        machine.parity_uids_mut().insert(row, uids);
+                        report.parity_rebuilt += 1;
+                    }
                 }
             }
             self.sites[site].machine.invalid_rows_mut().remove(&row);
@@ -986,8 +837,8 @@ impl RaddCluster {
     // ------------------------------------------------------------------
     //
     // These methods drive the cluster with the exact semantics of the
-    // async runtimes' client: the client machine's beliefs are set by the
-    // caller (through `client()`, as `NodeClient::mark_down` and
+    // async runtimes' client: the machines' beliefs are set by the caller
+    // (through `believe`, as the async harness's `set_down` and
     // `mark_recovering` do; `read`/`write` instead refresh them from the
     // effective site states), the old-value oracle is disabled, so degraded
     // writes fetch the old value through the protocol just as a real client
@@ -1126,23 +977,6 @@ impl RaddCluster {
         Ok(Bytes::from(acc))
     }
 
-    /// The UID consistent with `site`'s logical content of `row`.
-    fn current_uid_by_row(&self, site: SiteId, row: PhysRow) -> Uid {
-        let spare_site = self.geometry.spare_site(row);
-        if spare_site != site {
-            if let Some(SpareSlot {
-                for_site,
-                kind: SpareKind::Data { data_uid },
-            }) = self.sites[spare_site].machine.spares().get(&row)
-            {
-                if *for_site == site {
-                    return *data_uid;
-                }
-            }
-        }
-        self.sites[site].machine.block_uid(row)
-    }
-
     /// Raw content of a physical block at a site, uncharged — inspection
     /// hook for tests and the fault harness.
     pub fn raw_block(&mut self, site: SiteId, row: PhysRow) -> Bytes {
@@ -1242,33 +1076,20 @@ impl radd_protocol::ClientIo for DesIo<'_> {
             Msg::SpareTake { row, .. } => Some(*row),
             _ => None,
         };
-        match self
+        let Some(reply) = self
             .cluster
             .client_request(self.actor, site, msg, background)
-        {
-            Ok(reply) => {
-                if let Some(row) = taken_row {
-                    if let Some(pos) = self.held.iter().position(|&(s, r)| s == site && r == row) {
-                        self.held.remove(pos);
-                        self.cluster.locks.unlock(site, row, RECOVERY_TXN);
-                    }
-                }
-                Ok(reply)
-            }
-            Err(e) => {
-                let mapped = match &e {
-                    RaddError::MultipleFailure { detail } => ClientErr::MultipleFailure {
-                        detail: detail.clone(),
-                    },
-                    RaddError::Unavailable { site } => ClientErr::Unavailable { site: *site },
-                    _ => ClientErr::Unavailable { site },
-                };
-                if self.stash.is_none() {
-                    self.stash = Some(e);
-                }
-                Err(mapped)
+        else {
+            self.stash.get_or_insert(RaddError::Unavailable { site });
+            return Err(ClientErr::Unavailable { site });
+        };
+        if let Some(row) = taken_row {
+            if let Some(pos) = self.held.iter().position(|&(s, r)| s == site && r == row) {
+                self.held.remove(pos);
+                self.cluster.locks.unlock(site, row, RECOVERY_TXN);
             }
         }
+        Ok(reply)
     }
 
     fn old_value(&mut self, site: usize, row: u64) -> Option<Vec<u8>> {

@@ -11,7 +11,9 @@
 //!   the row's parity site ([`cluster::RaddCluster::write`]);
 //! * down-site reads via the spare block, falling back to reconstruction by
 //!   XOR of the `G` surviving blocks with UID validation (§3.3);
-//! * down-site writes redirected to the spare site (step W1');
+//! * down-site writes redirected to the spare site (step W1'), and, while a
+//!   row's parity site is down, the row's spare standing in for its parity
+//!   block (built and fed by the machines, priced here);
 //! * the **recovering** state: reads prefer a valid spare over the possibly
 //!   stale local block, writes drain the spare back and then proceed
 //!   normally (both are `radd_protocol::ClientMachine`'s rules, priced

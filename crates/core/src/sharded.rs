@@ -13,6 +13,7 @@
 use crate::cluster::RaddCluster;
 use crate::config::RaddConfig;
 use crate::error::RaddError;
+use crate::site::SiteState;
 use radd_layout::{DataIndex, Geometry, ShardMap, SiteId};
 use radd_obs::ObsSnapshot;
 use radd_protocol::{ClientErr, GroupCluster, RebuildReport, Router, TraceEntry};
@@ -34,7 +35,8 @@ impl RaddCluster {
 }
 
 /// Client-mode operations with caller-managed beliefs (a failed site is
-/// believed down, a restored or healed one recovering until `recover`): the
+/// believed down, by the client and the group's other sites, a restored or
+/// healed one recovering until `recover`): the
 /// semantics the async runtimes' clients have, so traces compare byte for
 /// byte. Of the trait's defaults the DES keeps `isolate`/`heal` (in client
 /// mode a partition is a believed-down site; the §5 gate belongs to the
@@ -62,17 +64,17 @@ impl GroupCluster for RaddCluster {
 
     fn fail(&mut self, member: SiteId) {
         self.fail_site(member);
-        self.client().set_down(member, true);
+        self.believe(member, SiteState::Down);
     }
 
     fn restore(&mut self, member: SiteId) {
         self.restore_site(member);
-        self.client().set_recovering(member);
+        self.believe(member, SiteState::Recovering);
     }
 
     fn recover(&mut self, member: SiteId) -> Result<u64, ClientErr> {
         let drained = self.client_recover(member)?;
-        self.client().set_down(member, false);
+        self.believe(member, SiteState::Up);
         Ok(drained)
     }
 

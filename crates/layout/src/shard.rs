@@ -306,17 +306,6 @@ impl ShardMap {
         ))
     }
 
-    /// The pool site holding the **parity** block of `addr`'s row — the
-    /// site whose impairment forces a write to `addr` onto the degraded
-    /// path. Fault drivers use this to align skip decisions across
-    /// runtimes.
-    pub fn parity_pool_site(&self, addr: GlobalAddr) -> Option<SiteId> {
-        let t = self.locate(addr)?;
-        let row = self.geometry.data_to_physical(t.member, t.index);
-        let parity_member = self.geometry.parity_site(row);
-        Some(self.group_members(t.group)[parity_member].site)
-    }
-
     /// Rebalance after a new site joins with `blocks` capacity. On success
     /// the epoch is bumped and the new site's id is returned; on failure the
     /// map is left untouched.

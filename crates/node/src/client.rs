@@ -312,6 +312,11 @@ impl<T: Transport> Client<T> {
         self.machine.set_down(site, down);
     }
 
+    /// Does the machine believe `site` down?
+    pub(crate) fn believes_down(&self, site: usize) -> bool {
+        self.machine.is_down(site)
+    }
+
     /// Tell the machine `site` is back but recovering (§3.2): its reads and
     /// writes consult the row's spare first until [`recover`](Self::recover)
     /// has drained it and the caller marks the site up.

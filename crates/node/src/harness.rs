@@ -213,18 +213,32 @@ impl<N: ClusterNet> Cluster<N> {
         // Synchronous: the site has crossed the boundary before we return,
         // so subsequent traffic observes a consistent state.
         let _ = self.ask(site, CONTROL_TIMEOUT, |ack| Control::SetDown(down, ack));
+        self.tell_peers(site, down);
         self.client.mark_down(site, down);
     }
 
+    /// Tell every site but `site` to believe it down or back, before the
+    /// client is told: a write the client then issues finds its data site
+    /// already routing the row's parity update to the stand-in.
+    fn tell_peers(&self, site: usize, down: bool) {
+        for peer in (0..self.num_sites()).filter(|&p| p != site) {
+            let _ = self.ask(peer, CONTROL_TIMEOUT, |ack| {
+                Control::PeerDown(site, down, ack)
+            });
+        }
+    }
+
     /// Temporary site failure: the site stops answering protocol messages
-    /// (its disks keep their contents). Quiesce first (see
+    /// (its disks keep their contents), and the client and the other sites
+    /// believe it down. Quiesce first (see
     /// [`Cluster::quiesce`]) unless you *want* an in-doubt parity update
     /// stranded at the dead site.
     pub fn kill_site(&mut self, site: usize) {
         self.set_down(site, true);
     }
 
-    /// Bring a killed site back. The attached client believes it up; a
+    /// Bring a killed site back. The other sites and the attached client
+    /// believe it up; a
     /// caller that wants §3.2's recovering reads and writes until the
     /// spares are drained marks it recovering ([`Client::mark_recovering`],
     /// what [`GroupCluster::restore`] does), then runs [`Client::recover`].
@@ -244,8 +258,16 @@ impl<N: ClusterNet> Cluster<N> {
             .unwrap_or(false);
         if restarted {
             // The restarted machine is Up; make sure the client agrees
-            // (e.g. after a kill_site → kill_restart_site sequence).
+            // (e.g. after a kill_site → kill_restart_site sequence), and
+            // tell it again what it believed of its peers: beliefs are
+            // volatile.
             self.client.mark_down(site, false);
+            for peer in (0..self.num_sites()).filter(|&p| p != site) {
+                let down = self.client.believes_down(peer);
+                let _ = self.ask(site, CONTROL_TIMEOUT, |ack| {
+                    Control::PeerDown(peer, down, ack)
+                });
+            }
         }
         restarted
     }
@@ -424,6 +446,7 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
     /// keeps running and keeps retransmitting into the cut.
     fn isolate(&mut self, member: usize) {
         self.net.set_partitioned(self.site_ep(member), true);
+        self.tell_peers(member, true);
         self.client.mark_down(member, true);
     }
 
@@ -432,6 +455,7 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
     /// `restore`: spares absorbed writes while it was cut off.
     fn heal(&mut self, member: usize) {
         self.net.set_partitioned(self.site_ep(member), false);
+        self.tell_peers(member, false);
         self.client.mark_recovering(member);
     }
 

@@ -62,6 +62,9 @@ pub enum Control {
     /// (otherwise a revive could be observed *before* the kill, leaving
     /// the site transiently deaf).
     SetDown(bool, Sender<()>),
+    /// Believe peer site `.0` down (`true`) or back
+    /// ([`SiteMachine::set_peer_down`]); acked like [`Control::SetDown`].
+    PeerDown(usize, bool, Sender<()>),
     /// Report how many writes are still waiting for a parity ack. The
     /// harness polls this to quiesce the cluster before failure injection
     /// or invariant checks.
@@ -167,6 +170,12 @@ impl SiteDriver {
         self.down = down;
     }
 
+    /// Believe peer site `peer` down or back
+    /// ([`SiteMachine::set_peer_down`]).
+    pub fn set_peer_down(&mut self, peer: usize, down: bool) {
+        self.machine.set_peer_down(peer, down);
+    }
+
     /// The site's protocol machine, for read-only queries.
     pub fn machine(&self) -> &SiteMachine {
         &self.machine
@@ -214,12 +223,6 @@ impl SiteDriver {
                 // The machine already performed the I/O on the store; the
                 // receipts matter only to cost-accounting drivers.
                 Effect::Read { .. } | Effect::Write { .. } | Effect::DeferAck { .. } => {}
-                // Disk-fault escalations cannot happen here: the store
-                // never faults in-range and this runtime injects no disk
-                // failures.
-                Effect::NeedParityRebuild { .. } | Effect::ParityUnservable { .. } => {
-                    debug_assert!(false, "disk-fault escalation in a faultless runtime");
-                }
             }
         }
     }
@@ -327,6 +330,10 @@ impl SiteDriver {
         match cmd {
             Control::SetDown(d, ack) => {
                 self.down = d;
+                let _ = ack.send(());
+            }
+            Control::PeerDown(peer, down, ack) => {
+                self.set_peer_down(peer, down);
                 let _ = ack.send(());
             }
             Control::QueryPending(reply) => {

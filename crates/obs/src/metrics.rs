@@ -98,8 +98,6 @@ pub struct MachineMetrics {
     retransmits: u64,
     replays: u64,
     defer_acks: u64,
-    parity_rebuilds: u64,
-    parity_unservable: u64,
     send_failures: u64,
     stash_evictions: u64,
     commit_failures: u64,
@@ -141,8 +139,6 @@ impl MachineMetrics {
             ObsEvent::Read { purpose, .. } => self.reads[purpose.index()] += 1,
             ObsEvent::Write { purpose, .. } => self.writes[purpose.index()] += 1,
             ObsEvent::DeferAck { .. } => self.defer_acks += 1,
-            ObsEvent::ParityRebuild { .. } => self.parity_rebuilds += 1,
-            ObsEvent::ParityUnservable { .. } => self.parity_unservable += 1,
         }
     }
 
@@ -244,8 +240,6 @@ impl MachineMetrics {
             retransmits: self.retransmits,
             replays: self.replays,
             defer_acks: self.defer_acks,
-            parity_rebuilds: self.parity_rebuilds,
-            parity_unservable: self.parity_unservable,
             send_failures: self.send_failures,
             stash_evictions: self.stash_evictions,
             commit_failures: self.commit_failures,

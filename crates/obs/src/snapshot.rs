@@ -80,10 +80,6 @@ pub struct MetricsSnapshot {
     pub replays: u64,
     /// Client replies deferred on a pending parity ack.
     pub defer_acks: u64,
-    /// Parity updates that forced a row rebuild (recovering site).
-    pub parity_rebuilds: u64,
-    /// Parity updates redirected because the local disk is failed.
-    pub parity_unservable: u64,
     /// Endpoint sends that failed outright (closed channel, unknown site).
     pub send_failures: u64,
     /// Stashed out-of-band replies evicted before use.
@@ -402,8 +398,6 @@ mod tests {
                 purpose: IoPurpose::ParityApply,
             },
             ObsEvent::DeferAck { tag: 1, row: 2 },
-            ObsEvent::ParityRebuild { row: 3 },
-            ObsEvent::ParityUnservable { row: 4 },
         ] {
             obs.event(ev);
         }

@@ -34,7 +34,7 @@
 //! scale.
 
 use crate::fasthash::FxHashMap;
-use crate::server::{SiteMachine, SpareKind};
+use crate::server::{SiteMachine, SpareKind, SpareSlot};
 use crate::wire::{Msg, SpareContent};
 use radd_layout::Geometry;
 use radd_parity::Uid;
@@ -342,18 +342,22 @@ pub fn check_stripe_parity(
 /// site's current block UID (or with the row's spare stand-in UID while a
 /// spare covers that site).
 ///
-/// A stand-in takes precedence over the block it covers, up site or not:
-/// while a data-kind slot for site `s` exists the array must record the
-/// slot's UID, so a stale spare left behind for an up site is a violation
-/// here and not only in [`check_spare_freshness`].
+/// A stand-in takes precedence over the block it covers, up site or not,
+/// and on both sides of the comparison: while a data-kind slot for site `s`
+/// exists the array must record the slot's UID, so a stale spare left
+/// behind for an up site is a violation here and not only in
+/// [`check_spare_freshness`]; and while a parity-kind slot stands in for
+/// the row's parity site, the slot's array is the one judged, so a stand-in
+/// built or fed with stale UIDs is caught even while its parity site is
+/// down.
 ///
 /// `trusted(site, row)` says whether `site`'s local copy of `row` is
-/// readable and current. A row whose parity site is untrusted is skipped,
-/// and an untrusted data site is judged by its stand-in alone (or not at
-/// all without one): those UIDs are exactly what recovery will rebuild.
-/// The model checker sweeps only all-up quiescent states and passes
-/// `|_, _| true`; the DES driver, which sweeps mid-failure, passes its
-/// failed-disk / down-site / invalid-row test.
+/// readable and current. An untrusted parity site without a stand-in is
+/// skipped, and an untrusted data site is judged by its stand-in alone (or
+/// not at all without one): those UIDs are exactly what recovery will
+/// rebuild. The model checker sweeps only all-up quiescent states and
+/// passes `|_, _| true`; the DES driver, which sweeps mid-failure, passes
+/// its failed-disk / down-site / invalid-row test.
 pub fn check_uid_agreement<S: Borrow<SiteMachine>>(
     sites: &[S],
     trusted: impl Fn(usize, u64) -> bool,
@@ -361,13 +365,18 @@ pub fn check_uid_agreement<S: Borrow<SiteMachine>>(
     let geo = *sites[0].borrow().geometry();
     for row in 0..geo.rows() {
         let parity_site = geo.parity_site(row);
-        if !trusted(parity_site, row) {
-            continue;
-        }
-        let Some(arr) = sites[parity_site].borrow().parity_uids().get(&row) else {
+        let spare = sites[geo.spare_site(row)].borrow().spares().get(&row);
+        let arr = match spare {
+            Some(SpareSlot {
+                for_site,
+                kind: SpareKind::Parity { uids },
+            }) if *for_site == parity_site => Some(uids),
+            _ if trusted(parity_site, row) => sites[parity_site].borrow().parity_uids().get(&row),
+            _ => None,
+        };
+        let Some(arr) = arr else {
             continue; // no update ever applied: nothing recorded, nothing owed
         };
-        let spare = sites[geo.spare_site(row)].borrow().spares().get(&row);
         for data_site in geo.data_sites(row) {
             let recorded = arr.get(data_site);
             let block = sites[data_site].borrow().block_uid(row);

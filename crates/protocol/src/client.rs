@@ -14,6 +14,10 @@
 //! What the machine believes of each site is one of §3.1's three states:
 //! up, down (never contacted; reads and writes go degraded) or recovering
 //! (back, but its copy of a row may be superseded by the row's spare).
+//! The same beliefs about a row's *parity* site shape a write too: while it
+//! is down the row's spare stands in for the parity block, which the client
+//! builds on first touch and the data site then feeds (§3.2); while it is
+//! recovering, that stand-in is drained back before the write.
 //!
 //! Each rule is written once: `refused` judges every reply that is not an
 //! exchange's success, `stand_in` reads every `SpareProbe` reply,
@@ -291,14 +295,6 @@ impl ClientMachine {
         self.next_tag
     }
 
-    /// Mint a request tag from this client's namespace, for drivers that
-    /// put a request on the wire themselves (the model checker's
-    /// event-granular healthy writes) and must not collide with tags the
-    /// machine mints for its own exchanges.
-    pub fn mint_tag(&mut self) -> u64 {
-        self.tag()
-    }
-
     /// Record `msg` to `site` in the trace, if one is being recorded.
     fn record(&mut self, site: usize, msg: &Msg) {
         if let Some(trace) = &mut self.trace {
@@ -457,6 +453,59 @@ impl ClientMachine {
         }
     }
 
+    /// Before a write lands at `owner`, which is recovering, drain `row`'s
+    /// stand-in for it back there, if the spare holds one. `false` when the
+    /// owner refused the block.
+    fn drain_first(
+        &mut self,
+        io: &mut dyn ClientIo,
+        owner: usize,
+        row: u64,
+    ) -> Result<bool, ClientErr> {
+        match self.probe(io, owner, row, true, true)? {
+            Some(slot) => self.drain_row(io, owner, row, slot),
+            None => Ok(true),
+        }
+    }
+
+    /// The site of `row`'s spare, which is to stand in for `owner`: a row
+    /// the policy gave no spare is `Unavailable`, a spare site believed
+    /// down is a second failure.
+    fn spare_for(&self, owner: usize, row: u64) -> Result<usize, ClientErr> {
+        let spare = self.geo.spare_site(row);
+        if !self.spare_policy.has_spare(row) {
+            return Err(ClientErr::Unavailable { site: owner });
+        }
+        if self.is_down(spare) {
+            return Err(ClientErr::multiple(format!(
+                "row {row} spare site {spare} is down along with site {owner}"
+            )));
+        }
+        Ok(spare)
+    }
+
+    /// `SpareInstall` of `data` into `row`'s spare, standing in for
+    /// `for_site`: the reply.
+    fn install(
+        &mut self,
+        io: &mut dyn ClientIo,
+        row: u64,
+        for_site: usize,
+        data: Bytes,
+        content: SpareContent,
+        background: bool,
+    ) -> Result<Msg, ClientErr> {
+        let tag = self.tag();
+        let install = Msg::SpareInstall {
+            row,
+            for_site,
+            data,
+            content,
+            tag,
+        };
+        self.send(io, self.geo.spare_site(row), install, background)
+    }
+
     // -- §3.2 reads ------------------------------------------------------
 
     /// Read data block `index` of `site`, going degraded if the site is
@@ -491,13 +540,13 @@ impl ClientMachine {
                 return Ok(data);
             }
             if Self::lost(&local) {
-                let (data, uid) = self.reconstruct(io, site, row, false)?;
+                let (data, content) = self.reconstruct(io, site, row, false)?;
                 let data = Bytes::from(data);
                 let tag = self.tag();
                 let restore = Msg::RestoreBlock {
                     row,
                     data: data.clone(),
-                    content: SpareContent::Data { uid },
+                    content,
                     tag,
                 };
                 let _ = self.send(io, site, restore, true);
@@ -520,27 +569,18 @@ impl ClientMachine {
         index: u64,
     ) -> Result<Bytes, ClientErr> {
         let row = self.geo.data_to_physical(owner, index);
-        let spare = self.geo.spare_site(row);
         if let Some(slot) = self.probe(io, owner, row, true, false)? {
             return Ok(slot.data);
         }
-        let (data, uid) = self.reconstruct(io, owner, row, false)?;
+        let (data, content) = self.reconstruct(io, owner, row, false)?;
         let data = Bytes::from(data);
-        if self.spare_policy.has_spare(row) && !self.is_down(spare) {
+        if self.spare_for(owner, row).is_ok() {
             // Cache the reconstruction in the spare (§3.2: subsequent reads
             // then cost one block access, not G). Installed in the
             // background, and its outcome is not the read's: a conflict
             // means a racing failure claimed the slot first, no answer means
             // the spare stays a miss, and the next read probes it again.
-            let tag = self.tag();
-            let install = Msg::SpareInstall {
-                row,
-                for_site: owner,
-                data: data.clone(),
-                content: SpareContent::Data { uid },
-                tag,
-            };
-            let _ = self.send(io, spare, install, true);
+            let _ = self.install(io, row, owner, data.clone(), content, true);
         }
         Ok(data)
     }
@@ -557,6 +597,13 @@ impl ClientMachine {
     /// "as a side effect". A recovering site that cannot take the block
     /// (the drain, or the write itself, refused: a dead disk or a lost row)
     /// is written W1'.
+    ///
+    /// The row's parity site is held to the same two rules, for the site's
+    /// W2 rather than the client's: while it is believed down the row's
+    /// spare must hold its stand-in before the `Write` (built here on first
+    /// touch), and while it is believed recovering a stand-in still in the
+    /// spare is drained back to it first, so its W2 lands on the newest
+    /// parity.
     pub fn write(
         &mut self,
         io: &mut dyn ClientIo,
@@ -570,16 +617,18 @@ impl ClientMachine {
         if data.len() != self.block_size {
             return Err(ClientErr::BadSize);
         }
+        let row = self.geo.data_to_physical(site, index);
         let recovering = self.sites[site] == SiteState::Recovering;
-        if recovering {
-            let row = self.geo.data_to_physical(site, index);
-            if let Some(slot) = self.probe(io, site, row, true, true)? {
-                if !self.drain_row(io, site, row, slot)? {
-                    return self.degraded_write(io, site, index, data);
-                }
-            }
-        } else if self.is_down(site) {
+        if self.is_down(site) || recovering && !self.drain_first(io, site, row)? {
             return self.degraded_write(io, site, index, data);
+        }
+        let parity = self.geo.parity_site(row);
+        if self.is_down(parity) {
+            self.stand_in_parity(io, parity, row)?;
+        } else if self.sites[parity] == SiteState::Recovering
+            && !self.drain_first(io, parity, row)?
+        {
+            return Err(ClientErr::Unavailable { site: parity });
         }
         let tag = self.tag();
         let msg = Msg::Write {
@@ -594,6 +643,32 @@ impl ClientMachine {
         }
     }
 
+    /// §3.2 with `row`'s parity site down: make sure the row's spare stands
+    /// in for the parity block. On first touch it is built here, in the
+    /// background: the XOR of the row's `G` data blocks under the UIDs they
+    /// carry, installed as a parity-kind slot. A `Conflict` means a racing
+    /// first touch installed it already, which is just as good.
+    fn stand_in_parity(
+        &mut self,
+        io: &mut dyn ClientIo,
+        parity: usize,
+        row: u64,
+    ) -> Result<(), ClientErr> {
+        let spare = self.spare_for(parity, row)?;
+        if self.probe(io, parity, row, false, true)?.is_some() {
+            return Ok(());
+        }
+        let (data, content) = self.reconstruct(io, parity, row, true)?;
+        match self.install(io, row, parity, Bytes::from(data), content, true)? {
+            Msg::Ack { .. }
+            | Msg::Nack {
+                reason: NackReason::Conflict,
+                ..
+            } => Ok(()),
+            other => Err(Self::refused(spare, MsgKind::SpareInstall, &other)),
+        }
+    }
+
     /// §3.2 down-site write (W1'): redirect the block into the row's spare
     /// with a fresh UID and send the change mask to the parity site as
     /// usual, so the down site's block stays reconstructable.
@@ -605,16 +680,8 @@ impl ClientMachine {
         data: &[u8],
     ) -> Result<(), ClientErr> {
         let row = self.geo.data_to_physical(owner, index);
-        let spare = self.geo.spare_site(row);
+        let spare = self.spare_for(owner, row)?;
         let parity = self.geo.parity_site(row);
-        if !self.spare_policy.has_spare(row) {
-            return Err(ClientErr::Unavailable { site: owner });
-        }
-        if self.is_down(spare) {
-            return Err(ClientErr::multiple(format!(
-                "row {row} spare site {spare} is down along with site {owner}"
-            )));
-        }
         if self.is_down(parity) {
             return Err(ClientErr::multiple(format!(
                 "row {row} parity site {parity} is down along with site {owner}"
@@ -633,15 +700,8 @@ impl ClientMachine {
         // W1': install the new content in the spare under a client-minted
         // UID…
         let uid = self.uid_gen.next_uid();
-        let tag = self.tag();
-        let install = Msg::SpareInstall {
-            row,
-            for_site: owner,
-            data: Bytes::copy_from_slice(data),
-            content: SpareContent::Data { uid },
-            tag,
-        };
-        match self.send(io, spare, install, false)? {
+        let content = SpareContent::Data { uid };
+        match self.install(io, row, owner, Bytes::copy_from_slice(data), content, false)? {
             Msg::Ack { .. } => {}
             other => return Err(Self::refused(spare, MsgKind::SpareInstall, &other)),
         }
@@ -665,8 +725,10 @@ impl ClientMachine {
 
     /// Reconstruct `owner`'s block at `row` by XOR of the row's other `G`
     /// blocks, validating every source UID against the parity UID array
-    /// (§3.3) when enabled. Returns the block and the UID the parity array
-    /// records for `owner` (what the reconstruction is valid *as of*).
+    /// (§3.3) when enabled. Returns the block and the UID metadata it is
+    /// valid *as of*, in spare-slot form: for a data block, the UID the
+    /// parity array records for `owner`; for the row's parity block (the
+    /// owner is its parity site), the array itself, read off the sources.
     ///
     /// All `G` source reads go out as one batch — a pipelining transport
     /// fetches them concurrently — and the XOR folds all sources in one
@@ -677,7 +739,7 @@ impl ClientMachine {
         owner: usize,
         row: u64,
         background: bool,
-    ) -> Result<(Vec<u8>, Uid), ClientErr> {
+    ) -> Result<(Vec<u8>, SpareContent), ClientErr> {
         if let Some(s) = self.sources(owner, row).find(|&s| self.is_down(s)) {
             return Err(ClientErr::multiple(format!(
                 "cannot reconstruct row {row}: source site {s} is down too"
@@ -702,20 +764,23 @@ impl ClientMachine {
     }
 
     /// §3.3's fold of one row: take the `BlockRead` replies of the row's
-    /// [`sources`](Self::sources), in order, from `replies`, XOR them in one multi-way [`xor_fold`] pass, and — when
-    /// validation is on — check every data source's UID against the parity
-    /// site's UID array. Returns the block and the UID the array records
-    /// for `owner`. The first failed reply, in source order, is the error.
+    /// [`sources`](Self::sources), in order, from `replies`, XOR them in one
+    /// multi-way [`xor_fold`] pass, and — when validation is on — check
+    /// every data source's UID against the parity site's UID array. Returns
+    /// the block and the UID the array records for `owner`. When `owner` is
+    /// the row's parity site the array is what is being rebuilt, so there is
+    /// nothing to check against: the sources' UIDs are the array returned.
+    /// The first failed reply, in source order, is the error.
     fn fold_row(
         &self,
         owner: usize,
         row: u64,
         replies: &mut impl Iterator<Item = Result<Msg, ClientErr>>,
-    ) -> Result<(Vec<u8>, Uid), ClientErr> {
+    ) -> Result<(Vec<u8>, SpareContent), ClientErr> {
         let n = self.geo.num_sites();
         let parity = self.geo.parity_site(row);
         let mut blocks: Vec<Bytes> = Vec::with_capacity(n - 2);
-        let mut sources: Vec<(usize, Uid)> = Vec::with_capacity(n - 3);
+        let mut sources: Vec<(usize, Uid)> = Vec::with_capacity(n - 2);
         let mut arr = UidArray::new(n);
         for s in self.sources(owner, row) {
             match replies.next().expect("one reply per source")? {
@@ -740,6 +805,13 @@ impl ClientMachine {
         let mut acc = vec![0u8; self.block_size];
         let views: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
         xor_fold(&mut acc, &views);
+        if owner == parity {
+            for &(s, uid) in &sources {
+                arr.set(s, uid);
+            }
+            let uids = arr.slots().to_vec();
+            return Ok((acc, SpareContent::Parity { uids }));
+        }
         if self.validate_uids {
             // §3.3: "the UIDs of the blocks used in the reconstruction must
             // agree with the UIDs in the [parity] array" — otherwise a
@@ -750,7 +822,8 @@ impl ClientMachine {
                 }
             }
         }
-        Ok((acc, arr.get(owner)))
+        let uid = arr.get(owner);
+        Ok((acc, SpareContent::Data { uid }))
     }
 
     // -- §3.2 recovery drain ---------------------------------------------
@@ -980,7 +1053,7 @@ impl ClientMachine {
             // Fold and validate each row; mint its install's tag.
             let mut installs = Vec::with_capacity(rebuild_rows.len());
             for &row in &rebuild_rows {
-                let (acc, uid) = self.fold_row(owner, row, &mut replies)?;
+                let (acc, content) = self.fold_row(owner, row, &mut replies)?;
                 report.bytes_xored += ((n - 2) * self.block_size) as u64;
                 let tag = self.tag();
                 installs.push((
@@ -989,7 +1062,7 @@ impl ClientMachine {
                         row,
                         for_site: owner,
                         data: Bytes::from(acc),
-                        content: SpareContent::Data { uid },
+                        content,
                         tag,
                     },
                 ));

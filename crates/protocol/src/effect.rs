@@ -8,6 +8,9 @@
 //!   `Io` into Figure-3 cost-ledger charges,
 //! * the threaded runtime turns `Send` into endpoint sends and `SetTimer`
 //!   into retransmission deadlines.
+//!
+//! No effect asks the driver to do protocol work: a site that cannot serve
+//! a request (a dead disk, a lost row, no stand-in) refuses it on the wire.
 
 use crate::wire::Msg;
 use bytes::Bytes;
@@ -203,20 +206,6 @@ pub enum Effect {
     ClearTimer {
         /// Acknowledged tag.
         tag: u64,
-    },
-    /// A parity update arrived for a row this site has not yet rebuilt
-    /// (recovering site, invalidated row). The machine did not reply; the
-    /// driver must rebuild the row and re-deliver the update.
-    NeedParityRebuild {
-        /// Row to rebuild.
-        row: u64,
-    },
-    /// A parity update arrived but the disk holding the row is failed; the
-    /// machine did not reply. The driver must redirect the update to the
-    /// row's spare site.
-    ParityUnservable {
-        /// Row whose parity cannot be served locally.
-        row: u64,
     },
 }
 

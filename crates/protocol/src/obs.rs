@@ -9,10 +9,7 @@
 //! threaded run and a lossless DES run compare equal; the observability
 //! layer *keeps* them — counting retransmissions and replays under faults is
 //! precisely what it is for. Timer arm/disarm effects are still dropped:
-//! they are interpreter bookkeeping, not protocol traffic. Driver
-//! escalations ([`Effect::NeedParityRebuild`], [`Effect::ParityUnservable`])
-//! are kept: they mark the degraded paths the paper's §3.3–§3.4 availability
-//! argument is about.
+//! they are interpreter bookkeeping, not protocol traffic.
 
 use crate::effect::{Dest, Effect, IoPurpose};
 use crate::wire::MsgKind;
@@ -62,18 +59,6 @@ pub enum ObsEvent {
         /// Gating row.
         row: u64,
     },
-    /// A parity update hit a row the site has not rebuilt yet; the driver
-    /// must rebuild and re-deliver.
-    ParityRebuild {
-        /// Row to rebuild.
-        row: u64,
-    },
-    /// A parity update hit a failed disk; the driver must redirect it to
-    /// the row's spare site.
-    ParityUnservable {
-        /// Unservable row.
-        row: u64,
-    },
 }
 
 /// Project an effect onto the observability event, or `None` for timer
@@ -108,8 +93,6 @@ pub fn obs_event(effect: &Effect) -> Option<ObsEvent> {
             row: *row,
         }),
         Effect::SetTimer { .. } | Effect::ClearTimer { .. } => None,
-        Effect::NeedParityRebuild { row } => Some(ObsEvent::ParityRebuild { row: *row }),
-        Effect::ParityUnservable { row } => Some(ObsEvent::ParityUnservable { row: *row }),
     }
 }
 
@@ -144,8 +127,6 @@ impl fmt::Display for ObsEvent {
                 write!(f, "write row={row} [{}]", purpose.name())
             }
             ObsEvent::DeferAck { tag, row } => write!(f, "defer tag={tag} row={row}"),
-            ObsEvent::ParityRebuild { row } => write!(f, "escalate parity-rebuild row={row}"),
-            ObsEvent::ParityUnservable { row } => write!(f, "escalate parity-unservable row={row}"),
         }
     }
 }

@@ -187,7 +187,8 @@ pub trait GroupCluster {
     /// Write through the group's client machine.
     fn write(&mut self, member: SiteId, index: DataIndex, data: &[u8]) -> Result<(), ClientErr>;
     /// Temporary failure of `member` (its disks keep their contents); the
-    /// group's client marks it down.
+    /// group's client and its other sites believe it down, so a row whose
+    /// parity it holds is written through the row's spare (§3.2).
     fn fail(&mut self, member: SiteId);
     /// Bring `member`'s hardware back **recovering**, and the client
     /// believes it so until [`recover`](GroupCluster::recover): a row's
@@ -207,9 +208,10 @@ pub trait GroupCluster {
     fn take_traces(&mut self) -> Vec<Vec<TraceEntry>>;
     /// Run the stripe-invariant sweep.
     fn verify_parity(&mut self) -> Result<(), String>;
-    /// §5 partition: cut `member` off from the other `G + 1`; the client
-    /// takes the degraded paths. Default: a temporary failure (the
-    /// protocol exercise is the same; only the site's own view differs).
+    /// §5 partition: cut `member` off from the other `G + 1`, which, with
+    /// the client, believe it down and take the degraded paths. Default: a
+    /// temporary failure (the protocol exercise is the same; only the
+    /// site's own view differs).
     fn isolate(&mut self, member: SiteId) {
         self.fail(member);
     }
@@ -309,7 +311,7 @@ impl<C: GroupCluster> Router<C> {
 
     /// Fail a pool site: every group with a member slot there loses that
     /// slot (temporary failure — disks keep their contents) and the
-    /// group's client marks it down. On a runtime with in-flight messages,
+    /// group's client and other members believe it down. On a runtime with in-flight messages,
     /// [`quiesce`](Router::quiesce) first unless you *want* in-doubt
     /// parity updates stranded.
     pub fn fail_pool_site(&mut self, pool_site: SiteId) {

@@ -14,6 +14,12 @@
 //! through `RestoreBlock`. Which copy supersedes which is the client's
 //! decision (`crate::client`).
 //!
+//! One rule is for a *down* parity site (§3.2), fed by a volatile belief
+//! per peer ([`SiteMachine::set_peer_down`]): a data site sends the row's
+//! parity update to the row's spare instead, which applies it to the
+//! parity stand-in the client built there, or refuses it, as a parity site
+//! that cannot apply an update (a lost row, a dead disk) does.
+//!
 //! ### Idempotence and retransmission
 //!
 //! Every request carries a `(src, tag)` identity. The machine remembers the
@@ -208,6 +214,9 @@ pub struct SiteMachine {
     /// duplicate of an in-progress write is swallowed (its reply will go
     /// out when the parity ack lands).
     in_progress: FxHashSet<(usize, u64)>,
+    /// Which peers this site believes down: a row whose parity site is
+    /// among them has its parity updates sent to the row's spare.
+    peer_down: Vec<bool>,
     /// Stop-and-wait per row: the front entry is in flight, the rest wait
     /// for its ack.
     parity_queue: FxHashMap<u64, VecDeque<QueuedUpdate>>,
@@ -225,9 +234,10 @@ pub struct SiteMachine {
 impl SiteMachine {
     /// A fresh, healthy site machine.
     pub fn new(site: usize, group_size: usize, rows: u64, block_size: usize) -> SiteMachine {
+        let geo = Geometry::new(group_size, rows).expect("valid geometry");
         SiteMachine {
             site,
-            geo: Geometry::new(group_size, rows).expect("valid geometry"),
+            geo,
             block_size,
             state: SiteState::Up,
             d: Versioned::new(DurableFields {
@@ -241,6 +251,7 @@ impl SiteMachine {
             layout: Layout::default(),
             pending: FxHashMap::default(),
             in_progress: FxHashSet::default(),
+            peer_down: vec![false; geo.num_sites()],
             parity_queue: FxHashMap::default(),
             coalesce: CoalescePolicy::Off,
             coalesced_merges: 0,
@@ -271,6 +282,17 @@ impl SiteMachine {
     /// driver: process death, revival, §5 isolation).
     pub fn set_state(&mut self, state: SiteState) {
         self.state = state;
+    }
+
+    /// Believe `peer` down (`true`) or back (`false`). While a row's parity
+    /// site is believed down, this site sends the row's parity updates to
+    /// the row's spare site (§3.2); an update already in flight keeps its
+    /// destination. Volatile: a restarted machine believes every peer up
+    /// until told otherwise. A `peer` outside the group names nobody.
+    pub fn set_peer_down(&mut self, peer: usize, down: bool) {
+        if let Some(belief) = self.peer_down.get_mut(peer) {
+            *belief = down;
+        }
     }
 
     /// Select the parity-update coalescing policy (see [`CoalescePolicy`]).
@@ -809,7 +831,12 @@ impl SiteMachine {
         else {
             return;
         };
-        let to = self.geo.parity_site(row);
+        let parity = self.geo.parity_site(row);
+        let to = if self.peer_down[parity] {
+            self.geo.spare_site(row)
+        } else {
+            parity
+        };
         self.launch(to, tag, msg, out);
     }
 
@@ -833,35 +860,36 @@ impl SiteMachine {
         tag: u64,
         out: &mut Vec<Effect>,
     ) {
-        debug_assert_eq!(self.geo.parity_site(row), self.site);
-        // A recovering parity site whose array block for this row is blank
-        // must have the row rebuilt before the mask lands on garbage. The
-        // machine cannot rebuild (that needs remote reads); escalate to the
-        // driver, which rebuilds and re-delivers.
-        if self.d.invalid_rows.contains(&row) {
-            out.push(Effect::NeedParityRebuild { row });
-            return;
-        }
+        // Whose UID array the row's parity block answers to here: ours, or,
+        // at the row's spare while the parity site is down, the stand-in's.
+        let parity_site = self.geo.parity_site(row);
+        let recorded = if parity_site == self.site {
+            // A row lost with its disk holds no parity to apply a mask to.
+            if self.d.invalid_rows.contains(&row) {
+                return self.refuse_update(out, src, tag);
+            }
+            self.d.parity_uids.get(&row).map(|a| a.get(from_site))
+        } else {
+            debug_assert_eq!(self.geo.spare_site(row), self.site);
+            match self.d.spares.get(&row) {
+                Some(SpareSlot {
+                    for_site,
+                    kind: SpareKind::Parity { uids },
+                }) if *for_site == parity_site => Some(uids.get(from_site)),
+                _ => return self.refuse_update(out, src, tag),
+            }
+        };
         // §3.2 idempotence guard: a retransmission whose ack was lost
         // arrives with a UID this slot already records — re-applying its
         // XOR mask would corrupt the parity block, so just ack again.
-        let already = self
-            .d
-            .parity_uids
-            .get(&row)
-            .is_some_and(|a| a.get(from_site) == uid);
+        let already = recorded == Some(uid);
         #[cfg(feature = "mutations")]
         let already = already && !crate::mutations::is(crate::mutations::Mutation::AbaDoubleApply);
         if !already {
-            let mut parity = match blocks.read(row) {
-                Ok(d) => d.to_vec(),
-                Err(_) => {
-                    // Row lives on a failed disk: the row's spare block
-                    // must stand in; escalate to the driver.
-                    out.push(Effect::ParityUnservable { row });
-                    return;
-                }
+            let Ok(parity) = blocks.read(row) else {
+                return self.refuse_update(out, src, tag);
             };
+            let mut parity = parity.to_vec();
             out.push(Effect::Read {
                 row,
                 purpose: IoPurpose::ParityApply,
@@ -869,16 +897,32 @@ impl SiteMachine {
             // Formula (1), XORed straight from the wire buffer.
             ChangeMask::apply_wire(mask_wire, &mut parity).expect("well-formed mask");
             if blocks.write_owned(row, Bytes::from(parity)).is_err() {
-                out.push(Effect::ParityUnservable { row });
-                return;
+                return self.refuse_update(out, src, tag);
             }
             out.push(Effect::Write {
                 row,
                 purpose: IoPurpose::ParityApply,
             });
-            self.parity_uid_array(row).set(from_site, uid); // W4
+            // W4
+            if parity_site == self.site {
+                self.parity_uid_array(row).set(from_site, uid);
+            } else if let Some(SpareSlot {
+                kind: SpareKind::Parity { uids },
+                ..
+            }) = self.d.w(Touch::Shape).spares.get_mut(&row)
+            {
+                uids.set(from_site, uid);
+            }
         }
         self.reply(out, src, tag, Msg::Ack { tag });
+    }
+
+    /// Refuse a parity update this site cannot apply. Not cached: the
+    /// sender retransmits, and by then the block may be servable (a stand-in
+    /// installed); a refused update changed nothing to be replayed.
+    fn refuse_update(&mut self, out: &mut Vec<Effect>, src: usize, tag: u64) {
+        let reason = NackReason::Unavailable;
+        out.push(Effect::send(Dest::Peer(src), Msg::Nack { tag, reason }));
     }
 
     /// Acknowledge the deferred write behind parity tag `tag`: emit the
@@ -982,9 +1026,11 @@ impl SiteMachine {
             return self.nack(out, src, tag, NackReason::BadSize);
         }
         // Two failures may not share one spare: an install for a site the
-        // slot does not already stand in for is refused.
+        // slot does not already stand in for is refused. And a parity
+        // stand-in is installed once: a second would overwrite the masks
+        // that landed on the first.
         if let Some(slot) = self.d.spares.get(&row) {
-            if slot.for_site != for_site {
+            if slot.for_site != for_site || matches!(content, SpareContent::Parity { .. }) {
                 return self.nack(out, src, tag, NackReason::Conflict);
             }
         }
@@ -1160,6 +1206,7 @@ impl crate::check::Checkable for SiteMachine {
             c.raw(client);
             c.tag(*tag);
         }
+        c.raw(&self.peer_down);
         let mut queues: Vec<_> = self
             .parity_queue
             .iter()

@@ -80,6 +80,5 @@ pub fn trace(effect: &Effect) -> Option<TraceEntry> {
             row: *row,
         }),
         Effect::SetTimer { .. } | Effect::ClearTimer { .. } => None,
-        Effect::NeedParityRebuild { .. } | Effect::ParityUnservable { .. } => None,
     }
 }

@@ -23,22 +23,26 @@
 //!   release too.
 //! * **A cache fill is not the read**: a reconstructed degraded read
 //!   returns its block even when the spare never answers the fill.
-//! * **Every belief reads the last write**: through healthy, down,
-//!   recovering (§3.2's spare-first reads and drain-first writes) and
-//!   drained, every successful read returns the block's last acknowledged
-//!   write, and after the drain every stripe's parity is the XOR of its
-//!   data.
+//! * **Every belief reads the last write**: through healthy, down (the
+//!   site's data blocks written into spares, its parity blocks stood in
+//!   for by them), recovering (§3.2's spare-first reads and drain-first
+//!   writes) and drained, every write succeeds, every read returns the
+//!   block's last acknowledged write, and after the drain every stripe's
+//!   parity is the XOR of its data.
 //! * **A lost row is not masked against the blank**: a write to a row lost
 //!   with its disk is refused; a client that believes the site recovering
 //!   writes it W1' instead.
+//! * **A parity stand-in is installed once**: a second install over it is
+//!   refused, so a first touch that lost a race cannot overwrite the masks
+//!   that already landed, and a client that meets the refusal writes on.
 
 use proptest::prelude::*;
 use radd_layout::Geometry;
 use radd_parity::{ChangeMask, Uid};
 use radd_protocol::loopback::{Hook, Loopback};
 use radd_protocol::{
-    check_stripe_parity, Blocks, ClientMachine, DurableDelta, Effect, MemBlocks, Msg, SiteMachine,
-    SparePolicy,
+    check_stripe_parity, Blocks, ClientMachine, DurableDelta, Effect, MemBlocks, Msg, NackReason,
+    SiteMachine, SparePolicy,
 };
 use std::collections::BTreeMap;
 
@@ -468,16 +472,10 @@ proptest! {
         let geo = *client.geometry();
         // Acknowledged content per block; a block never written reads zero.
         let mut acked: BTreeMap<(usize, u64), Vec<u8>> = BTreeMap::new();
-        let mut run = |net: &mut Net, client: &mut ClientMachine, ops: &[Op], down: Option<usize>| {
+        let mut run = |net: &mut Net, client: &mut ClientMachine, ops: &[Op]| {
             for op in ops {
                 match *op {
                     Op::Write { site, index, fill } => {
-                        // The parity site's stand-in is not the machines'
-                        // yet (ROADMAP item 3): a write whose parity site is
-                        // down is not issued, as the plan replayers skip it.
-                        if down == Some(geo.parity_site(geo.data_to_physical(site, index))) {
-                            continue;
-                        }
                         let data = vec![fill; BLOCK];
                         client.write(net, site, index, &data).expect("single failure");
                         acked.insert((site, index), data);
@@ -490,19 +488,21 @@ proptest! {
                 }
             }
         };
-        run(&mut net, &mut client, &healthy, None);
+        run(&mut net, &mut client, &healthy);
 
         net.hook.down[site] = true;
+        believe_down(&mut net, site, true);
         client.set_down(site, true);
-        run(&mut net, &mut client, &down, Some(site));
+        run(&mut net, &mut client, &down);
 
         net.hook.down[site] = false;
+        believe_down(&mut net, site, false);
         client.set_recovering(site);
-        run(&mut net, &mut client, &recovering, None);
+        run(&mut net, &mut client, &recovering);
 
         client.recover(&mut net, site).expect("drain");
         client.set_down(site, false);
-        run(&mut net, &mut client, &drained, None);
+        run(&mut net, &mut client, &drained);
 
         prop_assert_eq!(
             check_stripe_parity(&geo, &mut |s, row| {
@@ -510,6 +510,16 @@ proptest! {
             }),
             Ok(())
         );
+    }
+}
+
+/// Tell every site but `site` to believe it down (or back), as the
+/// harnesses do before they tell the client.
+fn believe_down<H>(net: &mut Loopback<H>, site: usize, down: bool) {
+    for (s, (machine, _)) in net.sites.iter_mut().enumerate() {
+        if s != site {
+            machine.set_peer_down(site, down);
+        }
     }
 }
 
@@ -564,4 +574,114 @@ fn a_write_to_a_lost_row_is_refused_and_a_recovering_one_goes_w1_prime() {
             .map(|b| b.to_vec())
     })
     .unwrap();
+}
+
+// ---------------------------------------------------------------------
+// (h) a parity stand-in is installed once
+// ---------------------------------------------------------------------
+
+/// Keeps the first `SpareInstall` it sees, and answers the next
+/// `SpareProbe` as if the spare were free once `free_once` is set.
+#[derive(Default)]
+struct Race {
+    install: Option<Msg>,
+    free_once: bool,
+}
+
+impl Hook for Race {
+    fn handle(
+        &mut self,
+        _site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        if let (Msg::SpareProbe { tag, .. }, true) = (&msg, self.free_once) {
+            self.free_once = false;
+            let free = Msg::SpareState {
+                tag: *tag,
+                slot: None,
+            };
+            return out.push(Effect::send(radd_protocol::Dest::Peer(src), free));
+        }
+        if matches!(msg, Msg::SpareInstall { .. }) && self.install.is_none() {
+            self.install = Some(msg.clone());
+        }
+        machine.handle(blocks, src, msg, out);
+    }
+}
+
+/// Two first touches race while a row's parity site is down: both saw the
+/// spare free, one installed and its write's W2 landed on the stand-in.
+/// The other's install, folded from the row as it was before that write,
+/// is refused; delivered, it would have overwritten the mask that landed.
+/// A client that meets the refusal reads it as "already built" and writes.
+#[test]
+fn a_parity_stand_in_is_installed_once() {
+    let mut net = Loopback::new(G, ROWS, BLOCK, Race::default());
+    let mut client = ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+    let geo = *client.geometry();
+    let row = geo.data_to_physical(0, 0);
+    let (parity, spare) = (geo.parity_site(row), geo.spare_site(row));
+    let other = geo.data_sites(row)[1];
+    let other_index = geo.physical_to_data(other, row).unwrap();
+    client.write(&mut net, 0, 0, &[1; BLOCK]).expect("healthy");
+
+    believe_down(&mut net, parity, true);
+    client.set_down(parity, true);
+    client
+        .write(&mut net, 0, 0, &[2; BLOCK])
+        .expect("first touch");
+    // The other first touch's install: the same fold, its own request.
+    let Some(Msg::SpareInstall {
+        row,
+        for_site,
+        data,
+        content,
+        ..
+    }) = net.hook.install.take()
+    else {
+        panic!("the first touch installed");
+    };
+    let late = Msg::SpareInstall {
+        row,
+        for_site,
+        data,
+        content,
+        tag: u64::MAX,
+    };
+    let refused = net.deliver(spare, 0, late);
+    assert!(
+        matches!(
+            refused,
+            Some(Msg::Nack {
+                reason: NackReason::Conflict,
+                ..
+            })
+        ),
+        "a second parity stand-in was installed: {refused:?}"
+    );
+
+    net.hook.free_once = true;
+    client
+        .write(&mut net, other, other_index, &[3; BLOCK])
+        .expect("a refused first touch writes on");
+
+    believe_down(&mut net, parity, false);
+    client.set_recovering(parity);
+    assert_eq!(client.recover(&mut net, parity), Ok(1));
+    client.set_down(parity, false);
+    check_stripe_parity(&geo, &mut |s, row| {
+        Blocks::read(&mut net.sites[s].1, row)
+            .ok()
+            .map(|b| b.to_vec())
+    })
+    .unwrap();
+    assert_eq!(&client.read(&mut net, 0, 0).unwrap()[..], &[2; BLOCK]);
+    assert_eq!(
+        &client.read(&mut net, other, other_index).unwrap()[..],
+        &[3; BLOCK]
+    );
 }

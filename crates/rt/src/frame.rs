@@ -182,6 +182,14 @@ pub enum CtlReq {
     QueryObsJson,
     /// Stop the server process's event loop.
     Shutdown,
+    /// Believe peer `site` down (`true`) or back: while a row's parity
+    /// site is believed down, the row's parity updates go to its spare.
+    PeerDown {
+        /// The peer's member slot in the site's group.
+        site: usize,
+        /// Believed down.
+        down: bool,
+    },
 }
 
 /// Control-plane replies.
@@ -274,6 +282,11 @@ impl Frame {
                     }
                     CtlReq::QueryObsJson => buf.push(4),
                     CtlReq::Shutdown => buf.push(5),
+                    CtlReq::PeerDown { site, down } => {
+                        buf.push(6);
+                        buf.extend_from_slice(&(*site as u64).to_le_bytes());
+                        buf.push(u8::from(*down));
+                    }
                 }
             }
             Frame::CtlRep { rid, rep } => {
@@ -332,6 +345,10 @@ impl Frame {
                     [3, d @ (0 | 1)] => CtlReq::SetDown(*d == 1),
                     [4] => CtlReq::QueryObsJson,
                     [5] => CtlReq::Shutdown,
+                    [6, site @ .., d @ (0 | 1)] if site.len() == 8 => CtlReq::PeerDown {
+                        site: u64::from_le_bytes(site.try_into().expect("8 bytes")) as usize,
+                        down: *d == 1,
+                    },
                     _ => return Err(FrameError::Malformed("bad control request body")),
                 };
                 Ok(Frame::CtlReq { rid, req })
@@ -609,6 +626,13 @@ mod tests {
             Frame::CtlReq {
                 rid: 1,
                 req: CtlReq::SetDown(true),
+            },
+            Frame::CtlReq {
+                rid: 3,
+                req: CtlReq::PeerDown {
+                    site: 5,
+                    down: true,
+                },
             },
             Frame::CtlRep {
                 rid: 1,

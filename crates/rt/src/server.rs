@@ -93,6 +93,10 @@ fn serve_ctl(site: &Site, st: &mut SiteDriver, CtlItem { rid, req, reply }: CtlI
             st.set_down(d);
             CtlRep::Done
         }
+        CtlReq::PeerDown { site, down } => {
+            st.set_peer_down(site, down);
+            CtlRep::Done
+        }
         CtlReq::QueryObsJson => {
             let snap = ObsSnapshot {
                 machines: vec![st.obs_snapshot()],

@@ -220,6 +220,7 @@ fn arb_ctl_req() -> impl Strategy<Value = CtlReq> {
         any::<bool>().prop_map(CtlReq::SetDown),
         Just(CtlReq::QueryObsJson),
         Just(CtlReq::Shutdown),
+        (0usize..64, any::<bool>()).prop_map(|(site, down)| CtlReq::PeerDown { site, down }),
     ]
 }
 

@@ -365,6 +365,36 @@ impl FaultPlan {
         ])
     }
 
+    /// Hand-composed around §3.2's parity stand-in: site 2, the parity site
+    /// of rows 2 and 8, fails. Row 2 is written through its spare's
+    /// stand-in on first touch and again once it exists, row 8 on first
+    /// touch only. After the restore a write to row 2 drains its stand-in
+    /// back first, so the `Recover` drains row 8's alone. Shaped for
+    /// `G = 4`, 12 rows.
+    pub fn parity_site_down() -> FaultPlan {
+        use FaultEvent::*;
+        let write = |site, index, fill| Write { site, index, fill };
+        let kind = FailureKind::SiteFailure;
+        FaultPlan::from_events(vec![
+            write(0, 1, 0x10),
+            write(1, 0, 0x11),
+            Fail { site: 2, kind },
+            write(1, 0, 0x21),
+            write(0, 1, 0x20),
+            write(1, 4, 0x24),
+            Read { site: 1, index: 0 },
+            Read { site: 0, index: 1 },
+            RestoreSite { site: 2 },
+            write(5, 2, 0x32),
+            Read { site: 0, index: 1 },
+            Recover { site: 2 },
+            Read { site: 1, index: 0 },
+            Read { site: 1, index: 4 },
+            Read { site: 5, index: 2 },
+            FlushParity,
+        ])
+    }
+
     /// Hand-composed: loss only (25%), no failures, so every event after
     /// the burst ends is followed by a full invariant sweep.
     pub fn heavy_loss() -> FaultPlan {
@@ -889,18 +919,14 @@ impl Outcome {
 ///   machine's rule, not this driver's). That is the contract of
 ///   [`GroupCluster::restore`] / [`GroupCluster::heal`]. The site stays
 ///   `impaired` until the `Recover`.
+/// * **Every write is issued.** One whose row's parity site is impaired
+///   goes through the row's parity stand-in, the machines' rule too (§3.2).
 /// * **What only the DES can inject degrades.** Disk events are no-ops (the
 ///   paired `Recover` then drains nothing) and a disaster is a temporary
 ///   failure: the protocol exercise (kill, degraded operation, drain) is
 ///   the same, only the disks keep their contents. Message-granularity
 ///   events are no-ops too. [`CheckedCluster`] and `radd_check::ModelDriver`
 ///   are where those events are real.
-/// * **The skip rule.** A write whose row's *parity* site is the impaired
-///   site is not issued: a real data site would retransmit the parity
-///   update into the void until the site returned (ROADMAP item 3 moves the
-///   paper's stand-in for that case into the machines). Such writes are
-///   counted in [`skipped_writes`](PlanDriver::skipped_writes) and stay out
-///   of the oracle.
 /// * **The sweep**: stripe parity in every row, nothing unacknowledged,
 ///   every acknowledged write reads back. It waits while a site is
 ///   impaired (a site will not answer) or a loss burst runs (it would pass,
@@ -912,7 +938,6 @@ pub struct PlanDriver<C> {
     oracle: BTreeMap<(usize, u64), Vec<u8>>,
     impaired: Option<usize>,
     lossy: bool,
-    skipped_writes: u64,
     outcomes: Vec<Outcome>,
 }
 
@@ -924,7 +949,6 @@ impl<C: GroupCluster<Obs = ObsSnapshot>> PlanDriver<C> {
             oracle: BTreeMap::new(),
             impaired: None,
             lossy: false,
-            skipped_writes: 0,
             outcomes: Vec::new(),
         }
     }
@@ -932,11 +956,6 @@ impl<C: GroupCluster<Obs = ObsSnapshot>> PlanDriver<C> {
     /// The underlying cluster.
     pub fn cluster(&self) -> &C {
         &self.cluster
-    }
-
-    /// Writes left out by the skip rule.
-    pub fn skipped_writes(&self) -> u64 {
-        self.skipped_writes
     }
 
     /// Acknowledged writes tracked by the oracle.
@@ -979,12 +998,6 @@ impl<C: GroupCluster<Obs = ObsSnapshot>> FaultDriver for PlanDriver<C> {
     /// One event, under the conventions in the type's docs.
     fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
         let outcome = match *event {
-            FaultEvent::Write { site, index, .. }
-                if self.impaired == Some(parity_site_of(self.cluster.geometry(), site, index)) =>
-            {
-                self.skipped_writes += 1;
-                Outcome::Skipped
-            }
             FaultEvent::Write { site, index, fill } => {
                 let data = payload(fill, self.cluster.block_size());
                 match self.cluster.write(site, index, &data) {
@@ -1107,11 +1120,6 @@ impl<C: GroupCluster<Obs = ObsSnapshot>> FaultDriver for PlanDriver<C> {
     fn obs_snapshot(&mut self) -> Option<ObsSnapshot> {
         self.cluster.obs_snapshot()
     }
-}
-
-/// The site holding the parity block of `site`'s `index`-th data block.
-fn parity_site_of(geo: &radd_core::Geometry, site: usize, index: u64) -> usize {
-    geo.parity_site(geo.data_to_physical(site, index))
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 //! pool-site failure/repair cycles, loss bursts) and [`run_sharded_plan`],
 //! which replays them against the sharded cluster of any runtime (the
 //! `radd_protocol::Router` over its [`GroupCluster`]) while checking an
-//! oracle. The replay conventions (quiesce before a pool-site fail, skip
-//! writes whose parity pool site is impaired, sweep once after the traces
-//! are drained) live in that one function, beside their single-group
-//! statement in [`crate::faults::PlanDriver`].
+//! oracle. The replay conventions (quiesce before a pool-site fail, issue
+//! every write, sweep once after the traces are drained) live in that one
+//! function, beside their single-group statement in
+//! [`crate::faults::PlanDriver`].
 //!
 //! Determinism mirrors `FaultPlan`: generation uses only [`SimRng`]
 //! streams, so a seed names the same plan on every platform, and plans end
@@ -221,8 +221,6 @@ pub struct ShardedReport {
     pub writes: u64,
     /// Reads issued.
     pub reads: u64,
-    /// Writes left out by the skip rule.
-    pub skipped: u64,
     /// Groups degraded across all pool-site failures (fan-out total).
     pub degraded_groups: u64,
     /// One [`Outcome`] per plan event, in order.
@@ -241,8 +239,9 @@ pub struct ShardedReport {
 /// This is [`PlanDriver`](crate::faults::PlanDriver) one level up, for the
 /// pool-site vocabulary, and the conventions are the same ones, stated
 /// once more here and nowhere else: a pool site is failed only on a
-/// quiesced cluster (§6's in-doubt case), a write whose row's parity lands
-/// on the impaired pool site is skipped (ROADMAP item 3), a repair is
+/// quiesced cluster (§6's in-doubt case), every write is issued (a row
+/// whose parity lands on the impaired pool site is written through its
+/// spare's stand-in, the machines' rule), a repair is
 /// restore, then drain, then mark up, and the sweep runs once, at the end,
 /// after the traces are drained. The two replayers share [`Outcome`],
 /// [`payload`] and `ClientErr::is_refusal` and are otherwise kept side by
@@ -258,17 +257,9 @@ pub fn run_sharded_plan<C: GroupCluster>(
     let bs = driver.block_size();
     let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut report = ShardedReport::default();
-    let mut impaired: Option<usize> = None;
     let step = |i: usize, e: &ShardedEvent, msg: String| format!("step {i} ({e}): {msg}");
     for (i, event) in plan.events.iter().enumerate() {
         let outcome = match *event {
-            ShardedEvent::Write { addr, .. }
-                if impaired.is_some()
-                    && driver.map().parity_pool_site(GlobalAddr(addr)) == impaired =>
-            {
-                report.skipped += 1;
-                Outcome::Skipped
-            }
             ShardedEvent::Write { addr, fill } => {
                 let data = payload(fill, bs);
                 driver
@@ -299,7 +290,6 @@ pub fn run_sharded_plan<C: GroupCluster>(
                 // itself must not race an in-flight parity update.
                 driver.quiesce().map_err(|e| step(i, event, e))?;
                 driver.fail_pool_site(site);
-                impaired = Some(site);
                 Outcome::Done
             }
             ShardedEvent::RecoverPoolSite { site } => {
@@ -307,7 +297,6 @@ pub fn run_sharded_plan<C: GroupCluster>(
                 let drained = driver
                     .recover_pool_site(site)
                     .map_err(|e| step(i, event, e))?;
-                impaired = None;
                 Outcome::Drained(drained)
             }
             ShardedEvent::LossBurst { permille, seed } => {

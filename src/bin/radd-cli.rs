@@ -3,7 +3,7 @@
 //! ```text
 //! radd-cli <site-map-file> status            # per-group health + spare state
 //! radd-cli <site-map-file> [--group <k>] obs <site> [--json]
-//! radd-cli <site-map-file> [--group <k>] down <site>   # administratively mark down
+//! radd-cli <site-map-file> [--group <k>] down <site>   # mark down, tell its peers
 //! radd-cli <site-map-file> [--group <k>] up <site>
 //! radd-cli <site-map-file> [--group <k>] shutdown <site|all>
 //! ```
@@ -215,14 +215,31 @@ fn obs(cfg: &ClusterConfig, group: usize, site: usize, raw_json: bool) -> Result
 }
 
 fn set_down(cfg: &ClusterConfig, group: usize, site: usize, down: bool) -> Result<(), String> {
-    let mut ctl = CtlClient::connect(cfg.group_member_addr(group, site))?;
-    match ctl.request(CtlReq::SetDown(down))? {
-        CtlRep::Done => {
-            println!("site {site} marked {}", if down { "down" } else { "up" });
-            Ok(())
+    let state = if down { "down" } else { "up" };
+    // The site is marked, and every other member told: a member routes a
+    // row's parity updates to the row's spare while it believes the row's
+    // parity site down. Each is reported; a dead site does not stop its
+    // peers from being told.
+    let mut marked = Err(format!("site {site} not marked {state}"));
+    for member in 0..cfg.g + 2 {
+        let req = if member == site {
+            CtlReq::SetDown(down)
+        } else {
+            CtlReq::PeerDown { site, down }
+        };
+        let told = CtlClient::connect(cfg.group_member_addr(group, member))
+            .and_then(|mut ctl| ctl.request(req));
+        match told {
+            Ok(CtlRep::Done) if member == site => {
+                println!("site {site} marked {state}");
+                marked = Ok(());
+            }
+            Ok(CtlRep::Done) => println!("site {member} believes site {site} {state}"),
+            Ok(other) => println!("site {member}: unexpected reply {other:?}"),
+            Err(e) => println!("site {member} not reached ({e})"),
         }
-        other => Err(format!("unexpected reply {other:?}")),
     }
+    marked
 }
 
 fn shutdown(cfg: &ClusterConfig, group: usize, which: &str) -> Result<(), String> {

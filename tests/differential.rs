@@ -17,19 +17,20 @@
 //!   every row and every acknowledged write read back.
 //!
 //! Nothing here interprets a plan. The replay conventions (disasters as
-//! temporary failures, disk events skipped, writes to a parity-impaired
-//! row skipped, quiesce before a kill) live once in
-//! `radd_workload::faults::PlanDriver`, which is
-//! generic over the per-runtime contract `radd_protocol::GroupCluster`; the
-//! decisions depend only on the plan, so running that one driver over the
-//! three clusters one after another and comparing what each saw *is* the
-//! lockstep run. What a restored site's reads and writes do until its
-//! `Recover` (§3.2's recovering state) is not a convention either: it is the
-//! client machine's, the same on every runtime, and the recovering-window
-//! plan compares it. The multi-group differential does the same one level
-//! up with `run_sharded_plan` over the one `Router`: a 4-group sharded
-//! cluster per runtime, pool-site faults fanned out, compared group by
-//! group.
+//! temporary failures, disk events skipped, quiesce before a kill) live
+//! once in `radd_workload::faults::PlanDriver`, which is generic over the
+//! per-runtime contract `radd_protocol::GroupCluster`; the decisions depend
+//! only on the plan, so running that one driver over the three clusters one
+//! after another and comparing what each saw *is* the lockstep run. Every
+//! write is issued. What a restored site's reads and writes do until its
+//! `Recover` (§3.2's recovering state) is not a convention: it is the client
+//! machine's, the same on every runtime, and the recovering-window plan
+//! compares it. Nor is a write to a row whose parity site is down: the
+//! client builds the row's parity stand-in in its spare and the data site
+//! feeds it, and the parity-site-down plan compares that. The multi-group
+//! differential does the same one level up with `run_sharded_plan` over the
+//! one `Router`: a 4-group sharded cluster per runtime, pool-site faults
+//! fanned out, compared group by group.
 
 use radd::core::{RaddCluster, RaddConfig};
 use radd::layout::{Geometry, Placement, ShardMap};
@@ -339,4 +340,21 @@ fn recovering_window_traces_identically_on_all_runtimes() {
         .position(|e| matches!(e, FaultEvent::Recover { .. }))
         .expect("the plan recovers its site");
     assert_eq!(outcomes[recover], Outcome::Drained(0));
+}
+
+/// §3.2's parity stand-in: while a row's parity site is down the client
+/// builds the stand-in in the row's spare and the data site feeds it, on
+/// all three runtimes alike; a write after the restore drains its row's
+/// stand-in first, and the `Recover` drains the one left.
+#[test]
+fn parity_site_down_traces_identically_on_all_runtimes() {
+    let plan = FaultPlan::parity_site_down();
+    let outcomes = run_and_compare(&plan);
+    let recover = plan
+        .events
+        .iter()
+        .position(|e| matches!(e, FaultEvent::Recover { .. }))
+        .expect("the plan recovers its site");
+    assert_eq!(outcomes[recover], Outcome::Drained(1));
+    assert!(!outcomes.contains(&Outcome::Skipped));
 }

@@ -139,13 +139,19 @@ fn hand_built_violations_get_the_same_verdict_from_both_checkers() {
         (
             "parity-kind slot for a data site",
             spare_site,
-            slot(WRITER, parity),
+            slot(WRITER, parity.clone()),
             "parity-kind slot",
         ),
         (
             "stale data stand-in for an up data site",
             spare_site,
             slot(WRITER, data()),
+            "§3.3 disagreement",
+        ),
+        (
+            "parity stand-in with a stale UID array",
+            spare_site,
+            slot(parity_site, parity),
             "§3.3 disagreement",
         ),
     ];
