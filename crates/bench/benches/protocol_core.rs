@@ -71,14 +71,7 @@ impl Net {
 impl ClientIo for Net {
     fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
         if let Some(obs) = &mut self.obs {
-            obs.client().event(ObsEvent::Send {
-                to: Dest::Site(site),
-                kind: msg.kind(),
-                tag: msg.tag(),
-                wire: msg.wire_size() as u64,
-                retransmit: false,
-                replay: false,
-            });
+            obs.client().event(ObsEvent::client_send(site, &msg, false));
         }
         self.deliver(site, 0, msg)
             .ok_or(ClientErr::Unavailable { site })

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radd_protocol::loopback::Loopback;
-use radd_protocol::{ClientMachine, SiteState, SparePolicy};
+use radd_protocol::{ClientMachine, SparePolicy};
 use std::hint::black_box;
 
 const G: usize = 8;
@@ -58,15 +58,12 @@ fn bench_recovery(c: &mut Criterion) {
         let mut fill = 0u8;
         bencher.iter(|| {
             fill = fill.wrapping_add(1);
-            net.sites[victim].0.set_state(SiteState::Down);
             client.set_down(victim, true);
             for idx in 0..8u64 {
                 client.write(&mut net, victim, idx, &[fill; BLOCK]).unwrap();
             }
-            net.sites[victim].0.set_state(SiteState::Recovering);
             let drained = client.recover(&mut net, victim).unwrap();
             assert_eq!(drained, 8);
-            net.sites[victim].0.set_state(SiteState::Up);
             client.set_down(victim, false);
         });
     });

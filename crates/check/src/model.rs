@@ -923,7 +923,7 @@ impl Model {
                 let bytes = self.fabric.sites[site].durable_snapshot().encode();
                 match radd_protocol::DurableSiteState::decode(&bytes) {
                     Ok(d) => {
-                        self.fabric.sites[site] = SiteMachine::restore_durable(&d);
+                        self.fabric.sites[site] = SiteMachine::restore_durable(d);
                         self.fabric.timers[site].clear();
                     }
                     Err(e) => self.fabric.flag(format!(

@@ -50,7 +50,7 @@
 use crate::config::{ParityMode, RaddConfig};
 use crate::error::RaddError;
 use crate::locks::{LockKind, LockManager};
-use crate::site::{SiteNode, SiteState, SpareKind};
+use crate::site::{SiteNode, SiteState};
 use crate::stats::{Actor, OpReceipt, TrafficStats};
 use bytes::Bytes;
 use radd_blockdev::{BlockDevice, DiskArray};
@@ -59,9 +59,8 @@ use radd_net::{PartitionMap, PartitionVerdict};
 use radd_obs::{ClusterObs, ObsSnapshot};
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
-    kind_from_content, trace, BlockFault, Blocks, ClientErr, ClientMachine, Dest, DurableSiteState,
-    Effect, IoPurpose, Msg, RebuildReport, SiteMachine, TraceEntry, BLOCK_MSG_HEADER,
-    CONTROL_MSG_BYTES,
+    trace, BlockFault, Blocks, ClientErr, ClientMachine, Dest, DurableSiteState, Effect, IoPurpose,
+    Msg, RebuildReport, SiteMachine, SpareContent, BLOCK_MSG_HEADER, CONTROL_MSG_BYTES,
 };
 use radd_sim::{CostLedger, OpKind};
 use std::collections::VecDeque;
@@ -151,7 +150,7 @@ pub struct RaddCluster {
     pending_parity: Vec<PendingParity>,
     /// Per-site normalised effect traces (differential testing); index `j`
     /// is site `j`.
-    site_traces: Option<Vec<Vec<TraceEntry>>>,
+    site_traces: Option<Vec<Vec<ObsEvent>>>,
     /// Metrics + flight recorder, tapped off the same effect stream. The
     /// latency histograms record *logical* ledger microseconds, never wall
     /// time, so an observed DES run stays deterministic.
@@ -263,7 +262,7 @@ impl RaddCluster {
     /// Current state of a site (ignoring partitions; see
     /// [`effective_state`](RaddCluster::effective_state)).
     pub fn site_state(&self, site: SiteId) -> SiteState {
-        self.sites[site].machine.state()
+        self.sites[site].state
     }
 
     /// Direct access to a site, for inspection in tests and tooling.
@@ -278,14 +277,14 @@ impl RaddCluster {
     /// A temporary site failure: the site stops processing; its disks keep
     /// their contents.
     pub fn fail_site(&mut self, site: SiteId) {
-        self.sites[site].machine.set_state(SiteState::Down);
+        self.sites[site].state = SiteState::Down;
     }
 
     /// A site disaster: the site goes down and *all* its disk contents are
     /// lost (it will be restored on blank replacement hardware).
     pub fn disaster(&mut self, site: SiteId) {
         self.sites[site].lose_everything();
-        self.sites[site].machine.set_state(SiteState::Down);
+        self.sites[site].state = SiteState::Down;
     }
 
     /// A disk failure: the site stays operational but the disk's blocks are
@@ -293,8 +292,8 @@ impl RaddCluster {
     /// recovering".
     pub fn fail_disk(&mut self, site: SiteId, disk: usize) {
         self.sites[site].array.fail_disk(disk);
-        if self.sites[site].machine.state() == SiteState::Up {
-            self.sites[site].machine.set_state(SiteState::Recovering);
+        if self.sites[site].state == SiteState::Up {
+            self.sites[site].state = SiteState::Recovering;
         }
     }
 
@@ -307,8 +306,8 @@ impl RaddCluster {
 
     /// Bring a down site back: it enters the recovering state (§3.1).
     pub fn restore_site(&mut self, site: SiteId) {
-        if self.sites[site].machine.state() == SiteState::Down {
-            self.sites[site].machine.set_state(SiteState::Recovering);
+        if self.sites[site].state == SiteState::Down {
+            self.sites[site].state = SiteState::Recovering;
         }
     }
 
@@ -340,7 +339,7 @@ impl RaddCluster {
             .iter()
             .filter(|uid| uid.is_valid())
             .count();
-        self.sites[site].machine = SiteMachine::restore_durable(&restored);
+        self.sites[site].machine = SiteMachine::restore_durable(restored);
         // The restarted machine's beliefs were volatile: tell it again.
         for peer in (0..self.sites.len()).filter(|&p| p != site) {
             let down = self.client().is_down(peer);
@@ -366,7 +365,7 @@ impl RaddCluster {
             PartitionVerdict::SingleFailureLike { isolated, .. } if isolated == site => {
                 SiteState::Down
             }
-            _ => self.sites[site].machine.state(),
+            _ => self.sites[site].state,
         }
     }
 
@@ -561,14 +560,7 @@ impl RaddCluster {
         background: bool,
     ) -> Option<Msg> {
         if let Some(obs) = &mut self.obs {
-            obs.client().event(ObsEvent::Send {
-                to: Dest::Site(site),
-                kind: msg.kind(),
-                tag: msg.tag(),
-                wire: msg.wire_size() as u64,
-                retransmit: false,
-                replay: false,
-            });
+            obs.client().event(ObsEvent::client_send(site, &msg, false));
         }
         let tag = msg.tag();
         let msg = match msg {
@@ -771,7 +763,7 @@ impl RaddCluster {
     /// mark the site up.
     pub fn run_recovery(&mut self, site: SiteId) -> Result<RecoveryReport, RaddError> {
         assert_eq!(
-            self.sites[site].machine.state(),
+            self.sites[site].state,
             SiteState::Recovering,
             "run_recovery on a site that is not recovering"
         );
@@ -809,12 +801,12 @@ impl RaddCluster {
                 self.sites[site].write_block(row, &data)?;
                 self.ledger.charge_background(OpKind::LocalWrite);
                 let machine = &mut self.sites[site].machine;
-                match kind_from_content(&content, self.config.num_sites()) {
-                    SpareKind::Data { data_uid } => {
-                        machine.set_block_uid(row, data_uid);
+                match content {
+                    SpareContent::Data { uid } => {
+                        machine.set_block_uid(row, uid);
                         report.data_reconstructed += 1;
                     }
-                    SpareKind::Parity { uids } => {
+                    SpareContent::Parity { uids } => {
                         machine.parity_uids_mut().insert(row, uids);
                         report.parity_rebuilt += 1;
                     }
@@ -823,7 +815,7 @@ impl RaddCluster {
             self.sites[site].machine.invalid_rows_mut().remove(&row);
         }
 
-        self.sites[site].machine.set_state(SiteState::Up);
+        self.sites[site].state = SiteState::Up;
         if let Some(obs) = &mut self.obs {
             obs.site(site).metrics().record_recovery(
                 report.spares_drained + report.data_reconstructed + report.parity_rebuilt,
@@ -864,8 +856,8 @@ impl RaddCluster {
     /// up. Returns the number of blocks drained.
     pub(crate) fn client_recover(&mut self, site: SiteId) -> Result<u64, ClientErr> {
         let drained = self.client_op(|cm, io| cm.recover(io, site))?;
-        if self.sites[site].machine.state() == SiteState::Recovering {
-            self.sites[site].machine.set_state(SiteState::Up);
+        if self.sites[site].state == SiteState::Recovering {
+            self.sites[site].state = SiteState::Up;
         }
         if let Some(obs) = &mut self.obs {
             obs.site(site).metrics().record_recovery(drained);
@@ -931,7 +923,7 @@ impl RaddCluster {
     /// [`radd_node::NodeCluster::take_traces`] uses.
     ///
     /// [`radd_node::NodeCluster::take_traces`]: ../radd_node/struct.NodeCluster.html#method.take_traces
-    pub fn take_machine_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+    pub fn take_machine_traces(&mut self) -> Vec<Vec<ObsEvent>> {
         let mut all = vec![self.client().take_trace()];
         match &mut self.site_traces {
             Some(bufs) => all.extend(bufs.iter_mut().map(std::mem::take)),

@@ -57,7 +57,7 @@ pub use driver::{CheckError, CheckedCluster};
 pub use error::RaddError;
 pub use locks::{LockKind, LockManager};
 pub use sharded::ShardedCluster;
-pub use site::{SiteNode, SiteState, SpareKind, SpareSlot};
+pub use site::{SiteNode, SiteState, SpareSlot};
 pub use stats::{Actor, OpReceipt, TrafficStats};
 
 // Re-export the vocabulary types callers need alongside the cluster.

@@ -16,7 +16,7 @@ use crate::error::RaddError;
 use crate::site::SiteState;
 use radd_layout::{DataIndex, Geometry, ShardMap, SiteId};
 use radd_obs::ObsSnapshot;
-use radd_protocol::{ClientErr, GroupCluster, RebuildReport, Router, TraceEntry};
+use radd_protocol::{ClientErr, GroupCluster, ObsEvent, RebuildReport, Router};
 
 /// `A` synchronous groups over a shared site pool.
 pub type ShardedCluster = Router<RaddCluster>;
@@ -86,7 +86,7 @@ impl GroupCluster for RaddCluster {
         self.record_machine_traces(on);
     }
 
-    fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+    fn take_traces(&mut self) -> Vec<Vec<ObsEvent>> {
         self.take_machine_traces()
     }
 

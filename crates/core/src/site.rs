@@ -1,27 +1,30 @@
 //! Per-site state: a sans-IO protocol machine paired with a disk array.
 //!
 //! All §3 bookkeeping — block UIDs, parity UID arrays, spare slots,
-//! invalid-row marks, the site state — lives in
-//! [`radd_protocol::SiteMachine`]. This module binds one machine to the
-//! storage it cannot own: a [`DiskArray`] that can fail a disk or lose
-//! everything in a disaster, which the pure machine only ever observes as
-//! [`radd_protocol::BlockFault`]s.
+//! invalid-row marks — lives in [`radd_protocol::SiteMachine`]. This module
+//! binds one machine to the storage it cannot own: a [`DiskArray`] that can
+//! fail a disk or lose everything in a disaster, which the pure machine
+//! only ever observes as [`radd_protocol::BlockFault`]s. And it holds the
+//! site's §3.1 state, which only this cluster's failure injection and
+//! recovery daemon read.
 
 use bytes::Bytes;
 use radd_blockdev::{BlockDevice, DevError, DiskArray};
 use radd_layout::{PhysRow, SiteId};
 use radd_protocol::SiteMachine;
 
-pub use radd_protocol::{SiteState, SpareKind, SpareSlot};
+pub use radd_protocol::{SiteState, SpareSlot};
 
 /// One of the `G + 2` computer systems: the §3 protocol machine plus the
 /// disk array backing its rows.
 #[derive(Debug)]
 pub struct SiteNode {
-    /// The sans-IO server machine (UIDs, spares, invalid rows, state).
+    /// The sans-IO server machine (UIDs, spares, invalid rows).
     pub machine: SiteMachine,
     /// The site's disk array (`rows` blocks across `N` disks).
     pub array: DiskArray,
+    /// Up, down or recovering (§3.1).
+    pub state: SiteState,
 }
 
 impl SiteNode {
@@ -37,6 +40,7 @@ impl SiteNode {
         SiteNode {
             machine: SiteMachine::new(id, group_size, rows, block_size),
             array: DiskArray::new(disks, blocks_per_disk, block_size),
+            state: SiteState::Up,
         }
     }
 
@@ -67,6 +71,7 @@ impl SiteNode {
 mod tests {
     use super::*;
     use radd_parity::Uid;
+    use radd_protocol::SpareContent;
 
     fn site() -> SiteNode {
         SiteNode::new(2, 4, 2, 6, 32) // G = 4, 12 rows on 2 disks
@@ -75,7 +80,7 @@ mod tests {
     #[test]
     fn fresh_site_is_up_and_zeroed() {
         let mut s = site();
-        assert_eq!(s.machine.state(), SiteState::Up);
+        assert_eq!(s.state, SiteState::Up);
         assert!((0..12).all(|r| !s.machine.block_uid(r).is_valid()));
         assert_eq!(&s.read_block(0).unwrap()[..], &[0u8; 32]);
         assert!(!s.machine.spare_valid(3));
@@ -100,8 +105,8 @@ mod tests {
             7,
             SpareSlot {
                 for_site: 0,
-                kind: SpareKind::Data {
-                    data_uid: Uid::from_raw(3),
+                content: SpareContent::Data {
+                    uid: Uid::from_raw(3),
                 },
             },
         );

@@ -41,8 +41,7 @@ use radd_net::{RetryPolicy, SendOutcome, Transport};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
-    check_stripe_parity, ClientErr, ClientIo, ClientMachine, Dest, Msg, RebuildReport, SparePolicy,
-    TraceEntry,
+    check_stripe_parity, ClientErr, ClientIo, ClientMachine, Msg, RebuildReport, SparePolicy,
 };
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -128,14 +127,7 @@ impl<T: Transport> NetIo<T> {
 
     /// One wire attempt: record it, send it, classify the outcome.
     fn send_attempt(&mut self, site: usize, msg: &Msg, retransmit: bool) -> SendOutcome {
-        self.obs.event(ObsEvent::Send {
-            to: Dest::Site(site),
-            kind: msg.kind(),
-            tag: msg.tag(),
-            wire: msg.wire_size() as u64,
-            retransmit,
-            replay: false,
-        });
+        self.obs.event(ObsEvent::client_send(site, msg, retransmit));
         let out = self.ep.send(self.ep.ep_base() + site, msg);
         if out == SendOutcome::Closed {
             self.obs.metrics().send_failure();
@@ -340,7 +332,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// Take the recorded trace, leaving recording enabled.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
+    pub fn take_trace(&mut self) -> Vec<ObsEvent> {
         self.machine.take_trace()
     }
 

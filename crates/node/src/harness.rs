@@ -15,7 +15,7 @@ use super::client::Client;
 use super::site::{Control, SiteConfig};
 use radd_layout::ShardMap;
 use radd_net::Transport;
-use radd_protocol::{ClientErr, CoalescePolicy, GroupCluster, RebuildReport, Router, TraceEntry};
+use radd_protocol::{ClientErr, CoalescePolicy, GroupCluster, ObsEvent, RebuildReport, Router};
 use radd_storage::StorageSpec;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -318,7 +318,7 @@ impl<N: ClusterNet> Cluster<N> {
     /// Collect the recorded traces: index 0 is the attached client, index
     /// `1 + j` is site `j` — the same peer numbering the DES interpreter
     /// uses.
-    pub fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+    pub fn take_traces(&mut self) -> Vec<Vec<ObsEvent>> {
         let mut all = vec![self.client.take_trace()];
         for s in 0..self.num_sites() {
             all.push(
@@ -434,7 +434,7 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
         Cluster::record_traces(self, on);
     }
 
-    fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+    fn take_traces(&mut self) -> Vec<Vec<ObsEvent>> {
         Cluster::take_traces(self)
     }
 

@@ -42,8 +42,8 @@
 use radd_net::{Outbound, RetryPolicy};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::{
-    trace, CoalescePolicy, Dest, DurableDelta, DurableSiteState, Effect, IoPurpose, Msg,
-    SiteMachine, TraceEntry,
+    trace, CoalescePolicy, Dest, DurableDelta, DurableSiteState, Effect, IoPurpose, Msg, ObsEvent,
+    SiteMachine,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
@@ -76,7 +76,7 @@ pub enum Control {
     /// (for differential tests against the DES interpreter).
     RecordTrace(bool, Sender<()>),
     /// Hand over the recorded trace, clearing the buffer.
-    TakeTrace(Sender<Vec<TraceEntry>>),
+    TakeTrace(Sender<Vec<ObsEvent>>),
     /// Freeze and hand over the site's metrics + flight-recorder snapshot.
     /// Control is served whatever the site's state, so it works even while
     /// the site is marked down — exactly when the flight recorder is most
@@ -134,7 +134,7 @@ pub struct SiteDriver {
     down: bool,
     /// Retransmit deadlines by outstanding tag.
     timers: BTreeMap<u64, Instant>,
-    trace: Option<Vec<TraceEntry>>,
+    trace: Option<Vec<ObsEvent>>,
     /// Always-on metrics + flight recorder, tapped off the effect stream.
     /// Recording is fixed-cost (dense counters, a ring overwrite), so it
     /// stays enabled even when nobody will ever snapshot it.
@@ -406,7 +406,7 @@ fn open_store(
         .open(cfg.rows, cfg.block_size)
         .map_err(|e| format!("cannot open durable store: {e}"))?;
     let mut machine = match store.meta().map(DurableSiteState::decode) {
-        Some(Ok(d)) => SiteMachine::restore_durable(&d),
+        Some(Ok(d)) => SiteMachine::restore_durable(d),
         Some(Err(e)) => return Err(format!("corrupt durable snapshot: {e}")),
         None => SiteMachine::new(cfg.site, cfg.group_size, cfg.rows, cfg.block_size),
     };

@@ -55,7 +55,7 @@ impl fmt::Display for Uid {
 /// id in the top 16 bits and a monotone counter in the low 48 — two sites
 /// can never mint the same UID, and one site never repeats (the counter
 /// would take ~10^14 operations to wrap).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UidGen {
     site: u16,
     counter: u64,
@@ -108,6 +108,11 @@ impl UidArray {
         UidArray {
             slots: vec![Uid::INVALID; num_sites],
         }
+    }
+
+    /// An array holding `slots`, one per site.
+    pub fn from_slots(slots: Vec<Uid>) -> UidArray {
+        UidArray { slots }
     }
 
     /// Number of slots (`G + 2`).

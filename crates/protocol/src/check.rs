@@ -33,8 +33,9 @@
 //! processes), so visited-set collisions are negligible at bounded-model
 //! scale.
 
+use crate::durable::SpareSlot;
 use crate::fasthash::FxHashMap;
-use crate::server::{SiteMachine, SpareKind, SpareSlot};
+use crate::server::SiteMachine;
 use crate::wire::{Msg, SpareContent};
 use radd_layout::Geometry;
 use radd_parity::Uid;
@@ -165,7 +166,7 @@ pub trait Checkable {
     fn canon(&self, c: &mut Canonicalizer);
 }
 
-fn canon_spare_content(content: &SpareContent, c: &mut Canonicalizer) {
+pub(crate) fn canon_spare_content(content: &SpareContent, c: &mut Canonicalizer) {
     match content {
         SpareContent::Data { uid } => {
             c.raw(&0u8);
@@ -174,7 +175,7 @@ fn canon_spare_content(content: &SpareContent, c: &mut Canonicalizer) {
         SpareContent::Parity { uids } => {
             c.raw(&1u8);
             c.raw(&uids.len());
-            for u in uids {
+            for u in uids.slots() {
                 c.uid(*u);
             }
         }
@@ -369,7 +370,7 @@ pub fn check_uid_agreement<S: Borrow<SiteMachine>>(
         let arr = match spare {
             Some(SpareSlot {
                 for_site,
-                kind: SpareKind::Parity { uids },
+                content: SpareContent::Parity { uids },
             }) if *for_site == parity_site => Some(uids),
             _ if trusted(parity_site, row) => sites[parity_site].borrow().parity_uids().get(&row),
             _ => None,
@@ -381,9 +382,9 @@ pub fn check_uid_agreement<S: Borrow<SiteMachine>>(
             let recorded = arr.get(data_site);
             let block = sites[data_site].borrow().block_uid(row);
             let stand_in = match spare {
-                Some(slot) if slot.for_site == data_site => match &slot.kind {
-                    SpareKind::Data { data_uid } => Some(*data_uid),
-                    SpareKind::Parity { .. } => {
+                Some(slot) if slot.for_site == data_site => match &slot.content {
+                    SpareContent::Data { uid } => Some(*uid),
+                    SpareContent::Parity { .. } => {
                         return Err(format!(
                             "row {row}: spare stands in for data site {data_site} \
                              but carries a parity-kind slot"
@@ -441,7 +442,7 @@ pub fn check_spare_freshness(
 ) -> Result<(), String> {
     for (holder, site) in sites.iter().enumerate() {
         for (&row, slot) in site.spares() {
-            let SpareKind::Data { data_uid } = &slot.kind else {
+            let SpareContent::Data { uid: data_uid } = &slot.content else {
                 continue; // parity stand-ins are checked via the UID arrays
             };
             let owner = slot.for_site;

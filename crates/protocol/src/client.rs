@@ -25,14 +25,26 @@
 //! `fold_row` is the §3.3 fold and UID check, for one reconstruction or for
 //! every row of a rebuild wave.
 
-use crate::effect::Dest;
-use crate::server::SiteState;
-use crate::trace::TraceEntry;
+use crate::obs::ObsEvent;
 use crate::wire::{Msg, MsgKind, NackReason, SpareContent, SpareSlotWire};
 use bytes::Bytes;
 use radd_layout::Geometry;
 use radd_parity::{xor_fold, Uid, UidArray, UidGen};
 use serde::{Deserialize, Serialize};
+
+/// The three states of §3.1: "up — functioning normally, down — not
+/// functioning, recovering — running recovery actions".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SiteState {
+    /// Functioning normally.
+    Up,
+    /// Not functioning (temporary failure or disaster).
+    Down,
+    /// Restored and running recovery actions; also entered directly on a
+    /// disk failure ("a disk failure will move a site directly from up to
+    /// recovering").
+    Recovering,
+}
 
 /// How many spare blocks are allocated (§7.2).
 ///
@@ -211,7 +223,7 @@ pub struct ClientMachine {
     next_tag: u64,
     /// What this client believes of each site.
     sites: Vec<SiteState>,
-    trace: Option<Vec<TraceEntry>>,
+    trace: Option<Vec<ObsEvent>>,
 }
 
 impl ClientMachine {
@@ -271,7 +283,7 @@ impl ClientMachine {
     }
 
     /// Take the recorded trace, leaving recording enabled.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
+    pub fn take_trace(&mut self) -> Vec<ObsEvent> {
         self.trace.replace(Vec::new()).unwrap_or_default()
     }
 
@@ -298,12 +310,7 @@ impl ClientMachine {
     /// Record `msg` to `site` in the trace, if one is being recorded.
     fn record(&mut self, site: usize, msg: &Msg) {
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry::Send {
-                to: Dest::Site(site),
-                kind: msg.kind(),
-                tag: msg.tag(),
-                wire: msg.wire_size(),
-            });
+            trace.push(ObsEvent::client_send(site, msg, false));
         }
     }
 
@@ -809,8 +816,7 @@ impl ClientMachine {
             for &(s, uid) in &sources {
                 arr.set(s, uid);
             }
-            let uids = arr.slots().to_vec();
-            return Ok((acc, SpareContent::Parity { uids }));
+            return Ok((acc, SpareContent::Parity { uids: arr }));
         }
         if self.validate_uids {
             // §3.3: "the UIDs of the blocks used in the reconstruction must

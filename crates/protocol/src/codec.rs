@@ -30,7 +30,7 @@
 
 use crate::wire::{Msg, MsgKind, NackReason, SpareContent, SpareSlotWire};
 use bytes::Bytes;
-use radd_parity::Uid;
+use radd_parity::{Uid, UidArray};
 use std::fmt;
 
 /// Why a byte sequence failed to decode as a [`Msg`].
@@ -133,7 +133,7 @@ fn put_content(buf: &mut Vec<u8>, content: &SpareContent) {
         }
         SpareContent::Parity { uids } => {
             buf.push(1);
-            put_uid_vec(buf, uids);
+            put_uid_vec(buf, uids.slots());
         }
     }
 }
@@ -375,7 +375,7 @@ impl<'a> Cursor<'a> {
                 uid: self.uid("spare data uid")?,
             }),
             1 => Ok(SpareContent::Parity {
-                uids: self.uid_vec("spare parity uids")?,
+                uids: UidArray::from_slots(self.uid_vec("spare parity uids")?),
             }),
             tag => Err(CodecError::UnknownTag {
                 what: "SpareContent",
@@ -566,7 +566,7 @@ mod tests {
                 for_site: 1,
                 data: Bytes::from(vec![7; 16]),
                 content: SpareContent::Parity {
-                    uids: vec![Uid::INVALID, Uid::from_raw(3)],
+                    uids: UidArray::from_slots(vec![Uid::INVALID, Uid::from_raw(3)]),
                 },
                 tag: 11,
             },

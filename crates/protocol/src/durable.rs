@@ -15,11 +15,14 @@
 //! (a duplicate parity update arriving after the reply cache died with the
 //! process).
 //!
-//! [`DurableSiteState`] is the serialisable projection of the durable
-//! half. The codec is a hand-rolled little-endian binary format (the
-//! workspace's serde shim is serialize-only) with a magic/version header
-//! and bounds-checked decoding, in the style of [`crate::codec`]: torn or
-//! truncated snapshots decode to an error, never to garbage state.
+//! [`DurableSiteState`] is the durable half itself, the maps and generator
+//! the machine works on: a snapshot is a clone, and there is no second
+//! shape to convert to. The codec is a hand-rolled little-endian binary
+//! format (the workspace's serde shim is serialize-only) with a
+//! magic/version header and bounds-checked decoding, in the style of
+//! [`crate::codec`]: torn, truncated or inconsistent snapshots (a row past
+//! the geometry, a UID array that is not `G + 2` long) decode to an error,
+//! never to garbage state.
 //!
 //! The machine keeps the durable half behind `Versioned`, the one door to
 //! a `&mut` of it, and the door keeps two records. A version counter: a
@@ -38,7 +41,8 @@
 //! there: it carries a flag, never a list.
 
 use crate::wire::SpareContent;
-use radd_parity::{ChangeMask, Uid};
+use radd_parity::{ChangeMask, Uid, UidArray, UidGen};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Magic prefix of an encoded snapshot: `"RDSS"` little-endian.
@@ -76,11 +80,22 @@ impl fmt::Display for DurableError {
 
 impl std::error::Error for DurableError {}
 
-/// The durable half of a [`SiteMachine`](crate::SiteMachine), in a shape
-/// that is storage- and wire-friendly (no maps, no private types).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A valid spare slot: this site's spare block of some row currently stands
+/// in for another site's block (the content lives in the storage row).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpareSlot {
+    /// Whose block this spare holds.
+    pub for_site: usize,
+    /// The UID (data stand-in) or UID array (parity stand-in) it holds.
+    pub content: SpareContent,
+}
+
+/// The durable half of a [`SiteMachine`](crate::SiteMachine): the machine
+/// holds one and works on it in place, so a snapshot is a clone and its
+/// encoding is this value's.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableSiteState {
-    /// The site this snapshot belongs to.
+    /// The site this state belongs to.
     pub site: usize,
     /// Group size `G` the geometry was built with.
     pub group_size: usize,
@@ -90,14 +105,16 @@ pub struct DurableSiteState {
     pub block_size: usize,
     /// Per-row block UIDs (`rows` entries).
     pub block_uids: Vec<Uid>,
-    /// `(row, slots)` for every row where this site holds a parity array.
-    pub parity_uids: Vec<(u64, Vec<Uid>)>,
-    /// `(row, for_site, content)` for every valid spare slot.
-    pub spares: Vec<(u64, usize, SpareContent)>,
+    /// The UID array of every row where this site holds one (`G + 2` slots
+    /// each).
+    pub parity_uids: BTreeMap<u64, UidArray>,
+    /// Every valid spare slot, by row.
+    pub spares: BTreeMap<u64, SpareSlot>,
     /// Rows whose local content is untrustworthy.
-    pub invalid_rows: Vec<u64>,
-    /// The UID generator's counter (site id is implied by `site`).
-    pub uid_counter: u64,
+    pub invalid_rows: BTreeSet<u64>,
+    /// The UID generator (its counter is what is encoded; the site id is
+    /// `site`'s).
+    pub uid_gen: UidGen,
     /// The request-tag counter.
     pub next_tag: u64,
 }
@@ -275,6 +292,15 @@ impl<'a> Reader<'a> {
         }
         Ok(v)
     }
+
+    /// A counted UID array, which must have one slot per site.
+    fn uid_array(&mut self, n_sites: usize) -> Result<UidArray, DurableError> {
+        let n = self.count()?;
+        if n != n_sites {
+            return Err(DurableError::Malformed("UID array is not G + 2 long"));
+        }
+        Ok(UidArray::from_slots(self.uids(n)?))
+    }
 }
 
 fn put_uids(out: &mut Vec<u8>, uids: &[Uid]) {
@@ -309,28 +335,28 @@ impl DurableSiteState {
         out.extend_from_slice(&self.rows.to_le_bytes());
         out.extend_from_slice(&(self.block_size as u32).to_le_bytes());
         debug_assert_eq!(out.len(), COUNTERS_AT);
-        out.extend_from_slice(&self.uid_counter.to_le_bytes());
+        out.extend_from_slice(&self.uid_gen.counter().to_le_bytes());
         out.extend_from_slice(&self.next_tag.to_le_bytes());
         debug_assert_eq!(out.len() + 8, BLOCK_UIDS_AT);
         put_uids(&mut out, &self.block_uids);
         out.extend_from_slice(&(self.parity_uids.len() as u64).to_le_bytes());
-        for (row, slots) in &self.parity_uids {
+        for (row, arr) in &self.parity_uids {
             out.extend_from_slice(&row.to_le_bytes());
             parity_slots_at(*row, out.len() + 8);
-            put_uids(&mut out, slots);
+            put_uids(&mut out, arr.slots());
         }
         out.extend_from_slice(&(self.spares.len() as u64).to_le_bytes());
-        for (row, for_site, content) in &self.spares {
+        for (row, slot) in &self.spares {
             out.extend_from_slice(&row.to_le_bytes());
-            out.extend_from_slice(&(*for_site as u32).to_le_bytes());
-            match content {
+            out.extend_from_slice(&(slot.for_site as u32).to_le_bytes());
+            match &slot.content {
                 SpareContent::Data { uid } => {
                     out.push(0);
                     out.extend_from_slice(&uid.as_raw().to_le_bytes());
                 }
                 SpareContent::Parity { uids } => {
                     out.push(1);
-                    put_uids(&mut out, uids);
+                    put_uids(&mut out, uids.slots());
                 }
             }
         }
@@ -356,25 +382,26 @@ impl DurableSiteState {
         let rows = r.u64()?;
         let block_size = r.u32()? as usize;
         let uid_counter = r.u64()?;
+        if uid_counter >= 1 << 48 {
+            return Err(DurableError::Malformed("UID counter exhausted"));
+        }
         let next_tag = r.u64()?;
         let n_uids = r.count()?;
         if n_uids as u64 != rows {
             return Err(DurableError::Malformed("block UID count != rows"));
         }
         let block_uids = r.uids(n_uids)?;
-        let n_parity = r.count()?;
-        let mut parity_uids = Vec::with_capacity(n_parity);
-        for _ in 0..n_parity {
+        let n_sites = group_size + 2;
+        let mut parity_uids = BTreeMap::new();
+        for _ in 0..r.count()? {
             let row = r.u64()?;
             if row >= rows {
                 return Err(DurableError::Malformed("parity row out of range"));
             }
-            let n = r.count()?;
-            parity_uids.push((row, r.uids(n)?));
+            parity_uids.insert(row, r.uid_array(n_sites)?);
         }
-        let n_spares = r.count()?;
-        let mut spares = Vec::with_capacity(n_spares);
-        for _ in 0..n_spares {
+        let mut spares = BTreeMap::new();
+        for _ in 0..r.count()? {
             let row = r.u64()?;
             if row >= rows {
                 return Err(DurableError::Malformed("spare row out of range"));
@@ -384,22 +411,20 @@ impl DurableSiteState {
                 0 => SpareContent::Data {
                     uid: Uid::from_raw(r.u64()?),
                 },
-                1 => {
-                    let n = r.count()?;
-                    SpareContent::Parity { uids: r.uids(n)? }
-                }
+                1 => SpareContent::Parity {
+                    uids: r.uid_array(n_sites)?,
+                },
                 _ => return Err(DurableError::Malformed("unknown spare kind tag")),
             };
-            spares.push((row, for_site, content));
+            spares.insert(row, SpareSlot { for_site, content });
         }
-        let n_invalid = r.count()?;
-        let mut invalid_rows = Vec::with_capacity(n_invalid);
-        for _ in 0..n_invalid {
+        let mut invalid_rows = BTreeSet::new();
+        for _ in 0..r.count()? {
             let row = r.u64()?;
             if row >= rows {
                 return Err(DurableError::Malformed("invalid-row index out of range"));
             }
-            invalid_rows.push(row);
+            invalid_rows.insert(row);
         }
         if r.at != buf.len() {
             return Err(DurableError::Malformed("trailing bytes after snapshot"));
@@ -413,7 +438,7 @@ impl DurableSiteState {
             parity_uids,
             spares,
             invalid_rows,
-            uid_counter,
+            uid_gen: UidGen::restore(site as u16, uid_counter),
             next_tag,
         })
     }
@@ -424,36 +449,40 @@ mod tests {
     use super::*;
 
     fn sample() -> DurableSiteState {
+        let u = Uid::from_raw;
+        let array = |slots: Vec<u64>| UidArray::from_slots(slots.into_iter().map(u).collect());
         DurableSiteState {
             site: 2,
             group_size: 2,
             rows: 4,
             block_size: 16,
             block_uids: vec![
-                Uid::from_raw(0x2_0000_0000_0001),
+                u(0x2_0000_0000_0001),
                 Uid::INVALID,
-                Uid::from_raw(0x2_0000_0000_0002),
+                u(0x2_0000_0000_0002),
                 Uid::INVALID,
             ],
-            parity_uids: vec![(1, vec![Uid::from_raw(7), Uid::INVALID, Uid::from_raw(9)])],
-            spares: vec![
+            parity_uids: BTreeMap::from([(1, array(vec![7, 0, 9, 0]))]),
+            spares: BTreeMap::from([
                 (
                     0,
-                    3,
-                    SpareContent::Data {
-                        uid: Uid::from_raw(5),
+                    SpareSlot {
+                        for_site: 3,
+                        content: SpareContent::Data { uid: u(5) },
                     },
                 ),
                 (
                     2,
-                    1,
-                    SpareContent::Parity {
-                        uids: vec![Uid::from_raw(1), Uid::from_raw(2)],
+                    SpareSlot {
+                        for_site: 1,
+                        content: SpareContent::Parity {
+                            uids: array(vec![1, 2, 0, 0]),
+                        },
                     },
                 ),
-            ],
-            invalid_rows: vec![1, 3],
-            uid_counter: 2,
+            ]),
+            invalid_rows: BTreeSet::from([1, 3]),
+            uid_gen: UidGen::restore(2, 2),
             next_tag: 11,
         }
     }
@@ -462,6 +491,18 @@ mod tests {
     fn roundtrip() {
         let s = sample();
         assert_eq!(DurableSiteState::decode(&s.encode()), Ok(s));
+    }
+
+    #[test]
+    fn a_uid_array_of_the_wrong_length_is_malformed() {
+        for arr in [vec![Uid::INVALID; 3], vec![Uid::INVALID; 5]] {
+            let mut s = sample();
+            s.parity_uids.insert(1, UidArray::from_slots(arr));
+            assert_eq!(
+                DurableSiteState::decode(&s.encode()),
+                Err(DurableError::Malformed("UID array is not G + 2 long"))
+            );
+        }
     }
 
     #[test]

@@ -50,16 +50,16 @@ pub use check::{
     check_spare_freshness, check_spare_structure, check_stripe_parity, check_uid_agreement,
     Canonicalizer, Checkable,
 };
-pub use client::{ClientErr, ClientIo, ClientMachine, RebuildReport, SparePolicy};
+pub use client::{ClientErr, ClientIo, ClientMachine, RebuildReport, SiteState, SparePolicy};
 pub use codec::{decode_msg, encode_msg, encode_msg_vec, CodecError};
-pub use durable::{DurableDelta, DurableError, DurableSiteState};
+pub use durable::{DurableDelta, DurableError, DurableSiteState, SpareSlot};
 pub use effect::{BlockFault, Blocks, Dest, Effect, IoPurpose, MemBlocks};
 pub use events::FailureKind;
 pub use obs::{obs_event, ObsEvent};
 pub use partition::{classify, gate, Gate, PartitionVerdict};
 pub use router::{GroupCluster, PoolRebuildReport, RouteError, Router};
-pub use server::{kind_from_content, CoalescePolicy, SiteMachine, SiteState, SpareKind, SpareSlot};
-pub use trace::{trace, TraceEntry};
+pub use server::{CoalescePolicy, SiteMachine};
+pub use trace::trace;
 pub use wire::{
     Msg, MsgKind, NackReason, SpareContent, SpareSlotWire, BLOCK_MSG_HEADER, CONTROL_MSG_BYTES,
 };

@@ -4,15 +4,15 @@
 //! [`Effect`] onto a compact, heap-free [`ObsEvent`] suitable for a
 //! fixed-size flight-recorder ring and for counter updates.
 //!
-//! It deliberately differs from [`crate::trace::trace`]. The differential
-//! trace *drops* retransmissions and duplicate-reply replays so that a lossy
-//! threaded run and a lossless DES run compare equal; the observability
-//! layer *keeps* them — counting retransmissions and replays under faults is
-//! precisely what it is for. Timer arm/disarm effects are still dropped:
-//! they are interpreter bookkeeping, not protocol traffic.
+//! The differential trace ([`crate::trace::trace`]) is this projection
+//! with retransmissions and duplicate-reply replays dropped, so that a
+//! lossy threaded run and a lossless DES run compare equal; the
+//! observability layer *keeps* them — counting retransmissions and replays
+//! under faults is precisely what it is for. Timer arm/disarm effects are
+//! dropped by both: they are interpreter bookkeeping, not protocol traffic.
 
 use crate::effect::{Dest, Effect, IoPurpose};
-use crate::wire::MsgKind;
+use crate::wire::{Msg, MsgKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -59,6 +59,22 @@ pub enum ObsEvent {
         /// Gating row.
         row: u64,
     },
+}
+
+impl ObsEvent {
+    /// A client's send of `msg` to site `site`; `retransmit` for a resend
+    /// of an already-charged request (a client never replays).
+    #[inline]
+    pub fn client_send(site: usize, msg: &Msg, retransmit: bool) -> ObsEvent {
+        ObsEvent::Send {
+            to: Dest::Site(site),
+            kind: msg.kind(),
+            tag: msg.tag(),
+            wire: msg.wire_size() as u64,
+            retransmit,
+            replay: false,
+        }
+    }
 }
 
 /// Project an effect onto the observability event, or `None` for timer
@@ -134,7 +150,6 @@ impl fmt::Display for ObsEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Msg;
 
     #[test]
     fn retransmissions_survive_the_obs_projection() {

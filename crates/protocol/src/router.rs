@@ -24,7 +24,7 @@
 //! site after a rebalance.
 
 use crate::client::{ClientErr, RebuildReport};
-use crate::trace::TraceEntry;
+use crate::obs::ObsEvent;
 use radd_layout::{
     DataIndex, Geometry, GlobalAddr, GroupId, LogicalDrive, ShardMap, ShardTarget, SiteId,
 };
@@ -205,7 +205,7 @@ pub trait GroupCluster {
     /// Record (or stop recording) normalised machine traces.
     fn record_traces(&mut self, on: bool);
     /// Drain the traces: index 0 = client, `1 + j` = member `j`.
-    fn take_traces(&mut self) -> Vec<Vec<TraceEntry>>;
+    fn take_traces(&mut self) -> Vec<Vec<ObsEvent>>;
     /// Run the stripe-invariant sweep.
     fn verify_parity(&mut self) -> Result<(), String>;
     /// §5 partition: cut `member` off from the other `G + 1`, which, with
@@ -396,7 +396,7 @@ impl<C: GroupCluster> Router<C> {
 
     /// Drain every group's traces: `traces[k]` is group `k`'s per-machine
     /// vector (index 0 = client, `1 + j` = member `j`).
-    pub fn take_traces(&mut self) -> Vec<Vec<Vec<TraceEntry>>> {
+    pub fn take_traces(&mut self) -> Vec<Vec<Vec<ObsEvent>>> {
         self.handles.iter_mut().map(C::take_traces).collect()
     }
 
@@ -526,7 +526,7 @@ mod tests {
             })
         }
         fn record_traces(&mut self, _: bool) {}
-        fn take_traces(&mut self) -> Vec<Vec<TraceEntry>> {
+        fn take_traces(&mut self) -> Vec<Vec<ObsEvent>> {
             Vec::new()
         }
         fn verify_parity(&mut self) -> Result<(), String> {

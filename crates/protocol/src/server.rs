@@ -7,8 +7,17 @@
 //! per-row stop-and-wait parity retransmission, and an at-most-once reply
 //! cache — but never touches a socket, a thread, or a clock. The DES
 //! cluster and the async runtimes are all thin interpreters around it.
+//! The durable part of that state is a [`DurableSiteState`], held and
+//! changed in place, and a spare slot's UID metadata is the wire's
+//! [`SpareContent`], so neither has a second shape to convert to.
 //!
-//! The machine keeps no rule of its own for §3.1's recovering state: a
+//! Every field a message brings — a row, a data or site index, a block, a
+//! UID array, a change mask — is checked against the geometry before it is
+//! used, and a message that does not fit is refused (`OutOfRange`,
+//! `BadSize`): no peer can make a site panic.
+//!
+//! The machine keeps no state of §3.1's up/down/recovering (the DES's
+//! `SiteNode` does) and no rule of its own for the recovering state: a
 //! recovering site serves what it holds, refuses a read or write of a row
 //! it lost (no old value to mask against), and takes drained blocks back
 //! through `RestoreBlock`. Which copy supersedes which is the client's
@@ -46,8 +55,8 @@
 //! threaded runtime switches it on.
 
 use crate::durable::{
-    DurableDelta, DurableSiteState, Layout, Touch, Versioned, BLOCK_UIDS_AT, COUNTERS_AT,
-    JOURNAL_CAP,
+    DurableDelta, DurableSiteState, Layout, SpareSlot, Touch, Versioned, BLOCK_UIDS_AT,
+    COUNTERS_AT, JOURNAL_CAP,
 };
 use crate::effect::{Blocks, Dest, Effect, IoPurpose};
 use crate::fasthash::{FxHashMap, FxHashSet};
@@ -57,78 +66,6 @@ use radd_layout::Geometry;
 use radd_parity::{ChangeMask, Uid, UidArray, UidGen};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// The three states of §3.1: "up — functioning normally, down — not
-/// functioning, recovering — running recovery actions".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SiteState {
-    /// Functioning normally.
-    Up,
-    /// Not functioning (temporary failure or disaster).
-    Down,
-    /// Restored and running recovery actions; also entered directly on a
-    /// disk failure ("a disk failure will move a site directly from up to
-    /// recovering").
-    Recovering,
-}
-
-/// What kind of block a spare slot stands in for. The paper's row-K spare
-/// can absorb *any* of the down site's row-K blocks; when the down site was
-/// the row's parity site, the stand-in carries the UID array instead of a
-/// single UID.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpareKind {
-    /// Stand-in for a data block.
-    Data {
-        /// The UID consistent with the row's parity UID array (so validated
-        /// reconstruction involving this content succeeds). The paper's
-        /// "new UID … to make the block valid" corresponds to this slot
-        /// existing.
-        data_uid: Uid,
-    },
-    /// Stand-in for the down site's parity block.
-    Parity {
-        /// The row's UID array, maintained here while the parity site is
-        /// down.
-        uids: UidArray,
-    },
-}
-
-/// A valid spare slot: this site's spare block of some row currently stands
-/// in for another site's block (the content lives in the storage row).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpareSlot {
-    /// Whose block this spare holds.
-    pub for_site: usize,
-    /// Data or parity stand-in.
-    pub kind: SpareKind,
-}
-
-impl SpareSlot {
-    /// The slot's UID metadata in wire form.
-    pub fn content(&self) -> SpareContent {
-        match &self.kind {
-            SpareKind::Data { data_uid } => SpareContent::Data { uid: *data_uid },
-            SpareKind::Parity { uids } => SpareContent::Parity {
-                uids: uids.slots().to_vec(),
-            },
-        }
-    }
-}
-
-/// Build a [`SpareKind`] back from its wire form.
-pub fn kind_from_content(content: &SpareContent, num_sites: usize) -> SpareKind {
-    match content {
-        SpareContent::Data { uid } => SpareKind::Data { data_uid: *uid },
-        SpareContent::Parity { uids } => {
-            let mut arr = UidArray::new(num_sites);
-            for (i, u) in uids.iter().enumerate().take(num_sites) {
-                arr.set(i, *u);
-            }
-            SpareKind::Parity { uids: arr }
-        }
-    }
-}
 
 /// Whether queued parity updates for one row may be XOR-merged while an
 /// earlier update is in flight.
@@ -179,30 +116,16 @@ struct Inflight {
 /// How many distinct `(src, tag)` replies the at-most-once cache retains.
 const REPLY_CACHE_CAP: usize = 1024;
 
-/// The fields [`SiteMachine::durable_snapshot`] projects, apart from the
-/// static geometry.
-#[derive(Debug, Clone)]
-struct DurableFields {
-    block_uids: Vec<Uid>,
-    parity_uids: BTreeMap<u64, UidArray>,
-    spares: BTreeMap<u64, SpareSlot>,
-    invalid_rows: BTreeSet<u64>,
-    uid_gen: UidGen,
-    next_tag: u64,
-}
-
 /// The per-site server machine.
 #[derive(Debug, Clone)]
 pub struct SiteMachine {
-    site: usize,
     geo: Geometry,
-    block_size: usize,
-    state: SiteState,
-    /// The durable half (see [`crate::durable`]). Every `&mut` borrow goes
-    /// through [`Versioned::w`], which is what makes
+    /// The durable half (see [`crate::durable`]), which also names the
+    /// site and its block size. Every `&mut` borrow goes through
+    /// [`Versioned::w`], which is what makes
     /// [`SiteMachine::durable_version`] and
     /// [`SiteMachine::drain_durable`] sound.
-    d: Versioned<DurableFields>,
+    d: Versioned<DurableSiteState>,
     /// Where the last whole encoding [`SiteMachine::drain_durable`]
     /// returned put the parity rows. Like the journal it serves, neither
     /// durable nor canonical state.
@@ -234,20 +157,31 @@ pub struct SiteMachine {
 impl SiteMachine {
     /// A fresh, healthy site machine.
     pub fn new(site: usize, group_size: usize, rows: u64, block_size: usize) -> SiteMachine {
-        let geo = Geometry::new(group_size, rows).expect("valid geometry");
-        SiteMachine {
+        SiteMachine::restore_durable(DurableSiteState {
             site,
-            geo,
+            group_size,
+            rows,
             block_size,
-            state: SiteState::Up,
-            d: Versioned::new(DurableFields {
-                block_uids: vec![Uid::INVALID; rows as usize],
-                parity_uids: BTreeMap::new(),
-                spares: BTreeMap::new(),
-                invalid_rows: BTreeSet::new(),
-                uid_gen: UidGen::new(site as u16),
-                next_tag: 0,
-            }),
+            block_uids: vec![Uid::INVALID; rows as usize],
+            parity_uids: BTreeMap::new(),
+            spares: BTreeMap::new(),
+            invalid_rows: BTreeSet::new(),
+            uid_gen: UidGen::new(site as u16),
+            next_tag: 0,
+        })
+    }
+
+    /// A machine around a durable half, as a restarting process builds one
+    /// from the snapshot it finds after a crash. Volatile state (queues,
+    /// in-flight requests, the reply cache, peer beliefs) starts empty —
+    /// peers retransmit what matters and the §3.2 UID guard absorbs the
+    /// duplicates — and a snapshot taken at quiesce is complete, so no §3.3
+    /// recovery pass is needed.
+    pub fn restore_durable(d: DurableSiteState) -> SiteMachine {
+        let geo = Geometry::new(d.group_size, d.rows).expect("valid geometry");
+        SiteMachine {
+            geo,
+            d: Versioned::new(d),
             layout: Layout::default(),
             pending: FxHashMap::default(),
             in_progress: FxHashSet::default(),
@@ -265,23 +199,12 @@ impl SiteMachine {
 
     /// This machine's site id.
     pub fn site(&self) -> usize {
-        self.site
+        self.d.site
     }
 
     /// The layout geometry.
     pub fn geometry(&self) -> &Geometry {
         &self.geo
-    }
-
-    /// Current availability state.
-    pub fn state(&self) -> SiteState {
-        self.state
-    }
-
-    /// Drive an up/down/recovering transition (an input event owned by the
-    /// driver: process death, revival, §5 isolation).
-    pub fn set_state(&mut self, state: SiteState) {
-        self.state = state;
     }
 
     /// Believe `peer` down (`true`) or back (`false`). While a row's parity
@@ -384,7 +307,7 @@ impl SiteMachine {
     pub fn fresh_tag(&mut self) -> u64 {
         let d = self.d.w(Touch::Counters);
         d.next_tag += 1;
-        ((self.site as u64 + 1) << 48) | d.next_tag
+        ((d.site as u64 + 1) << 48) | d.next_tag
     }
 
     /// Writes still awaiting their parity ack.
@@ -437,39 +360,15 @@ impl SiteMachine {
     /// [`crate::durable`] for the durable/volatile split and why the two
     /// counters are part of it).
     pub fn durable_snapshot(&self) -> DurableSiteState {
-        DurableSiteState {
-            site: self.site,
-            group_size: self.geo.group_size(),
-            rows: self.d.block_uids.len() as u64,
-            block_size: self.block_size,
-            block_uids: self.d.block_uids.clone(),
-            parity_uids: self
-                .d
-                .parity_uids
-                .iter()
-                .map(|(row, arr)| (*row, arr.slots().to_vec()))
-                .collect(),
-            spares: self
-                .d
-                .spares
-                .iter()
-                .map(|(row, slot)| (*row, slot.for_site, slot.content()))
-                .collect(),
-            invalid_rows: self.d.invalid_rows.iter().copied().collect(),
-            uid_counter: self.d.uid_gen.counter(),
-            next_tag: self.d.next_tag,
-        }
+        DurableSiteState::clone(&self.d)
     }
 
-    /// A counter that moves whenever a field [`durable_snapshot`] projects
-    /// is borrowed mutably: two calls returning the same value bracket a
-    /// stretch in which the snapshot's encoding cannot have changed, so a
-    /// driver may skip the encode-and-compare (and the commit) for messages
-    /// that leave it alone — reads, acks, probes, replayed replies. It is
-    /// neither durable nor canonical state: a restored machine starts its
-    /// own count.
-    ///
-    /// [`durable_snapshot`]: SiteMachine::durable_snapshot
+    /// A counter that moves whenever the durable half is borrowed mutably:
+    /// two calls returning the same value bracket a stretch in which the
+    /// snapshot's encoding cannot have changed, so a driver may skip the
+    /// encode-and-compare (and the commit) for messages that leave it
+    /// alone — reads, acks, probes, replayed replies. It is neither durable
+    /// nor canonical state: a restored machine starts its own count.
     pub fn durable_version(&self) -> u64 {
         self.d.version()
     }
@@ -492,7 +391,7 @@ impl SiteMachine {
         self.d.rebase();
         match patch {
             Some(patch) => DurableDelta::Patch(patch),
-            None => DurableDelta::Whole(self.durable_snapshot().encode_indexed(&mut self.layout)),
+            None => DurableDelta::Whole(self.d.encode_indexed(&mut self.layout)),
         }
     }
 
@@ -544,44 +443,6 @@ impl SiteMachine {
         ))
     }
 
-    /// A machine rebuilt from a durable snapshot, as a restarting process
-    /// does after a crash. Volatile state (queues, in-flight requests, the
-    /// reply cache) starts empty — peers retransmit what matters and the
-    /// §3.2 UID guard absorbs the duplicates — and the machine comes up
-    /// [`SiteState::Up`]: a snapshot taken at quiesce is complete, so no
-    /// §3.3 recovery pass is needed.
-    pub fn restore_durable(d: &DurableSiteState) -> SiteMachine {
-        let mut machine = SiteMachine::new(d.site, d.group_size, d.rows, d.block_size);
-        let n = machine.geo.num_sites();
-        let m = machine.d.w(Touch::Shape);
-        assert_eq!(
-            d.block_uids.len(),
-            m.block_uids.len(),
-            "snapshot geometry mismatch"
-        );
-        m.block_uids = d.block_uids.clone();
-        for (row, slots) in &d.parity_uids {
-            let mut arr = UidArray::new(n);
-            for (i, u) in slots.iter().enumerate().take(n) {
-                arr.set(i, *u);
-            }
-            m.parity_uids.insert(*row, arr);
-        }
-        for (row, for_site, content) in &d.spares {
-            m.spares.insert(
-                *row,
-                SpareSlot {
-                    for_site: *for_site,
-                    kind: kind_from_content(content, n),
-                },
-            );
-        }
-        m.invalid_rows = d.invalid_rows.iter().copied().collect();
-        m.uid_gen = UidGen::restore(d.site as u16, d.uid_counter);
-        m.next_tag = d.next_tag;
-        machine
-    }
-
     /// Forget the metadata of `rows` (a replaced disk's blank blocks).
     pub fn forget_rows(&mut self, rows: std::ops::Range<u64>) {
         let d = self.d.w(Touch::Shape);
@@ -611,6 +472,60 @@ impl SiteMachine {
         }
     }
 
+    /// Why this site refuses `msg` whatever its state: a field off the wire
+    /// that does not fit the geometry. A row, data index or site index out
+    /// of range, or a row whose spare (for a spare request) or whose parity
+    /// and spare (for a parity update) live at another site, is
+    /// `OutOfRange`; a block or a UID array of the wrong length is
+    /// `BadSize`. Checked before any field is used, so no peer can make the
+    /// machine index past its state. A mask is checked where it is applied.
+    ///
+    /// Out of line on purpose: inlined into `handle`, it made the bare
+    /// parity apply ~1.5 ns faster and the tapped one not, which the `_obs`
+    /// gate reads as a dearer tap (EXPERIMENTS.md, PR 28).
+    #[inline(never)]
+    fn misfit(&self, msg: &Msg) -> Option<NackReason> {
+        let (geo, site, n) = (&self.geo, self.site(), self.geo.num_sites());
+        let row_ok = |row: u64| row < geo.rows();
+        let spare_here = |row: u64| row_ok(row) && geo.spare_site(row) == site;
+        let parity_here = |row: u64| row_ok(row) && geo.parity_site(row) == site;
+        let block_ok = |data: &Bytes| data.len() == self.d.block_size;
+        let content_ok =
+            |c: &SpareContent| !matches!(c, SpareContent::Parity { uids } if uids.len() != n);
+        let (in_range, sized) = match msg {
+            Msg::Read { index, .. } => (*index < geo.data_capacity(site), true),
+            Msg::Write { index, data, .. } => (*index < geo.data_capacity(site), block_ok(data)),
+            Msg::ParityUpdate { row, from_site, .. } => {
+                let here = parity_here(*row) || spare_here(*row);
+                (here && *from_site < n, true)
+            }
+            Msg::SpareProbe { row, .. } => (spare_here(*row), true),
+            Msg::SpareInstall {
+                row,
+                for_site,
+                data,
+                content,
+                ..
+            } => (
+                spare_here(*row) && *for_site < n,
+                block_ok(data) && content_ok(content),
+            ),
+            Msg::RestoreBlock {
+                row, data, content, ..
+            } => (row_ok(*row), block_ok(data) && content_ok(content)),
+            Msg::BlockRead { row, .. } | Msg::SpareTake { row, .. } => (row_ok(*row), true),
+            Msg::SpareDrainList { for_site, .. } => (*for_site < n, true),
+            _ => (true, true),
+        };
+        if !in_range {
+            Some(NackReason::OutOfRange)
+        } else if !sized {
+            Some(NackReason::BadSize)
+        } else {
+            None
+        }
+    }
+
     /// Handle one delivered message from peer `src`, appending effects.
     pub fn handle(&mut self, blocks: &mut dyn Blocks, src: usize, msg: Msg, out: &mut Vec<Effect>) {
         if msg.is_request() {
@@ -631,6 +546,9 @@ impl SiteMachine {
             // swallow; the deferred reply will answer the original.
             if self.in_progress.contains(&key) {
                 return;
+            }
+            if let Some(reason) = self.misfit(&msg) {
+                return self.nack(out, src, key.1, reason);
             }
         }
         match msg {
@@ -655,7 +573,7 @@ impl SiteMachine {
                 data,
                 content,
                 tag,
-            } => self.on_spare_install(blocks, src, row, for_site, data, &content, tag, out),
+            } => self.on_spare_install(blocks, src, row, for_site, data, content, tag, out),
             Msg::BlockRead { row, tag } => self.on_block_read(blocks, src, row, tag, out),
             Msg::SpareDrainList { for_site, tag } => {
                 let rows: Vec<u64> = self
@@ -685,7 +603,7 @@ impl SiteMachine {
                 data,
                 content,
                 tag,
-            } => self.on_restore(blocks, src, row, data, &content, tag, out),
+            } => self.on_restore(blocks, src, row, data, content, tag, out),
             // Replies that reach a site outside its pending table are stale
             // (e.g. an ack for a write whose site restarted): drop them.
             Msg::ReadOk { .. }
@@ -705,10 +623,7 @@ impl SiteMachine {
         tag: u64,
         out: &mut Vec<Effect>,
     ) {
-        if index >= self.geo.data_capacity(self.site) {
-            return self.nack(out, src, tag, NackReason::OutOfRange);
-        }
-        let row = self.geo.data_to_physical(self.site, index);
+        let row = self.geo.data_to_physical(self.site(), index);
         if self.d.invalid_rows.contains(&row) {
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
@@ -732,13 +647,7 @@ impl SiteMachine {
         tag: u64,
         out: &mut Vec<Effect>,
     ) {
-        if index >= self.geo.data_capacity(self.site) {
-            return self.nack(out, src, tag, NackReason::OutOfRange);
-        }
-        if data.len() != self.block_size {
-            return self.nack(out, src, tag, NackReason::BadSize);
-        }
-        let row = self.geo.data_to_physical(self.site, index);
+        let row = self.geo.data_to_physical(self.site(), index);
         // A row lost with its disk holds no old value to take a change mask
         // against: the client writes it W1' instead (§3.2).
         if self.d.invalid_rows.contains(&row) {
@@ -811,7 +720,7 @@ impl SiteMachine {
 
     /// Build the wire message for `row`'s queue front and send it.
     fn launch_front(&mut self, row: u64, out: &mut Vec<Effect>) {
-        let site = self.site;
+        let site = self.site();
         let Some((tag, msg)) = self
             .parity_queue
             .get(&row)
@@ -863,18 +772,17 @@ impl SiteMachine {
         // Whose UID array the row's parity block answers to here: ours, or,
         // at the row's spare while the parity site is down, the stand-in's.
         let parity_site = self.geo.parity_site(row);
-        let recorded = if parity_site == self.site {
+        let recorded = if parity_site == self.site() {
             // A row lost with its disk holds no parity to apply a mask to.
             if self.d.invalid_rows.contains(&row) {
                 return self.refuse_update(out, src, tag);
             }
             self.d.parity_uids.get(&row).map(|a| a.get(from_site))
         } else {
-            debug_assert_eq!(self.geo.spare_site(row), self.site);
             match self.d.spares.get(&row) {
                 Some(SpareSlot {
                     for_site,
-                    kind: SpareKind::Parity { uids },
+                    content: SpareContent::Parity { uids },
                 }) if *for_site == parity_site => Some(uids.get(from_site)),
                 _ => return self.refuse_update(out, src, tag),
             }
@@ -890,12 +798,15 @@ impl SiteMachine {
                 return self.refuse_update(out, src, tag);
             };
             let mut parity = parity.to_vec();
+            // Formula (1), XORed straight from the wire buffer, which is
+            // checked against the block before the first byte moves.
+            if ChangeMask::apply_wire(mask_wire, &mut parity).is_none() {
+                return self.nack(out, src, tag, NackReason::BadSize);
+            }
             out.push(Effect::Read {
                 row,
                 purpose: IoPurpose::ParityApply,
             });
-            // Formula (1), XORed straight from the wire buffer.
-            ChangeMask::apply_wire(mask_wire, &mut parity).expect("well-formed mask");
             if blocks.write_owned(row, Bytes::from(parity)).is_err() {
                 return self.refuse_update(out, src, tag);
             }
@@ -904,10 +815,10 @@ impl SiteMachine {
                 purpose: IoPurpose::ParityApply,
             });
             // W4
-            if parity_site == self.site {
+            if parity_site == self.site() {
                 self.parity_uid_array(row).set(from_site, uid);
             } else if let Some(SpareSlot {
-                kind: SpareKind::Parity { uids },
+                content: SpareContent::Parity { uids },
                 ..
             }) = self.d.w(Touch::Shape).spares.get_mut(&row)
             {
@@ -977,7 +888,6 @@ impl SiteMachine {
         tag: u64,
         out: &mut Vec<Effect>,
     ) {
-        debug_assert_eq!(self.geo.spare_site(row), self.site);
         let slot = match self.d.spares.get(&row) {
             None => None,
             Some(s) => {
@@ -1002,7 +912,7 @@ impl SiteMachine {
                 Some(SpareSlotWire {
                     for_site: s.for_site,
                     data,
-                    content: s.content(),
+                    content: s.content.clone(),
                 })
             }
         };
@@ -1017,14 +927,10 @@ impl SiteMachine {
         row: u64,
         for_site: usize,
         data: Bytes,
-        content: &SpareContent,
+        content: SpareContent,
         tag: u64,
         out: &mut Vec<Effect>,
     ) {
-        debug_assert_eq!(self.geo.spare_site(row), self.site);
-        if data.len() != self.block_size {
-            return self.nack(out, src, tag, NackReason::BadSize);
-        }
         // Two failures may not share one spare: an install for a site the
         // slot does not already stand in for is refused. And a parity
         // stand-in is installed once: a second would overwrite the masks
@@ -1041,14 +947,10 @@ impl SiteMachine {
             row,
             purpose: IoPurpose::SpareInstall,
         });
-        let n = self.geo.num_sites();
-        self.d.w(Touch::Shape).spares.insert(
-            row,
-            SpareSlot {
-                for_site,
-                kind: kind_from_content(content, n),
-            },
-        );
+        self.d
+            .w(Touch::Shape)
+            .spares
+            .insert(row, SpareSlot { for_site, content });
         self.reply(out, src, tag, Msg::Ack { tag });
     }
 
@@ -1070,7 +972,7 @@ impl SiteMachine {
             row,
             purpose: IoPurpose::Reconstruct,
         });
-        let parity_uids = if self.geo.parity_site(row) == self.site {
+        let parity_uids = if self.geo.parity_site(row) == self.site() {
             let n = self.geo.num_sites();
             Some(
                 self.d
@@ -1105,13 +1007,10 @@ impl SiteMachine {
         src: usize,
         row: u64,
         data: Bytes,
-        content: &SpareContent,
+        content: SpareContent,
         tag: u64,
         out: &mut Vec<Effect>,
     ) {
-        if data.len() != self.block_size {
-            return self.nack(out, src, tag, NackReason::BadSize);
-        }
         if blocks.write_owned(row, data).is_err() {
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
@@ -1119,9 +1018,9 @@ impl SiteMachine {
             row,
             purpose: IoPurpose::Restore,
         });
-        match kind_from_content(content, self.geo.num_sites()) {
-            SpareKind::Data { data_uid } => self.set_block_uid(row, data_uid),
-            SpareKind::Parity { uids } => *self.parity_uid_array(row) = uids,
+        match content {
+            SpareContent::Data { uid } => self.set_block_uid(row, uid),
+            SpareContent::Parity { uids } => *self.parity_uid_array(row) = uids,
         }
         // The row is whole again. Tested through `Deref` first: a restore
         // onto a valid row must not journal the `Touch::Shape` that
@@ -1163,7 +1062,6 @@ impl crate::check::Checkable for SiteMachine {
     /// `coalesced_merges` (a statistic), and static configuration
     /// (`site`, `geo`, `block_size`, `coalesce` — constant per model).
     fn canon(&self, c: &mut crate::check::Canonicalizer) {
-        c.raw(&(self.state as u8));
         for uid in &self.d.block_uids {
             c.uid(*uid);
         }
@@ -1176,18 +1074,7 @@ impl crate::check::Checkable for SiteMachine {
         for (row, slot) in &self.d.spares {
             c.raw(row);
             c.raw(&slot.for_site);
-            match &slot.kind {
-                SpareKind::Data { data_uid } => {
-                    c.raw(&0u8);
-                    c.uid(*data_uid);
-                }
-                SpareKind::Parity { uids } => {
-                    c.raw(&1u8);
-                    for uid in uids.slots() {
-                        c.uid(*uid);
-                    }
-                }
-            }
+            crate::check::canon_spare_content(&slot.content, c);
         }
         for row in &self.d.invalid_rows {
             c.raw(row);

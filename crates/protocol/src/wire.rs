@@ -6,7 +6,7 @@
 //! both interpreters charge identical bytes for identical sends.
 
 use bytes::Bytes;
-use radd_parity::Uid;
+use radd_parity::{Uid, UidArray};
 use serde::{Deserialize, Serialize};
 
 /// Fixed header overhead charged for any message that carries block data.
@@ -15,11 +15,13 @@ pub const BLOCK_MSG_HEADER: usize = 24;
 /// Wire size charged for a control message (probe, ack, small request).
 pub const CONTROL_MSG_BYTES: usize = 16;
 
-/// What a spare slot holds, as shipped over the wire (§3.2 / §3.3).
+/// What a spare slot holds (§3.2 / §3.3): the one record of it, in a site's
+/// durable state, in a probe's answer, and in an install or a restore.
 ///
 /// A spare standing in for a *data* block carries that block's UID; a spare
 /// standing in for a *parity* block carries the parity block's whole UID
-/// array, because §3.3 read validation needs it.
+/// array, because §3.3 read validation needs it. Off the wire the array may
+/// have any length; a site refuses one that is not `G + 2` long.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SpareContent {
     /// Spare holds a data block with this UID.
@@ -30,7 +32,7 @@ pub enum SpareContent {
     /// Spare holds a parity block with this per-site UID array.
     Parity {
         /// UID array slots, indexed by site.
-        uids: Vec<Uid>,
+        uids: UidArray,
     },
 }
 

@@ -270,7 +270,6 @@ proptest! {
         }
 
         net.hook.down[down_site] = true;
-        net.sites[down_site].0.set_state(radd_protocol::SiteState::Down);
         client.set_down(down_site, true);
 
         for op in &ops {

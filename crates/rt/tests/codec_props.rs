@@ -3,12 +3,18 @@
 //! malformed input — truncated frames, oversized length prefixes,
 //! corrupted checksums, outright garbage — produces clean errors, never a
 //! panic and never an allocation driven by attacker-controlled lengths.
+//!
+//! And one step past the codec: a well-framed message whose fields do not
+//! fit the receiving site (a row, index or site out of range, a mask or a
+//! UID array of the wrong shape) is refused by the site, never a panic.
+//! The message strategies draw such fields as often as fitting ones.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use proptest::strategy::Union;
-use radd_parity::Uid;
+use radd_parity::{ChangeMask, Uid, UidArray};
 use radd_protocol::wire::{Msg, NackReason, SpareContent, SpareSlotWire};
+use radd_protocol::{decode_msg, encode_msg_vec, MemBlocks, SiteMachine};
 use radd_rt::frame::{
     checksum, write_frame, CtlRep, CtlReq, Frame, FrameDecoder, FrameError, FRAME_HEADER,
     MAX_FRAME, READ_STEP,
@@ -23,14 +29,55 @@ fn arb_bytes(max: usize) -> impl Strategy<Value = Bytes> {
     proptest::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
 }
 
+/// The geometry of the site [`a_site_refuses_what_does_not_fit_and_never_panics`]
+/// feeds: `G + 2` sites of `ROWS` rows of `BLOCK`-byte blocks. The
+/// strategies below draw rows, indexes, sites, blocks, masks and UID arrays
+/// that fit it about as often as ones that do not.
+const G: usize = 2;
+const ROWS: u64 = 12;
+const BLOCK: usize = 16;
+
 fn arb_uid() -> impl Strategy<Value = Uid> {
     any::<u64>().prop_map(Uid::from_raw)
+}
+
+/// A row or data index: near the geometry, or anywhere.
+fn arb_row() -> impl Strategy<Value = u64> {
+    prop_oneof![0..ROWS + 4, any::<u64>()]
+}
+
+/// A site index: one of the group's or a neighbour's, or any `u32`.
+fn arb_site() -> impl Strategy<Value = usize> {
+    prop_oneof![0..G + 4, any::<u32>().prop_map(|s| s as usize)]
+}
+
+/// A block payload: `BLOCK` bytes, or any other length.
+fn arb_block() -> impl Strategy<Value = Bytes> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), BLOCK).prop_map(Bytes::from),
+        arb_bytes(64),
+    ]
+}
+
+/// A change mask: a well-formed one for a block of `BLOCK` or another
+/// length, or any bytes.
+fn arb_mask() -> impl Strategy<Value = Bytes> {
+    let well_formed = (prop_oneof![Just(BLOCK), 0usize..40], any::<u64>())
+        .prop_map(|(len, seed)| ChangeMask::diff(&vec![0; len], &noise(len, seed)).encode());
+    prop_oneof![well_formed, arb_bytes(64)]
+}
+
+/// A UID array of `G + 2` slots, or of any length up to twice that.
+fn arb_uids() -> impl Strategy<Value = Vec<Uid>> {
+    proptest::collection::vec(arb_uid(), 0..2 * (G + 2))
 }
 
 fn arb_content() -> impl Strategy<Value = SpareContent> {
     prop_oneof![
         arb_uid().prop_map(|uid| SpareContent::Data { uid }),
-        proptest::collection::vec(arb_uid(), 0..6).prop_map(|uids| SpareContent::Parity { uids }),
+        arb_uids().prop_map(|uids| SpareContent::Parity {
+            uids: UidArray::from_slots(uids)
+        }),
     ]
 }
 
@@ -47,7 +94,7 @@ fn arb_nack_reason() -> impl Strategy<Value = NackReason> {
 fn arb_slot() -> impl Strategy<Value = Option<SpareSlotWire>> {
     prop_oneof![
         Just(None::<SpareSlotWire>),
-        (0..8usize, arb_bytes(64), arb_content()).prop_map(|(for_site, data, content)| {
+        (arb_site(), arb_block(), arb_content()).prop_map(|(for_site, data, content)| {
             Some(SpareSlotWire {
                 for_site,
                 data,
@@ -63,41 +110,35 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     Union::new(vec![
         (
             1,
+            Union::arm((arb_row(), any::<u64>()).prop_map(|(index, tag)| Msg::Read { index, tag })),
+        ),
+        (
+            1,
             Union::arm(
-                (any::<u64>(), any::<u64>()).prop_map(|(index, tag)| Msg::Read { index, tag }),
+                (arb_row(), arb_block(), any::<u64>()).prop_map(|(index, data, tag)| Msg::Write {
+                    index,
+                    data,
+                    tag,
+                }),
             ),
         ),
         (
             1,
             Union::arm(
-                (any::<u64>(), arb_bytes(64), any::<u64>())
-                    .prop_map(|(index, data, tag)| Msg::Write { index, data, tag }),
+                (arb_row(), arb_mask(), arb_uid(), arb_site(), any::<u64>()).prop_map(
+                    |(row, mask_wire, uid, from_site, tag)| Msg::ParityUpdate {
+                        row,
+                        mask_wire,
+                        uid,
+                        from_site,
+                        tag,
+                    },
+                ),
             ),
         ),
         (
             1,
-            Union::arm(
-                (
-                    any::<u64>(),
-                    arb_bytes(64),
-                    arb_uid(),
-                    0..8usize,
-                    any::<u64>(),
-                )
-                    .prop_map(|(row, mask_wire, uid, from_site, tag)| {
-                        Msg::ParityUpdate {
-                            row,
-                            mask_wire,
-                            uid,
-                            from_site,
-                            tag,
-                        }
-                    }),
-            ),
-        ),
-        (
-            1,
-            Union::arm((any::<u64>(), any::<bool>(), any::<u64>()).prop_map(
+            Union::arm((arb_row(), any::<bool>(), any::<u64>()).prop_map(
                 |(row, want_data, tag)| Msg::SpareProbe {
                     row,
                     want_data,
@@ -109,9 +150,9 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             1,
             Union::arm(
                 (
-                    any::<u64>(),
-                    0..8usize,
-                    arb_bytes(64),
+                    arb_row(),
+                    arb_site(),
+                    arb_block(),
                     arb_content(),
                     any::<u64>(),
                 )
@@ -129,26 +170,26 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         (
             1,
             Union::arm(
-                (any::<u64>(), any::<u64>()).prop_map(|(row, tag)| Msg::BlockRead { row, tag }),
+                (arb_row(), any::<u64>()).prop_map(|(row, tag)| Msg::BlockRead { row, tag }),
             ),
         ),
         (
             1,
             Union::arm(
-                (0..8usize, any::<u64>())
+                (arb_site(), any::<u64>())
                     .prop_map(|(for_site, tag)| Msg::SpareDrainList { for_site, tag }),
             ),
         ),
         (
             1,
             Union::arm(
-                (any::<u64>(), any::<u64>()).prop_map(|(row, tag)| Msg::SpareTake { row, tag }),
+                (arb_row(), any::<u64>()).prop_map(|(row, tag)| Msg::SpareTake { row, tag }),
             ),
         ),
         (
             1,
             Union::arm(
-                (any::<u64>(), arb_bytes(64), arb_content(), any::<u64>()).prop_map(
+                (arb_row(), arb_block(), arb_content(), any::<u64>()).prop_map(
                     |(row, data, content, tag)| Msg::RestoreBlock {
                         row,
                         data,
@@ -183,10 +224,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     any::<u64>(),
                     arb_bytes(64),
                     arb_uid(),
-                    prop_oneof![
-                        Just(None::<Vec<Uid>>),
-                        proptest::collection::vec(arb_uid(), 0..6).prop_map(Some),
-                    ],
+                    prop_oneof![Just(None::<Vec<Uid>>), arb_uids().prop_map(Some),],
                 )
                     .prop_map(|(tag, data, uid, parity_uids)| Msg::BlockData {
                         tag,
@@ -547,6 +585,71 @@ proptest! {
     ) {
         let _ = decode_split(&junk, &cuts); // Ok or Err both fine; no panic
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever decodes reaches the site machine, from whichever peer:
+    /// fields that do not fit the geometry are refused on the wire, and
+    /// nothing a message carries can make the machine panic.
+    #[test]
+    fn a_site_refuses_what_does_not_fit_and_never_panics(
+        site in 0..G + 2,
+        msgs in proptest::collection::vec((0usize..G + 4, arb_msg()), 1..24),
+    ) {
+        let mut machine = SiteMachine::new(site, G, ROWS, BLOCK);
+        let mut blocks = MemBlocks::new(ROWS, BLOCK);
+        let mut out = Vec::new();
+        for (src, msg) in msgs {
+            let msg = decode_msg(&Bytes::from(encode_msg_vec(&msg))).expect("every Msg decodes");
+            machine.handle(&mut blocks, src, msg, &mut out);
+        }
+    }
+}
+
+/// A parity UID array has one slot per site: an install or a restore that
+/// carries a shorter or a longer one is refused, so no later update can
+/// index past it. (Too rare a sequence for the property above to find.)
+#[test]
+fn a_uid_array_without_one_slot_per_site_is_refused() {
+    let geo = radd_layout::Geometry::new(G, ROWS).expect("geometry");
+    let row = 0;
+    let mut machine = SiteMachine::new(geo.spare_site(row), G, ROWS, BLOCK);
+    let mut blocks = MemBlocks::new(ROWS, BLOCK);
+    for (tag, len) in [(1, G + 1), (3, G + 3)] {
+        let content = SpareContent::Parity {
+            uids: UidArray::new(len),
+        };
+        let data = Bytes::from(vec![0; BLOCK]);
+        let install = Msg::SpareInstall {
+            row,
+            for_site: geo.parity_site(row),
+            data: data.clone(),
+            content: content.clone(),
+            tag,
+        };
+        let restore = Msg::RestoreBlock {
+            row,
+            data,
+            content,
+            tag: tag + 1,
+        };
+        for msg in [install, restore] {
+            let tag = msg.tag();
+            let mut out = Vec::new();
+            machine.handle(&mut blocks, 0, msg, &mut out);
+            let refusal = Msg::Nack {
+                tag,
+                reason: NackReason::BadSize,
+            };
+            assert!(
+                matches!(&out[..], [radd_protocol::Effect::Send { msg, .. }] if *msg == refusal),
+                "{out:?}"
+            );
+        }
+    }
+    assert!(machine.spares().is_empty() && machine.parity_uids().is_empty());
 }
 
 /// The `arb_msg` union covers every [`radd_protocol::MsgKind`]; if a wire

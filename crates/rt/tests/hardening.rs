@@ -8,17 +8,27 @@
 //! site cluster through each abuse and then prove a well-formed client is
 //! still served.
 //!
+//! What a well-framed message *says* is the site machine's to check: one
+//! whose fields do not fit the geometry is refused on the wire, and the
+//! site stays up.
+//!
 //! A reader thread handles what it reads under the site lock and sends the
 //! effects while it holds it (DESIGN.md §12, "Thread model"), so one more
 //! thing belongs here: a peer that stops *reading* costs the site a write
 //! timeout and its own connection, nothing else. (`cross_traffic.rs` is
 //! the other half: sites sending to each other under their locks.)
 
-use radd_protocol::{CoalescePolicy, Msg};
-use radd_rt::frame::write_frame;
+use bytes::Bytes;
+use radd_layout::Geometry;
+use radd_parity::{ChangeMask, Uid};
+use radd_protocol::{CoalescePolicy, Msg, NackReason};
+use radd_rt::frame::{read_frame, write_frame};
 use radd_rt::net::WRITE_TIMEOUT;
 use radd_rt::server::run_site;
-use radd_rt::{Control, Frame, SiteConfig, SocketClient, SocketEndpoint};
+use radd_rt::{
+    Control, CtlClient, CtlRep, CtlReq, Frame, FrameDecoder, SiteConfig, SocketClient,
+    SocketEndpoint,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -182,6 +192,57 @@ fn a_frame_with_the_serial_checksum_is_refused_and_the_site_serves_on() {
     assert_eq!(client.read(0, 1).expect("still served"), vec![0x11; BLOCK]);
     client.write(0, 2, &[0x22; BLOCK]).expect("write served");
     assert_eq!(client.read(0, 2).expect("read served"), vec![0x22; BLOCK]);
+    drop(client);
+    shutdown(&control, handles);
+}
+
+/// Well-framed parity updates whose fields do not fit: one from a site the
+/// group does not have, one with a 3-byte mask. Both reach the machine
+/// under the site lock, which must refuse them rather than panic there (a
+/// panic under the lock takes the site down until a restart).
+#[test]
+fn a_parity_update_that_does_not_fit_is_refused_and_the_site_stays_up() {
+    let (addrs, control, handles) = spawn_sites();
+    let ep = SocketEndpoint::client(0, EP_BASE, addrs.clone());
+    let mut client = SocketClient::new(ep, G, ROWS, BLOCK);
+    client.write(0, 1, &[0x33; BLOCK]).expect("write served");
+
+    // The written block's parity site, which now holds the row's UID array.
+    let geo = Geometry::new(G, ROWS).expect("geometry");
+    let row = geo.data_to_physical(0, 1);
+    let parity = geo.parity_site(row);
+    let mut stranger = TcpStream::connect(addrs[parity]).expect("dial the parity site");
+    stranger
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    // An endpoint id no member or client of this cluster has.
+    write_frame(&mut stranger, &Frame::Hello { id: 9 }).expect("hello");
+    let mask = ChangeMask::diff(&[0; BLOCK], &[1; BLOCK]).encode();
+    let bad = [
+        (1, mask, 99, NackReason::OutOfRange),
+        (2, Bytes::from(vec![1, 2, 3]), 0, NackReason::BadSize),
+    ];
+    for (tag, mask_wire, from_site, _) in &bad {
+        let update = Msg::ParityUpdate {
+            row,
+            mask_wire: mask_wire.clone(),
+            uid: Uid::from_raw(0xBAD),
+            from_site: *from_site,
+            tag: *tag,
+        };
+        write_frame(&mut stranger, &Frame::Proto(update)).expect("parity update");
+    }
+    let mut dec = FrameDecoder::new();
+    for &(tag, _, _, reason) in &bad {
+        let reply = read_frame(&mut stranger, &mut dec, &mut []).expect("a reply");
+        assert_eq!(reply, Some(Frame::Proto(Msg::Nack { tag, reason })));
+    }
+
+    let mut ctl = CtlClient::connect(addrs[parity]).expect("control");
+    assert_eq!(ctl.request(CtlReq::Ping), Ok(CtlRep::Pong { down: false }));
+    assert_eq!(client.read(0, 1).expect("read served"), vec![0x33; BLOCK]);
+    client.write(0, 1, &[0x44; BLOCK]).expect("write served");
+    assert_eq!(client.read(0, 1).expect("read served"), vec![0x44; BLOCK]);
     drop(client);
     shutdown(&control, handles);
 }

@@ -39,7 +39,7 @@
 
 use radd_core::{CheckError, CheckedCluster, PartitionMap, SiteState};
 use radd_obs::ObsSnapshot;
-use radd_protocol::{ClientErr, GroupCluster, TraceEntry};
+use radd_protocol::{ClientErr, GroupCluster, ObsEvent};
 use radd_sim::SimRng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -979,7 +979,7 @@ impl<C: GroupCluster<Obs = ObsSnapshot>> PlanDriver<C> {
     /// normalised traces (index 0 = client, `1 + j` = site `j`), and only
     /// then the one final sweep. The other half of the comparison is
     /// [`outcomes`](PlanDriver::outcomes).
-    pub fn replay(&mut self, plan: &FaultPlan) -> Result<Vec<Vec<TraceEntry>>, String> {
+    pub fn replay(&mut self, plan: &FaultPlan) -> Result<Vec<Vec<ObsEvent>>, String> {
         self.cluster.record_traces(true);
         for (i, event) in plan.events.iter().enumerate() {
             self.apply(event)

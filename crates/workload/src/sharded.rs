@@ -21,7 +21,7 @@
 
 use crate::faults::{payload, Outcome};
 use radd_layout::{Geometry, GlobalAddr, ShardMap};
-use radd_protocol::{GroupCluster, Router, TraceEntry};
+use radd_protocol::{GroupCluster, ObsEvent, Router};
 use radd_sim::SimRng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -229,7 +229,7 @@ pub struct ShardedReport {
     /// client, `1 + j` = member `j`), drained after the final quiesce and
     /// before the final sweep, whose reads would pollute them. Empty
     /// vectors unless the caller turned `record_traces` on first.
-    pub traces: Vec<Vec<Vec<TraceEntry>>>,
+    pub traces: Vec<Vec<Vec<ObsEvent>>>,
 }
 
 /// Replay `plan` against `driver`, checking every read against an oracle

@@ -61,8 +61,18 @@
 # results/BENCH_pr20.json: a payload-sized copy or a second buffer creeping
 # back into the frame path shows there.
 #
+# With --parent DIR (a checkout of the parent commit, e.g. a `git clone`),
+# every gate's benches run in DIR first and then here, and the table gives
+# each gate's value on both trees beside its bound, so a gate that fails
+# on an unchanged tree shows as failing on both. A bound read from
+# recorded results is this tree's, for both columns; a bound from the same
+# run (the patch bytes must equal the whole-blob bytes) is each tree's own,
+# and the column shows this tree's. Without --parent the parent columns
+# read `-`. The exit status judges this tree alone.
+#
 # Usage:
 #   scripts/bench_check.sh                # tolerance 2.0, obs ratio 1.05
+#   scripts/bench_check.sh --parent DIR   # the same, with DIR's values
 #   BENCH_TOLERANCE=4.0 scripts/bench_check.sh
 #   OBS_TOLERANCE=1.10 scripts/bench_check.sh
 #   MG_LIVE=0 scripts/bench_check.sh      # skip the live scaling run
@@ -70,210 +80,129 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+HERE="$PWD"
+
+PARENT=""
+if [ "${1:-}" = "--parent" ]; then
+    PARENT="$(cd "${2:?--parent needs a directory}" && pwd)"
+fi
 
 TOLERANCE="${BENCH_TOLERANCE:-2.0}"
 OBS_TOLERANCE="${OBS_TOLERANCE:-1.05}"
-BASELINE=results/protocol_core_bench.json
-
-echo "== bench_check: protocol_core vs $BASELINE (tolerance x$TOLERANCE)"
-OUT="$(cargo bench -p radd-bench --bench protocol_core 2>&1 | grep '^bench ' || true)"
-if [ -z "$OUT" ]; then
-    echo "bench_check: no bench output lines produced" >&2
-    exit 1
-fi
-echo "$OUT"
-
-fail=0
-for name in healthy_write_g8_4k parity_apply_g8_4k; do
-    base="$(python3 -c "import json; print(json.load(open('$BASELINE'))['baseline']['$name']['ns_per_iter'])")"
-    got="$(echo "$OUT" | awk -v n="protocol_core/$name" '$2 == n { print $3 }')"
-    if [ -z "$got" ]; then
-        echo "FAIL  $name: row missing from bench output" >&2
-        fail=1
-        continue
-    fi
-    if awk -v m="$got" -v b="$base" -v t="$TOLERANCE" 'BEGIN { exit !(m <= b * t) }'; then
-        echo "ok    $name: $got ns/iter (baseline $base, limit $(awk -v b="$base" -v t="$TOLERANCE" 'BEGIN { printf "%d", b * t }'))"
-    else
-        echo "FAIL  $name: $got ns/iter exceeds baseline $base x $TOLERANCE" >&2
-        fail=1
-    fi
-done
-
-echo "== bench_check: observability overhead (limit x$OBS_TOLERANCE, same-run ratio)"
-for name in healthy_write_g8_4k parity_apply_g8_4k; do
-    plain="$(echo "$OUT" | awk -v n="protocol_core/$name" '$2 == n { print $3 }')"
-    obs="$(echo "$OUT" | awk -v n="protocol_core/${name}_obs" '$2 == n { print $3 }')"
-    if [ -z "$plain" ] || [ -z "$obs" ]; then
-        echo "FAIL  ${name}_obs: bench row missing (plain='$plain' obs='$obs')" >&2
-        fail=1
-        continue
-    fi
-    if awk -v o="$obs" -v p="$plain" -v t="$OBS_TOLERANCE" 'BEGIN { exit !(o <= p * t) }'; then
-        echo "ok    ${name}_obs: $obs ns/iter vs $plain plain ($(awk -v o="$obs" -v p="$plain" 'BEGIN { printf "%.1f%%", (o / p - 1) * 100 }') overhead)"
-    else
-        echo "FAIL  ${name}_obs: $obs ns/iter vs $plain plain exceeds x$OBS_TOLERANCE" >&2
-        fail=1
-    fi
-done
-
-SNAPSHOT=target/obs_bench_snapshot.json
-if python3 -c "import json; s = json.load(open('$SNAPSHOT')); assert s['machines'], 'no machines'" 2>/dev/null; then
-    echo "ok    obs snapshot export: $SNAPSHOT parses and is non-empty"
-else
-    echo "FAIL  obs snapshot export: $SNAPSHOT missing or invalid" >&2
-    fail=1
-fi
-
 MG_MIN_RATIO="${MG_MIN_RATIO:-3.0}"
-MG_BASELINE=results/BENCH_pr7.json
-echo "== bench_check: cross-group scaling (recorded + live, min x$MG_MIN_RATIO at 8 groups)"
-recorded="$(python3 -c "import json; print(json.load(open('$MG_BASELINE'))['headline']['scaling_8v1'])" 2>/dev/null || true)"
-if [ -z "$recorded" ]; then
-    echo "FAIL  multigroup: $MG_BASELINE missing or lacks headline.scaling_8v1" >&2
-    fail=1
-elif awk -v r="$recorded" -v t="$MG_MIN_RATIO" 'BEGIN { exit !(r >= t) }'; then
-    echo "ok    multigroup recorded: ${recorded}x aggregate at 8 groups vs 1 (min ${MG_MIN_RATIO}x)"
-else
-    echo "FAIL  multigroup recorded: ${recorded}x below the ${MG_MIN_RATIO}x floor" >&2
-    fail=1
-fi
-if [ "${MG_LIVE:-1}" != "0" ]; then
-    MG_OUT="$(MG_SECS="${MG_SECS:-2}" MG_GROUPS=1,8 cargo run --release -q -p radd-bench --bin multigroup_scaling 2>&1 | grep '^bench ' || true)"
-    echo "$MG_OUT"
-    live="$(echo "$MG_OUT" | awk '$2 ~ /scaling_8v1/ { sub(/ratio=/, "", $3); print $3 }')"
-    if [ -z "$live" ]; then
-        echo "FAIL  multigroup live: no scaling_8v1 line produced" >&2
-        fail=1
-    elif awk -v r="$live" -v t="$MG_MIN_RATIO" 'BEGIN { exit !(r >= t) }'; then
-        echo "ok    multigroup live: ${live}x aggregate at 8 groups vs 1 (min ${MG_MIN_RATIO}x)"
-    else
-        echo "FAIL  multigroup live: ${live}x below the ${MG_MIN_RATIO}x floor" >&2
-        fail=1
-    fi
-fi
-
 RB_MIN_RATIO="${RB_MIN_RATIO:-2.0}"
-RB_BASELINE=results/BENCH_pr8.json
-echo "== bench_check: declustered rebuild speedup (recorded + live, min x$RB_MIN_RATIO at >= 12 sites)"
-recorded="$(python3 -c "import json; print(json.load(open('$RB_BASELINE'))['headline']['declustered_speedup_at_12_sites'])" 2>/dev/null || true)"
-if [ -z "$recorded" ]; then
-    echo "FAIL  rebuild: $RB_BASELINE missing or lacks headline.declustered_speedup_at_12_sites" >&2
-    fail=1
-elif awk -v r="$recorded" -v t="$RB_MIN_RATIO" 'BEGIN { exit !(r >= t) }'; then
-    echo "ok    rebuild recorded: ${recorded}x declustered vs rotation at 12 sites (min ${RB_MIN_RATIO}x)"
-else
-    echo "FAIL  rebuild recorded: ${recorded}x below the ${RB_MIN_RATIO}x floor" >&2
-    fail=1
-fi
-if [ "${RB_LIVE:-1}" != "0" ]; then
-    RB_OUT="$(RB_POOLS="${RB_POOLS:-12}" cargo run --release -q -p radd-bench --bin rebuild_scaling 2>&1 | grep '^bench ' || true)"
-    echo "$RB_OUT"
-    live="$(echo "$RB_OUT" | awk '$2 ~ /pool=12$/ && $3 ~ /^declustered_speedup=/ { sub(/declustered_speedup=/, "", $3); print $3 }')"
-    if [ -z "$live" ]; then
-        echo "FAIL  rebuild live: no pool=12 declustered_speedup line produced" >&2
-        fail=1
-    elif awk -v r="$live" -v t="$RB_MIN_RATIO" 'BEGIN { exit !(r >= t) }'; then
-        echo "ok    rebuild live: ${live}x declustered vs rotation at 12 sites (min ${RB_MIN_RATIO}x)"
-    else
-        echo "FAIL  rebuild live: ${live}x below the ${RB_MIN_RATIO}x floor" >&2
-        fail=1
-    fi
-fi
 WAL_MAX_COMMIT_BYTES=$((4096 + 256))
-WAL_BASELINE=results/BENCH_pr16.json
-echo "== bench_check: WAL bytes per 1x4k commit with a 512-row site snapshot (recorded + live, max $WAL_MAX_COMMIT_BYTES B)"
-recorded="$(python3 -c "import json; print(json.load(open('$WAL_BASELINE'))['headline']['commit_1x4k_site_meta_512_bytes'])" 2>/dev/null || true)"
-DC_OUT="$(cargo bench -p radd-bench --bench disk_commit 2>&1 | grep '^bench ' || true)"
-echo "$DC_OUT"
-live="$(echo "$DC_OUT" | awk '$2 == "disk_commit/commit_1x4k_site_meta_512_bytes" { print $3 }')"
-for pair in "recorded:$recorded" "live:$live"; do
-    which="${pair%%:*}"
-    got="${pair#*:}"
-    if [ -z "$got" ]; then
-        echo "FAIL  wal commit bytes $which: no commit_1x4k_site_meta_512_bytes value" >&2
-        fail=1
-    elif [ "$got" -le "$WAL_MAX_COMMIT_BYTES" ]; then
-        echo "ok    wal commit bytes $which: $got B per commit (max $WAL_MAX_COMMIT_BYTES)"
-    else
-        echo "FAIL  wal commit bytes $which: $got B per commit exceeds $WAL_MAX_COMMIT_BYTES" >&2
-        fail=1
-    fi
-done
-echo "== bench_check: 1x4k commit with a 512-row site snapshot vs $WAL_BASELINE (tolerance x$TOLERANCE)"
-base="$(python3 -c "import json; print(json.load(open('$WAL_BASELINE'))['headline']['commit_1x4k_site_meta_512_ns'])" 2>/dev/null || true)"
-got="$(echo "$DC_OUT" | awk '$2 == "disk_commit/commit_1x4k_site_meta_512" { print $3 }')"
-if [ -z "$base" ] || [ -z "$got" ]; then
-    echo "FAIL  wal commit ns: value missing (recorded='$base' live='$got')" >&2
-    fail=1
-elif awk -v m="$got" -v b="$base" -v t="$TOLERANCE" 'BEGIN { exit !(m <= b * t) }'; then
-    echo "ok    wal commit ns: $got ns/iter (recorded $base, limit $(awk -v b="$base" -v t="$TOLERANCE" 'BEGIN { printf "%d", b * t }'))"
-else
-    echo "FAIL  wal commit ns: $got ns/iter exceeds recorded $base x $TOLERANCE" >&2
-    fail=1
-fi
 
-echo "== bench_check: metadata patch (same-run ratios: flat in rows, 8x under the whole encode, same log bytes)"
-dc_row() { echo "$DC_OUT" | awk -v n="disk_commit/$1" '$2 == n { print $3 }'; }
-small="$(dc_row site_meta_patch_512)"
-large="$(dc_row site_meta_patch_8192)"
-whole="$(dc_row snapshot_encode_512)"
-patch_bytes="$(dc_row commit_1x4k_site_patch_512_bytes)"
-blob_bytes="$(dc_row commit_1x4k_site_meta_512_bytes)"
-if [ -z "$small" ] || [ -z "$large" ] || [ -z "$whole" ]; then
-    echo "FAIL  metadata patch: bench row missing (512='$small' 8192='$large' encode='$whole')" >&2
-    fail=1
-else
-    if awk -v s="$small" -v l="$large" 'BEGIN { exit !(l <= s * 1.5) }'; then
-        echo "ok    site_meta_patch: $large ns/iter at 8192 rows vs $small at 512 ($(awk -v s="$small" -v l="$large" 'BEGIN { printf "%.2f", l / s }')x; max 1.5x)"
-    else
-        echo "FAIL  site_meta_patch: $large ns/iter at 8192 rows is over 1.5x the $small at 512" >&2
-        fail=1
+# measure DIR: run every gate's benches in DIR, print what they print, and
+# leave the `bench` lines in PC_OUT, MG_OUT, RB_OUT, DC_OUT and FP_OUT.
+measure() {
+    local dir=$1
+    echo "== bench_check: benches in $dir"
+    PC_OUT="$(cd "$dir" && cargo bench -p radd-bench --bench protocol_core 2>&1 | grep '^bench ' || true)"
+    MG_OUT=""
+    if [ "${MG_LIVE:-1}" != "0" ]; then
+        MG_OUT="$(cd "$dir" && MG_SECS="${MG_SECS:-2}" MG_GROUPS=1,8 cargo run --release -q -p radd-bench --bin multigroup_scaling 2>&1 | grep '^bench ' || true)"
     fi
-    if awk -v s="$small" -v w="$whole" 'BEGIN { exit !(w >= s * 8) }'; then
-        echo "ok    site_meta_patch_512: $small ns/iter, $(awk -v s="$small" -v w="$whole" 'BEGIN { printf "%.0f", w / s }')x under snapshot_encode_512 ($whole; min 8x)"
-    else
-        echo "FAIL  site_meta_patch_512: $small ns/iter is not 8x under snapshot_encode_512 ($whole)" >&2
-        fail=1
+    RB_OUT=""
+    if [ "${RB_LIVE:-1}" != "0" ]; then
+        RB_OUT="$(cd "$dir" && RB_POOLS="${RB_POOLS:-12}" cargo run --release -q -p radd-bench --bin rebuild_scaling 2>&1 | grep '^bench ' || true)"
     fi
-fi
-if [ -n "$patch_bytes" ] && [ "$patch_bytes" = "$blob_bytes" ]; then
-    echo "ok    wal commit bytes by patch: $patch_bytes B per commit, as by whole blob"
-else
-    echo "FAIL  wal commit bytes by patch: '$patch_bytes' B per commit against '$blob_bytes' by whole blob" >&2
-    fail=1
-fi
+    DC_OUT="$(cd "$dir" && cargo bench -p radd-bench --bench disk_commit 2>&1 | grep '^bench ' || true)"
+    FP_OUT="$(cd "$dir" && cargo bench -p radd-bench --bench frame_path 2>&1 | grep '^bench ' || true)"
+    printf '%s\n' "$PC_OUT" "$MG_OUT" "$RB_OUT" "$DC_OUT" "$FP_OUT" | grep -v '^$' || true
+}
 
-FP_BASELINE=results/BENCH_pr20.json
-echo "== bench_check: frame path kernels (same-run ratios, then vs $FP_BASELINE at tolerance x$TOLERANCE)"
-FP_OUT="$(cargo bench -p radd-bench --bench frame_path 2>&1 | grep '^bench ' || true)"
-echo "$FP_OUT"
-fp_row() { echo "$FP_OUT" | awk -v n="frame_path/$1" '$2 == n { print $3 }'; }
-for spec in "checksum_serial_64k checksum_64k 2.5" "crc32_bytewise_4k crc32_4k 3.0"; do
-    set -- $spec
-    old="$(fp_row "$1")"
-    new="$(fp_row "$2")"
-    if [ -z "$old" ] || [ -z "$new" ]; then
-        echo "FAIL  $2: bench row missing ($1='$old' $2='$new')" >&2
-        fail=1
-    elif awk -v o="$old" -v n="$new" -v t="$3" 'BEGIN { exit !(o >= n * t) }'; then
-        echo "ok    $2: $new ns/iter, $(awk -v o="$old" -v n="$new" 'BEGIN { printf "%.1f", o / n }')x faster than $1 ($old; min ${3}x)"
-    else
-        echo "FAIL  $2: $new ns/iter is under ${3}x faster than $1 ($old)" >&2
-        fail=1
+# gates DIR: one `name value op bound verdict` line per gate, the value
+# from the bench lines `measure` left and from DIR's recorded results, a
+# recorded bound from this tree's. A value that could not be read is `-`.
+gates() {
+    local dir=$1
+    row() { echo "$1" | awk -v n="$2" '$2 == n { print $3 }'; }
+    recorded() { python3 -c "import json, sys; print(json.load(open(sys.argv[1]))$3)" "$2/$1" 2>/dev/null || true; }
+    scaled() { awk -v b="$1" -v t="$TOLERANCE" 'BEGIN { if (b == "") print ""; else printf "%d", b * t }'; }
+    # gate NAME VALUE OP BOUND: VALUE OP BOUND, judged as read.
+    gate() { echo "$1 ${2:--} $3 ${4:--} $(verdict "${2:--}" "$3" "${4:--}")"; }
+    # ratio NAME A B OP T: the gate A / B OP T, judged as A OP B * T on the
+    # unrounded rows; the ratio is rounded for the table only.
+    ratio() {
+        local shown=- ok=FAIL
+        if [ -n "$2" ] && [ -n "$3" ] && [ "$3" != 0 ]; then
+            shown="$(awk -v a="$2" -v b="$3" 'BEGIN { printf "%.3f", a / b }')"
+            if awk -v a="$2" -v b="$3" -v op="$4" -v t="$5" \
+                'BEGIN { exit !((op == "<=" && a <= b * t) || (op == ">=" && a >= b * t)) }'; then
+                ok=ok
+            fi
+        fi
+        echo "$1 $shown $4 $5 $ok"
+    }
+    local name snap live
+    for name in healthy_write_g8_4k parity_apply_g8_4k; do
+        gate "protocol_core/$name" "$(row "$PC_OUT" "protocol_core/$name")" "<=" \
+            "$(scaled "$(recorded results/protocol_core_bench.json "$HERE" "['baseline']['$name']['ns_per_iter']")")"
+    done
+    for name in healthy_write_g8_4k parity_apply_g8_4k; do
+        ratio "${name}_obs/plain" "$(row "$PC_OUT" "protocol_core/${name}_obs")" "$(row "$PC_OUT" "protocol_core/$name")" "<=" "$OBS_TOLERANCE"
+    done
+    snap=0
+    if python3 -c "import json; s = json.load(open('$dir/target/obs_bench_snapshot.json')); assert s['machines']" 2>/dev/null; then
+        snap=1
     fi
-done
-for name in write_frame_64k decode_64k; do
-    base="$(python3 -c "import json; print(json.load(open('$FP_BASELINE'))['headline']['${name}_ns'])" 2>/dev/null || true)"
-    got="$(fp_row "$name")"
-    if [ -z "$base" ] || [ -z "$got" ]; then
-        echo "FAIL  $name: value missing (recorded='$base' live='$got')" >&2
-        fail=1
-    elif awk -v m="$got" -v b="$base" -v t="$TOLERANCE" 'BEGIN { exit !(m <= b * t) }'; then
-        echo "ok    $name: $got ns/iter (recorded $base, limit $(awk -v b="$base" -v t="$TOLERANCE" 'BEGIN { printf "%d", b * t }'))"
-    else
-        echo "FAIL  $name: $got ns/iter exceeds recorded $base x $TOLERANCE" >&2
-        fail=1
+    gate "obs_snapshot_export" "$snap" "==" 1
+    gate "multigroup_8v1_recorded" "$(recorded results/BENCH_pr7.json "$dir" "['headline']['scaling_8v1']")" ">=" "$MG_MIN_RATIO"
+    if [ "${MG_LIVE:-1}" != "0" ]; then
+        live="$(echo "$MG_OUT" | awk '$2 ~ /scaling_8v1/ { sub(/ratio=/, "", $3); print $3 }')"
+        gate "multigroup_8v1_live" "$live" ">=" "$MG_MIN_RATIO"
     fi
-done
+    gate "rebuild_declustered_12_recorded" "$(recorded results/BENCH_pr8.json "$dir" "['headline']['declustered_speedup_at_12_sites']")" ">=" "$RB_MIN_RATIO"
+    if [ "${RB_LIVE:-1}" != "0" ]; then
+        live="$(echo "$RB_OUT" | awk '$2 ~ /pool=12$/ && $3 ~ /^declustered_speedup=/ { sub(/declustered_speedup=/, "", $3); print $3 }')"
+        gate "rebuild_declustered_12_live" "$live" ">=" "$RB_MIN_RATIO"
+    fi
+    gate "wal_commit_bytes_recorded" "$(recorded results/BENCH_pr16.json "$dir" "['headline']['commit_1x4k_site_meta_512_bytes']")" "<=" "$WAL_MAX_COMMIT_BYTES"
+    gate "wal_commit_bytes_live" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512_bytes)" "<=" "$WAL_MAX_COMMIT_BYTES"
+    gate "wal_commit_ns" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512)" "<=" \
+        "$(scaled "$(recorded results/BENCH_pr16.json "$HERE" "['headline']['commit_1x4k_site_meta_512_ns']")")"
+    ratio "site_meta_patch_8192/512" "$(row "$DC_OUT" disk_commit/site_meta_patch_8192)" "$(row "$DC_OUT" disk_commit/site_meta_patch_512)" "<=" 1.5
+    ratio "snapshot_encode/site_meta_patch_512" "$(row "$DC_OUT" disk_commit/snapshot_encode_512)" "$(row "$DC_OUT" disk_commit/site_meta_patch_512)" ">=" 8
+    gate "wal_commit_bytes_patch" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_patch_512_bytes)" "==" \
+        "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512_bytes)"
+    ratio "checksum_serial/laned_64k" "$(row "$FP_OUT" frame_path/checksum_serial_64k)" "$(row "$FP_OUT" frame_path/checksum_64k)" ">=" 2.5
+    ratio "crc32_bytewise/sliced_4k" "$(row "$FP_OUT" frame_path/crc32_bytewise_4k)" "$(row "$FP_OUT" frame_path/crc32_4k)" ">=" 3.0
+    for name in write_frame_64k decode_64k; do
+        gate "frame_path/$name" "$(row "$FP_OUT" "frame_path/$name")" "<=" \
+            "$(scaled "$(recorded results/BENCH_pr20.json "$HERE" "['headline']['${name}_ns']")")"
+    done
+}
+
+# verdict VALUE OP BOUND: `ok` or `FAIL`; `==` compares the strings.
+verdict() {
+    if [ "$1" = "-" ] || [ "$3" = "-" ]; then
+        echo FAIL
+    elif [ "$2" = "==" ]; then
+        if [ "$1" = "$3" ]; then echo ok; else echo FAIL; fi
+    elif awk -v v="$1" -v b="$3" -v op="$2" \
+        'BEGIN { exit !((op == "<=" && v <= b) || (op == ">=" && v >= b)) }'; then
+        echo ok
+    else
+        echo FAIL
+    fi
+}
+
+PARENT_GATES=""
+if [ -n "$PARENT" ]; then
+    measure "$PARENT"
+    PARENT_GATES="$(gates "$PARENT")"
+fi
+measure "$HERE"
+CHANGE_GATES="$(gates "$HERE")"
+
+echo "== bench_check: gates (tolerance x$TOLERANCE, obs ratio x$OBS_TOLERANCE)"
+fail=0
+printf '%-36s %12s %12s %14s  %-6s %s\n' gate parent change bound parent change
+while read -r name value op bound ok; do
+    [ "$ok" = ok ] || fail=1
+    parent="$(echo "$PARENT_GATES" | awk -v n="$name" \
+        '$1 == n { v = $2; k = $5 } END { print (v == "" ? "-" : v), (k == "" ? "-" : k) }')"
+    printf '%-36s %12s %12s %14s  %-6s %s\n' "$name" "${parent% *}" "$value" "$op $bound" "${parent#* }" "$ok"
+done <<<"$CHANGE_GATES"
 exit "$fail"

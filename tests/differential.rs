@@ -36,7 +36,7 @@ use radd::core::{RaddCluster, RaddConfig};
 use radd::layout::{Geometry, Placement, ShardMap};
 use radd::node::NodeCluster;
 use radd::obs::ObsSnapshot;
-use radd::protocol::{CoalescePolicy, GroupCluster, Router, TraceEntry};
+use radd::protocol::{CoalescePolicy, GroupCluster, ObsEvent, Router};
 use radd::rt::SocketCluster;
 use radd::workload::faults::{
     payload, seed_from_name, FailureKind, FaultEvent, FaultPlan, Outcome, PlanDriver, PlanShape,
@@ -51,7 +51,7 @@ const QUIESCE: Duration = Duration::from_secs(10);
 struct Replay {
     name: &'static str,
     outcomes: Vec<Outcome>,
-    traces: Vec<Vec<Vec<TraceEntry>>>,
+    traces: Vec<Vec<Vec<ObsEvent>>>,
 }
 
 /// One runtime's half of the single-group differential.

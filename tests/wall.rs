@@ -19,7 +19,7 @@ use radd::check::{configs, explore, Action, Budgets, ClientOp, Model, ModelConfi
 use radd::core::{CheckedCluster, RaddConfig};
 use radd::layout::Geometry;
 use radd::parity::{Uid, UidArray};
-use radd::protocol::{SiteMachine, SpareKind, SpareSlot};
+use radd::protocol::{SiteMachine, SpareContent, SpareSlot};
 use radd::workload::faults::payload;
 
 /// `crash_world`'s reachable states (recorded since PR 9; unchanged by
@@ -111,9 +111,9 @@ fn hand_built_violations_get_the_same_verdict_from_both_checkers() {
     let row = geo.data_to_physical(WRITER, 0);
     let (parity_site, spare_site) = (geo.parity_site(row), geo.spare_site(row));
     let other_data = geo.data_sites(row).into_iter().find(|&s| s != WRITER);
-    let slot = |for_site, kind| Some(SpareSlot { for_site, kind });
-    let data = || SpareKind::Data { data_uid: BAD };
-    let parity = SpareKind::Parity {
+    let slot = |for_site, content| Some(SpareSlot { for_site, content });
+    let data = || SpareContent::Data { uid: BAD };
+    let parity = SpareContent::Parity {
         uids: UidArray::new(G + 2),
     };
     // (what, whose machine, what is planted there, what both verdicts say)
