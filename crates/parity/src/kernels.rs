@@ -8,12 +8,15 @@
 //! (`is_x86_feature_detected!`) and cached in an atomic; every call after
 //! the first is a relaxed load plus a direct branch.
 //!
-//! Besides the two-operand `dst ^= src`, the module exposes a k-way
+//! Besides the two-operand `dst ^= src`, the module exposes [`xor3`],
+//! `dst = a ^ b` into bytes not yet written (AVX2, else the scalar loop,
+//! which the compiler widens to the baseline SSE2/NEON), and a k-way
 //! [`fold`] that XORs up to [`FOLD_WAYS`] source blocks into `dst` per
 //! pass. Reconstruction over `G` survivors then streams `dst` through the
 //! cache once per `FOLD_WAYS` sources instead of once per source — the
 //! memory-traffic argument behind the recovery-path speedup.
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Maximum number of source blocks a single fold pass absorbs. Eight
@@ -97,6 +100,24 @@ pub fn xor2(dst: &mut [u8], src: &[u8]) {
     }
 }
 
+/// Dispatched `dst = a ^ b`, writing every byte of `dst` without reading
+/// it, so `dst` may be spare capacity no one has zeroed. Panics if the
+/// lengths differ: the vector kernel reads `a` and `b` as far as `dst`
+/// reaches.
+#[inline]
+pub fn xor3(dst: &mut [MaybeUninit<u8>], a: &[u8], b: &[u8]) {
+    assert!(
+        dst.len() == a.len() && a.len() == b.len(),
+        "XOR operands must be the same length"
+    );
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: detect() proved AVX2 is available on this CPU.
+        K_AVX2 => unsafe { xor3_avx2(dst, a, b) },
+        _ => xor3_scalar(dst, a, b),
+    }
+}
+
 /// Dispatched k-way fold: `dst ^= s` for every `s` in `sources`, reading
 /// `dst` once per group of up to [`FOLD_WAYS`] sources. Lengths must match
 /// (checked by the caller in [`crate::xor_fold`]).
@@ -134,6 +155,25 @@ pub fn xor2_scalar(dst: &mut [u8], src: &[u8]) {
     }
     for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *db ^= *sb;
+    }
+}
+
+/// Portable `dst = a ^ b`: `u64` words via `chunks_exact`, byte tail.
+#[inline]
+fn xor3_scalar(dst: &mut [MaybeUninit<u8>], a: &[u8], b: &[u8]) {
+    let mut d = dst.chunks_exact_mut(8);
+    let mut x = a.chunks_exact(8);
+    let mut y = b.chunks_exact(8);
+    for ((dw, xw), yw) in d.by_ref().zip(x.by_ref()).zip(y.by_ref()) {
+        let v =
+            u64::from_ne_bytes(xw.try_into().unwrap()) ^ u64::from_ne_bytes(yw.try_into().unwrap());
+        for (db, vb) in dw.iter_mut().zip(v.to_ne_bytes()) {
+            db.write(vb);
+        }
+    }
+    let tails = x.remainder().iter().zip(y.remainder());
+    for (db, (xb, yb)) in d.into_remainder().iter_mut().zip(tails) {
+        db.write(xb ^ yb);
     }
 }
 
@@ -191,6 +231,33 @@ unsafe fn xor2_avx2(dst: &mut [u8], src: &[u8]) {
         off += 32;
     }
     xor2_scalar(&mut dst[lanes..], &src[lanes..]);
+}
+
+// SAFETY: callers must have proven AVX2 available (the `active()`
+// dispatcher does) and pass three slices of one length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn xor3_avx2(dst: &mut [MaybeUninit<u8>], a: &[u8], b: &[u8]) {
+    use std::arch::x86_64::*;
+    debug_assert!(dst.len() == a.len() && a.len() == b.len());
+    let lanes = dst.len() / 32 * 32;
+    let dp = dst.as_mut_ptr().cast::<u8>();
+    let mut off = 0;
+    while off < lanes {
+        // SAFETY: `off + 32 <= lanes <= dst.len() == a.len() == b.len()`,
+        // so every 32-byte access stays inside its slice; `loadu`/`storeu`
+        // need no alignment; a store into `MaybeUninit<u8>` memory is a
+        // write of initialised bytes; `dst` cannot alias `a` or `b` (`&mut`
+        // vs `&`).
+        unsafe {
+            let x = _mm256_loadu_si256(a.as_ptr().add(off).cast::<__m256i>());
+            let y = _mm256_loadu_si256(b.as_ptr().add(off).cast::<__m256i>());
+            _mm256_storeu_si256(dp.add(off).cast::<__m256i>(), _mm256_xor_si256(x, y));
+        }
+        off += 32;
+    }
+    xor3_scalar(&mut dst[lanes..], &a[lanes..], &b[lanes..]);
 }
 
 // SAFETY: callers must have proven SSE2 available (the `active()`
@@ -383,6 +450,19 @@ mod tests {
                 fold(&mut got, &refs);
                 assert_eq!(got, want, "n={n_sources} len={len}");
             }
+        }
+    }
+
+    #[test]
+    fn dispatched_xor3_matches_xor2() {
+        for len in [0usize, 1, 7, 8, 31, 32, 33, 63, 64, 4096, 4099] {
+            let (a, b) = (pattern(len, 1), pattern(len, 2));
+            let mut want = a.clone();
+            xor2_scalar(&mut want, &b);
+            let mut got = vec![0xEE; 3];
+            crate::xor_extend(&mut got, &a, &b);
+            assert_eq!(got[..3], [0xEE; 3]);
+            assert_eq!(got[3..], want[..], "len={len}");
         }
     }
 

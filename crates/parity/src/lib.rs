@@ -12,16 +12,17 @@
 //! * [`xor`] — XOR primitives over runtime-dispatched SIMD kernels.
 //! * [`kernels`] — the kernels themselves (AVX2/SSE2/NEON/scalar) plus the
 //!   k-way fold used by reconstruction.
-//! * [`mask`] — change masks with a run-length wire encoding (Section 7.4
-//!   argues masks make RADD's bandwidth comparable to a hot standby's).
+//! * [`mask`] — change masks, held as their run-length wire encoding
+//!   (Section 7.4 argues masks make RADD's bandwidth comparable to a hot
+//!   standby's).
 //! * [`uid`] — globally unique identifiers and the per-parity-block UID
 //!   array used for consistency validation (§3.3). The validated
 //!   reconstruction itself is `radd_protocol::ClientMachine::reconstruct`:
 //!   one [`xor_fold`] over the `G` survivors, then the UID check.
 
-// The SIMD kernels are this workspace's only unsafe code; every unsafe
-// operation inside them must sit in its own `unsafe {}` block with a
-// `// SAFETY:` justification (audited in `kernels`).
+// The SIMD kernels and `xor_extend`'s `set_len` over the bytes one of them
+// wrote are this workspace's only unsafe code; every unsafe operation must
+// sit in its own `unsafe {}` block with a `// SAFETY:` justification.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
@@ -32,4 +33,4 @@ pub mod xor;
 
 pub use mask::ChangeMask;
 pub use uid::{Uid, UidArray, UidGen};
-pub use xor::{xor_bytes, xor_fold, xor_in_place, xor_many};
+pub use xor::{xor_bytes, xor_extend, xor_fold, xor_in_place, xor_many};

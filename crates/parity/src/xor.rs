@@ -20,9 +20,22 @@ pub fn xor_in_place(dst: &mut [u8], src: &[u8]) {
 /// `a XOR b` into a fresh buffer.
 #[inline]
 pub fn xor_bytes(a: &[u8], b: &[u8]) -> Vec<u8> {
-    let mut out = a.to_vec();
-    xor_in_place(&mut out, b);
+    let mut out = Vec::with_capacity(a.len());
+    xor_extend(&mut out, a, b);
     out
+}
+
+/// Append `a XOR b` to `out`, each byte written once: nothing is zeroed or
+/// copied first. Panics if `a` and `b` differ in length.
+#[inline]
+pub fn xor_extend(out: &mut Vec<u8>, a: &[u8], b: &[u8]) {
+    assert_eq!(a.len(), b.len(), "XOR operands must be the same length");
+    out.reserve(a.len());
+    let len = out.len();
+    kernels::xor3(&mut out.spare_capacity_mut()[..a.len()], a, b);
+    // SAFETY: `reserve` made room for `a.len()` bytes past `len`, and
+    // `xor3` wrote every one of them.
+    unsafe { out.set_len(len + a.len()) };
 }
 
 /// `dst ^= s` for every source block, folding up to

@@ -2,11 +2,60 @@
 //! survive arbitrary sequences of masked updates, and every encoding must
 //! round-trip.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use radd_parity::{kernels, xor_fold, xor_many, ChangeMask};
 
 fn arb_block(len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), len)
+}
+
+/// The wire encoding of the mask between `old` and `new`, found a byte at
+/// a time: a nonzero byte joins the open span when fewer than a span
+/// header's 8 zero bytes lie between them.
+fn reference_encoding(old: &[u8], new: &[u8]) -> Vec<u8> {
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    for i in (0..old.len()).filter(|&i| old[i] != new[i]) {
+        match spans.last_mut() {
+            Some((_, end)) if i - *end < 8 => *end = i + 1,
+            _ => spans.push((i, i + 1)),
+        }
+    }
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&(old.len() as u32).to_le_bytes());
+    wire.extend_from_slice(&(spans.len() as u32).to_le_bytes());
+    for (start, end) in spans {
+        wire.extend_from_slice(&(start as u32).to_le_bytes());
+        wire.extend_from_slice(&((end - start) as u32).to_le_bytes());
+        wire.extend(
+            old[start..end]
+                .iter()
+                .zip(&new[start..end])
+                .map(|(a, b)| a ^ b),
+        );
+    }
+    wire
+}
+
+/// A block pair of `len` bytes whose bytes differ with probability about
+/// `density` / 16: 0 is no change, 16 a full rewrite, and the densities
+/// between put zero gaps of every width around the bridging threshold.
+fn arb_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (
+        0usize..700,
+        0u32..17,
+        arb_block(700),
+        proptest::collection::vec((0u32..16, 1u8..=255), 700),
+    )
+        .prop_map(|(len, density, old, flips)| {
+            let old = old[..len].to_vec();
+            let new = old
+                .iter()
+                .zip(&flips)
+                .map(|(&b, &(roll, x))| if roll < density { b ^ x } else { b })
+                .collect();
+            (old, new)
+        })
 }
 
 proptest! {
@@ -58,6 +107,62 @@ proptest! {
         let mask = ChangeMask::diff(&old, &new);
         let back = ChangeMask::decode(&mask.encode()).unwrap();
         prop_assert_eq!(back, mask);
+    }
+
+    /// `diff` finds the spans a byte-at-a-time scan finds, at every density
+    /// of change (none, sparse, gaps straddling the bridging threshold, a
+    /// full rewrite through the four-word stride) and at lengths that are
+    /// not multiples of 8 or 32; so does `from_windows` over the same pair
+    /// cut into windows anywhere.
+    #[test]
+    fn mask_diff_matches_a_bytewise_scan(
+        (old, new) in arb_pair(),
+        cuts in proptest::collection::vec(0usize..700, 0..6),
+    ) {
+        let want = reference_encoding(&old, &new);
+        let mask = ChangeMask::diff(&old, &new);
+        prop_assert_eq!(&mask.encode()[..], &want[..]);
+        prop_assert_eq!(mask.wire_size(), want.len() - 8);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(old.len())).collect();
+        cuts.push(0);
+        cuts.push(old.len());
+        cuts.sort_unstable();
+        let windows: Vec<(usize, &[u8])> =
+            cuts.windows(2).map(|w| (w[0], &new[w[0]..w[1]])).collect();
+        prop_assert_eq!(&ChangeMask::from_windows(&old, &windows).encode()[..], &want[..]);
+    }
+
+    /// The parity site's one-pass apply builds the block copy-then-
+    /// `apply_wire` builds, and refuses exactly what `apply_wire` refuses:
+    /// any encoding, well-formed or damaged at one byte, against a block of
+    /// the mask's length or another.
+    #[test]
+    fn one_pass_apply_equals_copy_then_apply_wire(
+        (old, new) in arb_pair(),
+        parity in arb_block(701),
+        damage in (any::<bool>(), any::<usize>(), 1u8..=255),
+        cut in (any::<bool>(), any::<usize>()),
+        other_len in any::<bool>(),
+    ) {
+        let mut wire = ChangeMask::diff(&old, &new).encode().to_vec();
+        if damage.0 {
+            let at = damage.1 % wire.len();
+            wire[at] ^= damage.2;
+        }
+        if cut.0 {
+            wire.truncate(cut.1 % (wire.len() + 1));
+        }
+        let parity = &parity[..old.len() + usize::from(other_len)];
+        let mut copied = parity.to_vec();
+        let via_copy = ChangeMask::apply_wire(&wire, &mut copied).map(|()| copied);
+        prop_assert_eq!(&ChangeMask::applied_wire(&wire, parity), &via_copy);
+        if via_copy.is_none() {
+            let mut untouched = parity.to_vec();
+            prop_assert!(ChangeMask::apply_wire(&wire, &mut untouched).is_none());
+            prop_assert_eq!(&untouched[..], parity);
+        } else {
+            prop_assert!(ChangeMask::decode(&Bytes::from(wire)).is_some());
+        }
     }
 
     /// Wire size never exceeds full-block shipping by more than one span

@@ -19,7 +19,8 @@
 //! builds on first touch and the data site then feeds (§3.2); while it is
 //! recovering, that stand-in is drained back before the write.
 //!
-//! Each rule is written once: `refused` judges every reply that is not an
+//! Each rule is written once: `sized` refuses every reply whose block is
+//! not a block long, `refused` judges every reply that is not an
 //! exchange's success, `stand_in` reads every `SpareProbe` reply,
 //! `drain_row` hands one stand-in back to its recovering owner, and
 //! `fold_row` is the §3.3 fold and UID check, for one reconstruction or for
@@ -326,7 +327,8 @@ impl ClientMachine {
             "protocol bug: request sent to believed-down site {site}"
         );
         self.record(site, &msg);
-        io.exchange(site, msg, background)
+        let block = self.reply_block_len(&msg);
+        self.sized(block, io.exchange(site, msg, background))
     }
 
     /// Batched counterpart of [`send`](Self::send): records one trace entry
@@ -340,10 +342,47 @@ impl ClientMachine {
         reqs: Vec<(usize, Msg)>,
         background: bool,
     ) -> Vec<Result<Msg, ClientErr>> {
+        let mut blocks = Vec::with_capacity(reqs.len());
         for (site, msg) in &reqs {
             self.record(*site, msg);
+            blocks.push(self.reply_block_len(msg));
         }
-        io.exchange_batch(reqs, background)
+        let replies = io.exchange_batch(reqs, background);
+        blocks
+            .into_iter()
+            .zip(replies)
+            .map(|(block, reply)| self.sized(block, reply))
+            .collect()
+    }
+
+    /// How long a block in the reply to `request` must be: none is asked
+    /// for by a probe without data, a whole block by everything else.
+    fn reply_block_len(&self, request: &Msg) -> usize {
+        match request {
+            Msg::SpareProbe {
+                want_data: false, ..
+            } => 0,
+            _ => self.block_size,
+        }
+    }
+
+    /// A reply as it enters the machine: one whose block is not `block`
+    /// bytes long (`ReadOk`, `BlockData`, a `SpareState` slot) is refused
+    /// as [`ClientErr::BadSize`], so no rule downstream sees a block of the
+    /// wrong size.
+    fn sized(&self, block: usize, reply: Result<Msg, ClientErr>) -> Result<Msg, ClientErr> {
+        let data = match &reply {
+            Ok(Msg::ReadOk { data, .. } | Msg::BlockData { data, .. }) => data,
+            Ok(Msg::SpareState {
+                slot: Some(slot), ..
+            }) => &slot.data,
+            _ => return reply,
+        };
+        if data.len() == block {
+            reply
+        } else {
+            Err(ClientErr::BadSize)
+        }
     }
 
     /// The error for `site`'s `reply` to a `request` that did not succeed:

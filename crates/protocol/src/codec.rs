@@ -7,7 +7,8 @@
 //! and stays sans-IO: bytes in, bytes out, no framing, no checksums (the
 //! transport layer owns those; see `radd-rt`'s frame module).
 //!
-//! Layout rules (all integers little-endian):
+//! Layout rules (all integers little-endian), stated once, in
+//! [`encode_msg_split`]:
 //!
 //! * a message is one kind byte ([`MsgKind::index`]) followed by its fields
 //!   in declaration order;
@@ -106,9 +107,9 @@ fn put_site(buf: &mut Vec<u8>, site: usize) {
     put_u32(buf, u32::try_from(site).expect("site id fits in u32"));
 }
 
-fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
+/// A block's length prefix; the block's bytes follow it on the wire.
+fn put_len(buf: &mut Vec<u8>, data: &[u8]) {
     put_u32(buf, u32::try_from(data.len()).expect("block fits in u32"));
-    buf.extend_from_slice(data);
 }
 
 fn put_uid(buf: &mut Vec<u8>, uid: Uid) {
@@ -148,18 +149,36 @@ const fn nack_tag(reason: NackReason) -> u8 {
     }
 }
 
-/// Append the binary encoding of `msg` to `buf`.
+/// Append the binary encoding of `msg` to `buf`: [`encode_msg_split`]'s
+/// three pieces, joined.
 pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
+    let mut tail = Vec::new();
+    let block = encode_msg_split(msg, buf, &mut tail);
+    buf.extend_from_slice(block);
+    buf.extend_from_slice(&tail);
+}
+
+/// The binary encoding of `msg` in three pieces, which joined are
+/// [`encode_msg`]'s bytes: the fields up to and including the length of the
+/// message's block are appended to `buf`, the block itself is returned
+/// (borrowed from `msg`, not copied) and the fields after it are appended
+/// to `tail`. A message without a block goes whole into `buf`, and the
+/// block returned is empty. This is the one statement of the layout; a
+/// writer can send the three pieces as they lie, with no buffer joining
+/// them.
+pub fn encode_msg_split<'m>(msg: &'m Msg, buf: &mut Vec<u8>, tail: &mut Vec<u8>) -> &'m [u8] {
     buf.push(msg.kind().index() as u8);
     match msg {
         Msg::Read { index, tag } => {
             put_u64(buf, *index);
             put_u64(buf, *tag);
+            &[]
         }
         Msg::Write { index, data, tag } => {
             put_u64(buf, *index);
-            put_bytes(buf, data);
-            put_u64(buf, *tag);
+            put_len(buf, data);
+            put_u64(tail, *tag);
+            data
         }
         Msg::ParityUpdate {
             row,
@@ -169,10 +188,11 @@ pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
             tag,
         } => {
             put_u64(buf, *row);
-            put_bytes(buf, mask_wire);
-            put_uid(buf, *uid);
-            put_site(buf, *from_site);
-            put_u64(buf, *tag);
+            put_len(buf, mask_wire);
+            put_uid(tail, *uid);
+            put_site(tail, *from_site);
+            put_u64(tail, *tag);
+            mask_wire
         }
         Msg::SpareProbe {
             row,
@@ -182,6 +202,7 @@ pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
             put_u64(buf, *row);
             buf.push(u8::from(*want_data));
             put_u64(buf, *tag);
+            &[]
         }
         Msg::SpareInstall {
             row,
@@ -192,21 +213,25 @@ pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
         } => {
             put_u64(buf, *row);
             put_site(buf, *for_site);
-            put_bytes(buf, data);
-            put_content(buf, content);
-            put_u64(buf, *tag);
+            put_len(buf, data);
+            put_content(tail, content);
+            put_u64(tail, *tag);
+            data
         }
         Msg::BlockRead { row, tag } => {
             put_u64(buf, *row);
             put_u64(buf, *tag);
+            &[]
         }
         Msg::SpareDrainList { for_site, tag } => {
             put_site(buf, *for_site);
             put_u64(buf, *tag);
+            &[]
         }
         Msg::SpareTake { row, tag } => {
             put_u64(buf, *row);
             put_u64(buf, *tag);
+            &[]
         }
         Msg::RestoreBlock {
             row,
@@ -215,19 +240,24 @@ pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
             tag,
         } => {
             put_u64(buf, *row);
-            put_bytes(buf, data);
-            put_content(buf, content);
-            put_u64(buf, *tag);
+            put_len(buf, data);
+            put_content(tail, content);
+            put_u64(tail, *tag);
+            data
         }
         Msg::ReadOk { tag, data } => {
             put_u64(buf, *tag);
-            put_bytes(buf, data);
+            put_len(buf, data);
+            data
         }
-        Msg::WriteOk { tag } => put_u64(buf, *tag),
-        Msg::Ack { tag } => put_u64(buf, *tag),
+        Msg::WriteOk { tag } | Msg::Ack { tag } => {
+            put_u64(buf, *tag);
+            &[]
+        }
         Msg::Nack { tag, reason } => {
             put_u64(buf, *tag);
             buf.push(nack_tag(*reason));
+            &[]
         }
         Msg::BlockData {
             tag,
@@ -236,20 +266,24 @@ pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
             parity_uids,
         } => {
             put_u64(buf, *tag);
-            put_bytes(buf, data);
-            put_uid(buf, *uid);
+            put_len(buf, data);
+            put_uid(tail, *uid);
             match parity_uids {
-                None => buf.push(0),
+                None => tail.push(0),
                 Some(uids) => {
-                    buf.push(1);
-                    put_uid_vec(buf, uids);
+                    tail.push(1);
+                    put_uid_vec(tail, uids);
                 }
             }
+            data
         }
         Msg::SpareState { tag, slot } => {
             put_u64(buf, *tag);
             match slot {
-                None => buf.push(0),
+                None => {
+                    buf.push(0);
+                    &[]
+                }
                 Some(SpareSlotWire {
                     for_site,
                     data,
@@ -257,8 +291,9 @@ pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
                 }) => {
                     buf.push(1);
                     put_site(buf, *for_site);
-                    put_bytes(buf, data);
-                    put_content(buf, content);
+                    put_len(buf, data);
+                    put_content(tail, content);
+                    data
                 }
             }
         }
@@ -271,6 +306,7 @@ pub fn encode_msg(msg: &Msg, buf: &mut Vec<u8>) {
             for &r in rows {
                 put_u64(buf, r);
             }
+            &[]
         }
     }
 }
@@ -620,6 +656,22 @@ mod tests {
         for m in &msgs {
             roundtrip(m);
         }
+    }
+
+    #[test]
+    fn the_split_pieces_join_to_the_encoding() {
+        let msg = Msg::ParityUpdate {
+            row: 5,
+            mask_wire: Bytes::from(vec![1, 2, 3]),
+            uid: Uid::from_raw(42),
+            from_site: 2,
+            tag: 9,
+        };
+        let (mut head, mut tail) = (vec![0xEE], Vec::new());
+        let block = encode_msg_split(&msg, &mut head, &mut tail);
+        assert_eq!(block, &[1, 2, 3]);
+        assert_eq!(tail.len(), 8 + 4 + 8);
+        assert_eq!([&head[1..], block, &tail].concat(), encode_msg_vec(&msg));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use check::{
     Canonicalizer, Checkable,
 };
 pub use client::{ClientErr, ClientIo, ClientMachine, RebuildReport, SiteState, SparePolicy};
-pub use codec::{decode_msg, encode_msg, encode_msg_vec, CodecError};
+pub use codec::{decode_msg, encode_msg, encode_msg_split, encode_msg_vec, CodecError};
 pub use durable::{DurableDelta, DurableError, DurableSiteState, SpareSlot};
 pub use effect::{BlockFault, Blocks, Dest, Effect, IoPurpose, MemBlocks};
 pub use events::FailureKind;

@@ -794,15 +794,15 @@ impl SiteMachine {
         #[cfg(feature = "mutations")]
         let already = already && !crate::mutations::is(crate::mutations::Mutation::AbaDoubleApply);
         if !already {
-            let Ok(parity) = blocks.read(row) else {
+            let Ok(old) = blocks.read(row) else {
                 return self.refuse_update(out, src, tag);
             };
-            let mut parity = parity.to_vec();
-            // Formula (1), XORed straight from the wire buffer, which is
-            // checked against the block before the first byte moves.
-            if ChangeMask::apply_wire(mask_wire, &mut parity).is_none() {
+            // Formula (1) in one pass over the old block, XORed straight
+            // from the wire buffer, which is checked against the block
+            // before the first byte is written.
+            let Some(parity) = ChangeMask::applied_wire(mask_wire, &old) else {
                 return self.nack(out, src, tag, NackReason::BadSize);
-            }
+            };
             out.push(Effect::Read {
                 row,
                 purpose: IoPurpose::ParityApply,

@@ -35,14 +35,20 @@
 //! * **A parity stand-in is installed once**: a second install over it is
 //!   refused, so a first touch that lost a race cannot overwrite the masks
 //!   that already landed, and a client that meets the refusal writes on.
+//! * **A reply block of the wrong size is refused**: a `ReadOk`, `BlockData`
+//!   or `SpareState` whose block is a byte short or a byte long fails the
+//!   client operation with `BadSize`, where it used to panic the client or
+//!   reach the caller.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use radd_layout::Geometry;
 use radd_parity::{ChangeMask, Uid};
 use radd_protocol::loopback::{Hook, Loopback};
+use radd_protocol::wire::MsgKind;
 use radd_protocol::{
-    check_stripe_parity, Blocks, ClientMachine, DurableDelta, Effect, MemBlocks, Msg, NackReason,
-    SiteMachine, SparePolicy,
+    check_stripe_parity, Blocks, ClientErr, ClientMachine, Dest, DurableDelta, Effect, MemBlocks,
+    Msg, NackReason, SiteMachine, SparePolicy,
 };
 use std::collections::BTreeMap;
 
@@ -603,7 +609,7 @@ impl Hook for Race {
                 tag: *tag,
                 slot: None,
             };
-            return out.push(Effect::send(radd_protocol::Dest::Peer(src), free));
+            return out.push(Effect::send(Dest::Peer(src), free));
         }
         if matches!(msg, Msg::SpareInstall { .. }) && self.install.is_none() {
             self.install = Some(msg.clone());
@@ -683,4 +689,87 @@ fn a_parity_stand_in_is_installed_once() {
         &client.read(&mut net, other, other_index).unwrap()[..],
         &[3; BLOCK]
     );
+}
+
+// ---------------------------------------------------------------------
+// (i) a reply block that is not a block long is refused
+// ---------------------------------------------------------------------
+
+/// Cuts or pads by one byte the block of every reply of kind `kind` that a
+/// site sends the client.
+struct Resize {
+    kind: MsgKind,
+    longer: bool,
+}
+
+impl Hook for Resize {
+    fn handle(
+        &mut self,
+        _site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        machine.handle(blocks, src, msg, out);
+        for eff in out.iter_mut() {
+            let Effect::Send {
+                to: Dest::Peer(0),
+                msg,
+                ..
+            } = eff
+            else {
+                continue;
+            };
+            if msg.kind() != self.kind {
+                continue;
+            }
+            let data = match msg {
+                Msg::ReadOk { data, .. } | Msg::BlockData { data, .. } => data,
+                Msg::SpareState {
+                    slot: Some(slot), ..
+                } => &mut slot.data,
+                _ => continue,
+            };
+            let mut resized = data.to_vec();
+            if self.longer {
+                resized.push(0);
+            } else {
+                resized.pop();
+            }
+            *data = Bytes::from(resized);
+        }
+    }
+}
+
+/// Each reply that carries a block to the client, a byte short and a byte
+/// long: `ReadOk` to a healthy read, `BlockData` to a reconstruction's
+/// source reads, and `SpareState` to the probe a degraded read makes of a
+/// spare that holds a redirected write. Each is `BadSize`; a short
+/// `BlockData` once panicked `xor_fold`, a short slot `ChangeMask::diff`,
+/// and a short `ReadOk` reached the caller.
+#[test]
+fn a_reply_block_of_the_wrong_size_is_refused() {
+    for kind in [MsgKind::ReadOk, MsgKind::BlockData, MsgKind::SpareState] {
+        for longer in [false, true] {
+            let mut net = Loopback::new(G, ROWS, BLOCK, Resize { kind, longer });
+            let mut client =
+                ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+            client.write(&mut net, 0, 0, &[7; BLOCK]).expect("healthy");
+            let got = match kind {
+                MsgKind::ReadOk => client.read(&mut net, 0, 0),
+                MsgKind::BlockData => {
+                    client.set_down(0, true);
+                    client.read(&mut net, 0, 0)
+                }
+                _ => {
+                    client.set_down(0, true);
+                    client.write(&mut net, 0, 0, &[9; BLOCK]).expect("W1'");
+                    client.read(&mut net, 0, 0)
+                }
+            };
+            assert_eq!(got, Err(ClientErr::BadSize), "{kind:?}, longer: {longer}");
+        }
+    }
 }

@@ -34,16 +34,20 @@
 //! against [`MAX_FRAME`] *before* any buffer grows, and corrupt checksums
 //! or unknown frame types are clean errors, never panics.
 //!
-//! A payload is copied once on the way out and not at all on the way in:
-//! [`write_frame`] encodes into one buffer with the header's bytes reserved
-//! in front, checksums in place and issues one `write_all`;
-//! [`FrameDecoder::read_from`] reads the socket straight into the decoder's
-//! buffer and [`FrameDecoder::next_payload`] hands that buffer out as the
-//! [`Bytes`] the message's block is then a slice of (payloads under 1 KiB,
-//! which carry no block, are copied out instead and the buffer stays).
+//! A payload is not copied on the way out and not zeroed on the way in.
+//! [`write_frame`] and [`write_msg`] encode a frame in three pieces
+//! ([`radd_protocol::codec::encode_msg_split`]): the frame header and the
+//! fields before the message's block in one small buffer, the block as the
+//! message holds it, and the fields after it. [`Checksum`] streams over the
+//! pieces and one vectored write sends them. [`FrameDecoder::read_from`]
+//! reads the socket straight into the decoder's buffer, the rest of a frame
+//! whose header is in into the buffer's unwritten capacity, and
+//! [`FrameDecoder::next_payload`] hands that buffer out as the [`Bytes`]
+//! the message's block is then a slice of (payloads under 1 KiB, which
+//! carry no block, are copied out instead and the buffer stays).
 
 use bytes::Bytes;
-use radd_protocol::codec::{decode_msg, encode_msg, CodecError};
+use radd_protocol::codec::{decode_msg, encode_msg_split, CodecError};
 use radd_protocol::Msg;
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
@@ -108,26 +112,91 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// word for a fixed state and of the state for a fixed word, so changing
 /// any one word changes the result; the length keeps a zero-padded tail
 /// apart from real zeros, and the ordered fold keeps lanes apart.
+///
+/// This is [`Checksum`] over one piece.
 pub fn checksum(payload: &[u8]) -> u64 {
-    let mut lanes = CHECK_LANES;
-    let mut strides = payload.chunks_exact(32);
-    for stride in &mut strides {
-        for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
-            *lane = check_mix(*lane, le_word(word));
+    let mut check = Checksum::new();
+    check.update(payload);
+    check.finish()
+}
+
+/// [`checksum`] of a payload that arrives in pieces: fed any split of the
+/// payload, in order, it finishes with the value of the whole.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    len: usize,
+    /// The start of a stride the pieces so far did not complete.
+    stride: [u8; 32],
+    held: usize,
+}
+
+impl Default for Checksum {
+    fn default() -> Checksum {
+        Checksum::new()
+    }
+}
+
+impl Checksum {
+    /// The checksum of nothing yet.
+    pub fn new() -> Checksum {
+        Checksum {
+            lanes: CHECK_LANES,
+            len: 0,
+            stride: [0; 32],
+            held: 0,
         }
     }
-    let mut h = lanes
-        .iter()
-        .fold(payload.len() as u64, |h, &lane| check_mix(h, lane));
-    let mut words = strides.remainder().chunks_exact(8);
-    for word in &mut words {
-        h = check_mix(h, le_word(word));
+
+    /// Feed the next piece of the payload.
+    pub fn update(&mut self, mut piece: &[u8]) {
+        self.len += piece.len();
+        if self.held > 0 {
+            let take = (32 - self.held).min(piece.len());
+            self.stride[self.held..self.held + take].copy_from_slice(&piece[..take]);
+            self.held += take;
+            piece = &piece[take..];
+            if self.held < 32 {
+                return;
+            }
+            let stride = self.stride;
+            mix_stride(&mut self.lanes, &stride);
+            self.held = 0;
+        }
+        let mut lanes = self.lanes;
+        let mut strides = piece.chunks_exact(32);
+        for stride in &mut strides {
+            mix_stride(&mut lanes, stride);
+        }
+        self.lanes = lanes;
+        let rest = strides.remainder();
+        self.stride[..rest.len()].copy_from_slice(rest);
+        self.held = rest.len();
     }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        h = check_mix(h, le_word(tail));
+
+    /// The checksum of everything fed.
+    pub fn finish(&self) -> u64 {
+        let mut h = self
+            .lanes
+            .iter()
+            .fold(self.len as u64, |h, &lane| check_mix(h, lane));
+        let mut words = self.stride[..self.held].chunks_exact(8);
+        for word in &mut words {
+            h = check_mix(h, le_word(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            h = check_mix(h, le_word(tail));
+        }
+        h
     }
-    h
+}
+
+#[inline(always)]
+fn mix_stride(lanes: &mut [u64; 4], stride: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+        *lane = check_mix(*lane, le_word(word));
+    }
 }
 
 /// Why a byte stream failed to frame or a payload failed to parse.
@@ -253,22 +322,19 @@ pub fn payload_hello_id(payload: &[u8]) -> Option<u64> {
 }
 
 impl Frame {
-    /// Roughly how many bytes [`Frame::encode_into`] appends.
-    fn payload_hint(&self) -> usize {
-        match self {
-            Frame::Proto(msg) => proto_hint(msg),
-            _ => 32,
-        }
-    }
-
-    /// Append this frame's payload (no length/checksum header) to `buf`.
-    fn encode_into(&self, buf: &mut Vec<u8>) {
+    /// This frame's payload in [`encode_msg_split`]'s three pieces: the
+    /// fields before the frame's one large field appended to `buf`, that
+    /// field returned as it lies, and what follows it appended to `tail`.
+    fn encode_split<'f>(&'f self, buf: &mut Vec<u8>, tail: &mut Vec<u8>) -> &'f [u8] {
         match self {
             Frame::Hello { id } => {
                 buf.push(FT_HELLO);
                 buf.extend_from_slice(&id.to_le_bytes());
             }
-            Frame::Proto(msg) => encode_proto(msg, buf),
+            Frame::Proto(msg) => {
+                buf.push(FT_PROTO);
+                return encode_msg_split(msg, buf, tail);
+            }
             Frame::CtlReq { rid, req } => {
                 buf.push(FT_CTL_REQ);
                 buf.extend_from_slice(&rid.to_le_bytes());
@@ -313,11 +379,12 @@ impl Frame {
                                 .expect("snapshot fits in u32")
                                 .to_le_bytes(),
                         );
-                        buf.extend_from_slice(s.as_bytes());
+                        return s.as_bytes();
                     }
                 }
             }
         }
+        &[]
     }
 
     /// Decode a frame from its raw payload.
@@ -389,66 +456,62 @@ fn split_rid(body: &[u8]) -> Result<(u64, &[u8]), FrameError> {
     Ok((rid, &body[8..]))
 }
 
-fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
-    assert!(payload.len() <= MAX_FRAME, "oversized outbound frame");
-    let mut head = [0u8; FRAME_HEADER];
-    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[4..].copy_from_slice(&checksum(payload).to_le_bytes());
-    head
+/// Send one frame as its pieces lie: `head` starts with [`FRAME_HEADER`]
+/// bytes to fill in and then the payload's first piece, and `block` and
+/// `tail` are the rest. The header's length and checksum are taken over the
+/// pieces, and the frame goes out in one vectored write, which a socket
+/// takes whole in the common case; a short write resumes where it stopped
+/// and an interrupted one is retried, as `write_all` does.
+fn write_pieces(
+    w: &mut impl Write,
+    head: &mut [u8],
+    block: &[u8],
+    tail: &[u8],
+) -> std::io::Result<()> {
+    let mut check = Checksum::new();
+    for piece in [&head[FRAME_HEADER..], block, tail] {
+        check.update(piece);
+    }
+    assert!(check.len <= MAX_FRAME, "oversized outbound frame");
+    head[..4].copy_from_slice(&(check.len as u32).to_le_bytes());
+    head[4..FRAME_HEADER].copy_from_slice(&check.finish().to_le_bytes());
+    let mut pieces = [IoSlice::new(head), IoSlice::new(block), IoSlice::new(tail)];
+    let mut pieces = &mut pieces[..];
+    IoSlice::advance_slices(&mut pieces, 0);
+    while !pieces.is_empty() {
+        match w.write_vectored(pieces) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(sent) => IoSlice::advance_slices(&mut pieces, sent),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Write one frame (header + `payload`) to `w` without joining the two in
-/// a buffer first: one vectored write, which a socket takes whole in the
-/// common case, and `write_all` of whatever a short write left behind.
+/// a buffer first.
 pub fn write_frame_payload(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let head = frame_header(payload);
-    let sent = loop {
-        match w.write_vectored(&[IoSlice::new(&head), IoSlice::new(payload)]) {
-            // As `write_all` does: an interrupted write wrote nothing.
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            sent => break sent?,
-        }
-    };
-    match sent.checked_sub(FRAME_HEADER) {
-        Some(of_payload) => w.write_all(&payload[of_payload..]),
-        None => {
-            w.write_all(&head[sent..])?;
-            w.write_all(payload)
-        }
-    }
+    write_pieces(w, &mut [0; FRAME_HEADER], payload, &[])
 }
 
-fn proto_hint(msg: &Msg) -> usize {
-    // The slack `codec::encode_msg_vec` allows over the accounted size.
-    1 + msg.wire_size() + 16
-}
-
-fn encode_proto(msg: &Msg, buf: &mut Vec<u8>) {
-    buf.push(FT_PROTO);
-    encode_msg(msg, buf);
-}
-
-/// Build one whole frame in one buffer: the header's bytes reserved in
-/// front, the payload encoded behind them once, checksummed where it lies.
-fn sealed(payload_hint: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload_hint);
-    buf.extend_from_slice(&[0; FRAME_HEADER]);
-    encode(&mut buf);
-    let head = frame_header(&buf[FRAME_HEADER..]);
-    buf[..FRAME_HEADER].copy_from_slice(&head);
-    buf
-}
-
-/// Encode and write one [`Frame`]: one buffer, one `write_all`, which keeps
-/// a frame contiguous on the wire wherever the kernel allows (the decoder
-/// tolerates any split regardless).
+/// Encode and write one [`Frame`]: the header and the fields around the
+/// frame's block in two small buffers, the block as it lies, one vectored
+/// write (the decoder tolerates any split regardless).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    w.write_all(&sealed(frame.payload_hint(), |buf| frame.encode_into(buf)))
+    let (mut head, mut tail) = (Vec::with_capacity(64), Vec::new());
+    head.extend_from_slice(&[0; FRAME_HEADER]);
+    let block = frame.encode_split(&mut head, &mut tail);
+    write_pieces(w, &mut head, block, &tail)
 }
 
 /// [`write_frame`] of a [`Frame::Proto`] for a borrowed message.
 pub fn write_msg(w: &mut impl Write, msg: &Msg) -> std::io::Result<()> {
-    w.write_all(&sealed(proto_hint(msg), |buf| encode_proto(msg, buf)))
+    let (mut head, mut tail) = (Vec::with_capacity(64), Vec::new());
+    head.extend_from_slice(&[0; FRAME_HEADER]);
+    head.push(FT_PROTO);
+    let block = encode_msg_split(msg, &mut head, &mut tail);
+    write_pieces(w, &mut head, block, &tail)
 }
 
 /// Incremental frame decoder over an arbitrary byte stream.
@@ -464,8 +527,8 @@ pub fn write_msg(w: &mut impl Write, msg: &Msg) -> std::io::Result<()> {
 /// (`feed` grows as a `Vec` does, by what the caller already holds.)
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    /// `buf[..filled]` is what has arrived; anything beyond is zeroed room
-    /// for the next `read_from`.
+    /// `buf[..filled]` is what has arrived; anything beyond is initialised
+    /// room for the next read between frames.
     buf: Vec<u8>,
     filled: usize,
 }
@@ -488,24 +551,44 @@ impl FrameDecoder {
         self.filled = self.buf.len();
     }
 
-    /// One `read` from `r` into the decoder's own buffer; returns what the
-    /// read returned (0 is end of stream). The read is offered the rest of
-    /// the frame whose header is in and no more, so a large frame ends
-    /// exactly at the end of its buffer and the next one starts a new one;
-    /// between frames it is offered a few KiB.
+    /// Read from `r` into the decoder's own buffer; returns how many bytes
+    /// arrived (0 is end of stream). Between frames this is one `read`
+    /// offered a few KiB of initialised room, which takes a small frame
+    /// whole. Once a frame's header is in, the rest of the frame (up to a
+    /// step of it) is read into the buffer's capacity past what has
+    /// arrived, which nothing zeroes first, until it is in or the reader
+    /// stops: a frame ends exactly at the end of its buffer and the next
+    /// one starts a new one. Bytes read before an error (a read timeout
+    /// mid-frame) are kept.
     pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
-        let (room, frame_end) = match self.frame_end() {
-            Ok(Some(frame_end)) if frame_end > self.filled => {
-                ((frame_end - self.filled).min(READ_STEP), frame_end)
-            }
+        let frame_end = match self.frame_end() {
+            Ok(Some(frame_end)) if frame_end > self.filled => frame_end,
             // Between frames, or an error `next_payload` reports.
-            _ => (IDLE_ROOM, self.filled + IDLE_ROOM),
+            _ => {
+                let end = self.filled + IDLE_ROOM;
+                self.make_room(end, end);
+                if self.buf.len() < end {
+                    self.buf.resize(end, 0);
+                }
+                let n = r.read(&mut self.buf[self.filled..end])?;
+                self.filled += n;
+                return Ok(n);
+            }
         };
-        let end = self.filled + room;
+        let room = (frame_end - self.filled).min(READ_STEP);
+        self.buf.truncate(self.filled);
+        self.make_room(self.filled + room, frame_end);
+        let read = r.by_ref().take(room as u64).read_to_end(&mut self.buf);
+        self.filled = self.buf.len();
+        read
+    }
+
+    /// Make the buffer's capacity reach `end`: one exact step while no
+    /// more than a step has arrived; past that, double what has (never
+    /// beyond `frame_end`), so a frame near `MAX_FRAME` reallocates 8 times
+    /// and not 256.
+    fn make_room(&mut self, end: usize, frame_end: usize) {
         if self.buf.capacity() < end {
-            // One exact step while no more than a step has arrived; past
-            // that, double what has (never beyond the frame's end), so a
-            // frame near `MAX_FRAME` reallocates 8 times and not 256.
             let grown = if self.filled > READ_STEP {
                 (self.filled * 2).clamp(end, frame_end)
             } else {
@@ -514,12 +597,6 @@ impl FrameDecoder {
             self.buf.truncate(self.filled);
             self.buf.reserve_exact(grown - self.filled);
         }
-        if self.buf.len() < end {
-            self.buf.resize(end, 0);
-        }
-        let n = r.read(&mut self.buf[self.filled..end])?;
-        self.filled += n;
-        Ok(n)
     }
 
     /// Where the frame at the front of the buffer ends, once its header is
@@ -751,9 +828,9 @@ mod tests {
     #[test]
     fn proxy_snoops_classify_payloads() {
         let payload_of = |frame: &Frame| {
-            let mut payload = Vec::new();
-            frame.encode_into(&mut payload);
-            payload
+            let mut wire = Vec::new();
+            write_frame(&mut wire, frame).unwrap();
+            wire.split_off(FRAME_HEADER)
         };
         let hello = payload_of(&Frame::Hello { id: 5 });
         let proto = payload_of(&Frame::Proto(Msg::Ack { tag: 1 }));

@@ -188,7 +188,14 @@ struct ClientConn {
     read: TcpStream,
     dec: FrameDecoder,
     write: WriteHalf,
+    /// The read timeout last set on `read`, kept so that a wait sets it
+    /// only when it no longer fits the wait's window.
+    timeout: Option<Duration>,
 }
+
+/// Under this much of a window a wait's read timeout is all of what is
+/// left, so that a wait with nothing to read ends on its deadline.
+const FINE_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// What differs between the two kinds of endpoint: who reads a connection.
 enum Role {
@@ -322,6 +329,7 @@ impl SendHalf {
                             read: stream,
                             dec: FrameDecoder::new(),
                             write: write.clone(),
+                            timeout: None,
                         };
                         locked(conns).insert(dst, conn);
                     }
@@ -366,6 +374,15 @@ impl SendHalf {
 
     /// A client's receive: read `peer`'s connection on this thread until a
     /// protocol frame is in or `timeout` is spent.
+    ///
+    /// A read waits at most the read timeout set on the socket, which must
+    /// fit what is left of the window, so the window is never overrun; a
+    /// read that times out before the deadline is followed by another. The
+    /// timeout is set again only when it no longer fits, or is under half
+    /// of what is left, and then to three quarters of it: a client's
+    /// windows are mostly one length, so the next wait's, a few
+    /// microseconds longer or shorter, still fits, and a reply costs no
+    /// `setsockopt`. Under [`FINE_TIMEOUT`] it is set to all that is left.
     fn read_peer(
         &self,
         conns: &Mutex<HashMap<usize, ClientConn>>,
@@ -393,16 +410,28 @@ impl SendHalf {
                 }
             }
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || conn.read.set_read_timeout(Some(left)).is_err() {
+            if left.is_zero() {
                 return None;
+            }
+            if conn.timeout.is_none_or(|set| set > left || set < left / 2) {
+                let set = if left < FINE_TIMEOUT {
+                    left
+                } else {
+                    left - left / 4
+                };
+                if conn.read.set_read_timeout(Some(set)).is_err() {
+                    return None;
+                }
+                conn.timeout = Some(set);
             }
             match conn.dec.read_from(&mut conn.read) {
                 Ok(0) => break, // peer closed
                 Ok(_) => {}
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return None
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
                 Err(_) => break,
             }
         }
@@ -823,6 +852,51 @@ mod tests {
         assert_eq!((from_a.src, from_a.msg), (1, Msg::WriteOk { tag: 1 }));
         let from_b = client.recv_from(2, LONG).expect("B's reply was kept");
         assert_eq!((from_b.src, from_b.msg), (2, Msg::WriteOk { tag: 2 }));
+    }
+
+    /// A wait lasts its window and no longer, whatever timeout an earlier
+    /// wait left on the socket: a longer one (300 then 40 ms), a shorter
+    /// one that expires before the deadline and is read past (40 then 120
+    /// ms), and windows under [`FINE_TIMEOUT`].
+    #[test]
+    fn a_wait_never_overruns_its_window() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = SocketEndpoint::client(0, 1, vec![listener.local_addr().unwrap()]);
+        client.send(1, &Msg::Ack { tag: 1 });
+        let (_silent, _) = listener.accept().unwrap();
+        for ms in [300, 40, 120, 5, 60, 1] {
+            let window = Duration::from_millis(ms);
+            let started = Instant::now();
+            assert!(client.recv_from(1, window).is_none());
+            let took = started.elapsed();
+            assert!(took >= window, "a {ms} ms wait was cut short: {took:?}");
+            assert!(
+                took < window + Duration::from_millis(30),
+                "a {ms} ms wait overran: {took:?}"
+            );
+        }
+    }
+
+    /// Replies awaited through windows of one length set the socket's read
+    /// timeout once, not once per reply.
+    #[test]
+    fn waits_of_one_window_set_the_read_timeout_once() {
+        let (client, site) = loopback_pair();
+        let set = |client: &SocketEndpoint| {
+            let Role::Client { conns } = &client.out.0.role else {
+                unreachable!("a client endpoint");
+            };
+            locked(conns).get(&1).and_then(|conn| conn.timeout)
+        };
+        let mut first = None;
+        for tag in 0..20 {
+            client.send(1, &Msg::Read { index: 0, tag });
+            inbox_msg(&site);
+            site.send(0, &Msg::WriteOk { tag });
+            assert!(client.recv_from(1, LONG).is_some());
+            let now = set(&client).expect("a wait set the timeout");
+            assert_eq!(*first.get_or_insert(now), now, "reply {tag} set it again");
+        }
     }
 
     /// The peer closes mid-wait: the connection is forgotten, the wait

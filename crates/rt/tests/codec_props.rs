@@ -16,10 +16,10 @@ use radd_parity::{ChangeMask, Uid, UidArray};
 use radd_protocol::wire::{Msg, NackReason, SpareContent, SpareSlotWire};
 use radd_protocol::{decode_msg, encode_msg_vec, MemBlocks, SiteMachine};
 use radd_rt::frame::{
-    checksum, write_frame, CtlRep, CtlReq, Frame, FrameDecoder, FrameError, FRAME_HEADER,
-    MAX_FRAME, READ_STEP,
+    checksum, write_frame, write_msg, Checksum, CtlRep, CtlReq, Frame, FrameDecoder, FrameError,
+    FRAME_HEADER, MAX_FRAME, READ_STEP,
 };
-use std::io::Read;
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 // ---------------------------------------------------------------------
 // strategies: every message and frame kind
@@ -429,6 +429,152 @@ proptest! {
         data.copy_within(wb.clone(), wa.start);
         data[wb].copy_from_slice(&word_a);
         prop_assert_ne!(checksum(&data), base, "words {} and {} swapped", a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Fed in pieces cut anywhere, the checksum finishes with the value of
+    /// the whole payload.
+    #[test]
+    fn the_checksum_over_any_split_is_the_checksum_of_the_whole(
+        len in 0usize..4 * 1024,
+        seed in any::<u64>(),
+        cuts in proptest::collection::vec(any::<usize>(), 0..8),
+    ) {
+        let data = noise(len, seed);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+        cuts.push(0);
+        cuts.push(len);
+        cuts.sort_unstable();
+        let mut check = Checksum::new();
+        for piece in cuts.windows(2) {
+            check.update(&data[piece[0]..piece[1]]);
+        }
+        prop_assert_eq!(check.finish(), checksum(&data));
+    }
+}
+
+/// Takes at most `step` bytes a call across whatever slices it is offered,
+/// and is interrupted before every other call.
+struct Dribble {
+    step: usize,
+    interrupt: bool,
+    got: Vec<u8>,
+}
+
+impl Write for Dribble {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.interrupt = !self.interrupt;
+        if self.interrupt {
+            return Err(ErrorKind::Interrupted.into());
+        }
+        let before = self.got.len();
+        for buf in bufs {
+            let n = buf.len().min(self.step - (self.got.len() - before));
+            self.got.extend_from_slice(&buf[..n]);
+        }
+        Ok(self.got.len() - before)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// What `write_msg` sends for any message is `encode_msg`'s bytes
+    /// behind frame type 1 (`Frame::Proto`) and the header, byte for byte:
+    /// into a `Vec`, through `write_frame`, and through a writer that takes
+    /// a few bytes at a time and is interrupted between.
+    #[test]
+    fn write_msg_sends_the_encoding_behind_a_frame_header(
+        msg in arb_msg(),
+        step in 1usize..64,
+    ) {
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&encode_msg_vec(&msg));
+        let mut want = Vec::new();
+        want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        want.extend_from_slice(&checksum(&payload).to_le_bytes());
+        want.extend_from_slice(&payload);
+        let mut whole = Vec::new();
+        write_msg(&mut whole, &msg).expect("Vec write");
+        prop_assert_eq!(&whole, &want);
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &Frame::Proto(msg.clone())).expect("Vec write");
+        prop_assert_eq!(&framed, &want);
+        let mut dribble = Dribble { step, interrupt: false, got: Vec::new() };
+        write_msg(&mut dribble, &msg).expect("a dribbling writer takes it all");
+        prop_assert_eq!(&dribble.got, &want);
+    }
+}
+
+/// A socket that hands over `wire` in the chunk sizes of `cuts`, and has
+/// nothing (`WouldBlock`, a read timeout) before every other chunk.
+struct Stutter<'a> {
+    wire: &'a [u8],
+    cuts: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    dry: bool,
+}
+
+impl Read for Stutter<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.dry = !self.dry;
+        if self.dry && !self.wire.is_empty() {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let n = self
+            .cuts
+            .next()
+            .copied()
+            .unwrap_or(1)
+            .max(1)
+            .min(buf.len())
+            .min(self.wire.len());
+        let (chunk, rest) = self.wire.split_at(n);
+        buf[..n].copy_from_slice(chunk);
+        self.wire = rest;
+        Ok(n)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A read that stops mid-frame with `WouldBlock` keeps the bytes it
+    /// read: retried after every such error, `read_from` yields the frames
+    /// an uninterrupted stream does, large frames included.
+    #[test]
+    fn a_read_that_would_block_mid_frame_keeps_what_arrived(
+        frames in proptest::collection::vec(arb_frame(), 1..4),
+        block in arb_bytes(70 * 1024),
+        cuts in proptest::collection::vec(1usize..20_000, 1..6),
+    ) {
+        let mut frames = frames;
+        frames.push(Frame::Proto(Msg::ReadOk { tag: 7, data: block }));
+        let wire = to_wire(&frames);
+        let mut socket = Stutter { wire: &wire, cuts: cuts.iter().cycle(), dry: false };
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        loop {
+            while let Some(f) = dec.next_frame().expect("valid stream") {
+                got.push(f);
+            }
+            match dec.read_from(&mut socket) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => prop_assert_eq!(e.kind(), ErrorKind::WouldBlock),
+            }
+        }
+        prop_assert_eq!(&got, &frames);
     }
 }
 

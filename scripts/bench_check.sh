@@ -61,6 +61,13 @@
 # results/BENCH_pr20.json: a payload-sized copy or a second buffer creeping
 # back into the frame path shows there.
 #
+# A seventh gate covers the change mask: in one run of the
+# change_mask bench, diffing a 64 KiB block rewritten whole and encoding
+# the mask must beat the same work as it ran before 2x
+# (diff_wordwise_full_64k / diff_full_64k >= 2.0). The comparand is the
+# word-at-a-time scan with its copy-then-XOR payload and its encode copy,
+# kept in the bench only, as the sixth gate keeps its kernels.
+#
 # With --parent DIR (a checkout of the parent commit, e.g. a `git clone`),
 # every gate's benches run in DIR first and then here, and the table gives
 # each gate's value on both trees beside its bound, so a gate that fails
@@ -94,7 +101,8 @@ RB_MIN_RATIO="${RB_MIN_RATIO:-2.0}"
 WAL_MAX_COMMIT_BYTES=$((4096 + 256))
 
 # measure DIR: run every gate's benches in DIR, print what they print, and
-# leave the `bench` lines in PC_OUT, MG_OUT, RB_OUT, DC_OUT and FP_OUT.
+# leave the `bench` lines in PC_OUT, MG_OUT, RB_OUT, DC_OUT, FP_OUT and
+# CM_OUT.
 measure() {
     local dir=$1
     echo "== bench_check: benches in $dir"
@@ -109,7 +117,8 @@ measure() {
     fi
     DC_OUT="$(cd "$dir" && cargo bench -p radd-bench --bench disk_commit 2>&1 | grep '^bench ' || true)"
     FP_OUT="$(cd "$dir" && cargo bench -p radd-bench --bench frame_path 2>&1 | grep '^bench ' || true)"
-    printf '%s\n' "$PC_OUT" "$MG_OUT" "$RB_OUT" "$DC_OUT" "$FP_OUT" | grep -v '^$' || true
+    CM_OUT="$(cd "$dir" && cargo bench -p radd-bench --bench change_mask 2>&1 | grep '^bench ' || true)"
+    printf '%s\n' "$PC_OUT" "$MG_OUT" "$RB_OUT" "$DC_OUT" "$FP_OUT" "$CM_OUT" | grep -v '^$' || true
 }
 
 # gates DIR: one `name value op bound verdict` line per gate, the value
@@ -168,6 +177,7 @@ gates() {
         "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512_bytes)"
     ratio "checksum_serial/laned_64k" "$(row "$FP_OUT" frame_path/checksum_serial_64k)" "$(row "$FP_OUT" frame_path/checksum_64k)" ">=" 2.5
     ratio "crc32_bytewise/sliced_4k" "$(row "$FP_OUT" frame_path/crc32_bytewise_4k)" "$(row "$FP_OUT" frame_path/crc32_4k)" ">=" 3.0
+    ratio "mask_diff_wordwise/fast_64k" "$(row "$CM_OUT" change_mask/diff_wordwise_full_64k)" "$(row "$CM_OUT" change_mask/diff_full_64k)" ">=" 2.0
     for name in write_frame_64k decode_64k; do
         gate "frame_path/$name" "$(row "$FP_OUT" "frame_path/$name")" "<=" \
             "$(scaled "$(recorded results/BENCH_pr20.json "$HERE" "['headline']['${name}_ns']")")"
