@@ -1,20 +1,22 @@
-//! The RADD cluster: a synchronous effect interpreter around the sans-IO
-//! protocol machines.
+//! The RADD cluster: the sans-IO protocol machines on the synchronous
+//! cascade, priced.
 //!
 //! One [`RaddCluster`] owns the `G + 2` sites — each a
-//! [`radd_protocol::SiteMachine`] paired with its disk array — plus one
-//! persistent [`radd_protocol::ClientMachine`], the lock table, the cost
-//! ledger and the per-category traffic counters. All §3 protocol logic
-//! (W1–W4 ordering, UID validation, spare-slot lifecycle, a recovering
-//! site's reads and writes, the parity stand-in while a parity site is
-//! down, the recovery drain) lives in the machines: every client read and
-//! write, whatever the sites' states, is one `ClientMachine` call. This
-//! module only
+//! [`radd_protocol::SiteMachine`] over its disk array, on
+//! [`radd_protocol::loopback::Loopback`], the workspace's one synchronous
+//! cascade (a message cascade runs to completion inside one client call) —
+//! plus one persistent [`radd_protocol::ClientMachine`] and the lock table.
+//! All §3 protocol logic (W1–W4 ordering, UID validation, spare-slot
+//! lifecycle, a recovering site's reads and writes, the parity stand-in
+//! while a parity site is down, the recovery drain, the rebuild of a lost
+//! block) lives in the machines: every client read and write, whatever the
+//! sites' states, is one `ClientMachine` call. This module only
 //!
-//! * delivers machine-emitted [`Effect::Send`]s synchronously (a message
-//!   cascade runs to completion inside one client call),
-//! * prices [`Effect::Read`]/[`Effect::Write`] receipts into the Figure-3
-//!   cost ledger by their [`IoPurpose`],
+//! * prices the cascade, as its hook: [`Effect::Read`]/[`Effect::Write`]
+//!   receipts into the Figure-3 cost ledger by their [`IoPurpose`], sends
+//!   into the per-category traffic counters, and, in
+//!   [`ParityMode::Queued`], parity updates into a queue the sender is
+//!   acked from; the trace and observability taps hang there too,
 //! * injects failures (which machines only observe as
 //!   [`radd_protocol::BlockFault`]s and state transitions) and tells the
 //!   client and site machines what to believe of each site, and
@@ -44,35 +46,36 @@
 //!   answered with a control message carrying no block payload. Reading a
 //!   *valid* spare is a normal block read;
 //! * side-effect work off the critical path (installing a reconstruction
-//!   result into the spare, draining a stand-in back to a recovering site)
-//!   is charged to the background ledger, not to the operation's latency.
+//!   result into the spare, draining a stand-in back to a recovering site,
+//!   restoring a rebuilt block to it) is charged to the background ledger,
+//!   not to the operation's latency.
 
 use crate::config::{ParityMode, RaddConfig};
 use crate::error::RaddError;
 use crate::locks::{LockKind, LockManager};
-use crate::site::{SiteNode, SiteState};
 use crate::stats::{Actor, OpReceipt, TrafficStats};
 use bytes::Bytes;
 use radd_blockdev::{BlockDevice, DiskArray};
 use radd_layout::{DataIndex, Geometry, PhysRow, Role, SiteId};
 use radd_net::{PartitionMap, PartitionVerdict};
 use radd_obs::{ClusterObs, ObsSnapshot};
+use radd_protocol::loopback::{Hook, Loopback};
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
-    trace, BlockFault, Blocks, ClientErr, ClientMachine, Dest, DurableSiteState, Effect, IoPurpose,
-    Msg, RebuildReport, SiteMachine, SpareContent, BLOCK_MSG_HEADER, CONTROL_MSG_BYTES,
+    trace, BlockFault, Blocks, ClientErr, ClientIo, ClientMachine, Dest, DurableSiteState, Effect,
+    IoPurpose, Msg, RebuildReport, SiteMachine, SiteState, BLOCK_MSG_HEADER, CONTROL_MSG_BYTES,
 };
 use radd_sim::{CostLedger, OpKind};
-use std::collections::VecDeque;
 
 /// Recovery-drain locks are held by this pseudo transaction id.
 const RECOVERY_TXN: u64 = u64::MAX;
 
-/// [`Blocks`] over a site's disk array: a failed disk surfaces to the
-/// machine as a [`BlockFault`].
-struct ArrayBlocks<'a>(&'a mut DiskArray);
+/// A site's disk array as its machine's block store: a failed disk
+/// surfaces to the machine as a [`BlockFault`].
+#[derive(Debug)]
+struct Disks(DiskArray);
 
-impl Blocks for ArrayBlocks<'_> {
+impl Blocks for Disks {
     fn read(&mut self, row: u64) -> Result<Bytes, BlockFault> {
         self.0.read_block(row).map_err(|_| BlockFault)
     }
@@ -86,14 +89,149 @@ impl Blocks for ArrayBlocks<'_> {
     }
 }
 
-/// A queued parity-update message (only populated in
-/// [`ParityMode::Queued`]): the wire message plus the peer slot its ack
-/// should be delivered to at flush time.
-#[derive(Debug, Clone)]
-struct PendingParity {
-    to: SiteId,
-    src_peer: usize,
-    msg: Msg,
+/// What the cascade costs: the DES's hook on [`Loopback`]. It prices every
+/// machine step's receipts and parity updates (Figure-3 conventions; see
+/// the module docs) and every client request's control traffic, holds
+/// [`ParityMode::Queued`]'s updates, and taps the trace and the
+/// observability layer.
+#[derive(Debug)]
+struct Pricing {
+    /// Who the running operation is for (local vs remote costs).
+    actor: Actor,
+    /// Whether the running exchange is background work.
+    background: bool,
+    /// Wire bytes of one block message.
+    block_wire: usize,
+    ledger: CostLedger,
+    traffic: TrafficStats,
+    /// [`ParityMode::Queued`]'s parity updates in flight, each with the
+    /// site and the peer slot it goes to and comes from; `None` in
+    /// [`ParityMode::Sync`], and while [`RaddCluster::flush_parity`]
+    /// delivers them.
+    queued: Option<Vec<(SiteId, usize, Msg)>>,
+    /// Per-site normalised effect traces (differential testing); index `j`
+    /// is site `j`.
+    site_traces: Option<Vec<Vec<ObsEvent>>>,
+    /// Metrics + flight recorder, tapped off the same effect stream. The
+    /// latency histograms record *logical* ledger microseconds, never wall
+    /// time, so an observed DES run stays deterministic.
+    obs: Option<ClusterObs>,
+}
+
+impl Pricing {
+    fn kind(&self, at: SiteId, local: OpKind, remote: OpKind) -> OpKind {
+        if self.actor.is_local_to(at) {
+            local
+        } else {
+            remote
+        }
+    }
+
+    /// Price one read receipt at `at`.
+    fn read(&mut self, at: SiteId, purpose: IoPurpose) {
+        let kind = self.kind(at, OpKind::LocalRead, OpKind::RemoteRead);
+        match purpose {
+            // Buffer-pool / prefetch assumptions: free.
+            IoPurpose::OldValue | IoPurpose::ParityApply => {}
+            _ if self.background => {
+                self.ledger.charge_background(kind);
+                self.traffic.recovery.record_send(self.block_wire);
+            }
+            _ => {
+                if kind == OpKind::RemoteRead {
+                    self.traffic.remote_reads.record_send(self.block_wire);
+                }
+                self.ledger.charge(kind);
+            }
+        }
+    }
+
+    /// Price one write receipt at `at`.
+    fn write(&mut self, at: SiteId, purpose: IoPurpose) {
+        let kind = self.kind(at, OpKind::LocalWrite, OpKind::RemoteWrite);
+        match purpose {
+            // The parity read-modify-write was charged as one RW when the
+            // update was sent.
+            IoPurpose::OldValue | IoPurpose::ParityApply => {}
+            IoPurpose::SpareInstall => {
+                self.traffic.spare_writes.record_send(self.block_wire);
+                if self.background {
+                    self.ledger.charge_background(OpKind::RemoteWrite);
+                } else {
+                    self.ledger.charge(kind);
+                }
+            }
+            IoPurpose::Restore => self.ledger.charge_background(OpKind::LocalWrite),
+            _ => {
+                self.ledger.charge(kind);
+            }
+        }
+    }
+
+    /// A parity update sent to `to`: one write, charged at send time.
+    fn parity_update(&mut self, to: SiteId, msg: &Msg) {
+        self.traffic.parity_updates.record_send(msg.wire_size());
+        let kind = self.kind(to, OpKind::LocalWrite, OpKind::RemoteWrite);
+        self.ledger.charge(kind);
+    }
+}
+
+impl Hook<Disks> for Pricing {
+    fn handle(
+        &mut self,
+        site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut Disks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        if let (Some(queued), Msg::ParityUpdate { tag, .. }) = (&mut self.queued, &msg) {
+            // In flight: ack the sender on the target's behalf so its
+            // stop-and-wait queue advances (the flush-time ack is a
+            // duplicate the machine ignores).
+            out.push(Effect::send(Dest::Peer(src), Msg::Ack { tag: *tag }));
+            queued.push((site, src, msg));
+            return;
+        }
+        machine.handle(blocks, src, msg, out);
+        if let Some(bufs) = &mut self.site_traces {
+            bufs[site].extend(out.iter().filter_map(trace));
+        }
+        for eff in out.iter() {
+            if let Some(obs) = &mut self.obs {
+                obs.site(site).effect(eff);
+            }
+            match eff {
+                Effect::Read { purpose, .. } => self.read(site, *purpose),
+                Effect::Write { purpose, .. } => self.write(site, *purpose),
+                Effect::Send {
+                    to: Dest::Site(t),
+                    msg: m @ Msg::ParityUpdate { .. },
+                    ..
+                } => self.parity_update(*t, m),
+                // Synchronous delivery: acks are immediate, timers are
+                // moot; DeferAck resolves within this same cascade.
+                _ => {}
+            }
+        }
+    }
+
+    fn exchange(&mut self, site: usize, msg: &Msg) {
+        if let Some(obs) = &mut self.obs {
+            obs.client().event(ObsEvent::client_send(site, msg, false));
+        }
+        match msg {
+            // W3' from the client.
+            Msg::ParityUpdate { .. } => self.parity_update(site, msg),
+            // Spare-slot control plane: a validity probe is a UID check
+            // answered with a control message, not a block transfer.
+            Msg::SpareProbe { .. } | Msg::SpareTake { .. } | Msg::SpareDrainList { .. } => {
+                self.traffic.control.record_send(CONTROL_MSG_BYTES);
+            }
+            _ => {}
+        }
+    }
 }
 
 /// How the DES models each site's storage engine (§3.4).
@@ -137,24 +275,18 @@ type ClientFailure = (ClientErr, Option<RaddError>);
 pub struct RaddCluster {
     config: RaddConfig,
     geometry: Geometry,
-    sites: Vec<SiteNode>,
+    /// The sites, each machine over its disk array, on the cascade its
+    /// pricing hangs on.
+    net: Loopback<Pricing, Disks>,
+    /// Each site's §3.1 state: up, down or recovering.
+    states: Vec<SiteState>,
     /// The persistent client machine (`Option` only so it can be detached
     /// while an io adapter borrows the rest of the cluster). Persistent so
     /// its UID mint never resets — reused UIDs would defeat the parity
     /// site's idempotence guard.
     client: Option<ClientMachine>,
-    ledger: CostLedger,
-    traffic: TrafficStats,
     locks: LockManager,
     partition: PartitionMap,
-    pending_parity: Vec<PendingParity>,
-    /// Per-site normalised effect traces (differential testing); index `j`
-    /// is site `j`.
-    site_traces: Option<Vec<Vec<ObsEvent>>>,
-    /// Metrics + flight recorder, tapped off the same effect stream. The
-    /// latency histograms record *logical* ledger microseconds, never wall
-    /// time, so an observed DES run stays deterministic.
-    obs: Option<ClusterObs>,
     /// Storage engine model (§3.4): volatile by default; durable enables
     /// [`kill_restart_site`](RaddCluster::kill_restart_site).
     storage_mode: StorageMode,
@@ -174,15 +306,26 @@ impl RaddCluster {
             .map_err(|e| RaddError::BadConfig(e.to_string()))?;
         let sites = (0..config.num_sites())
             .map(|id| {
-                SiteNode::new(
-                    id,
-                    config.group_size,
-                    config.disks_per_site,
-                    config.blocks_per_disk(),
-                    config.block_size,
+                (
+                    SiteMachine::new(id, config.group_size, config.rows, config.block_size),
+                    Disks(DiskArray::new(
+                        config.disks_per_site,
+                        config.blocks_per_disk(),
+                        config.block_size,
+                    )),
                 )
             })
             .collect();
+        let pricing = Pricing {
+            actor: Actor::Client,
+            background: false,
+            block_wire: config.block_size + BLOCK_MSG_HEADER,
+            ledger: CostLedger::new(config.cost),
+            traffic: TrafficStats::default(),
+            queued: (config.parity_mode == ParityMode::Queued).then(Vec::new),
+            site_traces: None,
+            obs: None,
+        };
         // UID namespace u16::MAX: disjoint from every site's generator
         // (namespace = site id) and identical to the threaded runtime's
         // primary client, so differential traces mint the same UIDs.
@@ -195,16 +338,15 @@ impl RaddCluster {
             u16::MAX,
         );
         Ok(RaddCluster {
-            ledger: CostLedger::new(config.cost),
             partition: PartitionMap::connected(config.num_sites()),
             geometry,
-            sites,
+            net: Loopback {
+                sites,
+                hook: pricing,
+            },
+            states: vec![SiteState::Up; config.num_sites()],
             client: Some(client),
-            traffic: TrafficStats::default(),
             locks: LockManager::new(),
-            pending_parity: Vec::new(),
-            site_traces: None,
-            obs: None,
             storage_mode: StorageMode::default(),
             config,
         })
@@ -237,12 +379,12 @@ impl RaddCluster {
 
     /// The cost ledger (foreground + background op counts and latency).
     pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
+        &self.net.hook.ledger
     }
 
     /// Per-category network traffic counters.
     pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
+        &self.net.hook.traffic
     }
 
     /// The block lock table (§3.3; shared with `radd-txn`).
@@ -252,22 +394,26 @@ impl RaddCluster {
 
     /// Zero the ledger and traffic counters (between experiment phases).
     pub fn reset_stats(&mut self) {
-        self.ledger.reset();
-        self.traffic = TrafficStats::default();
-        for s in &mut self.sites {
-            s.array.reset_stats();
+        self.net.hook.ledger.reset();
+        self.net.hook.traffic = TrafficStats::default();
+        for (_, Disks(array)) in &mut self.net.sites {
+            array.reset_stats();
         }
     }
 
     /// Current state of a site (ignoring partitions; see
     /// [`effective_state`](RaddCluster::effective_state)).
     pub fn site_state(&self, site: SiteId) -> SiteState {
-        self.sites[site].state
+        self.states[site]
     }
 
-    /// Direct access to a site, for inspection in tests and tooling.
-    pub fn site(&self, site: SiteId) -> &SiteNode {
-        &self.sites[site]
+    /// A site's protocol machine, for inspection in tests and tooling.
+    pub fn machine(&self, site: SiteId) -> &SiteMachine {
+        &self.net.sites[site].0
+    }
+
+    fn array(&mut self, site: SiteId) -> &mut DiskArray {
+        &mut self.net.sites[site].1 .0
     }
 
     // ------------------------------------------------------------------
@@ -277,37 +423,42 @@ impl RaddCluster {
     /// A temporary site failure: the site stops processing; its disks keep
     /// their contents.
     pub fn fail_site(&mut self, site: SiteId) {
-        self.sites[site].state = SiteState::Down;
+        self.states[site] = SiteState::Down;
     }
 
     /// A site disaster: the site goes down and *all* its disk contents are
-    /// lost (it will be restored on blank replacement hardware).
+    /// lost (it will be restored on blank replacement hardware), every
+    /// disk blanked and all its metadata with them.
     pub fn disaster(&mut self, site: SiteId) {
-        self.sites[site].lose_everything();
-        self.sites[site].state = SiteState::Down;
+        let (machine, Disks(array)) = &mut self.net.sites[site];
+        array.disaster();
+        machine.forget_all();
+        self.states[site] = SiteState::Down;
     }
 
     /// A disk failure: the site stays operational but the disk's blocks are
     /// inaccessible. Per §3.1 this moves the site "directly from up to
     /// recovering".
     pub fn fail_disk(&mut self, site: SiteId, disk: usize) {
-        self.sites[site].array.fail_disk(disk);
-        if self.sites[site].state == SiteState::Up {
-            self.sites[site].state = SiteState::Recovering;
+        self.array(site).fail_disk(disk);
+        if self.states[site] == SiteState::Up {
+            self.states[site] = SiteState::Recovering;
         }
     }
 
     /// Swap a blank spare drive in for a failed disk; its previous contents
-    /// are marked invalid for the recovery daemon to rebuild.
+    /// (blocks, UIDs, parity arrays, spare slots) are marked invalid for
+    /// the recovery daemon to rebuild.
     pub fn replace_disk(&mut self, site: SiteId, disk: usize) {
-        self.sites[site].array.replace_disk(disk);
-        self.sites[site].lose_disk_rows(disk);
+        let (machine, Disks(array)) = &mut self.net.sites[site];
+        array.replace_disk(disk);
+        machine.forget_rows(array.blocks_on_disk(disk));
     }
 
     /// Bring a down site back: it enters the recovering state (§3.1).
     pub fn restore_site(&mut self, site: SiteId) {
-        if self.sites[site].state == SiteState::Down {
-            self.sites[site].state = SiteState::Recovering;
+        if self.states[site] == SiteState::Down {
+            self.states[site] = SiteState::Recovering;
         }
     }
 
@@ -330,8 +481,7 @@ impl RaddCluster {
         if self.storage_mode != StorageMode::Durable {
             return false;
         }
-        let snap = self.sites[site].machine.durable_snapshot();
-        let bytes = snap.encode();
+        let bytes = self.machine(site).durable_snapshot().encode();
         let restored = DurableSiteState::decode(&bytes)
             .unwrap_or_else(|e| panic!("durable snapshot codec must roundtrip: {e}"));
         let replay_reads = restored
@@ -339,22 +489,21 @@ impl RaddCluster {
             .iter()
             .filter(|uid| uid.is_valid())
             .count();
-        self.sites[site].machine = SiteMachine::restore_durable(restored);
+        self.net.sites[site].0 = SiteMachine::restore_durable(restored);
         // The restarted machine's beliefs were volatile: tell it again.
-        for peer in (0..self.sites.len()).filter(|&p| p != site) {
+        for peer in (0..self.states.len()).filter(|&p| p != site) {
             let down = self.client().is_down(peer);
-            self.sites[site].machine.set_peer_down(peer, down);
+            self.net.sites[site].0.set_peer_down(peer, down);
         }
-        for _ in 0..replay_reads {
-            self.charge_io_read(Actor::Site(site), true, site, IoPurpose::LogReplay);
-        }
+        let replayed = &mut self.net.hook.ledger.background;
+        replayed.record_n(OpKind::LocalRead, replay_reads as u64);
         true
     }
 
     /// Install a network partition (heal with
     /// [`PartitionMap::connected`]).
     pub fn set_partition(&mut self, partition: PartitionMap) {
-        assert_eq!(partition.num_sites(), self.sites.len());
+        assert_eq!(partition.num_sites(), self.states.len());
         self.partition = partition;
     }
 
@@ -365,70 +514,7 @@ impl RaddCluster {
             PartitionVerdict::SingleFailureLike { isolated, .. } if isolated == site => {
                 SiteState::Down
             }
-            _ => self.sites[site].state,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Charging helpers
-    // ------------------------------------------------------------------
-
-    fn charge_write(&mut self, actor: Actor, at: SiteId) {
-        let kind = if actor.is_local_to(at) {
-            OpKind::LocalWrite
-        } else {
-            OpKind::RemoteWrite
-        };
-        self.ledger.charge(kind);
-    }
-
-    /// Price one machine-emitted read receipt at `at` (Figure-3
-    /// conventions; see the module docs).
-    fn charge_io_read(&mut self, actor: Actor, background: bool, at: SiteId, purpose: IoPurpose) {
-        let kind = if actor.is_local_to(at) {
-            OpKind::LocalRead
-        } else {
-            OpKind::RemoteRead
-        };
-        let block = self.config.block_size + BLOCK_MSG_HEADER;
-        match purpose {
-            // Buffer-pool / prefetch assumptions: free.
-            IoPurpose::OldValue | IoPurpose::ParityApply => {}
-            // §3.4: a crashed site replaying its committed log suffix does
-            // local reads off the critical path ("only one local read need
-            // be done for each block accessed").
-            IoPurpose::LogReplay => self.ledger.charge_background(kind),
-            _ if background => {
-                self.ledger.charge_background(kind);
-                self.traffic.recovery.record_send(block);
-            }
-            _ => {
-                if kind == OpKind::RemoteRead {
-                    self.traffic.remote_reads.record_send(block);
-                }
-                self.ledger.charge(kind);
-            }
-        }
-    }
-
-    /// Price one machine-emitted write receipt at `at`.
-    fn charge_io_write(&mut self, actor: Actor, background: bool, at: SiteId, purpose: IoPurpose) {
-        match purpose {
-            // The parity read-modify-write was charged as one RW when the
-            // update was sent.
-            IoPurpose::OldValue | IoPurpose::ParityApply => {}
-            IoPurpose::SpareInstall => {
-                self.traffic
-                    .spare_writes
-                    .record_send(self.config.block_size + BLOCK_MSG_HEADER);
-                if background {
-                    self.ledger.charge_background(OpKind::RemoteWrite);
-                } else {
-                    self.charge_write(actor, at);
-                }
-            }
-            IoPurpose::Restore => self.ledger.charge_background(OpKind::LocalWrite),
-            _ => self.charge_write(actor, at),
+            _ => self.states[site],
         }
     }
 
@@ -445,143 +531,18 @@ impl RaddCluster {
 
     /// Is the local copy of `row` at `site` physically readable and
     /// trusted?
-    fn local_row_ok(&self, site: SiteId, row: PhysRow) -> bool {
-        let s = &self.sites[site];
-        !s.array.is_failed(s.array.disk_of(row)) && !s.machine.invalid_rows().contains(&row)
+    pub(crate) fn local_row_ok(&self, site: SiteId, row: PhysRow) -> bool {
+        let (machine, Disks(array)) = &self.net.sites[site];
+        !array.is_failed(array.disk_of(row)) && !machine.invalid_rows().contains(&row)
     }
 
     // ------------------------------------------------------------------
-    // The effect interpreter
+    // The client machine's transport
     // ------------------------------------------------------------------
-
-    /// Deliver `msg` to site `dst` as peer `src` (0 = the client, `1 + j` =
-    /// site `j`) and run the resulting message cascade to completion.
-    /// Returns the reply addressed to peer 0, if the cascade produced one.
-    fn deliver(
-        &mut self,
-        actor: Actor,
-        background: bool,
-        dst: SiteId,
-        src: usize,
-        msg: Msg,
-    ) -> Option<Msg> {
-        let mut queue: VecDeque<(SiteId, usize, Msg)> = VecDeque::new();
-        queue.push_back((dst, src, msg));
-        let mut reply: Option<Msg> = None;
-        while let Some((d, s, m)) = queue.pop_front() {
-            let mut out = Vec::new();
-            {
-                let node = &mut self.sites[d];
-                let mut blocks = ArrayBlocks(&mut node.array);
-                node.machine.handle(&mut blocks, s, m.clone(), &mut out);
-            }
-            self.tap_effects(d, &out);
-            for eff in out {
-                match eff {
-                    Effect::Read { purpose, .. } => {
-                        self.charge_io_read(actor, background, d, purpose);
-                    }
-                    Effect::Write { purpose, .. } => {
-                        self.charge_io_write(actor, background, d, purpose);
-                    }
-                    Effect::Send { to, msg: sm, .. } => match to {
-                        Dest::Peer(0) => reply = Some(sm),
-                        Dest::Peer(p) => queue.push_back((p - 1, d + 1, sm)),
-                        Dest::Site(t) => {
-                            let tag = sm.tag();
-                            match self.route_parity_update(actor, t, d + 1, sm) {
-                                Some(sm) => queue.push_back((t, d + 1, sm)),
-                                // In flight or absorbed: ack the sender so
-                                // its stop-and-wait queue advances (the
-                                // flush-time ack is a duplicate the machine
-                                // ignores).
-                                None => queue.push_back((d, t + 1, Msg::Ack { tag })),
-                            }
-                        }
-                    },
-                    // Synchronous delivery: acks are immediate, timers are
-                    // moot; DeferAck resolves within this same cascade.
-                    Effect::DeferAck { .. }
-                    | Effect::SetTimer { .. }
-                    | Effect::ClearTimer { .. } => {}
-                }
-            }
-        }
-        reply
-    }
-
-    /// A message leaving a site for site `to` as peer `src_peer`. A parity
-    /// update gets the paper's costing (one remote write, charged at send
-    /// time) and honours the parity mode. `Some(msg)` is handed back for
-    /// delivery to `to`; `None` means the update was queued, and the caller
-    /// acks on the target's behalf. Anything but a parity update passes
-    /// through.
-    fn route_parity_update(
-        &mut self,
-        actor: Actor,
-        to: SiteId,
-        src_peer: usize,
-        msg: Msg,
-    ) -> Option<Msg> {
-        if !matches!(msg, Msg::ParityUpdate { .. }) {
-            return Some(msg);
-        }
-        self.traffic.parity_updates.record_send(msg.wire_size());
-        self.charge_write(actor, to);
-        if self.config.parity_mode == ParityMode::Queued {
-            self.pending_parity
-                .push(PendingParity { to, src_peer, msg });
-            return None;
-        }
-        Some(msg)
-    }
-
-    /// Feed one machine step's effects to the differential trace and the
-    /// observability tap of site `site`.
-    fn tap_effects(&mut self, site: SiteId, out: &[Effect]) {
-        if let Some(bufs) = &mut self.site_traces {
-            bufs[site].extend(out.iter().filter_map(trace));
-        }
-        if let Some(obs) = &mut self.obs {
-            for eff in out {
-                obs.site(site).effect(eff);
-            }
-        }
-    }
-
-    /// One client request into the cluster: control-traffic accounting, the
-    /// parity-mode split for client-originated W3' updates, then delivery.
-    /// `None` when no reply came back (the site is down).
-    fn client_request(
-        &mut self,
-        actor: Actor,
-        site: SiteId,
-        msg: Msg,
-        background: bool,
-    ) -> Option<Msg> {
-        if let Some(obs) = &mut self.obs {
-            obs.client().event(ObsEvent::client_send(site, &msg, false));
-        }
-        let tag = msg.tag();
-        let msg = match msg {
-            Msg::ParityUpdate { .. } => match self.route_parity_update(actor, site, 0, msg) {
-                Some(msg) => msg,
-                None => return Some(Msg::Ack { tag }),
-            },
-            // Spare-slot control plane: a validity probe is a UID check
-            // answered with a control message, not a block transfer.
-            Msg::SpareProbe { .. } | Msg::SpareTake { .. } | Msg::SpareDrainList { .. } => {
-                self.traffic.control.record_send(CONTROL_MSG_BYTES);
-                msg
-            }
-            msg => msg,
-        };
-        self.deliver(actor, background, site, 0, msg)
-    }
 
     /// Run `f` against the detached client machine with a [`DesIo`] adapter
-    /// over the rest of the cluster. Any interpreter-level error is carried
-    /// alongside the machine's own.
+    /// over the rest of the cluster, priced for `actor`. Any
+    /// interpreter-level error is carried alongside the machine's own.
     fn with_client<R>(
         &mut self,
         actor: Actor,
@@ -590,9 +551,9 @@ impl RaddCluster {
         f: impl FnOnce(&mut ClientMachine, &mut DesIo<'_>) -> Result<R, ClientErr>,
     ) -> Result<R, ClientFailure> {
         let mut client = self.client.take().expect("client machine present");
+        self.net.hook.actor = actor;
         let mut io = DesIo {
             cluster: self,
-            actor,
             oracle,
             recovery_locks,
             held: Vec::new(),
@@ -622,9 +583,9 @@ impl RaddCluster {
             SiteState::Recovering => self.client().set_recovering(site),
             state => self.client().set_down(site, state == SiteState::Down),
         }
-        for (s, node) in self.sites.iter_mut().enumerate() {
+        for (s, (machine, _)) in self.net.sites.iter_mut().enumerate() {
             if s != site {
-                node.machine.set_peer_down(site, state == SiteState::Down);
+                machine.set_peer_down(site, state == SiteState::Down);
             }
         }
     }
@@ -632,7 +593,7 @@ impl RaddCluster {
     /// Refresh every machine's beliefs from the effective (partition-aware)
     /// site states.
     fn refresh_down_mask(&mut self) {
-        for s in 0..self.sites.len() {
+        for s in 0..self.states.len() {
             self.believe(s, self.effective_state(s));
         }
     }
@@ -678,13 +639,13 @@ impl RaddCluster {
         index: DataIndex,
     ) -> Result<(Bytes, OpReceipt), RaddError> {
         self.gate_partition(actor)?;
-        let snap = self.ledger.snapshot();
+        let snap = self.ledger().snapshot();
         self.refresh_down_mask();
         let data = self
             .with_client(actor, true, false, |cm, io| cm.read(io, site, index))
             .map_err(|f| self.lift(f, site, index, None))?;
-        let (counts, latency) = self.ledger.since(snap);
-        if let Some(obs) = &mut self.obs {
+        let (counts, latency) = self.ledger().since(snap);
+        if let Some(obs) = &mut self.net.hook.obs {
             obs.client()
                 .metrics()
                 .record_read_latency(latency.as_micros());
@@ -712,7 +673,7 @@ impl RaddCluster {
         data: &[u8],
     ) -> Result<OpReceipt, RaddError> {
         self.gate_partition(actor)?;
-        let snap = self.ledger.snapshot();
+        let snap = self.ledger().snapshot();
         self.refresh_down_mask();
         if index < self.geometry.data_capacity(site) {
             let row = self.geometry.data_to_physical(site, index);
@@ -723,8 +684,8 @@ impl RaddCluster {
         }
         self.with_client(actor, true, false, |cm, io| cm.write(io, site, index, data))
             .map_err(|f| self.lift(f, site, index, Some(data.len())))?;
-        let (counts, latency) = self.ledger.since(snap);
-        if let Some(obs) = &mut self.obs {
+        let (counts, latency) = self.ledger().since(snap);
+        if let Some(obs) = &mut self.net.hook.obs {
             obs.client()
                 .metrics()
                 .record_write_latency(latency.as_micros());
@@ -736,21 +697,25 @@ impl RaddCluster {
         })
     }
 
-    /// Apply all queued parity updates (queued mode only).
+    /// Apply all queued parity updates (queued mode only). The RW was
+    /// charged at send time and application is bookkeeping (`ParityApply`
+    /// receipts are free), so delivery here charges nothing.
     pub fn flush_parity(&mut self) -> Result<(), RaddError> {
-        let pending = std::mem::take(&mut self.pending_parity);
-        for p in pending {
-            // The RW was charged at send time; application is bookkeeping
-            // (ParityApply receipts are free), so delivery here charges
-            // nothing.
-            self.deliver(Actor::Client, false, p.to, p.src_peer, p.msg);
+        let Some(pending) = self.net.hook.queued.take() else {
+            return Ok(());
+        };
+        self.net.hook.actor = Actor::Client;
+        self.net.hook.background = false;
+        for (to, src, msg) in pending {
+            self.net.deliver(to, src, msg);
         }
+        self.net.hook.queued = Some(Vec::new());
         Ok(())
     }
 
     /// Number of parity updates still queued.
     pub fn pending_parity_updates(&self) -> usize {
-        self.pending_parity.len()
+        self.net.hook.queued.as_ref().map_or(0, Vec::len)
     }
 
     // ------------------------------------------------------------------
@@ -759,15 +724,16 @@ impl RaddCluster {
 
     /// The §3.2 background recovery daemon for a recovering site: drain
     /// every valid spare standing in for it (through the protocol's
-    /// lock-protected drain), reconstruct every invalid local block, then
-    /// mark the site up.
+    /// lock-protected drain), rebuild every invalid local block and restore
+    /// it there (the client machine's `restore_lost`), then mark the site
+    /// up.
     pub fn run_recovery(&mut self, site: SiteId) -> Result<RecoveryReport, RaddError> {
         assert_eq!(
-            self.sites[site].state,
+            self.states[site],
             SiteState::Recovering,
             "run_recovery on a site that is not recovering"
         );
-        if self.sites[site].array.any_failed() {
+        if self.array(site).any_failed() {
             return Err(RaddError::BadConfig(
                 "replace the failed disk before running recovery".into(),
             ));
@@ -783,40 +749,36 @@ impl RaddCluster {
             .with_client(Actor::Site(site), true, true, |cm, io| cm.recover(io, site))
             .map_err(|f| self.lift(f, site, 0, None))?;
 
-        // Phase 2: reconstruct blocks lost with disks/disasters.
-        let invalid: Vec<PhysRow> = self.sites[site]
-            .machine
+        // Phase 2: "reconstructs invalid local blocks" lost with a disk or
+        // in a disaster. An invalid spare block is simply empty: nothing to
+        // rebuild.
+        let lost: Vec<PhysRow> = self
+            .machine(site)
             .invalid_rows()
             .iter()
             .copied()
+            .filter(|&row| self.geometry.role(site, row) != Role::Spare)
             .collect();
-        for row in invalid {
-            // An invalid spare block is simply empty — nothing to do.
-            if self.geometry.role(site, row) != Role::Spare {
-                let (data, content) = self
-                    .with_client(Actor::Site(site), true, false, |cm, io| {
-                        cm.reconstruct(io, site, row, true)
-                    })
-                    .map_err(|f| self.lift(f, site, 0, None))?;
-                self.sites[site].write_block(row, &data)?;
-                self.ledger.charge_background(OpKind::LocalWrite);
-                let machine = &mut self.sites[site].machine;
-                match content {
-                    SpareContent::Data { uid } => {
-                        machine.set_block_uid(row, uid);
-                        report.data_reconstructed += 1;
-                    }
-                    SpareContent::Parity { uids } => {
-                        machine.parity_uids_mut().insert(row, uids);
-                        report.parity_rebuilt += 1;
-                    }
-                }
+        self.with_client(Actor::Site(site), true, false, |cm, io| {
+            lost.iter()
+                .try_for_each(|&row| match cm.restore_lost(io, site, row, true)? {
+                    (_, true) => Ok(()),
+                    (_, false) => Err(ClientErr::Unavailable { site }),
+                })
+        })
+        .map_err(|f| self.lift(f, site, 0, None))?;
+        for &row in &lost {
+            match self.geometry.role(site, row) {
+                Role::Parity => report.parity_rebuilt += 1,
+                _ => report.data_reconstructed += 1,
             }
-            self.sites[site].machine.invalid_rows_mut().remove(&row);
+        }
+        if !self.machine(site).invalid_rows().is_empty() {
+            self.net.sites[site].0.invalid_rows_mut().clear();
         }
 
-        self.sites[site].state = SiteState::Up;
-        if let Some(obs) = &mut self.obs {
+        self.states[site] = SiteState::Up;
+        if let Some(obs) = &mut self.net.hook.obs {
             obs.site(site).metrics().record_recovery(
                 report.spares_drained + report.data_reconstructed + report.parity_rebuilt,
             );
@@ -856,10 +818,10 @@ impl RaddCluster {
     /// up. Returns the number of blocks drained.
     pub(crate) fn client_recover(&mut self, site: SiteId) -> Result<u64, ClientErr> {
         let drained = self.client_op(|cm, io| cm.recover(io, site))?;
-        if self.sites[site].state == SiteState::Recovering {
-            self.sites[site].state = SiteState::Up;
+        if self.states[site] == SiteState::Recovering {
+            self.states[site] = SiteState::Up;
         }
-        if let Some(obs) = &mut self.obs {
+        if let Some(obs) = &mut self.net.hook.obs {
             obs.site(site).metrics().record_recovery(drained);
         }
         Ok(drained)
@@ -875,7 +837,7 @@ impl RaddCluster {
         wave_rows: usize,
     ) -> Result<RebuildReport, ClientErr> {
         let report = self.client_op(|cm, io| cm.rebuild_member(io, site, wave_rows))?;
-        if let Some(obs) = &mut self.obs {
+        if let Some(obs) = &mut self.net.hook.obs {
             obs.client().metrics().record_rebuild(&report);
         }
         Ok(report)
@@ -886,21 +848,18 @@ impl RaddCluster {
     /// receipts, traces and ledger charges are unchanged whether this is on
     /// or off.
     pub fn record_obs(&mut self, on: bool) {
-        self.obs = if on {
-            Some(ClusterObs::new(self.sites.len()))
-        } else {
-            None
-        };
+        self.net.hook.obs = on.then(|| ClusterObs::new(self.states.len()));
     }
 
     /// Freeze the observability state: machine 0 is the client, `1 + j` is
     /// site `j`. `None` when [`record_obs`](Self::record_obs) is off.
     pub fn obs_snapshot(&mut self) -> Option<ObsSnapshot> {
-        let n = self.sites.len();
-        let obs = self.obs.as_mut()?;
-        for j in 0..n {
-            let merges = self.sites[j].machine.coalesced_merges();
-            obs.site(j).metrics().set_coalesced_merges(merges);
+        let Loopback { sites, hook } = &mut self.net;
+        let obs = hook.obs.as_mut()?;
+        for (j, (machine, _)) in sites.iter().enumerate() {
+            obs.site(j)
+                .metrics()
+                .set_coalesced_merges(machine.coalesced_merges());
         }
         Some(obs.snapshot())
     }
@@ -908,11 +867,7 @@ impl RaddCluster {
     /// Start (or stop) recording normalised effect traces on every site
     /// machine and the client machine.
     pub fn record_machine_traces(&mut self, on: bool) {
-        self.site_traces = if on {
-            Some(vec![Vec::new(); self.sites.len()])
-        } else {
-            None
-        };
+        self.net.hook.site_traces = on.then(|| vec![Vec::new(); self.states.len()]);
         if on {
             self.client().record_trace();
         }
@@ -925,9 +880,9 @@ impl RaddCluster {
     /// [`radd_node::NodeCluster::take_traces`]: ../radd_node/struct.NodeCluster.html#method.take_traces
     pub fn take_machine_traces(&mut self) -> Vec<Vec<ObsEvent>> {
         let mut all = vec![self.client().take_trace()];
-        match &mut self.site_traces {
+        match &mut self.net.hook.site_traces {
             Some(bufs) => all.extend(bufs.iter_mut().map(std::mem::take)),
-            None => all.extend((0..self.sites.len()).map(|_| Vec::new())),
+            None => all.extend((0..self.states.len()).map(|_| Vec::new())),
         }
         all
     }
@@ -943,17 +898,17 @@ impl RaddCluster {
     fn logical_content_by_row(&mut self, site: SiteId, row: PhysRow) -> Result<Bytes, RaddError> {
         let spare_site = self.geometry.spare_site(row);
         if spare_site != site {
-            if let Some(slot) = self.sites[spare_site].machine.spares().get(&row) {
+            if let Some(slot) = self.machine(spare_site).spares().get(&row) {
                 if slot.for_site == site {
-                    return Ok(self.sites[spare_site].read_block(row)?);
+                    return Ok(self.array(spare_site).read_block(row)?);
                 }
             }
         }
         if self.local_row_ok(site, row) {
-            return Ok(self.sites[site].read_block(row)?);
+            return Ok(self.array(site).read_block(row)?);
         }
         // Reconstruct silently.
-        let sources: Vec<SiteId> = (0..self.sites.len())
+        let sources: Vec<SiteId> = (0..self.states.len())
             .filter(|&s| s != site && s != spare_site)
             .collect();
         let mut acc = vec![0u8; self.config.block_size];
@@ -963,7 +918,7 @@ impl RaddCluster {
                     detail: format!("cannot materialise row {row} of site {site}"),
                 });
             }
-            let c = self.sites[s].read_block(row)?;
+            let c = self.array(s).read_block(row)?;
             radd_parity::xor_in_place(&mut acc, &c);
         }
         Ok(Bytes::from(acc))
@@ -972,7 +927,7 @@ impl RaddCluster {
     /// Raw content of a physical block at a site, uncharged — inspection
     /// hook for tests and the fault harness.
     pub fn raw_block(&mut self, site: SiteId, row: PhysRow) -> Bytes {
-        self.sites[site].read_block(row).expect("row in range")
+        self.array(site).read_block(row).expect("row in range")
     }
 
     /// Fault-injection hook: overwrite the raw content of `site`'s
@@ -980,7 +935,7 @@ impl RaddCluster {
     /// or parity bookkeeping. This breaks the stripe invariant on purpose;
     /// the invariant checker is expected to catch it.
     pub fn corrupt_block(&mut self, site: SiteId, row: PhysRow, data: &[u8]) {
-        self.sites[site]
+        self.array(site)
             .write_block(row, data)
             .expect("row in range, right size");
     }
@@ -990,7 +945,7 @@ impl RaddCluster {
     /// to plant a UID-array slot or a spare slot no message produced. The
     /// invariant checker is expected to catch it.
     pub fn corrupt_machine(&mut self, site: SiteId) -> &mut SiteMachine {
-        &mut self.sites[site].machine
+        &mut self.net.sites[site].0
     }
 
     /// Public oracle: the logical content of a data block, bypassing all
@@ -1032,11 +987,10 @@ impl RaddCluster {
     }
 }
 
-/// The client machine's transport into the DES cluster: synchronous
-/// delivery, the buffer-pool oracle, and recovery-drain locking.
+/// The client machine's transport into the DES cluster: the priced
+/// cascade, the buffer-pool oracle, and recovery-drain locking.
 pub(crate) struct DesIo<'a> {
     cluster: &'a mut RaddCluster,
-    actor: Actor,
     /// Serve [`radd_protocol::ClientIo::old_value`] from the logical
     /// oracle (the paper's buffer-pool assumption). Off in client mode.
     oracle: bool,
@@ -1047,7 +1001,7 @@ pub(crate) struct DesIo<'a> {
     stash: Option<RaddError>,
 }
 
-impl radd_protocol::ClientIo for DesIo<'_> {
+impl ClientIo for DesIo<'_> {
     fn exchange(&mut self, site: usize, msg: Msg, background: bool) -> Result<Msg, ClientErr> {
         if self.recovery_locks {
             if let Msg::SpareProbe { row, .. } = &msg {
@@ -1068,13 +1022,14 @@ impl radd_protocol::ClientIo for DesIo<'_> {
             Msg::SpareTake { row, .. } => Some(*row),
             _ => None,
         };
-        let Some(reply) = self
+        self.cluster.net.hook.background = background;
+        let reply = self
             .cluster
-            .client_request(self.actor, site, msg, background)
-        else {
-            self.stash.get_or_insert(RaddError::Unavailable { site });
-            return Err(ClientErr::Unavailable { site });
-        };
+            .net
+            .exchange(site, msg, background)
+            .inspect_err(|_| {
+                self.stash.get_or_insert(RaddError::Unavailable { site });
+            })?;
         if let Some(row) = taken_row {
             if let Some(pos) = self.held.iter().position(|&(s, r)| s == site && r == row) {
                 self.held.remove(pos);

@@ -25,9 +25,9 @@
 use crate::cluster::RaddCluster;
 use crate::config::RaddConfig;
 use crate::error::RaddError;
-use crate::site::SiteState;
 use crate::stats::Actor;
 use radd_layout::{DataIndex, SiteId};
+use radd_protocol::SiteState;
 use radd_protocol::{check_spare_structure, check_uid_agreement, SiteMachine};
 use std::collections::BTreeMap;
 
@@ -141,9 +141,7 @@ impl CheckedCluster {
             self.cluster.verify_parity()?;
         }
         let num_sites = self.cluster.config().num_sites();
-        let machines: Vec<&SiteMachine> = (0..num_sites)
-            .map(|s| &self.cluster.site(s).machine)
-            .collect();
+        let machines: Vec<&SiteMachine> = (0..num_sites).map(|s| self.cluster.machine(s)).collect();
         if quiesced {
             check_uid_agreement(&machines, |s, row| !self.site_row_untrusted(s, row))?;
         }
@@ -158,10 +156,7 @@ impl CheckedCluster {
     /// site — whose raw state is still `Up` — is not trusted either: its
     /// parity updates are being absorbed by spare stand-ins (§5).
     fn site_row_untrusted(&self, site: SiteId, row: u64) -> bool {
-        let s = self.cluster.site(site);
-        self.cluster.effective_state(site) != SiteState::Up
-            || s.array.is_failed(s.array.disk_of(row))
-            || s.machine.invalid_rows().contains(&row)
+        self.cluster.effective_state(site) != SiteState::Up || !self.cluster.local_row_ok(site, row)
     }
 
     /// A valid spare slot may only exist where the spare policy allocates

@@ -48,7 +48,6 @@ pub mod driver;
 pub mod error;
 pub mod locks;
 pub mod sharded;
-pub mod site;
 pub mod stats;
 
 pub use cluster::{RaddCluster, RecoveryReport, StorageMode};
@@ -57,11 +56,11 @@ pub use driver::{CheckError, CheckedCluster};
 pub use error::RaddError;
 pub use locks::{LockKind, LockManager};
 pub use sharded::ShardedCluster;
-pub use site::{SiteNode, SiteState, SpareSlot};
 pub use stats::{Actor, OpReceipt, TrafficStats};
 
 // Re-export the vocabulary types callers need alongside the cluster.
 pub use radd_layout::{DataIndex, Geometry, PhysRow, Role, SiteId};
 pub use radd_net::{PartitionMap, PartitionVerdict};
 pub use radd_parity::Uid;
+pub use radd_protocol::{SiteState, SpareSlot};
 pub use radd_sim::{CostParams, OpCounts, OpKind, SimDuration};

@@ -13,9 +13,9 @@
 use crate::cluster::RaddCluster;
 use crate::config::RaddConfig;
 use crate::error::RaddError;
-use crate::site::SiteState;
 use radd_layout::{DataIndex, Geometry, ShardMap, SiteId};
 use radd_obs::ObsSnapshot;
+use radd_protocol::SiteState;
 use radd_protocol::{ClientErr, GroupCluster, ObsEvent, RebuildReport, Router};
 
 /// `A` synchronous groups over a shared site pool.

@@ -1,8 +1,12 @@
 //! End-to-end protocol tests for the RADD cluster, including exact checks
 //! of the paper's Figure 3 operation-count formulas and Figure 4 latencies.
 
-use radd_core::{Actor, ParityMode, RaddCluster, RaddConfig, RaddError, SiteState, SparePolicy};
+use radd_core::{
+    Actor, OpCounts, ParityMode, RaddCluster, RaddConfig, RaddError, RecoveryReport, SiteState,
+    SparePolicy,
+};
 use radd_net::PartitionMap;
+use radd_protocol::{Dest, MsgKind, ObsEvent};
 
 fn cluster_g4() -> RaddCluster {
     RaddCluster::new(RaddConfig::small_g4()).unwrap()
@@ -16,6 +20,24 @@ fn cluster_g8() -> RaddCluster {
 
 fn block(cluster: &RaddCluster, tag: u8) -> Vec<u8> {
     vec![tag; cluster.config().block_size]
+}
+
+/// Run `site`'s recovery daemon from zeroed stats with machine traces on:
+/// its report, the background counts it charged (it charges nothing in the
+/// foreground), and how many `RestoreBlock`s the client machine sent `site`.
+fn recover_traced(c: &mut RaddCluster, site: usize) -> (RecoveryReport, OpCounts, usize) {
+    c.reset_stats();
+    c.record_machine_traces(true);
+    let report = c.run_recovery(site).unwrap();
+    let restores = c.take_machine_traces()[0]
+        .iter()
+        .filter(|e| {
+            matches!(e, ObsEvent::Send { to: Dest::Site(s), kind: MsgKind::RestoreBlock, .. }
+                if *s == site)
+        })
+        .count();
+    assert_eq!(c.ledger().foreground, OpCounts::ZERO);
+    (report, c.ledger().background, restores)
 }
 
 // ---------------------------------------------------------------------
@@ -294,9 +316,14 @@ fn disk_replacement_and_recovery_rebuilds_contents() {
     // Site 2 loses its only disk.
     c.fail_disk(2, 0);
     c.replace_disk(2, 0);
-    let report = c.run_recovery(2).unwrap();
-    assert!(report.data_reconstructed > 0);
-    assert!(report.parity_rebuilt > 0);
+    let (report, background, restores) = recover_traced(&mut c, 2);
+    assert_eq!(report.spares_drained, 0);
+    assert_eq!(report.data_reconstructed, 8);
+    assert_eq!(report.parity_rebuilt, 2);
+    // G = 4 source reads per rebuilt row, one local write per restore.
+    assert_eq!(background, OpCounts::new(0, 10, 40, 0));
+    // Every rebuilt row reaches the site through the protocol.
+    assert_eq!(restores, 10);
     assert_eq!(c.site_state(2), SiteState::Up);
     for idx in 0..c.data_capacity(2) {
         let want = [(2 * 7 + idx as usize + 1) as u8; 64];
@@ -305,6 +332,26 @@ fn disk_replacement_and_recovery_rebuilds_contents() {
         assert_eq!(receipt.counts.formula(), "R");
     }
     c.verify_parity().unwrap();
+}
+
+#[test]
+fn a_replaced_disk_forgets_its_own_rows_only() {
+    let mut cfg = RaddConfig::small_g4();
+    cfg.disks_per_site = 2; // rows 0..6 on disk 0, 6..12 on disk 1
+    let mut c = RaddCluster::new(cfg).unwrap();
+    for idx in 0..c.data_capacity(2) {
+        c.write(Actor::Site(2), 2, idx, &block(&c, 1)).unwrap();
+    }
+    let valid = |c: &RaddCluster| -> Vec<u64> {
+        (0..12)
+            .filter(|&r| c.machine(2).block_uid(r).is_valid())
+            .collect()
+    };
+    let kept: Vec<u64> = valid(&c).into_iter().filter(|&r| r < 6).collect();
+    c.fail_disk(2, 1);
+    c.replace_disk(2, 1);
+    assert_eq!(valid(&c), kept);
+    assert!(c.machine(2).invalid_rows().iter().copied().eq(6..12));
 }
 
 // ---------------------------------------------------------------------
@@ -329,9 +376,15 @@ fn disaster_recovery_restores_all_data() {
     c.write(Actor::Client, 5, 1, &newv).unwrap();
     // Restore on blank hardware and recover.
     c.restore_site(5);
-    let report = c.run_recovery(5).unwrap();
-    assert!(report.spares_drained >= 1);
-    assert!(report.data_reconstructed > 0);
+    let (report, background, restores) = recover_traced(&mut c, 5);
+    assert_eq!(report.spares_drained, 2);
+    assert_eq!(report.data_reconstructed, 6);
+    assert_eq!(report.parity_rebuilt, 2);
+    // Two drained slots read at the spares, G = 4 source reads per rebuilt
+    // row, one local write per restore.
+    assert_eq!(background, OpCounts::new(0, 10, 34, 0));
+    // Drained and rebuilt blocks alike reach the site as restores.
+    assert_eq!(restores, 2 + 6 + 2);
     for idx in 0..c.data_capacity(5) {
         let want = if idx == 1 {
             newv.clone()

@@ -6,10 +6,10 @@
 //! reconstruction and how their UIDs are validated, how a recovering site's
 //! reads and writes are served, and how its redirected writes are drained —
 //! while delegating every *exchange* to a [`ClientIo`] implementation. The
-//! DES cluster implements `ClientIo` by synchronous in-memory delivery with
-//! cost-ledger charging; the async interpreter both async runtimes compile
-//! (`radd_node::client`) implements it with endpoint sends, timeouts, and
-//! one retry ladder.
+//! DES cluster implements `ClientIo` over [`crate::loopback::Loopback`]'s
+//! synchronous delivery with cost-ledger charging; the async interpreter
+//! both async runtimes compile (`radd_node::client`) implements it with
+//! endpoint sends, timeouts, and one retry ladder.
 //!
 //! What the machine believes of each site is one of §3.1's three states:
 //! up, down (never contacted; reads and writes go degraded) or recovering
@@ -20,11 +20,13 @@
 //! recovering, that stand-in is drained back before the write.
 //!
 //! Each rule is written once: `sized` refuses every reply whose block is
-//! not a block long, `refused` judges every reply that is not an
-//! exchange's success, `stand_in` reads every `SpareProbe` reply,
-//! `drain_row` hands one stand-in back to its recovering owner, and
-//! `fold_row` is the §3.3 fold and UID check, for one reconstruction or for
-//! every row of a rebuild wave.
+//! not a block long or whose parity UID array is not `G + 2` slots,
+//! `refused` judges every reply that is not an exchange's success,
+//! `stand_in` reads every `SpareProbe` reply, `drain_row` hands one
+//! stand-in back to its recovering owner, `restore_lost` rebuilds one block
+//! a recovering owner lost and hands it back, and `fold_row` is the §3.3
+//! fold and UID check, for one reconstruction or for every row of a
+//! rebuild wave.
 
 use crate::obs::ObsEvent;
 use crate::wire::{Msg, MsgKind, NackReason, SpareContent, SpareSlotWire};
@@ -327,8 +329,8 @@ impl ClientMachine {
             "protocol bug: request sent to believed-down site {site}"
         );
         self.record(site, &msg);
-        let block = self.reply_block_len(&msg);
-        self.sized(block, io.exchange(site, msg, background))
+        let shape = self.reply_shape(site, &msg);
+        self.sized(shape, io.exchange(site, msg, background))
     }
 
     /// Batched counterpart of [`send`](Self::send): records one trace entry
@@ -342,43 +344,57 @@ impl ClientMachine {
         reqs: Vec<(usize, Msg)>,
         background: bool,
     ) -> Vec<Result<Msg, ClientErr>> {
-        let mut blocks = Vec::with_capacity(reqs.len());
+        let mut shapes = Vec::with_capacity(reqs.len());
         for (site, msg) in &reqs {
             self.record(*site, msg);
-            blocks.push(self.reply_block_len(msg));
+            shapes.push(self.reply_shape(*site, msg));
         }
         let replies = io.exchange_batch(reqs, background);
-        blocks
+        shapes
             .into_iter()
             .zip(replies)
-            .map(|(block, reply)| self.sized(block, reply))
+            .map(|(shape, reply)| self.sized(shape, reply))
             .collect()
     }
 
-    /// How long a block in the reply to `request` must be: none is asked
-    /// for by a probe without data, a whole block by everything else.
-    fn reply_block_len(&self, request: &Msg) -> usize {
+    /// What `site`'s reply to `request` must carry: a block this long (none
+    /// is asked for by a probe without data, a whole block by everything
+    /// else), and whether a parity UID array (a `BlockRead` of a row whose
+    /// parity site `site` is).
+    fn reply_shape(&self, site: usize, request: &Msg) -> (usize, bool) {
         match request {
             Msg::SpareProbe {
                 want_data: false, ..
-            } => 0,
-            _ => self.block_size,
+            } => (0, false),
+            Msg::BlockRead { row, .. } => (self.block_size, self.geo.parity_site(*row) == site),
+            _ => (self.block_size, false),
         }
     }
 
-    /// A reply as it enters the machine: one whose block is not `block`
-    /// bytes long (`ReadOk`, `BlockData`, a `SpareState` slot) is refused
-    /// as [`ClientErr::BadSize`], so no rule downstream sees a block of the
-    /// wrong size.
-    fn sized(&self, block: usize, reply: Result<Msg, ClientErr>) -> Result<Msg, ClientErr> {
-        let data = match &reply {
-            Ok(Msg::ReadOk { data, .. } | Msg::BlockData { data, .. }) => data,
+    /// A reply as it enters the machine: one whose block is not as long as
+    /// its [`reply_shape`](Self::reply_shape) says (`ReadOk`, `BlockData`,
+    /// a `SpareState` slot), or a parity site's `BlockData` without a UID
+    /// array of `G + 2` slots, is refused as [`ClientErr::BadSize`], so no
+    /// rule downstream sees a block or an array of the wrong size.
+    fn sized(
+        &self,
+        (block, uids): (usize, bool),
+        reply: Result<Msg, ClientErr>,
+    ) -> Result<Msg, ClientErr> {
+        let fits = match &reply {
+            Ok(Msg::ReadOk { data, .. }) => data.len() == block,
+            Ok(Msg::BlockData {
+                data, parity_uids, ..
+            }) => {
+                let n = self.geo.num_sites();
+                data.len() == block && (!uids || parity_uids.as_ref().is_some_and(|a| a.len() == n))
+            }
             Ok(Msg::SpareState {
                 slot: Some(slot), ..
-            }) => &slot.data,
-            _ => return reply,
+            }) => slot.data.len() == block,
+            _ => true,
         };
-        if data.len() == block {
+        if fits {
             reply
         } else {
             Err(ClientErr::BadSize)
@@ -586,17 +602,7 @@ impl ClientMachine {
                 return Ok(data);
             }
             if Self::lost(&local) {
-                let (data, content) = self.reconstruct(io, site, row, false)?;
-                let data = Bytes::from(data);
-                let tag = self.tag();
-                let restore = Msg::RestoreBlock {
-                    row,
-                    data: data.clone(),
-                    content,
-                    tag,
-                };
-                let _ = self.send(io, site, restore, true);
-                return Ok(data);
+                return Ok(self.restore_lost(io, site, row, false)?.0);
             }
         }
         match local {
@@ -802,6 +808,32 @@ impl ClientMachine {
         self.fold_row(owner, row, &mut replies.into_iter())
     }
 
+    /// §3.2's "reconstructs invalid local blocks": rebuild the block
+    /// `owner` lost at `row` from the row's other `G` (in the background if
+    /// `background`) and restore it to `owner` with the UID metadata it is
+    /// valid as of, in the background. Returns the block, and whether
+    /// `owner` took it: the restore's outcome is not a recovering read's,
+    /// which has its block either way.
+    pub fn restore_lost(
+        &mut self,
+        io: &mut dyn ClientIo,
+        owner: usize,
+        row: u64,
+        background: bool,
+    ) -> Result<(Bytes, bool), ClientErr> {
+        let (data, content) = self.reconstruct(io, owner, row, background)?;
+        let data = Bytes::from(data);
+        let tag = self.tag();
+        let restore = Msg::RestoreBlock {
+            row,
+            data: data.clone(),
+            content,
+            tag,
+        };
+        let taken = matches!(self.send(io, owner, restore, true), Ok(Msg::Ack { .. }));
+        Ok((data, taken))
+    }
+
     /// The sites a reconstruction of `owner`'s block at `row` reads,
     /// ascending: every site but the owner and the row's spare.
     fn sources(&self, owner: usize, row: u64) -> impl Iterator<Item = usize> {
@@ -837,9 +869,8 @@ impl ClientMachine {
                     ..
                 } => {
                     if s == parity {
-                        for (i, u) in parity_uids.unwrap_or_default().iter().enumerate().take(n) {
-                            arr.set(i, *u);
-                        }
+                        // `sized` let no other length in.
+                        arr = UidArray::from_slots(parity_uids.unwrap_or_default());
                     } else {
                         sources.push((s, uid));
                     }

@@ -1,38 +1,37 @@
-//! The minimal synchronous interpreter: `G + 2` site machines over
-//! in-memory blocks, a delivery cascade, and nothing else.
+//! The synchronous interpreter: `G + 2` site machines over their block
+//! stores, and a delivery cascade.
 //!
 //! No network, no disk, no clock, no pricing: effects other than sends are
-//! dropped. This is what the machine-level property tests and the
-//! `recovery_path` bench stand the machines on when they want the protocol
-//! and nothing around it; the runtimes proper (the DES in `radd-core`, the
-//! async interpreter in `radd-node`) interpret the same effect stream with
-//! everything attached.
+//! left to the [`Hook`]. This is the workspace's one synchronous cascade.
+//! The machine-level property tests and the `recovery_path` bench stand
+//! the machines on it over [`MemBlocks`] with no hook; the `protocol_core`
+//! bench hangs the observability tap on it; the DES in `radd-core` runs it
+//! over its disk arrays, with the Figure-3 pricing, the traffic counters
+//! and the trace taps as its hook. The async interpreter in `radd-node`
+//! interprets the same effect stream over real transports.
 //!
 //! A [`Hook`] sees every `handle` call and every client exchange. It is a
 //! type parameter, so a tap costs nothing where there is none:
-//! `Loopback<()>`'s hook calls compile away. That is also why the
-//! `protocol_core` bench keeps its own interpreter: its `_obs` rows are
-//! gated on a same-run ratio against their plain siblings, which only
-//! means "the tap's cost" while both rows of a pair run one compiled body
-//! (an `Option` tap), not two monomorphisations of this one.
+//! `Loopback<()>`'s hook calls compile away.
 
 use crate::client::{ClientErr, ClientIo};
-use crate::effect::{Dest, Effect, MemBlocks};
+use crate::effect::{Blocks, Dest, Effect, MemBlocks};
 use crate::server::SiteMachine;
 use crate::wire::Msg;
 use std::collections::VecDeque;
 
 /// What a [`Loopback`] user can hang on the interpreter.
-pub trait Hook {
+pub trait Hook<B: Blocks = MemBlocks> {
     /// Site `site` is to handle `msg` from peer `src` (0 = the client,
     /// `1 + j` = site `j`). The default is the bare call; a hook may look
-    /// at the machine before and after, tap `out`, deliver twice, or not
-    /// deliver at all (nothing left in `out` = the message was swallowed).
+    /// at the machine before and after, tap or price `out`, deliver twice,
+    /// or not deliver at all (nothing left in `out` = the message was
+    /// swallowed). Only the sends in `out` are routed.
     fn handle(
         &mut self,
         _site: usize,
         machine: &mut SiteMachine,
-        blocks: &mut MemBlocks,
+        blocks: &mut B,
         src: usize,
         msg: Msg,
         out: &mut Vec<Effect>,
@@ -45,19 +44,20 @@ pub trait Hook {
 }
 
 /// No hook.
-impl Hook for () {}
+impl<B: Blocks> Hook<B> for () {}
 
 /// `G + 2` site machines with their blocks, delivering synchronously.
-pub struct Loopback<H = ()> {
+#[derive(Debug)]
+pub struct Loopback<H = (), B = MemBlocks> {
     /// Site `j`'s machine and its block store.
-    pub sites: Vec<(SiteMachine, MemBlocks)>,
+    pub sites: Vec<(SiteMachine, B)>,
     /// The hook, for reading back whatever it gathered.
     pub hook: H,
 }
 
 impl<H: Hook> Loopback<H> {
     /// Fresh, healthy sites for a group of size `g` with `rows` rows of
-    /// `block_size` bytes each.
+    /// `block_size` bytes each, in memory.
     pub fn new(g: usize, rows: u64, block_size: usize, hook: H) -> Loopback<H> {
         Loopback {
             sites: (0..g + 2)
@@ -71,7 +71,9 @@ impl<H: Hook> Loopback<H> {
             hook,
         }
     }
+}
 
+impl<H: Hook<B>, B: Blocks> Loopback<H, B> {
     /// Deliver `msg` to site `dst` as peer `src` and run the cascade it
     /// starts to completion, in FIFO order. Returns the reply addressed to
     /// the client (peer 0), if the cascade produced one.
@@ -97,7 +99,7 @@ impl<H: Hook> Loopback<H> {
     }
 }
 
-impl<H: Hook> ClientIo for Loopback<H> {
+impl<H: Hook<B>, B: Blocks> ClientIo for Loopback<H, B> {
     fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
         self.hook.exchange(site, &msg);
         self.deliver(site, 0, msg)

@@ -17,7 +17,7 @@
 //! `BadSize`): no peer can make a site panic.
 //!
 //! The machine keeps no state of §3.1's up/down/recovering (the DES's
-//! `SiteNode` does) and no rule of its own for the recovering state: a
+//! `RaddCluster` does) and no rule of its own for the recovering state: a
 //! recovering site serves what it holds, refuses a read or write of a row
 //! it lost (no old value to mask against), and takes drained blocks back
 //! through `RestoreBlock`. Which copy supersedes which is the client's
@@ -248,11 +248,6 @@ impl SiteMachine {
     /// UID arrays for the rows where this site is the parity site.
     pub fn parity_uids(&self) -> &BTreeMap<u64, UidArray> {
         &self.d.parity_uids
-    }
-
-    /// Mutable parity UID arrays (recovery bookkeeping).
-    pub fn parity_uids_mut(&mut self) -> &mut BTreeMap<u64, UidArray> {
-        &mut self.d.w(Touch::Shape).parity_uids
     }
 
     /// The UID array for a parity row, created empty on first touch (all

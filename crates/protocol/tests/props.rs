@@ -36,9 +36,11 @@
 //!   refused, so a first touch that lost a race cannot overwrite the masks
 //!   that already landed, and a client that meets the refusal writes on.
 //! * **A reply block of the wrong size is refused**: a `ReadOk`, `BlockData`
-//!   or `SpareState` whose block is a byte short or a byte long fails the
-//!   client operation with `BadSize`, where it used to panic the client or
-//!   reach the caller.
+//!   or `SpareState` whose block is a byte short or a byte long, or a parity
+//!   site's `BlockData` whose UID array is a UID short, a UID long or
+//!   absent, fails the client operation with `BadSize`, where it used to
+//!   panic the client, reach the caller, or fold as if the missing slots
+//!   were zero.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -695,11 +697,21 @@ fn a_parity_stand_in_is_installed_once() {
 // (i) a reply block that is not a block long is refused
 // ---------------------------------------------------------------------
 
-/// Cuts or pads by one byte the block of every reply of kind `kind` that a
-/// site sends the client.
+/// How [`Resize`] misshapes a reply.
+#[derive(Debug, Clone, Copy)]
+enum Misfit {
+    /// The block a byte short (`false`) or a byte long (`true`).
+    Block(bool),
+    /// The parity UID array a UID short or long (`Some`, as for
+    /// [`Misfit::Block`]), or taken away (`None`).
+    Uids(Option<bool>),
+}
+
+/// Misshapes, as `misfit` says, every reply of kind `kind` that a site
+/// sends the client.
 struct Resize {
     kind: MsgKind,
-    longer: bool,
+    misfit: Misfit,
 }
 
 impl Hook for Resize {
@@ -725,51 +737,71 @@ impl Hook for Resize {
             if msg.kind() != self.kind {
                 continue;
             }
-            let data = match msg {
-                Msg::ReadOk { data, .. } | Msg::BlockData { data, .. } => data,
-                Msg::SpareState {
-                    slot: Some(slot), ..
-                } => &mut slot.data,
-                _ => continue,
-            };
-            let mut resized = data.to_vec();
-            if self.longer {
-                resized.push(0);
-            } else {
-                resized.pop();
+            match (self.misfit, msg) {
+                (Misfit::Block(longer), Msg::ReadOk { data, .. } | Msg::BlockData { data, .. }) => {
+                    *data = Bytes::from(resized(data.to_vec(), longer));
+                }
+                (
+                    Misfit::Block(longer),
+                    Msg::SpareState {
+                        slot: Some(slot), ..
+                    },
+                ) => {
+                    slot.data = Bytes::from(resized(slot.data.to_vec(), longer));
+                }
+                (Misfit::Uids(by), Msg::BlockData { parity_uids, .. }) => {
+                    if let Some(uids) = parity_uids.take() {
+                        *parity_uids = by.map(|longer| resized(uids, longer));
+                    }
+                }
+                _ => {}
             }
-            *data = Bytes::from(resized);
         }
     }
+}
+
+/// `v` one element longer (a copy of its first) or one shorter.
+fn resized<T: Clone>(mut v: Vec<T>, longer: bool) -> Vec<T> {
+    if longer {
+        v.push(v[0].clone());
+    } else {
+        v.pop();
+    }
+    v
 }
 
 /// Each reply that carries a block to the client, a byte short and a byte
 /// long: `ReadOk` to a healthy read, `BlockData` to a reconstruction's
 /// source reads, and `SpareState` to the probe a degraded read makes of a
-/// spare that holds a redirected write. Each is `BadSize`; a short
-/// `BlockData` once panicked `xor_fold`, a short slot `ChangeMask::diff`,
-/// and a short `ReadOk` reached the caller.
+/// spare that holds a redirected write. Then the parity site's `BlockData`
+/// to a reconstruction, its UID array a UID short, a UID long and absent.
+/// Each is `BadSize`; a short `BlockData` once panicked `xor_fold`, a
+/// short slot `ChangeMask::diff`, a short `ReadOk` reached the caller, a
+/// short or absent array was folded as if the missing slots were zero and
+/// a long one was taken.
 #[test]
 fn a_reply_block_of_the_wrong_size_is_refused() {
-    for kind in [MsgKind::ReadOk, MsgKind::BlockData, MsgKind::SpareState] {
-        for longer in [false, true] {
-            let mut net = Loopback::new(G, ROWS, BLOCK, Resize { kind, longer });
-            let mut client =
-                ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
-            client.write(&mut net, 0, 0, &[7; BLOCK]).expect("healthy");
-            let got = match kind {
-                MsgKind::ReadOk => client.read(&mut net, 0, 0),
-                MsgKind::BlockData => {
-                    client.set_down(0, true);
-                    client.read(&mut net, 0, 0)
-                }
-                _ => {
-                    client.set_down(0, true);
-                    client.write(&mut net, 0, 0, &[9; BLOCK]).expect("W1'");
-                    client.read(&mut net, 0, 0)
-                }
-            };
-            assert_eq!(got, Err(ClientErr::BadSize), "{kind:?}, longer: {longer}");
-        }
+    let blocks = [MsgKind::ReadOk, MsgKind::BlockData, MsgKind::SpareState]
+        .into_iter()
+        .flat_map(|kind| [false, true].map(|longer| (kind, Misfit::Block(longer))));
+    let uids = [Some(false), Some(true), None].map(|by| (MsgKind::BlockData, Misfit::Uids(by)));
+    for (kind, misfit) in blocks.chain(uids) {
+        let mut net = Loopback::new(G, ROWS, BLOCK, Resize { kind, misfit });
+        let mut client =
+            ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+        client.write(&mut net, 0, 0, &[7; BLOCK]).expect("healthy");
+        let got = match kind {
+            MsgKind::ReadOk => client.read(&mut net, 0, 0),
+            MsgKind::BlockData => {
+                client.set_down(0, true);
+                client.read(&mut net, 0, 0)
+            }
+            _ => {
+                client.set_down(0, true);
+                client.write(&mut net, 0, 0, &[9; BLOCK]).expect("W1'");
+                client.read(&mut net, 0, 0)
+            }
+        };
+        assert_eq!(got, Err(ClientErr::BadSize), "{kind:?}, {misfit:?}");
     }
 }

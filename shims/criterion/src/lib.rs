@@ -7,6 +7,9 @@
 //! (and throughput when configured). Under `--test` (how `cargo test` runs
 //! `harness = false` bench targets) every benchmark executes exactly one
 //! iteration as a smoke check.
+//!
+//! One addition criterion does not have: [`BenchmarkGroup::bench_pair`],
+//! an added cost timed off and on in alternating batches of one loop.
 
 use std::hint;
 use std::time::{Duration, Instant};
@@ -63,11 +66,7 @@ impl Bencher {
         // Calibrate: grow the batch until it runs for at least ~10 ms.
         let mut batch: u64 = 1;
         let batch_time = loop {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let t = start.elapsed();
+            let t = time_batch(&mut f, batch);
             if t >= Duration::from_millis(10) || batch >= 1 << 30 {
                 break t;
             }
@@ -76,15 +75,62 @@ impl Bencher {
         // Measure: several batches, keep the best (least-noise) mean. The
         // minimum is the standard contention-resistant estimator — shared
         // CPUs only ever add time, never subtract it.
-        let mut best = batch_time;
-        for _ in 0..8 {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            best = best.min(start.elapsed());
+        let best = (0..8).fold(batch_time, |best, _| best.min(time_batch(&mut f, batch)));
+        self.measured = Some(best / batch as u32);
+    }
+}
+
+/// Run `f` `n` times; how long that took.
+fn time_batch<O>(f: &mut impl FnMut() -> O, n: u64) -> Duration {
+    let start = Instant::now();
+    for _ in 0..n {
+        black_box(f());
+    }
+    start.elapsed()
+}
+
+/// The timing loop handle passed to each [`BenchmarkGroup::bench_pair`]
+/// closure.
+pub struct PairBencher {
+    smoke_only: bool,
+    /// Each side's best batch mean, and the first quartile, median and
+    /// third quartile of the per-batch ratio `b / a`.
+    measured: Option<([Duration; 2], [f64; 3])>,
+}
+
+impl PairBencher {
+    /// Time `f(false)` (side `a`) and `f(true)` (`a` plus the added cost)
+    /// in 500 alternating ~2 ms batches each, `a` first in even rounds, so
+    /// drift and the cost of going first fall on both alike. One routine
+    /// over one state: two routines or two copies of the state each have a
+    /// code and data layout of their own, which differ by as much as the
+    /// cost being measured.
+    pub fn iter<O>(&mut self, mut f: impl FnMut(bool) -> O) {
+        if self.smoke_only {
+            black_box((f(false), f(true)));
+            return;
         }
-        self.measured = Some(best / u32::try_from(batch).unwrap_or(u32::MAX).max(1));
+        let mut side = |b: bool, n: u64| time_batch(&mut || f(b), n);
+        let mut batch: u64 = 1;
+        while side(false, batch) < Duration::from_millis(2) && batch < 1 << 30 {
+            batch *= 2;
+        }
+        let mut times: [Vec<Duration>; 2] = Default::default();
+        for round in 0..500 {
+            for b in [round % 2 == 1, round % 2 == 0] {
+                times[b as usize].push(side(b, batch));
+            }
+        }
+        let [a, b] = &times;
+        let mut ratios: Vec<f64> = a
+            .iter()
+            .zip(b)
+            .map(|(a, b)| b.as_secs_f64() / a.as_secs_f64())
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let quartiles = [1, 2, 3].map(|q| ratios[q * ratios.len() / 4]);
+        let best = times.map(|t| *t.iter().min().expect("batches") / batch as u32);
+        self.measured = Some((best, quartiles));
     }
 }
 
@@ -133,6 +179,45 @@ impl BenchmarkGroup<'_> {
         f(&mut b);
         let full = format!("{}/{}", self.name, id);
         report(&full, b.measured.unwrap_or_default(), self.throughput);
+    }
+
+    /// Run two benchmarks as one pair: `b` is `a` plus one added cost,
+    /// paid `events` times per iteration. Each is reported as by
+    /// [`bench_function`](Self::bench_function) (its best batch), and then
+    /// `b`'s `/ratio` to `a`, the median over the batch pairs followed by
+    /// its quartiles, and its `/extra_ns_per_event`: the added cost the
+    /// ratio says, priced at `a`'s best batch. A shared machine slows both
+    /// sides of a pair alike, which moves their difference in ns but not
+    /// their ratio, nor `a`'s best batch.
+    pub fn bench_pair<S: std::fmt::Display, F: FnMut(&mut PairBencher)>(
+        &mut self,
+        a: S,
+        b: S,
+        events: u64,
+        mut f: F,
+    ) {
+        let mut p = PairBencher {
+            smoke_only: self.parent.smoke_only,
+            measured: None,
+        };
+        f(&mut p);
+        let (a, b) = (
+            format!("{}/{}", self.name, a),
+            format!("{}/{}", self.name, b),
+        );
+        let Some(([ta, tb], ratio)) = p.measured else {
+            report(&a, Duration::ZERO, None);
+            return report(&b, Duration::ZERO, None);
+        };
+        report(&a, ta, self.throughput);
+        report(&b, tb, self.throughput);
+        let [q1, median, q3] = ratio;
+        let name = format!("{b}/ratio");
+        println!("bench {name:50} {median:>12.4} ratio     q1 {q1:.4} q3 {q3:.4}");
+        let per_event = (ta.as_nanos() as f64) / events.max(1) as f64;
+        let [q1, median, q3] = ratio.map(|r| (r - 1.0) * per_event);
+        let name = format!("{b}/extra_ns_per_event");
+        println!("bench {name:50} {median:>12.2} ns/event  q1 {q1:.2} q3 {q3:.2}");
     }
 
     /// Finish the group (reporting is incremental; this is a no-op).
@@ -219,6 +304,17 @@ mod tests {
             })
         });
         assert_eq!(runs, 1);
+    }
+
+    #[test]
+    fn a_pair_runs_each_routine_once_in_smoke_mode() {
+        let mut c = Criterion { smoke_only: true };
+        let mut g = c.benchmark_group("g");
+        let (mut a, mut b) = (0u32, 0u32);
+        g.bench_pair("a", "b", 1, |p| {
+            p.iter(|tap| if tap { b += 1 } else { a += 1 })
+        });
+        assert_eq!((a, b), (1, 1));
     }
 
     #[test]
