@@ -17,7 +17,9 @@ use radd_obs::{ClusterObs, MachineObs};
 use radd_parity::{ChangeMask, Uid};
 use radd_protocol::loopback::{Hook, Loopback};
 use radd_protocol::obs::{obs_event, ObsEvent};
-use radd_protocol::{ClientMachine, Effect, IoPurpose, MemBlocks, Msg, SiteMachine, SparePolicy};
+use radd_protocol::{
+    ClientErr, ClientMachine, Effect, IoPurpose, MemBlocks, Msg, SiteMachine, SparePolicy,
+};
 use std::hint::black_box;
 
 const G: usize = 8;
@@ -50,11 +52,12 @@ impl Hook for Tap {
         }
     }
 
-    fn exchange(&mut self, site: usize, msg: &Msg) {
+    fn exchange(&mut self, site: usize, msg: &Msg, _background: bool) -> Result<(), ClientErr> {
         if self.on {
             let event = ObsEvent::client_send(site, msg, false);
             self.obs.client().event(event);
         }
+        Ok(())
     }
 }
 

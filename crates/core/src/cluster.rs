@@ -2,27 +2,32 @@
 //! cascade, priced.
 //!
 //! One [`RaddCluster`] owns the `G + 2` sites — each a
-//! [`radd_protocol::SiteMachine`] over its disk array, on
+//! [`radd_protocol::SiteMachine`] over its disk array — on
 //! [`radd_protocol::loopback::Loopback`], the workspace's one synchronous
-//! cascade (a message cascade runs to completion inside one client call) —
-//! plus one persistent [`radd_protocol::ClientMachine`] and the lock table.
-//! All §3 protocol logic (W1–W4 ordering, UID validation, spare-slot
-//! lifecycle, a recovering site's reads and writes, the parity stand-in
-//! while a parity site is down, the recovery drain, the rebuild of a lost
-//! block) lives in the machines: every client read and write, whatever the
-//! sites' states, is one `ClientMachine` call. This module only
+//! cascade (a message cascade runs to completion inside one client call),
+//! plus one persistent [`radd_protocol::ClientMachine`] that it drives on
+//! that cascade directly. All §3 protocol logic (W1–W4 ordering, UID
+//! validation, spare-slot lifecycle, a recovering site's reads and writes,
+//! the parity stand-in while a parity site is down, the recovery drain, the
+//! rebuild of a lost block) lives in the machines: every client read and
+//! write, whatever the sites' states, is one `ClientMachine` call, and a
+//! failed one is the machine's own [`ClientErr`], lifted to [`RaddError`].
+//! What the DES adds is the cascade's hook and the failure model:
 //!
-//! * prices the cascade, as its hook: [`Effect::Read`]/[`Effect::Write`]
+//! * the hook prices the cascade: [`Effect::Read`]/[`Effect::Write`]
 //!   receipts into the Figure-3 cost ledger by their [`IoPurpose`], sends
-//!   into the per-category traffic counters, and, in
-//!   [`ParityMode::Queued`], parity updates into a queue the sender is
-//!   acked from; the trace and observability taps hang there too,
-//! * injects failures (which machines only observe as
-//!   [`radd_protocol::BlockFault`]s and state transitions) and tells the
-//!   client and site machines what to believe of each site, and
-//! * orchestrates the parts the paper assigns to the *system* rather than
-//!   the protocol: the §5 partition gate, recovery locking, and the
-//!   buffer-pool old-value oracle.
+//!   into the per-category traffic counters; the trace and observability
+//!   taps hang there too;
+//! * the hook answers the buffer-pool old value
+//!   ([`radd_protocol::ClientIo::old_value`]) from the logical-content
+//!   oracle, and holds the lock table: during the recovery daemon's drain
+//!   it locks each spare row on its `SpareProbe` and releases it on its
+//!   `SpareTake` (§3.2), refusing a row someone else holds as
+//!   [`ClientErr::Unavailable`];
+//! * the cluster injects failures (which machines only observe as
+//!   [`radd_protocol::BlockFault`]s and state transitions), tells the client
+//!   and site machines what to believe of each site, and gates every priced
+//!   operation through §5's partition verdict.
 //!
 //! The same machines, driven by threads and by real sockets instead, are
 //! the `radd-node` and `radd-rt` runtimes; the differential test in
@@ -50,7 +55,7 @@
 //!   restoring a rebuilt block to it) is charged to the background ledger,
 //!   not to the operation's latency.
 
-use crate::config::{ParityMode, RaddConfig};
+use crate::config::RaddConfig;
 use crate::error::RaddError;
 use crate::locks::{LockKind, LockManager};
 use crate::stats::{Actor, OpReceipt, TrafficStats};
@@ -62,8 +67,9 @@ use radd_obs::{ClusterObs, ObsSnapshot};
 use radd_protocol::loopback::{Hook, Loopback};
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
-    trace, BlockFault, Blocks, ClientErr, ClientIo, ClientMachine, Dest, DurableSiteState, Effect,
-    IoPurpose, Msg, RebuildReport, SiteMachine, SiteState, BLOCK_MSG_HEADER, CONTROL_MSG_BYTES,
+    gate, trace, BlockFault, Blocks, ClientErr, ClientIo, ClientMachine, Dest, DurableSiteState,
+    Effect, Gate, IoPurpose, Msg, RebuildReport, SiteMachine, SiteState, BLOCK_MSG_HEADER,
+    CONTROL_MSG_BYTES,
 };
 use radd_sim::{CostLedger, OpKind};
 
@@ -89,26 +95,69 @@ impl Blocks for Disks {
     }
 }
 
-/// What the cascade costs: the DES's hook on [`Loopback`]. It prices every
-/// machine step's receipts and parity updates (Figure-3 conventions; see
-/// the module docs) and every client request's control traffic, holds
-/// [`ParityMode::Queued`]'s updates, and taps the trace and the
-/// observability layer.
+/// A site: its machine over its disk array.
+type Site = (SiteMachine, Disks);
+
+/// Is this site's copy of `row` physically readable and trusted?
+fn row_ok((machine, Disks(array)): &Site, row: PhysRow) -> bool {
+    !array.is_failed(array.disk_of(row)) && !machine.invalid_rows().contains(&row)
+}
+
+/// The logical current content of `site`'s block at `row`: the spare
+/// stand-in if one exists, the local block if trustworthy, else the
+/// reconstruction. Never charged: it stands in for buffer caches in the cost
+/// model and for test assertions.
+fn logical(
+    sites: &mut [Site],
+    geo: &Geometry,
+    site: SiteId,
+    row: PhysRow,
+) -> Result<Bytes, RaddError> {
+    let spare_site = geo.spare_site(row);
+    let stand_in = sites[spare_site].0.spares().get(&row);
+    if spare_site != site && stand_in.is_some_and(|slot| slot.for_site == site) {
+        return Ok(sites[spare_site].1 .0.read_block(row)?);
+    }
+    if row_ok(&sites[site], row) {
+        return Ok(sites[site].1 .0.read_block(row)?);
+    }
+    // Reconstruct silently.
+    let mut acc = vec![0u8; sites[site].1 .0.block_size()];
+    for s in (0..sites.len()).filter(|&s| s != site && s != spare_site) {
+        if !row_ok(&sites[s], row) {
+            return Err(RaddError::MultipleFailure {
+                detail: format!("cannot materialise row {row} of site {site}"),
+            });
+        }
+        radd_parity::xor_in_place(&mut acc, &sites[s].1 .0.read_block(row)?);
+    }
+    Ok(Bytes::from(acc))
+}
+
+/// The DES's hook on [`Loopback`]. It prices every machine step's receipts
+/// and parity updates (Figure-3 conventions; see the module docs) and every
+/// client request's control traffic, taps the trace and the observability
+/// layer, answers the buffer-pool old value and takes the drain locks.
 #[derive(Debug)]
 struct Pricing {
     /// Who the running operation is for (local vs remote costs).
     actor: Actor,
     /// Whether the running exchange is background work.
     background: bool,
+    /// Serve [`ClientIo::old_value`] from [`logical`] (the paper's
+    /// buffer-pool assumption). Off in client mode.
+    oracle: bool,
+    /// Lock each spare row exclusively for the duration of its drain
+    /// (§3.2's "lock each valid spare block"). On only while the recovery
+    /// daemon drains.
+    drain_locks: bool,
+    /// The block lock table (§3.3; shared with `radd-txn`).
+    locks: LockManager,
+    geometry: Geometry,
     /// Wire bytes of one block message.
     block_wire: usize,
     ledger: CostLedger,
     traffic: TrafficStats,
-    /// [`ParityMode::Queued`]'s parity updates in flight, each with the
-    /// site and the peer slot it goes to and comes from; `None` in
-    /// [`ParityMode::Sync`], and while [`RaddCluster::flush_parity`]
-    /// delivers them.
-    queued: Option<Vec<(SiteId, usize, Msg)>>,
     /// Per-site normalised effect traces (differential testing); index `j`
     /// is site `j`.
     site_traces: Option<Vec<Vec<ObsEvent>>>,
@@ -186,14 +235,6 @@ impl Hook<Disks> for Pricing {
         msg: Msg,
         out: &mut Vec<Effect>,
     ) {
-        if let (Some(queued), Msg::ParityUpdate { tag, .. }) = (&mut self.queued, &msg) {
-            // In flight: ack the sender on the target's behalf so its
-            // stop-and-wait queue advances (the flush-time ack is a
-            // duplicate the machine ignores).
-            out.push(Effect::send(Dest::Peer(src), Msg::Ack { tag: *tag }));
-            queued.push((site, src, msg));
-            return;
-        }
         machine.handle(blocks, src, msg, out);
         if let Some(bufs) = &mut self.site_traces {
             bufs[site].extend(out.iter().filter_map(trace));
@@ -217,7 +258,18 @@ impl Hook<Disks> for Pricing {
         }
     }
 
-    fn exchange(&mut self, site: usize, msg: &Msg) {
+    fn exchange(&mut self, site: usize, msg: &Msg, background: bool) -> Result<(), ClientErr> {
+        if self.drain_locks {
+            match *msg {
+                Msg::SpareProbe { row, .. } => self
+                    .locks
+                    .try_lock(site, row, LockKind::Exclusive, RECOVERY_TXN)
+                    .map_err(|_| ClientErr::Unavailable { site })?,
+                Msg::SpareTake { row, .. } => self.locks.unlock(site, row, RECOVERY_TXN),
+                _ => {}
+            }
+        }
+        self.background = background;
         if let Some(obs) = &mut self.obs {
             obs.client().event(ObsEvent::client_send(site, msg, false));
         }
@@ -231,6 +283,16 @@ impl Hook<Disks> for Pricing {
             }
             _ => {}
         }
+        Ok(())
+    }
+
+    fn old_value(&mut self, sites: &mut [Site], site: usize, row: u64) -> Option<Vec<u8>> {
+        if !self.oracle {
+            return None;
+        }
+        logical(sites, &self.geometry, site, row)
+            .ok()
+            .map(|b| b.to_vec())
     }
 }
 
@@ -266,10 +328,6 @@ pub struct RecoveryReport {
     pub parity_rebuilt: u64,
 }
 
-/// A machine-level error paired with the interpreter error (if any) that
-/// caused it; the interpreter error wins when both exist.
-type ClientFailure = (ClientErr, Option<RaddError>);
-
 /// A running RADD cluster of `G + 2` sites.
 #[derive(Debug)]
 pub struct RaddCluster {
@@ -280,12 +338,9 @@ pub struct RaddCluster {
     net: Loopback<Pricing, Disks>,
     /// Each site's §3.1 state: up, down or recovering.
     states: Vec<SiteState>,
-    /// The persistent client machine (`Option` only so it can be detached
-    /// while an io adapter borrows the rest of the cluster). Persistent so
-    /// its UID mint never resets — reused UIDs would defeat the parity
-    /// site's idempotence guard.
-    client: Option<ClientMachine>,
-    locks: LockManager,
+    /// The client machine. Persistent so its UID mint never resets —
+    /// reused UIDs would defeat the parity site's idempotence guard.
+    client: ClientMachine,
     partition: PartitionMap,
     /// Storage engine model (§3.4): volatile by default; durable enables
     /// [`kill_restart_site`](RaddCluster::kill_restart_site).
@@ -319,22 +374,26 @@ impl RaddCluster {
         let pricing = Pricing {
             actor: Actor::Client,
             background: false,
+            oracle: false,
+            drain_locks: false,
+            locks: LockManager::new(),
+            geometry,
             block_wire: config.block_size + BLOCK_MSG_HEADER,
             ledger: CostLedger::new(config.cost),
             traffic: TrafficStats::default(),
-            queued: (config.parity_mode == ParityMode::Queued).then(Vec::new),
             site_traces: None,
             obs: None,
         };
-        // UID namespace u16::MAX: disjoint from every site's generator
-        // (namespace = site id) and identical to the threaded runtime's
-        // primary client, so differential traces mint the same UIDs.
+        // UIDs always validated (§3.3). UID namespace u16::MAX: disjoint
+        // from every site's generator (namespace = site id) and identical
+        // to the threaded runtime's primary client, so differential traces
+        // mint the same UIDs.
         let client = ClientMachine::new(
             config.group_size,
             config.rows,
             config.block_size,
             config.spare_policy,
-            config.uid_validation,
+            true,
             u16::MAX,
         );
         Ok(RaddCluster {
@@ -345,8 +404,7 @@ impl RaddCluster {
                 hook: pricing,
             },
             states: vec![SiteState::Up; config.num_sites()],
-            client: Some(client),
-            locks: LockManager::new(),
+            client,
             storage_mode: StorageMode::default(),
             config,
         })
@@ -355,11 +413,6 @@ impl RaddCluster {
     /// Pick the §3.4 storage engine model (see [`StorageMode`]).
     pub fn set_storage_mode(&mut self, mode: StorageMode) {
         self.storage_mode = mode;
-    }
-
-    /// The current storage engine model.
-    pub fn storage_mode(&self) -> StorageMode {
-        self.storage_mode
     }
 
     /// The cluster's configuration.
@@ -389,7 +442,7 @@ impl RaddCluster {
 
     /// The block lock table (§3.3; shared with `radd-txn`).
     pub fn locks(&mut self) -> &mut LockManager {
-        &mut self.locks
+        &mut self.net.hook.locks
     }
 
     /// Zero the ledger and traffic counters (between experiment phases).
@@ -473,10 +526,9 @@ impl RaddCluster {
     /// WAL recovery needs "only one local read … for each block accessed".
     ///
     /// Returns `false` (and changes nothing) under
-    /// [`StorageMode::Volatile`]. Quiesce first (e.g.
-    /// [`flush_parity`](RaddCluster::flush_parity)): crashing with a
-    /// parity update in doubt is the §6 problem this runtime does not
-    /// model, same as the other failure injectors.
+    /// [`StorageMode::Volatile`]. The cascade is synchronous, so no parity
+    /// update is ever in doubt at a crash (the §6 problem this runtime
+    /// does not model).
     pub fn kill_restart_site(&mut self, site: SiteId) -> bool {
         if self.storage_mode != StorageMode::Durable {
             return false;
@@ -492,7 +544,7 @@ impl RaddCluster {
         self.net.sites[site].0 = SiteMachine::restore_durable(restored);
         // The restarted machine's beliefs were volatile: tell it again.
         for peer in (0..self.states.len()).filter(|&p| p != site) {
-            let down = self.client().is_down(peer);
+            let down = self.client.is_down(peer);
             self.net.sites[site].0.set_peer_down(peer, down);
         }
         let replayed = &mut self.net.hook.ledger.background;
@@ -518,70 +570,42 @@ impl RaddCluster {
         }
     }
 
+    /// §5's gate for a priced operation by `actor`.
     fn gate_partition(&self, actor: Actor) -> Result<(), RaddError> {
-        match self.partition.classify(self.config.group_size) {
-            PartitionVerdict::Connected => Ok(()),
-            PartitionVerdict::MustBlock => Err(RaddError::Blocked),
-            PartitionVerdict::SingleFailureLike { isolated, .. } => match actor {
-                Actor::Site(s) if s == isolated => Err(RaddError::ActorIsolated { site: s }),
-                _ => Ok(()),
-            },
+        let site = match actor {
+            Actor::Site(s) => Some(s),
+            Actor::Client => None,
+        };
+        match gate(&self.partition.classify(self.config.group_size), site) {
+            Gate::Proceed => Ok(()),
+            Gate::Blocked => Err(RaddError::Blocked),
+            Gate::ActorIsolated { site } => Err(RaddError::ActorIsolated { site }),
         }
     }
 
     /// Is the local copy of `row` at `site` physically readable and
     /// trusted?
     pub(crate) fn local_row_ok(&self, site: SiteId, row: PhysRow) -> bool {
-        let (machine, Disks(array)) = &self.net.sites[site];
-        !array.is_failed(array.disk_of(row)) && !machine.invalid_rows().contains(&row)
+        row_ok(&self.net.sites[site], row)
     }
 
     // ------------------------------------------------------------------
-    // The client machine's transport
+    // The client machine's beliefs and errors
     // ------------------------------------------------------------------
 
-    /// Run `f` against the detached client machine with a [`DesIo`] adapter
-    /// over the rest of the cluster, priced for `actor`. Any
-    /// interpreter-level error is carried alongside the machine's own.
-    fn with_client<R>(
-        &mut self,
-        actor: Actor,
-        oracle: bool,
-        recovery_locks: bool,
-        f: impl FnOnce(&mut ClientMachine, &mut DesIo<'_>) -> Result<R, ClientErr>,
-    ) -> Result<R, ClientFailure> {
-        let mut client = self.client.take().expect("client machine present");
+    /// Price the client machine's next calls for `actor`, its old values
+    /// served from the buffer-pool oracle or not.
+    fn act(&mut self, actor: Actor, oracle: bool) {
         self.net.hook.actor = actor;
-        let mut io = DesIo {
-            cluster: self,
-            oracle,
-            recovery_locks,
-            held: Vec::new(),
-            stash: None,
-        };
-        let res = f(&mut client, &mut io);
-        let held = std::mem::take(&mut io.held);
-        let stash = io.stash.take();
-        drop(io);
-        // Release drain locks the machine did not get to SpareTake.
-        for (s, r) in held {
-            self.locks.unlock(s, r, RECOVERY_TXN);
-        }
-        self.client = Some(client);
-        res.map_err(|e| (e, stash))
-    }
-
-    /// The persistent client machine.
-    pub(crate) fn client(&mut self) -> &mut ClientMachine {
-        self.client.as_mut().expect("client machine present")
+        self.net.hook.oracle = oracle;
     }
 
     /// Tell the client machine, and every other site machine, to believe
     /// `site` in `state`.
     pub(crate) fn believe(&mut self, site: SiteId, state: SiteState) {
         match state {
-            SiteState::Recovering => self.client().set_recovering(site),
-            state => self.client().set_down(site, state == SiteState::Down),
+            SiteState::Recovering => self.client.set_recovering(site),
+            state => self.client.set_down(site, state == SiteState::Down),
         }
         for (s, (machine, _)) in self.net.sites.iter_mut().enumerate() {
             if s != site {
@@ -598,18 +622,14 @@ impl RaddCluster {
         }
     }
 
-    /// Lift a machine error to the cluster error vocabulary; an interpreter
-    /// error that surfaced through the io adapter takes precedence.
+    /// Lift a machine error to the cluster error vocabulary.
     fn lift(
         &self,
-        (err, stash): ClientFailure,
+        err: ClientErr,
         site: SiteId,
         index: DataIndex,
         got: Option<usize>,
     ) -> RaddError {
-        if let Some(e) = stash {
-            return e;
-        }
         match err {
             ClientErr::OutOfRange => RaddError::OutOfRange {
                 index,
@@ -641,23 +661,16 @@ impl RaddCluster {
         self.gate_partition(actor)?;
         let snap = self.ledger().snapshot();
         self.refresh_down_mask();
-        let data = self
-            .with_client(actor, true, false, |cm, io| cm.read(io, site, index))
-            .map_err(|f| self.lift(f, site, index, None))?;
+        self.act(actor, true);
+        let data = self.client.read(&mut self.net, site, index);
+        let data = data.map_err(|e| self.lift(e, site, index, None))?;
         let (counts, latency) = self.ledger().since(snap);
         if let Some(obs) = &mut self.net.hook.obs {
             obs.client()
                 .metrics()
                 .record_read_latency(latency.as_micros());
         }
-        Ok((
-            data,
-            OpReceipt {
-                counts,
-                latency,
-                retries: 0,
-            },
-        ))
+        Ok((data, OpReceipt { counts, latency }))
     }
 
     /// Write the `index`-th data block of `site` on behalf of `actor`
@@ -682,40 +695,16 @@ impl RaddCluster {
                 self.believe(parity, SiteState::Down);
             }
         }
-        self.with_client(actor, true, false, |cm, io| cm.write(io, site, index, data))
-            .map_err(|f| self.lift(f, site, index, Some(data.len())))?;
+        self.act(actor, true);
+        let done = self.client.write(&mut self.net, site, index, data);
+        done.map_err(|e| self.lift(e, site, index, Some(data.len())))?;
         let (counts, latency) = self.ledger().since(snap);
         if let Some(obs) = &mut self.net.hook.obs {
             obs.client()
                 .metrics()
                 .record_write_latency(latency.as_micros());
         }
-        Ok(OpReceipt {
-            counts,
-            latency,
-            retries: 0,
-        })
-    }
-
-    /// Apply all queued parity updates (queued mode only). The RW was
-    /// charged at send time and application is bookkeeping (`ParityApply`
-    /// receipts are free), so delivery here charges nothing.
-    pub fn flush_parity(&mut self) -> Result<(), RaddError> {
-        let Some(pending) = self.net.hook.queued.take() else {
-            return Ok(());
-        };
-        self.net.hook.actor = Actor::Client;
-        self.net.hook.background = false;
-        for (to, src, msg) in pending {
-            self.net.deliver(to, src, msg);
-        }
-        self.net.hook.queued = Some(Vec::new());
-        Ok(())
-    }
-
-    /// Number of parity updates still queued.
-    pub fn pending_parity_updates(&self) -> usize {
-        self.net.hook.queued.as_ref().map_or(0, Vec::len)
+        Ok(OpReceipt { counts, latency })
     }
 
     // ------------------------------------------------------------------
@@ -726,7 +715,9 @@ impl RaddCluster {
     /// every valid spare standing in for it (through the protocol's
     /// lock-protected drain), rebuild every invalid local block and restore
     /// it there (the client machine's `restore_lost`), then mark the site
-    /// up.
+    /// up. A spare row locked by someone else (a transaction's §3.3 lock)
+    /// refuses the drain as [`RaddError::Unavailable`]; run it again once
+    /// the lock is released.
     pub fn run_recovery(&mut self, site: SiteId) -> Result<RecoveryReport, RaddError> {
         assert_eq!(
             self.states[site],
@@ -745,9 +736,13 @@ impl RaddCluster {
         // corresponding block of S[J] and then invalidate the contents of
         // the spare block."
         self.refresh_down_mask();
-        report.spares_drained = self
-            .with_client(Actor::Site(site), true, true, |cm, io| cm.recover(io, site))
-            .map_err(|f| self.lift(f, site, 0, None))?;
+        self.act(Actor::Site(site), true);
+        self.net.hook.drain_locks = true;
+        let drained = self.client.recover(&mut self.net, site);
+        self.net.hook.drain_locks = false;
+        // Release the locks of rows the machine did not get to `SpareTake`.
+        self.net.hook.locks.release_all(RECOVERY_TXN);
+        report.spares_drained = drained.map_err(|e| self.lift(e, site, 0, None))?;
 
         // Phase 2: "reconstructs invalid local blocks" lost with a disk or
         // in a disaster. An invalid spare block is simply empty: nothing to
@@ -759,14 +754,14 @@ impl RaddCluster {
             .copied()
             .filter(|&row| self.geometry.role(site, row) != Role::Spare)
             .collect();
-        self.with_client(Actor::Site(site), true, false, |cm, io| {
-            lost.iter()
-                .try_for_each(|&row| match cm.restore_lost(io, site, row, true)? {
+        lost.iter()
+            .try_for_each(|&row| {
+                match self.client.restore_lost(&mut self.net, site, row, true)? {
                     (_, true) => Ok(()),
                     (_, false) => Err(ClientErr::Unavailable { site }),
-                })
-        })
-        .map_err(|f| self.lift(f, site, 0, None))?;
+                }
+            })
+            .map_err(|e| self.lift(e, site, 0, None))?;
         for &row in &lost {
             match self.geometry.role(site, row) {
                 Role::Parity => report.parity_rebuilt += 1,
@@ -797,20 +792,18 @@ impl RaddCluster {
     // effective site states), the old-value oracle is disabled, so degraded
     // writes fetch the old value through the protocol just as a real client
     // must, and a failed operation is the machine's own [`ClientErr`],
-    // unlifted (an interpreter-level fault behind it has already been
-    // folded to `Unavailable` by the io adapter). With the same plan applied
-    // to every runtime, the per-machine effect traces are byte-identical.
-    // They are what `impl GroupCluster for RaddCluster` (`sharded.rs`) is
-    // made of.
+    // unlifted. With the same plan applied to every runtime, the
+    // per-machine effect traces are byte-identical. They are what
+    // `impl GroupCluster for RaddCluster` (`sharded.rs`) is made of.
 
     /// Run one client-machine operation in client mode: caller-managed
     /// down list, no old-value oracle, the machine's own error.
     pub(crate) fn client_op<R>(
         &mut self,
-        f: impl FnOnce(&mut ClientMachine, &mut DesIo<'_>) -> Result<R, ClientErr>,
+        f: impl FnOnce(&mut ClientMachine, &mut dyn ClientIo) -> Result<R, ClientErr>,
     ) -> Result<R, ClientErr> {
-        self.with_client(Actor::Client, false, false, f)
-            .map_err(|(e, _)| e)
+        self.act(Actor::Client, false);
+        f(&mut self.client, &mut self.net)
     }
 
     /// Client-machine recovery drain (the threaded runtime's
@@ -869,7 +862,7 @@ impl RaddCluster {
     pub fn record_machine_traces(&mut self, on: bool) {
         self.net.hook.site_traces = on.then(|| vec![Vec::new(); self.states.len()]);
         if on {
-            self.client().record_trace();
+            self.client.record_trace();
         }
     }
 
@@ -879,7 +872,7 @@ impl RaddCluster {
     ///
     /// [`radd_node::NodeCluster::take_traces`]: ../radd_node/struct.NodeCluster.html#method.take_traces
     pub fn take_machine_traces(&mut self) -> Vec<Vec<ObsEvent>> {
-        let mut all = vec![self.client().take_trace()];
+        let mut all = vec![self.client.take_trace()];
         match &mut self.net.hook.site_traces {
             Some(bufs) => all.extend(bufs.iter_mut().map(std::mem::take)),
             None => all.extend((0..self.states.len()).map(|_| Vec::new())),
@@ -888,41 +881,8 @@ impl RaddCluster {
     }
 
     // ------------------------------------------------------------------
-    // Oracles (uncharged; stand in for buffer caches in the cost model and
-    // for test assertions)
+    // Oracles and fault hooks (uncharged; for tests and the fault harness)
     // ------------------------------------------------------------------
-
-    /// The logical current content of `site`'s block at `row`: the spare
-    /// stand-in if one exists, the local block if trustworthy, else the
-    /// reconstruction. Never charged.
-    fn logical_content_by_row(&mut self, site: SiteId, row: PhysRow) -> Result<Bytes, RaddError> {
-        let spare_site = self.geometry.spare_site(row);
-        if spare_site != site {
-            if let Some(slot) = self.machine(spare_site).spares().get(&row) {
-                if slot.for_site == site {
-                    return Ok(self.array(spare_site).read_block(row)?);
-                }
-            }
-        }
-        if self.local_row_ok(site, row) {
-            return Ok(self.array(site).read_block(row)?);
-        }
-        // Reconstruct silently.
-        let sources: Vec<SiteId> = (0..self.states.len())
-            .filter(|&s| s != site && s != spare_site)
-            .collect();
-        let mut acc = vec![0u8; self.config.block_size];
-        for s in sources {
-            if !self.local_row_ok(s, row) {
-                return Err(RaddError::MultipleFailure {
-                    detail: format!("cannot materialise row {row} of site {site}"),
-                });
-            }
-            let c = self.array(s).read_block(row)?;
-            radd_parity::xor_in_place(&mut acc, &c);
-        }
-        Ok(Bytes::from(acc))
-    }
 
     /// Raw content of a physical block at a site, uncharged — inspection
     /// hook for tests and the fault harness.
@@ -955,7 +915,8 @@ impl RaddCluster {
         if index >= capacity {
             return Err(RaddError::OutOfRange { index, capacity });
         }
-        self.logical_content_by_row(site, self.geometry.data_to_physical(site, index))
+        let row = self.geometry.data_to_physical(site, index);
+        logical(&mut self.net.sites, &self.geometry, site, row)
     }
 
     /// Verify the stripe invariant on every fully healthy row: the parity
@@ -965,13 +926,13 @@ impl RaddCluster {
         for row in 0..self.config.rows {
             let parity_site = self.geometry.parity_site(row);
             // Row not materialisable: skip.
-            let Ok(parity) = self.logical_content_by_row(parity_site, row) else {
+            let Ok(parity) = logical(&mut self.net.sites, &self.geometry, parity_site, row) else {
                 continue;
             };
             let mut acc = vec![0u8; self.config.block_size];
             let mut ok = true;
             for s in self.geometry.data_sites(row) {
-                match self.logical_content_by_row(s, row) {
+                match logical(&mut self.net.sites, &self.geometry, s, row) {
                     Ok(c) => radd_parity::xor_in_place(&mut acc, &c),
                     Err(_) => {
                         ok = false;
@@ -984,68 +945,5 @@ impl RaddCluster {
             }
         }
         Ok(())
-    }
-}
-
-/// The client machine's transport into the DES cluster: the priced
-/// cascade, the buffer-pool oracle, and recovery-drain locking.
-pub(crate) struct DesIo<'a> {
-    cluster: &'a mut RaddCluster,
-    /// Serve [`radd_protocol::ClientIo::old_value`] from the logical
-    /// oracle (the paper's buffer-pool assumption). Off in client mode.
-    oracle: bool,
-    /// Lock each spare row exclusively for the duration of its drain
-    /// (§3.2's "lock each valid spare block").
-    recovery_locks: bool,
-    held: Vec<(SiteId, PhysRow)>,
-    stash: Option<RaddError>,
-}
-
-impl ClientIo for DesIo<'_> {
-    fn exchange(&mut self, site: usize, msg: Msg, background: bool) -> Result<Msg, ClientErr> {
-        if self.recovery_locks {
-            if let Msg::SpareProbe { row, .. } = &msg {
-                if !self.held.contains(&(site, *row))
-                    && self
-                        .cluster
-                        .locks
-                        .try_lock(site, *row, LockKind::Exclusive, RECOVERY_TXN)
-                        .is_err()
-                {
-                    self.stash = Some(RaddError::BadConfig("recovery lock conflict".into()));
-                    return Err(ClientErr::Unavailable { site });
-                }
-                self.held.push((site, *row));
-            }
-        }
-        let taken_row = match &msg {
-            Msg::SpareTake { row, .. } => Some(*row),
-            _ => None,
-        };
-        self.cluster.net.hook.background = background;
-        let reply = self
-            .cluster
-            .net
-            .exchange(site, msg, background)
-            .inspect_err(|_| {
-                self.stash.get_or_insert(RaddError::Unavailable { site });
-            })?;
-        if let Some(row) = taken_row {
-            if let Some(pos) = self.held.iter().position(|&(s, r)| s == site && r == row) {
-                self.held.remove(pos);
-                self.cluster.locks.unlock(site, row, RECOVERY_TXN);
-            }
-        }
-        Ok(reply)
-    }
-
-    fn old_value(&mut self, site: usize, row: u64) -> Option<Vec<u8>> {
-        if !self.oracle {
-            return None;
-        }
-        self.cluster
-            .logical_content_by_row(site, row)
-            .ok()
-            .map(|b| b.to_vec())
     }
 }

@@ -8,19 +8,6 @@ use serde::{Deserialize, Serialize};
 // here for configuration ergonomics and backwards compatibility.
 pub use radd_protocol::SparePolicy;
 
-/// When parity-update messages are applied at the parity site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ParityMode {
-    /// Applied synchronously as part of the write (the reliable-network
-    /// model of §3).
-    Sync,
-    /// Queued until [`flush_parity`] — models messages in flight, which is
-    /// what makes the §3.3 UID-validation race observable.
-    ///
-    /// [`flush_parity`]: crate::RaddCluster::flush_parity
-    Queued,
-}
-
 /// Static configuration of a [`RaddCluster`].
 ///
 /// [`RaddCluster`]: crate::RaddCluster
@@ -38,11 +25,6 @@ pub struct RaddConfig {
     pub cost: CostParams,
     /// Spare allocation policy.
     pub spare_policy: SparePolicy,
-    /// Parity message application mode.
-    pub parity_mode: ParityMode,
-    /// Validate UIDs during reconstruction (§3.3). Disabling this is the
-    /// consistency ablation: stale reconstructions go undetected.
-    pub uid_validation: bool,
 }
 
 impl RaddConfig {
@@ -56,8 +38,6 @@ impl RaddConfig {
             block_size: 4096,
             cost: CostParams::paper_defaults(),
             spare_policy: SparePolicy::OnePerParity,
-            parity_mode: ParityMode::Sync,
-            uid_validation: true,
         }
     }
 
@@ -71,8 +51,6 @@ impl RaddConfig {
             block_size: 64,
             cost: CostParams::paper_defaults(),
             spare_policy: SparePolicy::OnePerParity,
-            parity_mode: ParityMode::Sync,
-            uid_validation: true,
         }
     }
 

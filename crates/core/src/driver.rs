@@ -18,9 +18,8 @@
 //!    *refusals* (blocked partition, multiple failure, unavailability)
 //!    are acceptable, silently wrong content never is.
 //!
-//! Checks 1 and 2 are only meaningful when no parity update is in flight
-//! (`pending_parity_updates() == 0`); with updates queued they are skipped,
-//! exactly as a distributed observer could not assert them mid-message.
+//! Checks 1 and 2 need no parity update in flight, which the DES's
+//! synchronous cascade guarantees between operations.
 
 use crate::cluster::RaddCluster;
 use crate::config::RaddConfig;
@@ -129,22 +128,17 @@ impl CheckedCluster {
     }
 
     /// Validate every cluster invariant; returns a description of the
-    /// first violation. See the module docs for what is checked and when a
-    /// check is legitimately skipped. §3.3 agreement and spare structure
-    /// are `radd_protocol::check`'s predicates, the ones the model checker
-    /// sweeps with; what this driver adds is which rows an unrepaired
-    /// failure makes untrustworthy, and the spare policy.
+    /// first violation. See the module docs for what is checked. §3.3
+    /// agreement and spare structure are `radd_protocol::check`'s
+    /// predicates, the ones the model checker sweeps with; what this driver
+    /// adds is which rows an unrepaired failure makes untrustworthy, and the
+    /// spare policy.
     pub fn check_invariants(&mut self) -> Result<(), String> {
         self.checks += 1;
-        let quiesced = self.cluster.pending_parity_updates() == 0;
-        if quiesced {
-            self.cluster.verify_parity()?;
-        }
+        self.cluster.verify_parity()?;
         let num_sites = self.cluster.config().num_sites();
         let machines: Vec<&SiteMachine> = (0..num_sites).map(|s| self.cluster.machine(s)).collect();
-        if quiesced {
-            check_uid_agreement(&machines, |s, row| !self.site_row_untrusted(s, row))?;
-        }
+        check_uid_agreement(&machines, |s, row| !self.site_row_untrusted(s, row))?;
         check_spare_structure(&machines)?;
         self.check_spare_policy(&machines)?;
         self.check_oracle()

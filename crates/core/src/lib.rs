@@ -51,7 +51,7 @@ pub mod sharded;
 pub mod stats;
 
 pub use cluster::{RaddCluster, RecoveryReport, StorageMode};
-pub use config::{ParityMode, RaddConfig, SparePolicy};
+pub use config::{RaddConfig, SparePolicy};
 pub use driver::{CheckError, CheckedCluster};
 pub use error::RaddError;
 pub use locks::{LockKind, LockManager};

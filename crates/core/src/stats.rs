@@ -37,8 +37,6 @@ pub struct OpReceipt {
     ///
     /// [`CostParams`]: radd_sim::CostParams
     pub latency: SimDuration,
-    /// §3.3 retries performed (nonzero only in queued-parity experiments).
-    pub retries: u32,
 }
 
 /// Network traffic split by protocol purpose, for the §7.4 bandwidth

@@ -2,11 +2,13 @@
 //! of the paper's Figure 3 operation-count formulas and Figure 4 latencies.
 
 use radd_core::{
-    Actor, OpCounts, ParityMode, RaddCluster, RaddConfig, RaddError, RecoveryReport, SiteState,
-    SparePolicy,
+    Actor, OpCounts, RaddCluster, RaddConfig, RaddError, RecoveryReport, SiteState, SparePolicy,
 };
 use radd_net::PartitionMap;
-use radd_protocol::{Dest, MsgKind, ObsEvent};
+use radd_protocol::loopback::{Hook, Loopback};
+use radd_protocol::{
+    ClientErr, ClientMachine, Dest, Effect, MemBlocks, Msg, MsgKind, ObsEvent, SiteMachine,
+};
 
 fn cluster_g4() -> RaddCluster {
     RaddCluster::new(RaddConfig::small_g4()).unwrap()
@@ -25,6 +27,7 @@ fn block(cluster: &RaddCluster, tag: u8) -> Vec<u8> {
 /// Run `site`'s recovery daemon from zeroed stats with machine traces on:
 /// its report, the background counts it charged (it charges nothing in the
 /// foreground), and how many `RestoreBlock`s the client machine sent `site`.
+/// The daemon leaves no drain lock behind.
 fn recover_traced(c: &mut RaddCluster, site: usize) -> (RecoveryReport, OpCounts, usize) {
     c.reset_stats();
     c.record_machine_traces(true);
@@ -37,6 +40,11 @@ fn recover_traced(c: &mut RaddCluster, site: usize) -> (RecoveryReport, OpCounts
         })
         .count();
     assert_eq!(c.ledger().foreground, OpCounts::ZERO);
+    assert_eq!(
+        c.locks().locked_blocks(),
+        0,
+        "a drain lock outlived recovery"
+    );
     (report, c.ledger().background, restores)
 }
 
@@ -498,63 +506,82 @@ fn no_spares_down_writes_are_unavailable() {
 // §3.3 UID validation under in-flight parity updates
 // ---------------------------------------------------------------------
 
+/// Holds every parity update while `hold` is set, acking its sender on the
+/// parity site's behalf so the write completes: §3.3's update in flight.
+#[derive(Default)]
+struct Hold {
+    hold: bool,
+    held: Vec<(usize, usize, Msg)>,
+}
+
+impl Hook for Hold {
+    fn handle(
+        &mut self,
+        site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        match msg {
+            Msg::ParityUpdate { tag, .. } if self.hold => {
+                out.push(Effect::send(Dest::Peer(src), Msg::Ack { tag }));
+                self.held.push((site, src, msg));
+            }
+            _ => machine.handle(blocks, src, msg, out),
+        }
+    }
+}
+
+/// §3.3's window on a `G = 4` group's machines: data site `a` of row 0
+/// writes `0xA5`s, data site `b` of the same row writes with its parity
+/// update held, and `a` is believed down. Returns the client (validating
+/// UIDs or not), the cascade, `a`, its index and `b`.
+fn staged_race(validate: bool) -> (ClientMachine, Loopback<Hold>, usize, u64, usize) {
+    let mut net = Loopback::new(4, 12, 64, Hold::default());
+    let mut client = ClientMachine::new(4, 12, 64, SparePolicy::OnePerParity, validate, u16::MAX);
+    let geo = *client.geometry();
+    let (a, b) = (geo.data_sites(0)[0], geo.data_sites(0)[1]);
+    let (ia, ib) = (
+        geo.physical_to_data(a, 0).unwrap(),
+        geo.physical_to_data(b, 0).unwrap(),
+    );
+    client.write(&mut net, a, ia, &[0xA5; 64]).unwrap();
+    net.hook.hold = true;
+    client.write(&mut net, b, ib, &[0x22; 64]).unwrap();
+    assert_eq!(net.hook.held.len(), 1, "b's parity update is in flight");
+    client.set_down(a, true);
+    (client, net, a, ia, b)
+}
+
 #[test]
-fn queued_parity_makes_reconstruction_inconsistent_until_flush() {
-    let mut cfg = RaddConfig::small_g4();
-    cfg.parity_mode = ParityMode::Queued;
-    let mut c = RaddCluster::new(cfg).unwrap();
-    let data = block(&c, 3);
-    c.write(Actor::Site(2), 2, 0, &data).unwrap();
-    assert_eq!(c.pending_parity_updates(), 1);
-    // Reconstruction of a *different* site's block in the same row sees a
-    // data UID the parity array has not recorded yet.
-    let row = c.geometry().data_to_physical(2, 0);
-    let victim = *c
-        .geometry()
-        .data_sites(row)
-        .iter()
-        .find(|&&s| s != 2)
-        .unwrap();
-    let victim_idx = c.geometry().physical_to_data(victim, row).unwrap();
-    c.fail_site(victim);
-    let err = c.read(Actor::Client, victim, victim_idx).unwrap_err();
-    assert!(
-        matches!(err, RaddError::InconsistentRead { site: 2 }),
-        "got {err:?}"
+fn a_held_parity_update_makes_reconstruction_inconsistent_until_delivered() {
+    let (mut client, mut net, a, ia, b) = staged_race(true);
+    // Reconstructing `a` sees a data UID at `b` the parity array has not
+    // recorded yet.
+    assert_eq!(
+        client.read(&mut net, a, ia),
+        Err(ClientErr::Inconsistent { site: b })
     );
     // After the parity message lands, the retry succeeds (§3.3: "must be
     // retried").
-    c.flush_parity().unwrap();
-    let (_, receipt) = c.read(Actor::Client, victim, victim_idx).unwrap();
-    assert_eq!(receipt.counts.formula(), "4*RR");
+    net.hook.hold = false;
+    for (to, src, msg) in std::mem::take(&mut net.hook.held) {
+        net.deliver(to, src, msg);
+    }
+    assert_eq!(&client.read(&mut net, a, ia).unwrap()[..], &[0xA5; 64]);
 }
 
 #[test]
 fn disabling_uid_validation_returns_stale_garbage() {
     // The ablation: without §3.3 validation, reconstruction silently XORs a
     // new data block against an old parity block.
-    let mut cfg = RaddConfig::small_g4();
-    cfg.parity_mode = ParityMode::Queued;
-    cfg.uid_validation = false;
-    let mut c = RaddCluster::new(cfg).unwrap();
-    let victim_data = block(&c, 1);
-    c.write(Actor::Site(3), 3, 0, &victim_data).unwrap();
-    c.flush_parity().unwrap();
-    let row = c.geometry().data_to_physical(3, 0);
-    let writer = *c
-        .geometry()
-        .data_sites(row)
-        .iter()
-        .find(|&&s| s != 3)
-        .unwrap();
-    let writer_idx = c.geometry().physical_to_data(writer, row).unwrap();
-    c.write(Actor::Site(writer), writer, writer_idx, &block(&c, 0xFF))
-        .unwrap(); // parity update stays queued
-    c.fail_site(3);
-    let (got, _) = c.read(Actor::Client, 3, 0).unwrap();
+    let (mut client, mut net, a, ia, _) = staged_race(false);
+    let got = client.read(&mut net, a, ia).unwrap();
     assert_ne!(
         &got[..],
-        &victim_data[..],
+        &[0xA5; 64],
         "unvalidated read returned stale data"
     );
 }

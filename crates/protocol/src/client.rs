@@ -6,8 +6,8 @@
 //! reconstruction and how their UIDs are validated, how a recovering site's
 //! reads and writes are served, and how its redirected writes are drained —
 //! while delegating every *exchange* to a [`ClientIo`] implementation. The
-//! DES cluster implements `ClientIo` over [`crate::loopback::Loopback`]'s
-//! synchronous delivery with cost-ledger charging; the async interpreter
+//! DES cluster runs it on [`crate::loopback::Loopback`]'s synchronous
+//! delivery, priced by the cascade's hook; the async interpreter
 //! both async runtimes compile (`radd_node::client`) implements it with
 //! endpoint sends, timeouts, and one retry ladder.
 //!

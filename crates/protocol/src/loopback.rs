@@ -5,14 +5,16 @@
 //! left to the [`Hook`]. This is the workspace's one synchronous cascade.
 //! The machine-level property tests and the `recovery_path` bench stand
 //! the machines on it over [`MemBlocks`] with no hook; the `protocol_core`
-//! bench hangs the observability tap on it; the DES in `radd-core` runs it
-//! over its disk arrays, with the Figure-3 pricing, the traffic counters
-//! and the trace taps as its hook. The async interpreter in `radd-node`
+//! bench hangs the observability tap on it; the DES in `radd-core` is this
+//! cascade over its disk arrays with one hook, which prices it (Figure 3),
+//! counts its traffic, taps its traces, answers the buffer-pool old value
+//! and takes §3.2's drain locks. The async interpreter in `radd-node`
 //! interprets the same effect stream over real transports.
 //!
-//! A [`Hook`] sees every `handle` call and every client exchange. It is a
-//! type parameter, so a tap costs nothing where there is none:
-//! `Loopback<()>`'s hook calls compile away.
+//! A [`Hook`] sees every `handle` call and every client exchange, and may
+//! refuse an exchange or answer [`ClientIo::old_value`]. It is a type
+//! parameter, so a tap costs nothing where there is none: `Loopback<()>`'s
+//! hook calls compile away.
 
 use crate::client::{ClientErr, ClientIo};
 use crate::effect::{Blocks, Dest, Effect, MemBlocks};
@@ -39,8 +41,24 @@ pub trait Hook<B: Blocks = MemBlocks> {
         machine.handle(blocks, src, msg, out);
     }
 
-    /// The client machine is about to exchange `msg` with `site`.
-    fn exchange(&mut self, _site: usize, _msg: &Msg) {}
+    /// The client machine is about to exchange `msg` with `site`
+    /// (`background`: recovery-daemon traffic). An `Err` refuses the
+    /// exchange: the message is not delivered and the client sees the
+    /// error.
+    fn exchange(&mut self, _site: usize, _msg: &Msg, _background: bool) -> Result<(), ClientErr> {
+        Ok(())
+    }
+
+    /// [`ClientIo::old_value`] of `site`'s block at `row`, with every site
+    /// in view. The default has none, so the client fetches it.
+    fn old_value(
+        &mut self,
+        _sites: &mut [(SiteMachine, B)],
+        _site: usize,
+        _row: u64,
+    ) -> Option<Vec<u8>> {
+        None
+    }
 }
 
 /// No hook.
@@ -100,9 +118,13 @@ impl<H: Hook<B>, B: Blocks> Loopback<H, B> {
 }
 
 impl<H: Hook<B>, B: Blocks> ClientIo for Loopback<H, B> {
-    fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
-        self.hook.exchange(site, &msg);
+    fn exchange(&mut self, site: usize, msg: Msg, background: bool) -> Result<Msg, ClientErr> {
+        self.hook.exchange(site, &msg, background)?;
         self.deliver(site, 0, msg)
             .ok_or(ClientErr::Unavailable { site })
+    }
+
+    fn old_value(&mut self, site: usize, row: u64) -> Option<Vec<u8>> {
+        self.hook.old_value(&mut self.sites, site, row)
     }
 }

@@ -235,11 +235,12 @@ impl Hook for Audit {
         }
     }
 
-    fn exchange(&mut self, site: usize, msg: &Msg) {
+    fn exchange(&mut self, site: usize, msg: &Msg, _background: bool) -> Result<(), ClientErr> {
         assert!(
             !self.down[site],
             "client machine sent {msg:?} to believed-down site {site}"
         );
+        Ok(())
     }
 }
 

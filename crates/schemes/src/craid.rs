@@ -77,7 +77,6 @@ impl CRaid {
         OpReceipt {
             counts,
             latency: counts.priced(&self.outer.config().cost),
-            retries: r.retries,
         }
     }
 
@@ -135,14 +134,7 @@ impl ReplicationScheme for CRaid {
                 OpCounts::new(self.local_g as u64, 0, 0, 0)
             };
             let latency = counts.priced(&self.outer.config().cost);
-            return Ok((
-                data,
-                OpReceipt {
-                    counts,
-                    latency,
-                    retries: 0,
-                },
-            ));
+            return Ok((data, OpReceipt { counts, latency }));
         }
         // Site-level failures go through the RADD layer unchanged.
         self.outer.read(actor, site, index)
@@ -174,11 +166,7 @@ impl ReplicationScheme for CRaid {
                 outer.counts.remote_writes,
             );
             let latency = counts.priced(&self.outer.config().cost);
-            return Ok(OpReceipt {
-                counts,
-                latency,
-                retries: outer.retries,
-            });
+            return Ok(OpReceipt { counts, latency });
         }
         let outer = self.outer.write(actor, site, index, data)?;
         Ok(self.add_local_parity(outer))

@@ -48,8 +48,6 @@ impl Raid5 {
             block_size,
             cost,
             spare_policy: radd_core::SparePolicy::OnePerParity,
-            parity_mode: radd_core::ParityMode::Sync,
-            uid_validation: true,
         };
         Ok(Raid5 {
             inner: RaddCluster::new(config)?,
@@ -76,7 +74,6 @@ impl Raid5 {
         OpReceipt {
             counts,
             latency: counts.priced(&self.cost),
-            retries: r.retries,
         }
     }
 

@@ -105,11 +105,7 @@ impl Rowb {
 
     fn receipt_since(&self, snap: (OpCounts, radd_core::SimDuration)) -> OpReceipt {
         let (counts, latency) = self.ledger.since(snap);
-        OpReceipt {
-            counts,
-            latency,
-            retries: 0,
-        }
+        OpReceipt { counts, latency }
     }
 
     /// Can the primary copy of `(site, index)` be read?

@@ -324,14 +324,7 @@ impl ReplicationScheme for TwoDRadd {
             data
         };
         let (counts, latency) = self.ledger.since(snap);
-        Ok((
-            Bytes::from(data),
-            OpReceipt {
-                counts,
-                latency,
-                retries: 0,
-            },
-        ))
+        Ok((Bytes::from(data), OpReceipt { counts, latency }))
     }
 
     fn write(
@@ -387,11 +380,7 @@ impl ReplicationScheme for TwoDRadd {
             self.update_parities(site, index, &mask)?;
         }
         let (counts, latency) = self.ledger.since(snap);
-        Ok(OpReceipt {
-            counts,
-            latency,
-            retries: 0,
-        })
+        Ok(OpReceipt { counts, latency })
     }
 
     fn inject(&mut self, site: SiteId, kind: FailureKind) -> Result<(), RaddError> {

@@ -268,6 +268,28 @@ mod tests {
     }
 
     #[test]
+    fn recovery_is_refused_while_a_transaction_holds_the_spare_row() {
+        // §3.2's drain locks each spare block it copies back: a
+        // transaction's §3.3 lock on the stand-in refuses the drain until
+        // the transaction ends.
+        let mut c = cluster();
+        let data = blk(&c, 5);
+        c.fail_site(4);
+        let mut t = DistributedTxn::begin(1);
+        t.write(&mut c, Actor::Client, 4, 0, &data).unwrap();
+        c.restore_site(4);
+        let spare_site = c.geometry().spare_site(c.geometry().data_to_physical(4, 0));
+        let err = c.run_recovery(4).unwrap_err();
+        assert!(err.is_refusal(), "a lock conflict is a refusal: {err:?}");
+        assert_eq!(err, RaddError::Unavailable { site: spare_site });
+        assert_eq!(c.locks().locked_blocks(), 1, "only the transaction's lock");
+        t.commit(&mut c).unwrap();
+        assert_eq!(c.run_recovery(4).unwrap().spares_drained, 1);
+        assert_eq!(c.locks().locked_blocks(), 0);
+        assert_eq!(&c.read(Actor::Site(4), 4, 0).unwrap().0[..], &data[..]);
+    }
+
+    #[test]
     fn slave_crash_after_done_is_recoverable_via_parity() {
         // The §6 argument end to end: a slave performs its writes (parity
         // updates shipped synchronously = "done"), then crashes before any

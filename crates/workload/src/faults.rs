@@ -116,8 +116,9 @@ pub enum FaultEvent {
     },
     /// End the message-loss burst.
     LossEnd,
-    /// Apply queued parity updates (DES `ParityMode::Queued`; elsewhere a
-    /// no-op).
+    /// Settle every parity update still in flight: the runtime's
+    /// `quiesce`. A no-op on the DES, whose cascade delivers each update
+    /// within the write that sent it.
     FlushParity,
     // ---- checker-granularity events ----------------------------------
     // The bounded model checker (`radd-check`) explores one network or
@@ -784,11 +785,7 @@ impl FaultDriver for CheckedCluster {
                 Err(CheckError::Protocol(e)) if e.is_refusal() => Ok(()),
                 Err(e) => Err(format!("read(site {site}, index {index}): {e}")),
             },
-            // Failure injection quiesces first: killing a site with parity
-            // updates still queued is the §6 in-doubt problem, which needs
-            // coordinator logs this runtime does not model.
             FaultEvent::Fail { site, kind } => {
-                self.quiesce()?;
                 match kind {
                     FailureKind::SiteFailure => self.cluster_mut().fail_site(site),
                     FailureKind::Disaster => self.cluster_mut().disaster(site),
@@ -815,7 +812,6 @@ impl FaultDriver for CheckedCluster {
                 }
             }
             FaultEvent::Isolate { site } => {
-                self.quiesce()?;
                 self.cluster_mut()
                     .set_partition(PartitionMap::isolate(num_sites, site));
                 Ok(())
@@ -832,18 +828,16 @@ impl FaultDriver for CheckedCluster {
                 }
                 Ok(())
             }
-            // The DES models the reliable network of §3; loss bursts only
-            // bite on the threaded runtime.
-            FaultEvent::LossBurst { .. } | FaultEvent::LossEnd => Ok(()),
-            FaultEvent::FlushParity => self.quiesce(),
-            // §3.4 crash/restart: quiesce first (crashing with a parity
-            // update in doubt is the §6 problem no runtime here models),
-            // then round-trip the site through its durable snapshot. A
-            // volatile-storage cluster reports `false` — a legitimate
-            // no-op, not a failure — so crash plans also run on the
-            // default configuration.
+            // The DES models the reliable network of §3, and its cascade
+            // delivers each parity update within its write: loss bursts
+            // only bite on the threaded runtime, and nothing is left to
+            // flush.
+            FaultEvent::LossBurst { .. } | FaultEvent::LossEnd | FaultEvent::FlushParity => Ok(()),
+            // §3.4 crash/restart: round-trip the site through its durable
+            // snapshot. A volatile-storage cluster reports `false` — a
+            // legitimate no-op, not a failure — so crash plans also run on
+            // the default configuration.
             FaultEvent::KillRestart { site } => {
-                self.quiesce()?;
                 self.cluster_mut().kill_restart_site(site);
                 Ok(())
             }
@@ -863,10 +857,9 @@ impl FaultDriver for CheckedCluster {
         self.check_invariants().map(|()| true)
     }
 
+    /// The synchronous cascade leaves nothing in flight.
     fn quiesce(&mut self) -> Result<(), String> {
-        self.cluster_mut()
-            .flush_parity()
-            .map_err(|e| format!("parity flush: {e}"))
+        Ok(())
     }
 
     fn obs_snapshot(&mut self) -> Option<ObsSnapshot> {

@@ -45,8 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         block_size: 512,
         cost: CostParams::paper_defaults(),
         spare_policy: SparePolicy::OnePerParity,
-        parity_mode: ParityMode::Sync,
-        uid_validation: true,
     };
     let mut cluster = RaddCluster::new(cfg)?;
     let payload = vec![0xAB; 512];

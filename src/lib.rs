@@ -73,8 +73,8 @@ pub use radd_workload as workload;
 /// The names most programs need.
 pub mod prelude {
     pub use radd_core::{
-        Actor, CheckError, CheckedCluster, ParityMode, RaddCluster, RaddConfig, RaddError,
-        ShardedCluster, SiteState, SparePolicy,
+        Actor, CheckError, CheckedCluster, RaddCluster, RaddConfig, RaddError, ShardedCluster,
+        SiteState, SparePolicy,
     };
     pub use radd_layout::{assign_groups, Geometry, GlobalAddr, GroupId, Role, ShardMap};
     pub use radd_node::{NodeCluster, ShardedNodeCluster, ThreadedDriver};

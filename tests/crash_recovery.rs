@@ -117,7 +117,6 @@ fn run_des(label: &str, plan: &FaultPlan) {
             "{label} site {s}"
         );
     }
-    assert_eq!(cc.cluster().pending_parity_updates(), 0, "{label}");
     assert!(cc.oracle_len() > 0, "{label}: plan never wrote anything");
 }
 

@@ -210,8 +210,6 @@ fn group_assignment_feeds_real_clusters() {
             block_size: 64,
             cost: CostParams::paper_defaults(),
             spare_policy: SparePolicy::OnePerParity,
-            parity_mode: ParityMode::Sync,
-            uid_validation: true,
         };
         let mut cluster = RaddCluster::new(cfg).unwrap();
         for site in 0..group.len() {

@@ -4,6 +4,8 @@
 //! race is caught exactly when validation is enabled.
 
 use radd::prelude::*;
+use radd::protocol::loopback::{Hook, Loopback};
+use radd::protocol::{ClientMachine, Dest, Effect, MemBlocks, Msg, SiteMachine};
 
 /// CI's primary plan seed, spelled as a name (`seed_from_name` — the
 /// string is not parseable hex, the mapping is an FNV-1a hash).
@@ -119,78 +121,90 @@ fn parity_corruption_is_caught_with_a_replayable_report() {
 // §3.3 UID-validation race
 // ---------------------------------------------------------------------
 
-fn queued_cfg(uid_validation: bool) -> RaddConfig {
-    let mut cfg = RaddConfig::small_g4();
-    cfg.parity_mode = ParityMode::Queued;
-    cfg.uid_validation = uid_validation;
-    cfg
+/// Holds every parity update while `hold` is set, acking its sender on the
+/// parity site's behalf so the write completes: §3.3's update in flight.
+#[derive(Default)]
+struct Hold {
+    hold: bool,
+    held: Vec<(usize, usize, Msg)>,
 }
 
-/// First data index of `site` that lives in physical `row`.
-fn index_for_row(geo: &Geometry, site: usize, row: u64) -> u64 {
-    (0..geo.data_capacity(site))
-        .find(|&i| geo.data_to_physical(site, i) == row)
-        .expect("site owns a data block in this row")
+impl Hook for Hold {
+    fn handle(
+        &mut self,
+        site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        match msg {
+            Msg::ParityUpdate { tag, .. } if self.hold => {
+                out.push(Effect::send(Dest::Peer(src), Msg::Ack { tag }));
+                self.held.push((site, src, msg));
+            }
+            _ => machine.handle(blocks, src, msg, out),
+        }
+    }
 }
 
-/// Stage the race: two data sites of one row, the second's write still
-/// queued (its parity update not yet applied) when the first site fails.
-/// Reconstruction of the first site's block then XORs fresh data with
-/// stale parity. Returns `(cluster, victim_site, victim_index, written)`.
-fn staged_race(uid_validation: bool) -> (RaddCluster, usize, u64, Vec<u8>) {
-    let mut cluster = RaddCluster::new(queued_cfg(uid_validation)).unwrap();
-    let bs = cluster.config().block_size;
-    let geo = *cluster.geometry();
+/// Stage the race on a `G = 4` group's machines: two data sites of one
+/// row, the second's parity update held (applied nowhere yet) when the first
+/// site fails. Reconstruction of the first site's block then XORs fresh
+/// data with stale parity. Returns
+/// `(client, cascade, victim_site, victim_index, written)`.
+fn staged_race(uid_validation: bool) -> (ClientMachine, Loopback<Hold>, usize, u64, Vec<u8>) {
+    let cfg = RaddConfig::small_g4();
+    let (g, rows, bs) = (cfg.group_size, cfg.rows, cfg.block_size);
+    let mut net = Loopback::new(g, rows, bs, Hold::default());
+    let mut client = ClientMachine::new(g, rows, bs, cfg.spare_policy, uid_validation, u16::MAX);
+    let geo = *client.geometry();
     let row = 0;
-    let data_sites = geo.data_sites(row);
-    let (a, b) = (data_sites[0], data_sites[1]);
-    let (ia, ib) = (index_for_row(&geo, a, row), index_for_row(&geo, b, row));
+    let (a, b) = (geo.data_sites(row)[0], geo.data_sites(row)[1]);
+    let ia = geo.physical_to_data(a, row).unwrap();
+    let ib = geo.physical_to_data(b, row).unwrap();
 
     // Consistent baseline.
     let block_a = vec![0xA5u8; bs];
-    cluster.write(Actor::Site(a), a, ia, &block_a).unwrap();
-    cluster
-        .write(Actor::Site(b), b, ib, &vec![0x11u8; bs])
-        .unwrap();
-    cluster.flush_parity().unwrap();
+    client.write(&mut net, a, ia, &block_a).unwrap();
+    client.write(&mut net, b, ib, &vec![0x11u8; bs]).unwrap();
 
     // The racing write: B's block changes locally (new UID), but the
-    // parity update sits in the queue — the window §3.3 describes.
-    cluster
-        .write(Actor::Site(b), b, ib, &vec![0x22u8; bs])
-        .unwrap();
-    assert!(
-        cluster.pending_parity_updates() > 0,
-        "update must still be queued"
-    );
+    // parity update is held — the window §3.3 describes.
+    net.hook.hold = true;
+    client.write(&mut net, b, ib, &vec![0x22u8; bs]).unwrap();
+    assert_eq!(net.hook.held.len(), 1, "update must still be in flight");
 
     // A fails inside the window; reading A now requires reconstruction.
-    cluster.fail_site(a);
-    (cluster, a, ia, block_a)
+    client.set_down(a, true);
+    (client, net, a, ia, block_a)
 }
 
 #[test]
 fn uid_validation_catches_the_inflight_parity_race() {
-    let (mut cluster, a, ia, _written) = staged_race(true);
-    let err = cluster
-        .read(Actor::Client, a, ia)
+    let (mut client, mut net, a, ia, written) = staged_race(true);
+    let err = client
+        .read(&mut net, a, ia)
         .expect_err("§3.3 validation must refuse the stale reconstruction");
     assert!(
-        matches!(err, RaddError::InconsistentRead { .. }),
-        "expected InconsistentRead, got {err}"
+        matches!(err, ClientErr::Inconsistent { .. }),
+        "expected Inconsistent, got {err}"
     );
-    // Once the queued update lands, the same reconstruction succeeds and
+    // Once the held update lands, the same reconstruction succeeds and
     // returns the true contents.
-    cluster.flush_parity().unwrap();
-    let (got, _) = cluster.read(Actor::Client, a, ia).unwrap();
-    assert_eq!(&got[..], &vec![0xA5u8; got.len()][..]);
+    net.hook.hold = false;
+    for (to, src, msg) in std::mem::take(&mut net.hook.held) {
+        net.deliver(to, src, msg);
+    }
+    assert_eq!(&client.read(&mut net, a, ia).unwrap()[..], &written[..]);
 }
 
 #[test]
 fn disabling_uid_validation_reproduces_the_stale_reconstruction_anomaly() {
-    let (mut cluster, a, ia, written) = staged_race(false);
+    let (mut client, mut net, a, ia, written) = staged_race(false);
     // The ablation: reconstruction "succeeds"...
-    let (got, _) = cluster.read(Actor::Client, a, ia).unwrap();
+    let got = client.read(&mut net, a, ia).unwrap();
     // ...but hands back bytes that were never written to A — the anomaly
     // the paper's UID machinery exists to prevent.
     assert_ne!(&got[..], &written[..], "anomaly must be observable");

@@ -2,6 +2,8 @@
 //! the implementation (not against hard-coded tables).
 
 use radd::prelude::*;
+use radd::protocol::loopback::{Hook, Loopback};
+use radd::protocol::{ClientMachine, Dest, Effect, MemBlocks, Msg, SiteMachine};
 use radd::reliability::{mttf_hours, mttu_hours, HOURS_PER_YEAR};
 
 const G: usize = 8;
@@ -144,37 +146,59 @@ fn conclusion_normal_raid_environment_convergence() {
     assert!(mttf_hours(Scheme::TwoDRadd, G, &env) / HOURS_PER_YEAR > 500.0);
 }
 
+/// Holds every parity update while `hold` is set, acking its sender on the
+/// parity site's behalf so the write completes: §3.3's update in flight.
+#[derive(Default)]
+struct Hold {
+    hold: bool,
+    held: Vec<(usize, usize, Msg)>,
+}
+
+impl Hook for Hold {
+    fn handle(
+        &mut self,
+        site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        match msg {
+            Msg::ParityUpdate { tag, .. } if self.hold => {
+                out.push(Effect::send(Dest::Peer(src), Msg::Ack { tag }));
+                self.held.push((site, src, msg));
+            }
+            _ => machine.handle(blocks, src, msg, out),
+        }
+    }
+}
+
 /// §3.3's consistency machinery is necessary: the same race that UID
-/// validation catches corrupts reads when disabled.
+/// validation catches corrupts reads when disabled. The race runs on the
+/// protocol machines over a cascade that holds a parity update in flight.
 #[test]
 fn uid_validation_is_load_bearing() {
     for validation in [true, false] {
-        let mut cfg = RaddConfig::small_g4();
-        cfg.block_size = 128;
-        cfg.parity_mode = ParityMode::Queued;
-        cfg.uid_validation = validation;
-        let mut c = RaddCluster::new(cfg).unwrap();
+        let mut net = Loopback::new(4, 12, 128, Hold::default());
+        let mut client =
+            ClientMachine::new(4, 12, 128, SparePolicy::OnePerParity, validation, u16::MAX);
+        let geo = *client.geometry();
         let data = vec![1u8; 128];
-        c.write(Actor::Site(3), 3, 0, &data).unwrap();
-        c.flush_parity().unwrap();
+        client.write(&mut net, 3, 0, &data).unwrap();
         // A second writer's parity update is in flight…
-        let row = c.geometry().data_to_physical(3, 0);
-        let writer = *c
-            .geometry()
-            .data_sites(row)
-            .iter()
-            .find(|&&s| s != 3)
-            .unwrap();
-        let widx = c.geometry().physical_to_data(writer, row).unwrap();
-        c.write(Actor::Site(writer), writer, widx, &[2u8; 128])
-            .unwrap();
+        let row = geo.data_to_physical(3, 0);
+        let writer = *geo.data_sites(row).iter().find(|&&s| s != 3).unwrap();
+        let widx = geo.physical_to_data(writer, row).unwrap();
+        net.hook.hold = true;
+        client.write(&mut net, writer, widx, &[2u8; 128]).unwrap();
         // …while site 3 dies and someone reconstructs its block.
-        c.fail_site(3);
-        let result = c.read(Actor::Client, 3, 0);
+        client.set_down(3, true);
+        let result = client.read(&mut net, 3, 0);
         if validation {
-            assert!(matches!(result, Err(RaddError::InconsistentRead { .. })));
+            assert!(matches!(result, Err(ClientErr::Inconsistent { .. })));
         } else {
-            let (got, _) = result.unwrap();
+            let got = result.unwrap();
             assert_ne!(&got[..], &data[..], "silent corruption without validation");
         }
     }
