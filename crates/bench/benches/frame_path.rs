@@ -1,21 +1,24 @@
 //! The per-byte half of a socket hop and of a WAL commit: the frame
 //! checksum, one frame out (`write_frame`) and one frame in
 //! (`FrameDecoder::read_from` + `next_frame`, what a reader thread runs per
-//! message), and the WAL's CRC-32.
+//! message), a site's 64 KiB `ReadOk` of a block not in cache with its
+//! check computed and kept, and the WAL's CRC-32.
 //!
-//! Two rows exist only as same-run comparands, so that
+//! Three rows exist only as same-run comparands, so that
 //! `scripts/bench_check.sh` can gate ratios, which survive slow CI
 //! machines: `checksum_serial_64k` is the one-lane chain the frame check
-//! was before PR 20 (`FxHasher::write`, still the map hasher), and
-//! `crc32_bytewise_4k` is the one-table, byte-at-a-time CRC the WAL ran.
-//! Neither is reachable from `src`.
+//! used to be (`FxHasher::write`, still the map hasher),
+//! `crc32_bytewise_4k` is the one-table, byte-at-a-time CRC the WAL ran,
+//! and `copy_64k` is a plain copy of a cached 64 KiB block into a buffer,
+//! the floor a frame's way out or in cannot go under. None is reachable
+//! from `src`.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radd_blockdev::checksum::crc32;
 use radd_protocol::fasthash::FxHasher;
 use radd_protocol::Msg;
-use radd_rt::frame::{checksum, write_frame, Frame, FrameDecoder};
+use radd_rt::frame::{checksum, write_frame, write_msg, Frame, FrameDecoder};
 use std::hash::Hasher;
 use std::hint::black_box;
 
@@ -64,6 +67,13 @@ fn bench_frame_path(c: &mut Criterion) {
     });
 
     group.throughput(Throughput::Bytes(64 * 1024));
+    let mut copy = Vec::with_capacity(64 * 1024);
+    group.bench_function("copy_64k", |b| {
+        b.iter(|| {
+            copy.clear();
+            copy.extend_from_slice(black_box(&block_64k));
+        });
+    });
     group.bench_function("checksum_64k", |b| {
         b.iter(|| checksum(black_box(&block_64k)));
     });
@@ -102,8 +112,45 @@ fn bench_frame_path(c: &mut Criterion) {
             }
         });
     });
+
+    // A site's 64 KiB `ReadOk`, as a read of a block that is not in cache
+    // sends it: the blocks are a pool four times larger than any cache
+    // here, visited in turn, and the frame goes into a buffer (the copy a
+    // socket write makes, which is the block's first touch when the check
+    // is kept). Side `a` sends under the check kept from when the block
+    // arrived, side `b` computes it first: `b / a` is what the kept check
+    // saves, priced against the rest of the send.
+    let pool: Vec<(Bytes, u64)> = (0..COLD_BLOCKS)
+        .map(|i| {
+            let block = Bytes::from(pattern(64 * 1024 + i)[i..].to_vec());
+            let check = checksum(&block);
+            (block, check)
+        })
+        .collect();
+    let (mut next, mut sent) = (0, Vec::with_capacity(80 * 1024));
+    group.bench_pair(
+        "send_readok_cold_64k_kept",
+        "send_readok_cold_64k",
+        1,
+        |b| {
+            b.iter(|computed| {
+                let (data, check) = &pool[next % COLD_BLOCKS];
+                next += 1;
+                let msg = Msg::ReadOk {
+                    tag: next as u64,
+                    data: data.clone(),
+                };
+                sent.clear();
+                let kept = (!computed).then_some(*check);
+                write_msg(&mut sent, black_box(&msg), kept).expect("write to a Vec");
+            });
+        },
+    );
     group.finish();
 }
+
+/// 64 KiB blocks in the cold pool: 64 MiB.
+const COLD_BLOCKS: usize = 1024;
 
 criterion_group!(benches, bench_frame_path);
 criterion_main!(benches);

@@ -67,6 +67,17 @@ pub trait Outbound {
     /// *application* (it may block briefly on its socket buffer; the socket
     /// runtime bounds that with a write timeout and calls the rest loss).
     fn send(&self, dst: usize, msg: &Msg) -> SendOutcome;
+
+    /// [`send`](Outbound::send) a message whose block this endpoint's
+    /// network delivered to the sender with `block_check`, the block's
+    /// check as its frames compute it, and that is still the very buffer
+    /// that arrived. A transport that checks its frames sends the block
+    /// under that check instead of making another pass over it; one that
+    /// does not (the default) ignores it.
+    fn send_checked(&self, dst: usize, msg: &Msg, block_check: u64) -> SendOutcome {
+        let _ = block_check;
+        self.send(dst, msg)
+    }
 }
 
 /// One endpoint of a network that carries [`Msg`]s, as the client ladder

@@ -342,7 +342,10 @@ impl<T: Transport> Client<T> {
         self.io.obs.snapshot("client")
     }
 
-    /// Read the `index`-th data block of `site`.
+    /// Read the `index`-th data block of `site`. The block is handed over
+    /// as it arrived: a reply block that nothing else holds (the socket
+    /// runtime reads one into an allocation of its own) becomes the `Vec`
+    /// without a copy.
     pub fn read(&mut self, site: usize, index: u64) -> Result<Vec<u8>, ClientErr> {
         let started = Instant::now();
         let block = until_consistent(|| self.machine.read(&mut self.io, site, index))?;
@@ -350,7 +353,7 @@ impl<T: Transport> Client<T> {
             .obs
             .metrics()
             .record_read_latency(started.elapsed().as_nanos() as u64);
-        Ok(block.to_vec())
+        Ok(block.into())
     }
 
     /// Write the `index`-th data block of `site`.
@@ -401,7 +404,7 @@ impl<T: Transport> Client<T> {
         check_stripe_parity(&geo, &mut |site, row| {
             let tag = self.oracle_tag();
             match self.io.exchange(site, Msg::BlockRead { row, tag }, true) {
-                Ok(Msg::BlockData { data, .. }) => Some(data.to_vec()),
+                Ok(Msg::BlockData { data, .. }) => Some(data.into()),
                 _ => None,
             }
         })

@@ -140,7 +140,7 @@ pub fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receive
         }
         st.fire_due_timers(ep);
         if let Ok(m) = ep.ep.recv_timeout(Duration::from_millis(20)) {
-            st.deliver(ep, m.src, m.payload);
+            st.deliver(ep, m.src, m.payload, None);
         }
     }
 }

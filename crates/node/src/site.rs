@@ -21,9 +21,24 @@
 //! Effects are interpreted against the endpoint's sending half
 //! ([`Outbound`]): `Send` → endpoint send, `SetTimer` → an
 //! exponential-backoff deadline in the local timer wheel, `ClearTimer` →
-//! disarm. Block I/O receipts need no interpretation here (the machine
-//! already performed the I/O against its [`radd_storage::SiteStore`] —
-//! in-memory by default, or a durable WAL-backed store).
+//! disarm. Block I/O needs no interpreting (the machine already performed
+//! it against its [`radd_storage::SiteStore`] — in-memory by default, or a
+//! durable WAL-backed store); its receipts serve the one thing below.
+//!
+//! **Kept block checks.** A network that checks its frames (the socket
+//! runtime) hands [`SiteDriver::deliver`] the check a message's block
+//! arrived under. When the message is one whose block the store keeps as
+//! it came (`Write`, `SpareInstall`, `RestoreBlock`: a `Write` receipt of
+//! purpose `WriteData`, `SpareInstall` or `Restore`), the driver keeps the
+//! check for the row beside a clone of that very buffer. A reply that
+//! carries the same buffer again (`ReadOk`, `BlockData`, a `SpareState`
+//! slot; the row is the one its `Read` receipt named) goes out through
+//! [`Outbound::send_checked`] under the kept check, so the kernel's copy
+//! is the only pass a read makes over the block at the site. Any later
+//! `Write` receipt for the row (a parity apply, a rewrite, a restore that
+//! came without a check) forgets it, and so does `KillRestart`. Buffers
+//! are compared by identity, never by content: the clone keeps the kept
+//! buffer alive and unchanged, so a match is the block that arrived.
 //!
 //! Who calls the three is the runtime's choice (DESIGN.md §12, "Thread
 //! model"): the threaded runtime's site thread pulls its channel and calls
@@ -42,8 +57,8 @@
 use radd_net::{Outbound, RetryPolicy};
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::{
-    trace, CoalescePolicy, Dest, DurableDelta, DurableSiteState, Effect, IoPurpose, Msg, ObsEvent,
-    SiteMachine,
+    trace, Bytes, CoalescePolicy, Dest, DurableDelta, DurableSiteState, Effect, IoPurpose, Msg,
+    ObsEvent, SiteMachine,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
@@ -135,6 +150,9 @@ pub struct SiteDriver {
     /// Retransmit deadlines by outstanding tag.
     timers: BTreeMap<u64, Instant>,
     trace: Option<Vec<ObsEvent>>,
+    /// Blocks the store holds as a message carried them, by row, each with
+    /// the check it arrived under (see the module docs).
+    kept_checks: BTreeMap<u64, (Bytes, u64)>,
     /// Always-on metrics + flight recorder, tapped off the effect stream.
     /// Recording is fixed-cost (dense counters, a ring overwrite), so it
     /// stays enabled even when nobody will ever snapshot it.
@@ -156,6 +174,7 @@ impl SiteDriver {
             down: false,
             timers: BTreeMap::new(),
             trace: None,
+            kept_checks: BTreeMap::new(),
             obs,
         })
     }
@@ -197,8 +216,12 @@ impl SiteDriver {
         self.obs.metrics().site_busy_arrival(waited);
     }
 
-    fn interpret<T: Outbound>(&mut self, ep: &T, out: Vec<Effect>) {
+    /// Interpret `out`; `arrived` is the block of the message that caused
+    /// it, with its check, if the store may now hold that very buffer.
+    fn interpret<T: Outbound>(&mut self, ep: &T, out: Vec<Effect>, arrived: Option<&(Bytes, u64)>) {
         let now = Instant::now();
+        // The row a reply's block was read from: the receipt comes first.
+        let mut read_row = None;
         for eff in out {
             if let Some(buf) = &mut self.trace {
                 if let Some(e) = trace(&eff) {
@@ -212,7 +235,23 @@ impl SiteDriver {
                         Dest::Site(s) => self.cfg.ep_base + s,
                         Dest::Peer(p) => p,
                     };
-                    let _ = ep.send(dst, &msg);
+                    let block = block_of(&msg).filter(|block| !block.is_empty());
+                    let kept = read_row
+                        .and_then(|row| self.kept_checks.get(&row))
+                        .filter(|(kept, _)| block.is_some_and(|block| same_buffer(kept, block)))
+                        .map(|&(_, check)| check);
+                    let _ = match kept {
+                        Some(check) => {
+                            self.obs.metrics().block_check_reused();
+                            ep.send_checked(dst, &msg, check)
+                        }
+                        None => {
+                            if block.is_some() {
+                                self.obs.metrics().block_check_computed();
+                            }
+                            ep.send(dst, &msg)
+                        }
+                    };
                 }
                 Effect::SetTimer { tag, step } => {
                     self.timers.insert(tag, now + RETRANSMIT.delay(step));
@@ -221,8 +260,20 @@ impl SiteDriver {
                     self.timers.remove(&tag);
                 }
                 // The machine already performed the I/O on the store; the
-                // receipts matter only to cost-accounting drivers.
-                Effect::Read { .. } | Effect::Write { .. } | Effect::DeferAck { .. } => {}
+                // receipts say which row a reply's block came from and
+                // which rows now hold something else.
+                Effect::Read { row, .. } => read_row = Some(row),
+                Effect::Write { row, purpose } => {
+                    self.kept_checks.remove(&row);
+                    let as_it_came = matches!(
+                        purpose,
+                        IoPurpose::WriteData | IoPurpose::SpareInstall | IoPurpose::Restore
+                    );
+                    if let (true, Some(arrived)) = (as_it_came, arrived) {
+                        self.kept_checks.insert(row, arrived.clone());
+                    }
+                }
+                Effect::DeferAck { .. } => {}
             }
         }
     }
@@ -283,14 +334,27 @@ impl SiteDriver {
     /// A down site answers nothing, and its own pending acks never arrive
     /// either — exactly a crashed process from the network's point of
     /// view. (The message is swallowed, not queued.)
-    pub fn deliver<T: Outbound>(&mut self, ep: &T, src: usize, msg: Msg) {
+    ///
+    /// `block_check` is the check the message's block arrived under, when
+    /// the network checks its frames: a block the site stores as it came
+    /// (`Write`, `SpareInstall`, `RestoreBlock`) is later sent under it.
+    pub fn deliver<T: Outbound>(&mut self, ep: &T, src: usize, msg: Msg, block_check: Option<u64>) {
         if self.down {
             return;
         }
+        let arrived = match (&msg, block_check) {
+            (
+                Msg::Write { data, .. }
+                | Msg::SpareInstall { data, .. }
+                | Msg::RestoreBlock { data, .. },
+                Some(check),
+            ) => Some((data.clone(), check)),
+            _ => None,
+        };
         let mut out = Vec::new();
         self.machine.handle(&mut self.store, src, msg, &mut out);
         if self.commit() {
-            self.interpret(ep, out);
+            self.interpret(ep, out, arrived.as_ref());
         }
     }
 
@@ -315,7 +379,7 @@ impl SiteDriver {
             self.timers.remove(&tag);
             let mut out = Vec::new();
             self.machine.on_timer(tag, &mut out);
-            self.interpret(ep, out);
+            self.interpret(ep, out, None);
         }
     }
 
@@ -362,6 +426,7 @@ impl SiteDriver {
                     // replays the committed log suffix and rebuilds the
                     // machine from the last durable snapshot (§3.4).
                     self.timers.clear();
+                    self.kept_checks.clear();
                     match open_store(&self.cfg, &mut self.obs) {
                         Ok(reopened) => {
                             (self.store, self.machine, self.committed) = reopened;
@@ -386,6 +451,30 @@ impl SiteDriver {
         }
         false
     }
+}
+
+/// The block a message carries: the piece a framing transport checks on
+/// its own.
+fn block_of(msg: &Msg) -> Option<&Bytes> {
+    match msg {
+        Msg::Write { data, .. }
+        | Msg::SpareInstall { data, .. }
+        | Msg::RestoreBlock { data, .. }
+        | Msg::ReadOk { data, .. }
+        | Msg::BlockData { data, .. } => Some(data),
+        Msg::ParityUpdate { mask_wire, .. } => Some(mask_wire),
+        Msg::SpareState {
+            slot: Some(slot), ..
+        } => Some(&slot.data),
+        _ => None,
+    }
+}
+
+/// Whether `a` and `b` are one view of one buffer, not merely equal bytes.
+/// Holding `a` keeps its buffer alive and unchanged, so no other buffer
+/// can come to lie where it lies.
+fn same_buffer(a: &Bytes, b: &Bytes) -> bool {
+    a.as_ptr() == b.as_ptr() && a.len() == b.len()
 }
 
 /// Open (or re-open) the site's storage and rebuild the machine from its
@@ -427,8 +516,9 @@ fn open_store(
 mod tests {
     use super::*;
     use radd_net::SendOutcome;
-    use radd_protocol::Blocks;
-    use std::cell::Cell;
+    use radd_parity::{ChangeMask, Uid, UidArray};
+    use radd_protocol::{Blocks, SpareContent};
+    use std::cell::{Cell, RefCell};
 
     /// An endpoint that counts what is sent through it.
     struct Sink(Cell<usize>);
@@ -478,13 +568,13 @@ mod tests {
             tag: index + 1,
         };
 
-        st.deliver(&ep, 0, write(0, 0xA1));
+        st.deliver(&ep, 0, write(0, 0xA1), None);
         let sent = ep.0.get();
         assert!(sent > 0, "a healthy write ships its parity update");
 
         let squatter = root.join("site-0").join("state.tmp");
         std::fs::create_dir(&squatter).expect("squat on state.tmp");
-        st.deliver(&ep, 0, write(1, 0xB2));
+        st.deliver(&ep, 0, write(1, 0xB2), None);
         assert!(st.is_down());
         assert_eq!(
             ep.0.get(),
@@ -508,9 +598,207 @@ mod tests {
         assert!(!st.is_down());
         let row = st.machine.geometry().data_to_physical(0, 0);
         assert_eq!(&st.store.read(row).expect("in range")[..], &[0xA1; 64][..]);
-        st.deliver(&ep, 0, write(2, 0xC3));
+        st.deliver(&ep, 0, write(2, 0xC3), None);
         assert!(!st.is_down(), "the restarted site commits again");
         assert!(ep.0.get() > sent);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// An endpoint that records each send and the block check it went
+    /// out under, if any.
+    #[derive(Default)]
+    struct Recorder(RefCell<Vec<(Msg, Option<u64>)>>);
+
+    impl Outbound for Recorder {
+        fn id(&self) -> usize {
+            1
+        }
+        fn ep_base(&self) -> usize {
+            1
+        }
+        fn send(&self, _dst: usize, msg: &Msg) -> SendOutcome {
+            self.0.borrow_mut().push((msg.clone(), None));
+            SendOutcome::Sent
+        }
+        fn send_checked(&self, _dst: usize, msg: &Msg, check: u64) -> SendOutcome {
+            self.0.borrow_mut().push((msg.clone(), Some(check)));
+            SendOutcome::Sent
+        }
+    }
+
+    impl Recorder {
+        /// The one reply `deliver` sent last, its block and its check.
+        fn reply(&self) -> (Bytes, Option<u64>) {
+            match self.0.borrow_mut().pop() {
+                Some((msg, check)) => (block_of(&msg).expect("a block reply").clone(), check),
+                None => panic!("nothing was sent"),
+            }
+        }
+    }
+
+    fn mem_site(site: usize) -> SiteDriver {
+        SiteDriver::open(SiteConfig {
+            site,
+            group_size: 2,
+            rows: 8,
+            block_size: 64,
+            ep_base: 1,
+            coalesce: CoalescePolicy::Merge,
+            storage: StorageSpec::Mem,
+        })
+        .expect("a memory store opens")
+    }
+
+    const CHECK: u64 = 0xC0FF_EE00_D15C_0123;
+
+    /// A data site reads a block back under the check it was written with
+    /// only while the store holds that very buffer: a rewrite that came
+    /// without a check, or a buffer of equal bytes, goes out computed.
+    #[test]
+    fn a_kept_check_goes_out_only_with_the_buffer_it_came_with() {
+        let mut st = mem_site(0);
+        let ep = Recorder::default();
+        let data = Bytes::from(vec![0xA5; 64]);
+        let write = |data: &Bytes, tag| Msg::Write {
+            index: 0,
+            data: data.clone(),
+            tag,
+        };
+        st.deliver(&ep, 0, write(&data, 1), Some(CHECK));
+        let row = st.machine.geometry().data_to_physical(0, 0);
+        assert!(st.kept_checks.contains_key(&row));
+        st.deliver(&ep, 0, Msg::Read { index: 0, tag: 2 }, None);
+        let (sent, check) = ep.reply();
+        assert!(
+            same_buffer(&sent, &data),
+            "the stored buffer is the one read"
+        );
+        assert_eq!(check, Some(CHECK));
+        // Another read of another row finds nothing kept.
+        st.deliver(&ep, 0, Msg::Read { index: 1, tag: 3 }, None);
+        assert_eq!(ep.reply().1, None);
+
+        // Equal bytes in another buffer are not the block that arrived.
+        let twin = Bytes::from(vec![0xA5; 64]);
+        st.kept_checks.insert(row, (twin, CHECK));
+        st.deliver(&ep, 0, Msg::Read { index: 0, tag: 4 }, None);
+        assert_eq!(ep.reply().1, None);
+
+        // A rewrite without a check forgets the row.
+        st.deliver(&ep, 0, write(&data, 1), Some(CHECK));
+        st.deliver(&ep, 0, write(&Bytes::from(vec![0x5A; 64]), 5), None);
+        assert!(!st.kept_checks.contains_key(&row));
+        st.deliver(&ep, 0, Msg::Read { index: 0, tag: 6 }, None);
+        assert_eq!(ep.reply().1, None);
+        let metrics = st.obs_snapshot().metrics;
+        assert_eq!(metrics.block_checks_reused, 1);
+        assert!(metrics.block_checks_computed >= 3, "{metrics:?}");
+    }
+
+    /// At a parity site a restored block is sent under its check until a
+    /// parity update applies to the row, and a spare's installed block
+    /// until a restore of the row that came without one.
+    #[test]
+    fn a_parity_apply_or_a_restore_forgets_the_kept_check() {
+        let geo = *mem_site(0).machine.geometry();
+        let row = 0;
+        let parity = geo.parity_site(row);
+        let from = geo.data_sites(row)[0];
+        let mut st = mem_site(parity);
+        let ep = Recorder::default();
+        let uids = UidArray::new(geo.num_sites());
+        let old = Bytes::from(vec![0x11; 64]);
+        st.deliver(
+            &ep,
+            0,
+            Msg::RestoreBlock {
+                row,
+                data: old.clone(),
+                content: SpareContent::Parity { uids },
+                tag: 1,
+            },
+            Some(CHECK),
+        );
+        st.deliver(&ep, 0, Msg::BlockRead { row, tag: 2 }, None);
+        assert_eq!(ep.reply().1, Some(CHECK));
+        let update = Msg::ParityUpdate {
+            row,
+            mask_wire: ChangeMask::diff(&old, &[0x22; 64]).encode(),
+            uid: Uid::from_raw(77),
+            from_site: from,
+            tag: 3,
+        };
+        st.deliver(&ep, 1 + from, update, None);
+        st.deliver(&ep, 0, Msg::BlockRead { row, tag: 4 }, None);
+        let (applied, check) = ep.reply();
+        assert_eq!(check, None, "the applied parity is another block");
+        assert_ne!(applied, old);
+
+        let spare_row = (0..8)
+            .find(|&r| geo.spare_site(r) == 0)
+            .expect("site 0 spares a row");
+        let mut spare = mem_site(0);
+        let install = Msg::SpareInstall {
+            row: spare_row,
+            for_site: geo.data_sites(spare_row)[0],
+            data: Bytes::from(vec![0x44; 64]),
+            content: SpareContent::Data {
+                uid: Uid::from_raw(5),
+            },
+            tag: 1,
+        };
+        spare.deliver(&ep, 0, install, Some(CHECK));
+        let probe = |tag| Msg::SpareProbe {
+            row: spare_row,
+            want_data: true,
+            tag,
+        };
+        spare.deliver(&ep, 0, probe(2), None);
+        assert_eq!(ep.reply().1, Some(CHECK));
+        let restore = Msg::RestoreBlock {
+            row: spare_row,
+            data: Bytes::from(vec![0x44; 64]),
+            content: SpareContent::Data {
+                uid: Uid::from_raw(6),
+            },
+            tag: 3,
+        };
+        spare.deliver(&ep, 0, restore, None);
+        assert!(!spare.kept_checks.contains_key(&spare_row));
+    }
+
+    /// A crash forgets every kept check with the rest of what was volatile.
+    #[test]
+    fn kill_restart_forgets_every_kept_check() {
+        let root = std::env::temp_dir().join(format!("radd-site-checks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut st = SiteDriver::open(SiteConfig {
+            site: 0,
+            group_size: 2,
+            rows: 8,
+            block_size: 64,
+            ep_base: 1,
+            coalesce: CoalescePolicy::Merge,
+            storage: StorageSpec::Disk { dir: root.clone() },
+        })
+        .expect("fresh store opens");
+        let ep = Recorder::default();
+        let data = Bytes::from(vec![0x7E; 64]);
+        let write = Msg::Write {
+            index: 0,
+            data,
+            tag: 1,
+        };
+        st.deliver(&ep, 0, write, Some(CHECK));
+        st.deliver(&ep, 0, Msg::Read { index: 0, tag: 2 }, None);
+        assert_eq!(ep.reply().1, Some(CHECK));
+        let (tx, rx) = std::sync::mpsc::channel();
+        assert!(!st.serve(Control::KillRestart(tx)));
+        assert!(rx.recv().expect("restart reply"), "restarted from disk");
+        assert!(st.kept_checks.is_empty());
+        st.deliver(&ep, 0, Msg::Read { index: 0, tag: 3 }, None);
+        let (sent, check) = ep.reply();
+        assert_eq!((&sent[..], check), (&[0x7E; 64][..], None));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

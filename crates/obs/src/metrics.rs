@@ -103,6 +103,8 @@ pub struct MachineMetrics {
     commit_failures: u64,
     site_busy_arrivals: u64,
     site_lock_wait: [u64; LOCK_WAIT_BOUNDS_US.len() + 1],
+    block_checks_reused: u64,
+    block_checks_computed: u64,
     coalesced_merges: u64,
     recovery_runs: u64,
     recovery_drained_rows: u64,
@@ -164,6 +166,17 @@ impl MachineMetrics {
         let us = waited.as_micros() as u64;
         let bucket = LOCK_WAIT_BOUNDS_US.partition_point(|&bound| bound <= us);
         self.site_lock_wait[bucket] += 1;
+    }
+
+    /// A message went out with its block under the check the block
+    /// arrived with: no pass over the block for its frame.
+    pub fn block_check_reused(&mut self) {
+        self.block_checks_reused += 1;
+    }
+
+    /// A message went out with a block whose check its frame computes.
+    pub fn block_check_computed(&mut self) {
+        self.block_checks_computed += 1;
     }
 
     /// A recovery finished, bringing back `rows` rows: counts the run and
@@ -245,6 +258,8 @@ impl MachineMetrics {
             commit_failures: self.commit_failures,
             site_busy_arrivals: self.site_busy_arrivals,
             site_lock_wait_us: named(&|i| LOCK_WAIT_NAMES[i], &self.site_lock_wait),
+            block_checks_reused: self.block_checks_reused,
+            block_checks_computed: self.block_checks_computed,
             coalesced_merges: self.coalesced_merges,
             recovery_runs: self.recovery_runs,
             recovery_drained_rows: self.recovery_drained_rows,

@@ -96,6 +96,13 @@ pub struct MetricsSnapshot {
     /// non-zero only). Messages that found the site free are not timed:
     /// they are the receives this list does not add up to.
     pub site_lock_wait_us: Vec<NamedCount>,
+    /// Sends whose block went out under the check it arrived with (the
+    /// socket runtime: a block stored as a message carried it, sent again
+    /// as that same buffer), so its frame made no pass over it.
+    pub block_checks_reused: u64,
+    /// Sends with a block whose check was not kept, which a checking
+    /// transport computes (the threaded runtime computes none).
+    pub block_checks_computed: u64,
     /// Writes absorbed by parity-update coalescing.
     pub coalesced_merges: u64,
     /// Recovery drains started.
@@ -252,6 +259,13 @@ impl ObsSnapshot {
                     out,
                     "           queueing: site_busy_arrivals={} lock_wait_us:{waits}",
                     s.site_busy_arrivals
+                );
+            }
+            if s.block_checks_reused + s.block_checks_computed > 0 {
+                let _ = writeln!(
+                    out,
+                    "           transport: block_checks reused={} computed={}",
+                    s.block_checks_reused, s.block_checks_computed
                 );
             }
             if s.recovery_runs > 0 {
@@ -421,6 +435,8 @@ mod tests {
                     }],
                     send_bytes: 48,
                     retransmits: 1,
+                    block_checks_reused: 5,
+                    block_checks_computed: 2,
                     ..MetricsSnapshot::default()
                 },
                 flight: vec![FlightEvent {
@@ -431,8 +447,10 @@ mod tests {
         };
         let json = snap.to_json();
         assert!(json.contains("\"retransmits\": 1"), "{json}");
+        assert!(json.contains("\"block_checks_reused\": 5"), "{json}");
         let text = snap.render_text(4);
         assert!(text.contains("site 0"));
+        assert!(text.contains("transport: block_checks reused=5 computed=2"));
         assert!(text.contains("defer tag=1 row=2"));
         assert_eq!(snap.machine("site 0").unwrap().metrics.send_bytes, 48);
         assert_eq!(snap.total_retransmits(), 1);

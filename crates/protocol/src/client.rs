@@ -34,6 +34,7 @@ use bytes::Bytes;
 use radd_layout::Geometry;
 use radd_parity::{xor_fold, Uid, UidArray, UidGen};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// The three states of §3.1: "up — functioning normally, down — not
 /// functioning, recovering — running recovery actions".
@@ -330,7 +331,7 @@ impl ClientMachine {
         );
         self.record(site, &msg);
         let shape = self.reply_shape(site, &msg);
-        self.sized(shape, io.exchange(site, msg, background))
+        self.sized(site, shape, io.exchange(site, msg, background))
     }
 
     /// Batched counterpart of [`send`](Self::send): records one trace entry
@@ -347,13 +348,13 @@ impl ClientMachine {
         let mut shapes = Vec::with_capacity(reqs.len());
         for (site, msg) in &reqs {
             self.record(*site, msg);
-            shapes.push(self.reply_shape(*site, msg));
+            shapes.push((*site, self.reply_shape(*site, msg)));
         }
         let replies = io.exchange_batch(reqs, background);
         shapes
             .into_iter()
             .zip(replies)
-            .map(|(shape, reply)| self.sized(shape, reply))
+            .map(|((site, shape), reply)| self.sized(site, shape, reply))
             .collect()
     }
 
@@ -371,13 +372,17 @@ impl ClientMachine {
         }
     }
 
-    /// A reply as it enters the machine: one whose block is not as long as
-    /// its [`reply_shape`](Self::reply_shape) says (`ReadOk`, `BlockData`,
-    /// a `SpareState` slot), or a parity site's `BlockData` without a UID
-    /// array of `G + 2` slots, is refused as [`ClientErr::BadSize`], so no
-    /// rule downstream sees a block or an array of the wrong size.
+    /// A reply from `site` as it enters the machine: one whose block is not
+    /// as long as its [`reply_shape`](Self::reply_shape) says (`ReadOk`,
+    /// `BlockData`, a `SpareState` slot), a parity site's `BlockData`
+    /// without a UID array of `G + 2` slots, or a `SpareRows` list that
+    /// names a row twice, a row the cluster does not have or a row whose
+    /// spare is not `site`, is refused as [`ClientErr::BadSize`], so no
+    /// rule downstream sees a block, an array or a row list of the wrong
+    /// shape (and a recovery probes no row a list should not have named).
     fn sized(
         &self,
+        site: usize,
         (block, uids): (usize, bool),
         reply: Result<Msg, ClientErr>,
     ) -> Result<Msg, ClientErr> {
@@ -392,6 +397,12 @@ impl ClientMachine {
             Ok(Msg::SpareState {
                 slot: Some(slot), ..
             }) => slot.data.len() == block,
+            Ok(Msg::SpareRows { rows, .. }) => {
+                let mut seen = BTreeSet::new();
+                rows.iter().all(|&row| {
+                    row < self.geo.rows() && self.geo.spare_site(row) == site && seen.insert(row)
+                })
+            }
             _ => true,
         };
         if fits {

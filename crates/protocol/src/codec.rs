@@ -17,7 +17,8 @@
 //! * block payloads are a `u32` length prefix plus raw bytes — decoding
 //!   *slices* the refcounted input buffer, so a decoded block body shares
 //!   the receive buffer with zero copies, exactly like the in-process
-//!   runtimes share their `Bytes`;
+//!   runtimes share their `Bytes` ([`decode_msg_split`] instead takes a
+//!   block that arrived in a buffer of its own, as it is);
 //! * enums ([`SpareContent`], [`NackReason`], `Option`s) are one tag byte
 //!   plus the selected variant's fields.
 //!
@@ -66,6 +67,14 @@ pub enum CodecError {
         /// How many.
         extra: usize,
     },
+    /// A block handed over apart ([`decode_msg_split`]) is not the
+    /// message's block: the message has none, has it elsewhere, or has one
+    /// of another length.
+    Misplaced {
+        /// The block field being read, or `"block"` when the message ended
+        /// without taking the block.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -86,6 +95,9 @@ impl fmt::Display for CodecError {
             ),
             CodecError::Trailing { extra } => {
                 write!(f, "{extra} trailing bytes after a complete message")
+            }
+            CodecError::Misplaced { field } => {
+                write!(f, "the block piece is not the message's {field}")
             }
         }
     }
@@ -320,11 +332,26 @@ pub fn encode_msg_vec(msg: &Msg) -> Vec<u8> {
 
 // ---- decoding ---------------------------------------------------------
 
-/// Bounds-checked cursor over a refcounted input buffer. Block payloads are
+/// Bounds-checked cursor over a message's fields. Block payloads are
 /// *sliced*, not copied, so the decoded message shares the receive buffer.
 struct Cursor<'a> {
-    input: &'a Bytes,
+    /// The fields being read: the whole input, or the piece before the
+    /// block and then the piece after it.
+    input: &'a [u8],
     pos: usize,
+    blocks: Blocks<'a>,
+}
+
+/// Where a [`Cursor`] takes a message's block from.
+enum Blocks<'a> {
+    /// The input it reads, which the block is a slice of.
+    Sliced(&'a Bytes),
+    /// A piece of its own, which stands after the fields read so far;
+    /// `tail` is what follows it. `None` once taken.
+    Apart {
+        block: Option<Bytes>,
+        tail: &'a [u8],
+    },
 }
 
 impl<'a> Cursor<'a> {
@@ -372,19 +399,32 @@ impl<'a> Cursor<'a> {
     }
 
     /// A length-prefixed payload, validated against the remaining input
-    /// *before* anything is allocated, then sliced zero-copy.
+    /// *before* anything is allocated, then sliced zero-copy. A block read
+    /// apart must stand exactly here (its prefix the last field before it)
+    /// and be as long as the prefix says.
     fn bytes(&mut self, field: &'static str) -> Result<Bytes, CodecError> {
         let len = self.u32(field)? as usize;
-        if self.remaining() < len {
-            return Err(CodecError::BadLength {
-                field,
-                claimed: len as u64,
-                remaining: self.remaining(),
-            });
+        let (at, remaining) = (self.pos, self.remaining());
+        match &mut self.blocks {
+            Blocks::Sliced(input) => {
+                if remaining < len {
+                    return Err(CodecError::BadLength {
+                        field,
+                        claimed: len as u64,
+                        remaining,
+                    });
+                }
+                self.pos += len;
+                Ok(input.slice(at..at + len))
+            }
+            Blocks::Apart { block, tail } => match block.take() {
+                Some(block) if remaining == 0 && block.len() == len => {
+                    (self.input, self.pos) = (tail, 0);
+                    Ok(block)
+                }
+                _ => Err(CodecError::Misplaced { field }),
+            },
         }
-        let b = self.input.slice(self.pos..self.pos + len);
-        self.pos += len;
-        Ok(b)
     }
 
     fn uid_vec(&mut self, field: &'static str) -> Result<Vec<Uid>, CodecError> {
@@ -549,16 +589,54 @@ fn decode_body(kind: MsgKind, c: &mut Cursor<'_>) -> Result<Msg, CodecError> {
 /// Decode one complete [`Msg`] from `input`. Block payloads are zero-copy
 /// slices of `input`; the whole input must be consumed exactly.
 pub fn decode_msg(input: &Bytes) -> Result<Msg, CodecError> {
-    let mut c = Cursor { input, pos: 0 };
+    decode_from(Cursor {
+        input: &input[..],
+        pos: 0,
+        blocks: Blocks::Sliced(input),
+    })
+}
+
+/// Decode one [`Msg`] from [`encode_msg_split`]'s three pieces as they
+/// arrived: `head`, the fields up to the block's length prefix; `block`,
+/// which the message takes as it is (no copy, no slice); `tail`, the fields
+/// after it. The block must be the message's, where its layout puts it and
+/// as long as its prefix says ([`CodecError::Misplaced`] otherwise), and
+/// both pieces of fields must be consumed exactly.
+pub fn decode_msg_split(head: &[u8], block: Bytes, tail: &[u8]) -> Result<Msg, CodecError> {
+    decode_from(Cursor {
+        input: head,
+        pos: 0,
+        blocks: Blocks::Apart {
+            block: Some(block),
+            tail,
+        },
+    })
+}
+
+fn decode_from(mut c: Cursor<'_>) -> Result<Msg, CodecError> {
     let kind_byte = c.u8("kind byte")?;
     let kind = *MsgKind::ALL
         .iter()
         .find(|k| k.index() == kind_byte as usize)
         .ok_or(CodecError::UnknownKind(kind_byte))?;
     let msg = decode_body(kind, &mut c)?;
-    if c.remaining() > 0 {
+    // A message without a block leaves the block and the tail untaken,
+    // which is sound only when there is nothing in them.
+    let untaken = match &c.blocks {
+        Blocks::Apart {
+            block: Some(block),
+            tail,
+        } => {
+            if !block.is_empty() {
+                return Err(CodecError::Misplaced { field: "block" });
+            }
+            tail.len()
+        }
+        _ => 0,
+    };
+    if c.remaining() + untaken > 0 {
         return Err(CodecError::Trailing {
-            extra: c.remaining(),
+            extra: c.remaining() + untaken,
         });
     }
     Ok(msg)
@@ -672,6 +750,54 @@ mod tests {
         assert_eq!(block, &[1, 2, 3]);
         assert_eq!(tail.len(), 8 + 4 + 8);
         assert_eq!([&head[1..], block, &tail].concat(), encode_msg_vec(&msg));
+    }
+
+    /// Every kind decodes from its three pieces with the block apart, and
+    /// takes the block it is handed; a block that is not the message's is
+    /// refused.
+    #[test]
+    fn the_split_pieces_decode_with_the_block_apart() {
+        let msgs = [
+            Msg::Write {
+                index: 1,
+                data: Bytes::from(vec![9; 64]),
+                tag: 8,
+            },
+            Msg::ReadOk {
+                tag: 16,
+                data: Bytes::from(vec![1; 32]),
+            },
+            Msg::Ack { tag: 3 },
+        ];
+        for msg in &msgs {
+            let (mut head, mut tail) = (Vec::new(), Vec::new());
+            let block = Bytes::copy_from_slice(encode_msg_split(msg, &mut head, &mut tail));
+            let at = block.as_ptr();
+            let got = decode_msg_split(&head, block.clone(), &tail).unwrap();
+            assert_eq!(&got, msg);
+            if let Msg::Write { data, .. } | Msg::ReadOk { data, .. } = &got {
+                assert_eq!(data.as_ptr(), at, "the block is taken as handed over");
+            }
+        }
+        let (mut head, mut tail) = (Vec::new(), Vec::new());
+        encode_msg_split(&msgs[0], &mut head, &mut tail);
+        let short = Bytes::from(vec![9; 63]);
+        assert_eq!(
+            decode_msg_split(&head, short, &tail),
+            Err(CodecError::Misplaced {
+                field: "write data"
+            })
+        );
+        // A block handed to a message that has none.
+        let ack = encode_msg_vec(&msgs[2]);
+        assert_eq!(
+            decode_msg_split(&ack, Bytes::from(vec![1; 8]), &[]),
+            Err(CodecError::Misplaced { field: "block" })
+        );
+        // The block moved into the head: its prefix is not the last field.
+        let mut moved = head.clone();
+        moved.push(0);
+        assert!(decode_msg_split(&moved, Bytes::from(vec![9; 64]), &tail).is_err());
     }
 
     #[test]

@@ -46,12 +46,16 @@ pub mod server;
 pub mod trace;
 pub mod wire;
 
+/// The buffer a message's block is: a view of a refcounted allocation.
+pub use bytes::Bytes;
 pub use check::{
     check_spare_freshness, check_spare_structure, check_stripe_parity, check_uid_agreement,
     Canonicalizer, Checkable,
 };
 pub use client::{ClientErr, ClientIo, ClientMachine, RebuildReport, SiteState, SparePolicy};
-pub use codec::{decode_msg, encode_msg, encode_msg_split, encode_msg_vec, CodecError};
+pub use codec::{
+    decode_msg, decode_msg_split, encode_msg, encode_msg_split, encode_msg_vec, CodecError,
+};
 pub use durable::{DurableDelta, DurableError, DurableSiteState, SpareSlot};
 pub use effect::{BlockFault, Blocks, Dest, Effect, IoPurpose, MemBlocks};
 pub use events::FailureKind;

@@ -806,3 +806,84 @@ fn a_reply_block_of_the_wrong_size_is_refused() {
         assert_eq!(got, Err(ClientErr::BadSize), "{kind:?}, {misfit:?}");
     }
 }
+
+/// Answers the client's `SpareDrainList` at site `lister` with `rows`, and
+/// counts the `SpareProbe`s the client then sends.
+struct ListRows {
+    lister: usize,
+    rows: Vec<u64>,
+    probes: usize,
+}
+
+impl Hook for ListRows {
+    fn handle(
+        &mut self,
+        site: usize,
+        machine: &mut SiteMachine,
+        blocks: &mut MemBlocks,
+        src: usize,
+        msg: Msg,
+        out: &mut Vec<Effect>,
+    ) {
+        machine.handle(blocks, src, msg, out);
+        for eff in out.iter_mut() {
+            if let Effect::Send {
+                msg: Msg::SpareRows { rows, .. },
+                ..
+            } = eff
+            {
+                if site == self.lister {
+                    rows.clone_from(&self.rows);
+                }
+            }
+        }
+    }
+
+    fn exchange(&mut self, _site: usize, msg: &Msg, _background: bool) -> Result<(), ClientErr> {
+        self.probes += usize::from(matches!(msg, Msg::SpareProbe { .. }));
+        Ok(())
+    }
+}
+
+/// A recovery takes no spare list on trust: one that names a row the
+/// cluster does not have, a row twice, or a row whose spare is another
+/// site is refused as `BadSize` before a single probe leaves. (Before,
+/// each named row was probed; one frame can name about two million.) A
+/// list of the replying site's own rows is probed as it says.
+#[test]
+fn a_spare_list_that_does_not_fit_is_refused_before_any_probe() {
+    let geo = Geometry::new(G, ROWS).expect("geometry");
+    let (revived, lister) = (0, 1);
+    let own = (0..ROWS)
+        .find(|&r| geo.spare_site(r) == lister)
+        .expect("the lister spares a row");
+    let other = (0..ROWS)
+        .find(|&r| geo.spare_site(r) != lister)
+        .expect("another site spares a row");
+    let bad = [vec![ROWS], vec![own, u64::MAX], vec![own, own], vec![other]];
+    for rows in bad {
+        let hook = ListRows {
+            lister,
+            rows: rows.clone(),
+            probes: 0,
+        };
+        let mut net = Loopback::new(G, ROWS, BLOCK, hook);
+        let mut client =
+            ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+        assert_eq!(
+            client.recover(&mut net, revived),
+            Err(ClientErr::BadSize),
+            "{rows:?}"
+        );
+        assert_eq!(net.hook.probes, 0, "{rows:?} was probed");
+    }
+    let hook = ListRows {
+        lister,
+        rows: vec![own],
+        probes: 0,
+    };
+    let mut net = Loopback::new(G, ROWS, BLOCK, hook);
+    let mut client = ClientMachine::new(G, ROWS, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+    assert_eq!(client.recover(&mut net, revived), Ok(0), "nothing to drain");
+    assert_eq!(net.hook.probes, 1);
+}

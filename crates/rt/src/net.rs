@@ -115,6 +115,9 @@ pub enum Inbound {
         src: usize,
         /// The message.
         msg: Msg,
+        /// The check its block arrived under, when it carried one
+        /// ([`FrameDecoder::next_checked`]).
+        block_check: Option<u64>,
     },
     /// A wire control request.
     Ctl(CtlItem),
@@ -145,9 +148,10 @@ impl WriteHalf {
         self.whole(|stream| write_frame(stream, frame))
     }
 
-    /// Write one protocol message as a [`Frame::Proto`].
-    pub fn write_msg(&self, msg: &Msg) -> std::io::Result<()> {
-        self.whole(|stream| write_msg(stream, msg))
+    /// Write one protocol message as a [`Frame::Proto`], its block under
+    /// `block_check` when the caller knows it ([`write_msg`]).
+    pub fn write_msg(&self, msg: &Msg, block_check: Option<u64>) -> std::io::Result<()> {
+        self.whole(|stream| write_msg(stream, msg, block_check))
     }
 
     /// Run one frame's write. A write that fails, or waits out
@@ -254,12 +258,23 @@ impl Outbound for SendHalf {
     /// [`SendOutcome::Sent`] (retriable loss); a destination outside the
     /// site map or a shut-down endpoint is [`SendOutcome::Closed`].
     fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
+        self.send_frame(dst, msg, None)
+    }
+
+    /// The frame's block goes out under `block_check`, not a fresh pass.
+    fn send_checked(&self, dst: usize, msg: &Msg, block_check: u64) -> SendOutcome {
+        self.send_frame(dst, msg, Some(block_check))
+    }
+}
+
+impl SendHalf {
+    fn send_frame(&self, dst: usize, msg: &Msg, block_check: Option<u64>) -> SendOutcome {
         let me = &*self.0;
         if me.shutdown.load(Ordering::Relaxed) {
             return SendOutcome::Closed;
         }
         if let Some(w) = self.peer(dst) {
-            if w.write_msg(msg).is_ok() {
+            if w.write_msg(msg, block_check).is_ok() {
                 return SendOutcome::Sent;
             }
             // Dead connection: forget it. A site destination falls through
@@ -277,15 +292,13 @@ impl Outbound for SendHalf {
         }
         // Dial refused or backing off: silent loss.
         if let Some(w) = self.dial(site) {
-            if w.write_msg(msg).is_err() {
+            if w.write_msg(msg, block_check).is_err() {
                 self.forget_peer(dst, &w);
             }
         }
         SendOutcome::Sent
     }
-}
 
-impl SendHalf {
     fn peer(&self, dst: usize) -> Option<WriteHalf> {
         locked(&self.0.peers).get(&dst).cloned()
     }
@@ -584,6 +597,10 @@ impl Outbound for SocketEndpoint {
     fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
         self.out.send(dst, msg)
     }
+
+    fn send_checked(&self, dst: usize, msg: &Msg, block_check: u64) -> SendOutcome {
+        self.out.send_checked(dst, msg, block_check)
+    }
 }
 
 impl Transport for SocketEndpoint {
@@ -595,7 +612,7 @@ impl Transport for SocketEndpoint {
         match &self.out.0.role {
             Role::Client { conns } => self.out.read_peer(conns, peer, timeout),
             Role::Site { .. } => match self.recv_timeout(timeout) {
-                Ok(Inbound::Msg { src, msg }) => Some(Received { src, msg }),
+                Ok(Inbound::Msg { src, msg, .. }) => Some(Received { src, msg }),
                 _ => None,
             },
         }
@@ -644,20 +661,16 @@ fn reader_loop(stream: TcpStream, write: &WriteHalf, peer_id: Option<usize>, out
         }
         // Drain every complete frame before reading again.
         loop {
-            let frame = match dec.next_frame() {
+            let (frame, block_check) = match dec.next_checked() {
                 Ok(Some(f)) => f,
                 Ok(None) => break,
-                // Framing lost (corrupt stream): the connection is useless.
+                // Framing lost (corrupt stream, or a peer of another wire
+                // version): the connection is useless.
                 Err(e) => {
                     let who = peer_id.map_or("a peer that sent no Hello".into(), |id| {
                         format!("endpoint {id}")
                     });
-                    eprintln!(
-                        "radd-rt: closing the connection from {who}: {e} (a checksum \
-                         mismatch on a connection's first frame usually means mixed \
-                         binaries: builds from before and after the laned frame \
-                         checksum refuse each other)"
-                    );
+                    eprintln!("radd-rt: closing the connection from {who}: {e}");
                     return;
                 }
             };
@@ -671,7 +684,11 @@ fn reader_loop(stream: TcpStream, write: &WriteHalf, peer_id: Option<usize>, out
                     // Protocol before Hello: drop — an anonymous peer
                     // cannot receive replies anyway.
                     if let Some(src) = peer_id {
-                        out.dispatch(Inbound::Msg { src, msg });
+                        out.dispatch(Inbound::Msg {
+                            src,
+                            msg,
+                            block_check,
+                        });
                     }
                 }
                 Frame::CtlReq { rid, req } => out.dispatch(Inbound::Ctl(CtlItem {
@@ -713,7 +730,7 @@ mod tests {
     /// The next protocol message in a site endpoint's inbox.
     fn inbox_msg(site: &SocketEndpoint) -> (usize, Msg) {
         match site.recv_timeout(LONG).expect("a frame arrives") {
-            Inbound::Msg { src, msg } => (src, msg),
+            Inbound::Msg { src, msg, .. } => (src, msg),
             Inbound::Ctl(_) => panic!("expected a protocol message"),
         }
     }
@@ -770,7 +787,7 @@ mod tests {
         locked(&site.0.peers).insert(0, fresh.clone());
         // ...and only then does the write on the old connection fail.
         stale_socket.shutdown(Shutdown::Both).unwrap();
-        assert!(looked_up.write_msg(&Msg::Ack { tag: 1 }).is_err());
+        assert!(looked_up.write_msg(&Msg::Ack { tag: 1 }, None).is_err());
         site.forget_peer(0, &looked_up);
         assert!(site.peer(0).unwrap().same_connection(&fresh));
 

@@ -376,7 +376,7 @@ mod tests {
     /// The next protocol message in a site endpoint's inbox.
     fn recv_proto(ep: &SocketEndpoint, wait_ms: u64) -> Option<(usize, Msg)> {
         match ep.recv_timeout(Duration::from_millis(wait_ms)) {
-            Ok(Inbound::Msg { src, msg }) => Some((src, msg)),
+            Ok(Inbound::Msg { src, msg, .. }) => Some((src, msg)),
             _ => None,
         }
     }

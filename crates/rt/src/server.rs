@@ -116,11 +116,15 @@ fn handler(site: Arc<Site>) -> Handler {
     Box::new(move |out, item| {
         let (mut st, waited) = site.lock();
         match item {
-            Inbound::Msg { src, msg } => {
+            Inbound::Msg {
+                src,
+                msg,
+                block_check,
+            } => {
                 if let Some(waited) = waited {
                     st.busy_arrival(waited);
                 }
-                st.deliver(out, src, msg);
+                st.deliver(out, src, msg, block_check);
             }
             Inbound::Ctl(item) => serve_ctl(&site, &mut st, item),
         }

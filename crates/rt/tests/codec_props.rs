@@ -1,8 +1,10 @@
 //! Property tests of the wire codec: every frame kind roundtrips through
-//! the incremental decoder under arbitrary kernel-chosen read splits, and
-//! malformed input — truncated frames, oversized length prefixes,
-//! corrupted checksums, outright garbage — produces clean errors, never a
-//! panic and never an allocation driven by attacker-controlled lengths.
+//! the incremental decoder under arbitrary kernel-chosen read splits, a
+//! block's kept check sends the frame a fresh one does, and malformed
+//! input — truncated frames, oversized length prefixes, block pieces
+//! outside the payload, corrupted checksums, outright garbage — produces
+//! clean errors, never a panic and never an allocation driven by
+//! attacker-controlled lengths.
 //!
 //! And one step past the codec: a well-framed message whose fields do not
 //! fit the receiving site (a row, index or site out of range, a mask or a
@@ -14,9 +16,9 @@ use proptest::prelude::*;
 use proptest::strategy::Union;
 use radd_parity::{ChangeMask, Uid, UidArray};
 use radd_protocol::wire::{Msg, NackReason, SpareContent, SpareSlotWire};
-use radd_protocol::{decode_msg, encode_msg_vec, MemBlocks, SiteMachine};
+use radd_protocol::{decode_msg, encode_msg_split, encode_msg_vec, MemBlocks, SiteMachine};
 use radd_rt::frame::{
-    checksum, write_frame, write_msg, Checksum, CtlRep, CtlReq, Frame, FrameDecoder, FrameError,
+    checksum, frame_check, write_frame, write_msg, CtlRep, CtlReq, Frame, FrameDecoder, FrameError,
     FRAME_HEADER, MAX_FRAME, READ_STEP,
 };
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -51,11 +53,13 @@ fn arb_site() -> impl Strategy<Value = usize> {
     prop_oneof![0..G + 4, any::<u32>().prop_map(|s| s as usize)]
 }
 
-/// A block payload: `BLOCK` bytes, or any other length.
+/// A block payload: `BLOCK` bytes, or any other length, now and then one
+/// long enough to be read apart from its frame.
 fn arb_block() -> impl Strategy<Value = Bytes> {
     prop_oneof![
-        proptest::collection::vec(any::<u8>(), BLOCK).prop_map(Bytes::from),
-        arb_bytes(64),
+        4 => proptest::collection::vec(any::<u8>(), BLOCK).prop_map(Bytes::from),
+        4 => arb_bytes(64),
+        1 => arb_bytes(3 * 1024),
     ]
 }
 
@@ -432,27 +436,77 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// A message's three pieces as [`encode_msg_split`] lays them out behind
+/// frame type 1, and the frame they make: what any writer of the message
+/// must send.
+fn framed(msg: &Msg) -> Vec<u8> {
+    let (mut head, mut tail) = (vec![1u8], Vec::new());
+    let block = encode_msg_split(msg, &mut head, &mut tail);
+    let check = frame_check(checksum(&head), checksum(block), checksum(&tail));
+    let mut want = Vec::new();
+    let len = head.len() + block.len() + tail.len();
+    want.extend_from_slice(&(len as u32).to_le_bytes());
+    want.extend_from_slice(&check.to_le_bytes());
+    want.extend_from_slice(&(head.len() as u32).to_le_bytes());
+    want.extend_from_slice(&(block.len() as u32).to_le_bytes());
+    for piece in [&head[..], block, &tail] {
+        want.extend_from_slice(piece);
+    }
+    want
+}
 
-    /// Fed in pieces cut anywhere, the checksum finishes with the value of
-    /// the whole payload.
+/// The block a message carries, if any.
+fn block_of(msg: &Msg) -> Bytes {
+    let (mut head, mut tail) = (Vec::new(), Vec::new());
+    Bytes::copy_from_slice(encode_msg_split(msg, &mut head, &mut tail))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A block's kept check sends the frame a fresh check does, byte for
+    /// byte, for every kind of message; the frame decodes to the message
+    /// with the block's check beside it.
     #[test]
-    fn the_checksum_over_any_split_is_the_checksum_of_the_whole(
-        len in 0usize..4 * 1024,
-        seed in any::<u64>(),
-        cuts in proptest::collection::vec(any::<usize>(), 0..8),
+    fn a_kept_block_check_sends_the_same_bytes(msg in arb_msg()) {
+        let block = block_of(&msg);
+        let (mut fresh, mut kept) = (Vec::new(), Vec::new());
+        write_msg(&mut fresh, &msg, None).expect("Vec write");
+        write_msg(&mut kept, &msg, Some(checksum(&block))).expect("Vec write");
+        prop_assert_eq!(&kept, &fresh);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&kept);
+        let (frame, check) = dec.next_checked().expect("a valid frame").expect("whole");
+        prop_assert_eq!(frame, Frame::Proto(msg));
+        prop_assert_eq!(check, (!block.is_empty()).then(|| checksum(&block)));
+    }
+
+    /// A kept check that is not the block's makes a frame the receiver
+    /// refuses: it never delivers the block, fed whole or read off a socket.
+    #[test]
+    fn a_wrong_kept_check_is_refused_and_delivers_nothing(
+        data in arb_bytes(4 * 1024),
+        wrong in any::<u64>(),
     ) {
-        let data = noise(len, seed);
-        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
-        cuts.push(0);
-        cuts.push(len);
-        cuts.sort_unstable();
-        let mut check = Checksum::new();
-        for piece in cuts.windows(2) {
-            check.update(&data[piece[0]..piece[1]]);
-        }
-        prop_assert_eq!(check.finish(), checksum(&data));
+        prop_assume!(wrong != checksum(&data));
+        let msg = Msg::ReadOk { tag: 3, data };
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &msg, Some(wrong)).expect("Vec write");
+        let mut dec = FrameDecoder::new();
+        dec.feed(&wire);
+        prop_assert_eq!(dec.next_checked(), Err(FrameError::BadChecksum));
+        let mut dec = FrameDecoder::new();
+        let mut socket = Trickle { wire: &wire, cuts: [1000usize].iter().cycle() };
+        let got = loop {
+            match dec.next_checked() {
+                Ok(None) => {}
+                other => break other,
+            }
+            if dec.read_from(&mut socket).expect("Trickle never errors") == 0 {
+                break Ok(None);
+            }
+        };
+        prop_assert_eq!(got, Err(FrameError::BadChecksum));
     }
 }
 
@@ -491,28 +545,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// What `write_msg` sends for any message is `encode_msg`'s bytes
-    /// behind frame type 1 (`Frame::Proto`) and the header, byte for byte:
-    /// into a `Vec`, through `write_frame`, and through a writer that takes
-    /// a few bytes at a time and is interrupted between.
+    /// behind frame type 1 (`Frame::Proto`) and the header that bounds the
+    /// block and checks the three pieces, byte for byte: into a `Vec`,
+    /// through `write_frame`, and through a writer that takes a few bytes
+    /// at a time and is interrupted between.
     #[test]
     fn write_msg_sends_the_encoding_behind_a_frame_header(
         msg in arb_msg(),
         step in 1usize..64,
     ) {
+        let want = framed(&msg);
         let mut payload = vec![1u8];
         payload.extend_from_slice(&encode_msg_vec(&msg));
-        let mut want = Vec::new();
-        want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        want.extend_from_slice(&checksum(&payload).to_le_bytes());
-        want.extend_from_slice(&payload);
+        prop_assert_eq!(&want[FRAME_HEADER..], &payload[..]);
         let mut whole = Vec::new();
-        write_msg(&mut whole, &msg).expect("Vec write");
+        write_msg(&mut whole, &msg, None).expect("Vec write");
         prop_assert_eq!(&whole, &want);
         let mut framed = Vec::new();
         write_frame(&mut framed, &Frame::Proto(msg.clone())).expect("Vec write");
         prop_assert_eq!(&framed, &want);
         let mut dribble = Dribble { step, interrupt: false, got: Vec::new() };
-        write_msg(&mut dribble, &msg).expect("a dribbling writer takes it all");
+        write_msg(&mut dribble, &msg, None).expect("a dribbling writer takes it all");
         prop_assert_eq!(&dribble.got, &want);
     }
 }
@@ -579,24 +632,76 @@ proptest! {
 }
 
 /// A header that claims [`MAX_FRAME`] and then silence: the decoder may
-/// offer the socket one step of room, never the claimed 16 MiB.
+/// offer the socket one step of room, never the claimed 16 MiB, whether the
+/// claim is fields (read into the buffer) or a block (read apart, beside
+/// the few KiB the buffer was offered between frames).
 #[test]
 fn a_max_frame_header_then_silence_allocates_one_step() {
-    let mut head = Vec::with_capacity(FRAME_HEADER);
-    head.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
-    head.extend_from_slice(&0u64.to_le_bytes());
-    let mut dec = FrameDecoder::new();
-    let mut socket = &head[..];
-    assert_eq!(dec.read_from(&mut socket).expect("header"), FRAME_HEADER);
-    for _ in 0..4 {
-        assert_eq!(dec.next_payload(), Ok(None));
-        assert_eq!(dec.read_from(&mut socket).expect("silence"), 0);
-        assert!(
-            dec.capacity() <= READ_STEP + FRAME_HEADER,
-            "capacity {} after a {MAX_FRAME}-byte claim",
-            dec.capacity()
-        );
+    for (block, bound) in [
+        (0, READ_STEP + FRAME_HEADER),
+        (MAX_FRAME, READ_STEP + 8 * 1024),
+    ] {
+        let mut head = Vec::with_capacity(FRAME_HEADER);
+        head.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+        head.extend_from_slice(&0u64.to_le_bytes());
+        head.extend_from_slice(&0u32.to_le_bytes());
+        head.extend_from_slice(&(block as u32).to_le_bytes());
+        let mut dec = FrameDecoder::new();
+        let mut socket = &head[..];
+        assert_eq!(dec.read_from(&mut socket).expect("header"), FRAME_HEADER);
+        for _ in 0..4 {
+            assert_eq!(dec.next_payload(), Ok(None));
+            assert_eq!(dec.read_from(&mut socket).expect("silence"), 0);
+            assert!(
+                dec.capacity() <= bound,
+                "capacity {} after a {MAX_FRAME}-byte claim, block {block}",
+                dec.capacity()
+            );
+        }
     }
+}
+
+/// A decoded 64 KiB block read off a socket is its own allocation, of
+/// exactly the block's length and with no other owner, and `Vec::from`
+/// adopts it: the reader keeps the block without copying it.
+#[test]
+fn a_block_read_apart_is_adopted_without_a_copy() {
+    let data = Bytes::from(vec![0x5Au8; 64 * 1024]);
+    let mut wire = Vec::new();
+    write_msg(
+        &mut wire,
+        &Msg::ReadOk {
+            tag: 1,
+            data: data.clone(),
+        },
+        None,
+    )
+    .expect("Vec write");
+    let mut dec = FrameDecoder::new();
+    let mut socket = Trickle {
+        wire: &wire,
+        cuts: [8 * 1024usize].iter().cycle(),
+    };
+    let frame = loop {
+        if let Some(frame) = dec.next_frame().expect("a valid frame") {
+            break frame;
+        }
+        assert!(dec.read_from(&mut socket).expect("Trickle never errors") > 0);
+    };
+    let Frame::Proto(Msg::ReadOk { data: got, .. }) = frame else {
+        panic!("a ReadOk was sent");
+    };
+    assert_eq!(got, data);
+    assert_eq!(got.len(), 64 * 1024);
+    assert!(got.is_unique(), "the decoder kept no handle on the block");
+    let at = got.as_ptr();
+    let kept = Vec::from(got);
+    assert_eq!(kept.as_ptr(), at, "adopted, not copied");
+    assert_eq!(
+        kept.capacity(),
+        64 * 1024,
+        "an allocation of exactly the block"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -624,18 +729,31 @@ proptest! {
 
     /// The same through `read_from`, the call a reader thread makes: a
     /// socket that returns random chunk sizes yields the frames `feed` does.
-    /// Blocks up to 8 KiB put frames on both sides of the copy-out
-    /// threshold and past the room a read is offered between frames.
+    /// Blocks up to 12 KiB put frames on both sides of the copy-out
+    /// threshold and past the room a read is offered between frames, and
+    /// the three kinds they ride in have no fields, a few and a few dozen
+    /// after the block, which a block read apart takes in with it.
     #[test]
     fn frames_roundtrip_through_read_from_under_any_chunking(
         frames in proptest::collection::vec(arb_frame(), 1..6),
-        blocks in proptest::collection::vec(arb_bytes(8 * 1024), 0..3),
+        blocks in proptest::collection::vec(arb_bytes(12 * 1024), 0..4),
         cuts in proptest::collection::vec(1usize..12_000, 1..8),
     ) {
         let mut frames = frames;
         for (i, data) in blocks.into_iter().enumerate() {
             let at = i.min(frames.len());
-            frames.insert(at, Frame::Proto(Msg::ReadOk { tag: i as u64, data }));
+            let tag = i as u64;
+            let msg = match i % 3 {
+                0 => Msg::ReadOk { tag, data },
+                1 => Msg::Write { index: 4, data, tag },
+                _ => Msg::BlockData {
+                    tag,
+                    data,
+                    uid: Uid::from_raw(9),
+                    parity_uids: Some(vec![Uid::from_raw(5); G + 2]),
+                },
+            };
+            frames.insert(at, Frame::Proto(msg));
         }
         let wire = to_wire(&frames);
         let read = decode_read(&wire, &cuts).expect("valid stream");
@@ -668,8 +786,8 @@ proptest! {
     }
 
     /// A length prefix beyond [`MAX_FRAME`] is rejected as soon as the
-    /// 12-byte header is readable — before any payload is buffered, so a
-    /// hostile 4 GiB claim cannot balloon memory.
+    /// header is readable — before any payload is buffered, so a hostile
+    /// 4 GiB claim cannot balloon memory.
     #[test]
     fn oversized_length_prefix_is_rejected_from_the_header_alone(
         claimed in (MAX_FRAME as u64 + 1)..=u64::from(u32::MAX),
@@ -679,8 +797,46 @@ proptest! {
         let mut head = Vec::with_capacity(FRAME_HEADER);
         head.extend_from_slice(&(claimed as u32).to_le_bytes());
         head.extend_from_slice(&check.to_le_bytes());
+        head.extend_from_slice(&[0; 8]);
         dec.feed(&head);
         prop_assert_eq!(dec.next_frame(), Err(FrameError::Oversized { claimed }));
+    }
+
+    /// Any block bounds in a header, on any frame: bounds outside the
+    /// payload are refused from the header alone, fed or read off a
+    /// socket, and bounds inside it that are not the writer's fail the
+    /// check; only the writer's own decode. Never a panic.
+    #[test]
+    fn hostile_block_bounds_are_refused_from_the_header(
+        frame in arb_frame(),
+        block in arb_bytes(3 * 1024),
+        at in prop_oneof![any::<u32>(), 0u32..4 * 1024],
+        len in prop_oneof![any::<u32>(), 0u32..4 * 1024],
+        cuts in proptest::collection::vec(1usize..2_000, 1..4),
+    ) {
+        let frames = [frame, Frame::Proto(Msg::ReadOk { tag: 2, data: block })];
+        for frame in frames {
+            let mut wire = to_wire(std::slice::from_ref(&frame));
+            let honest = wire[12..FRAME_HEADER].to_vec();
+            wire[12..16].copy_from_slice(&at.to_le_bytes());
+            wire[16..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+            let payload = (wire.len() - FRAME_HEADER) as u64;
+            let outside = u64::from(at) + u64::from(len) > payload;
+            let fed = decode_split(&wire, &cuts);
+            let read = decode_read(&wire, &cuts);
+            if outside {
+                let refused = Err(FrameError::Malformed("block piece outside the payload"));
+                prop_assert_eq!(&fed, &refused);
+                prop_assert_eq!(&read, &refused);
+            } else if wire[12..FRAME_HEADER] == honest[..] {
+                prop_assert_eq!(&read, &Ok(vec![frame.clone()]));
+            } else if let Ok(got) = &read {
+                // Other bounds cut other pieces: only a block that happens
+                // to hash alike gets through, and then it decodes the same.
+                prop_assert!(got.is_empty() || got == &vec![frame.clone()]);
+            }
+            prop_assert_eq!(fed.is_ok(), read.is_ok());
+        }
     }
 
     /// Corrupting the checksum field always surfaces as `BadChecksum`.

@@ -196,6 +196,45 @@ fn a_frame_with_the_serial_checksum_is_refused_and_the_site_serves_on() {
     shutdown(&control, handles);
 }
 
+/// A header whose block piece lies outside the payload, and a `Hello` of
+/// another wire version: each costs its own connection, the first from the
+/// header alone, and the site serves on.
+#[test]
+fn hostile_block_bounds_and_a_foreign_version_cost_only_their_connection() {
+    let (addrs, control, handles) = spawn_sites();
+    let site_0 = addrs[0];
+    let ep = SocketEndpoint::client(0, EP_BASE, addrs);
+    let mut client = SocketClient::new(ep, G, ROWS, BLOCK);
+    client.write(0, 1, &[0x33; BLOCK]).expect("write served");
+
+    let mut hello = Vec::new();
+    write_frame(&mut hello, &Frame::Hello { id: 7 }).expect("Vec write");
+    let mut outside = hello.clone();
+    // Block at byte 4 of a 10-byte payload, 4 GiB long.
+    outside[12..16].copy_from_slice(&4u32.to_le_bytes());
+    outside[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut foreign = hello;
+    foreign[radd_rt::frame::FRAME_HEADER + 1] = radd_rt::frame::WIRE_VERSION + 1;
+    for wire in [outside, foreign] {
+        let mut stranger = TcpStream::connect(site_0).expect("dial site 0");
+        stranger.write_all(&wire).expect("the frame");
+        stranger
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        assert_eq!(
+            stranger
+                .read(&mut [0u8; 16])
+                .expect("a close, not a timeout"),
+            0,
+            "the site kept a connection it should have closed"
+        );
+    }
+
+    assert_eq!(client.read(0, 1).expect("still served"), vec![0x33; BLOCK]);
+    drop(client);
+    shutdown(&control, handles);
+}
+
 /// Well-framed parity updates whose fields do not fit: one from a site the
 /// group does not have, one with a 3-byte mask. Both reach the machine
 /// under the site lock, which must refuse them rather than panic there (a

@@ -7,7 +7,8 @@
 //! reference-counted clones, zero-copy sub-slicing, slice deref, and the
 //! usual comparison traits. Like the real crate, `clone`, `slice`, and
 //! `From<Vec<u8>>` never copy payload bytes (the vector's allocation is
-//! adopted as the backing store); only `copy_from_slice`/`to_vec` do.
+//! adopted as the backing store); only `copy_from_slice`/`to_vec` do, and
+//! `Vec::from(bytes)` does only when the buffer has other owners.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -78,6 +79,12 @@ impl Bytes {
         }
     }
 
+    /// Whether this is the only handle on its backing allocation (no clone
+    /// or slice of it is alive), so that `Vec::from` can take it whole.
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
+    }
+
     #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
@@ -110,6 +117,23 @@ impl From<Vec<u8>> for Bytes {
             data: Arc::new(v),
             start: 0,
             end,
+        }
+    }
+}
+
+/// Takes the backing vector without copying when `bytes` is its only
+/// owner (the view's bytes are moved to its front if the view does not
+/// start there, and what lies past the view is cut off); copies otherwise.
+impl From<Bytes> for Vec<u8> {
+    fn from(bytes: Bytes) -> Vec<u8> {
+        let Bytes { data, start, end } = bytes;
+        match Arc::try_unwrap(data) {
+            Ok(mut v) => {
+                v.truncate(end);
+                v.drain(..start);
+                v
+            }
+            Err(shared) => shared[start..end].to_vec(),
         }
     }
 }
@@ -241,6 +265,28 @@ mod tests {
         // Nested slices keep composing against the original buffer.
         let s2 = s.slice(4..8);
         assert_eq!(s2.to_vec(), vec![12, 13, 14, 15]);
+    }
+
+    #[test]
+    fn into_vec_adopts_a_sole_owners_buffer_and_copies_a_shared_one() {
+        let b = Bytes::from((0u8..64).collect::<Vec<u8>>());
+        assert!(b.is_unique());
+        let at = b.as_ptr();
+        let v = Vec::from(b);
+        assert_eq!(v.as_ptr(), at, "adopted, not copied");
+        assert_eq!(v, (0u8..64).collect::<Vec<u8>>());
+
+        let b = Bytes::from(v);
+        let kept = b.clone();
+        assert!(!b.is_unique());
+        let v = Vec::from(b.slice(8..24));
+        assert_ne!(v.as_ptr(), kept.as_ptr(), "a shared buffer is copied");
+        assert_eq!(v, (8u8..24).collect::<Vec<u8>>());
+
+        // A sole view that does not start at the front keeps its bytes only.
+        let tail = kept.slice(60..64);
+        drop(kept);
+        assert_eq!(Vec::from(tail), vec![60, 61, 62, 63]);
     }
 
     #[test]
