@@ -4,14 +4,15 @@
 //! message), a site's 64 KiB `ReadOk` of a block not in cache with its
 //! check computed and kept, and the WAL's CRC-32.
 //!
-//! Three rows exist only as same-run comparands, so that
+//! Four rows exist only as same-run comparands, so that
 //! `scripts/bench_check.sh` can gate ratios, which survive slow CI
 //! machines: `checksum_serial_64k` is the one-lane chain the frame check
 //! used to be (`FxHasher::write`, still the map hasher),
 //! `crc32_bytewise_4k` is the one-table, byte-at-a-time CRC the WAL ran,
-//! and `copy_64k` is a plain copy of a cached 64 KiB block into a buffer,
-//! the floor a frame's way out or in cannot go under. None is reachable
-//! from `src`.
+//! and `copy_64k` and `write_frame_64k_copy` are a plain copy of a cached
+//! 64 KiB block into a buffer, the floor a frame's way in or out cannot go
+//! under (the second timed in alternating batches with the frame's way
+//! out). None is reachable from `src`.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -81,20 +82,31 @@ fn bench_frame_path(c: &mut Criterion) {
         b.iter(|| checksum_serial(black_box(&block_64k)));
     });
 
-    // One 64 KiB write on its way out: encode, checksum, one `write_all`
-    // (into a `Vec` here, so the copy a socket write makes is counted).
+    // One 64 KiB write on its way out: encode, checksum, one gathered
+    // write (into a `Vec` here, so the copy a socket write makes is
+    // counted). Side `a` copies the same block into the same buffer, the
+    // floor a frame's way out cannot go under, in alternating batches over
+    // one state (`bench_pair`): `write_frame_64k/ratio` is the frame path
+    // priced in copies, without the drift between two separate loops.
+    let block_64k = Bytes::from(block_64k);
     let frame = Frame::Proto(Msg::Write {
         index: 7,
-        data: Bytes::from(block_64k),
+        data: block_64k.clone(),
         tag: 9,
     });
     let mut wire = Vec::with_capacity(80 * 1024);
-    group.bench_function("write_frame_64k", |b| {
-        b.iter(|| {
+    group.bench_pair("write_frame_64k_copy", "write_frame_64k", 1, |b| {
+        b.iter(|framed| {
             wire.clear();
-            write_frame(&mut wire, black_box(&frame)).expect("write to a Vec");
+            if framed {
+                write_frame(&mut wire, black_box(&frame)).expect("write to a Vec");
+            } else {
+                wire.extend_from_slice(black_box(&block_64k));
+            }
         });
     });
+    wire.clear();
+    write_frame(&mut wire, &frame).expect("write to a Vec");
 
     // The same frame on its way in, as a reader thread takes it: reads
     // into the decoder's buffer until the frame is whole, then check and

@@ -11,11 +11,15 @@
 //! * [`partition::PartitionMap`] — group membership during a partition and
 //!   the §5 classification: a `G+1`/`1` split looks like a single site
 //!   failure and the majority side proceeds; anything else must block.
+//! * [`faults`] — [`FaultState`], the one fault switchboard of both async
+//!   runtimes: silent loss, duplication and partitions, decided once per
+//!   protocol message by the endpoint that sends it (a [`Verdict`]).
+//!   Retransmission over a faulty network is the protocol machines' own
+//!   stop-and-wait (`SiteMachine::all_acked` is the quiescence test),
+//!   scheduled by [`retry::RetryPolicy`].
 //! * [`threaded`] — a crossbeam-channel network for the threaded cluster
-//!   runtime (real concurrency rather than virtual time), with silent
-//!   message-loss injection and partitions. Retransmission over it is the
-//!   protocol machines' own stop-and-wait (`SiteMachine::all_acked` is the
-//!   quiescence test), scheduled by [`retry::RetryPolicy`].
+//!   runtime (real concurrency rather than virtual time), whose sends ask
+//!   the switchboard; the socket runtime's sends ask the same type.
 //! * [`transport`] — [`Outbound`] and [`Transport`]: what the one async
 //!   interpreter (site driver, client ladder, cluster harness, fault
 //!   driver) asks of a network. The threaded and the socket runtime each
@@ -24,12 +28,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod faults;
 pub mod partition;
 pub mod retry;
 pub mod stats;
 pub mod threaded;
 pub mod transport;
 
+pub use faults::{FaultState, Verdict};
 pub use partition::{PartitionMap, PartitionVerdict};
 pub use retry::RetryPolicy;
 pub use stats::NetStats;

@@ -3,10 +3,11 @@
 //! The discrete-event simulator gives deterministic measurements; the
 //! threaded runtime gives real message passing for integration tests that
 //! exercise the protocol code under actual concurrency. Each site owns a
-//! [`ThreadedEndpoint`]; any endpoint can send to any site id. Partitioning
-//! a site makes its sends and receives fail, emulating the §5 model at the
-//! process level.
+//! [`ThreadedEndpoint`]; any endpoint can send to any site id. Every send
+//! asks the network's [`FaultState`] first, so loss, duplication and §5
+//! partitions act at the process level.
 
+use crate::faults::{FaultState, Verdict};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,8 +64,6 @@ pub struct Inbound<M> {
 pub enum NetError {
     /// Destination id does not exist.
     NoSuchSite(usize),
-    /// Source or destination is partitioned away.
-    Partitioned,
     /// No message arrived within the timeout.
     Timeout,
     /// All senders disconnected (network shut down).
@@ -75,7 +74,6 @@ impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetError::NoSuchSite(s) => write!(f, "no such site {s}"),
-            NetError::Partitioned => write!(f, "link severed by partition"),
             NetError::Timeout => write!(f, "receive timed out"),
             NetError::Disconnected => write!(f, "network shut down"),
         }
@@ -84,35 +82,15 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Message-loss injection parameters. Loss is decided per send from a
-/// counter hashed with the seed, so a given `(seed, permille)` pair drops a
-/// reproducible *fraction* of traffic (the exact victims depend on thread
-/// interleaving, which is fine: the reliable layers above must converge for
-/// any loss pattern below certainty).
-struct LossState {
-    /// Probability of dropping a message, in 1/1000 units (0 = off).
-    permille: u16,
-    seed: u64,
-}
-
 struct Shared<M> {
     senders: Vec<Sender<Inbound<M>>>,
-    partitioned: RwLock<Vec<bool>>,
-    loss: RwLock<LossState>,
-    loss_counter: AtomicU64,
-    dropped: AtomicU64,
+    /// The switchboard every send asks first.
+    faults: Arc<FaultState>,
     /// Per-message wire time in nanoseconds (0 = instant, the default).
     link_latency_ns: AtomicU64,
     /// Optional per-endpoint shared wires: an endpoint with a wire charges
     /// *that* wire's latency under its lock instead of the global latency.
     wires: RwLock<Vec<Option<Arc<Wire>>>>,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Factory and control plane for a set of endpoints.
@@ -127,10 +105,11 @@ pub struct ThreadedEndpoint<M> {
     inbox: Receiver<Inbound<M>>,
 }
 
-impl<M: Send + 'static> ThreadedNet<M> {
-    /// Build a fully connected network of `n` sites; returns the control
-    /// handle and one endpoint per site.
-    pub fn new(n: usize) -> (ThreadedNet<M>, Vec<ThreadedEndpoint<M>>) {
+impl<M: Clone + Send + 'static> ThreadedNet<M> {
+    /// Build a fully connected network of `n` sites whose sends ask
+    /// `faults` for a verdict; returns the control handle and one endpoint
+    /// per site.
+    pub fn new(n: usize, faults: Arc<FaultState>) -> (ThreadedNet<M>, Vec<ThreadedEndpoint<M>>) {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -140,13 +119,7 @@ impl<M: Send + 'static> ThreadedNet<M> {
         }
         let shared = Arc::new(Shared {
             senders,
-            partitioned: RwLock::new(vec![false; n]),
-            loss: RwLock::new(LossState {
-                permille: 0,
-                seed: 0,
-            }),
-            loss_counter: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            faults,
             link_latency_ns: AtomicU64::new(0),
             wires: RwLock::new(vec![None; n]),
         });
@@ -160,30 +133,6 @@ impl<M: Send + 'static> ThreadedNet<M> {
             })
             .collect();
         (ThreadedNet { shared }, endpoints)
-    }
-
-    /// Cut a site off from everyone (its sends and receives fail).
-    pub fn set_partitioned(&self, site: usize, partitioned: bool) {
-        self.shared.partitioned.write()[site] = partitioned;
-    }
-
-    /// Start dropping roughly `permille`/1000 of all sends, with victims
-    /// chosen by hashing a running counter with `seed`. `permille == 0`
-    /// turns loss off. Loss is *silent*: the sender sees `Ok`, the message
-    /// never arrives — exactly what timer-based retransmission must absorb.
-    pub fn set_loss(&self, permille: u16, seed: u64) {
-        assert!(
-            permille < 1000,
-            "loss probability must stay below certainty"
-        );
-        let mut loss = self.shared.loss.write();
-        loss.permille = permille;
-        loss.seed = seed;
-    }
-
-    /// Number of messages dropped by loss injection so far.
-    pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
     }
 
     /// Model wire time: every send occupies the sending thread for
@@ -208,38 +157,32 @@ impl<M: Send + 'static> ThreadedNet<M> {
     }
 }
 
-impl<M: Send + 'static> ThreadedEndpoint<M> {
+impl<M: Clone + Send + 'static> ThreadedEndpoint<M> {
     /// This endpoint's site id.
     pub fn id(&self) -> usize {
         self.id
     }
 
-    /// Send `payload` to `dst`.
+    /// Send `payload` to `dst`, once, twice or not at all as the
+    /// switchboard says. A dropped message is `Ok`: loss is silent.
     pub fn send(&self, dst: usize, payload: M) -> Result<(), NetError> {
-        {
-            let part = self.shared.partitioned.read();
-            if part.get(self.id).copied().unwrap_or(false)
-                || part.get(dst).copied().unwrap_or(false)
-            {
-                return Err(NetError::Partitioned);
-            }
-        }
         let tx = self
             .shared
             .senders
             .get(dst)
             .ok_or(NetError::NoSuchSite(dst))?;
-        {
-            let loss = self.shared.loss.read();
-            if loss.permille > 0 {
-                let n = self.shared.loss_counter.fetch_add(1, Ordering::Relaxed);
-                if splitmix64(loss.seed ^ n) % 1000 < loss.permille as u64 {
-                    // Silent drop: delivery simply never happens.
-                    self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
+        match self.shared.faults.verdict(self.id, dst) {
+            Verdict::Drop => Ok(()),
+            Verdict::Forward => self.transmit(tx, payload),
+            Verdict::Duplicate => {
+                self.transmit(tx, payload.clone())?;
+                self.transmit(tx, payload)
             }
         }
+    }
+
+    /// Occupy the wire for one message, then deliver it.
+    fn transmit(&self, tx: &Sender<Inbound<M>>, payload: M) -> Result<(), NetError> {
         let wire = self.shared.wires.read().get(self.id).cloned().flatten();
         match wire {
             Some(w) => w.transmit(),
@@ -259,21 +202,10 @@ impl<M: Send + 'static> ThreadedEndpoint<M> {
 
     /// Receive the next message, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Inbound<M>, NetError> {
-        if self.shared.partitioned.read()[self.id] {
-            return Err(NetError::Partitioned);
-        }
         self.inbox.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => NetError::Timeout,
             RecvTimeoutError::Disconnected => NetError::Disconnected,
         })
-    }
-
-    /// Receive without blocking.
-    pub fn try_recv(&self) -> Option<Inbound<M>> {
-        if self.shared.partitioned.read()[self.id] {
-            return None;
-        }
-        self.inbox.try_recv().ok()
     }
 }
 
@@ -285,7 +217,7 @@ mod tests {
 
     #[test]
     fn point_to_point_delivery() {
-        let (_net, eps) = ThreadedNet::new(3);
+        let (_net, eps) = ThreadedNet::new(3, FaultState::new(3));
         eps[0].send(2, "hi").unwrap();
         let got = eps[2].recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(got.src, 0);
@@ -294,7 +226,7 @@ mod tests {
 
     #[test]
     fn cross_thread_ping_pong() {
-        let (_net, mut eps) = ThreadedNet::new(2);
+        let (_net, mut eps) = ThreadedNet::new(2, FaultState::new(2));
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         let t = thread::spawn(move || {
@@ -309,61 +241,49 @@ mod tests {
 
     #[test]
     fn unknown_destination() {
-        let (_net, eps) = ThreadedNet::<u8>::new(1);
+        let (_net, eps) = ThreadedNet::<u8>::new(1, FaultState::new(1));
         assert_eq!(eps[0].send(9, 0).unwrap_err(), NetError::NoSuchSite(9));
     }
 
-    #[test]
-    fn partitioned_site_cannot_send_or_receive() {
-        let (net, eps) = ThreadedNet::new(2);
-        net.set_partitioned(1, true);
-        assert_eq!(eps[0].send(1, ()).unwrap_err(), NetError::Partitioned);
-        assert_eq!(eps[1].send(0, ()).unwrap_err(), NetError::Partitioned);
-        assert_eq!(
-            eps[1].recv_timeout(Duration::from_millis(10)).unwrap_err(),
-            NetError::Partitioned
-        );
-        // Healing restores connectivity.
-        net.set_partitioned(1, false);
-        eps[0].send(1, ()).unwrap();
-        assert!(eps[1].recv_timeout(Duration::from_secs(1)).is_ok());
-    }
+    const QUIET: Duration = Duration::from_millis(20);
 
     #[test]
-    fn try_recv_nonblocking() {
-        let (_net, eps) = ThreadedNet::<u8>::new(2);
-        assert!(eps[1].try_recv().is_none());
-        eps[0].send(1, 5).unwrap();
-        // Unbounded channel: send completes before we poll.
-        let got = eps[1]
-            .try_recv()
-            .or_else(|| {
-                thread::sleep(Duration::from_millis(50));
-                eps[1].try_recv()
-            })
-            .unwrap();
-        assert_eq!(got.payload, 5);
+    fn a_partitioned_site_hears_and_reaches_nobody_until_healed() {
+        let faults = FaultState::new(2);
+        let (_net, eps) = ThreadedNet::new(2, Arc::clone(&faults));
+        faults.set_partitioned(1, true);
+        eps[0].send(1, 1).unwrap(); // a partition is silent loss
+        eps[1].send(0, 2).unwrap();
+        assert_eq!(eps[1].recv_timeout(QUIET).unwrap_err(), NetError::Timeout);
+        assert_eq!(eps[0].recv_timeout(QUIET).unwrap_err(), NetError::Timeout);
+        faults.set_partitioned(1, false);
+        eps[0].send(1, 3).unwrap();
+        assert_eq!(
+            eps[1].recv_timeout(Duration::from_secs(1)).unwrap().payload,
+            3
+        );
     }
 
     #[test]
     fn loss_drops_a_fraction_silently() {
-        let (net, eps) = ThreadedNet::<u32>::new(2);
-        net.set_loss(400, 0xFEED);
+        let faults = FaultState::new(2);
+        let (_net, eps) = ThreadedNet::<u32>::new(2, Arc::clone(&faults));
+        faults.set_loss(400, 0xFEED);
         for i in 0..1000 {
             eps[0].send(1, i).unwrap(); // loss is invisible to the sender
         }
         let mut got = 0;
-        while eps[1].try_recv().is_some() {
+        while eps[1].recv_timeout(QUIET).is_ok() {
             got += 1;
         }
-        let dropped = net.dropped();
+        let dropped = faults.dropped();
         assert_eq!(got + dropped as usize, 1000);
         assert!(
             (200..600).contains(&dropped),
             "~40% of 1000 sends should drop, got {dropped}"
         );
         // Turning loss off restores perfect delivery.
-        net.set_loss(0, 0);
+        faults.set_loss(0, 0);
         eps[0].send(1, 7).unwrap();
         assert_eq!(
             eps[1].recv_timeout(Duration::from_secs(1)).unwrap().payload,
@@ -372,8 +292,23 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_arrives_right_behind_its_original() {
+        let faults = FaultState::new(2);
+        let (_net, eps) = ThreadedNet::<u32>::new(2, Arc::clone(&faults));
+        faults.set_duplication(999, 0xD00D);
+        eps[0].send(1, 7).unwrap();
+        faults.set_duplication(0, 0);
+        eps[0].send(1, 8).unwrap();
+        let got: Vec<u32> = (0..3)
+            .map(|_| eps[1].recv_timeout(Duration::from_secs(1)).unwrap().payload)
+            .collect();
+        assert_eq!(got, [7, 7, 8]);
+        assert_eq!(faults.duplicated(), 1);
+    }
+
+    #[test]
     fn link_latency_occupies_the_sender() {
-        let (net, eps) = ThreadedNet::<u8>::new(2);
+        let (net, eps) = ThreadedNet::<u8>::new(2, FaultState::new(2));
         net.set_link_latency(Duration::from_millis(5));
         let t0 = Instant::now();
         for _ in 0..4 {
@@ -397,8 +332,8 @@ mod tests {
     fn shared_wire_serializes_across_nets() {
         // Two independent nets whose endpoint 0s share one wire: their
         // sends serialize, while an unwired endpoint stays instant.
-        let (net_a, mut eps_a) = ThreadedNet::<u8>::new(2);
-        let (net_b, mut eps_b) = ThreadedNet::<u8>::new(2);
+        let (net_a, mut eps_a) = ThreadedNet::<u8>::new(2, FaultState::new(2));
+        let (net_b, mut eps_b) = ThreadedNet::<u8>::new(2, FaultState::new(2));
         let wire = Wire::new(Duration::from_millis(5));
         net_a.set_wire(0, Some(Arc::clone(&wire)));
         net_b.set_wire(0, Some(Arc::clone(&wire)));
@@ -439,7 +374,7 @@ mod tests {
 
     #[test]
     fn timeout_when_idle() {
-        let (_net, eps) = ThreadedNet::<u8>::new(1);
+        let (_net, eps) = ThreadedNet::<u8>::new(1, FaultState::new(1));
         assert_eq!(
             eps[0].recv_timeout(Duration::from_millis(20)).unwrap_err(),
             NetError::Timeout

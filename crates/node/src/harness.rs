@@ -5,19 +5,22 @@
 //! Endpoint numbering is the same everywhere (clients at `0..ep_base`,
 //! site `j` at `ep_base + j`), and so is the control surface, so the
 //! differential test and the fault-plan engine drive every runtime through
-//! one interface. The harness keeps the network's control handle, so fault
-//! drivers can inject silent message loss ([`Cluster::set_loss`]) and
-//! network partitions ([`GroupCluster::isolate`]); sites absorb both by
+//! one interface. The harness owns the cluster's fault switchboard
+//! ([`Cluster::faults`], a [`FaultState`] it hands to
+//! [`ClusterNet::wire`]), so fault drivers can inject silent message loss
+//! ([`Cluster::set_loss`]), duplication and network partitions
+//! ([`GroupCluster::isolate`]) on either runtime alike; sites absorb them by
 //! retransmitting unacked parity updates with backoff, and
 //! [`Cluster::quiesce`] waits until every pending table is empty.
 
 use super::client::Client;
 use super::site::{Control, SiteConfig};
 use radd_layout::ShardMap;
-use radd_net::Transport;
+use radd_net::{FaultState, Transport};
 use radd_protocol::{ClientErr, CoalescePolicy, GroupCluster, ObsEvent, RebuildReport, Router};
 use radd_storage::StorageSpec;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -28,35 +31,31 @@ const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What a runtime supplies to the harness: how to wire a cluster's worth
-/// of endpoints, how to run a site on one, and the fault switchboard of
-/// the network between them.
+/// of endpoints over the harness's fault switchboard, and how to run a
+/// site on one.
 pub trait ClusterNet: Sized {
     /// The endpoint type sites and clients talk through.
     type Ep: Transport + Send + 'static;
 
     /// Build a network of `clients` client endpoints (ids `0..clients`)
-    /// and `sites` site endpoints (ids `clients..`). Returns the control
-    /// handle, which owns whatever must outlive the site threads, then the
-    /// client endpoints, then the site endpoints.
-    fn wire(clients: usize, sites: usize) -> (Self, Vec<Self::Ep>, Vec<Self::Ep>);
+    /// and `sites` site endpoints (ids `clients..`), every one of which
+    /// asks `faults` about each protocol message it sends. Returns the
+    /// control handle, which owns whatever must outlive the site threads,
+    /// then the client endpoints, then the site endpoints.
+    fn wire(
+        clients: usize,
+        sites: usize,
+        faults: &Arc<FaultState>,
+    ) -> (Self, Vec<Self::Ep>, Vec<Self::Ep>);
 
     /// Run one site on `ep` until shutdown.
     fn run_site(cfg: SiteConfig, ep: &Self::Ep, control: &Receiver<Control>);
-
-    /// Start dropping roughly `permille`/1000 of protocol messages,
-    /// silently (the sender still sees success). `0` turns loss off.
-    fn set_loss(&self, permille: u16, seed: u64);
-
-    /// Messages dropped by loss injection so far.
-    fn dropped(&self) -> u64;
-
-    /// Cut endpoint `ep` off from everyone, or reconnect it.
-    fn set_partitioned(&self, ep: usize, partitioned: bool);
 }
 
 /// A running cluster: `G + 2` site threads plus a client handle.
 pub struct Cluster<N: ClusterNet> {
     net: N,
+    faults: Arc<FaultState>,
     client: Client<N::Ep>,
     control: Vec<Sender<Control>>,
     handles: Vec<JoinHandle<()>>,
@@ -117,7 +116,8 @@ impl<N: ClusterNet> Cluster<N> {
     ) -> (Cluster<N>, Vec<Client<N::Ep>>) {
         assert!(clients >= 1, "need at least one client");
         let ep_base = clients;
-        let (net, client_eps, site_eps) = N::wire(clients, g + 2);
+        let faults = FaultState::new(clients + g + 2);
+        let (net, client_eps, site_eps) = N::wire(clients, g + 2, &faults);
         let mut handles = Vec::new();
         let mut control = Vec::new();
         for (site, ep) in site_eps.into_iter().enumerate() {
@@ -140,6 +140,7 @@ impl<N: ClusterNet> Cluster<N> {
             .collect();
         let cluster = Cluster {
             net,
+            faults,
             client: extra.remove(0),
             control,
             handles,
@@ -189,6 +190,12 @@ impl<N: ClusterNet> Cluster<N> {
     /// The network's control handle.
     pub fn net(&self) -> &N {
         &self.net
+    }
+
+    /// The fault switchboard every endpoint of this cluster asks (loss,
+    /// duplication, partitions, and what they dropped and duplicated).
+    pub fn faults(&self) -> &Arc<FaultState> {
+        &self.faults
     }
 
     /// Endpoint id of site `site`.
@@ -276,12 +283,12 @@ impl<N: ClusterNet> Cluster<N> {
     /// silently (sender still sees success). `0` turns loss off. Sites
     /// converge anyway by retransmitting unacked parity updates.
     pub fn set_loss(&self, permille: u16, seed: u64) {
-        self.net.set_loss(permille, seed);
+        self.faults.set_loss(permille, seed);
     }
 
     /// Messages dropped by loss injection so far.
     pub fn dropped_messages(&self) -> u64 {
-        self.net.dropped()
+        self.faults.dropped()
     }
 
     /// How many writes at `site` still await their parity ack. A site that
@@ -442,10 +449,10 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
         self.client.verify_parity()
     }
 
-    /// Messages to and from `member` are refused or dropped; its thread
+    /// Messages to and from `member` are dropped at their sender; its thread
     /// keeps running and keeps retransmitting into the cut.
     fn isolate(&mut self, member: usize) {
-        self.net.set_partitioned(self.site_ep(member), true);
+        self.faults.set_partitioned(self.site_ep(member), true);
         self.tell_peers(member, true);
         self.client.mark_down(member, true);
     }
@@ -454,7 +461,7 @@ impl<N: ClusterNet> GroupCluster for Cluster<N> {
     /// could not deliver. The client believes it recovering, as after
     /// `restore`: spares absorbed writes while it was cut off.
     fn heal(&mut self, member: usize) {
-        self.net.set_partitioned(self.site_ep(member), false);
+        self.faults.set_partitioned(self.site_ep(member), false);
         self.tell_peers(member, false);
         self.client.mark_recovering(member);
     }
@@ -518,16 +525,15 @@ mod tests {
     impl ClusterNet for DeadSites {
         type Ep = Deaf;
 
-        fn wire(clients: usize, sites: usize) -> (DeadSites, Vec<Deaf>, Vec<Deaf>) {
+        fn wire(
+            clients: usize,
+            sites: usize,
+            _faults: &Arc<FaultState>,
+        ) -> (DeadSites, Vec<Deaf>, Vec<Deaf>) {
             let eps = |ids: std::ops::Range<usize>| ids.map(Deaf).collect();
             (DeadSites, eps(0..clients), eps(clients..clients + sites))
         }
         fn run_site(_cfg: SiteConfig, _ep: &Deaf, _control: &Receiver<Control>) {}
-        fn set_loss(&self, _permille: u16, _seed: u64) {}
-        fn dropped(&self) -> u64 {
-            0
-        }
-        fn set_partitioned(&self, _ep: usize, _partitioned: bool) {}
     }
 
     /// Silence is not "nothing pending". `quiesce` once counted a site that

@@ -72,9 +72,11 @@ pub mod site;
 pub use radd_protocol::{Msg, PoolRebuildReport};
 pub use sharded::{ShardedNodeCluster, ShardedNodeExt};
 
-use radd_net::threaded::NetError;
-use radd_net::{Outbound, Received, SendOutcome, ThreadedEndpoint, ThreadedNet, Transport};
+use radd_net::{
+    FaultState, Outbound, Received, SendOutcome, ThreadedEndpoint, ThreadedNet, Transport,
+};
 use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A [`ThreadedEndpoint`] plus the one thing [`Transport`] asks that a
@@ -94,11 +96,11 @@ impl Outbound for ThreadedTransport {
     }
 
     fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
+        // A send fails only when no retry can succeed: no such site, or
+        // the network is shut down.
         match self.ep.send(dst, msg.clone()) {
-            // A partitioned link refuses the send but may heal before the
-            // sender's ladder is spent: loss, exactly like a silent drop.
-            Ok(()) | Err(NetError::Partitioned | NetError::Timeout) => SendOutcome::Sent,
-            Err(NetError::Disconnected | NetError::NoSuchSite(_)) => SendOutcome::Closed,
+            Ok(()) => SendOutcome::Sent,
+            Err(_) => SendOutcome::Closed,
         }
     }
 }
@@ -151,12 +153,13 @@ impl harness::ClusterNet for ThreadedNet<Msg> {
     fn wire(
         clients: usize,
         sites: usize,
+        faults: &Arc<FaultState>,
     ) -> (
         ThreadedNet<Msg>,
         Vec<ThreadedTransport>,
         Vec<ThreadedTransport>,
     ) {
-        let (net, endpoints) = ThreadedNet::new(clients + sites);
+        let (net, endpoints) = ThreadedNet::new(clients + sites, Arc::clone(faults));
         let mut client_eps: Vec<ThreadedTransport> = endpoints
             .into_iter()
             .map(|ep| ThreadedTransport {
@@ -170,18 +173,6 @@ impl harness::ClusterNet for ThreadedNet<Msg> {
 
     fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receiver<site::Control>) {
         run_site(cfg, ep, control);
-    }
-
-    fn set_loss(&self, permille: u16, seed: u64) {
-        ThreadedNet::set_loss(self, permille, seed);
-    }
-
-    fn dropped(&self) -> u64 {
-        ThreadedNet::dropped(self)
-    }
-
-    fn set_partitioned(&self, ep: usize, partitioned: bool) {
-        ThreadedNet::set_partitioned(self, ep, partitioned);
     }
 }
 
@@ -210,7 +201,7 @@ impl NodeCluster {
     /// the wire for the wire's latency — the physical model behind the
     /// rebuild benchmarks: one wire per *pool site* shared across all the
     /// groups it hosts makes a site's uplink the contended resource.
-    pub fn set_site_wire(&self, site: usize, wire: Option<std::sync::Arc<radd_net::Wire>>) {
+    pub fn set_site_wire(&self, site: usize, wire: Option<Arc<radd_net::Wire>>) {
         self.net().set_wire(self.site_ep(site), wire);
     }
 }

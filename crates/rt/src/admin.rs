@@ -3,9 +3,10 @@
 //!
 //! A site answers [`CtlReq`] frames on the reader thread of the connection
 //! they arrive on — even while marked down (a down site is deaf to the
-//! protocol, not to its operator). This client dials a site's *real* address (control
-//! traffic does not traverse fault proxies), issues one request at a
-//! time, and matches replies by request id.
+//! protocol, not to its operator). This client dials a site's address
+//! (control frames are never faulted: only protocol sends ask a fault
+//! switchboard), issues one request at a time, and matches replies by
+//! request id.
 
 use crate::frame::{read_frame, CtlRep, CtlReq, Frame, FrameDecoder};
 use std::net::{SocketAddr, TcpStream};
@@ -65,7 +66,7 @@ mod tests {
     use radd_protocol::CoalescePolicy;
     use std::net::TcpListener;
 
-    /// Spin up one standalone site (no proxies, no cluster harness) and
+    /// Spin up one standalone site (no fault switchboard, no cluster harness) and
     /// administer it purely over the wire.
     #[test]
     fn wire_control_pings_downs_and_shuts_down_a_site() {

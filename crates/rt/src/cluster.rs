@@ -1,82 +1,60 @@
 //! A loopback socket cluster: `G + 2` site threads behind real TCP
-//! listeners, every connection routed through a [`FaultProxy`].
+//! listeners.
 //!
 //! The harness ([`crate::harness::Cluster`]) is the one async
 //! interpreter's, shared with the threaded runtime — same construction
-//! parameters, same endpoint numbering, same control vocabulary — and the
-//! fault-plan replayer ([`SocketDriver`]) is the workspace's one. What is
-//! socket-specific lives here: [`Loopback`] wires the cluster. The one
-//! structural difference from the threaded runtime is the path a message
-//! takes: every site map entry points at the site's fault proxy rather
-//! than its listener, so *all* protocol traffic (client requests, parity
-//! updates between sites, recovery drains) is subject to the shared
-//! [`FaultState`] exactly once per message.
+//! parameters, same endpoint numbering, same control vocabulary, same
+//! fault switchboard ([`Cluster::faults`]) — and the fault-plan replayer
+//! ([`SocketDriver`]) is the workspace's one. What is socket-specific
+//! lives here: [`Loopback`] binds a listener per site and builds every
+//! endpoint over the harness's [`FaultState`], so each protocol message is
+//! judged once, by the endpoint that sends it. The site map points at the
+//! real listeners, so a message takes the path it takes between
+//! `radd-server` processes.
 
 use crate::harness::{Cluster, ClusterNet};
 use crate::net::SocketEndpoint;
-use crate::proxy::{FaultProxy, FaultState};
 use crate::server::{self, Control, SiteConfig};
+use radd_net::FaultState;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-/// The loopback network behind a [`SocketCluster`]: the shared fault
-/// switchboard plus the proxies that consult it. Dropped after the site
-/// threads have been joined, which shuts the proxies down.
-pub struct Loopback {
-    faults: Arc<FaultState>,
-    _proxies: Vec<FaultProxy>,
-}
+/// The loopback network behind a [`SocketCluster`]: nothing to control
+/// beyond what the endpoints carry.
+pub struct Loopback;
 
 impl ClusterNet for Loopback {
     type Ep = SocketEndpoint;
 
-    fn wire(clients: usize, sites: usize) -> (Loopback, Vec<SocketEndpoint>, Vec<SocketEndpoint>) {
+    fn wire(
+        clients: usize,
+        sites: usize,
+        faults: &Arc<FaultState>,
+    ) -> (Loopback, Vec<SocketEndpoint>, Vec<SocketEndpoint>) {
         let ep_base = clients;
-        let faults = FaultState::new(clients + sites);
-        // Bind every site's listener first, then front each with a proxy;
-        // the site map every endpoint dials is the list of *proxy* addrs.
         let listeners: Vec<TcpListener> = (0..sites)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("site bind"))
             .collect();
-        let proxies: Vec<FaultProxy> = listeners
+        let site_map: Vec<SocketAddr> = listeners
             .iter()
-            .enumerate()
-            .map(|(j, l)| {
-                let real = l.local_addr().expect("site addr");
-                FaultProxy::spawn(real, ep_base + j, Arc::clone(&faults))
-            })
+            .map(|l| l.local_addr().expect("site addr"))
             .collect();
-        let site_map: Vec<SocketAddr> = proxies.iter().map(FaultProxy::addr).collect();
-        let client_eps = (0..clients)
-            .map(|id| SocketEndpoint::client(id, ep_base, site_map.clone()))
-            .collect();
+        let endpoint = |id: usize, listener: Option<TcpListener>| {
+            let faults = Some(Arc::clone(faults));
+            SocketEndpoint::build(id, ep_base, site_map.clone(), listener, faults)
+        };
+        let client_eps = (0..clients).map(|id| endpoint(id, None)).collect();
         let site_eps = listeners
             .into_iter()
             .enumerate()
-            .map(|(j, l)| SocketEndpoint::site(ep_base + j, ep_base, site_map.clone(), l))
+            .map(|(j, l)| endpoint(ep_base + j, Some(l)))
             .collect();
-        let net = Loopback {
-            faults,
-            _proxies: proxies,
-        };
-        (net, client_eps, site_eps)
+        (Loopback, client_eps, site_eps)
     }
 
     fn run_site(cfg: SiteConfig, ep: &SocketEndpoint, control: &Receiver<Control>) {
         server::run_site(cfg, ep, control);
-    }
-
-    fn set_loss(&self, permille: u16, seed: u64) {
-        self.faults.set_loss(permille, seed);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.faults.dropped()
-    }
-
-    fn set_partitioned(&self, ep: usize, partitioned: bool) {
-        self.faults.set_partitioned(ep, partitioned);
     }
 }
 
@@ -91,13 +69,6 @@ pub type SocketDriver = radd_workload::faults::PlanDriver<SocketCluster>;
 /// `A` socket groups over a shared site pool, started by
 /// [`Cluster::start_sharded`].
 pub type ShardedSocketCluster = radd_protocol::Router<SocketCluster>;
-
-impl SocketCluster {
-    /// The shared fault switchboard (loss, duplication, partitions).
-    pub fn faults(&self) -> &Arc<FaultState> {
-        &self.net().faults
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -120,6 +91,27 @@ mod tests {
         cluster.quiesce(Duration::from_secs(5)).unwrap();
         assert!(cluster.all_acked());
         cluster.client().verify_parity().unwrap();
+        cluster.shutdown();
+    }
+
+    /// A cluster's frames take the path they take between `radd-server`
+    /// processes, so a block read back is sent under the check it was
+    /// stored with, as the benchmark's sites send it.
+    #[test]
+    fn a_block_read_back_goes_out_under_its_kept_check() {
+        let mut cluster = SocketCluster::start(4, 12, 4096);
+        let block: Vec<u8> = (0..4096).map(|i| (i * 7) as u8).collect();
+        cluster.client().write(1, 0, &block).unwrap();
+        assert_eq!(cluster.client().read(1, 0).unwrap(), block);
+        let snap = cluster.obs_snapshot();
+        let data_site = snap.machine("site 1").expect("site 1 answers");
+        let m = &data_site.metrics;
+        assert!(
+            m.block_checks_reused >= 1,
+            "no check kept: {} reused, {} computed",
+            m.block_checks_reused,
+            m.block_checks_computed
+        );
         cluster.shutdown();
     }
 

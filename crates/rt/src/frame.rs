@@ -41,11 +41,11 @@
 //!   refused on the first frame as a malformed header or a bad check.
 //! * `1` — [`Frame::Proto`]: one protocol [`Msg`], encoded with
 //!   [`radd_protocol::codec`]. The only frame type subject to fault
-//!   injection (see [`crate::proxy`]).
+//!   injection, which its sender applies (see [`crate::net`]).
 //! * `2`/`3` — [`Frame::CtlReq`]/[`Frame::CtlRep`]: the out-of-band control
 //!   plane (`radd-cli` status/obs queries, administrative down/up), paired
 //!   by a request id. Control frames bypass fault injection the same way
-//!   the threaded runtime's control mpsc bypasses its lossy channels.
+//!   the threaded runtime's control mpsc bypasses its faulty channels.
 //!
 //! [`FrameDecoder`] is incremental and hardened: bytes arrive in whatever
 //! splits and coalescings the kernel chooses, length prefixes are validated
@@ -294,24 +294,6 @@ pub enum Frame {
         /// The reply.
         rep: CtlRep,
     },
-}
-
-/// Frame type of a raw payload without decoding it — what the fault proxy
-/// uses to exempt handshake and control traffic from injection.
-pub fn payload_is_proto(payload: &[u8]) -> bool {
-    payload.first() == Some(&FT_PROTO)
-}
-
-/// Endpoint id of a raw `Hello` payload of this [`WIRE_VERSION`], if it is
-/// one. The proxy snoops this to attribute a relayed connection to its
-/// source endpoint.
-pub fn payload_hello_id(payload: &[u8]) -> Option<u64> {
-    match payload {
-        [FT_HELLO, WIRE_VERSION, id @ ..] if id.len() == 8 => {
-            Some(u64::from_le_bytes(id.try_into().ok()?))
-        }
-        _ => None,
-    }
 }
 
 /// The version a raw `Hello` payload names, if it is one whose version is
@@ -1091,27 +1073,11 @@ mod tests {
             })
         );
         let payload = Bytes::from(wire[FRAME_HEADER..].to_vec());
-        assert_eq!(payload_hello_id(&payload), None);
         assert_eq!(
             Frame::decode(&payload),
             Err(FrameError::WireVersion {
                 theirs: WIRE_VERSION + 1
             })
         );
-    }
-
-    #[test]
-    fn proxy_snoops_classify_payloads() {
-        let payload_of = |frame: &Frame| {
-            let mut wire = Vec::new();
-            write_frame(&mut wire, frame).unwrap();
-            wire.split_off(FRAME_HEADER)
-        };
-        let hello = payload_of(&Frame::Hello { id: 5 });
-        let proto = payload_of(&Frame::Proto(Msg::Ack { tag: 1 }));
-        assert_eq!(payload_hello_id(&hello), Some(5));
-        assert!(!payload_is_proto(&hello));
-        assert!(payload_is_proto(&proto));
-        assert_eq!(payload_hello_id(&proto), None);
     }
 }

@@ -34,11 +34,12 @@
 //! * [`server`] — that handler: `run_site` puts the site driver behind
 //!   one lock, answers wire control requests ([`frame::CtlReq`]) and keeps
 //!   the timer wheel.
-//! * [`proxy`] — [`proxy::FaultProxy`]: a frame-aware TCP relay that
-//!   drops, partitions and duplicates *protocol* frames under a shared
-//!   [`proxy::FaultState`], so fault plans run against real connections.
-//! * [`cluster`] — listener and proxy assembly for the loopback harness:
-//!   [`SocketCluster`] and [`SocketDriver`].
+//! * [`cluster`] — listener assembly for the loopback harness:
+//!   [`SocketCluster`] and [`SocketDriver`]. Its endpoints carry the
+//!   harness's [`radd_net::FaultState`], the switchboard the threaded
+//!   runtime's endpoints ask too: each protocol send is dropped,
+//!   duplicated or partitioned away by its sender, so fault plans run
+//!   against real connections on the same frame path `radd-server` uses.
 //! * [`config`] / [`admin`] — the static site-map format the standalone
 //!   binaries (`radd-server`, `radd-client`, `radd-cli`) deploy from, and
 //!   the control client `radd-cli` speaks through.
@@ -62,7 +63,6 @@ pub mod cluster;
 pub mod config;
 pub mod frame;
 pub mod net;
-pub mod proxy;
 pub mod server;
 
 // The one async interpreter, shared with `radd-node` source for source.
@@ -80,7 +80,6 @@ pub use cluster::{ShardedSocketCluster, SocketCluster, SocketDriver};
 pub use config::{ClusterConfig, StorageKind};
 pub use frame::{CtlRep, CtlReq, Frame, FrameDecoder, FrameError};
 pub use net::{Inbound, SendOutcome, SocketEndpoint};
-pub use proxy::{FaultProxy, FaultState};
 pub use server::{Control, SiteConfig};
 
 /// The cluster client over TCP.

@@ -52,15 +52,26 @@
 //!   reader of the old connection keeps draining until the stream dies, so
 //!   no buffered message is lost by the swap.
 //!
+//! **Faults.** An endpoint the in-process cluster builds carries the
+//! cluster's [`FaultState`]: every protocol send asks it for a
+//! [`Verdict`] with this endpoint's id and the destination's before it
+//! writes, and drops the message or writes it twice, back to back on the
+//! same connection. `Hello` and control frames are not protocol sends and
+//! are never faulted. Endpoints built by [`SocketEndpoint::client`] and
+//! [`SocketEndpoint::site`] (the standalone binaries, the benchmark) carry
+//! none.
+//!
 //! Lock order, outermost first: the site lock (`server.rs`), the peer
 //! table, one connection's write half. A reader thread holds the handler
-//! read lock around all three; nothing takes them in another order.
+//! read lock around all three; nothing takes them in another order. The
+//! switchboard takes no lock (its state is atomics), so it has no place in
+//! this order.
 //!
 //! Everything here is transport plumbing — protocol behaviour (dedup,
 //! retries, idempotence) lives in the sans-IO machines and their drivers.
 
 use crate::frame::{write_frame, write_msg, Frame, FrameDecoder};
-use radd_net::{Outbound, Received, RetryPolicy, Transport};
+use radd_net::{FaultState, Outbound, Received, RetryPolicy, Transport, Verdict};
 use radd_protocol::Msg;
 
 pub use radd_net::SendOutcome;
@@ -224,6 +235,8 @@ struct Shared {
     peers: Mutex<HashMap<usize, WriteHalf>>,
     /// Failed-dial backoff per site index: (next allowed attempt, step).
     dial_backoff: Mutex<HashMap<usize, (Instant, u32)>>,
+    /// The switchboard every protocol send asks first, when there is one.
+    faults: Option<Arc<FaultState>>,
     shutdown: AtomicBool,
     role: Role,
 }
@@ -254,9 +267,11 @@ impl Outbound for SendHalf {
 
     /// Send `msg` to endpoint `dst`, dialing if needed. A write into a
     /// live connection, a write that failed or timed out, a dial that is
-    /// pending or backing off and a client that is not connected are all
-    /// [`SendOutcome::Sent`] (retriable loss); a destination outside the
-    /// site map or a shut-down endpoint is [`SendOutcome::Closed`].
+    /// pending or backing off, a client that is not connected and a
+    /// message the switchboard dropped are all [`SendOutcome::Sent`]
+    /// (retriable loss); a destination outside the site map with no
+    /// connection here, or a shut-down endpoint, is
+    /// [`SendOutcome::Closed`].
     fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
         self.send_frame(dst, msg, None)
     }
@@ -273,8 +288,31 @@ impl SendHalf {
         if me.shutdown.load(Ordering::Relaxed) {
             return SendOutcome::Closed;
         }
-        if let Some(w) = self.peer(dst) {
-            if w.write_msg(msg, block_check).is_ok() {
+        // A destination outside the map that never dialed us is closed
+        // whatever the switchboard would say, as on the threaded runtime.
+        let outside_map = dst >= me.ep_base + me.site_addrs.len();
+        let conn = self.peer(dst);
+        if conn.is_none() && outside_map {
+            return SendOutcome::Closed;
+        }
+        let copies = match me.faults.as_ref().map(|f| f.verdict(me.id, dst)) {
+            Some(Verdict::Drop) => return SendOutcome::Sent,
+            Some(Verdict::Duplicate) => 2,
+            Some(Verdict::Forward) | None => 1,
+        };
+        // Copies written so far: a redial sends only the rest, so a
+        // connection that breaks between a duplicate's two copies still
+        // delivers at most two.
+        let mut written = 0;
+        let mut write = |w: &WriteHalf| -> std::io::Result<()> {
+            while written < copies {
+                w.write_msg(msg, block_check)?;
+                written += 1;
+            }
+            Ok(())
+        };
+        if let Some(w) = conn {
+            if write(&w).is_ok() {
                 return SendOutcome::Sent;
             }
             // Dead connection: forget it. A site destination falls through
@@ -286,13 +324,12 @@ impl SendHalf {
             // us again. Loss, not closure — its retransmission recovers.
             return SendOutcome::Sent;
         }
-        let site = dst - me.ep_base;
-        if site >= me.site_addrs.len() {
+        if outside_map {
             return SendOutcome::Closed;
         }
         // Dial refused or backing off: silent loss.
-        if let Some(w) = self.dial(site) {
-            if w.write_msg(msg, block_check).is_err() {
+        if let Some(w) = self.dial(dst - me.ep_base) {
+            if write(&w).is_err() {
                 self.forget_peer(dst, &w);
             }
         }
@@ -473,10 +510,7 @@ pub struct SocketEndpoint {
 impl SocketEndpoint {
     /// A client endpoint: dials sites, never listens, owns no thread.
     pub fn client(id: usize, ep_base: usize, site_addrs: Vec<SocketAddr>) -> SocketEndpoint {
-        let role = Role::Client {
-            conns: Mutex::new(HashMap::new()),
-        };
-        Self::build(id, ep_base, site_addrs, role, None)
+        Self::build(id, ep_base, site_addrs, None, None)
     }
 
     /// A site endpoint serving on `listener` (bind it first — typically to
@@ -487,28 +521,37 @@ impl SocketEndpoint {
         site_addrs: Vec<SocketAddr>,
         listener: TcpListener,
     ) -> SocketEndpoint {
-        let (inbox_tx, inbox_rx) = std::sync::mpsc::channel();
-        let role = Role::Site {
-            handler: RwLock::new(None),
-            inbox_tx,
-            inbox_rx: Mutex::new(inbox_rx),
-        };
-        Self::build(id, ep_base, site_addrs, role, Some(listener))
+        Self::build(id, ep_base, site_addrs, Some(listener), None)
     }
 
-    fn build(
+    /// A site endpoint serving on `listener`, or a client endpoint without
+    /// one, whose protocol sends ask `faults` first when it is given.
+    pub(crate) fn build(
         id: usize,
         ep_base: usize,
         site_addrs: Vec<SocketAddr>,
-        role: Role,
         listener: Option<TcpListener>,
+        faults: Option<Arc<FaultState>>,
     ) -> SocketEndpoint {
+        let role = if listener.is_some() {
+            let (inbox_tx, inbox_rx) = std::sync::mpsc::channel();
+            Role::Site {
+                handler: RwLock::new(None),
+                inbox_tx,
+                inbox_rx: Mutex::new(inbox_rx),
+            }
+        } else {
+            Role::Client {
+                conns: Mutex::new(HashMap::new()),
+            }
+        };
         let out = SendHalf(Arc::new(Shared {
             id,
             ep_base,
             site_addrs,
             peers: Mutex::new(HashMap::new()),
             dial_backoff: Mutex::new(HashMap::new()),
+            faults,
             shutdown: AtomicBool::new(false),
             role,
         }));
@@ -729,10 +772,121 @@ mod tests {
 
     /// The next protocol message in a site endpoint's inbox.
     fn inbox_msg(site: &SocketEndpoint) -> (usize, Msg) {
-        match site.recv_timeout(LONG).expect("a frame arrives") {
-            Inbound::Msg { src, msg, .. } => (src, msg),
-            Inbound::Ctl(_) => panic!("expected a protocol message"),
+        try_inbox(site, LONG).expect("a frame arrives")
+    }
+
+    /// The next protocol message in a site endpoint's inbox, if one comes
+    /// within `wait`.
+    fn try_inbox(site: &SocketEndpoint, wait: Duration) -> Option<(usize, Msg)> {
+        match site.recv_timeout(wait) {
+            Ok(Inbound::Msg { src, msg, .. }) => Some((src, msg)),
+            _ => None,
         }
+    }
+
+    /// [`loopback_pair`] with both endpoints asking `faults`.
+    fn faulty_pair(faults: &Arc<FaultState>) -> (SocketEndpoint, SocketEndpoint) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let f = || Some(Arc::clone(faults));
+        let site = SocketEndpoint::build(1, 1, vec![addr], Some(listener), f());
+        let client = SocketEndpoint::build(0, 1, vec![addr], None, f());
+        (client, site)
+    }
+
+    const QUIET: Duration = Duration::from_millis(200);
+
+    #[test]
+    fn a_quiet_switchboard_is_transparent_both_ways() {
+        let faults = FaultState::new(2);
+        let (client, site) = faulty_pair(&faults);
+        client.send(1, &Msg::Read { index: 3, tag: 7 });
+        assert_eq!(inbox_msg(&site), (0, Msg::Read { index: 3, tag: 7 }));
+        site.send(0, &Msg::WriteOk { tag: 7 });
+        let back = client.recv_from(1, LONG).expect("the reply arrives");
+        assert_eq!((back.src, back.msg), (1, Msg::WriteOk { tag: 7 }));
+        assert_eq!((faults.dropped(), faults.duplicated()), (0, 0));
+    }
+
+    #[test]
+    fn near_total_loss_silences_protocol_frames_and_counts_them() {
+        let faults = FaultState::new(2);
+        let (client, site) = faulty_pair(&faults);
+        faults.set_loss(999, 0xBEEF);
+        for tag in 0..20 {
+            assert_eq!(client.send(1, &Msg::Ack { tag }), SendOutcome::Sent);
+        }
+        // A survivor of 999-permille loss is possible, if unlikely.
+        let mut got = 0;
+        while try_inbox(&site, QUIET).is_some() {
+            got += 1;
+        }
+        assert!(got <= 2, "{got} frames survived 999-permille loss");
+        assert_eq!(faults.dropped(), 20 - got);
+    }
+
+    /// A destination outside the site map is closed before the switchboard
+    /// is asked: neither loss nor a partition turns it into a silent `Sent`.
+    #[test]
+    fn a_destination_outside_the_map_is_closed_under_any_fault() {
+        let faults = FaultState::new(2);
+        let (client, _site) = faulty_pair(&faults);
+        faults.set_loss(999, 0xBEEF);
+        for tag in 0..20 {
+            assert_eq!(client.send(7, &Msg::Ack { tag }), SendOutcome::Closed);
+        }
+        faults.set_partitioned(0, true);
+        assert_eq!(client.send(7, &Msg::Ack { tag: 20 }), SendOutcome::Closed);
+        assert_eq!(faults.dropped(), 0, "a closed send is not loss");
+    }
+
+    /// Each send is judged by its sender's id and its destination, so a
+    /// partition cuts the very first message: nothing needs to have
+    /// crossed before.
+    #[test]
+    fn a_partition_cuts_an_endpoint_both_ways_and_heals() {
+        let faults = FaultState::new(2);
+        let (client, site) = faulty_pair(&faults);
+        faults.set_partitioned(0, true);
+        client.send(1, &Msg::Ack { tag: 1 });
+        assert!(
+            try_inbox(&site, QUIET).is_none(),
+            "a frame crossed a partition"
+        );
+        faults.set_partitioned(0, false);
+        client.send(1, &Msg::Ack { tag: 2 });
+        assert_eq!(inbox_msg(&site), (0, Msg::Ack { tag: 2 }));
+        faults.set_partitioned(0, true);
+        site.send(0, &Msg::Ack { tag: 3 });
+        assert!(
+            client.recv_from(1, QUIET).is_none(),
+            "a reply crossed a partition"
+        );
+        faults.set_partitioned(0, false);
+        site.send(0, &Msg::Ack { tag: 4 });
+        let back = client.recv_from(1, LONG).expect("the healed link delivers");
+        assert_eq!(back.msg, Msg::Ack { tag: 4 });
+        assert_eq!(faults.dropped(), 0, "a partition is not loss");
+    }
+
+    #[test]
+    fn a_duplicate_arrives_right_behind_its_original() {
+        let faults = FaultState::new(2);
+        let (client, site) = faulty_pair(&faults);
+        faults.set_duplication(999, 0xD00D);
+        client.send(1, &Msg::Ack { tag: 9 });
+        faults.set_duplication(0, 0);
+        client.send(1, &Msg::Ack { tag: 10 });
+        let got: Vec<Msg> = (0..3).map(|_| inbox_msg(&site).1).collect();
+        assert_eq!(
+            got,
+            [
+                Msg::Ack { tag: 9 },
+                Msg::Ack { tag: 9 },
+                Msg::Ack { tag: 10 }
+            ]
+        );
+        assert_eq!(faults.duplicated(), 1);
     }
 
     #[test]

@@ -178,6 +178,36 @@ mod tests {
     use radd_storage::StorageSpec;
     use std::sync::mpsc::channel;
 
+    /// Control frames are not protocol sends: the switchboard never sees
+    /// them, so an operator reaches a site through any loss.
+    #[test]
+    fn a_ping_answers_through_near_total_loss() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let faults = radd_net::FaultState::new(2);
+        let f = Some(Arc::clone(&faults));
+        let ep = SocketEndpoint::build(1, 1, vec![addr], Some(listener), f);
+        faults.set_loss(999, 0xC0DE);
+        let cfg = SiteConfig {
+            site: 0,
+            group_size: 4,
+            rows: 12,
+            block_size: 64,
+            ep_base: 1,
+            coalesce: CoalescePolicy::Merge,
+            storage: StorageSpec::Mem,
+        };
+        let (control, rx) = channel();
+        let serving = std::thread::spawn(move || run_site(cfg, &ep, &rx));
+        let mut ctl = crate::CtlClient::connect(addr).expect("the site listens");
+        for _ in 0..5 {
+            let rep = ctl.request(CtlReq::Ping).expect("a ping answers");
+            assert_eq!(rep, CtlRep::Pong { down: false });
+        }
+        control.send(Control::Shutdown).unwrap();
+        serving.join().unwrap();
+    }
+
     /// A thread that panics holding the site lock leaves a site that is
     /// down but still answers its operator, and `KillRestart` rebuilds it
     /// from the durable store.

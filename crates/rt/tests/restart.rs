@@ -26,7 +26,7 @@ const BLOCK: usize = 128;
 /// One reserved client endpoint slot, reused across "processes".
 const EP_BASE: usize = 1;
 
-/// Spawn a bare G+2 site cluster on loopback (no fault proxies, no
+/// Spawn a bare G+2 site cluster on loopback (no fault switchboard, no
 /// harness clients) — the same wiring the standalone binaries use.
 fn spawn_sites() -> (
     Vec<SocketAddr>,

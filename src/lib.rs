@@ -47,7 +47,7 @@
 //! | [`reliability`] | MTTU/MTTF closed forms and Monte Carlo (§7.5) |
 //! | [`workload`] | access patterns, mixes, fault plans (§7.3–7.4) |
 //! | [`node`] | the threaded cluster: one OS thread per site, real messages |
-//! | [`rt`] | the socket runtime: framed TCP transport, fault proxies, binaries |
+//! | [`rt`] | the socket runtime: framed TCP transport, loopback cluster, binaries |
 //! | [`check`] | bounded exhaustive model checker over the protocol machines |
 
 #![forbid(unsafe_code)]

@@ -11,8 +11,8 @@
 //!   [`NodeCluster::start_durable`] (every site journals through a
 //!   WAL-backed `radd_storage::DiskBlocks`), and
 //! * the socket runtime, the same [`PlanDriver`] over
-//!   [`SocketCluster::start_durable`] (same engine, real TCP on loopback
-//!   behind fault proxies),
+//!   [`SocketCluster::start_durable`] (same engine, real TCP on loopback,
+//!   faults decided by each sender),
 //!
 //! with the full invariant suite (stripe parity, UID-array agreement,
 //! oracle content equality) checked after every event. Two fixed named

@@ -3,7 +3,7 @@
 //! The same fault plan is replayed on the synchronous DES interpreter
 //! (`radd_core::RaddCluster` in client mode), the threaded runtime
 //! (`radd_node::NodeCluster`) and the socket runtime
-//! (`radd_rt::SocketCluster`, real TCP on loopback behind fault proxies).
+//! (`radd_rt::SocketCluster`, real TCP on loopback, faulted at the sender).
 //! All three drive the *same* sans-IO machines from `radd-protocol`, so
 //! after the run:
 //!

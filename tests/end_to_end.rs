@@ -2,7 +2,7 @@
 //! cluster, partitions, retransmission under message loss, storage managers feeding the
 //! §3.4 comparison, and the threaded network substrate.
 
-use radd::net::{PartitionMap, ThreadedNet};
+use radd::net::{FaultState, PartitionMap, ThreadedNet};
 use radd::prelude::*;
 use std::time::Duration;
 
@@ -109,7 +109,7 @@ fn reliable_channel_gates_the_done_reply() {
 fn threaded_sites_serve_remote_reads() {
     // The crossbeam-backed network: one thread per site answering block
     // requests — real concurrency over the same substrate types.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     enum Msg {
         Read { block: u64, reply_to: usize },
         Value { block: u64, data: Vec<u8> },
@@ -118,7 +118,7 @@ fn threaded_sites_serve_remote_reads() {
     use radd::blockdev::{BlockDevice, MemDisk};
 
     let n = 4;
-    let (_control, mut endpoints) = ThreadedNet::<Msg>::new(n);
+    let (_control, mut endpoints) = ThreadedNet::<Msg>::new(n, FaultState::new(n));
     let client = endpoints.remove(0);
     let mut handles = Vec::new();
     for ep in endpoints {

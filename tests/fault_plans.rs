@@ -1,11 +1,16 @@
 //! Acceptance tests for the fault-plan engine: seed-named plans are
 //! bit-for-bit reproducible on the DES, injected corruption is reported
-//! with a replayable seed and event prefix, and the §3.3 UID-validation
-//! race is caught exactly when validation is enabled.
+//! with a replayable seed and event prefix, the §3.3 UID-validation race
+//! is caught exactly when validation is enabled, and loss, duplication and
+//! a partition together converge on both async runtimes, whose endpoints
+//! ask one fault switchboard (`radd_net::FaultState`) about every
+//! protocol message they send.
 
+use radd::net::FaultState;
 use radd::prelude::*;
 use radd::protocol::loopback::{Hook, Loopback};
 use radd::protocol::{ClientMachine, Dest, Effect, MemBlocks, Msg, SiteMachine};
+use std::sync::Arc;
 
 /// CI's primary plan seed, spelled as a name (`seed_from_name` — the
 /// string is not parseable hex, the mapping is an FNV-1a hash).
@@ -208,4 +213,60 @@ fn disabling_uid_validation_reproduces_the_stale_reconstruction_anomaly() {
     // ...but hands back bytes that were never written to A — the anomaly
     // the paper's UID machinery exists to prevent.
     assert_ne!(&got[..], &written[..], "anomaly must be observable");
+}
+
+/// A heavy loss burst (30% of protocol messages silently dropped)
+/// overlapping a partition, with one message in five sent twice for the
+/// whole plan. The sites' reply caches must absorb the duplicates, and
+/// every write must be reflected in parity once the cluster quiesces.
+/// `faults` is the switchboard `cluster`'s endpoints ask.
+fn loss_duplication_and_partition_converge<C: GroupCluster<Obs = ObsSnapshot>>(
+    runtime: &str,
+    cluster: C,
+    faults: &FaultState,
+) {
+    faults.set_duplication(200, 0xD0D0);
+    let plan = FaultPlan::loss_burst_over_partition();
+    let mut driver = PlanDriver::new(cluster);
+    let report = run_plan(&mut driver, &plan)
+        .unwrap_or_else(|f| f.panic_with_dump(&format!("{runtime}-loss-dup-partition")));
+    assert!(report.invariant_checks > 0);
+    assert!(
+        driver.cluster().all_acked(),
+        "{runtime}: an update in flight"
+    );
+    assert!(driver.oracle_len() > 0);
+    assert!(faults.dropped() > 0, "{runtime}: the burst dropped nothing");
+    assert!(faults.duplicated() > 0, "{runtime}: nothing was duplicated");
+
+    // The observability layer watched the whole scenario: every machine
+    // (client + G + 2 sites) answers, and the traffic is in its counters.
+    let snap = driver
+        .obs_snapshot()
+        .expect("the async runtimes always observe");
+    assert_eq!(snap.machines.len(), 1 + 4 + 2);
+    assert!(snap.total_flight_events() > 0, "flight rings are warm");
+    let client = snap.machine("client").expect("client snapshot");
+    assert!(client.metrics.sends_named("write") > 0);
+    let parity_updates: u64 = snap
+        .machines
+        .iter()
+        .map(|m| m.metrics.sends_named("parity_update"))
+        .sum();
+    assert!(parity_updates > 0, "{runtime}: no parity update was sent");
+    driver.shutdown();
+}
+
+#[test]
+fn loss_duplication_and_partition_converge_on_the_threaded_runtime() {
+    let cluster = NodeCluster::start(4, 12, 64);
+    let faults = Arc::clone(cluster.faults());
+    loss_duplication_and_partition_converge("node", cluster, &faults);
+}
+
+#[test]
+fn loss_duplication_and_partition_converge_on_the_socket_runtime() {
+    let cluster = SocketCluster::start(4, 12, 64);
+    let faults = Arc::clone(cluster.faults());
+    loss_duplication_and_partition_converge("socket", cluster, &faults);
 }

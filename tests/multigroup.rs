@@ -74,7 +74,7 @@ fn named_seed_multigroup_plan_survives_on_threaded_runtime() {
     });
 }
 
-/// The same seed over loopback TCP, every connection behind a fault proxy.
+/// The same seed over loopback TCP, every protocol send faulted by its sender.
 #[test]
 fn named_seed_multigroup_plan_survives_on_socket_runtime() {
     run_named_seed("socket", "radd-mg-steady", |shape| {
