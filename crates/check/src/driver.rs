@@ -1,21 +1,23 @@
-//! Replay a checker counterexample through the PR-1 fault-plan machinery.
+//! Replay a checker counterexample through the fault-plan machinery.
 //!
-//! [`ModelDriver`] implements [`FaultDriver`] over a fresh [`Model`], so a
-//! [`Counterexample`](crate::explore::Counterexample)'s plan can be
-//! re-verified with `run_plan` and shrunk with `minimize_failure` — the
-//! same minimize/replay loop every other runtime in this workspace uses.
+//! [`ModelDriver`] implements [`FaultDriver`] over a fresh [`Model`] with
+//! the checker's own [`Action`] as its event type, so a
+//! [`Counterexample`](crate::explore::Counterexample)'s plan — the very
+//! actions the explorer took — can be re-verified with `run_plan` and
+//! shrunk with `minimize_failure`, the same minimize/replay loop every
+//! other runtime in this workspace uses, with no translation either way.
 //!
-//! Index-granular events (`Deliver #3`) address *the vector at the moment
-//! of delivery*, so deleting an earlier event can shift what an index
-//! means. That is fine for greedy minimization: every candidate plan is
-//! re-executed from scratch and kept only if it still fails, so a shifted
-//! index either reproduces a genuine violation (accepted) or does not
-//! (rejected). Events that are not currently enabled are skipped as
+//! Index-granular actions (`deliver message #3`) address *the vector at
+//! the moment of delivery*, so deleting an earlier action can shift what
+//! an index means. That is fine for greedy minimization: every candidate
+//! plan is re-executed from scratch and kept only if it still fails, so a
+//! shifted index either reproduces a genuine violation (accepted) or does
+//! not (rejected). Actions that are not currently enabled are skipped as
 //! no-ops for the same reason.
 
 use crate::model::{Action, Model, ModelConfig};
 use radd_obs::ObsSnapshot;
-use radd_workload::faults::{FaultDriver, FaultEvent};
+use radd_workload::faults::FaultDriver;
 
 /// [`FaultDriver`] over the checker's model (replay/minimize mode: the
 /// per-site observability taps are on).
@@ -35,37 +37,12 @@ impl ModelDriver {
     pub fn model(&self) -> &Model {
         &self.model
     }
-
-    fn action_of(&self, event: &FaultEvent) -> Option<Action> {
-        match *event {
-            FaultEvent::StepClient { client } => Some(Action::Step { client }),
-            FaultEvent::Deliver { index } => Some(Action::Deliver { index }),
-            FaultEvent::DropMsg { index } => Some(Action::Drop { index }),
-            FaultEvent::DupMsg { index } => Some(Action::Dup { index }),
-            FaultEvent::FireTimer { site, tag } => Some(Action::Fire { site, tag }),
-            FaultEvent::Fail { site, .. } => Some(Action::Fail { site }),
-            FaultEvent::Recover { site } => Some(Action::Recover { site }),
-            FaultEvent::Isolate { site } => Some(Action::Isolate { site }),
-            FaultEvent::Heal { site } => Some(Action::Heal { site }),
-            FaultEvent::EvictReplies { site } => Some(Action::Evict { site }),
-            FaultEvent::KillRestart { site } => Some(Action::CrashRestart { site }),
-            // Cluster-granularity events have no model-level meaning.
-            FaultEvent::Write { .. }
-            | FaultEvent::Read { .. }
-            | FaultEvent::ReplaceDisk { .. }
-            | FaultEvent::RestoreSite { .. }
-            | FaultEvent::LossBurst { .. }
-            | FaultEvent::LossEnd
-            | FaultEvent::FlushParity => None,
-        }
-    }
 }
 
 impl FaultDriver for ModelDriver {
-    fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
-        let Some(action) = self.action_of(event) else {
-            return Ok(());
-        };
+    type Event = Action;
+
+    fn apply(&mut self, &action: &Action) -> Result<(), String> {
         // A minimization candidate may address a shifted or vanished
         // envelope; skipping keeps the run well-defined (see module docs).
         if !self.model.enabled_actions().contains(&action) {

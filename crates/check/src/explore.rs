@@ -21,13 +21,13 @@
 //!   bound has explored the *entire* reachable space — a fixpoint — and
 //!   the run reports `complete`.
 //!
-//! A violation surfaces as a [`Counterexample`]: the action path replayed
-//! as a [`FaultPlan`] of checker-granularity events, ready for
-//! `minimize_failure` and the [`ModelDriver`](crate::driver::ModelDriver).
+//! A violation surfaces as a [`Counterexample`]: the action path itself, as
+//! a [`FaultPlan`] of [`Action`]s, ready for `minimize_failure` and the
+//! [`ModelDriver`](crate::driver::ModelDriver), which applies them as they
+//! are.
 
 use crate::model::{Action, ActionKey, Model, ModelConfig};
-use radd_protocol::FailureKind;
-use radd_workload::faults::{FaultEvent, FaultPlan};
+use radd_workload::faults::FaultPlan;
 use std::collections::HashMap;
 
 /// What to explore and how hard.
@@ -47,9 +47,8 @@ pub struct CheckConfig {
 pub struct Counterexample {
     /// The invariant that broke.
     pub error: String,
-    /// The actions from the initial state to the violation, one
-    /// [`FaultEvent`] per [`Action`].
-    pub plan: FaultPlan,
+    /// The actions from the initial state to the violation.
+    pub plan: FaultPlan<Action>,
 }
 
 /// Outcome of one [`explore`] run.
@@ -68,32 +67,12 @@ pub struct Report {
     pub violation: Option<Counterexample>,
 }
 
-/// The checker event corresponding to one model action.
-pub fn event_of(action: Action) -> FaultEvent {
-    match action {
-        Action::Step { client } => FaultEvent::StepClient { client },
-        Action::Deliver { index } => FaultEvent::Deliver { index },
-        Action::Drop { index } => FaultEvent::DropMsg { index },
-        Action::Dup { index } => FaultEvent::DupMsg { index },
-        Action::Fire { site, tag } => FaultEvent::FireTimer { site, tag },
-        Action::Fail { site } => FaultEvent::Fail {
-            site,
-            kind: FailureKind::SiteFailure,
-        },
-        Action::Recover { site } => FaultEvent::Recover { site },
-        Action::Isolate { site } => FaultEvent::Isolate { site },
-        Action::Heal { site } => FaultEvent::Heal { site },
-        Action::Evict { site } => FaultEvent::EvictReplies { site },
-        Action::CrashRestart { site } => FaultEvent::KillRestart { site },
-    }
-}
-
 struct Ctx<'a> {
     cfg: &'a CheckConfig,
     visited: HashMap<u128, usize>,
     transitions: u64,
     cutoff: bool,
-    path: Vec<FaultEvent>,
+    path: Vec<Action>,
     violation: Option<String>,
 }
 
@@ -121,7 +100,7 @@ fn dfs(ctx: &mut Ctx<'_>, mut model: Model, remaining: usize, sleep: &[ActionKey
         let mut child = model.clone();
         child.apply(a);
         ctx.transitions += 1;
-        ctx.path.push(event_of(a));
+        ctx.path.push(a);
         if let Some(v) = child.violation() {
             ctx.violation = Some(v.to_string());
             return true;

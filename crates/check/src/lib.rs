@@ -23,9 +23,11 @@
 //! * **Linearizability** of client reads against a write oracle, and
 //!   durability of every acknowledged write at quiescence.
 //!
-//! A violation is reported as a minimal-iteration schedule and bridged to
-//! the PR-1 [`FaultPlan`] machinery — replayable, greedily minimizable,
-//! with the observability snapshot of the failing state attached.
+//! A violation is reported as a minimal-iteration schedule of [`Action`]s,
+//! a [`FaultPlan`] in the checker's own vocabulary — replayable by the
+//! [`ModelDriver`] and greedily minimizable with the workspace's one
+//! `minimize_failure`, with the observability snapshot of the failing
+//! state attached.
 //!
 //! [`SiteMachine`]: radd_protocol::SiteMachine
 //! [`ClientMachine`]: radd_protocol::ClientMachine

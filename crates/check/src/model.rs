@@ -75,6 +75,7 @@ use radd_protocol::{
 };
 use radd_workload::faults::payload;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// One scripted client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,6 +219,30 @@ pub enum Action {
         /// Site that crashes and recovers from disk.
         site: usize,
     },
+}
+
+/// One line of a counterexample, in the words the fault-plan log uses for
+/// the same step (`fail site 2`, `recover site 2`, ...).
+impl fmt::Display for Action {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Action::Step { client } => write!(f, "step client {client}"),
+            Action::Deliver { index } => write!(f, "deliver message #{index}"),
+            Action::Drop { index } => write!(f, "drop message #{index}"),
+            Action::Dup { index } => write!(f, "duplicate message #{index}"),
+            Action::Fire { site, tag } => {
+                write!(f, "fire retransmit timer {tag:#x} at site {site}")
+            }
+            Action::Fail { site } => write!(f, "fail site {site}"),
+            Action::Recover { site } => write!(f, "recover site {site}"),
+            Action::Isolate { site } => write!(f, "isolate site {site}"),
+            Action::Heal { site } => write!(f, "heal partition around site {site}"),
+            Action::Evict { site } => write!(f, "evict the reply cache of site {site}"),
+            Action::CrashRestart { site } => {
+                write!(f, "crash and restart site {site} from durable storage")
+            }
+        }
+    }
 }
 
 /// Where an in-flight message is headed.

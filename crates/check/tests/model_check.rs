@@ -14,7 +14,7 @@
 //! removes a reachable state is a test diff, not a pass.
 
 use radd_check::driver::ModelDriver;
-use radd_check::{configs, explore};
+use radd_check::{configs, explore, Action};
 use radd_workload::faults::run_plan;
 
 #[test]
@@ -96,11 +96,51 @@ fn driver_replays_healthy_schedule() {
     let mut driver = ModelDriver::new(&cfg.model);
     let plan = radd_workload::faults::FaultPlan {
         seed: 0,
-        events: vec![
-            radd_workload::faults::FaultEvent::StepClient { client: 0 },
-            radd_workload::faults::FaultEvent::StepClient { client: 1 },
-        ],
+        events: vec![Action::Step { client: 0 }, Action::Step { client: 1 }],
     };
     let report = run_plan(&mut driver, &plan).expect("healthy schedule must pass");
     assert!(report.invariant_checks > 0);
+    assert_eq!(report.event_log, ["[0] step client 0", "[1] step client 1"]);
+}
+
+/// A counterexample reads as it did when its steps were fault events:
+/// each action prints what the plan log printed for the same step, so
+/// `radd-check --mutants` and the CI logs keep their wording.
+#[test]
+fn actions_print_as_the_fault_plan_log_printed_them() {
+    use radd_workload::faults::{FailureKind, FaultEvent};
+    let site = 2;
+    let same_as_events = [
+        (
+            Action::Fail { site },
+            FaultEvent::Fail {
+                site,
+                kind: FailureKind::SiteFailure,
+            },
+        ),
+        (Action::Recover { site }, FaultEvent::Recover { site }),
+        (Action::Isolate { site }, FaultEvent::Isolate { site }),
+        (Action::Heal { site }, FaultEvent::Heal { site }),
+        (
+            Action::CrashRestart { site },
+            FaultEvent::KillRestart { site },
+        ),
+    ];
+    for (action, event) in same_as_events {
+        assert_eq!(action.to_string(), event.to_string());
+    }
+    let checker_only = [
+        (Action::Step { client: 1 }, "step client 1"),
+        (Action::Deliver { index: 3 }, "deliver message #3"),
+        (Action::Drop { index: 0 }, "drop message #0"),
+        (Action::Dup { index: 4 }, "duplicate message #4"),
+        (
+            Action::Fire { site, tag: 0x2a },
+            "fire retransmit timer 0x2a at site 2",
+        ),
+        (Action::Evict { site }, "evict the reply cache of site 2"),
+    ];
+    for (action, text) in checker_only {
+        assert_eq!(action.to_string(), text);
+    }
 }

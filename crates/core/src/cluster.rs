@@ -296,27 +296,6 @@ impl Hook<Disks> for Pricing {
     }
 }
 
-/// How the DES models each site's storage engine (§3.4).
-///
-/// The real runtimes mount `radd_storage::DiskBlocks` — a checksummed WAL
-/// in front of a block file — under each site. The DES has no files; it
-/// models the *consequences*: under [`StorageMode::Durable`], a process
-/// crash ([`RaddCluster::kill_restart_site`]) preserves the disk array and
-/// the machine's durable half (block/parity UIDs, spares, invalid rows,
-/// the UID mint) by round-tripping it through the same
-/// [`DurableSiteState`] codec the disk engine persists, while the volatile
-/// half (pending table, in-flight parity, reply cache) is lost — exactly
-/// the state split a real restart produces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StorageMode {
-    /// Volatile memory: a process crash would lose everything, so
-    /// [`RaddCluster::kill_restart_site`] refuses (returns `false`).
-    #[default]
-    Volatile,
-    /// Durable WAL-backed storage: crash/restart is survivable.
-    Durable,
-}
-
 /// What the recovery daemon did (all background work).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -342,9 +321,6 @@ pub struct RaddCluster {
     /// reused UIDs would defeat the parity site's idempotence guard.
     client: ClientMachine,
     partition: PartitionMap,
-    /// Storage engine model (§3.4): volatile by default; durable enables
-    /// [`kill_restart_site`](RaddCluster::kill_restart_site).
-    storage_mode: StorageMode,
 }
 
 impl RaddCluster {
@@ -405,14 +381,8 @@ impl RaddCluster {
             },
             states: vec![SiteState::Up; config.num_sites()],
             client,
-            storage_mode: StorageMode::default(),
             config,
         })
-    }
-
-    /// Pick the §3.4 storage engine model (see [`StorageMode`]).
-    pub fn set_storage_mode(&mut self, mode: StorageMode) {
-        self.storage_mode = mode;
     }
 
     /// The cluster's configuration.
@@ -515,24 +485,21 @@ impl RaddCluster {
         }
     }
 
-    /// Process crash + immediate restart of `site` under
-    /// [`StorageMode::Durable`]: the disk array (the block file) and the
-    /// machine's durable half survive — round-tripped through the
-    /// [`DurableSiteState`] wire codec, exactly the bytes a real
-    /// `DiskBlocks` store persists — while the volatile half (pending
-    /// table, in-flight parity updates, the at-most-once reply cache) is
-    /// lost. Each surviving row with a valid UID is priced as a background
-    /// local [`IoPurpose::LogReplay`] read: the §3.4 point that a local
-    /// WAL recovery needs "only one local read … for each block accessed".
+    /// Process crash + immediate restart of `site` (§3.4). The real
+    /// runtimes mount `radd_storage::DiskBlocks` under each site; the DES
+    /// has no files and models the consequences of a durable store: the
+    /// disk array (the block file) and the machine's durable half survive
+    /// — round-tripped through the [`DurableSiteState`] wire codec, exactly
+    /// the bytes a real `DiskBlocks` store persists — while the volatile
+    /// half (pending table, in-flight parity updates, the at-most-once
+    /// reply cache) is lost. Each surviving row with a valid UID is priced
+    /// as a background local [`IoPurpose::LogReplay`] read: the §3.4 point
+    /// that a local WAL recovery needs "only one local read … for each
+    /// block accessed".
     ///
-    /// Returns `false` (and changes nothing) under
-    /// [`StorageMode::Volatile`]. The cascade is synchronous, so no parity
-    /// update is ever in doubt at a crash (the §6 problem this runtime
-    /// does not model).
-    pub fn kill_restart_site(&mut self, site: SiteId) -> bool {
-        if self.storage_mode != StorageMode::Durable {
-            return false;
-        }
+    /// The cascade is synchronous, so no parity update is ever in doubt at
+    /// a crash (the §6 problem this runtime does not model).
+    pub fn kill_restart_site(&mut self, site: SiteId) {
         let bytes = self.machine(site).durable_snapshot().encode();
         let restored = DurableSiteState::decode(&bytes)
             .unwrap_or_else(|e| panic!("durable snapshot codec must roundtrip: {e}"));
@@ -549,7 +516,6 @@ impl RaddCluster {
         }
         let replayed = &mut self.net.hook.ledger.background;
         replayed.record_n(OpKind::LocalRead, replay_reads as u64);
-        true
     }
 
     /// Install a network partition (heal with

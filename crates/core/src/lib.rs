@@ -50,7 +50,7 @@ pub mod locks;
 pub mod sharded;
 pub mod stats;
 
-pub use cluster::{RaddCluster, RecoveryReport, StorageMode};
+pub use cluster::{RaddCluster, RecoveryReport};
 pub use config::{RaddConfig, SparePolicy};
 pub use driver::{CheckError, CheckedCluster};
 pub use error::RaddError;

@@ -95,7 +95,8 @@ impl GroupCluster for RaddCluster {
     }
 
     fn kill_restart(&mut self, member: SiteId) -> bool {
-        self.kill_restart_site(member)
+        self.kill_restart_site(member);
+        true
     }
 
     fn obs_snapshot(&mut self) -> Option<ObsSnapshot> {

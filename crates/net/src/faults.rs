@@ -2,11 +2,11 @@
 //! duplicates, decided once per protocol message by the endpoint that
 //! sends it.
 //!
-//! Both async runtimes consult one [`FaultState`]: the threaded runtime's
-//! [`ThreadedEndpoint::send`](crate::ThreadedEndpoint::send) and the socket
-//! runtime's protocol send ask it for a [`Verdict`] before they write, with
-//! their own id as the source. Handshakes and control traffic never ask,
-//! so they are never faulted. A [`Verdict::Duplicate`] goes out directly
+//! Both async runtimes consult one [`FaultState`]: the sends of the
+//! threaded runtime's [`ThreadedEndpoint`](crate::ThreadedEndpoint) and the
+//! socket runtime's protocol sends ask it for a [`Verdict`] before they
+//! write, with their own id as the source. Handshakes and control traffic
+//! never ask, so they are never faulted. A [`Verdict::Duplicate`] goes out directly
 //! behind its original on the same channel or connection, which keeps
 //! per-pair FIFO.
 //!

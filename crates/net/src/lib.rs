@@ -17,13 +17,17 @@
 //!   Retransmission over a faulty network is the protocol machines' own
 //!   stop-and-wait (`SiteMachine::all_acked` is the quiescence test),
 //!   scheduled by [`retry::RetryPolicy`].
-//! * [`threaded`] — a crossbeam-channel network for the threaded cluster
-//!   runtime (real concurrency rather than virtual time), whose sends ask
-//!   the switchboard; the socket runtime's sends ask the same type.
+//! * [`threaded`] — a crossbeam-channel network of [`Msg`]s for the
+//!   threaded cluster runtime (real concurrency rather than virtual time),
+//!   whose sends ask the switchboard; the socket runtime's sends ask the
+//!   same type. Its [`ThreadedEndpoint`] is that runtime's [`Transport`].
 //! * [`transport`] — [`Outbound`] and [`Transport`]: what the one async
-//!   interpreter (site driver, client ladder, cluster harness, fault
-//!   driver) asks of a network. The threaded and the socket runtime each
-//!   implement them for their endpoint type.
+//!   interpreter (site driver, client ladder, cluster harness) asks of a
+//!   network. The threaded and the socket runtime each implement them for
+//!   their endpoint type, with nothing between the endpoint and the
+//!   interpreter.
+//!
+//! [`Msg`]: radd_protocol::Msg
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

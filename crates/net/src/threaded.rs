@@ -1,15 +1,21 @@
-//! A real-concurrency network over crossbeam channels.
+//! A real-concurrency network over crossbeam channels: the threaded
+//! runtime's [`Transport`].
 //!
 //! The discrete-event simulator gives deterministic measurements; the
 //! threaded runtime gives real message passing for integration tests that
-//! exercise the protocol code under actual concurrency. Each site owns a
-//! [`ThreadedEndpoint`]; any endpoint can send to any site id. Every send
-//! asks the network's [`FaultState`] first, so loss, duplication and §5
-//! partitions act at the process level.
+//! exercise the protocol code under actual concurrency. Each client and
+//! site owns a [`ThreadedEndpoint`], which is the [`Outbound`] and
+//! [`Transport`] the async interpreter runs over: it knows its network's
+//! `ep_base` from [`ThreadedNet::new`], carries [`Msg`]s only, and any
+//! endpoint can send to any id. Every send asks the network's
+//! [`FaultState`] first, so loss, duplication and §5 partitions act at the
+//! process level.
 
 use crate::faults::{FaultState, Verdict};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::transport::{Outbound, Received, SendOutcome, Transport};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
+use radd_protocol::Msg;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,40 +56,10 @@ impl Wire {
     }
 }
 
-/// A message with its source address.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Inbound<M> {
-    /// Sending site.
-    pub src: usize,
-    /// Payload.
-    pub payload: M,
-}
-
-/// Errors from the threaded network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetError {
-    /// Destination id does not exist.
-    NoSuchSite(usize),
-    /// No message arrived within the timeout.
-    Timeout,
-    /// All senders disconnected (network shut down).
-    Disconnected,
-}
-
-impl std::fmt::Display for NetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetError::NoSuchSite(s) => write!(f, "no such site {s}"),
-            NetError::Timeout => write!(f, "receive timed out"),
-            NetError::Disconnected => write!(f, "network shut down"),
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
-
-struct Shared<M> {
-    senders: Vec<Sender<Inbound<M>>>,
+struct Shared {
+    senders: Vec<Sender<Received>>,
+    /// Endpoint id of site 0 (clients occupy the ids below it).
+    ep_base: usize,
     /// The switchboard every send asks first.
     faults: Arc<FaultState>,
     /// Per-message wire time in nanoseconds (0 = instant, the default).
@@ -94,22 +70,28 @@ struct Shared<M> {
 }
 
 /// Factory and control plane for a set of endpoints.
-pub struct ThreadedNet<M> {
-    shared: Arc<Shared<M>>,
+pub struct ThreadedNet {
+    shared: Arc<Shared>,
 }
 
-/// One site's handle: send to any site, receive what was sent to this one.
-pub struct ThreadedEndpoint<M> {
+/// One endpoint's handle: send to any endpoint, receive what was sent to
+/// this one. The threaded runtime's [`Transport`].
+pub struct ThreadedEndpoint {
     id: usize,
-    shared: Arc<Shared<M>>,
-    inbox: Receiver<Inbound<M>>,
+    shared: Arc<Shared>,
+    inbox: Receiver<Received>,
 }
 
-impl<M: Clone + Send + 'static> ThreadedNet<M> {
-    /// Build a fully connected network of `n` sites whose sends ask
+impl ThreadedNet {
+    /// Build a fully connected network of `n` endpoints, clients at ids
+    /// `0..ep_base` and site `j` at `ep_base + j`, whose sends ask
     /// `faults` for a verdict; returns the control handle and one endpoint
-    /// per site.
-    pub fn new(n: usize, faults: Arc<FaultState>) -> (ThreadedNet<M>, Vec<ThreadedEndpoint<M>>) {
+    /// per id.
+    pub fn new(
+        n: usize,
+        ep_base: usize,
+        faults: Arc<FaultState>,
+    ) -> (ThreadedNet, Vec<ThreadedEndpoint>) {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -119,6 +101,7 @@ impl<M: Clone + Send + 'static> ThreadedNet<M> {
         }
         let shared = Arc::new(Shared {
             senders,
+            ep_base,
             faults,
             link_latency_ns: AtomicU64::new(0),
             wires: RwLock::new(vec![None; n]),
@@ -157,32 +140,15 @@ impl<M: Clone + Send + 'static> ThreadedNet<M> {
     }
 }
 
-impl<M: Clone + Send + 'static> ThreadedEndpoint<M> {
-    /// This endpoint's site id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Send `payload` to `dst`, once, twice or not at all as the
-    /// switchboard says. A dropped message is `Ok`: loss is silent.
-    pub fn send(&self, dst: usize, payload: M) -> Result<(), NetError> {
-        let tx = self
-            .shared
-            .senders
-            .get(dst)
-            .ok_or(NetError::NoSuchSite(dst))?;
-        match self.shared.faults.verdict(self.id, dst) {
-            Verdict::Drop => Ok(()),
-            Verdict::Forward => self.transmit(tx, payload),
-            Verdict::Duplicate => {
-                self.transmit(tx, payload.clone())?;
-                self.transmit(tx, payload)
-            }
-        }
+impl ThreadedEndpoint {
+    /// The next message from any peer, waiting up to `timeout`; `None`
+    /// when nothing arrived in time.
+    pub fn recv(&self, timeout: Duration) -> Option<Received> {
+        self.inbox.recv_timeout(timeout).ok()
     }
 
     /// Occupy the wire for one message, then deliver it.
-    fn transmit(&self, tx: &Sender<Inbound<M>>, payload: M) -> Result<(), NetError> {
+    fn transmit(&self, tx: &Sender<Received>, msg: Msg) -> SendOutcome {
         let wire = self.shared.wires.read().get(self.id).cloned().flatten();
         match wire {
             Some(w) => w.transmit(),
@@ -193,19 +159,45 @@ impl<M: Clone + Send + 'static> ThreadedEndpoint<M> {
                 }
             }
         }
-        tx.send(Inbound {
-            src: self.id,
-            payload,
-        })
-        .map_err(|_| NetError::Disconnected)
+        match tx.send(Received { src: self.id, msg }) {
+            Ok(()) => SendOutcome::Sent,
+            // The destination endpoint is gone: no retry can reach it.
+            Err(_) => SendOutcome::Closed,
+        }
+    }
+}
+
+impl Outbound for ThreadedEndpoint {
+    fn id(&self) -> usize {
+        self.id
     }
 
-    /// Receive the next message, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Inbound<M>, NetError> {
-        self.inbox.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
+    fn ep_base(&self) -> usize {
+        self.shared.ep_base
+    }
+
+    /// Send `msg` to `dst`, once, twice or not at all as the switchboard
+    /// says. A dropped message is [`SendOutcome::Sent`]: loss is silent. A
+    /// destination outside the network is [`SendOutcome::Closed`].
+    fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
+        let Some(tx) = self.shared.senders.get(dst) else {
+            return SendOutcome::Closed;
+        };
+        match self.shared.faults.verdict(self.id, dst) {
+            Verdict::Drop => SendOutcome::Sent,
+            Verdict::Forward => self.transmit(tx, msg.clone()),
+            Verdict::Duplicate => match self.transmit(tx, msg.clone()) {
+                SendOutcome::Sent => self.transmit(tx, msg.clone()),
+                closed => closed,
+            },
+        }
+    }
+}
+
+impl Transport for ThreadedEndpoint {
+    /// One channel holds what every peer sent: `peer` is not consulted.
+    fn recv_from(&self, _peer: usize, timeout: Duration) -> Option<Received> {
+        self.recv(timeout)
     }
 }
 
@@ -215,34 +207,49 @@ mod tests {
     use std::thread;
     use std::time::Instant;
 
+    fn ack(tag: u64) -> Msg {
+        Msg::Ack { tag }
+    }
+
+    /// The tag of the next message `ep` receives within a second.
+    fn next_tag(ep: &ThreadedEndpoint) -> u64 {
+        ep.recv(Duration::from_secs(1))
+            .expect("a message")
+            .msg
+            .tag()
+    }
+
     #[test]
     fn point_to_point_delivery() {
-        let (_net, eps) = ThreadedNet::new(3, FaultState::new(3));
-        eps[0].send(2, "hi").unwrap();
-        let got = eps[2].recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(got.src, 0);
-        assert_eq!(got.payload, "hi");
+        let (_net, eps) = ThreadedNet::new(3, 1, FaultState::new(3));
+        assert_eq!((eps[2].id(), eps[2].ep_base()), (2, 1));
+        assert_eq!(eps[0].send(2, &ack(5)), SendOutcome::Sent);
+        let got = eps[2].recv(Duration::from_secs(1)).unwrap();
+        assert_eq!((got.src, got.msg), (0, ack(5)));
     }
 
     #[test]
     fn cross_thread_ping_pong() {
-        let (_net, mut eps) = ThreadedNet::new(2, FaultState::new(2));
+        let (_net, mut eps) = ThreadedNet::new(2, 1, FaultState::new(2));
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         let t = thread::spawn(move || {
-            let m = b.recv_timeout(Duration::from_secs(2)).unwrap();
-            b.send(m.src, m.payload + 1).unwrap();
+            let m = b.recv(Duration::from_secs(2)).unwrap();
+            b.send(m.src, &ack(m.msg.tag() + 1));
         });
-        a.send(1, 41).unwrap();
-        let reply = a.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(reply.payload, 42);
+        a.send(1, &ack(41));
+        let reply = a.recv_from(1, Duration::from_secs(2)).unwrap();
+        assert_eq!(reply.msg, ack(42));
         t.join().unwrap();
     }
 
+    /// `Closed` is final: no such endpoint, or one that is gone.
     #[test]
-    fn unknown_destination() {
-        let (_net, eps) = ThreadedNet::<u8>::new(1, FaultState::new(1));
-        assert_eq!(eps[0].send(9, 0).unwrap_err(), NetError::NoSuchSite(9));
+    fn unknown_or_dropped_destination_is_closed() {
+        let (_net, mut eps) = ThreadedNet::new(2, 1, FaultState::new(2));
+        assert_eq!(eps[0].send(9, &ack(0)), SendOutcome::Closed);
+        drop(eps.pop());
+        assert_eq!(eps[0].send(1, &ack(1)), SendOutcome::Closed);
     }
 
     const QUIET: Duration = Duration::from_millis(20);
@@ -250,30 +257,29 @@ mod tests {
     #[test]
     fn a_partitioned_site_hears_and_reaches_nobody_until_healed() {
         let faults = FaultState::new(2);
-        let (_net, eps) = ThreadedNet::new(2, Arc::clone(&faults));
+        let (_net, eps) = ThreadedNet::new(2, 1, Arc::clone(&faults));
         faults.set_partitioned(1, true);
-        eps[0].send(1, 1).unwrap(); // a partition is silent loss
-        eps[1].send(0, 2).unwrap();
-        assert_eq!(eps[1].recv_timeout(QUIET).unwrap_err(), NetError::Timeout);
-        assert_eq!(eps[0].recv_timeout(QUIET).unwrap_err(), NetError::Timeout);
+        // A partition is silent loss.
+        assert_eq!(eps[0].send(1, &ack(1)), SendOutcome::Sent);
+        assert_eq!(eps[1].send(0, &ack(2)), SendOutcome::Sent);
+        assert!(eps[1].recv(QUIET).is_none());
+        assert!(eps[0].recv(QUIET).is_none());
         faults.set_partitioned(1, false);
-        eps[0].send(1, 3).unwrap();
-        assert_eq!(
-            eps[1].recv_timeout(Duration::from_secs(1)).unwrap().payload,
-            3
-        );
+        eps[0].send(1, &ack(3));
+        assert_eq!(next_tag(&eps[1]), 3);
     }
 
     #[test]
     fn loss_drops_a_fraction_silently() {
         let faults = FaultState::new(2);
-        let (_net, eps) = ThreadedNet::<u32>::new(2, Arc::clone(&faults));
+        let (_net, eps) = ThreadedNet::new(2, 1, Arc::clone(&faults));
         faults.set_loss(400, 0xFEED);
-        for i in 0..1000 {
-            eps[0].send(1, i).unwrap(); // loss is invisible to the sender
+        for tag in 0..1000 {
+            // Loss is invisible to the sender.
+            assert_eq!(eps[0].send(1, &ack(tag)), SendOutcome::Sent);
         }
         let mut got = 0;
-        while eps[1].recv_timeout(QUIET).is_ok() {
+        while eps[1].recv(QUIET).is_some() {
             got += 1;
         }
         let dropped = faults.dropped();
@@ -284,35 +290,30 @@ mod tests {
         );
         // Turning loss off restores perfect delivery.
         faults.set_loss(0, 0);
-        eps[0].send(1, 7).unwrap();
-        assert_eq!(
-            eps[1].recv_timeout(Duration::from_secs(1)).unwrap().payload,
-            7
-        );
+        eps[0].send(1, &ack(7));
+        assert_eq!(next_tag(&eps[1]), 7);
     }
 
     #[test]
     fn a_duplicate_arrives_right_behind_its_original() {
         let faults = FaultState::new(2);
-        let (_net, eps) = ThreadedNet::<u32>::new(2, Arc::clone(&faults));
+        let (_net, eps) = ThreadedNet::new(2, 1, Arc::clone(&faults));
         faults.set_duplication(999, 0xD00D);
-        eps[0].send(1, 7).unwrap();
+        eps[0].send(1, &ack(7));
         faults.set_duplication(0, 0);
-        eps[0].send(1, 8).unwrap();
-        let got: Vec<u32> = (0..3)
-            .map(|_| eps[1].recv_timeout(Duration::from_secs(1)).unwrap().payload)
-            .collect();
+        eps[0].send(1, &ack(8));
+        let got: Vec<u64> = (0..3).map(|_| next_tag(&eps[1])).collect();
         assert_eq!(got, [7, 7, 8]);
         assert_eq!(faults.duplicated(), 1);
     }
 
     #[test]
     fn link_latency_occupies_the_sender() {
-        let (net, eps) = ThreadedNet::<u8>::new(2, FaultState::new(2));
+        let (net, eps) = ThreadedNet::new(2, 1, FaultState::new(2));
         net.set_link_latency(Duration::from_millis(5));
         let t0 = Instant::now();
         for _ in 0..4 {
-            eps[0].send(1, 0).unwrap();
+            eps[0].send(1, &ack(0));
         }
         assert!(
             t0.elapsed() >= Duration::from_millis(20),
@@ -320,11 +321,11 @@ mod tests {
         );
         // Delivery itself is unaffected.
         for _ in 0..4 {
-            assert!(eps[1].recv_timeout(Duration::from_secs(1)).is_ok());
+            assert!(eps[1].recv(Duration::from_secs(1)).is_some());
         }
         net.set_link_latency(Duration::ZERO);
         let t1 = Instant::now();
-        eps[0].send(1, 0).unwrap();
+        eps[0].send(1, &ack(0));
         assert!(t1.elapsed() < Duration::from_millis(5), "latency off again");
     }
 
@@ -332,8 +333,8 @@ mod tests {
     fn shared_wire_serializes_across_nets() {
         // Two independent nets whose endpoint 0s share one wire: their
         // sends serialize, while an unwired endpoint stays instant.
-        let (net_a, mut eps_a) = ThreadedNet::<u8>::new(2, FaultState::new(2));
-        let (net_b, mut eps_b) = ThreadedNet::<u8>::new(2, FaultState::new(2));
+        let (net_a, mut eps_a) = ThreadedNet::new(2, 1, FaultState::new(2));
+        let (net_b, mut eps_b) = ThreadedNet::new(2, 1, FaultState::new(2));
         let wire = Wire::new(Duration::from_millis(5));
         net_a.set_wire(0, Some(Arc::clone(&wire)));
         net_b.set_wire(0, Some(Arc::clone(&wire)));
@@ -344,13 +345,13 @@ mod tests {
         let (ep_a0, ep_b0) = thread::scope(|s| {
             let ta = s.spawn(move || {
                 for _ in 0..3 {
-                    ep_a0.send(1, 0).unwrap();
+                    ep_a0.send(1, &ack(0));
                 }
                 ep_a0
             });
             let tb = s.spawn(move || {
                 for _ in 0..3 {
-                    ep_b0.send(1, 0).unwrap();
+                    ep_b0.send(1, &ack(0));
                 }
                 ep_b0
             });
@@ -363,21 +364,19 @@ mod tests {
         );
         // The unwired endpoint is not slowed by the wire (global latency 0).
         let t1 = Instant::now();
-        ep_a1.send(0, 0).unwrap();
+        ep_a1.send(0, &ack(0));
         assert!(t1.elapsed() < Duration::from_millis(5));
         // Detaching restores instant sends.
         net_a.set_wire(0, None);
         let t2 = Instant::now();
-        ep_a0.send(1, 0).unwrap();
+        ep_a0.send(1, &ack(0));
         assert!(t2.elapsed() < Duration::from_millis(5));
     }
 
     #[test]
     fn timeout_when_idle() {
-        let (_net, eps) = ThreadedNet::<u8>::new(1, FaultState::new(1));
-        assert_eq!(
-            eps[0].recv_timeout(Duration::from_millis(20)).unwrap_err(),
-            NetError::Timeout
-        );
+        let (_net, eps) = ThreadedNet::new(1, 0, FaultState::new(1));
+        assert!(eps[0].recv(Duration::from_millis(20)).is_none());
+        assert!(eps[0].recv_from(0, Duration::from_millis(20)).is_none());
     }
 }

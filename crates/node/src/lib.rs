@@ -15,11 +15,13 @@
 //! fault-plan replayer is not among them: it is
 //! `radd_workload::faults::PlanDriver`, generic over the contract the
 //! harness implements (`radd_protocol::GroupCluster`), and
-//! [`ThreadedDriver`] is its alias over this runtime's cluster. What this crate adds for the threaded runtime is
-//! small: [`ThreadedTransport`] (a [`radd_net::ThreadedEndpoint`] that
-//! knows its `ep_base`), [`run_site`] (the pull loop that feeds a site's
-//! channel to its driver), the [`ClusterNet`](harness::ClusterNet) wiring
-//! for [`ThreadedNet`], modelled wire time
+//! [`ThreadedDriver`] is its alias over this runtime's cluster. The
+//! endpoint needs no adapter either: [`radd_net::ThreadedEndpoint`] is
+//! itself the [`radd_net::Transport`] the interpreter runs over. What this
+//! crate adds for the threaded runtime is small: [`run_site`] (the pull
+//! loop that feeds a site's channel to its driver), the
+//! [`ClusterNet`](harness::ClusterNet) wiring for [`ThreadedNet`],
+//! modelled wire time
 //! ([`NodeCluster::set_link_latency`], [`NodeCluster::set_site_wire`]),
 //! and what only a [`sharded`] cluster of this runtime can do. (The
 //! sharded cluster itself is `radd_protocol::Router` over
@@ -72,49 +74,10 @@ pub mod site;
 pub use radd_protocol::{Msg, PoolRebuildReport};
 pub use sharded::{ShardedNodeCluster, ShardedNodeExt};
 
-use radd_net::{
-    FaultState, Outbound, Received, SendOutcome, ThreadedEndpoint, ThreadedNet, Transport,
-};
+use radd_net::{FaultState, ThreadedEndpoint, ThreadedNet};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A [`ThreadedEndpoint`] plus the one thing [`Transport`] asks that a
-/// channel network does not know: where the site ids start.
-pub struct ThreadedTransport {
-    ep: ThreadedEndpoint<Msg>,
-    ep_base: usize,
-}
-
-impl Outbound for ThreadedTransport {
-    fn id(&self) -> usize {
-        self.ep.id()
-    }
-
-    fn ep_base(&self) -> usize {
-        self.ep_base
-    }
-
-    fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
-        // A send fails only when no retry can succeed: no such site, or
-        // the network is shut down.
-        match self.ep.send(dst, msg.clone()) {
-            Ok(()) => SendOutcome::Sent,
-            Err(_) => SendOutcome::Closed,
-        }
-    }
-}
-
-impl Transport for ThreadedTransport {
-    /// One channel holds what every peer sent: `peer` is not consulted.
-    fn recv_from(&self, _peer: usize, timeout: Duration) -> Option<Received> {
-        let m = self.ep.recv_timeout(timeout).ok()?;
-        Some(Received {
-            src: m.src,
-            msg: m.payload,
-        })
-    }
-}
 
 /// Run one site on `ep` until shutdown (by [`site::Control::Shutdown`] or
 /// the control channel disconnecting): the threaded runtime's pull loop
@@ -124,7 +87,7 @@ impl Transport for ThreadedTransport {
 /// already wakes this thread directly, so there is no hand-off to remove
 /// here (the socket runtime, whose reader threads call `deliver`
 /// themselves, is `radd_rt::server::run_site`).
-pub fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receiver<site::Control>) {
+pub fn run_site(cfg: site::SiteConfig, ep: &ThreadedEndpoint, control: &Receiver<site::Control>) {
     // Start-up has no earlier state to fall back on: fail loudly.
     let site = cfg.site;
     let mut st = site::SiteDriver::open(cfg).unwrap_or_else(|e| panic!("site {site}: {e}"));
@@ -141,47 +104,36 @@ pub fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receive
             }
         }
         st.fire_due_timers(ep);
-        if let Ok(m) = ep.ep.recv_timeout(Duration::from_millis(20)) {
-            st.deliver(ep, m.src, m.payload, None);
+        if let Some(m) = ep.recv(Duration::from_millis(20)) {
+            st.deliver(ep, m.src, m.msg, None);
         }
     }
 }
 
-impl harness::ClusterNet for ThreadedNet<Msg> {
-    type Ep = ThreadedTransport;
+impl harness::ClusterNet for ThreadedNet {
+    type Ep = ThreadedEndpoint;
 
     fn wire(
         clients: usize,
         sites: usize,
         faults: &Arc<FaultState>,
-    ) -> (
-        ThreadedNet<Msg>,
-        Vec<ThreadedTransport>,
-        Vec<ThreadedTransport>,
-    ) {
-        let (net, endpoints) = ThreadedNet::new(clients + sites, Arc::clone(faults));
-        let mut client_eps: Vec<ThreadedTransport> = endpoints
-            .into_iter()
-            .map(|ep| ThreadedTransport {
-                ep,
-                ep_base: clients,
-            })
-            .collect();
+    ) -> (ThreadedNet, Vec<ThreadedEndpoint>, Vec<ThreadedEndpoint>) {
+        let (net, mut client_eps) = ThreadedNet::new(clients + sites, clients, Arc::clone(faults));
         let site_eps = client_eps.split_off(clients);
         (net, client_eps, site_eps)
     }
 
-    fn run_site(cfg: site::SiteConfig, ep: &ThreadedTransport, control: &Receiver<site::Control>) {
+    fn run_site(cfg: site::SiteConfig, ep: &ThreadedEndpoint, control: &Receiver<site::Control>) {
         run_site(cfg, ep, control);
     }
 }
 
 /// The cluster client over in-process channels.
-pub type NodeClient = client::Client<ThreadedTransport>;
+pub type NodeClient = client::Client<ThreadedEndpoint>;
 
 /// A running threaded cluster: `G + 2` site threads plus a client handle.
 /// See [`harness::Cluster`] for the control surface.
-pub type NodeCluster = harness::Cluster<ThreadedNet<Msg>>;
+pub type NodeCluster = harness::Cluster<ThreadedNet>;
 
 /// Drives a [`NodeCluster`] from a fault plan: the one replayer,
 /// [`radd_workload::faults::PlanDriver`], over this runtime's cluster

@@ -660,7 +660,11 @@ impl FrameDecoder {
         self.buf.capacity() + self.block.as_ref().map_or(0, Vec::capacity)
     }
 
-    /// Append newly received bytes.
+    /// Append bytes the caller already holds. Nothing in the workspace
+    /// calls it: the endpoints, and the tests of every split, give the
+    /// decoder its bytes by [`read_from`](FrameDecoder::read_from). The
+    /// standalone `benchmark/` package's per-layer timings still do, so it
+    /// stays until that package changes.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.truncate(self.filled);
         self.buf.extend_from_slice(bytes);
@@ -896,6 +900,33 @@ pub fn read_frame(
 mod tests {
     use super::*;
 
+    /// A socket with a read timeout whose peer wrote `wire` one byte at a
+    /// time: a read gets one byte, and before each there is nothing yet.
+    struct ByteByByte<'a> {
+        wire: &'a [u8],
+        dry: bool,
+    }
+
+    impl Read for ByteByByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.dry = !self.dry;
+            if self.dry && !self.wire.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.wire.len()).min(1);
+            buf[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            Ok(n)
+        }
+    }
+
+    /// A decoder that has read all of `wire` off a socket.
+    fn read_whole(mut wire: &[u8]) -> FrameDecoder {
+        let mut dec = FrameDecoder::new();
+        while dec.read_from(&mut wire).expect("a slice reads") > 0 {}
+        dec
+    }
+
     #[test]
     fn frames_roundtrip_through_the_decoder() {
         let frames = vec![
@@ -925,13 +956,21 @@ mod tests {
         for f in &frames {
             write_frame(&mut wire, f).unwrap();
         }
-        // Feed one byte at a time: worst-case splitting.
+        // One byte a read: worst-case splitting.
+        let mut socket = ByteByByte {
+            wire: &wire,
+            dry: false,
+        };
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
-        for b in &wire {
-            dec.feed(std::slice::from_ref(b));
+        loop {
             while let Some(f) = dec.next_frame().unwrap() {
                 got.push(f);
+            }
+            match dec.read_from(&mut socket) {
+                Ok(0) => break,
+                Ok(n) => assert_eq!(n, 1),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
             }
         }
         assert_eq!(got, frames);
@@ -939,11 +978,10 @@ mod tests {
 
     #[test]
     fn oversized_prefix_is_rejected_before_buffering() {
-        let mut dec = FrameDecoder::new();
         let mut head = vec![];
         head.extend_from_slice(&(u32::MAX).to_le_bytes());
         head.extend_from_slice(&[0; FRAME_HEADER - 4]);
-        dec.feed(&head);
+        let mut dec = read_whole(&head);
         assert!(matches!(
             dec.next_frame(),
             Err(FrameError::Oversized { .. })
@@ -956,9 +994,7 @@ mod tests {
         write_frame(&mut wire, &Frame::Hello { id: 7 }).unwrap();
         let last = wire.len() - 1;
         wire[last] ^= 0xFF;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
-        assert_eq!(dec.next_frame(), Err(FrameError::BadChecksum));
+        assert_eq!(read_whole(&wire).next_frame(), Err(FrameError::BadChecksum));
     }
 
     /// Takes at most `step` bytes a call, and is interrupted before each.
@@ -1064,10 +1100,8 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &Frame::Hello { id: 3 }).unwrap();
         wire[FRAME_HEADER + 1] = WIRE_VERSION + 1;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
         assert_eq!(
-            dec.next_frame(),
+            read_whole(&wire).next_frame(),
             Err(FrameError::WireVersion {
                 theirs: WIRE_VERSION + 1
             })

@@ -24,15 +24,17 @@
 //!   the client's ladder instead of collapsing it. One thread drives a
 //!   client endpoint: a receive holds the connection table while it
 //!   blocks.
-//! * A **site** endpoint ([`SocketEndpoint::site`]) has one reader thread
-//!   per connection, accepted or dialed, and that thread calls the site's
-//!   handler (`SocketEndpoint::attach`, called by `server::run_site`) with each
-//!   frame it decodes, under a read lock that the attach itself takes for
-//!   writing. Until a handler is attached, frames queue in an inbox
-//!   ([`SocketEndpoint::recv_timeout`]); attaching drains that inbox
-//!   through the handler *before* the handler is published, under the
-//!   lock every reader dispatches under, so no frame overtakes an earlier
-//!   frame of its own connection.
+//! * A **site** endpoint ([`SocketEndpoint::site`]) has one receive path:
+//!   one reader thread per connection, accepted or dialed, calls the
+//!   site's handler (`SocketEndpoint::attach`, called by
+//!   `server::run_site`) with each frame it decodes, in the connection's
+//!   order. The endpoint starts accepting in `attach`; until then the
+//!   listen backlog and the socket buffers hold whatever peers send, so
+//!   nothing needs queueing on this side and no frame can overtake an
+//!   earlier frame of its own connection. A frame decoded while no
+//!   handler is attached (after `detach`, or on a connection the site
+//!   dialed before attaching, which `run_site` never does) is dropped:
+//!   silent loss.
 //!
 //! Connection management:
 //!
@@ -76,10 +78,9 @@ use radd_protocol::Msg;
 
 pub use radd_net::SendOutcome;
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -95,14 +96,17 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 /// writing to the other with both buffers full.
 pub const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Redial backoff after a failed dial: quick first retry, 640 ms ceiling.
-/// (The schedule is the site retransmit policy — dial failures and lost
-/// messages are absorbed by the same machinery.)
-const DIAL_RETRY: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
+/// Backoff after a failed dial or accept: quick first retry, 640 ms
+/// ceiling. (The schedule is the site retransmit policy — dial failures
+/// and lost messages are absorbed by the same machinery.)
+const BACKOFF: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
 
 /// Reader threads poll their stream at this granularity so shutdown flags
 /// are observed promptly.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// How often an idle listener is polled for a new connection.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// A wire control request, as a site endpoint delivers it. Answer by
 /// writing a `CtlRep` frame to `reply`.
@@ -116,8 +120,7 @@ pub struct CtlItem {
     pub reply: WriteHalf,
 }
 
-/// What a site endpoint's connections deliver, to the attached handler or
-/// (before one is attached) to the inbox.
+/// What a site endpoint's connections deliver to its attached handler.
 #[derive(Debug)]
 pub enum Inbound {
     /// A protocol message from endpoint `src`.
@@ -219,11 +222,11 @@ enum Role {
         conns: Mutex<HashMap<usize, ClientConn>>,
     },
     /// A reader thread per connection does, and hands each item to
-    /// `handler` — or to the inbox while there is none.
+    /// `handler`. `listener` waits here, unpolled, until the first
+    /// [`SocketEndpoint::attach`] starts accepting on it.
     Site {
         handler: RwLock<Option<Handler>>,
-        inbox_tx: Sender<Inbound>,
-        inbox_rx: Mutex<Receiver<Inbound>>,
+        listener: Mutex<Option<TcpListener>>,
     },
 }
 
@@ -242,8 +245,8 @@ struct Shared {
 }
 
 /// Recover a guard whatever a panicking holder did. Sound for the tables
-/// here: holders only perform infallible `HashMap` insert/remove/get (or a
-/// channel receive) under the lock, so a panic elsewhere in a holding
+/// here: holders only perform infallible `HashMap` insert/remove/get (or
+/// an `Option::take`) under the lock, so a panic elsewhere in a holding
 /// thread cannot leave one half-updated, and recovering keeps one
 /// panicking reader thread from cascading into every other connection.
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -383,42 +386,31 @@ impl SendHalf {
                         };
                         locked(conns).insert(dst, conn);
                     }
-                    Role::Site { .. } => {
-                        let out = self.clone();
-                        let write = write.clone();
-                        std::thread::spawn(move || reader_loop(stream, &write, Some(dst), &out));
-                    }
+                    Role::Site { .. } => spawn_reader(stream, write.clone(), Some(dst), self),
                 }
                 Some(write)
             }
             Err(_) => {
                 let mut backoff = locked(&me.dial_backoff);
                 let step = backoff.get(&site).map_or(0, |&(_, s)| s.saturating_add(1));
-                backoff.insert(site, (Instant::now() + DIAL_RETRY.delay(step), step));
+                backoff.insert(site, (Instant::now() + BACKOFF.delay(step), step));
                 None
             }
         }
     }
 
-    /// Hand `item` to the attached handler, on this (reader) thread, or
-    /// queue it while there is none. The read lock is held across the
-    /// handler so that [`SocketEndpoint::attach`], which writes, cannot
-    /// publish a handler between a reader queueing one frame and
-    /// dispatching the next.
+    /// Hand `item` to the attached handler, on this (reader) thread. The
+    /// read lock is held across the handler, so that once
+    /// [`SocketEndpoint::detach`] returns no reader is inside it. With no
+    /// handler attached the item is dropped: loss, as for any frame that
+    /// reaches a site that has stopped serving.
     fn dispatch(&self, item: Inbound) {
-        let Role::Site {
-            handler, inbox_tx, ..
-        } = &self.0.role
-        else {
+        let Role::Site { handler, .. } = &self.0.role else {
             return;
         };
-        // Only `attach` writes, so poison means a handler panicked while
-        // draining; the slot itself is whole either way.
-        match &*handler.read().unwrap_or_else(PoisonError::into_inner) {
-            Some(handle) => handle(self, item),
-            None => {
-                let _ = inbox_tx.send(item);
-            }
+        // Writers only swap the slot, so it is whole even if poisoned.
+        if let Some(handle) = &*handler.read().unwrap_or_else(PoisonError::into_inner) {
+            handle(self, item);
         }
     }
 
@@ -477,11 +469,7 @@ impl SendHalf {
             match conn.dec.read_from(&mut conn.read) {
                 Ok(0) => break, // peer closed
                 Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) => {}
+                Err(e) if benign(&e) => {}
                 Err(_) => break,
             }
         }
@@ -501,10 +489,24 @@ fn tune(stream: &TcpStream) {
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 }
 
+/// Whether an I/O error leaves its socket usable, so that the loop that
+/// met it goes on: a read that timed out (a poll, or a wait's window), a
+/// call a signal interrupted, a listener with nothing to accept yet. The
+/// one classification the accept loop, a site's readers and a client's
+/// wait share.
+fn benign(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+    )
+}
+
 /// One process's socket identity. See the module docs.
 pub struct SocketEndpoint {
     out: SendHalf,
-    accept_thread: Option<JoinHandle<()>>,
+    /// A site's accept thread, once [`attach`](SocketEndpoint::attach)
+    /// has started it.
+    accept_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl SocketEndpoint {
@@ -534,11 +536,9 @@ impl SocketEndpoint {
         faults: Option<Arc<FaultState>>,
     ) -> SocketEndpoint {
         let role = if listener.is_some() {
-            let (inbox_tx, inbox_rx) = std::sync::mpsc::channel();
             Role::Site {
                 handler: RwLock::new(None),
-                inbox_tx,
-                inbox_rx: Mutex::new(inbox_rx),
+                listener: Mutex::new(listener),
             }
         } else {
             Role::Client {
@@ -555,19 +555,10 @@ impl SocketEndpoint {
             shutdown: AtomicBool::new(false),
             role,
         }));
-        let accept_thread = listener.and_then(|l| {
-            // A listener that cannot be polled would never observe the
-            // shutdown flag; running deaf (peers' dials fail and back
-            // off — silent loss, which the retransmission layer absorbs)
-            // beats panicking a site that may still hold durable state.
-            if let Err(e) = l.set_nonblocking(true) {
-                eprintln!("radd-rt: cannot poll listener ({e}); serving without accepts");
-                return None;
-            }
-            let out = out.clone();
-            Some(std::thread::spawn(move || accept_loop(&l, &out)))
-        });
-        SocketEndpoint { out, accept_thread }
+        SocketEndpoint {
+            out,
+            accept_thread: Mutex::new(None),
+        }
     }
 
     /// The sending half, as reader threads and a site's handler hold it.
@@ -575,42 +566,40 @@ impl SocketEndpoint {
         &self.out
     }
 
-    /// A site endpoint's inbox: the next item that arrived while no handler
-    /// was attached, waiting up to `timeout`. (A client endpoint has no
-    /// inbox: [`Transport::recv_from`] names the peer to read.)
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Inbound, RecvTimeoutError> {
-        match &self.out.0.role {
-            Role::Site { inbox_rx, .. } => locked(inbox_rx).recv_timeout(timeout),
-            Role::Client { .. } => Err(RecvTimeoutError::Disconnected),
-        }
-    }
-
     /// Route everything this site endpoint's connections deliver to
     /// `handler`, from now on and on the reader thread that decoded it.
-    /// What queued in the inbox until now goes through `handler` first, on
-    /// this thread and before any reader can see the handler: per-peer
-    /// FIFO survives the hand-over. Replaces an earlier handler. No-op on
-    /// a client endpoint, which has no readers.
+    /// The first attach starts accepting: what peers sent before it waits
+    /// in the listen backlog and their socket buffers, and reaches the
+    /// handler in each connection's order. Replaces an earlier handler.
+    /// No-op on a client endpoint, which has no readers.
     pub(crate) fn attach(&self, handler: Handler) {
         let Role::Site {
             handler: slot,
-            inbox_rx,
-            ..
+            listener,
         } = &self.out.0.role
         else {
             return;
         };
-        let mut slot = slot.write().unwrap_or_else(PoisonError::into_inner);
-        let inbox = locked(inbox_rx);
-        while let Ok(item) = inbox.try_recv() {
-            handler(&self.out, item);
+        *slot.write().unwrap_or_else(PoisonError::into_inner) = Some(handler);
+        let Some(l) = locked(listener).take() else {
+            return;
+        };
+        // A listener that cannot be polled would never observe the
+        // shutdown flag; running deaf (peers' dials fail and back off —
+        // silent loss, which the retransmission layer absorbs) beats
+        // panicking a site that may still hold durable state.
+        if let Err(e) = l.set_nonblocking(true) {
+            eprintln!("radd-rt: cannot poll listener ({e}); serving without accepts");
+            return;
         }
-        *slot = Some(handler);
+        let out = self.out.clone();
+        let accept = move || l.accept().map(|(stream, _)| stream);
+        *locked(&self.accept_thread) = Some(std::thread::spawn(move || accept_loop(accept, &out)));
     }
 
     /// Undo [`attach`](SocketEndpoint::attach) and drop the handler: later
-    /// frames queue in the inbox again. Returns once no reader thread is
-    /// inside the handler.
+    /// frames are dropped. Returns once no reader thread is inside the
+    /// handler.
     pub(crate) fn detach(&self) {
         if let Role::Site { handler, .. } = &self.out.0.role {
             *handler.write().unwrap_or_else(PoisonError::into_inner) = None;
@@ -621,7 +610,7 @@ impl SocketEndpoint {
     /// connections die as their reads next time out.
     pub fn shutdown(&mut self) {
         self.out.0.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept_thread.take() {
+        if let Some(h) = locked(&self.accept_thread).take() {
             let _ = h.join();
         }
     }
@@ -647,18 +636,15 @@ impl Outbound for SocketEndpoint {
 }
 
 impl Transport for SocketEndpoint {
-    /// A client reads `peer`'s connection on the calling thread. A site
-    /// endpoint has one inbox for all peers and takes its next item
-    /// (nothing arrives there once a handler is attached; a control
-    /// request found there is not a message and ends the wait).
+    /// A client reads `peer`'s connection on the calling thread. What
+    /// reaches a site endpoint goes to its handler only, so a site's wait
+    /// lasts its window and finds nothing.
     fn recv_from(&self, peer: usize, timeout: Duration) -> Option<Received> {
-        match &self.out.0.role {
-            Role::Client { conns } => self.out.read_peer(conns, peer, timeout),
-            Role::Site { .. } => match self.recv_timeout(timeout) {
-                Ok(Inbound::Msg { src, msg, .. }) => Some(Received { src, msg }),
-                _ => None,
-            },
-        }
+        let Role::Client { conns } = &self.out.0.role else {
+            std::thread::sleep(timeout);
+            return None;
+        };
+        self.out.read_peer(conns, peer, timeout)
     }
 }
 
@@ -668,24 +654,36 @@ impl Drop for SocketEndpoint {
     }
 }
 
-/// Accept loop: non-blocking polls so the shutdown flag is honoured.
-fn accept_loop(listener: &TcpListener, out: &SendHalf) {
+/// Accept loop: non-blocking polls of `accept` so the shutdown flag is
+/// honoured. Only shutdown ends it: any other error (a handshake aborted
+/// before we took it, a full descriptor table) leaves the listener whole,
+/// so it backs off and accepts on.
+fn accept_loop(mut accept: impl FnMut() -> std::io::Result<TcpStream>, out: &SendHalf) {
+    let mut failures = 0;
     while !out.0.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match accept() {
+            Ok(stream) => {
+                failures = 0;
                 tune(&stream);
-                let Ok(write) = stream.try_clone().map(WriteHalf::new) else {
-                    continue;
-                };
-                let out = out.clone();
-                std::thread::spawn(move || reader_loop(stream, &write, None, &out));
+                if let Ok(write) = stream.try_clone().map(WriteHalf::new) {
+                    spawn_reader(stream, write, None, out);
+                }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+            Err(e) if benign(&e) => std::thread::sleep(ACCEPT_POLL),
+            Err(e) => {
+                eprintln!("radd-rt: accept failed ({e}); backing off");
+                std::thread::sleep(BACKOFF.delay(failures));
+                failures = failures.saturating_add(1);
             }
-            Err(_) => break,
         }
     }
+}
+
+/// Start a site's reader of one connection on a thread of its own.
+fn spawn_reader(stream: TcpStream, write: WriteHalf, peer_id: Option<usize>, out: &SendHalf) {
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let out = out.clone();
+    std::thread::spawn(move || reader_loop(stream, &write, peer_id, &out));
 }
 
 /// A site's reader of one connection: decode each frame and run it to
@@ -693,9 +691,7 @@ fn accept_loop(listener: &TcpListener, out: &SendHalf) {
 /// `peer_id` is known for dialed connections; accepted ones learn it from
 /// the leading [`Frame::Hello`] and then register `write`, their write
 /// half, so replies can route back.
-fn reader_loop(stream: TcpStream, write: &WriteHalf, peer_id: Option<usize>, out: &SendHalf) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut reader = stream;
+fn reader_loop(mut reader: impl Read, write: &WriteHalf, peer_id: Option<usize>, out: &SendHalf) {
     let mut dec = FrameDecoder::new();
     let mut peer_id = peer_id;
     loop {
@@ -748,7 +744,7 @@ fn reader_loop(stream: TcpStream, write: &WriteHalf, peer_id: Option<usize>, out
         match dec.read_from(&mut reader) {
             Ok(0) => return, // peer closed
             Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) if benign(&e) => {}
             Err(_) => return,
         }
     }
@@ -761,8 +757,36 @@ mod tests {
 
     const LONG: Duration = Duration::from_secs(5);
 
-    fn loopback_pair() -> (SocketEndpoint, SocketEndpoint) {
-        // One "site" (ep 1) and one "client" (ep 0).
+    /// What a site endpoint's handler was given, `(src, msg)` per
+    /// protocol message.
+    type Heard = mpsc::Receiver<(usize, Msg)>;
+
+    /// Attach a handler to `site` that passes each protocol message on.
+    fn listen(site: &SocketEndpoint) -> Heard {
+        let (tx, rx) = mpsc::channel();
+        let tx = Mutex::new(tx);
+        site.attach(Box::new(move |_, item| {
+            if let Inbound::Msg { src, msg, .. } = item {
+                let _ = locked(&tx).send((src, msg));
+            }
+        }));
+        rx
+    }
+
+    /// The next protocol message a site's handler is given.
+    fn hear(site: &Heard) -> (usize, Msg) {
+        site.recv_timeout(LONG).expect("a frame arrives")
+    }
+
+    /// One "site" (ep 1), serving, and one "client" (ep 0).
+    fn loopback_pair() -> (SocketEndpoint, SocketEndpoint, Heard) {
+        let (client, site) = unattached_pair();
+        let heard = listen(&site);
+        (client, site, heard)
+    }
+
+    /// [`loopback_pair`] before the site attaches a handler.
+    fn unattached_pair() -> (SocketEndpoint, SocketEndpoint) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let site = SocketEndpoint::site(1, 1, vec![addr], listener);
@@ -770,28 +794,15 @@ mod tests {
         (client, site)
     }
 
-    /// The next protocol message in a site endpoint's inbox.
-    fn inbox_msg(site: &SocketEndpoint) -> (usize, Msg) {
-        try_inbox(site, LONG).expect("a frame arrives")
-    }
-
-    /// The next protocol message in a site endpoint's inbox, if one comes
-    /// within `wait`.
-    fn try_inbox(site: &SocketEndpoint, wait: Duration) -> Option<(usize, Msg)> {
-        match site.recv_timeout(wait) {
-            Ok(Inbound::Msg { src, msg, .. }) => Some((src, msg)),
-            _ => None,
-        }
-    }
-
     /// [`loopback_pair`] with both endpoints asking `faults`.
-    fn faulty_pair(faults: &Arc<FaultState>) -> (SocketEndpoint, SocketEndpoint) {
+    fn faulty_pair(faults: &Arc<FaultState>) -> (SocketEndpoint, SocketEndpoint, Heard) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let f = || Some(Arc::clone(faults));
         let site = SocketEndpoint::build(1, 1, vec![addr], Some(listener), f());
         let client = SocketEndpoint::build(0, 1, vec![addr], None, f());
-        (client, site)
+        let heard = listen(&site);
+        (client, site, heard)
     }
 
     const QUIET: Duration = Duration::from_millis(200);
@@ -799,9 +810,9 @@ mod tests {
     #[test]
     fn a_quiet_switchboard_is_transparent_both_ways() {
         let faults = FaultState::new(2);
-        let (client, site) = faulty_pair(&faults);
+        let (client, site, heard) = faulty_pair(&faults);
         client.send(1, &Msg::Read { index: 3, tag: 7 });
-        assert_eq!(inbox_msg(&site), (0, Msg::Read { index: 3, tag: 7 }));
+        assert_eq!(hear(&heard), (0, Msg::Read { index: 3, tag: 7 }));
         site.send(0, &Msg::WriteOk { tag: 7 });
         let back = client.recv_from(1, LONG).expect("the reply arrives");
         assert_eq!((back.src, back.msg), (1, Msg::WriteOk { tag: 7 }));
@@ -811,14 +822,14 @@ mod tests {
     #[test]
     fn near_total_loss_silences_protocol_frames_and_counts_them() {
         let faults = FaultState::new(2);
-        let (client, site) = faulty_pair(&faults);
+        let (client, _site, heard) = faulty_pair(&faults);
         faults.set_loss(999, 0xBEEF);
         for tag in 0..20 {
             assert_eq!(client.send(1, &Msg::Ack { tag }), SendOutcome::Sent);
         }
         // A survivor of 999-permille loss is possible, if unlikely.
         let mut got = 0;
-        while try_inbox(&site, QUIET).is_some() {
+        while heard.recv_timeout(QUIET).is_ok() {
             got += 1;
         }
         assert!(got <= 2, "{got} frames survived 999-permille loss");
@@ -830,7 +841,7 @@ mod tests {
     #[test]
     fn a_destination_outside_the_map_is_closed_under_any_fault() {
         let faults = FaultState::new(2);
-        let (client, _site) = faulty_pair(&faults);
+        let (client, _site, _heard) = faulty_pair(&faults);
         faults.set_loss(999, 0xBEEF);
         for tag in 0..20 {
             assert_eq!(client.send(7, &Msg::Ack { tag }), SendOutcome::Closed);
@@ -846,16 +857,16 @@ mod tests {
     #[test]
     fn a_partition_cuts_an_endpoint_both_ways_and_heals() {
         let faults = FaultState::new(2);
-        let (client, site) = faulty_pair(&faults);
+        let (client, site, heard) = faulty_pair(&faults);
         faults.set_partitioned(0, true);
         client.send(1, &Msg::Ack { tag: 1 });
         assert!(
-            try_inbox(&site, QUIET).is_none(),
+            heard.recv_timeout(QUIET).is_err(),
             "a frame crossed a partition"
         );
         faults.set_partitioned(0, false);
         client.send(1, &Msg::Ack { tag: 2 });
-        assert_eq!(inbox_msg(&site), (0, Msg::Ack { tag: 2 }));
+        assert_eq!(hear(&heard), (0, Msg::Ack { tag: 2 }));
         faults.set_partitioned(0, true);
         site.send(0, &Msg::Ack { tag: 3 });
         assert!(
@@ -872,12 +883,12 @@ mod tests {
     #[test]
     fn a_duplicate_arrives_right_behind_its_original() {
         let faults = FaultState::new(2);
-        let (client, site) = faulty_pair(&faults);
+        let (client, _site, heard) = faulty_pair(&faults);
         faults.set_duplication(999, 0xD00D);
         client.send(1, &Msg::Ack { tag: 9 });
         faults.set_duplication(0, 0);
         client.send(1, &Msg::Ack { tag: 10 });
-        let got: Vec<Msg> = (0..3).map(|_| inbox_msg(&site).1).collect();
+        let got: Vec<Msg> = (0..3).map(|_| hear(&heard).1).collect();
         assert_eq!(
             got,
             [
@@ -891,12 +902,12 @@ mod tests {
 
     #[test]
     fn request_and_reply_cross_the_wire() {
-        let (client, site) = loopback_pair();
+        let (client, site, heard) = loopback_pair();
         assert_eq!(
             client.send(1, &Msg::Read { index: 4, tag: 9 }),
             SendOutcome::Sent
         );
-        assert_eq!(inbox_msg(&site), (0, Msg::Read { index: 4, tag: 9 }));
+        assert_eq!(hear(&heard), (0, Msg::Read { index: 4, tag: 9 }));
         // Reply over the inbound connection (site never dials a client).
         assert_eq!(site.send(0, &Msg::WriteOk { tag: 9 }), SendOutcome::Sent);
         let back = client.recv_from(1, LONG).expect("the reply arrives");
@@ -905,7 +916,7 @@ mod tests {
 
     #[test]
     fn unknown_site_is_closed_and_missing_client_is_loss() {
-        let (client, site) = loopback_pair();
+        let (client, site, _heard) = loopback_pair();
         assert_eq!(client.send(7, &Msg::Ack { tag: 0 }), SendOutcome::Closed);
         // The site has never heard from client 0 on this fresh pair, so a
         // reply to it is silently lost — not an error.
@@ -962,39 +973,97 @@ mod tests {
         assert_eq!(client.send(1, &Msg::Ack { tag: 2 }), SendOutcome::Sent);
     }
 
-    /// Frames that reached the inbox before `attach` and frames the handler
-    /// gets after it are one stream, in the connection's order: the peer
-    /// keeps sending while the handler is attached mid-stream.
+    /// A site starts accepting in `attach`: what a peer sent before it
+    /// waits in the listen backlog and the socket buffers, and the handler
+    /// gets it and what follows as one stream, in the connection's order.
+    /// The peer keeps sending while the handler is attached.
     #[test]
     fn attach_hands_over_in_connection_order_and_loses_nothing() {
         const N: u64 = 2000;
-        let (client, site) = loopback_pair();
+        let (client, site) = unattached_pair();
+        let (half_tx, half_rx) = mpsc::channel();
         let streamer = std::thread::spawn(move || {
             for tag in 0..N {
+                if tag == N / 2 {
+                    half_tx.send(()).unwrap();
+                }
                 assert_eq!(client.send(1, &Msg::Ack { tag }), SendOutcome::Sent);
             }
             client // keep the connection open until the tags are counted
         });
-        // Some of the stream is in the inbox before the handler exists.
-        let first = site.recv_timeout(LONG).expect("the stream started");
-        let Inbound::Msg {
-            msg: Msg::Ack { tag: 0 },
-            ..
-        } = first
-        else {
-            panic!("the stream starts at tag 0, got {first:?}");
-        };
-        let (tags_tx, tags_rx) = mpsc::channel();
-        let tags_tx = Mutex::new(tags_tx);
-        site.attach(Box::new(move |_, item| {
-            if let Inbound::Msg { msg, .. } = item {
-                let _ = locked(&tags_tx).send(msg.tag());
-            }
-        }));
-        for want in 1..N {
-            assert_eq!(tags_rx.recv_timeout(LONG), Ok(want));
+        // The first half of the stream is written before the handler exists.
+        half_rx.recv_timeout(LONG).expect("the stream started");
+        let heard = listen(&site);
+        for want in 0..N {
+            assert_eq!(heard.recv_timeout(LONG).map(|(_, m)| m.tag()), Ok(want));
         }
         drop(streamer.join().unwrap());
+    }
+
+    /// A stream whose first read a signal interrupts; then it reads like
+    /// `inner`.
+    struct InterruptedOnce<R> {
+        inner: R,
+        interrupted: bool,
+    }
+
+    impl<R: Read> Read for InterruptedOnce<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    /// A read a signal interrupted leaves the connection healthy: the site
+    /// reads on, and what the peer sends next is delivered.
+    #[test]
+    fn a_reader_reads_on_after_an_interrupted_read() {
+        let (_unused, site, heard) = loopback_pair();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        accepted.set_read_timeout(Some(READ_POLL)).unwrap();
+        let write = WriteHalf::new(accepted.try_clone().unwrap());
+        let reader = InterruptedOnce {
+            inner: accepted,
+            interrupted: false,
+        };
+        let out = site.sender().clone();
+        let reading = std::thread::spawn(move || reader_loop(reader, &write, None, &out));
+        write_frame(&mut peer, &Frame::Hello { id: 0 }).unwrap();
+        write_msg(&mut peer, &Msg::Ack { tag: 5 }, None).unwrap();
+        assert_eq!(hear(&heard), (0, Msg::Ack { tag: 5 }));
+        drop(peer);
+        reading.join().unwrap();
+    }
+
+    /// An accept error that is not the listener's end (an aborted
+    /// handshake, a full descriptor table) costs a backoff, not the
+    /// listener: the site accepts the next dial.
+    #[test]
+    fn the_accept_loop_outlives_a_failed_accept() {
+        let (_unused, mut site, heard) = loopback_pair();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let mut failures = vec![
+            std::io::Error::other("too many open files"),
+            ErrorKind::ConnectionAborted.into(),
+        ];
+        let accept = move || match failures.pop() {
+            Some(e) => Err(e),
+            None => listener.accept().map(|(stream, _)| stream),
+        };
+        let out = site.sender().clone();
+        let accepting = std::thread::spawn(move || accept_loop(accept, &out));
+        let client = SocketEndpoint::client(0, 1, vec![addr]);
+        client.send(1, &Msg::Ack { tag: 3 });
+        assert_eq!(hear(&heard), (0, Msg::Ack { tag: 3 }));
+        site.shutdown();
+        accepting.join().unwrap();
     }
 
     /// What site B sends while the client waits on site A stays on B's
@@ -1006,12 +1075,13 @@ mod tests {
         let [site_a, site_b] = [0, 1].map(|j| {
             SocketEndpoint::site(1 + j, 1, addrs.clone(), listeners[j].try_clone().unwrap())
         });
+        let [heard_a, heard_b] = [&site_a, &site_b].map(listen);
         let client = SocketEndpoint::client(0, 1, addrs);
         client.send(1, &Msg::Read { index: 0, tag: 1 });
         client.send(2, &Msg::Read { index: 0, tag: 2 });
         // Both sites have the client's Hello once its request is in.
-        assert_eq!(inbox_msg(&site_a).0, 0);
-        assert_eq!(inbox_msg(&site_b).0, 0);
+        assert_eq!(hear(&heard_a).0, 0);
+        assert_eq!(hear(&heard_b).0, 0);
 
         site_b.send(0, &Msg::WriteOk { tag: 2 });
         assert!(
@@ -1052,7 +1122,7 @@ mod tests {
     /// timeout once, not once per reply.
     #[test]
     fn waits_of_one_window_set_the_read_timeout_once() {
-        let (client, site) = loopback_pair();
+        let (client, site, heard) = loopback_pair();
         let set = |client: &SocketEndpoint| {
             let Role::Client { conns } = &client.out.0.role else {
                 unreachable!("a client endpoint");
@@ -1062,7 +1132,7 @@ mod tests {
         let mut first = None;
         for tag in 0..20 {
             client.send(1, &Msg::Read { index: 0, tag });
-            inbox_msg(&site);
+            hear(&heard);
             site.send(0, &Msg::WriteOk { tag });
             assert!(client.recv_from(1, LONG).is_some());
             let now = set(&client).expect("a wait set the timeout");

@@ -166,7 +166,7 @@ pub fn run_site(cfg: SiteConfig, ep: &SocketEndpoint, control: &Receiver<Control
     // Once `detach` returns no reader is inside the handler and the
     // handler, with its `Arc<Site>`, is gone: `site` is the last owner, and
     // dropping it closes the store before whoever joins this thread looks.
-    // (Frames still arriving queue in the endpoint's inbox and die with it.)
+    // (Frames still arriving are dropped.)
     ep.detach();
     debug_assert_eq!(Arc::strong_count(&site), 1);
 }

@@ -295,61 +295,80 @@ fn to_wire(frames: &[Frame]) -> Vec<u8> {
     wire
 }
 
-/// Drive a decoder over `wire` delivered in the splits dictated by `cuts`
-/// (cycled chunk sizes), decoding as bytes arrive — exactly what a TCP
-/// reader sees from the kernel.
-fn decode_split(wire: &[u8], cuts: &[usize]) -> Result<Vec<Frame>, FrameError> {
-    let mut dec = FrameDecoder::new();
-    let mut got = Vec::new();
-    let mut rest = wire;
-    let mut cuts = cuts.iter().cycle();
-    while !rest.is_empty() {
-        let n = cuts.next().copied().unwrap_or(1).clamp(1, rest.len());
-        let (chunk, tail) = rest.split_at(n);
-        dec.feed(chunk);
-        rest = tail;
-        while let Some(f) = dec.next_frame()? {
-            got.push(f);
-        }
-    }
-    Ok(got)
-}
-
-/// A socket that hands over `wire` in the chunk sizes of `cuts` (cycled),
-/// however much room the reader offers.
-struct Trickle<'a> {
+/// A socket with a read timeout whose peer wrote `wire` in pieces of the
+/// sizes in `cuts` (cycled): a read takes what is left of the current
+/// piece, or as much of it as the reader offers room for, and between
+/// pieces there is nothing yet (`WouldBlock`, the read timing out).
+struct Pieces<'a> {
     wire: &'a [u8],
     cuts: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    /// What of the current piece has not been read yet.
+    left: usize,
 }
 
-impl Read for Trickle<'_> {
+impl<'a> Pieces<'a> {
+    fn new(wire: &'a [u8], cuts: &'a [usize]) -> Pieces<'a> {
+        Pieces {
+            wire,
+            cuts: cuts.iter().cycle(),
+            left: 0,
+        }
+    }
+}
+
+impl Read for Pieces<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let cut = self.cuts.next().copied().unwrap_or(1).max(1);
-        let n = cut.min(buf.len()).min(self.wire.len());
+        if self.left == 0 && !self.wire.is_empty() {
+            self.left = self.cuts.next().copied().unwrap_or(1).max(1);
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let n = self.left.min(buf.len()).min(self.wire.len());
         let (chunk, rest) = self.wire.split_at(n);
         buf[..n].copy_from_slice(chunk);
         self.wire = rest;
+        self.left -= n;
         Ok(n)
     }
 }
 
-/// [`decode_split`] through `read_from`: the decoder reads the trickling
-/// socket into its own buffer until the socket is dry.
-fn decode_read(wire: &[u8], cuts: &[usize]) -> Result<Vec<Frame>, FrameError> {
-    let mut socket = Trickle {
-        wire,
-        cuts: cuts.iter().cycle(),
-    };
+/// One `read_from` as a reader thread makes it: bytes in, `true`; the
+/// stream ended, `false`; nothing yet (`WouldBlock`) is neither, and the
+/// reader simply reads again.
+fn read_more(dec: &mut FrameDecoder, socket: &mut Pieces) -> bool {
+    match dec.read_from(socket) {
+        Ok(n) => n > 0,
+        Err(e) => {
+            assert_eq!(e.kind(), ErrorKind::WouldBlock, "Pieces only ever blocks");
+            true
+        }
+    }
+}
+
+/// Drive a decoder over `wire` delivered in the pieces dictated by `cuts`
+/// through `read_from`, decoding as bytes arrive — exactly what a site's
+/// reader thread sees from the kernel.
+fn decode(wire: &[u8], cuts: &[usize]) -> Result<Vec<Frame>, FrameError> {
+    let mut socket = Pieces::new(wire, cuts);
     let mut dec = FrameDecoder::new();
     let mut got = Vec::new();
     loop {
         while let Some(f) = dec.next_frame()? {
             got.push(f);
         }
-        if dec.read_from(&mut socket).expect("Trickle never errors") == 0 {
+        if !read_more(&mut dec, &mut socket) {
             return Ok(got);
         }
     }
+}
+
+/// A decoder that has read all of `wire`, written in one piece, and
+/// decoded nothing yet.
+fn read_whole(wire: &[u8]) -> FrameDecoder {
+    let whole = [wire.len()];
+    let mut socket = Pieces::new(wire, &whole);
+    let mut dec = FrameDecoder::new();
+    while read_more(&mut dec, &mut socket) {}
+    dec
 }
 
 fn noise(len: usize, seed: u64) -> Vec<u8> {
@@ -474,15 +493,14 @@ proptest! {
         write_msg(&mut fresh, &msg, None).expect("Vec write");
         write_msg(&mut kept, &msg, Some(checksum(&block))).expect("Vec write");
         prop_assert_eq!(&kept, &fresh);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&kept);
+        let mut dec = read_whole(&kept);
         let (frame, check) = dec.next_checked().expect("a valid frame").expect("whole");
         prop_assert_eq!(frame, Frame::Proto(msg));
         prop_assert_eq!(check, (!block.is_empty()).then(|| checksum(&block)));
     }
 
     /// A kept check that is not the block's makes a frame the receiver
-    /// refuses: it never delivers the block, fed whole or read off a socket.
+    /// refuses: it never delivers the block, read whole or in pieces.
     #[test]
     fn a_wrong_kept_check_is_refused_and_delivers_nothing(
         data in arb_bytes(4 * 1024),
@@ -492,21 +510,8 @@ proptest! {
         let msg = Msg::ReadOk { tag: 3, data };
         let mut wire = Vec::new();
         write_msg(&mut wire, &msg, Some(wrong)).expect("Vec write");
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
-        prop_assert_eq!(dec.next_checked(), Err(FrameError::BadChecksum));
-        let mut dec = FrameDecoder::new();
-        let mut socket = Trickle { wire: &wire, cuts: [1000usize].iter().cycle() };
-        let got = loop {
-            match dec.next_checked() {
-                Ok(None) => {}
-                other => break other,
-            }
-            if dec.read_from(&mut socket).expect("Trickle never errors") == 0 {
-                break Ok(None);
-            }
-        };
-        prop_assert_eq!(got, Err(FrameError::BadChecksum));
+        prop_assert_eq!(read_whole(&wire).next_checked(), Err(FrameError::BadChecksum));
+        prop_assert_eq!(decode(&wire, &[1000]), Err(FrameError::BadChecksum));
     }
 }
 
@@ -570,35 +575,6 @@ proptest! {
     }
 }
 
-/// A socket that hands over `wire` in the chunk sizes of `cuts`, and has
-/// nothing (`WouldBlock`, a read timeout) before every other chunk.
-struct Stutter<'a> {
-    wire: &'a [u8],
-    cuts: std::iter::Cycle<std::slice::Iter<'a, usize>>,
-    dry: bool,
-}
-
-impl Read for Stutter<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.dry = !self.dry;
-        if self.dry && !self.wire.is_empty() {
-            return Err(ErrorKind::WouldBlock.into());
-        }
-        let n = self
-            .cuts
-            .next()
-            .copied()
-            .unwrap_or(1)
-            .max(1)
-            .min(buf.len())
-            .min(self.wire.len());
-        let (chunk, rest) = self.wire.split_at(n);
-        buf[..n].copy_from_slice(chunk);
-        self.wire = rest;
-        Ok(n)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -614,20 +590,7 @@ proptest! {
         let mut frames = frames;
         frames.push(Frame::Proto(Msg::ReadOk { tag: 7, data: block }));
         let wire = to_wire(&frames);
-        let mut socket = Stutter { wire: &wire, cuts: cuts.iter().cycle(), dry: false };
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        loop {
-            while let Some(f) = dec.next_frame().expect("valid stream") {
-                got.push(f);
-            }
-            match dec.read_from(&mut socket) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) => prop_assert_eq!(e.kind(), ErrorKind::WouldBlock),
-            }
-        }
-        prop_assert_eq!(&got, &frames);
+        prop_assert_eq!(decode(&wire, &cuts).expect("valid stream"), frames);
     }
 }
 
@@ -677,17 +640,10 @@ fn a_block_read_apart_is_adopted_without_a_copy() {
         None,
     )
     .expect("Vec write");
-    let mut dec = FrameDecoder::new();
-    let mut socket = Trickle {
-        wire: &wire,
-        cuts: [8 * 1024usize].iter().cycle(),
-    };
-    let frame = loop {
-        if let Some(frame) = dec.next_frame().expect("a valid frame") {
-            break frame;
-        }
-        assert!(dec.read_from(&mut socket).expect("Trickle never errors") > 0);
-    };
+    let frame = decode(&wire, &[8 * 1024])
+        .expect("a valid frame")
+        .pop()
+        .expect("one frame");
     let Frame::Proto(Msg::ReadOk { data: got, .. }) = frame else {
         panic!("a ReadOk was sent");
     };
@@ -719,17 +675,16 @@ proptest! {
         cuts in proptest::collection::vec(1usize..96, 1..8),
     ) {
         let wire = to_wire(&frames);
-        let split = decode_split(&wire, &cuts).expect("valid stream");
+        let split = decode(&wire, &cuts).expect("valid stream");
         prop_assert_eq!(&split, &frames, "split decode diverged");
-        // One coalesced feed (the kernel handing everything at once)
+        // One coalesced read (the kernel handing everything at once)
         // decodes to the identical sequence.
-        let coalesced = decode_split(&wire, &[wire.len()]).expect("valid stream");
+        let coalesced = decode(&wire, &[wire.len()]).expect("valid stream");
         prop_assert_eq!(&coalesced, &frames, "coalesced decode diverged");
     }
 
-    /// The same through `read_from`, the call a reader thread makes: a
-    /// socket that returns random chunk sizes yields the frames `feed` does.
-    /// Blocks up to 12 KiB put frames on both sides of the copy-out
+    /// The same with blocks: a socket that returns random chunk sizes yields
+    /// the frames that were written. Blocks up to 12 KiB put frames on both sides of the copy-out
     /// threshold and past the room a read is offered between frames, and
     /// the three kinds they ride in have no fields, a few and a few dozen
     /// after the block, which a block read apart takes in with it.
@@ -756,10 +711,8 @@ proptest! {
             frames.insert(at, Frame::Proto(msg));
         }
         let wire = to_wire(&frames);
-        let read = decode_read(&wire, &cuts).expect("valid stream");
+        let read = decode(&wire, &cuts).expect("valid stream");
         prop_assert_eq!(&read, &frames, "read_from decode diverged");
-        let fed = decode_split(&wire, &cuts).expect("valid stream");
-        prop_assert_eq!(&fed, &read, "feed and read_from disagree");
     }
 
     /// A truncated stream never errors and never fabricates the missing
@@ -771,8 +724,7 @@ proptest! {
     ) {
         let wire = to_wire(&frames);
         let keep = ((wire.len() as f64) * keep_fraction) as usize;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire[..keep]);
+        let mut dec = read_whole(&wire[..keep]);
         let mut got = Vec::new();
         loop {
             match dec.next_frame() {
@@ -793,18 +745,17 @@ proptest! {
         claimed in (MAX_FRAME as u64 + 1)..=u64::from(u32::MAX),
         check in any::<u64>(),
     ) {
-        let mut dec = FrameDecoder::new();
         let mut head = Vec::with_capacity(FRAME_HEADER);
         head.extend_from_slice(&(claimed as u32).to_le_bytes());
         head.extend_from_slice(&check.to_le_bytes());
         head.extend_from_slice(&[0; 8]);
-        dec.feed(&head);
+        let mut dec = read_whole(&head);
         prop_assert_eq!(dec.next_frame(), Err(FrameError::Oversized { claimed }));
     }
 
     /// Any block bounds in a header, on any frame: bounds outside the
-    /// payload are refused from the header alone, fed or read off a
-    /// socket, and bounds inside it that are not the writer's fail the
+    /// payload are refused from the header alone, read whole or in pieces,
+    /// and bounds inside it that are not the writer's fail the
     /// check; only the writer's own decode. Never a panic.
     #[test]
     fn hostile_block_bounds_are_refused_from_the_header(
@@ -822,11 +773,11 @@ proptest! {
             wire[16..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
             let payload = (wire.len() - FRAME_HEADER) as u64;
             let outside = u64::from(at) + u64::from(len) > payload;
-            let fed = decode_split(&wire, &cuts);
-            let read = decode_read(&wire, &cuts);
+            let whole = decode(&wire, &[wire.len()]);
+            let read = decode(&wire, &cuts);
             if outside {
                 let refused = Err(FrameError::Malformed("block piece outside the payload"));
-                prop_assert_eq!(&fed, &refused);
+                prop_assert_eq!(&whole, &refused);
                 prop_assert_eq!(&read, &refused);
             } else if wire[12..FRAME_HEADER] == honest[..] {
                 prop_assert_eq!(&read, &Ok(vec![frame.clone()]));
@@ -835,7 +786,7 @@ proptest! {
                 // to hash alike gets through, and then it decodes the same.
                 prop_assert!(got.is_empty() || got == &vec![frame.clone()]);
             }
-            prop_assert_eq!(fed.is_ok(), read.is_ok());
+            prop_assert_eq!(whole.is_ok(), read.is_ok());
         }
     }
 
@@ -852,9 +803,7 @@ proptest! {
             changed |= *f != 0;
         }
         prop_assume!(changed);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
-        prop_assert_eq!(dec.next_frame(), Err(FrameError::BadChecksum));
+        prop_assert_eq!(read_whole(&wire).next_frame(), Err(FrameError::BadChecksum));
     }
 
     /// Flipping any single byte of a valid frame never decodes back to the
@@ -869,8 +818,7 @@ proptest! {
         let mut wire = to_wire(std::slice::from_ref(&frame));
         let pos = pos_seed % wire.len();
         wire[pos] ^= xor;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
+        let mut dec = read_whole(&wire);
         // `Ok(None)` (a clean wait: the length shrank) and `Err` (a clean
         // rejection) are both fine; only a silent wrong decode is a bug.
         if let Ok(Some(got)) = dec.next_frame() {
@@ -878,14 +826,14 @@ proptest! {
         }
     }
 
-    /// Arbitrary garbage fed in arbitrary chunks: the decoder returns
+    /// Arbitrary garbage read in arbitrary chunks: the decoder returns
     /// frames, waits, or errors — it never panics.
     #[test]
     fn garbage_streams_never_panic(
         junk in proptest::collection::vec(any::<u8>(), 0..256),
         cuts in proptest::collection::vec(1usize..64, 1..6),
     ) {
-        let _ = decode_split(&junk, &cuts); // Ok or Err both fine; no panic
+        let _ = decode(&junk, &cuts); // Ok or Err both fine; no panic
     }
 }
 

@@ -16,8 +16,12 @@
 //! * [`CheckedCluster`] (impl here): the DES's omniscient surface, the only
 //!   driver that can fail a disk inside a site, blank a site's disks in a
 //!   disaster, or meet §5's blocking verdict.
-//! * `radd_check::ModelDriver`: the only driver of the message-granularity
-//!   events (one delivery, one drop, one timer firing at a time).
+//! * `radd_check::ModelDriver`: the only driver of message-granularity
+//!   steps (one delivery, one drop, one timer firing at a time). Its plans
+//!   are made of the checker's own `radd_check::Action`s, not of
+//!   [`FaultEvent`]s: a [`FaultDriver`] names its event type, and
+//!   [`FaultPlan`], [`run_plan`] and [`minimize_failure`] take any
+//!   (a `FaultEvent` by default).
 //!
 //! [`run_plan`] applies events one at a time and validates the cluster
 //! invariants after every event. On a violation it stops with a
@@ -120,54 +124,12 @@ pub enum FaultEvent {
     /// `quiesce`. A no-op on the DES, whose cascade delivers each update
     /// within the write that sent it.
     FlushParity,
-    // ---- checker-granularity events ----------------------------------
-    // The bounded model checker (`radd-check`) explores one network or
-    // scheduling decision at a time; its counterexamples replay through
-    // the same `FaultPlan`/`run_plan`/`minimize_failure` machinery as the
-    // seeded plans, using these finer-grained events. Runtimes whose
-    // network is not event-addressable (the DES's synchronous cascade, the
-    // threaded runtime's real channels) treat them as no-ops.
-    /// Run the next scripted operation of checker client `client`.
-    StepClient {
-        /// Model client index.
-        client: usize,
-    },
-    /// Deliver the message at position `index` of the checker's in-flight
-    /// message vector.
-    Deliver {
-        /// Position in the in-flight vector at the moment of delivery.
-        index: usize,
-    },
-    /// Drop (lose) the in-flight message at position `index`.
-    DropMsg {
-        /// Position in the in-flight vector.
-        index: usize,
-    },
-    /// Duplicate the in-flight message at position `index` (the copy joins
-    /// the back of the vector).
-    DupMsg {
-        /// Position in the in-flight vector.
-        index: usize,
-    },
-    /// Fire the armed stop-and-wait retransmit timer `tag` at `site`.
-    FireTimer {
-        /// The site whose timer fires.
-        site: usize,
-        /// The outstanding request tag.
-        tag: u64,
-    },
-    /// Evict `site`'s at-most-once reply cache, as if the LRU cap had
-    /// aged every entry out — the checker's stand-in for cache pressure,
-    /// exposing the §3.2 idempotence guard that backstops the cache.
-    EvictReplies {
-        /// The site whose reply cache is evicted.
-        site: usize,
-    },
     /// Process crash + immediate restart of a site running on durable
     /// storage: volatile state (pending tables, reply cache, timers, any
     /// uncommitted staged writes) is lost; the site re-opens from its WAL +
-    /// block file and resumes serving (§3.4). Drivers on memory-backed
-    /// storage treat it as a no-op — there is nothing to restart from.
+    /// block file and resumes serving (§3.4). The DES always models
+    /// durable storage; a runtime cluster on memory-backed storage treats
+    /// it as a no-op — there is nothing to restart from.
     KillRestart {
         /// The crashed-and-restarted site.
         site: usize,
@@ -200,16 +162,6 @@ impl fmt::Display for FaultEvent {
             }
             FaultEvent::LossEnd => write!(f, "message loss off"),
             FaultEvent::FlushParity => write!(f, "flush queued parity updates"),
-            FaultEvent::StepClient { client } => write!(f, "step client {client}"),
-            FaultEvent::Deliver { index } => write!(f, "deliver message #{index}"),
-            FaultEvent::DropMsg { index } => write!(f, "drop message #{index}"),
-            FaultEvent::DupMsg { index } => write!(f, "duplicate message #{index}"),
-            FaultEvent::FireTimer { site, tag } => {
-                write!(f, "fire retransmit timer {tag:#x} at site {site}")
-            }
-            FaultEvent::EvictReplies { site } => {
-                write!(f, "evict the reply cache of site {site}")
-            }
             FaultEvent::KillRestart { site } => {
                 write!(f, "crash and restart site {site} from durable storage")
             }
@@ -273,13 +225,15 @@ impl Default for PlanShape {
     }
 }
 
-/// A named, replayable sequence of fault events.
+/// A named, replayable sequence of events in one driver's vocabulary:
+/// [`FaultEvent`]s for the runtimes and the DES, the model checker's own
+/// actions for its driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
+pub struct FaultPlan<E = FaultEvent> {
     /// The seed the plan was generated from (0 for hand-composed plans).
     pub seed: u64,
     /// The events, in execution order.
-    pub events: Vec<FaultEvent>,
+    pub events: Vec<E>,
 }
 
 /// Generator bookkeeping: at most one failure is in effect at a time (the
@@ -565,11 +519,15 @@ impl FaultPlan {
 /// cluster, the DES's [`CheckedCluster`], the model checker's
 /// `ModelDriver` (the module docs say what only each can express).
 pub trait FaultDriver {
+    /// The steps this driver's plans are made of, printed one per line in
+    /// an event log.
+    type Event: fmt::Display;
+
     /// Apply one event. `Err` means an *engine-level* failure (a violated
     /// guarantee), not a legitimate protocol refusal — drivers swallow
     /// refusals that the scenario makes legal (e.g. a write rejected while
     /// blocked by a partition).
-    fn apply(&mut self, event: &FaultEvent) -> Result<(), String>;
+    fn apply(&mut self, event: &Self::Event) -> Result<(), String>;
 
     /// Validate the runtime's invariants if currently checkable; returns
     /// whether a check was actually performed (`Ok(false)` = legitimately
@@ -688,7 +646,7 @@ impl PlanFailure {
 /// violation.
 pub fn run_plan<D: FaultDriver>(
     driver: &mut D,
-    plan: &FaultPlan,
+    plan: &FaultPlan<D::Event>,
 ) -> Result<PlanReport, PlanFailure> {
     let mut log = Vec::with_capacity(plan.events.len());
     let mut checks = 0u64;
@@ -730,12 +688,13 @@ pub fn run_plan<D: FaultDriver>(
 /// fails, re-running a fresh driver from `factory` per candidate. The
 /// result is what a human replays: usually a handful of events instead of
 /// hundreds.
-pub fn minimize_failure<D, F>(mut factory: F, plan: &FaultPlan) -> FaultPlan
+pub fn minimize_failure<D, F>(mut factory: F, plan: &FaultPlan<D::Event>) -> FaultPlan<D::Event>
 where
     D: FaultDriver,
+    D::Event: Clone,
     F: FnMut() -> D,
 {
-    let still_fails = |events: &[FaultEvent], factory: &mut F| {
+    let still_fails = |events: &[D::Event], factory: &mut F| {
         let candidate = FaultPlan {
             seed: plan.seed,
             events: events.to_vec(),
@@ -769,6 +728,8 @@ where
 /// operation through §5's partition verdict), with omniscient invariant
 /// checks and per-operation pricing that [`GroupCluster`] does not expose.
 impl FaultDriver for CheckedCluster {
+    type Event = FaultEvent;
+
     fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
         let num_sites = self.cluster().config().num_sites();
         match *event {
@@ -834,22 +795,11 @@ impl FaultDriver for CheckedCluster {
             // flush.
             FaultEvent::LossBurst { .. } | FaultEvent::LossEnd | FaultEvent::FlushParity => Ok(()),
             // §3.4 crash/restart: round-trip the site through its durable
-            // snapshot. A volatile-storage cluster reports `false` — a
-            // legitimate no-op, not a failure — so crash plans also run on
-            // the default configuration.
+            // snapshot.
             FaultEvent::KillRestart { site } => {
                 self.cluster_mut().kill_restart_site(site);
                 Ok(())
             }
-            // Checker-granularity events address the model checker's
-            // explicit in-flight message vector; the DES delivers
-            // synchronously and has no such addressable network.
-            FaultEvent::StepClient { .. }
-            | FaultEvent::Deliver { .. }
-            | FaultEvent::DropMsg { .. }
-            | FaultEvent::DupMsg { .. }
-            | FaultEvent::FireTimer { .. }
-            | FaultEvent::EvictReplies { .. } => Ok(()),
         }
     }
 
@@ -988,6 +938,8 @@ impl<C: GroupCluster<Obs = ObsSnapshot>> PlanDriver<C> {
 }
 
 impl<C: GroupCluster<Obs = ObsSnapshot>> FaultDriver for PlanDriver<C> {
+    type Event = FaultEvent;
+
     /// One event, under the conventions in the type's docs.
     fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
         let outcome = match *event {
@@ -1068,12 +1020,6 @@ impl<C: GroupCluster<Obs = ObsSnapshot>> FaultDriver for PlanDriver<C> {
                 self.cluster.kill_restart(site);
                 Outcome::Done
             }
-            FaultEvent::StepClient { .. }
-            | FaultEvent::Deliver { .. }
-            | FaultEvent::DropMsg { .. }
-            | FaultEvent::DupMsg { .. }
-            | FaultEvent::FireTimer { .. }
-            | FaultEvent::EvictReplies { .. } => Outcome::Skipped,
         };
         self.outcomes.push(outcome);
         Ok(())
@@ -1143,6 +1089,8 @@ mod tests {
             armed: bool,
         }
         impl FaultDriver for Sabotage {
+            type Event = FaultEvent;
+
             fn apply(&mut self, event: &FaultEvent) -> Result<(), String> {
                 self.cc.apply(event)?;
                 if !self.armed {

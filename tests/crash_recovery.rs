@@ -5,8 +5,8 @@
 //! events into an ordinary load/failure plan. Here the same crash plan
 //! runs against
 //!
-//! * the DES [`CheckedCluster`] under [`StorageMode::Durable`] (the
-//!   process-crash model: volatile state gone, disk array preserved),
+//! * the DES [`CheckedCluster`] (its process-crash model: volatile state
+//!   gone, disk array and durable metadata preserved),
 //! * the threaded runtime, a [`PlanDriver`] over
 //!   [`NodeCluster::start_durable`] (every site journals through a
 //!   WAL-backed `radd_storage::DiskBlocks`), and
@@ -25,7 +25,6 @@
 //! RADD_CRASH_SEED=0x00000000deadbeef cargo test --test crash_recovery
 //! ```
 
-use radd::core::StorageMode;
 use radd::prelude::*;
 use radd::protocol::CoalescePolicy;
 use radd::storage::StorageSpec;
@@ -106,7 +105,6 @@ fn run_des(label: &str, plan: &FaultPlan) {
     cfg.rows = shape.rows;
     cfg.block_size = BLOCK;
     let mut cc = CheckedCluster::new(cfg).expect("valid crash config");
-    cc.cluster_mut().set_storage_mode(StorageMode::Durable);
     let report = run_plan(&mut cc, plan)
         .unwrap_or_else(|f| f.panic_with_dump(&format!("crash-des-{label}")));
     check_report(label, &report, plan);

@@ -108,17 +108,14 @@ fn reliable_channel_gates_the_done_reply() {
 #[test]
 fn threaded_sites_serve_remote_reads() {
     // The crossbeam-backed network: one thread per site answering block
-    // requests — real concurrency over the same substrate types.
-    #[derive(Debug, Clone)]
-    enum Msg {
-        Read { block: u64, reply_to: usize },
-        Value { block: u64, data: Vec<u8> },
-        Stop,
-    }
+    // requests — real concurrency over the same substrate types, carrying
+    // the protocol's own messages.
     use radd::blockdev::{BlockDevice, MemDisk};
+    use radd::net::{Outbound, SendOutcome, Transport};
+    use radd::protocol::Msg;
 
     let n = 4;
-    let (_control, mut endpoints) = ThreadedNet::<Msg>::new(n, FaultState::new(n));
+    let (_control, mut endpoints) = ThreadedNet::new(n, 1, FaultState::new(n));
     let client = endpoints.remove(0);
     let mut handles = Vec::new();
     for ep in endpoints {
@@ -128,44 +125,42 @@ fn threaded_sites_serve_remote_reads() {
                 disk.write_block(b, &[ep.id() as u8 * 16 + b as u8; 64])
                     .unwrap();
             }
-            loop {
-                match ep.recv_timeout(Duration::from_secs(5)) {
-                    Ok(inbound) => match inbound.payload {
-                        Msg::Read { block, reply_to } => {
-                            let data = disk.read_block(block).unwrap().to_vec();
-                            ep.send(reply_to, Msg::Value { block, data }).unwrap();
-                        }
-                        Msg::Stop => return,
-                        Msg::Value { .. } => unreachable!("sites never get replies"),
-                    },
-                    Err(_) => return,
+            // Serve reads until the client says stop (an `Ack`) or goes
+            // quiet.
+            while let Some(inbound) = ep.recv(Duration::from_secs(5)) {
+                match inbound.msg {
+                    Msg::Read { index, tag } => {
+                        let data = disk.read_block(index).unwrap().to_vec().into();
+                        let reply = Msg::ReadOk { tag, data };
+                        assert_eq!(ep.send(inbound.src, &reply), SendOutcome::Sent);
+                    }
+                    Msg::Ack { .. } => return,
+                    other => unreachable!("sites get requests only, not {other:?}"),
                 }
             }
         }));
     }
-    // The client reads one block from every site.
+    // The client reads block 3 from every site, each read tagged with the
+    // site it asks.
     for site in 1..n {
-        client
-            .send(
-                site,
-                Msg::Read {
-                    block: 3,
-                    reply_to: 0,
-                },
-            )
-            .unwrap();
+        let read = Msg::Read {
+            index: 3,
+            tag: site as u64,
+        };
+        assert_eq!(client.send(site, &read), SendOutcome::Sent);
     }
     let mut got = 0;
     while got < n - 1 {
-        let m = client.recv_timeout(Duration::from_secs(5)).unwrap();
-        if let Msg::Value { block, data } = m.payload {
-            assert_eq!(block, 3);
+        // One channel holds every site's reply, whichever peer is named.
+        let m = client.recv_from(1, Duration::from_secs(5)).unwrap();
+        if let Msg::ReadOk { tag, data } = m.msg {
+            assert_eq!(tag, m.src as u64);
             assert_eq!(data[0], m.src as u8 * 16 + 3);
             got += 1;
         }
     }
     for site in 1..n {
-        client.send(site, Msg::Stop).unwrap();
+        assert_eq!(client.send(site, &Msg::Ack { tag: 0 }), SendOutcome::Sent);
     }
     for h in handles {
         h.join().unwrap();
