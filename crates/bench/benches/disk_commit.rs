@@ -89,20 +89,28 @@ fn site_store(dir: &Path, by_patch: bool) -> (DiskBlocks, impl FnMut(&mut DiskBl
     (d, commit_one)
 }
 
-/// Log bytes per commit over sixteen of them, printed as the count row
-/// `name` (`scripts/bench_check.sh` gates it exactly).
+/// Bytes per commit over sixteen of them, printed as two count rows
+/// (`scripts/bench_check.sh` gates both exactly): `{row}_bytes`, the
+/// records a commit logs, and `{row}_device_bytes`, what it puts on the
+/// device, its records rounded up to the log's sector.
 fn print_bytes_per_commit(
-    name: &str,
+    row: &str,
     d: &mut DiskBlocks,
     commit_one: &mut impl FnMut(&mut DiskBlocks) -> bool,
 ) {
     commit_one(d); // a fresh store's first metadata record is the whole blob
-    let before = d.wal_bytes();
+    let before = d.stats();
     for _ in 0..16 {
         commit_one(d);
     }
-    let per_commit = (d.wal_bytes() - before) / 16;
-    println!("bench {name:50} {per_commit:>12} B/commit");
+    let after = d.stats();
+    let records = (after.record_bytes - before.record_bytes) / 16;
+    let device = (after.log_bytes - before.log_bytes) / 16;
+    println!("bench {:50} {records:>12} B/commit", format!("{row}_bytes"));
+    println!(
+        "bench {:50} {device:>12} B/commit",
+        format!("{row}_device_bytes")
+    );
 }
 
 fn bench_disk(c: &mut Criterion) {
@@ -126,12 +134,13 @@ fn bench_disk(c: &mut Criterion) {
     });
 
     // The same write with the metadata a site really commits (see
-    // `site_store`). The bytes line is a count (scripts/bench_check.sh
-    // gates it exactly): what one such commit adds to the log.
+    // `site_store`). The bytes lines are counts (scripts/bench_check.sh
+    // gates them exactly): the records one such commit logs, and the
+    // sectors it puts on the device.
     group.bench_function("commit_1x4k_site_meta_512", |bencher| {
         let dir = scratch("commit-site-meta");
         let (mut d, mut commit_one) = site_store(&dir, false);
-        let name = "disk_commit/commit_1x4k_site_meta_512_bytes";
+        let name = "disk_commit/commit_1x4k_site_meta_512";
         print_bytes_per_commit(name, &mut d, &mut commit_one);
         bencher.iter(|| black_box(commit_one(&mut d)));
         drop(d);
@@ -140,11 +149,11 @@ fn bench_disk(c: &mut Criterion) {
 
     // The same commit the way a live site makes it: the machine says what
     // the write touched and the store is handed the patch. Same record,
-    // so the bytes line must equal the one above.
+    // so the bytes lines must equal the ones above.
     group.bench_function("commit_1x4k_site_patch_512", |bencher| {
         let dir = scratch("commit-site-patch");
         let (mut d, mut commit_one) = site_store(&dir, true);
-        let name = "disk_commit/commit_1x4k_site_patch_512_bytes";
+        let name = "disk_commit/commit_1x4k_site_patch_512";
         print_bytes_per_commit(name, &mut d, &mut commit_one);
         bencher.iter(|| black_box(commit_one(&mut d)));
         drop(d);

@@ -41,7 +41,7 @@ pub use metrics::{Histogram, MachineMetrics};
 pub use recorder::{FlightRecorder, DEFAULT_RING_CAP};
 pub use snapshot::{
     BucketCount, FlightEvent, HistogramSnapshot, MachineSnapshot, MetricsSnapshot, NamedCount,
-    ObsSnapshot,
+    ObsSnapshot, StorageSnapshot,
 };
 
 use radd_protocol::obs::{obs_event, ObsEvent};

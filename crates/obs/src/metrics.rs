@@ -2,7 +2,9 @@
 //! latency histograms. Everything here is fixed-size and allocation-free on
 //! the record path; allocation happens only when a snapshot is taken.
 
-use crate::snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot, NamedCount};
+use crate::snapshot::{
+    BucketCount, HistogramSnapshot, MetricsSnapshot, NamedCount, StorageSnapshot,
+};
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{IoPurpose, MsgKind, RebuildReport};
 use std::time::Duration;
@@ -106,6 +108,7 @@ pub struct MachineMetrics {
     block_checks_reused: u64,
     block_checks_computed: u64,
     coalesced_merges: u64,
+    storage: Option<StorageSnapshot>,
     recovery_runs: u64,
     recovery_drained_rows: u64,
     recovery_pending_rows: u64,
@@ -203,6 +206,12 @@ impl MachineMetrics {
         self.coalesced_merges = n;
     }
 
+    /// Gauge: what the site's durable store has done, owned by the store
+    /// and mirrored here at snapshot time.
+    pub fn set_storage(&mut self, storage: StorageSnapshot) {
+        self.storage = Some(storage);
+    }
+
     /// Record one completed read operation's latency (units per runtime).
     pub fn record_read_latency(&mut self, v: u64) {
         self.read_latency.record(v);
@@ -261,6 +270,7 @@ impl MachineMetrics {
             block_checks_reused: self.block_checks_reused,
             block_checks_computed: self.block_checks_computed,
             coalesced_merges: self.coalesced_merges,
+            storage: self.storage,
             recovery_runs: self.recovery_runs,
             recovery_drained_rows: self.recovery_drained_rows,
             recovery_pending_rows: self.recovery_pending_rows,

@@ -32,7 +32,7 @@ pub mod manager;
 pub mod no_overwrite;
 pub mod wal;
 
-pub use disk::{DiskBlocks, DiskError, SiteStore, StorageSpec};
+pub use disk::{DiskBlocks, DiskError, DiskStats, SiteStore, StorageSpec};
 pub use hot_standby::HotStandby;
 pub use manager::{PageId, RecoveryContext, RecoveryStats, StorageError, StorageManager, TxnId};
 pub use no_overwrite::NoOverwriteManager;

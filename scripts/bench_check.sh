@@ -41,6 +41,11 @@
 # commit logged the whole snapshot). Bytes are a count, so the threshold is
 # exact, not a tolerance; checked in the recorded run
 # (results/BENCH_pr16.json) and in a fresh run of the disk_commit bench.
+# The same commit must put exactly WAL_COMMIT_DEVICE_BYTES (4 608: nine
+# 512-byte sectors) on the device (PR 41): each batch is one direct,
+# sector-aligned write of its records and their zero padding, so a return
+# to page-grained writes (8 192) or to whole-snapshot records (14 336)
+# fails it; the patch path's row must read the same.
 # The same fresh run's commit_1x4k_site_meta_512 ns/iter must stay within
 # BENCH_TOLERANCE of the recorded value: the log is a preallocated file
 # written in place, so a commit's fdatasync carries no filesystem journal
@@ -122,6 +127,7 @@ OBS_TAP_NS=8.5
 MG_MIN_RATIO="${MG_MIN_RATIO:-3.0}"
 RB_MIN_RATIO="${RB_MIN_RATIO:-2.0}"
 WAL_MAX_COMMIT_BYTES=$((4096 + 256))
+WAL_COMMIT_DEVICE_BYTES=4608
 
 # measure DIR: run every gate's benches in DIR, print what they print, and
 # leave the `bench` lines in PC_OUT, MG_OUT, RB_OUT, DC_OUT, FP_OUT and
@@ -193,6 +199,10 @@ gates() {
     fi
     gate "wal_commit_bytes_recorded" "$(recorded results/BENCH_pr16.json "$dir" "['headline']['commit_1x4k_site_meta_512_bytes']")" "<=" "$WAL_MAX_COMMIT_BYTES"
     gate "wal_commit_bytes_live" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512_bytes)" "<=" "$WAL_MAX_COMMIT_BYTES"
+    gate "wal_commit_device_bytes" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512_device_bytes)" "==" \
+        "$WAL_COMMIT_DEVICE_BYTES"
+    gate "wal_commit_device_bytes_patch" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_patch_512_device_bytes)" "==" \
+        "$WAL_COMMIT_DEVICE_BYTES"
     gate "wal_commit_ns" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512)" "<=" \
         "$(scaled "$(recorded results/BENCH_pr16.json "$HERE" "['headline']['commit_1x4k_site_meta_512_ns']")")"
     ratio "site_meta_patch_8192/512" "$(row "$DC_OUT" disk_commit/site_meta_patch_8192)" "$(row "$DC_OUT" disk_commit/site_meta_patch_512)" "<=" 1.5
