@@ -28,10 +28,10 @@ fn scratch(label: &str) -> PathBuf {
     dir
 }
 
-/// Commits of the first lap of `commit_1x4k_site_meta_512_second_lap`:
-/// more than a bench function's timing loop makes (about 600), so every
-/// timed commit of the second lap overwrites a first-lap record.
-const SECOND_LAP_WARMUP: usize = 800;
+/// Commits before `commit_1x4k_site_meta_512_second_lap` is timed: more
+/// than both halves of the log hold (about 910), so every commit of the
+/// timing loop (about 600) overwrites an earlier lap's record.
+const SECOND_LAP_WARMUP: usize = 1000;
 
 /// A site's machine as a full preload leaves it: a UID array for every
 /// row this site holds parity for.
@@ -55,7 +55,8 @@ fn touch_one(machine: &mut SiteMachine, row: u64) {
     machine.set_block_uid(row, uid);
 }
 
-/// A 512-row store that never checkpoints on its own, and the commit a
+/// A 512-row store whose laps end only when a half of the log is full, and
+/// the commit a
 /// site really makes on it: one 4 KiB block plus the metadata record for a
 /// 512-row machine (a 9.7 KB `DurableSiteState`) in which one block UID
 /// and the UID counter moved since the last commit. `by_patch` is the live site's way
@@ -113,7 +114,55 @@ fn print_bytes_per_commit(
     );
 }
 
+/// Commits of the write-back row's stream before it counts: enough for
+/// the ring to have turned a few times from a fresh store.
+const WRITE_BACK_WARMUP: u64 = 2_000;
+/// Commits it counts over.
+const WRITE_BACK_COMMITS: u64 = 8_000;
+
+/// Rows written back to `blocks.dat` per 1,000 commits, printed as a count
+/// row (`scripts/bench_check.sh` gates it): a 512-row site's stream of
+/// 1×4 KiB commits on rows drawn uniformly with a fixed seed, each with the
+/// metadata patch its machine drains, at the store's default lap size. The
+/// benchmark's write stream is this shape. The count is the lap ends'
+/// work, so a store that writes back every row a lap dirtied reads it.
+fn print_write_back_per_1k_commits() {
+    const SITE_ROWS: u64 = 512;
+    let dir = scratch("write-back");
+    let mut d = DiskBlocks::open(&dir, SITE_ROWS, BLOCK).expect("open");
+    let mut machine = site_machine(SITE_ROWS);
+    let mut rng = radd_sim::SimRng::seed_from_u64(0x5EED_0042);
+    let mut commit_one = |d: &mut DiskBlocks| {
+        let row = rng.below(SITE_ROWS);
+        touch_one(&mut machine, row);
+        d.write_owned(row, bytes::Bytes::from(vec![row as u8; BLOCK]))
+            .expect("write");
+        match machine.drain_durable(d.meta()) {
+            DurableDelta::Patch(patch) => d.commit_patch(patch),
+            DurableDelta::Whole(blob) => d.commit(|| blob),
+        }
+        .expect("commit");
+    };
+    for _ in 0..WRITE_BACK_WARMUP {
+        commit_one(&mut d);
+    }
+    let before = d.stats();
+    for _ in 0..WRITE_BACK_COMMITS {
+        commit_one(&mut d);
+    }
+    let after = d.stats();
+    let per_1k = (after.written_back - before.written_back) * 1000 / WRITE_BACK_COMMITS;
+    println!(
+        "bench {:50} {per_1k:>12} rows/1k commits ({} lap ends)",
+        "disk_commit/write_back_uniform_512",
+        after.checkpoints - before.checkpoints
+    );
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_disk(c: &mut Criterion) {
+    print_write_back_per_1k_commits();
     let mut group = c.benchmark_group("disk_commit");
 
     // One acknowledged single-block write: a data-record append, a meta
@@ -161,7 +210,7 @@ fn bench_disk(c: &mut Criterion) {
     });
 
     // The steady state: the log has been round once, so a commit lands on
-    // the previous lap's records, not on the zeros the file was created
+    // an earlier lap's records, not on the zeros the file was created
     // with, and its first metadata record patches the checkpointed blob.
     group.bench_function("commit_1x4k_site_meta_512_second_lap", |bencher| {
         let dir = scratch("commit-second-lap");
@@ -231,10 +280,10 @@ fn bench_disk(c: &mut Criterion) {
 
     // Restart cost: reopen a store whose log holds 64 committed
     // single-block batches. Open reads the log file, checksums and replays
-    // the whole committed suffix, and ends the lap with a checkpoint — the
-    // §3.4 recovery path a KillRestart exercises. That checkpoint retires
-    // the 64 batches by moving `state.bin` to the next lap, so putting the
-    // old `state.bin` back brings them to life for the next iteration.
+    // the whole committed suffix, and ends the lap — the §3.4 recovery path
+    // a KillRestart exercises. That lap end moves `state.bin` to the next
+    // lap, so putting the old `state.bin` back makes the 64 batches the
+    // current lap again for the next iteration.
     group.throughput(Throughput::Bytes((64 * BLOCK) as u64));
     group.bench_function("recover_open_64x4k_log", |bencher| {
         let dir = scratch("recover");
@@ -256,18 +305,20 @@ fn bench_disk(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // The checkpoint that ends a lap: flush every dirty row to the block
-    // file, fsync it, then install the next lap's `state.bin`. Measured over a fresh
-    // 16-row dirty set each iteration.
+    // The checkpoint that ends a lap: write back the previous lap's 16
+    // rows to the block file, fsync it, then install the next lap's
+    // `state.bin`. Each iteration logs 16 rows the one before did not, so
+    // each lap end writes back a fresh 16-row set.
     group.throughput(Throughput::Bytes((16 * BLOCK) as u64));
     group.bench_function("checkpoint_16x4k", |bencher| {
         let dir = scratch("checkpoint");
         let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("open");
-        let mut fill = 0u8;
+        let (mut fill, mut base) = (0u8, 0u64);
         bencher.iter(|| {
             fill = fill.wrapping_add(1);
+            base = (base + 16) % ROWS;
             for row in 0..16u64 {
-                d.write_owned(row, bytes::Bytes::from(vec![fill; BLOCK]))
+                d.write_owned((base + row) % ROWS, bytes::Bytes::from(vec![fill; BLOCK]))
                     .expect("write");
             }
             d.commit(|| vec![fill; 32]).expect("commit");

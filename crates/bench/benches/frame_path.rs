@@ -2,7 +2,9 @@
 //! checksum, one frame out (`write_frame`) and one frame in
 //! (`FrameDecoder::read_from` + `next_frame`, what a reader thread runs per
 //! message), a site's 64 KiB `ReadOk` of a block not in cache with its
-//! check computed and kept, and the WAL's CRC-32.
+//! check computed and kept, and the WAL's CRC-32 (`crc32_4k`, the
+//! dispatched kernel: carry-less multiply where the CPU has it, and
+//! `crc32_sliced_4k`, the slicing-by-8 fallback forced).
 //!
 //! Four rows exist only as same-run comparands, so that
 //! `scripts/bench_check.sh` can gate ratios, which survive slow CI
@@ -16,7 +18,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use radd_blockdev::checksum::crc32;
+use radd_parity::crc32::{crc32, crc32_finish, crc32_init, crc32_update_sliced};
 use radd_protocol::fasthash::FxHasher;
 use radd_protocol::Msg;
 use radd_rt::frame::{checksum, write_frame, write_msg, Frame, FrameDecoder};
@@ -60,6 +62,11 @@ fn bench_frame_path(c: &mut Criterion) {
     });
     group.bench_function("crc32_4k", |b| {
         b.iter(|| crc32(black_box(&block_4k)));
+    });
+    let sliced = |data: &[u8]| crc32_finish(crc32_update_sliced(crc32_init(), data));
+    assert_eq!(sliced(&block_4k), crc32(&block_4k));
+    group.bench_function("crc32_sliced_4k", |b| {
+        b.iter(|| sliced(black_box(&block_4k)));
     });
     let table = crc32_table();
     assert_eq!(crc32_bytewise(&table, &block_4k), crc32(&block_4k));

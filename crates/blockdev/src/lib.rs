@@ -12,14 +12,14 @@
 //!   per-disk **failure injection** (a failed disk errors every access) and
 //!   **replacement** (a blank spare swapped in, contents lost) — the events
 //!   behind the paper's "disk failure" rows.
-//! * [`checksum`] — a CRC-32 used by the WAL storage manager to detect torn
-//!   log records.
+//!
+//! The CRC-32 the WAL storage manager checks its records with lives in
+//! `radd_parity::crc32`, beside the carry-less-multiply kernel it uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod checksum;
 pub mod device;
 pub mod mem;
 pub mod stats;

@@ -292,9 +292,12 @@ impl<T: Transport> Client<T> {
     /// must call this with something unique per start, or a site's
     /// at-most-once reply cache will replay answers meant for the previous
     /// process on the same endpoint id. Cluster harnesses, whose clients
-    /// live as long as the sites, keep the default incarnation 0.
+    /// live as long as the sites, keep the default incarnation 0. The
+    /// oracle sweeps' tags ([`verify_parity`](Self::verify_parity)) are
+    /// salted the same way, at the same bits.
     pub fn set_incarnation(&mut self, incarnation: u64) {
         self.machine.set_incarnation(incarnation);
+        self.next_oracle_tag = (incarnation & 0x3FFF) << 32;
     }
 
     /// Tell the machine `site` is believed down (or back up). In a real

@@ -212,6 +212,7 @@ impl SiteDriver {
                 commits: st.commits,
                 log_bytes: st.log_bytes,
                 checkpoints: st.checkpoints,
+                written_back: st.written_back,
                 direct: st.direct,
             });
         }
@@ -616,8 +617,9 @@ mod tests {
     /// A disk site's snapshot carries its store's counters: as the data
     /// site of N healthy 4 KiB writes it commits N batches of nine
     /// 512-byte sectors (one block record, a metadata record and the
-    /// marker, under 4 608 bytes of records), and a memory
-    /// site has no storage section at all.
+    /// marker, under 4 608 bytes of records); the lap they are in writes
+    /// nothing back when it ends, and the N rows are written back when the
+    /// lap after it ends; a memory site has no storage section at all.
     #[test]
     fn a_disk_site_snapshot_counts_its_commits_and_log_bytes() {
         const N: u64 = 6;
@@ -654,6 +656,20 @@ mod tests {
         };
         assert_eq!(after.log_bytes - before.log_bytes, N * 4608);
         assert_eq!(after.direct, disk.stats().direct);
+        for laps in 1..=2 {
+            let SiteStore::Disk(disk) = &mut st.store else {
+                unreachable!("matched above")
+            };
+            disk.checkpoint().expect("lap end");
+            let now = st.obs_snapshot().metrics.storage.expect("a disk site");
+            assert_eq!(now.checkpoints - after.checkpoints, laps);
+            let rows = if laps == 2 { N } else { 0 };
+            assert_eq!(
+                now.written_back - after.written_back,
+                rows,
+                "lap end {laps}"
+            );
+        }
         assert_eq!(mem_site(0).obs_snapshot().metrics.storage, None);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -72,6 +72,8 @@ pub struct StorageSnapshot {
     pub log_bytes: u64,
     /// Checkpoints: laps of the log ended.
     pub checkpoints: u64,
+    /// Rows those lap ends wrote back to the block file.
+    pub written_back: u64,
     /// The log is written through a direct (`O_DIRECT`) handle.
     pub direct: bool,
 }
@@ -81,11 +83,13 @@ impl StorageSnapshot {
     /// obs`), with the commits its store failed.
     pub fn line(&self, commit_failures: u64) -> String {
         format!(
-            "storage: {} commits={} log_bytes={} checkpoints={} commit_failures={commit_failures}",
+            "storage: {} commits={} log_bytes={} checkpoints={} written_back={} \
+             commit_failures={commit_failures}",
             if self.direct { "direct" } else { "buffered" },
             self.commits,
             self.log_bytes,
             self.checkpoints,
+            self.written_back,
         )
     }
 }
@@ -468,6 +472,7 @@ mod tests {
                         commits: 3,
                         log_bytes: 3 * 4608,
                         checkpoints: 1,
+                        written_back: 2,
                         direct: true,
                     }),
                     ..MetricsSnapshot::default()
@@ -486,7 +491,8 @@ mod tests {
         assert!(text.contains("transport: block_checks reused=5 computed=2"));
         assert!(
             text.contains(
-                "storage: direct commits=3 log_bytes=13824 checkpoints=1 commit_failures=0"
+                "storage: direct commits=3 log_bytes=13824 checkpoints=1 written_back=2 \
+                 commit_failures=0"
             ),
             "{text}"
         );

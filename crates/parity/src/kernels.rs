@@ -15,6 +15,11 @@
 //! pass. Reconstruction over `G` survivors then streams `dst` through the
 //! cache once per `FOLD_WAYS` sources instead of once per source — the
 //! memory-traffic argument behind the recovery-path speedup.
+//!
+//! [`crc32_clmul`] is the one kernel here that is not an XOR: the CRC-32
+//! register update by carry-less multiplication (PCLMULQDQ), which
+//! [`crate::crc32`] dispatches to for long inputs. It is picked the same
+//! way, by a detection cached in its own atomic.
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -137,6 +142,45 @@ pub fn fold(dst: &mut [u8], sources: &[&[u8]]) {
             _ => fold_scalar(dst, group),
         }
     }
+}
+
+/// The CRC-32 register `state` folded over `data` by carry-less
+/// multiplication, or `None` where this CPU has no such kernel (then the
+/// caller's table kernel does the work). `data` must be whole 16-byte
+/// lanes, at least four of them.
+#[inline]
+pub fn crc32_clmul(state: u32, data: &[u8]) -> Option<u32> {
+    assert!(
+        data.len() >= 64 && data.len().is_multiple_of(16),
+        "the carry-less kernel folds whole 16-byte lanes, four at least"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if clmul_detected() {
+        // SAFETY: clmul_detected() proved PCLMULQDQ and SSE4.1 available on
+        // this CPU, and the length was checked above.
+        return Some(unsafe { crc32_pclmul(state, data) });
+    }
+    let _ = (state, data);
+    None
+}
+
+/// [`K_UNINIT`] until the first call, then 1 without the instructions
+/// [`crc32_pclmul`] needs and 2 with them.
+#[cfg(target_arch = "x86_64")]
+static CLMUL: AtomicU8 = AtomicU8::new(K_UNINIT);
+
+/// Whether this CPU runs [`crc32_pclmul`], detected once.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn clmul_detected() -> bool {
+    let mut k = CLMUL.load(Ordering::Relaxed);
+    if k == K_UNINIT {
+        let found = std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1");
+        k = 1 + u8::from(found);
+        CLMUL.store(k, Ordering::Relaxed);
+    }
+    k == 2
 }
 
 // ---------------------------------------------------------------------
@@ -405,6 +449,76 @@ unsafe fn fold_neon(dst: &mut [u8], sources: &[&[u8]]) {
     fold_tail(dst, sources, lanes);
 }
 
+/// Fold-by-4 CRC-32 over whole 16-byte lanes (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009, in the
+/// bit-reflected form): four lanes are carried 64 bytes at a time, each
+/// step multiplying a lane's two halves by `x^(512+64) mod P` and
+/// `x^512 mod P` and adding the next 16 bytes; the four are then folded
+/// into one with the 128-bit constants, that one to 64 and 32 bits, and a
+/// Barrett reduction by `P` and `floor(x^64 / P)` leaves the register.
+///
+/// # Safety
+///
+/// The CPU must have PCLMULQDQ and SSE4.1 (the `crc32_clmul` dispatcher
+/// proves it with `is_x86_feature_detected!`), and `data` must be whole
+/// 16-byte lanes, at least four.
+// SAFETY: the one caller, `crc32_clmul`, checks both conditions first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+unsafe fn crc32_pclmul(state: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    debug_assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+    // Each constant pair: low 64 bits, then high 64 bits.
+    let k1k2 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
+    let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
+    let k5 = _mm_set_epi64x(0, 0x1_63cd_6124);
+    let poly_mu = _mm_set_epi64x(0x1_f701_1641, 0x1_db71_0641);
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    let fold = |x: __m128i, k: __m128i, next: __m128i| {
+        _mm_xor_si128(
+            _mm_xor_si128(
+                _mm_clmulepi64_si128(x, k, 0x00),
+                _mm_clmulepi64_si128(x, k, 0x11),
+            ),
+            next,
+        )
+    };
+    let at = |off: usize| {
+        debug_assert!(off + 16 <= data.len());
+        // SAFETY: every call below passes `off + 16 <= data.len()`, so the
+        // 16 bytes read lie inside `data`; `loadu` needs no alignment.
+        unsafe { _mm_loadu_si128(data.as_ptr().add(off).cast::<__m128i>()) }
+    };
+    let mut x1 = _mm_xor_si128(at(0), _mm_cvtsi32_si128(state as i32));
+    let (mut x2, mut x3, mut x4) = (at(16), at(32), at(48));
+    let mut off = 64;
+    while off + 64 <= data.len() {
+        x1 = fold(x1, k1k2, at(off));
+        x2 = fold(x2, k1k2, at(off + 16));
+        x3 = fold(x3, k1k2, at(off + 32));
+        x4 = fold(x4, k1k2, at(off + 48));
+        off += 64;
+    }
+    let mut x = fold(fold(fold(x1, k3k4, x2), k3k4, x3), k3k4, x4);
+    while off + 16 <= data.len() {
+        x = fold(x, k3k4, at(off));
+        off += 16;
+    }
+    // 128 bits to 64 (and 32 zero bits appended), then to 32.
+    x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(k3k4, x, 0x01));
+    x = _mm_xor_si128(
+        _mm_srli_si128(x, 4),
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+    );
+    // Barrett: the quotient by `mu`, its product with `P`, the remainder.
+    let q = _mm_and_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10),
+        low32,
+    );
+    x = _mm_xor_si128(x, _mm_clmulepi64_si128(q, poly_mu, 0x00));
+    _mm_extract_epi32(x, 1) as u32
+}
+
 /// Finish a vector fold's sub-lane tail with the scalar kernel.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[inline]
@@ -464,6 +578,28 @@ mod tests {
             assert_eq!(got[..3], [0xEE; 3]);
             assert_eq!(got[3..], want[..], "len={len}");
         }
+    }
+
+    /// The carry-less kernel against the table kernel at every lane count
+    /// up to 64 and from several register states; `None` only off x86-64
+    /// or on a CPU without the instruction.
+    #[test]
+    fn clmul_crc_matches_the_table_kernel() {
+        let data = pattern(1024, 3);
+        for len in (64..=1024).step_by(16) {
+            for state in [0u32, 0xFFFF_FFFF, 0x1234_5678] {
+                let want = crate::crc32::crc32_update_sliced(state, &data[..len]);
+                if let Some(got) = crc32_clmul(state, &data[..len]) {
+                    assert_eq!(got, want, "len={len} state={state:#x}");
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            crc32_clmul(0, &data[..64]).is_some(),
+            std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        );
     }
 
     #[test]

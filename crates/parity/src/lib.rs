@@ -11,7 +11,8 @@
 //!
 //! * [`xor`] — XOR primitives over runtime-dispatched SIMD kernels.
 //! * [`kernels`] — the kernels themselves (AVX2/SSE2/NEON/scalar) plus the
-//!   k-way fold used by reconstruction.
+//!   k-way fold used by reconstruction, and the carry-less-multiply CRC-32.
+//! * [`crc32`] — the CRC-32 that checks WAL records and `state.bin`.
 //! * [`mask`] — change masks, held as their run-length wire encoding
 //!   (Section 7.4 argues masks make RADD's bandwidth comparable to a hot
 //!   standby's).
@@ -20,12 +21,14 @@
 //!   reconstruction itself is `radd_protocol::ClientMachine::reconstruct`:
 //!   one [`xor_fold`] over the `G` survivors, then the UID check.
 
-// The SIMD kernels and `xor_extend`'s `set_len` over the bytes one of them
-// wrote are this workspace's only unsafe code; every unsafe operation must
-// sit in its own `unsafe {}` block with a `// SAFETY:` justification.
+// The SIMD kernels (the XOR ones and the CRC-32 one) and `xor_extend`'s
+// `set_len` over the bytes one of them wrote are this workspace's only
+// unsafe code; every unsafe operation must sit in its own `unsafe {}` block
+// with a `// SAFETY:` justification.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+pub mod crc32;
 pub mod kernels;
 pub mod mask;
 pub mod uid;

@@ -302,8 +302,15 @@ impl ClientMachine {
     /// unique per start (wall-clock works). Only the low 14 bits are used,
     /// placed at bits 32–45: below the oracle-sweep bit (46) and the
     /// site-tag salt (48), above any realistic single-run tag count.
+    ///
+    /// The UIDs this client mints for redirected writes are salted the
+    /// same way, at bits 34–47 of the generator's 48-bit counter: §3.2's
+    /// equality guard must never see a UID a previous process on this
+    /// endpoint already handed out.
     pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.next_tag = (incarnation & 0x3FFF) << 32;
+        let incarnation = incarnation & 0x3FFF;
+        self.next_tag = incarnation << 32;
+        self.uid_gen = UidGen::restore(self.uid_gen.site(), incarnation << 34);
     }
 
     fn tag(&mut self) -> u64 {
@@ -1177,5 +1184,32 @@ impl crate::check::Checkable for ClientMachine {
         for state in &self.sites {
             c.raw(&(*state as u8));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn client(incarnation: u64) -> ClientMachine {
+        let mut c = ClientMachine::new(1, 6, 16, SparePolicy::OnePerParity, true, 7);
+        c.set_incarnation(incarnation);
+        c
+    }
+
+    /// A restarted client process never mints a UID its previous process
+    /// on the same endpoint (same namespace) minted: the incarnation salts
+    /// the generator's counter as it salts the tags. Incarnation 0 keeps
+    /// the counter at zero, so a harness client's UIDs are unchanged.
+    #[test]
+    fn a_restarted_client_mints_uids_its_previous_process_did_not() {
+        let minted = |incarnation| {
+            let mut c = client(incarnation);
+            (0..1000).map(|_| c.uid_gen.next_uid()).collect::<Vec<_>>()
+        };
+        let (first, second) = (minted(1), minted(2));
+        assert!(first.iter().all(|uid| !second.contains(uid)));
+        assert_eq!(minted(0)[0], Uid::from_raw(7 << 48 | 1));
+        assert_eq!(minted(1)[0], Uid::from_raw(7 << 48 | 1 << 34 | 1));
     }
 }

@@ -90,6 +90,46 @@ fn a_restarted_client_does_not_alias_the_reply_cache() {
     }
 }
 
+/// The oracle sweep of a restarted client is answered by the sites, not
+/// from the replies they cached for the previous process on the same
+/// endpoint. The first process writes every data block and checks every
+/// row's parity. The second rewrites one block of site 0, then reads it
+/// until site 0's reply cache has cycled past the first sweep's replies,
+/// while the row's parity site, which the reads never reach, still holds
+/// its own: a sweep whose tags repeat the first one's would read the block
+/// as it is and its parity as it was.
+#[test]
+fn a_restarted_clients_parity_sweep_reads_the_blocks_as_they_are() {
+    let (addrs, control, handles) = spawn_sites();
+    {
+        let mut first = fresh_client(&addrs, 1);
+        let per_site = first.geometry().data_blocks_per_site();
+        for site in 0..G + 2 {
+            for index in 0..per_site {
+                first
+                    .write(site, index, &[0x10 | site as u8; BLOCK])
+                    .expect("first write");
+            }
+        }
+        first.verify_parity().expect("first sweep");
+    }
+    let mut second = fresh_client(&addrs, 2);
+    second.write(0, 0, &[0xEE; BLOCK]).expect("second write");
+    for _ in 0..1100 {
+        assert_eq!(second.read(0, 0).expect("read"), [0xEE; BLOCK]);
+    }
+    if let Err(row) = second.verify_parity() {
+        panic!("the restarted client's sweep: {row}");
+    }
+    drop(second);
+    for tx in &control {
+        let _ = tx.send(Control::Shutdown);
+    }
+    for h in handles {
+        h.join().expect("site thread");
+    }
+}
+
 #[test]
 fn concurrent_clients_on_distinct_endpoints_share_the_store() {
     let (mut cluster, mut extra) =

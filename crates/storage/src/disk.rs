@@ -7,38 +7,53 @@
 //!
 //! * **`wal.log`** — a checksummed, length-prefixed write-ahead log in a
 //!   file that is allocated once: created zero-filled and synced at
-//!   4 MiB (`LOG_BYTES`), written in place at a head offset that [`checkpoint`]
-//!   rewinds to 0, and never truncated (a batch that lands past the end
-//!   grows it by plain append). In steady state a commit changes neither
-//!   the file's size nor its extents, so its `fdatasync` carries no
-//!   filesystem journal commit. Block writes stage in memory and land here
-//!   on [`commit`] (group commit: the whole batch, its metadata record and
-//!   the commit marker are assembled in one buffer — each staged payload is
-//!   copied into it once — and go out as one positional write + one
-//!   `fdatasync`). Records are `[len u32][crc32 u32][body]`, and every CRC
-//!   is salted with the **lap number**: the bytes beyond the head are the
-//!   previous lap's records, intact, and the salt is what makes them
-//!   invalid. The metadata blob is opaque here, but the log records *what
-//!   changed* in it: when a commit's blob has the length of the committed
-//!   one, the record is the XOR span list between the two
-//!   (`REC_META_PATCH`, a [`ChangeMask`] in wire form) and the full blob
-//!   (`REC_META`) is the fallback for a length change and for a patch that
-//!   would not be smaller. A caller that knows what changed hands over
-//!   that span list itself ([`commit_patch`]: a live site, whose machine
-//!   journals what each message touched, so a commit costs what the
+//!   4 MiB (`LOG_BYTES`), written in place, and never truncated. It is a
+//!   **ring of two halves**: lap `L` fills one 2 MiB half from its start,
+//!   and lap `L + 1` the other, over lap `L − 1`'s records (a batch larger
+//!   than a half runs on past its half, growing the file by plain append
+//!   from the second; DESIGN.md §15). In
+//!   steady state a commit changes neither the file's size nor its extents,
+//!   so its `fdatasync` carries no filesystem journal commit. Block writes
+//!   stage in memory and land here on [`commit`] (group commit: the whole
+//!   batch, its metadata record and the commit marker are assembled in one
+//!   buffer — each staged payload is copied into it once — and go out as
+//!   one positional write + one `fdatasync`). Records are
+//!   `[len u32][crc32 u32][body]`, and every CRC is salted with the **lap
+//!   number**: the bytes beyond a lap's head are older laps' records,
+//!   intact, and the salt is what makes them invalid. The metadata blob is
+//!   opaque here, but the log records *what changed* in it: when a commit's
+//!   blob has the length of the committed one, the record is the XOR span
+//!   list between the two (`REC_META_PATCH`, a [`ChangeMask`] in wire form)
+//!   and the full blob (`REC_META`) is the fallback for a length change and
+//!   for a patch that would not be smaller. A caller that knows what changed
+//!   hands over that span list itself ([`commit_patch`]: a live site, whose
+//!   machine journals what each message touched, so a commit costs what the
 //!   message touched and not a compare and diff of the whole blob); one
 //!   that does not hands over the blob and the store finds the list
 //!   ([`commit`]). Same records either way, and the committed blob this
 //!   store holds is the only copy of it anywhere.
 //! * **`blocks.dat`** — the fixed-geometry block file (`rows × block_size`
-//!   bytes), updated by pwrite-at-offset only at [`checkpoint`] time, and
-//!   only for rows whose log records are already durable (the write-ahead
-//!   rule).
+//!   bytes), updated by pwrite-at-offset only when a lap ends, and only for
+//!   rows whose newest record lies in the half the next lap is about to
+//!   write over (the write-ahead rule: those records are durable, and no
+//!   row is written back while a newer record of it is still in the log).
+//!   A row not in memory is read past the page cache where it can be (see
+//!   `open_direct_reads`), so a lap end's writes cost their rows and not
+//!   the large folios readahead would have cached around them.
 //! * **`state.bin`** — a header holding the store format version and the
-//!   lap number, then the metadata snapshot as of the last checkpoint;
-//!   replaced atomically (write-temp, fsync, rename), and that rename is
-//!   the whole checkpoint commit: it retires the old lap's records and
-//!   installs the base the new lap's patches apply to in one step.
+//!   lap number, then the metadata snapshot as of the boundary that started
+//!   that lap; replaced atomically (write-temp, fsync, rename), and that
+//!   rename is the whole commit of a lap's end: it retires lap `L − 1`'s
+//!   records and installs the base lap `L + 1`'s patches apply to in one
+//!   step.
+//!
+//! **Write-back of what the log is about to overwrite.** A row rewritten
+//! every few hundred commits — most rows, under the benchmark's uniform
+//! keys — keeps its newest copy in the log and is never written back at
+//! all; a row written once is written back exactly once, when the half
+//! holding its record is recycled. That is why there are two halves and
+//! not one lap of the whole file: a lap end of the single-lap layout had to
+//! write back every row the lap dirtied.
 //!
 //! **Sector-aligned batches on a direct handle.** Every batch starts on a
 //! 512-byte sector boundary and is padded with zeros to the next one, so a
@@ -55,32 +70,33 @@
 //! bytes, or a flag taken but not honoured), gets a buffered handle with
 //! the same layout.
 //!
-//! Recovery-on-open replays the current lap's committed batches over the
-//! block file and the snapshot: a batch's blocks and its metadata record
-//! are staged until its commit marker, where a full record replaces the
-//! blob and a patch is `XORed` into it, and the next batch is looked for at
-//! the next sector boundary. A committed patch that does not fit
-//! the blob it lands on is damage and fails the open with
-//! [`DiskError::MetaPatch`] — never garbage state. The sectors of the last
-//! batch may have reached the device in any order, so a tear is *any
-//! subset* of them (DESIGN.md §15): the marker names its batch's start
-//! offset, a batch counts only whole, and anything less is *discarded*,
-//! exactly as §3.4's recovery discards loser transactions. A marker of this
-//! lap whose batch starts **beyond** the bad one proves a later batch was
-//! acknowledged: the log is corrupt (bit rot, not a torn write) and open
-//! fails with [`DiskError::TornLog`] rather than silently dropping
-//! acknowledged writes. Nothing on disk says how far a torn batch reached,
-//! so a re-open ends the lap with a checkpoint before it accepts writes:
-//! what a tear left behind can never splice into a later batch. A store
-//! whose `state.bin` names a lap but whose log is gone or cut short is
-//! refused ([`DiskError::LogLost`]), never opened empty.
+//! Recovery-on-open replays the block records of the previous lap's whole
+//! batches (the snapshot already holds their metadata), then the current
+//! lap's committed batches over the block file and the snapshot: a batch's
+//! blocks and its metadata record are staged until its commit marker,
+//! where a full record replaces the blob and a patch is `XORed` into it,
+//! and the next batch is looked for at the next sector boundary. A
+//! committed patch that does not fit the blob it lands on is damage and
+//! fails the open with [`DiskError::MetaPatch`] — never garbage state. The
+//! sectors of a lap's last batch may have reached the device in any order,
+//! so a tear is *any subset* of them (DESIGN.md §15): the marker names its
+//! batch's start offset, a batch counts only whole, and anything less is
+//! *discarded*, exactly as §3.4's recovery discards loser transactions. A
+//! marker of the lap whose batch starts **beyond** the bad one proves a
+//! later batch was acknowledged: the log is corrupt (bit rot, not a torn
+//! write) and open fails with [`DiskError::TornLog`] rather than silently
+//! dropping acknowledged writes. Nothing on disk says how far a torn batch
+//! reached, so a re-open ends the lap before it accepts writes: what a
+//! tear left behind can never splice into a later batch. A store whose
+//! `state.bin` names a lap but whose log is gone or cut short is refused
+//! ([`DiskError::LogLost`]), never opened empty.
 //!
 //! [`commit`]: DiskBlocks::commit
 //! [`commit_patch`]: DiskBlocks::commit_patch
 //! [`checkpoint`]: DiskBlocks::checkpoint
 
 use bytes::Bytes;
-use radd_blockdev::checksum::{crc32_finish, crc32_init, crc32_update};
+use radd_parity::crc32::{crc32_finish, crc32_init, crc32_update};
 use radd_parity::ChangeMask;
 use radd_protocol::{BlockFault, Blocks, MemBlocks};
 use std::collections::BTreeSet;
@@ -101,15 +117,15 @@ const MARKER_BYTES: usize = 17;
 /// Its length field: the body is all of it but the 8 framing bytes.
 const MARKER_LEN: [u8; 4] = (MARKER_BYTES as u32 - 8).to_le_bytes();
 
-/// Checkpoint once the log outgrows this many bytes (tunable per store).
-const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
+/// Size `wal.log` is created at: the two halves of the ring.
+const LOG_BYTES: usize = 4 << 20;
 
-/// Size `wal.log` is created at: the default threshold, so a lap fits.
-const LOG_BYTES: usize = DEFAULT_CHECKPOINT_BYTES as usize;
+/// One half of the ring: the most a lap writes, unless one batch is larger.
+const HALF: u64 = LOG_BYTES as u64 / 2;
 
 /// `state.bin` is `[magic][lap u64][crc32 of lap ++ snapshot u32][snapshot]`;
-/// the magic's last byte is the format version (2: sector-aligned batches).
-const STATE_MAGIC: [u8; 8] = *b"RADDLAP\x02";
+/// the magic's last byte is the format version (3: the two-half ring).
+const STATE_MAGIC: [u8; 8] = *b"RADDLAP\x03";
 
 /// The sector every batch starts on and is padded to.
 const SECTOR: usize = 512;
@@ -166,7 +182,8 @@ pub enum DiskError {
     /// version that appended to and truncated its log (no lap header).
     Format,
     /// `state.bin` was written in another version of the store format
-    /// (version 1 packed its batches back to back, without sectors).
+    /// (version 1 packed its batches back to back, without sectors;
+    /// version 2 ran each lap over the whole log, not over one half).
     Version {
         /// The version `state.bin` names.
         found: u8,
@@ -238,6 +255,10 @@ enum Step {
     DirectProbe,
     LogWrite,
     LogSync,
+    /// One row's `pwrite` into `blocks.dat` at a lap's end.
+    WriteBack,
+    /// The `blocks.dat` sync after those writes.
+    DataSync,
     StateWrite,
     StateRename,
     DirSync,
@@ -245,22 +266,25 @@ enum Step {
 
 #[cfg(test)]
 thread_local! {
-    /// The failpoint: the next call of this step on this thread fails.
-    static FAIL_NEXT: std::cell::Cell<Option<Step>> = const { std::cell::Cell::new(None) };
+    /// The failpoint: the call of this step on this thread after as many
+    /// more as the count says fails.
+    static FAIL_NEXT: std::cell::Cell<Option<(Step, u32)>> = const { std::cell::Cell::new(None) };
 }
 
 /// Called ahead of each file call a commit or a checkpoint makes, and of
 /// the direct open and its probe; fails only in tests, when the failpoint
-/// names `step`, with the error a filesystem gives a flag it does not
-/// support.
+/// names `step` and its count has run down, with the error a filesystem
+/// gives a flag it does not support.
 fn failpoint(step: Step) -> io::Result<()> {
     #[cfg(test)]
-    if FAIL_NEXT.get() == Some(step) {
-        FAIL_NEXT.set(None);
-        return Err(io::Error::new(
-            ErrorKind::InvalidInput,
-            format!("failpoint {step:?}"),
-        ));
+    if let Some((armed, skip)) = FAIL_NEXT.get().filter(|&(armed, _)| armed == step) {
+        FAIL_NEXT.set(skip.checked_sub(1).map(|skip| (armed, skip)));
+        if skip == 0 {
+            return Err(io::Error::new(
+                ErrorKind::InvalidInput,
+                format!("failpoint {step:?}"),
+            ));
+        }
     }
     let _ = step;
     Ok(())
@@ -269,6 +293,12 @@ fn failpoint(step: Step) -> io::Result<()> {
 /// CRC state every record of lap `lap` starts from.
 fn lap_seed(lap: u64) -> u32 {
     crc32_update(crc32_init(), &lap.to_le_bytes())
+}
+
+/// Where lap `lap`'s first batch goes: laps alternate between the ring's
+/// halves, lap 1 (a new store's) in the first.
+fn lap_start(lap: u64) -> u64 {
+    (lap + 1) % 2 * HALF
 }
 
 /// Append one `[len][crc][head ++ payload]` record to `out`.
@@ -452,6 +482,10 @@ enum MetaChange {
 struct Staged {
     row: u64,
     data: Bytes,
+    /// The row's committed image when this write was staged, if that image
+    /// lives only in the log: a lap that ends before the batch is logged
+    /// writes it back, not the staged one.
+    committed: Option<Bytes>,
 }
 
 /// What a [`DiskBlocks`] has done since it was opened.
@@ -467,6 +501,8 @@ pub struct DiskStats {
     /// Laps ended: checkpoints asked for, those the log's size set off,
     /// and the one that closes a re-open.
     pub checkpoints: u64,
+    /// Rows those lap ends wrote back to `blocks.dat`.
+    pub written_back: u64,
     /// The log is written through a direct (`O_DIRECT`) handle.
     pub direct: bool,
 }
@@ -478,11 +514,15 @@ pub struct DiskBlocks {
     rows: u64,
     block_size: usize,
     data: File,
+    /// `blocks.dat` again, `O_DIRECT`, for reading a row not in memory,
+    /// where the log's handle is direct and a row is whole sectors (see
+    /// `open_direct_reads`).
+    data_reads: Option<File>,
     wal: File,
     /// Salts this lap's record CRCs; `state.bin` holds the durable copy.
     lap: u64,
-    /// Where the next batch goes: the logical length of this lap's log,
-    /// a multiple of [`SECTOR`].
+    /// Where the next batch goes: an offset in `wal.log`, from
+    /// [`lap_start`] up, a multiple of [`SECTOR`].
     head: u64,
     /// The batch being written, aligned for the direct handle.
     scratch: Aligned,
@@ -492,8 +532,11 @@ pub struct DiskBlocks {
     /// Rows ever written this session (drives lazy read-through).
     loaded: Vec<bool>,
     staged: Vec<Staged>,
-    /// Rows committed to the log but not yet checkpointed into `blocks.dat`.
+    /// Rows this lap logged.
     dirty: BTreeSet<u64>,
+    /// Rows whose newest record is in the previous lap's half: written back
+    /// when this lap ends, unless this lap logs them again first.
+    prev_dirty: BTreeSet<u64>,
     /// The durably committed metadata blob (opaque to this layer).
     meta: Vec<u8>,
     /// Rows replayed from the committed log suffix at open — the §3.4
@@ -558,6 +601,7 @@ impl DiskBlocks {
             rows,
             block_size,
             data,
+            data_reads: None,
             wal,
             lap: 1,
             head: 0,
@@ -566,9 +610,10 @@ impl DiskBlocks {
             loaded: vec![false; rows as usize],
             staged: Vec::new(),
             dirty: BTreeSet::new(),
+            prev_dirty: BTreeSet::new(),
             meta: Vec::new(),
             replayed: Vec::new(),
-            checkpoint_bytes: DEFAULT_CHECKPOINT_BYTES,
+            checkpoint_bytes: HALF,
             stats: DiskStats {
                 direct,
                 ..DiskStats::default()
@@ -591,17 +636,48 @@ impl DiskBlocks {
             store.wal.sync_all()?;
             store.probe_direct(0)?;
             install_state(&store.dir, store.lap, &store.meta)?;
+            store.open_direct_reads()?;
             return Ok(store);
         };
         (store.lap, store.meta) = (lap, meta.to_vec());
-        store.replay(log.bytes())?;
-        // The probe's zeros land at the head: torn leftovers or an older
-        // lap. A torn batch may have left sectors anywhere past the head,
-        // and the next batch of this lap would be written over them with
-        // the same salt: end the lap first.
+        let log = log.bytes();
+        // The previous lap never ran past its half (a lap that did is ended
+        // with everything written back, and the next lap number skipped).
+        let prev = lap.checked_sub(1).ok_or(DiskError::Format)?;
+        let prev_end = log.len().min((lap_start(prev) + HALF) as usize);
+        store.replay(&log[..prev_end], prev)?;
+        store.head = store.replay(log, lap)?;
+        // A torn batch may have left sectors anywhere past the head, and
+        // the next batch of this lap would be written over them with the
+        // same salt: end the lap first. The probe's zeros then land where
+        // the next lap starts, over records that lap end retired.
+        store.end_lap(false)?;
         store.probe_direct(store.head)?;
-        store.end_lap()?;
+        store.open_direct_reads()?;
         Ok(store)
+    }
+
+    /// Read `blocks.dat` past the page cache where the log is written past
+    /// it and a row is whole sectors. A buffered read brings readahead with
+    /// it, and readahead fills the page cache with large folios: a lap end
+    /// that then writes back a few rows dirties whole folios, and the
+    /// kernel accounts (and writes back) each one whole, so the write-back
+    /// would cost about the block file per lap end, whatever the rows.
+    /// Read direct, the block file's cache holds only the one-block folios
+    /// the write-back's own writes make. Rows that are not whole sectors
+    /// (tests' small blocks) keep the buffered read.
+    fn open_direct_reads(&mut self) -> io::Result<()> {
+        if let (true, Some(flag)) = (
+            self.stats.direct && self.block_size.is_multiple_of(SECTOR),
+            O_DIRECT,
+        ) {
+            let direct = OpenOptions::new()
+                .read(true)
+                .custom_flags(flag)
+                .open(self.dir.join("blocks.dat"));
+            self.data_reads = unless_refused(direct)?;
+        }
+        Ok(())
     }
 
     /// Write one zero sector at `at`, where nothing live is, through a
@@ -620,17 +696,22 @@ impl DiskBlocks {
         Ok(())
     }
 
-    /// Replay this lap's committed batches out of `log`. Records apply in
-    /// order up to the last marker that names its own batch's start; what
-    /// follows it is a torn batch or the previous lap, and is ignored. A
-    /// batch starts at the first sector boundary past the one before it:
-    /// the zeros between are padding, never read as records.
-    fn replay(&mut self, log: &[u8]) -> Result<(), DiskError> {
-        let seed = lap_seed(self.lap);
+    /// Replay lap `lap`'s committed batches out of `log` and return where
+    /// its next batch would go. Records apply in order from the lap's start
+    /// up to the last marker that names its own batch's start; what follows
+    /// it is a torn batch or an older lap, and is ignored. A batch starts at
+    /// the first sector boundary past the one before it: the zeros between
+    /// are padding, never read as records. The current lap's metadata
+    /// records apply to the blob; the previous lap's are in the snapshot
+    /// its end installed, so only its blocks are replayed.
+    fn replay(&mut self, log: &[u8], lap: u64) -> Result<u64, DiskError> {
+        let current = lap == self.lap;
+        let seed = lap_seed(lap);
         let mut batch: Vec<(u64, Bytes)> = Vec::new();
         // The batch's metadata record: (log offset, body with its tag).
         let mut batch_meta: Option<(usize, &[u8])> = None;
-        let (mut at, mut batch_start) = (0usize, 0usize);
+        let mut at = lap_start(lap) as usize;
+        let mut batch_start = at;
         while let Some(body) = record_at(log, at, seed) {
             let next = at + 8 + body.len();
             match body {
@@ -645,11 +726,16 @@ impl DiskBlocks {
                 [REC_COMMIT, start @ ..] if start == (batch_start as u64).to_le_bytes() => {
                     for (row, data) in batch.drain(..) {
                         self.replayed.push(row);
-                        self.dirty.insert(row);
+                        if current {
+                            self.prev_dirty.remove(&row);
+                            self.dirty.insert(row);
+                        } else {
+                            self.prev_dirty.insert(row);
+                        }
                         self.loaded[row as usize] = true;
                         let _ = self.cache.write_owned(row, data);
                     }
-                    match batch_meta.take() {
+                    match batch_meta.take().filter(|_| current) {
                         Some((_, [REC_META, blob @ ..])) => self.meta = blob.to_vec(),
                         Some((rec_at, [_, patch @ ..])) => {
                             ChangeMask::apply_wire(patch, &mut self.meta)
@@ -668,8 +754,7 @@ impl DiskBlocks {
         if later_batch_committed(log, batch_start, seed) {
             return Err(DiskError::TornLog { at: at as u64 });
         }
-        self.head = batch_start as u64;
-        Ok(())
+        Ok(batch_start as u64)
     }
 
     /// The store's directory.
@@ -690,7 +775,13 @@ impl DiskBlocks {
     /// Bytes of log this lap holds: its batches, each rounded up to the
     /// sector (the file itself never shrinks).
     pub fn wal_bytes(&self) -> u64 {
-        self.head
+        self.head - self.lap_start()
+    }
+
+    /// Where this lap's batches start in `wal.log`: the start of one half
+    /// of the ring or the other.
+    pub fn lap_start(&self) -> u64 {
+        lap_start(self.lap)
     }
 
     /// What this store has done since it was opened.
@@ -698,19 +789,39 @@ impl DiskBlocks {
         self.stats
     }
 
-    /// Set the log size that triggers an automatic checkpoint at commit.
+    /// Set how many bytes of batches a lap may hold: a commit whose batch
+    /// would take its lap past them (or past the lap's half of the ring,
+    /// whichever is less) ends the lap first. A lap's first batch is
+    /// written whatever its size.
     pub fn set_checkpoint_bytes(&mut self, bytes: u64) {
         self.checkpoint_bytes = bytes;
     }
 
     fn read_through(&mut self, row: u64) -> Result<(), DiskError> {
-        if !self.loaded[row as usize] {
-            let mut buf = vec![0u8; self.block_size];
-            self.data
-                .read_exact_at(&mut buf, row * self.block_size as u64)?;
-            let _ = self.cache.write_owned(row, Bytes::from(buf));
-            self.loaded[row as usize] = true;
+        if self.loaded[row as usize] {
+            return Ok(());
         }
+        let at = row * self.block_size as u64;
+        let mut block = None;
+        if let Some(direct) = &self.data_reads {
+            let mut buf = Aligned::zeroed(self.block_size);
+            let read = direct.read_exact_at(&mut buf.vec[buf.at..], at);
+            if unless_refused(read)?.is_some() {
+                block = Some(Bytes::from(buf.vec).slice(buf.at..buf.at + self.block_size));
+            } else {
+                self.data_reads = None;
+            }
+        }
+        let block = match block {
+            Some(block) => block,
+            None => {
+                let mut buf = vec![0u8; self.block_size];
+                self.data.read_exact_at(&mut buf, at)?;
+                Bytes::from(buf)
+            }
+        };
+        let _ = self.cache.write_owned(row, block);
+        self.loaded[row as usize] = true;
         Ok(())
     }
 
@@ -795,10 +906,6 @@ impl DiskBlocks {
         if self.staged.is_empty() && matches!(change, MetaChange::None) {
             return Ok(false);
         }
-        // Assemble the batch in the aligned buffer (payloads are copied
-        // into it; the CRC folds over header-then-payload without a second
-        // pass), sized up front so that no push moves it.
-        let seed = lap_seed(self.lap);
         let wire;
         let meta_record: Option<(u8, &[u8])> = match &change {
             MetaChange::None => None,
@@ -812,6 +919,18 @@ impl DiskBlocks {
         let records =
             blocks + meta_record.map_or(0, |(_, payload)| 8 + 1 + payload.len()) + MARKER_BYTES;
         let padded = records.next_multiple_of(SECTOR);
+        // A batch that would take its lap past its room ends the lap first,
+        // and one that no half holds ends it with everything written back:
+        // it runs on over the other half, or past the end of the file.
+        let oversized = padded as u64 > HALF;
+        let used = self.wal_bytes();
+        if oversized || (used > 0 && used + padded as u64 > self.checkpoint_bytes.min(HALF)) {
+            self.end_lap(oversized)?;
+        }
+        // Assemble the batch in the aligned buffer (payloads are copied
+        // into it; the CRC folds over header-then-payload without a second
+        // pass), sized up front so that no push moves it.
+        let seed = lap_seed(self.lap);
         let out = self.scratch.clear_for(padded);
         for s in &self.staged {
             let mut head = [REC_BLOCK; 9];
@@ -842,6 +961,7 @@ impl DiskBlocks {
         self.stats.log_bytes += padded as u64;
         self.stats.record_bytes += records as u64;
         for s in self.staged.drain(..) {
+            self.prev_dirty.remove(&s.row);
             self.dirty.insert(s.row);
         }
         match change {
@@ -849,35 +969,59 @@ impl DiskBlocks {
             MetaChange::Patch(patch) => patch.apply(&mut self.meta),
             MetaChange::Blob(meta) => self.meta = meta,
         }
-        if self.head > self.checkpoint_bytes {
-            self.end_lap()?;
-        }
         Ok(true)
     }
 
-    /// Push committed rows into `blocks.dat`, then atomically replace
-    /// `state.bin` with the current blob under the next lap number, and
-    /// rewind the log head. Ordering honours the write-ahead rule: every
-    /// row written here is already durable in the log, and the old lap's
-    /// records stay valid until the rename, after which neither they nor
-    /// the old snapshot are needed. The log file is not touched.
+    /// End the lap now, as a commit does when its batch would not fit: write
+    /// back to `blocks.dat` the rows whose newest record is in the previous
+    /// lap's half, sync it, then atomically replace `state.bin` with the
+    /// current blob under the next lap number, whose batches go to that
+    /// half. Ordering honours the write-ahead rule: every row written here
+    /// is already durable in the log, and the previous lap's records stay
+    /// valid until the rename, after which neither they nor the old
+    /// snapshot are needed. Rows this lap logged stay in the log, to be
+    /// replayed at an open and written back when the lap after this one
+    /// ends, unless it logs them again. The log file is not touched.
     pub fn checkpoint(&mut self) -> Result<(), DiskError> {
-        self.durably(DiskBlocks::end_lap)
+        self.durably(|store| store.end_lap(false))
     }
 
-    fn end_lap(&mut self) -> Result<(), DiskError> {
-        for &row in &self.dirty {
-            let block = self.cache.read(row).expect("MemBlocks never faults");
+    /// End the lap. With `everything` (or when the lap ran past its half),
+    /// this lap's rows are written back too and the next lap number is
+    /// skipped, so the lap after it has no previous lap to replay and may
+    /// write anywhere.
+    fn end_lap(&mut self, everything: bool) -> Result<(), DiskError> {
+        let everything = everything || self.head > self.lap_start() + HALF;
+        let mut rows = std::mem::take(&mut self.prev_dirty);
+        if everything {
+            rows.append(&mut self.dirty);
+        }
+        // A row staged over its logged image is written back as logged.
+        let mut committed = std::collections::BTreeMap::new();
+        for s in &self.staged {
+            if let Some(image) = &s.committed {
+                committed.entry(s.row).or_insert(image);
+            }
+        }
+        for &row in &rows {
+            let block = match committed.get(&row) {
+                Some(&image) => image.clone(),
+                None => self.cache.read(row).expect("MemBlocks never faults"),
+            };
             debug_assert_eq!(block.len(), self.block_size);
+            failpoint(Step::WriteBack)?;
             self.data
                 .write_all_at(&block, row * self.block_size as u64)?;
         }
+        failpoint(Step::DataSync)?;
         self.data.sync_data()?;
-        install_state(&self.dir, self.lap + 1, &self.meta)?;
-        self.dirty.clear();
-        self.lap += 1;
-        self.head = 0;
+        let next = self.lap + if everything { 2 } else { 1 };
+        install_state(&self.dir, next, &self.meta)?;
+        self.prev_dirty = std::mem::take(&mut self.dirty);
+        self.lap = next;
+        self.head = self.lap_start();
         self.stats.checkpoints += 1;
+        self.stats.written_back += rows.len() as u64;
         Ok(())
     }
 }
@@ -900,8 +1044,15 @@ impl Blocks for DiskBlocks {
             return Err(BlockFault);
         }
         self.loaded[row as usize] = true;
+        let committed = (self.dirty.contains(&row) || self.prev_dirty.contains(&row))
+            .then(|| self.cache.read(row))
+            .transpose()?;
         self.cache.write_owned(row, data.clone())?;
-        self.staged.push(Staged { row, data });
+        self.staged.push(Staged {
+            row,
+            data,
+            committed,
+        });
         Ok(())
     }
 }
@@ -1101,7 +1252,7 @@ mod tests {
             Handle::Buffered => Some(Step::DirectOpen),
             Handle::ProbeRefused => Some(Step::DirectProbe),
         };
-        FAIL_NEXT.set(refuse);
+        FAIL_NEXT.set(refuse.map(|step| (step, 0)));
         let d = DiskBlocks::open(dir, rows, block_size);
         if refuse.is_some() {
             // An open refused before it reached the log leaves it armed.
@@ -1213,8 +1364,18 @@ mod tests {
         }
     }
 
+    /// Row `row` of `blocks.dat` as it is on disk.
+    fn on_disk(dir: &Path, row: usize, block_size: usize) -> Vec<u8> {
+        fs::read(dir.join("blocks.dat")).unwrap()[row * block_size..][..block_size].to_vec()
+    }
+
+    /// A checkpoint ends the lap: the next lap's batches go to the other
+    /// half of the ring, and what the ended lap logged stays in the log,
+    /// live, until the lap after it ends. Only then, as its half is about
+    /// to be written over, is a row it logged and nobody logged since
+    /// written back.
     #[test]
-    fn checkpoint_moves_rows_to_block_file_and_rewinds_the_log() {
+    fn a_checkpoint_moves_the_lap_to_the_other_half_and_writes_back_the_one_before() {
         for h in HANDLES {
             let dir = tmpdir("checkpoint");
             {
@@ -1222,58 +1383,104 @@ mod tests {
                 commit_row(&mut d, 0, 5, b"snap");
                 assert!(d.wal_bytes() > 0);
                 d.checkpoint().unwrap();
-                assert_eq!(d.wal_bytes(), 0);
+                assert_eq!((d.lap_start(), d.wal_bytes()), (HALF, 0));
+                assert_eq!(on_disk(&dir, 0, 16), [0; 16], "lap 1 is still live");
+                assert_eq!(d.stats().written_back, 0);
+                commit_row(&mut d, 1, 6, b"snap");
+                d.checkpoint().unwrap();
+                assert_eq!((d.lap_start(), d.wal_bytes()), (0, 0));
+                assert_eq!(on_disk(&dir, 0, 16), [5; 16], "lap 1's half is recycled");
+                assert_eq!(on_disk(&dir, 1, 16), [0; 16], "lap 2 is still live");
+                assert_eq!(d.stats().written_back, 1);
             }
-            // The file keeps its size and its (now dead) records.
+            // The file keeps its size and its records, lap 1's now dead.
             let log = fs::read(dir.join("wal.log")).unwrap();
             assert_eq!(log.len(), LOG_BYTES);
             assert!(record_at(&log, 0, lap_seed(1)).is_some());
+            assert!(record_at(&log, HALF as usize, lap_seed(2)).is_some());
             let state = fs::read(dir.join("state.bin")).unwrap();
-            assert_eq!(decode_state(&state).unwrap(), (2, &b"snap"[..]));
+            assert_eq!(decode_state(&state).unwrap(), (3, &b"snap"[..]));
             let mut d = open(&dir, 4, 16, h).unwrap();
             assert_eq!(&d.read(0).unwrap()[..], &block(5, 16)[..]);
+            assert_eq!(&d.read(1).unwrap()[..], &block(6, 16)[..]);
             assert_eq!(d.meta(), b"snap");
-            assert!(d.replayed_rows().is_empty(), "nothing left to replay");
+            assert_eq!(d.replayed_rows(), [1], "the previous lap's row");
             fs::remove_dir_all(&dir).unwrap();
         }
     }
 
+    /// A batch that would take its lap past the room set for it ends the
+    /// lap before it is written: at 64 bytes of room every one-sector batch
+    /// is a lap of its own. Each lap end writes back the row the lap before
+    /// it logged, unless the ending lap logged it again.
     #[test]
-    fn automatic_checkpoint_at_threshold() {
+    fn a_batch_that_would_not_fit_its_lap_ends_the_lap_first() {
         for h in HANDLES {
             let dir = tmpdir("auto-ckpt");
             let mut d = open(&dir, 4, 16, h).unwrap();
             d.set_checkpoint_bytes(64);
-            for i in 0..8u8 {
-                commit_row(&mut d, u64::from(i) % 4, i, b"");
+            let rows = [0u64, 1, 2, 3, 3, 0, 1, 1];
+            for (i, &row) in rows.iter().enumerate() {
+                commit_row(&mut d, row, i as u8, b"");
+                assert_eq!(d.stats().checkpoints, i as u64);
+                assert_eq!(d.wal_bytes(), SECTOR as u64, "one batch to a lap");
             }
-            assert!(d.wal_bytes() < 64, "log was checkpointed away");
+            // Laps 1, 2, 3, 5 and 6 had their rows written back; lap 4's and
+            // lap 7's were logged again by the lap after them, and lap 8's
+            // is live.
+            assert_eq!(d.stats().written_back, 5);
+            assert_eq!(on_disk(&dir, 3, 16), [4; 16], "lap 5's image, not lap 4's");
             drop(d);
             let mut d = open(&dir, 4, 16, h).unwrap();
-            assert_eq!(&d.read(3).unwrap()[..], &block(7, 16)[..]);
+            assert_eq!(&d.read(3).unwrap()[..], &block(4, 16)[..]);
+            assert_eq!(&d.read(1).unwrap()[..], &block(7, 16)[..]);
+            assert_eq!(d.replayed_rows(), [1, 1]);
             fs::remove_dir_all(&dir).unwrap();
         }
     }
 
+    /// A batch larger than a half of the ring ends its lap with everything
+    /// written back and skips a lap number, so nothing lives in the half it
+    /// runs on over; in the second half it grows the file. The lap it is
+    /// in ends the same way, and the file never shrinks.
     #[test]
-    fn a_batch_past_the_end_of_the_file_grows_it() {
+    fn a_batch_larger_than_a_half_runs_on_past_it_and_grows_the_file() {
         for h in HANDLES {
             let dir = tmpdir("grow");
             let rows = LOG_BYTES as u64 / 4096 + 8;
             let mut d = open(&dir, rows, 4096, h).unwrap();
             d.set_checkpoint_bytes(u64::MAX);
-            for row in 0..rows {
+            d.write_owned(0, block(0xA0, 4096)).unwrap();
+            d.commit(|| b"m".to_vec()).unwrap();
+            d.checkpoint().unwrap();
+            assert_eq!(d.lap_start(), HALF);
+            for row in 1..rows {
                 d.write_owned(row, block(row as u8, 4096)).unwrap();
             }
             d.commit(Vec::new).unwrap();
-            assert!(d.wal_bytes() > LOG_BYTES as u64);
+            assert_eq!(d.stats().checkpoints, 2);
+            assert_eq!(d.stats().written_back, 1, "lap 1's row");
+            assert_eq!(d.lap_start(), HALF, "lap 2 ended, lap 3 skipped, lap 4");
+            assert!(d.wal_bytes() > HALF);
             drop(d);
+            assert!(
+                fs::metadata(dir.join("wal.log")).unwrap().len() > LOG_BYTES as u64,
+                "the batch grew the file"
+            );
             let mut d = open(&dir, rows, 4096, h).unwrap();
-            assert_eq!(d.replayed_rows().len() as u64, rows);
+            assert_eq!(d.replayed_rows().len() as u64, rows - 1);
+            assert_eq!(d.stats().written_back, rows - 1, "the open's lap end");
+            assert_eq!(&d.read(0).unwrap()[..], &[0xA0; 4096][..]);
             assert_eq!(
                 &d.read(rows - 1).unwrap()[..],
                 &block((rows - 1) as u8, 4096)[..]
             );
+            d.write_owned(2, block(0xB0, 4096)).unwrap();
+            d.commit(|| b"m2".to_vec()).unwrap();
+            drop(d);
+            let mut d = open(&dir, rows, 4096, h).unwrap();
+            assert_eq!(d.replayed_rows(), [2]);
+            assert_eq!(&d.read(1).unwrap()[..], &block(1, 4096)[..]);
             assert!(
                 fs::metadata(dir.join("wal.log")).unwrap().len() > LOG_BYTES as u64,
                 "the file never shrinks"
@@ -1360,7 +1567,7 @@ mod tests {
                 let mut d = open(&dir, 4, 16, h).unwrap();
                 commit_row(&mut d, 0, 1, b"m1");
                 d.write_owned(1, block(2, 16)).unwrap();
-                FAIL_NEXT.set(Some(step));
+                FAIL_NEXT.set(Some((step, 0)));
                 assert!(matches!(d.commit(|| b"m2".to_vec()), Err(DiskError::Io(_))));
                 assert!(d.has_staged(), "{step:?}: the batch was not dropped");
                 assert!(matches!(
@@ -1471,7 +1678,7 @@ mod tests {
             assert!(d.has_staged());
 
             let patch = ChangeMask::diff(b"meta-one", b"meta-two");
-            FAIL_NEXT.set(Some(Step::LogSync));
+            FAIL_NEXT.set(Some((Step::LogSync, 0)));
             assert!(matches!(
                 d.commit_patch(patch.clone()),
                 Err(DiskError::Io(_))
@@ -1489,35 +1696,39 @@ mod tests {
         }
     }
 
-    /// A crash after each step of `checkpoint()` re-opens to exactly the
-    /// old checkpoint plus its whole log, or to the new checkpoint under a
-    /// dead log; the same rows and blob either way.
+    /// A crash before each file call of a lap's end — each row's write
+    /// back, the `blocks.dat` sync, `state.tmp`, the rename, the directory
+    /// sync — re-opens to exactly the old lap with both halves of the log
+    /// live, or to the new one with the older half dead; the same rows and
+    /// blob either way.
     #[test]
-    fn a_crash_at_any_step_of_a_checkpoint_reopens_to_the_old_or_the_new_one() {
+    fn a_crash_at_any_step_of_a_lap_end_reopens_to_the_old_or_the_new_lap() {
         for h in HANDLES {
-            // (the call that never happened, the lap `state.bin` is left at)
+            // (the call that never happened, which of them, the lap
+            // `state.bin` is left at)
             let crashes = [
-                (Step::StateWrite, 1), // after the blocks.dat sync  // after the blocks.dat sync
-                (Step::StateRename, 1), // after state.tmp is written
-                (Step::DirSync, 2),    // after the rename
+                (Step::WriteBack, 0, 2),   // before the first row
+                (Step::WriteBack, 1, 2),   // after the first row
+                (Step::DataSync, 0, 2),    // after both rows
+                (Step::StateWrite, 0, 2),  // after the blocks.dat sync
+                (Step::StateRename, 0, 2), // after state.tmp is written
+                (Step::DirSync, 0, 3),     // after the rename
             ];
-            for (step, lap) in crashes {
+            for (step, nth, lap) in crashes {
                 let dir = tmpdir("ckpt-crash");
                 let mut d = open(&dir, 4, 16, h).unwrap();
                 commit_row(&mut d, 0, 1, b"m1");
                 commit_row(&mut d, 1, 2, b"m2");
                 commit_row(&mut d, 0, 3, b"m3");
-                FAIL_NEXT.set(Some(step));
+                d.checkpoint().unwrap();
+                commit_row(&mut d, 2, 4, b"m4");
+                FAIL_NEXT.set(Some((step, nth)));
                 assert!(matches!(d.checkpoint(), Err(DiskError::Io(_))));
                 drop(d);
                 let state = fs::read(dir.join("state.bin")).unwrap();
-                let old = (1, &b""[..]);
-                let new = (2, &b"m3"[..]);
-                assert_eq!(
-                    decode_state(&state).unwrap(),
-                    if lap == 1 { old } else { new },
-                    "{step:?}"
-                );
+                // Lap 2's base blob is lap 1's last; lap 3's, lap 2's.
+                let blob: &[u8] = if lap == 2 { b"m3" } else { b"m4" };
+                assert_eq!(decode_state(&state).unwrap(), (lap, blob), "{step:?} {nth}");
                 assert_eq!(
                     dir.join("state.tmp").exists(),
                     step == Step::StateRename,
@@ -1525,13 +1736,72 @@ mod tests {
                 );
                 let mut d = open(&dir, 4, 16, h).unwrap();
                 assert!(!dir.join("state.tmp").exists(), "{step:?}");
-                let replayed: &[u64] = if lap == 1 { &[0, 1, 0] } else { &[] };
-                assert_eq!(d.replayed_rows(), replayed, "{step:?}");
+                // Lap 2 replays lap 1 whole, then itself; lap 3 only lap 2.
+                let replayed: &[u64] = if lap == 2 { &[0, 1, 0, 2] } else { &[2] };
+                assert_eq!(d.replayed_rows(), replayed, "{step:?} {nth}");
                 assert_eq!(&d.read(0).unwrap()[..], &block(3, 16)[..], "{step:?}");
                 assert_eq!(&d.read(1).unwrap()[..], &block(2, 16)[..], "{step:?}");
-                assert_eq!(d.meta(), b"m3", "{step:?}");
+                assert_eq!(&d.read(2).unwrap()[..], &block(4, 16)[..], "{step:?}");
+                assert_eq!(d.meta(), b"m4", "{step:?}");
                 fs::remove_dir_all(&dir).unwrap();
             }
+        }
+    }
+
+    /// A row not in memory is read from `blocks.dat` past the page cache
+    /// where the log's handle is direct and a row is whole sectors, and
+    /// buffered otherwise; either way it reads what the write-back wrote.
+    #[test]
+    fn a_cold_row_reads_what_was_written_back_on_every_handle() {
+        for h in HANDLES {
+            for block_size in [4096, 16] {
+                let dir = tmpdir("cold-read");
+                let mut d = open(&dir, 8, block_size, h).unwrap();
+                for row in [1, 6] {
+                    d.write_owned(row, block(row as u8, block_size)).unwrap();
+                    d.commit(|| b"m".to_vec()).unwrap();
+                }
+                d.checkpoint().unwrap();
+                d.checkpoint().unwrap();
+                assert_eq!(d.stats().written_back, 2);
+                drop(d);
+                let mut d = open(&dir, 8, block_size, h).unwrap();
+                let direct = d.stats().direct && block_size == 4096;
+                assert_eq!(d.data_reads.is_some(), direct, "{h:?} {block_size}");
+                assert!(d.replayed_rows().is_empty());
+                for row in 0..8 {
+                    let want = if row == 1 || row == 6 { row as u8 } else { 0 };
+                    assert_eq!(&d.read(row).unwrap()[..], &block(want, block_size)[..]);
+                }
+                fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+
+    /// A lap that ends before a staged batch is logged writes back the
+    /// rows' logged images, not the staged ones: a crash before the batch
+    /// lands finds every row as last committed.
+    #[test]
+    fn a_lap_end_under_a_staged_batch_writes_back_what_was_logged() {
+        for h in HANDLES {
+            let dir = tmpdir("staged-lap-end");
+            let mut d = open(&dir, 4, 16, h).unwrap();
+            commit_row(&mut d, 0, 1, b"m1");
+            d.checkpoint().unwrap();
+            commit_row(&mut d, 1, 2, b"m2");
+            d.write_owned(0, block(9, 16)).unwrap();
+            d.write_owned(1, block(9, 16)).unwrap();
+            d.checkpoint().unwrap();
+            assert_eq!(on_disk(&dir, 0, 16), [1; 16]);
+            assert_eq!(&d.read(0).unwrap()[..], &block(9, 16)[..], "still staged");
+            FAIL_NEXT.set(Some((Step::LogWrite, 0)));
+            assert!(d.commit(|| b"m3".to_vec()).is_err());
+            drop(d);
+            let mut d = open(&dir, 4, 16, h).unwrap();
+            assert_eq!(&d.read(0).unwrap()[..], &block(1, 16)[..]);
+            assert_eq!(&d.read(1).unwrap()[..], &block(2, 16)[..]);
+            assert_eq!(d.meta(), b"m2");
+            fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -1614,40 +1884,37 @@ mod tests {
         }
     }
 
-    /// `state.bin`'s header, byte for byte: format version 2, lap, then
-    /// the CRC of the lap and the snapshot before the snapshot. A version 1
-    /// header (its batches were packed back to back) is refused by name
-    /// before the log is looked at, with or without a log beside it.
+    /// `state.bin`'s header, byte for byte: format version 3, lap, then
+    /// the CRC of the lap and the snapshot before the snapshot. A version 2
+    /// header (each lap ran over the whole log) and a version 1 one (its
+    /// batches were packed back to back) are refused by name before the
+    /// log is looked at, with or without a log beside them.
     #[test]
-    fn the_state_header_is_version_2_and_a_version_1_store_is_refused_by_name() {
-        const V2_LAP1_EMPTY: [u8; 20] = [
-            b'R', b'A', b'D', b'D', b'L', b'A', b'P', 2, // magic, version 2
+    fn the_state_header_is_version_3_and_older_stores_are_refused_by_name() {
+        const V3_LAP1_EMPTY: [u8; 20] = [
+            b'R', b'A', b'D', b'D', b'L', b'A', b'P', 3, // magic, version 3
             1, 0, 0, 0, 0, 0, 0, 0, // lap 1
             0xF7, 0xDF, 0x88, 0xA9, // CRC-32 of lap ++ snapshot
         ];
-        const V1_LAP1_EMPTY: [u8; 20] = [
-            b'R', b'A', b'D', b'D', b'L', b'A', b'P', 1, // magic, version 1
-            1, 0, 0, 0, 0, 0, 0, 0, // lap 1
-            0xF7, 0xDF, 0x88, 0xA9, // CRC-32 of lap ++ snapshot
-        ];
-        assert_eq!(encode_state(1, b""), V2_LAP1_EMPTY);
-        assert_eq!(decode_state(&V2_LAP1_EMPTY).unwrap(), (1, &b""[..]));
+        assert_eq!(encode_state(1, b""), V3_LAP1_EMPTY);
+        assert_eq!(decode_state(&V3_LAP1_EMPTY).unwrap(), (1, &b""[..]));
         for h in HANDLES {
-            for with_log in [false, true] {
-                let dir = tmpdir("v1");
-                fs::create_dir_all(&dir).unwrap();
-                if with_log {
-                    fs::write(dir.join("wal.log"), vec![0u8; LOG_BYTES]).unwrap();
+            for version in [1, 2] {
+                for with_log in [false, true] {
+                    let dir = tmpdir("old-version");
+                    fs::create_dir_all(&dir).unwrap();
+                    if with_log {
+                        fs::write(dir.join("wal.log"), vec![0u8; LOG_BYTES]).unwrap();
+                    }
+                    let mut header = V3_LAP1_EMPTY;
+                    header[7] = version;
+                    fs::write(dir.join("state.bin"), header).unwrap();
+                    match open(&dir, 4, 16, h) {
+                        Err(DiskError::Version { found, expected: 3 }) if found == version => {}
+                        other => panic!("version {version}: expected Version, got {other:?}"),
+                    }
+                    fs::remove_dir_all(&dir).unwrap();
                 }
-                fs::write(dir.join("state.bin"), V1_LAP1_EMPTY).unwrap();
-                match open(&dir, 4, 16, h) {
-                    Err(DiskError::Version {
-                        found: 1,
-                        expected: 2,
-                    }) => {}
-                    other => panic!("expected Version, got {other:?}"),
-                }
-                fs::remove_dir_all(&dir).unwrap();
             }
         }
     }

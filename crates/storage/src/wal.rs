@@ -17,8 +17,8 @@
 
 use crate::manager::{PageId, RecoveryContext, RecoveryStats, StorageError, StorageManager, TxnId};
 use bytes::Bytes;
-use radd_blockdev::checksum::crc32;
 use radd_blockdev::{BlockDevice, MemDisk};
+use radd_parity::crc32::crc32;
 use radd_sim::OpKind;
 use std::collections::{HashMap, HashSet};
 

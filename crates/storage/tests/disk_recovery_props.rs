@@ -5,10 +5,10 @@
 //! device, the rest still holding what was there before. The model here is
 //! exactly that: the file before the last commit (old image), the file
 //! after it (new image), and per 512-byte sector of the batch's byte range
-//! a choice of one or the other. The generated histories run over a
-//! checkpoint threshold of a few batches, so they cross lap wraps and the
-//! old image under a batch is mostly *valid records of the previous lap*,
-//! not zeros. Every batch starts on a sector boundary and is padded with
+//! a choice of one or the other. The generated histories run over laps of
+//! a few batches, so they cross lap ends, and since a lap writes over the
+//! half of the ring two laps back the old image under a batch is mostly
+//! *valid records of an older lap*, not zeros. Every batch starts on a sector boundary and is padded with
 //! zeros to the next one, and blocks are sized so that a block record is
 //! exactly one sector, which makes every tear a record-aligned splice: the
 //! hardest case for a replay that trusts checksums. No batch shares a
@@ -28,6 +28,13 @@
 //! *beyond* the corruption, acknowledged writes would be silently dropped by
 //! "scan to first bad record", so open must refuse with
 //! [`DiskError::TornLog`] instead.
+//!
+//! A lap's end writes back to `blocks.dat` only the rows whose newest
+//! record is in the half the next lap writes over. A crash anywhere in it —
+//! any subset of those rows written, `state.bin` old, a new `state.tmp`
+//! beside the old one, or the new one — re-opens to every committed batch;
+//! a row that every batch logs is never written back, and one logged once
+//! is written back exactly when its half is recycled.
 //!
 //! Metadata is logged as what changed: a commit whose blob has the length
 //! of the committed one logs an XOR span list (`REC_META_PATCH`), anything
@@ -96,11 +103,11 @@ impl Batch {
     }
 }
 
-/// `(offset, body tag, body length)` of every record in the first `head`
-/// bytes of a log (the current lap: what lies beyond is the last one's).
-fn records(log: &[u8], head: u64) -> Vec<(usize, u8, usize)> {
+/// `(offset, body tag, body length)` of every record of the current lap of
+/// `d`'s log, whose head was at `head` (what lies beyond is an older lap's).
+fn records(log: &[u8], d: &DiskBlocks, head: u64) -> Vec<(usize, u8, usize)> {
     let mut out = Vec::new();
-    let mut at = 0;
+    let mut at = d.lap_start() as usize;
     while at < head as usize {
         let len = u32::from_le_bytes(log[at..at + 4].try_into().expect("4 bytes")) as usize;
         out.push((at, log[at + 8], len));
@@ -148,8 +155,13 @@ struct Model {
     meta: Vec<u8>,
 }
 
+/// Where `d`'s next batch goes in `wal.log`.
+fn head(d: &DiskBlocks) -> u64 {
+    d.lap_start() + d.wal_bytes()
+}
+
 fn commit(d: &mut DiskBlocks, model: &mut Model, b: &Batch) {
-    let start = d.wal_bytes();
+    let start = head(d);
     assert!(
         start.is_multiple_of(SECTOR as u64),
         "a batch begins mid-sector, at {start}"
@@ -184,14 +196,15 @@ fn commit_torn(
     b: &Batch,
     landed: u8,
 ) -> (u64, Model) {
-    // The tear is of the log write; a checkpoint would come after it.
+    // The tear is of the log write, not of a lap end before it.
     d.set_checkpoint_bytes(u64::MAX);
     let wal = dir.join("wal.log");
     let old = fs::read(&wal).expect("read log");
-    let start = d.wal_bytes() as usize;
+    let (lap, start) = (d.lap_start(), head(&d) as usize);
     let mut after = model.clone();
     commit(&mut d, &mut after, b);
-    let end = d.wal_bytes() as usize;
+    assert_eq!(d.lap_start(), lap, "the batch ended no lap");
+    let end = head(&d) as usize;
     drop(d);
     let new = fs::read(&wal).expect("read log");
     let mut torn = old;
@@ -247,9 +260,10 @@ proptest! {
 
     /// Two tears in a row at one offset: the second batch is written over
     /// what the first tear left, with the same block-record boundaries, so
-    /// a sector mix is a sequence of whole block records from the two. The re-open
-    /// between them ended the lap, so the leftovers carry a dead salt and
-    /// the result is the second batch or nothing, never a splice.
+    /// a sector mix is a sequence of whole block records from the two. The
+    /// re-open between them ended the lap and a checkpoint brought the
+    /// next one back to the same half, so the leftovers carry a dead salt
+    /// and the result is the second batch or nothing, never a splice.
     #[test]
     fn a_second_tear_over_the_first_never_splices_a_batch(
         history in arb_history(),
@@ -267,12 +281,14 @@ proptest! {
             meta_tag: fills[0] % 4,
             long_meta: model.meta.len() == 72,
         };
+        let lap = d.lap_start();
         let (first_at, expect) = commit_torn(d, &dir, &model, &shaped(&fills[..3]), first_landed);
         let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen after first tear");
         assert_state(&mut d, &expect);
+        d.checkpoint().expect("checkpoint back to the first tear's half");
 
         let (second_at, expect) = commit_torn(d, &dir, &expect, &shaped(&fills[3..]), second_landed);
-        prop_assert_eq!((first_at, second_at), (0, 0), "both tears at the head of a lap");
+        prop_assert_eq!((first_at, second_at), (lap, lap), "both tears at the head of a lap");
         let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen after second tear");
         assert_state(&mut d, &expect);
         fs::remove_dir_all(&dir).expect("cleanup");
@@ -294,17 +310,17 @@ proptest! {
         d.set_checkpoint_bytes(u64::MAX);
         let mut last_start = 0;
         for b in &tail {
-            last_start = d.wal_bytes();
+            last_start = head(&d);
             commit(&mut d, &mut model, b);
         }
-        drop(d);
         let wal = dir.join("wal.log");
         let mut bytes = fs::read(&wal).expect("read log");
         // A byte of a record (the padding between batches is no record).
-        let recorded: Vec<usize> = records(&bytes, last_start)
+        let recorded: Vec<usize> = records(&bytes, &d, last_start)
             .into_iter()
             .flat_map(|(at, _, len)| at..at + 8 + len)
             .collect();
+        drop(d);
         let flip = recorded[(flip_sel % recorded.len() as u64) as usize];
         bytes[flip] ^= 0x01;
         fs::write(&wal, &bytes).expect("corrupt log");
@@ -333,16 +349,15 @@ proptest! {
         for b in &tail {
             commit(&mut d, &mut model, b);
         }
-        let head = d.wal_bytes();
-        drop(d);
         let wal = dir.join("wal.log");
         let mut bytes = fs::read(&wal).expect("read log");
         // From the end of each batch's marker to the next boundary.
-        let padding: Vec<usize> = records(&bytes, head)
+        let padding: Vec<usize> = records(&bytes, &d, head(&d))
             .into_iter()
             .filter(|&(_, tag, _)| tag == REC_COMMIT)
             .flat_map(|(at, _, len)| at + 8 + len..(at + 8 + len).next_multiple_of(SECTOR))
             .collect();
+        drop(d);
         prop_assert!(padding.iter().all(|&at| bytes[at] == 0), "padding is zeros");
         if !padding.is_empty() {
             bytes[padding[(flip_sel % padding.len() as u64) as usize]] ^= 1 << bit;
@@ -352,6 +367,98 @@ proptest! {
         assert_state(&mut d, &model);
         fs::remove_dir_all(&dir).expect("cleanup");
     }
+
+    /// A crash anywhere in a lap's end. Until the `blocks.dat` sync
+    /// returns, the page cache may have written any subset of the rows
+    /// written back, under the old `state.bin`; after it comes a new
+    /// `state.tmp` beside the old `state.bin` (a rename not yet durable
+    /// reads the same), then the new `state.bin`. Every one of these
+    /// re-opens to every committed batch.
+    #[test]
+    fn a_crash_anywhere_in_a_lap_end_reopens_to_every_committed_batch(
+        history in arb_history(),
+        landed in any::<u8>(),
+        stage in 0u8..3,
+    ) {
+        let dir = tmpdir();
+        let (mut d, model) = run_history(&dir, &history);
+        let read = |name: &str| fs::read(dir.join(name)).expect("read store file");
+        let (old_blocks, old_state) = (read("blocks.dat"), read("state.bin"));
+        let before = d.stats().written_back;
+        d.checkpoint().expect("lap end");
+        let written_back = d.stats().written_back - before;
+        drop(d);
+        let (new_blocks, new_state) = (read("blocks.dat"), read("state.bin"));
+        // The rows the lap end wrote that changed a byte (a row written
+        // back as it already was reads the same either way).
+        let changed: Vec<usize> = (0..ROWS as usize)
+            .filter(|&r| old_blocks[r * BLOCK..][..BLOCK] != new_blocks[r * BLOCK..][..BLOCK])
+            .collect();
+        prop_assert!(changed.len() as u64 <= written_back);
+        let mut blocks = old_blocks;
+        for (i, &r) in changed.iter().enumerate() {
+            if stage > 0 || landed >> i & 1 == 1 {
+                let span = r * BLOCK..(r + 1) * BLOCK;
+                blocks[span.clone()].copy_from_slice(&new_blocks[span]);
+            }
+        }
+        fs::write(dir.join("blocks.dat"), &blocks).expect("crash blocks.dat");
+        match stage {
+            0 => fs::write(dir.join("state.bin"), &old_state),
+            1 => fs::write(dir.join("state.bin"), &old_state)
+                .and_then(|()| fs::write(dir.join("state.tmp"), &new_state)),
+            _ => Ok(()),
+        }
+        .expect("crash state.bin");
+        let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen after the crash");
+        assert_state(&mut d, &model);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// Stage `row` filled with `fill` and commit it, with no metadata record.
+fn commit_row(d: &mut DiskBlocks, row: u64, fill: u8) {
+    d.write_owned(row, Bytes::from(vec![fill; BLOCK]))
+        .expect("in-range write");
+    assert!(d.commit(Vec::new).expect("commit"));
+}
+
+/// A row every batch logs always has its newest record in the current lap,
+/// so no lap end writes it back; a row logged once, in lap 1, is written
+/// back exactly when lap 1's half is recycled: at the second lap end, and
+/// by no other.
+#[test]
+fn a_row_every_batch_logs_is_never_written_back_and_one_logged_once_is_at_its_halfs_recycling() {
+    let dir = tmpdir();
+    let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("fresh open");
+    d.set_checkpoint_bytes(LAP_BYTES);
+    let on_disk = |row: usize| {
+        fs::read(dir.join("blocks.dat")).expect("read")[row * BLOCK..][..BLOCK].to_vec()
+    };
+    d.write_owned(1, Bytes::from(vec![0x11; BLOCK]))
+        .expect("in-range write");
+    commit_row(&mut d, 0, 0);
+    for fill in 1..=24u8 {
+        commit_row(&mut d, 0, fill);
+        let recycled = d.stats().checkpoints >= 2;
+        let row1 = if recycled {
+            vec![0x11; BLOCK]
+        } else {
+            vec![0; BLOCK]
+        };
+        assert_eq!(on_disk(1), row1, "after commit {fill}");
+        assert_eq!(d.stats().written_back, u64::from(recycled));
+        assert_eq!(on_disk(0), vec![0; BLOCK], "row 0 was written back");
+    }
+    assert!(
+        d.stats().checkpoints >= 4,
+        "the run crossed several lap ends"
+    );
+    drop(d);
+    let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen");
+    assert_eq!(&d.read(0).expect("row 0")[..], &[24u8; BLOCK][..]);
+    assert_eq!(&d.read(1).expect("row 1")[..], &[0x11; BLOCK][..]);
+    fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Commit `meta` with one block write, so the batch is never empty.
@@ -364,7 +471,7 @@ fn commit_meta(d: &mut DiskBlocks, meta: &[u8]) {
 /// The metadata record tags of the current lap of the log in `dir`.
 fn meta_tags(d: &DiskBlocks) -> Vec<u8> {
     let log = fs::read(d.dir().join("wal.log")).expect("read log");
-    records(&log, d.wal_bytes())
+    records(&log, d, head(d))
         .into_iter()
         .map(|(_, tag, _)| tag)
         .filter(|&tag| tag == REC_META || tag == REC_META_PATCH)
@@ -388,7 +495,7 @@ fn patches_and_snapshots_alternate_and_compose_across_a_checkpoint() {
         [REC_META, REC_META_PATCH, REC_META, REC_META_PATCH]
     );
     let log = fs::read(dir.join("wal.log")).expect("read log");
-    let a_patch = records(&log, d.wal_bytes())
+    let a_patch = records(&log, &d, head(&d))
         .into_iter()
         .find(|&(_, tag, _)| tag == REC_META_PATCH)
         .expect("a patch record");
@@ -409,27 +516,59 @@ fn patches_and_snapshots_alternate_and_compose_across_a_checkpoint() {
 }
 
 /// A checkpoint does not touch the log: the whole previous lap still sits
-/// in the file, every record intact, under a `state.bin` of the next lap.
-/// It replays as empty.
+/// in its half, every record intact, under a `state.bin` of the next lap.
+/// Its blocks replay and its metadata records do not (the snapshot holds
+/// what they did: applied again, a patch would undo itself). Once the lap
+/// after it has ended too, it replays as empty.
 #[test]
-fn a_previous_lap_log_under_a_new_lap_snapshot_replays_as_empty() {
+fn a_previous_lap_under_a_new_lap_snapshot_replays_its_blocks_only() {
     let dir = tmpdir();
     let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("fresh open");
     for tag in 1..=4 {
         commit_meta(&mut d, &blob(tag, false));
     }
-    let logged = d.wal_bytes();
-    let before = fs::read(dir.join("wal.log")).expect("read log");
+    let logged = fs::read(dir.join("wal.log")).expect("read log");
+    assert_eq!(records(&logged, &d, head(&d)).len(), 4 * 3);
     d.checkpoint().expect("checkpoint");
     drop(d);
     let after = fs::read(dir.join("wal.log")).expect("read log");
-    assert_eq!(before, after, "the checkpoint left the log alone");
-    assert_eq!(records(&after, logged).len(), 4 * 3);
+    assert_eq!(logged, after, "the checkpoint left the log alone");
 
+    let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen");
+    assert_eq!(d.replayed_rows(), [0, 0, 0, 0]);
+    assert_eq!(d.meta(), &blob(4, false)[..]);
+    assert_eq!(&d.read(0).expect("row 0")[..], &[4u8; BLOCK][..]);
+    // The open ended the lap it found; one more end retires lap 1.
+    d.checkpoint().expect("checkpoint");
+    drop(d);
     let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("reopen");
     assert!(d.replayed_rows().is_empty());
     assert_eq!(d.meta(), &blob(4, false)[..]);
     assert_eq!(&d.read(0).expect("row 0")[..], &[4u8; BLOCK][..]);
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Damage under a later batch of the *previous* lap is `TornLog` too: that
+/// lap's blocks are still only in the log.
+#[test]
+fn a_flipped_byte_under_a_later_batch_of_the_previous_lap_is_torn() {
+    let dir = tmpdir();
+    let mut d = DiskBlocks::open(&dir, ROWS, BLOCK).expect("fresh open");
+    for tag in 1..=3 {
+        commit_meta(&mut d, &blob(tag, false));
+    }
+    let log = fs::read(dir.join("wal.log")).expect("read log");
+    let (at, _, _) = records(&log, &d, head(&d))[0];
+    d.checkpoint().expect("checkpoint");
+    commit_meta(&mut d, &blob(4, false));
+    drop(d);
+    let mut log = fs::read(dir.join("wal.log")).expect("read log");
+    log[at + 20] ^= 0x01; // inside the first batch's block image
+    fs::write(dir.join("wal.log"), &log).expect("corrupt log");
+    match DiskBlocks::open(&dir, ROWS, BLOCK) {
+        Err(DiskError::TornLog { .. }) => {}
+        other => panic!("expected TornLog, got {other:?}"),
+    }
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -442,11 +581,12 @@ fn a_flipped_byte_inside_a_mid_log_patch_is_torn() {
     for tag in 1..=4 {
         commit_meta(&mut d, &blob(tag, false));
     }
-    let head = d.wal_bytes();
+    let log = fs::read(dir.join("wal.log")).expect("read log");
+    let records = records(&log, &d, head(&d));
     drop(d);
     let wal = dir.join("wal.log");
-    let mut log = fs::read(&wal).expect("read log");
-    let (at, _, len) = records(&log, head)
+    let mut log = log;
+    let (at, _, len) = records
         .into_iter()
         .find(|&(_, tag, _)| tag == REC_META_PATCH)
         .expect("the second commit logged a patch");

@@ -46,6 +46,13 @@
 # sector-aligned write of its records and their zero padding, so a return
 # to page-grained writes (8 192) or to whole-snapshot records (14 336)
 # fails it; the patch path's row must read the same.
+# The same run's write_back_uniform_512 row counts the rows a 512-row
+# site's lap ends write back to blocks.dat per 1,000 commits of uniformly
+# drawn 1x4 KiB writes: a count with a fixed seed, so it repeats
+# exactly. The two-half ring writes back only the rows whose newest record
+# the next lap is about to overwrite, 264; a lap end that writes back every
+# row its lap dirtied, as the single-lap log did, reads 425. The bound,
+# WAL_WRITE_BACK_MAX, is the measured value plus 10%.
 # The same fresh run's commit_1x4k_site_meta_512 ns/iter must stay within
 # BENCH_TOLERANCE of the recorded value: the log is a preallocated file
 # written in place, so a commit's fdatasync carries no filesystem journal
@@ -64,6 +71,12 @@
 # commit (PR 20): in one run of the frame_path bench the laned frame
 # checksum must beat the one-lane chain it replaced 2.5x at 64 KiB and
 # the slicing-by-8 CRC-32 must beat the byte-at-a-time table 3x at 4 KiB.
+# The dispatched CRC-32 (carry-less multiply on a CPU with PCLMULQDQ) must
+# beat the slicing-by-8 fallback CRC_CLMUL_MIN times at 4 KiB
+# (crc32_sliced_4k / crc32_4k). Ten runs here read 12.8-17.0, the
+# fallback forced reads 1.0, so the bound is 8; on a CPU without the
+# instruction the two rows are one kernel and the gate fails, which is
+# what it is for.
 # The floors are fixed: both comparands live in the bench only and both
 # sides run on the same machine seconds apart, so the ratios survive slow
 # CI machines and there is nothing to tune. The same run prices the frame
@@ -128,6 +141,8 @@ MG_MIN_RATIO="${MG_MIN_RATIO:-3.0}"
 RB_MIN_RATIO="${RB_MIN_RATIO:-2.0}"
 WAL_MAX_COMMIT_BYTES=$((4096 + 256))
 WAL_COMMIT_DEVICE_BYTES=4608
+CRC_CLMUL_MIN=8.0
+WAL_WRITE_BACK_MAX=290
 
 # measure DIR: run every gate's benches in DIR, print what they print, and
 # leave the `bench` lines in PC_OUT, MG_OUT, RB_OUT, DC_OUT, FP_OUT and
@@ -203,6 +218,8 @@ gates() {
         "$WAL_COMMIT_DEVICE_BYTES"
     gate "wal_commit_device_bytes_patch" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_patch_512_device_bytes)" "==" \
         "$WAL_COMMIT_DEVICE_BYTES"
+    gate "wal_write_back_per_1k" "$(row "$DC_OUT" disk_commit/write_back_uniform_512)" "<=" \
+        "$WAL_WRITE_BACK_MAX"
     gate "wal_commit_ns" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512)" "<=" \
         "$(scaled "$(recorded results/BENCH_pr16.json "$HERE" "['headline']['commit_1x4k_site_meta_512_ns']")")"
     ratio "site_meta_patch_8192/512" "$(row "$DC_OUT" disk_commit/site_meta_patch_8192)" "$(row "$DC_OUT" disk_commit/site_meta_patch_512)" "<=" 1.5
@@ -210,7 +227,8 @@ gates() {
     gate "wal_commit_bytes_patch" "$(row "$DC_OUT" disk_commit/commit_1x4k_site_patch_512_bytes)" "==" \
         "$(row "$DC_OUT" disk_commit/commit_1x4k_site_meta_512_bytes)"
     ratio "checksum_serial/laned_64k" "$(row "$FP_OUT" frame_path/checksum_serial_64k)" "$(row "$FP_OUT" frame_path/checksum_64k)" ">=" 2.5
-    ratio "crc32_bytewise/sliced_4k" "$(row "$FP_OUT" frame_path/crc32_bytewise_4k)" "$(row "$FP_OUT" frame_path/crc32_4k)" ">=" 3.0
+    ratio "crc32_bytewise/sliced_4k" "$(row "$FP_OUT" frame_path/crc32_bytewise_4k)" "$(row "$FP_OUT" frame_path/crc32_sliced_4k)" ">=" 3.0
+    ratio "crc32_sliced/clmul_4k" "$(row "$FP_OUT" frame_path/crc32_sliced_4k)" "$(row "$FP_OUT" frame_path/crc32_4k)" ">=" "$CRC_CLMUL_MIN"
     ratio "mask_diff_wordwise/fast_64k" "$(row "$CM_OUT" change_mask/diff_wordwise_full_64k)" "$(row "$CM_OUT" change_mask/diff_full_64k)" ">=" 2.0
     gate "write_frame_64k/copy" "$(row "$FP_OUT" frame_path/write_frame_64k/ratio)" "<=" 3.6
     ratio "decode/copy_64k" "$(row "$FP_OUT" frame_path/decode_64k)" "$(row "$FP_OUT" frame_path/copy_64k)" "<=" 4.2

@@ -110,6 +110,7 @@ fn storage_line(json: &str) -> Option<String> {
         commits: number(object, "commits"),
         log_bytes: number(object, "log_bytes"),
         checkpoints: number(object, "checkpoints"),
+        written_back: number(object, "written_back"),
         direct: field(object, "direct") == "true",
     };
     Some(storage.line(number(&json, "commit_failures")))
@@ -387,11 +388,15 @@ mod tests {
             commits: 2,
             log_bytes: 9216,
             checkpoints: 1,
+            written_back: 3,
             direct: true,
         }));
         assert_eq!(
             storage_line(&disk).as_deref(),
-            Some("storage: direct commits=2 log_bytes=9216 checkpoints=1 commit_failures=1")
+            Some(
+                "storage: direct commits=2 log_bytes=9216 checkpoints=1 written_back=3 \
+                 commit_failures=1"
+            )
         );
         assert_eq!(storage_line(&wire_json(None)), None);
     }
