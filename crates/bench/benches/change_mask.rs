@@ -1,4 +1,6 @@
-//! Change-mask diff/encode/apply — the per-write CPU cost of step W3.
+//! Change-mask diff/encode/apply — the per-write CPU cost of step W3, and
+//! of a client sending its write as a mask (`diff_within`: sized against
+//! half the block first, so a dense rewrite is given up half way).
 //!
 //! `diff_wordwise_full_64k` exists only as a same-run comparand, so that
 //! `scripts/bench_check.sh` can gate a ratio, which survives slow CI
@@ -121,6 +123,11 @@ fn bench_mask(c: &mut Criterion) {
         group.bench_function(format!("diff/edit{edit}"), |b| {
             b.iter(|| ChangeMask::diff(black_box(&old), black_box(&new)));
         });
+        // What a client pays to send the write as its mask: the mask
+        // sized against half the block, then built.
+        group.bench_function(format!("diff_within/edit{edit}"), |b| {
+            b.iter(|| ChangeMask::diff_within(black_box(&old), black_box(&new), 2047));
+        });
         let mask = ChangeMask::diff(&old, &new);
         group.bench_function(format!("encode/edit{edit}"), |b| {
             b.iter(|| black_box(&mask).encode());
@@ -148,6 +155,11 @@ fn bench_mask(c: &mut Criterion) {
     });
     group.bench_function("diff_wordwise_full_64k", |b| {
         b.iter(|| diff_wordwise(black_box(&old), black_box(&new)));
+    });
+    // The client's look at the same rewrite: a mask under half the block
+    // or nothing, given up once the part built passes half.
+    group.bench_function("diff_within_full_64k", |b| {
+        b.iter(|| ChangeMask::diff_within(black_box(&old), black_box(&new), 32 * 1024 - 1));
     });
     group.finish();
 }

@@ -15,12 +15,18 @@
 //! 64 KiB block into a buffer, the floor a frame's way in or out cannot go
 //! under (the second timed in alternating batches with the frame's way
 //! out). None is reachable from `src`.
+//!
+//! One row is a count, printed before the timings:
+//! `client_write_sparse_4k_bytes`, the bytes of the frame a client puts on
+//! the wire to change 128 bytes of a 4 KiB block its own last write left
+//! (a `WriteMask`; the block whole would be 4,138).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radd_parity::crc32::{crc32, crc32_finish, crc32_init, crc32_update_sliced};
 use radd_protocol::fasthash::FxHasher;
-use radd_protocol::Msg;
+use radd_protocol::loopback::{Hook, Loopback};
+use radd_protocol::{ClientErr, ClientMachine, Msg, SparePolicy};
 use radd_rt::frame::{checksum, write_frame, write_msg, Frame, FrameDecoder};
 use std::hash::Hasher;
 use std::hint::black_box;
@@ -51,7 +57,43 @@ fn crc32_bytewise(table: &[u32; 256], data: &[u8]) -> u32 {
     })
 }
 
+/// Keeps the last write request the client sent.
+struct LastWrite(Option<Msg>);
+
+impl Hook for LastWrite {
+    fn exchange(&mut self, _site: usize, msg: &Msg, _background: bool) -> Result<(), ClientErr> {
+        if matches!(msg, Msg::Write { .. } | Msg::WriteMask { .. }) {
+            self.0 = Some(msg.clone());
+        }
+        Ok(())
+    }
+}
+
+/// The frame of a client's write of 128 changed bytes to a 4 KiB block
+/// its previous write left.
+fn print_client_write_sparse_4k_bytes() {
+    const BLOCK: usize = 4096;
+    let mut net = Loopback::new(4, 16, BLOCK, LastWrite(None));
+    let mut client = ClientMachine::new(4, 16, BLOCK, SparePolicy::OnePerParity, true, u16::MAX);
+    let block = pattern(BLOCK);
+    client.write(&mut net, 0, 0, &block).expect("write");
+    let mut sparse = block;
+    for b in &mut sparse[1000..1128] {
+        *b ^= 0xA5;
+    }
+    client.write(&mut net, 0, 0, &sparse).expect("rewrite");
+    let mut frame = Vec::new();
+    let msg = net.hook.0.as_ref().expect("a write was sent");
+    write_msg(&mut frame, msg, None).expect("write to a Vec");
+    println!(
+        "bench {:50} {:>12} bytes",
+        "frame_path/client_write_sparse_4k_bytes",
+        frame.len()
+    );
+}
+
 fn bench_frame_path(c: &mut Criterion) {
+    print_client_write_sparse_4k_bytes();
     let mut group = c.benchmark_group("frame_path");
     let block_4k = pattern(4096);
     let block_64k = pattern(64 * 1024);

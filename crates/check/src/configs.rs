@@ -98,7 +98,7 @@ pub fn partition_world() -> CheckConfig {
 /// One client overwriting the same block twice under duplication, cache
 /// eviction and a failure episode — the world where the §3.2 idempotence
 /// guard, the UID handshake and spare invalidation each carry the proof
-/// alone. The three seeded mutants are all caught here.
+/// alone. The first three seeded mutants are all caught here.
 pub fn adversarial_world() -> CheckConfig {
     CheckConfig {
         model: ModelConfig {
@@ -218,6 +218,55 @@ pub fn crash_world() -> CheckConfig {
     }
 }
 
+/// Writes given as change masks: 32-byte blocks, so a client's rewrite
+/// of a block goes as its mask against the client's previous write. Client
+/// 0 writes one block twice and reads it; client 1 writes the same block
+/// once, between or around them, which makes client 0's base stale. A
+/// duplicated mask, a reply cache that forgets and a crash of the site
+/// interleave: the world where the base check alone keeps a mask from
+/// being applied to a block it was not taken against.
+pub fn mask_world() -> CheckConfig {
+    CheckConfig {
+        model: ModelConfig {
+            group_size: 2,
+            rows: 2,
+            block_size: 32,
+            scripts: vec![
+                vec![
+                    ClientOp::Write {
+                        site: 3,
+                        index: 0,
+                        fill: 0xA5,
+                    },
+                    ClientOp::Write {
+                        site: 3,
+                        index: 0,
+                        fill: 0xA6,
+                    },
+                    ClientOp::Read { site: 3, index: 0 },
+                ],
+                vec![ClientOp::Write {
+                    site: 3,
+                    index: 0,
+                    fill: 0xB7,
+                }],
+            ],
+            attachment: vec![None, None],
+            budgets: Budgets {
+                dup: 1,
+                drop: 0,
+                timer: 0,
+                fail: 0,
+                partition: 0,
+                evict: 1,
+                crash: 1,
+            },
+        },
+        max_depth: 40,
+        sleep_sets: true,
+    }
+}
+
 /// Every standard world, with its name.
 pub fn all() -> Vec<(&'static str, CheckConfig)> {
     vec![
@@ -226,5 +275,6 @@ pub fn all() -> Vec<(&'static str, CheckConfig)> {
         ("adversarial_world", adversarial_world()),
         ("rebuild_world", rebuild_world()),
         ("crash_world", crash_world()),
+        ("mask_world", mask_world()),
     ]
 }

@@ -18,12 +18,12 @@ use std::time::Instant;
 fn mutant_hunt() {
     use radd_protocol::mutations::{arm, Mutation};
     let mut failed = false;
-    for mutant in [
-        Mutation::AbaDoubleApply,
-        Mutation::DroppedUidBump,
-        Mutation::SpareNoInvalidate,
+    for (mutant, cfg) in [
+        (Mutation::AbaDoubleApply, configs::adversarial_world()),
+        (Mutation::DroppedUidBump, configs::adversarial_world()),
+        (Mutation::SpareNoInvalidate, configs::adversarial_world()),
+        (Mutation::StaleMaskApplied, configs::mask_world()),
     ] {
-        let cfg = configs::adversarial_world();
         arm(Some(mutant));
         let t0 = Instant::now();
         let report = explore(&cfg);

@@ -71,7 +71,7 @@ use radd_protocol::check::{
 };
 use radd_protocol::{
     classify, gate, Blocks, ClientErr, ClientIo, ClientMachine, Dest, Effect, Gate, MemBlocks, Msg,
-    PartitionVerdict, SiteMachine, SparePolicy,
+    NackReason, PartitionVerdict, SiteMachine, SparePolicy,
 };
 use radd_workload::faults::payload;
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,7 +80,7 @@ use std::fmt;
 /// One scripted client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientOp {
-    /// Write `payload(fill)` to data block `index` of `site`.
+    /// Write `content(fill)` to data block `index` of `site`.
     Write {
         /// Target site.
         site: usize,
@@ -482,9 +482,10 @@ impl Fabric {
 
 /// Synchronous [`ClientIo`]: each exchange is delivered and answered
 /// immediately, with any *other* effects (site-to-site sends, timers)
-/// feeding the shared fabric. A `Write` is the exception: it goes onto the
-/// fabric as it is, and the operation ends there (`wire_write` names it),
-/// so a healthy write's W1/W3/ack interleave with everything else.
+/// feeding the shared fabric. A `Write` (or `WriteMask`) is the exception:
+/// it goes onto the fabric as it is, and the operation ends there
+/// (`wire_write` names it), so a healthy write's W1/W3/ack interleave with
+/// everything else.
 struct SyncIo<'a> {
     fabric: &'a mut Fabric,
     src_peer: usize,
@@ -505,7 +506,7 @@ impl<'a> SyncIo<'a> {
 
 impl ClientIo for SyncIo<'_> {
     fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
-        if let Msg::Write { tag, .. } = msg {
+        if let Msg::Write { tag, .. } | Msg::WriteMask { tag, .. } = msg {
             self.fabric
                 .enqueue(self.src_peer, EndpointId::Site(site), msg);
             self.wire_write = Some(tag);
@@ -548,6 +549,18 @@ struct WireWait {
     site: usize,
     index: u64,
     fill: u64,
+}
+
+/// What write `fill` stores in a block of `block_size` bytes: the fault
+/// plans' 4-byte `payload(fill)` at its start and zeros after it. A 4-byte
+/// block is the payload whole; in a block of 32 bytes or more any two
+/// contents differ in at most 4 bytes, so a client's rewrite of a block
+/// goes as a change mask (`WriteMask`) against its previous write.
+fn content(fill: u64, block_size: usize) -> Vec<u8> {
+    let mut block = vec![0; block_size];
+    let head = block_size.min(4);
+    block[..head].copy_from_slice(&payload(fill, head));
+    block
 }
 
 /// UID namespace of the first scripted client (sites use low namespaces).
@@ -1025,35 +1038,7 @@ impl Model {
         self.clients[c].pos += 1;
         let peer = self.fabric.client_peer(c);
         match op {
-            ClientOp::Write { site, index, fill } => {
-                // Through the real client machine: a degraded write, and the
-                // parity stand-in a healthy one may need first, run as
-                // atomic exchanges; a healthy write's request goes onto the
-                // fabric and is committed when its `WriteOk` is delivered.
-                let data = payload(fill, self.cfg.block_size);
-                let mut io = SyncIo::new(&mut self.fabric, peer, self.cfg.attachment[c]);
-                let done = self.clients[c].machine.write(&mut io, site, index, &data);
-                match (io.wire_write, done) {
-                    (Some(tag), _) => {
-                        self.clients[c].wait = Some(WireWait {
-                            tag,
-                            site,
-                            index,
-                            fill,
-                        });
-                        self.inflight_fills
-                            .entry((site, index))
-                            .or_default()
-                            .insert(fill);
-                    }
-                    (None, Ok(())) => self.commit(site, index, fill),
-                    (None, Err(ClientErr::Inconsistent { .. })) => self.refusals += 1,
-                    (None, Err(e)) => self.fabric.flag(format!(
-                        "write(site {site}, index {index}) by client {c} failed \
-                         under a single failure: {e:?}"
-                    )),
-                }
-            }
+            ClientOp::Write { site, index, fill } => self.issue_write(c, site, index, fill),
             ClientOp::Read { site, index } => {
                 let mut io = SyncIo::new(&mut self.fabric, peer, self.cfg.attachment[c]);
                 match self.clients[c].machine.read(&mut io, site, index) {
@@ -1087,6 +1072,38 @@ impl Model {
         }
     }
 
+    /// Client `c`'s write of `content(fill)` to `(site, index)`, through
+    /// the real client machine: a degraded write, and the parity stand-in
+    /// a healthy one may need first, run as atomic exchanges; a healthy
+    /// write's request goes onto the fabric and is committed when its
+    /// `WriteOk` is delivered.
+    fn issue_write(&mut self, c: usize, site: usize, index: u64, fill: u64) {
+        let peer = self.fabric.client_peer(c);
+        let data = content(fill, self.cfg.block_size);
+        let mut io = SyncIo::new(&mut self.fabric, peer, self.cfg.attachment[c]);
+        let done = self.clients[c].machine.write(&mut io, site, index, &data);
+        match (io.wire_write, done) {
+            (Some(tag), _) => {
+                self.clients[c].wait = Some(WireWait {
+                    tag,
+                    site,
+                    index,
+                    fill,
+                });
+                self.inflight_fills
+                    .entry((site, index))
+                    .or_default()
+                    .insert(fill);
+            }
+            (None, Ok(())) => self.commit(site, index, fill),
+            (None, Err(ClientErr::Inconsistent { .. })) => self.refusals += 1,
+            (None, Err(e)) => self.fabric.flag(format!(
+                "write(site {site}, index {index}) by client {c} failed \
+                 under a single failure: {e:?}"
+            )),
+        }
+    }
+
     fn commit(&mut self, site: usize, index: u64, fill: u64) {
         self.oracle.insert((site, index), fill);
         self.committed
@@ -1115,7 +1132,20 @@ impl Model {
         match msg {
             Msg::WriteOk { .. } => {
                 let w = self.clients[c].wait.take().expect("matched above");
+                let data = content(w.fill, self.cfg.block_size).into();
+                self.clients[c]
+                    .machine
+                    .write_acked(w.site, w.index, data, w.tag);
                 self.commit(w.site, w.index, w.fill);
+            }
+            // The client's image of the block was stale: the machine kept
+            // none past the mask, so issuing the write again sends it whole.
+            Msg::Nack {
+                reason: NackReason::StaleBase,
+                ..
+            } => {
+                let w = self.clients[c].wait.take().expect("matched above");
+                self.issue_write(c, w.site, w.index, w.fill);
             }
             other => {
                 let w = self.clients[c].wait.take().expect("matched above");
@@ -1134,7 +1164,7 @@ impl Model {
     fn check_read(&mut self, c: usize, site: usize, index: u64, got: &[u8]) {
         let key = (site, index);
         let bs = self.cfg.block_size;
-        let matches_fill = |fill: u64| payload(fill, bs).as_slice() == got;
+        let matches_fill = |fill: u64| content(fill, bs).as_slice() == got;
         if let Some(fills) = self.inflight_fills.get(&key) {
             if fills.iter().copied().any(matches_fill) {
                 return; // concurrent with an unacked write: either value linearizes
@@ -1210,9 +1240,9 @@ impl Model {
                 let bs = self.cfg.block_size;
                 self.committed
                     .get(&(site, index))
-                    .is_some_and(|set| set.iter().any(|&f| payload(f, bs).as_slice() == &got[..]))
+                    .is_some_and(|set| set.iter().any(|&f| content(f, bs).as_slice() == &got[..]))
             } else {
-                payload(fill, self.cfg.block_size).as_slice() == &got[..]
+                content(fill, self.cfg.block_size).as_slice() == &got[..]
             };
             if !ok {
                 return Err(format!(

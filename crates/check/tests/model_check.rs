@@ -65,6 +65,22 @@ fn rebuild_world_exhausts_clean() {
     );
 }
 
+#[test]
+fn mask_world_exhausts_clean() {
+    let cfg = configs::mask_world();
+    let report = explore(&cfg);
+    assert!(
+        report.violation.is_none(),
+        "mainline violation: {:?}",
+        report.violation.map(|cx| cx.error)
+    );
+    assert!(report.complete, "no fixpoint within depth {}", report.depth);
+    assert_eq!(
+        report.states, 16_868,
+        "the recorded state count (EXPERIMENTS.md)"
+    );
+}
+
 /// Sleep sets are a sound reduction: same verdict, same completeness,
 /// never more transitions than the unreduced search.
 #[test]

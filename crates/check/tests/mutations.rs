@@ -86,3 +86,15 @@ fn spare_no_invalidate_is_caught() {
         "SpareNoInvalidate",
     );
 }
+
+#[test]
+fn stale_mask_applied_is_caught() {
+    // Client 0 writes the block, client 1 writes it whole, client 0 sends
+    // its rewrite as a mask against its own first write: applied anyway,
+    // the block ends as neither client wrote it.
+    prove_caught(
+        Mutation::StaleMaskApplied,
+        &configs::mask_world(),
+        "StaleMaskApplied",
+    );
+}

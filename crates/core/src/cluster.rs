@@ -816,10 +816,13 @@ impl RaddCluster {
         let Loopback { sites, hook } = &mut self.net;
         let obs = hook.obs.as_mut()?;
         for (j, (machine, _)) in sites.iter().enumerate() {
-            obs.site(j)
-                .metrics()
-                .set_coalesced_merges(machine.coalesced_merges());
+            let metrics = obs.site(j).metrics();
+            metrics.set_coalesced_merges(machine.coalesced_merges());
+            metrics.set_write_masks(machine.write_masks());
         }
+        obs.client()
+            .metrics()
+            .set_write_paths(self.client.write_paths());
         Some(obs.snapshot())
     }
 

@@ -78,6 +78,15 @@ pub trait Outbound {
         let _ = block_check;
         self.send(dst, msg)
     }
+
+    /// The check this endpoint's frames put on `block`, for a block the
+    /// sender built itself and will send again: a site that keeps it sends
+    /// the block later with [`send_checked`](Outbound::send_checked) and
+    /// no pass over it. `None` (the default) where frames carry no check.
+    fn block_check(&self, block: &[u8]) -> Option<u64> {
+        let _ = block;
+        None
+    }
 }
 
 /// One endpoint of a network that carries [`Msg`]s, as the client ladder

@@ -342,7 +342,14 @@ impl<T: Transport> Client<T> {
     /// Freeze this client's metrics and flight recorder. Latency
     /// histograms hold wall-clock nanoseconds per completed operation.
     pub fn obs_snapshot(&self) -> MachineSnapshot {
-        self.io.obs.snapshot("client")
+        let mut snapshot = self.io.obs.snapshot("client");
+        let metrics = &mut snapshot.metrics;
+        (
+            metrics.writes_as_masks,
+            metrics.writes_as_blocks,
+            metrics.stale_bases,
+        ) = self.machine.write_paths();
+        snapshot
     }
 
     /// Read the `index`-th data block of `site`. The block is handed over

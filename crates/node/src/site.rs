@@ -30,7 +30,9 @@
 //! arrived under. When the message is one whose block the store keeps as
 //! it came (`Write`, `SpareInstall`, `RestoreBlock`: a `Write` receipt of
 //! purpose `WriteData`, `SpareInstall` or `Restore`), the driver keeps the
-//! check for the row beside a clone of that very buffer. A reply that
+//! check for the row beside a clone of that very buffer; for a block it
+//! built from a `WriteMask` it asks the network for the block's check
+//! once, as the block is stored. A reply that
 //! carries the same buffer again (`ReadOk`, `BlockData`, a `SpareState`
 //! slot; the row is the one its `Read` receipt named) goes out through
 //! [`Outbound::send_checked`] under the kept check, so the kernel's copy
@@ -57,8 +59,8 @@
 use radd_net::{Outbound, RetryPolicy};
 use radd_obs::{MachineObs, MachineSnapshot, StorageSnapshot};
 use radd_protocol::{
-    trace, Bytes, CoalescePolicy, Dest, DurableDelta, DurableSiteState, Effect, IoPurpose, Msg,
-    ObsEvent, SiteMachine,
+    trace, Blocks, Bytes, CoalescePolicy, Dest, DurableDelta, DurableSiteState, Effect, IoPurpose,
+    Msg, ObsEvent, SiteMachine,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
@@ -206,6 +208,8 @@ impl SiteDriver {
         // into the gauge at snapshot time.
         let merges = self.machine.coalesced_merges();
         self.obs.metrics().set_coalesced_merges(merges);
+        let masks = self.machine.write_masks();
+        self.obs.metrics().set_write_masks(masks);
         // So is what the durable store has done.
         if let Some(st) = self.store.stats() {
             self.obs.metrics().set_storage(StorageSnapshot {
@@ -347,12 +351,15 @@ impl SiteDriver {
     ///
     /// `block_check` is the check the message's block arrived under, when
     /// the network checks its frames: a block the site stores as it came
-    /// (`Write`, `SpareInstall`, `RestoreBlock`) is later sent under it.
+    /// (`Write`, `SpareInstall`, `RestoreBlock`) is later sent under it. A
+    /// block the site built from a `WriteMask` gets its check from the
+    /// network ([`Outbound::block_check`]) once, as it is stored, so reads
+    /// of it reuse that check as reads of a block that came whole do.
     pub fn deliver<T: Outbound>(&mut self, ep: &T, src: usize, msg: Msg, block_check: Option<u64>) {
         if self.down {
             return;
         }
-        let arrived = match (&msg, block_check) {
+        let mut arrived = match (&msg, block_check) {
             (
                 Msg::Write { data, .. }
                 | Msg::SpareInstall { data, .. }
@@ -361,11 +368,26 @@ impl SiteDriver {
             ) => Some((data.clone(), check)),
             _ => None,
         };
+        let built = matches!(msg, Msg::WriteMask { .. });
         let mut out = Vec::new();
         self.machine.handle(&mut self.store, src, msg, &mut out);
-        if self.commit() {
-            self.interpret(ep, out, arrived.as_ref());
+        if !self.commit() {
+            return;
         }
+        if built {
+            arrived = out.iter().find_map(|eff| match *eff {
+                Effect::Write {
+                    row,
+                    purpose: IoPurpose::WriteData,
+                } => {
+                    let block = self.store.read(row).ok()?;
+                    let check = ep.block_check(&block)?;
+                    Some((block, check))
+                }
+                _ => None,
+            });
+        }
+        self.interpret(ep, out, arrived.as_ref());
     }
 
     /// Fire every retransmit timer whose deadline has passed. The resend
@@ -472,7 +494,7 @@ fn block_of(msg: &Msg) -> Option<&Bytes> {
         | Msg::RestoreBlock { data, .. }
         | Msg::ReadOk { data, .. }
         | Msg::BlockData { data, .. } => Some(data),
-        Msg::ParityUpdate { mask_wire, .. } => Some(mask_wire),
+        Msg::ParityUpdate { mask_wire, .. } | Msg::WriteMask { mask_wire, .. } => Some(mask_wire),
         Msg::SpareState {
             slot: Some(slot), ..
         } => Some(&slot.data),

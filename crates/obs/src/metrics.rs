@@ -108,6 +108,8 @@ pub struct MachineMetrics {
     block_checks_reused: u64,
     block_checks_computed: u64,
     coalesced_merges: u64,
+    write_paths: (u64, u64, u64),
+    write_masks: (u64, u64),
     storage: Option<StorageSnapshot>,
     recovery_runs: u64,
     recovery_drained_rows: u64,
@@ -206,6 +208,19 @@ impl MachineMetrics {
         self.coalesced_merges = n;
     }
 
+    /// Gauge: a client's writes sent as change masks, sent as blocks, and
+    /// masks refused for a stale base, owned by the `ClientMachine` and
+    /// mirrored here at snapshot time.
+    pub fn set_write_paths(&mut self, (masks, blocks, stale): (u64, u64, u64)) {
+        self.write_paths = (masks, blocks, stale);
+    }
+
+    /// Gauge: a site's `WriteMask`s applied and refused, owned by the
+    /// `SiteMachine` and mirrored here at snapshot time.
+    pub fn set_write_masks(&mut self, (applied, refused): (u64, u64)) {
+        self.write_masks = (applied, refused);
+    }
+
     /// Gauge: what the site's durable store has done, owned by the store
     /// and mirrored here at snapshot time.
     pub fn set_storage(&mut self, storage: StorageSnapshot) {
@@ -270,6 +285,11 @@ impl MachineMetrics {
             block_checks_reused: self.block_checks_reused,
             block_checks_computed: self.block_checks_computed,
             coalesced_merges: self.coalesced_merges,
+            writes_as_masks: self.write_paths.0,
+            writes_as_blocks: self.write_paths.1,
+            stale_bases: self.write_paths.2,
+            masks_applied: self.write_masks.0,
+            masks_refused: self.write_masks.1,
             storage: self.storage,
             recovery_runs: self.recovery_runs,
             recovery_drained_rows: self.recovery_drained_rows,

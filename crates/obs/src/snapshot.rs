@@ -137,6 +137,18 @@ pub struct MetricsSnapshot {
     pub block_checks_computed: u64,
     /// Writes absorbed by parity-update coalescing.
     pub coalesced_merges: u64,
+    /// Writes a client sent as change masks (`WriteMask`).
+    pub writes_as_masks: u64,
+    /// Writes a client sent as whole blocks (`Write`), a refused mask's
+    /// resend included.
+    pub writes_as_blocks: u64,
+    /// A client's masks refused for a stale base (`Nack StaleBase`).
+    pub stale_bases: u64,
+    /// `WriteMask`s a site applied.
+    pub masks_applied: u64,
+    /// `WriteMask`s a site refused (a stale base, or a mask that does not
+    /// fit the block).
+    pub masks_refused: u64,
     /// The site's durable store, mirrored at snapshot time (`None` for a
     /// memory store and for clients).
     pub storage: Option<StorageSnapshot>,
@@ -162,6 +174,25 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The `masks:` line of a machine's text render (and of `radd-cli
+    /// obs`): a client's writes by how they went (`sent` as masks, as
+    /// `blocks`, `stale_base` refusals), a site's masks `applied` and
+    /// `refused`. `None` for a machine that has counted none of them.
+    pub fn masks_line(&self) -> Option<String> {
+        let counts = [
+            ("sent", self.writes_as_masks),
+            ("blocks", self.writes_as_blocks),
+            ("stale_base", self.stale_bases),
+            ("applied", self.masks_applied),
+            ("refused", self.masks_refused),
+        ];
+        if counts.iter().all(|&(_, n)| n == 0) {
+            return None;
+        }
+        let body: String = counts.iter().map(|(k, n)| format!(" {k}={n}")).collect();
+        Some(format!("masks:{body}"))
+    }
+
     fn named(&self, rows: &[NamedCount], key: &str) -> u64 {
         rows.iter().find(|r| r.name == key).map_or(0, |r| r.n)
     }
@@ -291,6 +322,9 @@ impl ObsSnapshot {
                     "           queueing: site_busy_arrivals={} lock_wait_us:{waits}",
                     s.site_busy_arrivals
                 );
+            }
+            if let Some(line) = s.masks_line() {
+                let _ = writeln!(out, "           {line}");
             }
             if s.block_checks_reused + s.block_checks_computed > 0 {
                 let _ = writeln!(

@@ -46,6 +46,11 @@ const SPAN_HEADER_BYTES: usize = 8;
 /// The encoding's own header: block length and span count.
 const HEADER_BYTES: usize = 8;
 
+/// How much of the block [`ChangeMask::diff_within`] scans between two
+/// looks at the size of the mask so far: what a dense rewrite scans past
+/// its limit at most.
+const WITHIN_WINDOW: usize = 1024;
+
 /// The little-endian `u32` at `at`, if `buf` holds one there.
 fn u32_at(buf: &[u8], at: usize) -> Option<usize> {
     let bytes = buf.get(at..at + 4)?;
@@ -295,6 +300,37 @@ impl ChangeMask {
         let mut mask = Builder::new(old.len(), old.len() + SPAN_HEADER_BYTES);
         mask.scan(0, old, new);
         mask.finish()
+    }
+
+    /// [`diff`](ChangeMask::diff), if its [`wire_size`](ChangeMask::wire_size)
+    /// stays within `limit`; `None` as soon as the part seen so far passes
+    /// it. The mask is sized before it is built, 1 KiB of the block at a
+    /// time, by the scan `diff` makes and the rule by which its spans
+    /// join, without writing a byte: a dense rewrite costs a scan of about
+    /// `limit` bytes, not a mask half a block long.
+    pub fn diff_within(old: &[u8], new: &[u8], limit: usize) -> Option<ChangeMask> {
+        assert_eq!(
+            old.len(),
+            new.len(),
+            "mask operands must be the same length"
+        );
+        let (mut size, mut last_end) = (0, None);
+        for base in (0..old.len()).step_by(WITHIN_WINDOW) {
+            let end = (base + WITHIN_WINDOW).min(old.len());
+            scan_spans(&old[base..end], &new[base..end], |start, stop| {
+                let (start, stop) = (base + start, base + stop);
+                // What `Builder::push` adds for this extent.
+                size += match last_end {
+                    Some(last) if start - last < SPAN_HEADER_BYTES => stop - last,
+                    _ => SPAN_HEADER_BYTES + stop - start,
+                };
+                last_end = Some(stop);
+            });
+            if size > limit {
+                return None;
+            }
+        }
+        Some(ChangeMask::diff(old, new))
     }
 
     /// The mask between `old` and the block that differs from it only
@@ -702,6 +738,32 @@ mod tests {
         let back = ChangeMask::diff(&edited, &base);
         let merged = there.merge(&back);
         assert!(merged.is_empty(), "A then A⁻¹ must cancel: {merged:?}");
+    }
+
+    /// `diff_within` is `diff` when the mask fits its limit, whatever the
+    /// block length and wherever the changes fall across its windows, and
+    /// `None` when it does not.
+    #[test]
+    fn diff_within_is_diff_or_nothing() {
+        for len in [0, 7, 1000, 1024, 1031, 4096, 5000] {
+            let old: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            for (at, n) in [(0, 0), (0, 3), (1020, 10), (1017, 9), (2040, 20), (0, len)] {
+                let mut new = old.clone();
+                for b in new.iter_mut().skip(at).take(n) {
+                    *b ^= 0x5A;
+                }
+                let whole = ChangeMask::diff(&old, &new);
+                let size = whole.wire_size();
+                assert_eq!(
+                    ChangeMask::diff_within(&old, &new, size),
+                    Some(whole.clone())
+                );
+                assert_eq!(ChangeMask::diff_within(&old, &new, len + 8), Some(whole));
+                if size > 0 {
+                    assert_eq!(ChangeMask::diff_within(&old, &new, size - 1), None);
+                }
+            }
+        }
     }
 
     #[test]

@@ -195,6 +195,17 @@ impl Checkable for Msg {
                 c.raw(&data[..]);
                 c.tag(*tag);
             }
+            Msg::WriteMask {
+                index,
+                base_tag,
+                mask_wire,
+                tag,
+            } => {
+                c.raw(index);
+                c.tag(*base_tag);
+                c.raw(&mask_wire[..]);
+                c.tag(*tag);
+            }
             Msg::ParityUpdate {
                 row,
                 mask_wire,

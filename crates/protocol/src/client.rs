@@ -27,14 +27,28 @@
 //! a recovering owner lost and hands it back, and `fold_row` is the §3.3
 //! fold and UID check, for one reconstruction or for every row of a
 //! rebuild wave.
+//!
+//! A write to a site believed up goes as a change mask when it can
+//! (§7.4: what a write costs the network is its mask): the machine keeps
+//! the block each of its writes left and the write's tag, within
+//! [`IMAGE_BUDGET`] bytes, and sends the next write of that block as
+//! [`Msg::WriteMask`] against it when the mask is under half a block. The
+//! site takes it only if that write is still the last it applied to the
+//! block; otherwise it answers `StaleBase` and the block goes whole. Reads
+//! keep no image: the block a read returns is the caller's, uncopied.
 
 use crate::obs::ObsEvent;
 use crate::wire::{Msg, MsgKind, NackReason, SpareContent, SpareSlotWire};
 use bytes::Bytes;
 use radd_layout::Geometry;
-use radd_parity::{xor_fold, Uid, UidArray, UidGen};
+use radd_parity::{xor_fold, ChangeMask, Uid, UidArray, UidGen};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Bytes of block images a client keeps for writing by change mask: 4,096
+/// blocks of 4 KiB. When a new image would pass it, the images of the
+/// least recently written blocks go first.
+pub const IMAGE_BUDGET: usize = 16 << 20;
 
 /// The three states of §3.1: "up — functioning normally, down — not
 /// functioning, recovering — running recovery actions".
@@ -228,6 +242,45 @@ pub struct ClientMachine {
     /// What this client believes of each site.
     sites: Vec<SiteState>,
     trace: Option<Vec<ObsEvent>>,
+    images: Images,
+    /// Writes sent as masks, as blocks, and masks refused `StaleBase`.
+    write_paths: (u64, u64, u64),
+}
+
+/// The blocks this client's own acknowledged writes left, by `(site,
+/// index)`, each with its write's tag; `order` keys the same images by that
+/// tag, which only grows, so its first entry is the least recently written.
+#[derive(Debug, Clone, Default)]
+struct Images {
+    blocks: BTreeMap<(usize, u64), (Bytes, u64)>,
+    order: BTreeMap<u64, (usize, u64)>,
+    bytes: usize,
+}
+
+impl Images {
+    /// Take the image of `key` out, if one is kept.
+    fn take(&mut self, key: (usize, u64)) -> Option<(Bytes, u64)> {
+        let (data, tag) = self.blocks.remove(&key)?;
+        self.order.remove(&tag);
+        self.bytes -= data.len();
+        Some((data, tag))
+    }
+
+    /// Keep `data` as what write `tag` left at `key`, dropping the least
+    /// recently written images while the budget would be passed.
+    fn keep(&mut self, key: (usize, u64), data: Bytes, tag: u64) {
+        self.take(key);
+        while self.bytes + data.len() > IMAGE_BUDGET {
+            let Some((_, old)) = self.order.pop_first() else {
+                return;
+            };
+            let (dropped, _) = self.blocks.remove(&old).expect("ordered images are kept");
+            self.bytes -= dropped.len();
+        }
+        self.bytes += data.len();
+        self.order.insert(tag, key);
+        self.blocks.insert(key, (data, tag));
+    }
 }
 
 impl ClientMachine {
@@ -253,7 +306,24 @@ impl ClientMachine {
             next_tag: 0,
             sites: vec![SiteState::Up; n],
             trace: None,
+            images: Images::default(),
+            write_paths: (0, 0, 0),
         }
+    }
+
+    /// Writes this client sent as change masks, writes it sent as blocks,
+    /// and masks a site refused as `StaleBase` (each then sent as a block).
+    pub fn write_paths(&self) -> (u64, u64, u64) {
+        self.write_paths
+    }
+
+    /// Record that write `tag` of `data` to data block `index` of `site`
+    /// was acknowledged (`WriteOk`): the block the site now holds, which
+    /// the next write of it may be sent as a change mask against. A
+    /// runtime that sees a write's acknowledgement outside
+    /// [`write`](Self::write), as the model checker does, calls this.
+    pub fn write_acked(&mut self, site: usize, index: u64, data: Bytes, tag: u64) {
+        self.images.keep((site, index), data, tag);
     }
 
     /// The layout geometry.
@@ -437,6 +507,9 @@ impl ClientMachine {
             )),
             NackReason::Conflict => ClientErr::multiple(format!(
                 "row spare at site {site} already stands in for another site"
+            )),
+            NackReason::StaleBase => ClientErr::multiple(format!(
+                "site {site} refused a change mask's base for a {request:?}"
             )),
         }
     }
@@ -688,6 +761,9 @@ impl ClientMachine {
             return Err(ClientErr::BadSize);
         }
         let row = self.geo.data_to_physical(site, index);
+        // Whatever path this write takes, the image of the block is no
+        // longer what the site holds once it is sent.
+        let image = self.images.take((site, index));
         let recovering = self.sites[site] == SiteState::Recovering;
         if self.is_down(site) || recovering && !self.drain_first(io, site, row)? {
             return self.degraded_write(io, site, index, data);
@@ -700,16 +776,59 @@ impl ClientMachine {
         {
             return Err(ClientErr::Unavailable { site: parity });
         }
+        let data = Bytes::copy_from_slice(data);
+        // Against the image only while the site is believed up: a
+        // recovering site may just have taken a drained block.
+        let mask = image.filter(|_| !recovering).and_then(|(old, base_tag)| {
+            let mask =
+                ChangeMask::diff_within(&old, &data, (self.block_size / 2).saturating_sub(1))?;
+            Some((mask, base_tag))
+        });
         let tag = self.tag();
-        let msg = Msg::Write {
-            index,
-            data: Bytes::copy_from_slice(data),
-            tag,
+        let msg = match mask {
+            Some((mask, base_tag)) => {
+                self.write_paths.0 += 1;
+                Msg::WriteMask {
+                    index,
+                    base_tag,
+                    mask_wire: mask.encode(),
+                    tag,
+                }
+            }
+            None => self.block_write(index, &data, tag),
         };
-        match self.send(io, site, msg, false)? {
-            Msg::WriteOk { .. } => Ok(()),
-            reply if recovering && Self::lost(&reply) => self.degraded_write(io, site, index, data),
+        let mut reply = self.send(io, site, msg, false)?;
+        let mut tag = tag;
+        if let Msg::Nack {
+            reason: NackReason::StaleBase,
+            ..
+        } = reply
+        {
+            // The site's block is not the image's: send it whole, once.
+            self.write_paths.2 += 1;
+            tag = self.tag();
+            let msg = self.block_write(index, &data, tag);
+            reply = self.send(io, site, msg, false)?;
+        }
+        match reply {
+            Msg::WriteOk { .. } => {
+                self.write_acked(site, index, data, tag);
+                Ok(())
+            }
+            reply if recovering && Self::lost(&reply) => {
+                self.degraded_write(io, site, index, &data)
+            }
             other => Err(Self::refused(site, MsgKind::Write, &other)),
+        }
+    }
+
+    /// A `Write` of `data`, counted as a write sent whole.
+    fn block_write(&mut self, index: u64, data: &Bytes, tag: u64) -> Msg {
+        self.write_paths.1 += 1;
+        Msg::Write {
+            index,
+            data: data.clone(),
+            tag,
         }
     }
 
@@ -776,7 +895,7 @@ impl ClientMachine {
             other => return Err(Self::refused(spare, MsgKind::SpareInstall, &other)),
         }
         // …and W3': ship the mask so the parity site records the new UID.
-        let mask = radd_parity::ChangeMask::diff(&old, data);
+        let mask = ChangeMask::diff(&old, data);
         let tag = self.tag();
         let update = Msg::ParityUpdate {
             row,
@@ -1176,13 +1295,20 @@ impl ClientMachine {
 }
 
 impl crate::check::Checkable for ClientMachine {
-    /// Only the per-site beliefs are observable, varying state: the
-    /// geometry/policy fields are static configuration, `uid_gen` and
-    /// `next_tag` are generator positions erased by renaming, and `trace`
-    /// is diagnostic.
+    /// The per-site beliefs and the kept block images are the observable,
+    /// varying state: the geometry/policy fields are static configuration,
+    /// `uid_gen` and `next_tag` are generator positions erased by renaming,
+    /// `trace` and `write_paths` are diagnostic, and the images' eviction
+    /// order only matters past [`IMAGE_BUDGET`], which a model's few small
+    /// blocks never reach.
     fn canon(&self, c: &mut crate::check::Canonicalizer) {
         for state in &self.sites {
             c.raw(&(*state as u8));
+        }
+        for (key, (data, tag)) in &self.images.blocks {
+            c.raw(key);
+            c.raw(&data[..]);
+            c.tag(*tag);
         }
     }
 }

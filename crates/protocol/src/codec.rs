@@ -158,6 +158,7 @@ const fn nack_tag(reason: NackReason) -> u8 {
         NackReason::BadSize => 2,
         NackReason::Unavailable => 3,
         NackReason::Conflict => 4,
+        NackReason::StaleBase => 5,
     }
 }
 
@@ -191,6 +192,18 @@ pub fn encode_msg_split<'m>(msg: &'m Msg, buf: &mut Vec<u8>, tail: &mut Vec<u8>)
             put_len(buf, data);
             put_u64(tail, *tag);
             data
+        }
+        Msg::WriteMask {
+            index,
+            base_tag,
+            mask_wire,
+            tag,
+        } => {
+            put_u64(buf, *index);
+            put_u64(buf, *base_tag);
+            put_len(buf, mask_wire);
+            put_u64(tail, *tag);
+            mask_wire
         }
         Msg::ParityUpdate {
             row,
@@ -472,6 +485,12 @@ fn decode_body(kind: MsgKind, c: &mut Cursor<'_>) -> Result<Msg, CodecError> {
             data: c.bytes("write data")?,
             tag: c.u64("write tag")?,
         },
+        MsgKind::WriteMask => Msg::WriteMask {
+            index: c.u64("write-mask index")?,
+            base_tag: c.u64("write-mask base tag")?,
+            mask_wire: c.bytes("write-mask mask")?,
+            tag: c.u64("write-mask tag")?,
+        },
         MsgKind::ParityUpdate => Msg::ParityUpdate {
             row: c.u64("parity row")?,
             mask_wire: c.bytes("parity mask")?,
@@ -527,6 +546,7 @@ fn decode_body(kind: MsgKind, c: &mut Cursor<'_>) -> Result<Msg, CodecError> {
                 2 => NackReason::BadSize,
                 3 => NackReason::Unavailable,
                 4 => NackReason::Conflict,
+                5 => NackReason::StaleBase,
                 tag => {
                     return Err(CodecError::UnknownTag {
                         what: "NackReason",
@@ -663,6 +683,12 @@ mod tests {
                 data: Bytes::from(vec![9; 64]),
                 tag: 8,
             },
+            Msg::WriteMask {
+                index: 2,
+                base_tag: 6,
+                mask_wire: Bytes::from(vec![4, 5]),
+                tag: 24,
+            },
             Msg::ParityUpdate {
                 row: 5,
                 mask_wire: Bytes::from(vec![1, 2, 3]),
@@ -707,6 +733,10 @@ mod tests {
             Msg::Nack {
                 tag: 19,
                 reason: NackReason::Conflict,
+            },
+            Msg::Nack {
+                tag: 25,
+                reason: NackReason::StaleBase,
             },
             Msg::BlockData {
                 tag: 20,

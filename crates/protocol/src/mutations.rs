@@ -1,7 +1,7 @@
 //! Seeded protocol mutants for validating the model checker.
 //!
 //! Compiled only under the `mutations` feature, this module re-introduces
-//! three known-bad protocol variants behind a process-global switch. Each is
+//! four known-bad protocol variants behind a process-global switch. Each is
 //! a bug class that either actually occurred during development (the ABA
 //! double-apply that PR 1's loss plans exposed) or is a canonical way to get
 //! the paper's algorithms wrong. The `radd-check` crate's CI job arms each
@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// The three seeded protocol bugs.
+/// The four seeded protocol bugs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Disable the §3.2 UID idempotence guard in the parity site's
@@ -34,6 +34,10 @@ pub enum Mutation {
     /// stand-in behind after the recovery drain; the next write to the
     /// covered block makes the spare serve old bytes to degraded readers.
     SpareNoInvalidate = 3,
+    /// A data site applies a `WriteMask` whatever its base: a client whose
+    /// image of the block is stale (another writer came between) has its
+    /// mask applied to a block it was not taken against.
+    StaleMaskApplied = 4,
 }
 
 /// 0 = no mutant armed; otherwise a [`Mutation`] discriminant.
@@ -54,6 +58,7 @@ pub fn armed() -> Option<Mutation> {
         1 => Some(Mutation::AbaDoubleApply),
         2 => Some(Mutation::DroppedUidBump),
         3 => Some(Mutation::SpareNoInvalidate),
+        4 => Some(Mutation::StaleMaskApplied),
         _ => None,
     }
 }

@@ -29,6 +29,17 @@
 //! parity stand-in the client built there, or refuses it, as a parity site
 //! that cannot apply an update (a lost row, a dead disk) does.
 //!
+//! ### Writes given as change masks
+//!
+//! A client that holds the block its own last write left at a row may
+//! send its next write as the change mask against it ([`Msg::WriteMask`]).
+//! The site keeps, per data row, the endpoint and tag of the last W1 it
+//! applied (volatile: a restart starts without, and a restore clears the
+//! row's), and takes a mask only against that write; any other base is
+//! refused [`NackReason::StaleBase`] and the client sends the block whole.
+//! The new block is the mask applied to the site's copy, and the same mask
+//! bytes go on to the parity site: W2–W4 are a `Write`'s.
+//!
 //! ### Idempotence and retransmission
 //!
 //! Every request carries a `(src, tag)` identity. The machine remembers the
@@ -105,6 +116,14 @@ struct QueuedUpdate {
     absorbed: Vec<u64>,
 }
 
+/// What a write brings of its new block: the block, or a change mask
+/// against the block the sender's write `base_tag` left at the row.
+#[derive(Clone, Copy)]
+enum Body<'a> {
+    Block(&'a Bytes),
+    Mask { base_tag: u64, mask_wire: &'a Bytes },
+}
+
 /// An outbound request awaiting its ack, for retransmission.
 #[derive(Debug, Clone)]
 struct Inflight {
@@ -147,6 +166,12 @@ pub struct SiteMachine {
     /// Writes absorbed into an already-queued parity update under
     /// [`CoalescePolicy::Merge`]; surfaced through the observability layer.
     coalesced_merges: u64,
+    /// Per row, `(endpoint, tag)` of the last W1 this site applied there:
+    /// the only base a [`Msg::WriteMask`] is taken against. Volatile.
+    bases: Vec<Option<(usize, u64)>>,
+    /// `WriteMask`s applied and refused; surfaced like `coalesced_merges`.
+    masks_applied: u64,
+    masks_refused: u64,
     /// In-flight requests by tag, for timer-driven retransmission.
     inflight: FxHashMap<u64, Inflight>,
     /// At-most-once reply cache; eviction order lives in `reply_order`.
@@ -179,6 +204,7 @@ impl SiteMachine {
     /// recovery pass is needed.
     pub fn restore_durable(d: DurableSiteState) -> SiteMachine {
         let geo = Geometry::new(d.group_size, d.rows).expect("valid geometry");
+        let rows = d.rows as usize;
         SiteMachine {
             geo,
             d: Versioned::new(d),
@@ -189,6 +215,9 @@ impl SiteMachine {
             parity_queue: FxHashMap::default(),
             coalesce: CoalescePolicy::Off,
             coalesced_merges: 0,
+            bases: vec![None; rows],
+            masks_applied: 0,
+            masks_refused: 0,
             inflight: FxHashMap::default(),
             replies: FxHashMap::default(),
             reply_order: VecDeque::new(),
@@ -232,6 +261,12 @@ impl SiteMachine {
     /// (always 0 under [`CoalescePolicy::Off`]).
     pub fn coalesced_merges(&self) -> u64 {
         self.coalesced_merges
+    }
+
+    /// `WriteMask`s applied, and refused (a stale base or a mask that does
+    /// not fit the block).
+    pub fn write_masks(&self) -> (u64, u64) {
+        (self.masks_applied, self.masks_refused)
     }
 
     /// The UID stored with the block at `row`.
@@ -349,6 +384,7 @@ impl SiteMachine {
         d.parity_uids.clear();
         d.spares.clear();
         d.invalid_rows = (0..d.block_uids.len() as u64).collect();
+        self.bases.fill(None);
     }
 
     /// The durable half of this machine's state, for persistence (see
@@ -446,6 +482,7 @@ impl SiteMachine {
             d.parity_uids.remove(&row);
             d.spares.remove(&row);
             d.invalid_rows.insert(row);
+            self.bases[row as usize] = None;
         }
     }
 
@@ -490,6 +527,7 @@ impl SiteMachine {
         let (in_range, sized) = match msg {
             Msg::Read { index, .. } => (*index < geo.data_capacity(site), true),
             Msg::Write { index, data, .. } => (*index < geo.data_capacity(site), block_ok(data)),
+            Msg::WriteMask { index, .. } => (*index < geo.data_capacity(site), true),
             Msg::ParityUpdate { row, from_site, .. } => {
                 let here = parity_here(*row) || spare_here(*row);
                 (here && *from_site < n, true)
@@ -548,7 +586,21 @@ impl SiteMachine {
         }
         match msg {
             Msg::Read { index, tag } => self.on_read(blocks, src, index, tag, out),
-            Msg::Write { index, data, tag } => self.on_write(blocks, src, index, &data, tag, out),
+            Msg::Write { index, data, tag } => {
+                self.on_write(blocks, src, index, tag, Body::Block(&data), out);
+            }
+            Msg::WriteMask {
+                index,
+                base_tag,
+                mask_wire,
+                tag,
+            } => {
+                let body = Body::Mask {
+                    base_tag,
+                    mask_wire: &mask_wire,
+                };
+                self.on_write(blocks, src, index, tag, body, out);
+            }
             Msg::ParityUpdate {
                 row,
                 mask_wire,
@@ -632,14 +684,18 @@ impl SiteMachine {
         self.reply(out, src, tag, Msg::ReadOk { tag, data });
     }
 
+    /// W1–W3 of a write of data block `index` from `src`, whose new block
+    /// comes whole or as a change mask against the block here (see the
+    /// module docs). A mask is checked whole, against its base and the
+    /// block, before anything is staged.
     #[allow(clippy::too_many_arguments)]
     fn on_write(
         &mut self,
         blocks: &mut dyn Blocks,
         src: usize,
         index: u64,
-        data: &Bytes,
         tag: u64,
+        body: Body<'_>,
         out: &mut Vec<Effect>,
     ) {
         let row = self.geo.data_to_physical(self.site(), index);
@@ -648,9 +704,32 @@ impl SiteMachine {
         if self.d.invalid_rows.contains(&row) {
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
+        if let Body::Mask { base_tag, .. } = body {
+            let stale = self.bases[row as usize] != Some((src, base_tag));
+            #[cfg(feature = "mutations")]
+            let stale =
+                stale && !crate::mutations::is(crate::mutations::Mutation::StaleMaskApplied);
+            if stale {
+                self.masks_refused += 1;
+                return self.nack(out, src, tag, NackReason::StaleBase);
+            }
+        }
         // W2: old value from the "buffer pool" — our own storage.
         let Ok(old) = blocks.read(row) else {
             return self.nack(out, src, tag, NackReason::Unavailable);
+        };
+        let (data, mask) = match body {
+            Body::Block(data) => (data.clone(), None),
+            Body::Mask { mask_wire, .. } => match ChangeMask::applied_wire(mask_wire, &old) {
+                Some(new) => {
+                    self.masks_applied += 1;
+                    (Bytes::from(new), ChangeMask::decode(mask_wire))
+                }
+                None => {
+                    self.masks_refused += 1;
+                    return self.nack(out, src, tag, NackReason::BadSize);
+                }
+            },
         };
         out.push(Effect::Read {
             row,
@@ -659,8 +738,10 @@ impl SiteMachine {
         // W1: local write with a fresh UID.
         let uid = self.mint_uid();
         if blocks.write_owned(row, data.clone()).is_err() {
+            self.bases[row as usize] = None;
             return self.nack(out, src, tag, NackReason::Unavailable);
         }
+        self.bases[row as usize] = Some((src, tag));
         out.push(Effect::Write {
             row,
             purpose: IoPurpose::WriteData,
@@ -674,9 +755,10 @@ impl SiteMachine {
         #[cfg(not(feature = "mutations"))]
         let shipped_uid = uid;
         self.set_block_uid(row, uid);
-        // W3: change mask to the parity site; defer the client reply until
-        // the ack (the §6 "done = prepared" discipline).
-        let mask = ChangeMask::diff(&old, data);
+        // W3: change mask to the parity site (a mask that came is sent on
+        // as it came); defer the client reply until the ack (the §6 "done =
+        // prepared" discipline).
+        let mask = mask.unwrap_or_else(|| ChangeMask::diff(&old, &data));
         let ptag = self.fresh_tag();
         self.pending.insert(
             ptag,
@@ -1017,6 +1099,9 @@ impl SiteMachine {
             SpareContent::Data { uid } => self.set_block_uid(row, uid),
             SpareContent::Parity { uids } => *self.parity_uid_array(row) = uids,
         }
+        // The row holds a block no W1 here wrote: no mask may take it as
+        // its base.
+        self.bases[row as usize] = None;
         // The row is whole again. Tested through `Deref` first: a restore
         // onto a valid row must not journal the `Touch::Shape` that
         // removing an invalid mark is.
@@ -1055,7 +1140,8 @@ impl crate::check::Checkable for SiteMachine {
     /// `uid_gen`/`next_tag` (renaming makes generator positions
     /// irrelevant), `Inflight::step` (retransmission backoff counter),
     /// `coalesced_merges` (a statistic), and static configuration
-    /// (`site`, `geo`, `block_size`, `coalesce` — constant per model).
+    /// (`site`, `geo`, `block_size`, `coalesce` — constant per model),
+    /// and the `WriteMask` statistics.
     fn canon(&self, c: &mut crate::check::Canonicalizer) {
         for uid in &self.d.block_uids {
             c.uid(*uid);
@@ -1073,6 +1159,12 @@ impl crate::check::Checkable for SiteMachine {
         }
         for row in &self.d.invalid_rows {
             c.raw(row);
+        }
+        for (row, base) in self.bases.iter().enumerate() {
+            if let Some((src, tag)) = base {
+                c.raw(&(row, *src));
+                c.tag(*tag);
+            }
         }
         let mut pending: Vec<_> = self.pending.iter().collect();
         pending.sort_unstable_by_key(|(tag, _)| **tag);

@@ -62,6 +62,10 @@ pub enum NackReason {
     Unavailable,
     /// A spare install conflicts with an existing slot for another site.
     Conflict,
+    /// A [`Msg::WriteMask`]'s base is not the last write this site applied
+    /// to the block: the sender's image of the block is stale (another
+    /// writer, a restore, a restart came between). Send the block whole.
+    StaleBase,
 }
 
 /// Protocol messages. Requests carry a `tag` echoed by the reply, so a
@@ -83,6 +87,21 @@ pub enum Msg {
         index: u64,
         /// New block payload.
         data: Bytes,
+        /// Request tag.
+        tag: u64,
+    },
+    /// A write of data block `index` given as its change mask against the
+    /// block the sender's own write `base_tag` left there (W1 at the
+    /// receiving site, which builds the new block from its copy). Refused
+    /// with [`NackReason::StaleBase`] when that write is not the last one
+    /// the site applied to the block.
+    WriteMask {
+        /// Site-local data block index.
+        index: u64,
+        /// Tag of the sender's write whose block the mask is taken against.
+        base_tag: u64,
+        /// Encoded [`radd_parity::ChangeMask`] from that block to the new.
+        mask_wire: Bytes,
         /// Request tag.
         tag: u64,
     },
@@ -228,11 +247,12 @@ pub enum MsgKind {
     BlockData,
     SpareState,
     SpareRows,
+    WriteMask,
 }
 
 impl MsgKind {
     /// Number of kinds; sizes dense per-kind counter arrays.
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 17;
 
     /// Every kind, in [`MsgKind::index`] order.
     pub const ALL: [MsgKind; MsgKind::COUNT] = [
@@ -252,6 +272,7 @@ impl MsgKind {
         MsgKind::BlockData,
         MsgKind::SpareState,
         MsgKind::SpareRows,
+        MsgKind::WriteMask,
     ];
 
     /// Dense index into a `[_; MsgKind::COUNT]` counter array.
@@ -278,6 +299,7 @@ impl MsgKind {
             MsgKind::BlockData => "block_data",
             MsgKind::SpareState => "spare_state",
             MsgKind::SpareRows => "spare_rows",
+            MsgKind::WriteMask => "write_mask",
         }
     }
 }
@@ -288,6 +310,7 @@ impl Msg {
         match self {
             Msg::Read { tag, .. }
             | Msg::Write { tag, .. }
+            | Msg::WriteMask { tag, .. }
             | Msg::ParityUpdate { tag, .. }
             | Msg::SpareProbe { tag, .. }
             | Msg::SpareInstall { tag, .. }
@@ -310,6 +333,7 @@ impl Msg {
         match self {
             Msg::Read { .. } => MsgKind::Read,
             Msg::Write { .. } => MsgKind::Write,
+            Msg::WriteMask { .. } => MsgKind::WriteMask,
             Msg::ParityUpdate { .. } => MsgKind::ParityUpdate,
             Msg::SpareProbe { .. } => MsgKind::SpareProbe,
             Msg::SpareInstall { .. } => MsgKind::SpareInstall,
@@ -333,6 +357,7 @@ impl Msg {
             self,
             Msg::Read { .. }
                 | Msg::Write { .. }
+                | Msg::WriteMask { .. }
                 | Msg::ParityUpdate { .. }
                 | Msg::SpareProbe { .. }
                 | Msg::SpareInstall { .. }
@@ -345,14 +370,17 @@ impl Msg {
 
     /// Bytes this message is charged on the wire (§7.4 accounting).
     ///
-    /// A parity update ships the encoded change mask plus a control header —
-    /// *much* smaller than a block for sparse writes, which is the paper's
-    /// §7.4 bandwidth argument. Anything carrying a block pays the payload
+    /// A parity update (and a client's write given as a mask) ships the
+    /// encoded change mask plus a control header — *much* smaller than a
+    /// block for sparse writes, which is the paper's §7.4 bandwidth
+    /// argument. Anything carrying a block pays the payload
     /// plus [`BLOCK_MSG_HEADER`]; everything else is a fixed
     /// [`CONTROL_MSG_BYTES`].
     pub fn wire_size(&self) -> usize {
         match self {
-            Msg::ParityUpdate { mask_wire, .. } => mask_wire.len() + CONTROL_MSG_BYTES,
+            Msg::ParityUpdate { mask_wire, .. } | Msg::WriteMask { mask_wire, .. } => {
+                mask_wire.len() + CONTROL_MSG_BYTES
+            }
             Msg::Write { data, .. }
             | Msg::SpareInstall { data, .. }
             | Msg::RestoreBlock { data, .. }
@@ -387,6 +415,12 @@ mod tests {
             Msg::Write {
                 index: 1,
                 data: Bytes::from(vec![0; 4]),
+                tag: 7,
+            },
+            Msg::WriteMask {
+                index: 1,
+                base_tag: 3,
+                mask_wire: Bytes::new(),
                 tag: 7,
             },
             Msg::ParityUpdate {

@@ -82,8 +82,8 @@ pub const FRAME_HEADER: usize = 4 + 8 + 4 + 4;
 
 /// The wire format this build speaks, carried by every [`Frame::Hello`].
 /// A change to the header, the check or the payload vocabulary is a new
-/// version.
-pub const WIRE_VERSION: u8 = 1;
+/// version: 2 added `WriteMask` and the `StaleBase` refusal.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Payload bytes of a [`Frame::Hello`]: type, version, endpoint id. The
 /// first frame on a connection keeps this shape, and its header the
@@ -527,6 +527,16 @@ impl Shape {
         self.block_end - self.head_end
     }
 
+    /// The most a block read apart is offered at once: a step, and the
+    /// fields after the block (up to [`COPY_BELOW`] of them), which arrive
+    /// with its last read. A block of a step's length and the few bytes
+    /// of a `Write`'s tag or a `ParityUpdate`'s UID, site and tag behind it
+    /// then land in one allocation, not one that is grown and copied for
+    /// them; a header that lies about the fields still buys only a step.
+    fn apart_step(&self) -> usize {
+        READ_STEP + (self.frame_end - self.block_end).min(COPY_BELOW)
+    }
+
     /// Whether a block still arriving is read apart.
     fn apart(&self) -> bool {
         self.block_len() >= COPY_BELOW
@@ -602,17 +612,17 @@ fn make_room(buf: &mut Vec<u8>, filled: usize, end: usize, frame_end: usize) {
     }
 }
 
-/// Read up to `room` bytes from `r` into `buf`'s capacity past `filled`,
-/// which nothing zeroes first, growing it toward `frame_end` as
-/// [`make_room`] does. Bytes read before an error are kept.
+/// Read up to `room` bytes, and no more than `step`, from `r` into `buf`'s
+/// capacity past `filled`, which nothing zeroes first, growing it toward
+/// `frame_end` as [`make_room`] does. Bytes read before an error are kept.
 fn read_into(
     r: &mut impl Read,
     buf: &mut Vec<u8>,
     filled: usize,
-    room: usize,
+    (room, step): (usize, usize),
     frame_end: usize,
 ) -> std::io::Result<usize> {
-    let room = room.min(READ_STEP);
+    let room = room.min(step);
     buf.truncate(filled);
     make_room(buf, filled, filled + room, frame_end);
     r.by_ref().take(room as u64).read_to_end(buf)
@@ -697,7 +707,7 @@ impl FrameDecoder {
             let block = self.block.get_or_insert_with(Vec::new);
             let (got, want) = (block.len(), s.frame_end - s.head_end);
             if got < s.block_len() {
-                let read = read_into(r, block, got, want - got, want);
+                let read = read_into(r, block, got, (want - got, s.apart_step()), want);
                 // The fields after the block came with it: back beside the
                 // fields before it.
                 if block.len() > s.block_len() {
@@ -714,7 +724,8 @@ impl FrameDecoder {
             (false, true) => s.head_end,
             (false, false) => s.frame_end,
         };
-        let read = read_into(r, &mut self.buf, self.filled, end - self.filled, end);
+        let room = (end - self.filled, READ_STEP);
+        let read = read_into(r, &mut self.buf, self.filled, room, end);
         self.filled = self.buf.len();
         read
     }
@@ -741,7 +752,7 @@ impl FrameDecoder {
         let take = (s.block_len() - block.len()).min(self.filled - s.head_end);
         if take > 0 {
             let got = block.len();
-            make_room(block, got, got + (want - got).min(READ_STEP), want);
+            make_room(block, got, got + (want - got).min(s.apart_step()), want);
             block.extend_from_slice(&self.buf[s.head_end..s.head_end + take]);
             self.buf
                 .copy_within(s.head_end + take..self.filled, s.head_end);
@@ -1062,6 +1073,67 @@ mod tests {
         assert_eq!(dec.next_payload().unwrap().unwrap()[..], payload[..]);
     }
 
+    /// A frame whose 64 KiB block has fields after it (a `Write`'s tag, a
+    /// parity update's UID, site and tag, a `BlockData`'s UID), cut into two
+    /// reads anywhere and then read a step at a time: the block is read
+    /// into one allocation, which is never grown (and so never copied)
+    /// before the frame is whole.
+    #[test]
+    fn a_block_read_apart_is_never_reallocated() {
+        let block = Bytes::from(vec![0x3Cu8; READ_STEP]);
+        let msgs = [
+            Msg::Write {
+                index: 1,
+                data: block.clone(),
+                tag: 2,
+            },
+            Msg::ParityUpdate {
+                row: 1,
+                mask_wire: block.clone(),
+                uid: radd_parity::Uid::from_raw(3),
+                from_site: 4,
+                tag: 5,
+            },
+            Msg::BlockData {
+                tag: 6,
+                data: block,
+                uid: radd_parity::Uid::from_raw(7),
+                parity_uids: Some(vec![radd_parity::Uid::from_raw(8); 10]),
+            },
+        ];
+        for msg in msgs {
+            let mut wire = Vec::new();
+            write_msg(&mut wire, &msg, None).unwrap();
+            let edges = [1, FRAME_HEADER, 40, 41, 42, 50, IDLE_ROOM - 1, IDLE_ROOM];
+            let ends = (1..80).map(|k| wire.len() - k);
+            let cuts = edges
+                .into_iter()
+                .chain((1..wire.len()).step_by(997))
+                .chain(ends);
+            for cut in cuts {
+                let mut dec = FrameDecoder::new();
+                let mut first = &wire[..cut];
+                while dec.read_from(&mut first).unwrap() > 0 {}
+                let mut rest = &wire[cut..];
+                let mut kept = None;
+                while dec.block.is_some() || dec.filled < wire.len() {
+                    let allocation = dec.block.as_ref().map(|b| (b.as_ptr(), b.capacity()));
+                    if allocation.is_some() {
+                        assert!(kept.is_none() || kept == allocation, "grown after {cut}");
+                        kept = allocation;
+                    }
+                    if dec.read_from(&mut rest).unwrap() == 0 {
+                        break;
+                    }
+                }
+                let allocation = dec.block.as_ref().map(|b| (b.as_ptr(), b.capacity()));
+                assert!(kept.is_none() || kept == allocation, "grown after {cut}");
+                let got = dec.next_frame().unwrap();
+                assert_eq!(got, Some(Frame::Proto(msg.clone())), "cut at {cut}");
+            }
+        }
+    }
+
     /// `Hello`'s bytes, pinned: a change here is a change of
     /// [`WIRE_VERSION`], and the first frame must keep this shape in every
     /// version for a peer's version to be readable at all.
@@ -1083,10 +1155,10 @@ mod tests {
         #[rustfmt::skip]
         let pinned: [u8; FRAME_HEADER + HELLO_LEN] = [
             10, 0, 0, 0,                              // payload length
-            0x91, 0xc9, 0xee, 0xcc, 0x48, 0xf5, 0x1d, 0xd2, // check
+            0xaa, 0x43, 0xab, 0x90, 0xa9, 0x92, 0x94, 0xf4, // check
             10, 0, 0, 0,                              // block at: after the payload
             0, 0, 0, 0,                               // block length: none
-            FT_HELLO, 1,                              // type, wire version
+            FT_HELLO, 2,                              // type, wire version
             8, 7, 6, 5, 4, 3, 2, 1,                   // endpoint id
         ];
         assert_eq!(wire, pinned, "check {check:#018x}");

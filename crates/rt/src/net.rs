@@ -72,7 +72,7 @@
 //! Everything here is transport plumbing — protocol behaviour (dedup,
 //! retries, idempotence) lives in the sans-IO machines and their drivers.
 
-use crate::frame::{write_frame, write_msg, Frame, FrameDecoder};
+use crate::frame::{checksum, write_frame, write_msg, Frame, FrameDecoder};
 use radd_net::{FaultState, Outbound, Received, RetryPolicy, Transport, Verdict};
 use radd_protocol::Msg;
 
@@ -282,6 +282,10 @@ impl Outbound for SendHalf {
     /// The frame's block goes out under `block_check`, not a fresh pass.
     fn send_checked(&self, dst: usize, msg: &Msg, block_check: u64) -> SendOutcome {
         self.send_frame(dst, msg, Some(block_check))
+    }
+
+    fn block_check(&self, block: &[u8]) -> Option<u64> {
+        Some(checksum(block))
     }
 }
 
@@ -632,6 +636,10 @@ impl Outbound for SocketEndpoint {
 
     fn send_checked(&self, dst: usize, msg: &Msg, block_check: u64) -> SendOutcome {
         self.out.send_checked(dst, msg, block_check)
+    }
+
+    fn block_check(&self, block: &[u8]) -> Option<u64> {
+        self.out.block_check(block)
     }
 }
 

@@ -92,6 +92,7 @@ fn arb_nack_reason() -> impl Strategy<Value = NackReason> {
         Just(NackReason::BadSize),
         Just(NackReason::Unavailable),
         Just(NackReason::Conflict),
+        Just(NackReason::StaleBase),
     ]
 }
 
@@ -124,6 +125,19 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     data,
                     tag,
                 }),
+            ),
+        ),
+        (
+            1,
+            Union::arm(
+                (arb_row(), any::<u64>(), arb_mask(), any::<u64>()).prop_map(
+                    |(index, base_tag, mask_wire, tag)| Msg::WriteMask {
+                        index,
+                        base_tag,
+                        mask_wire,
+                        tag,
+                    },
+                ),
             ),
         ),
         (

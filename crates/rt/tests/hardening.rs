@@ -286,6 +286,74 @@ fn a_parity_update_that_does_not_fit_is_refused_and_the_site_stays_up() {
     shutdown(&control, handles);
 }
 
+/// Writes given as change masks that do not fit, from a peer whose own
+/// write is the block's base (so each gets past the base check to the mask
+/// itself): a mask for a block of another length, a span past the block,
+/// a block out of range and a base that is not the last write are each a
+/// `Nack` on the wire, the block stays as the peer's write left it, and the
+/// site serves on.
+#[test]
+fn a_write_mask_that_does_not_fit_is_refused_and_the_site_stays_up() {
+    let (addrs, control, handles) = spawn_sites();
+    let mut stranger = TcpStream::connect(addrs[0]).expect("dial site 0");
+    stranger
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    write_frame(&mut stranger, &Frame::Hello { id: 0 }).expect("hello");
+    let x = Bytes::from(vec![0x5A; BLOCK]);
+    let write = Msg::Write {
+        index: 1,
+        data: x.clone(),
+        tag: 1,
+    };
+    write_frame(&mut stranger, &Frame::Proto(write)).expect("write");
+    let mut dec = FrameDecoder::new();
+    let reply = read_frame(&mut stranger, &mut dec, &mut []).expect("a reply");
+    assert_eq!(reply, Some(Frame::Proto(Msg::WriteOk { tag: 1 })));
+
+    let other_length = ChangeMask::diff(&[0; 2 * BLOCK], &[1; 2 * BLOCK]).encode();
+    let fits = ChangeMask::diff(&x, &[0x5B; BLOCK]).encode();
+    // One span of four bytes two bytes before the block's end.
+    let mut past_the_end = Vec::new();
+    past_the_end.extend_from_slice(&(BLOCK as u32).to_le_bytes());
+    past_the_end.extend_from_slice(&1u32.to_le_bytes());
+    past_the_end.extend_from_slice(&(BLOCK as u32 - 2).to_le_bytes());
+    past_the_end.extend_from_slice(&4u32.to_le_bytes());
+    past_the_end.extend_from_slice(&[1; 4]);
+    let bad = [
+        (2, 1, 1, other_length, NackReason::BadSize),
+        (3, 1, 1, Bytes::from(past_the_end), NackReason::BadSize),
+        (4, 99, 1, fits.clone(), NackReason::OutOfRange),
+        (5, 1, 77, fits, NackReason::StaleBase),
+    ];
+    for (tag, index, base_tag, mask_wire, _) in &bad {
+        let mask = Msg::WriteMask {
+            index: *index,
+            base_tag: *base_tag,
+            mask_wire: mask_wire.clone(),
+            tag: *tag,
+        };
+        write_frame(&mut stranger, &Frame::Proto(mask)).expect("write mask");
+    }
+    for &(tag, _, _, _, reason) in &bad {
+        let reply = read_frame(&mut stranger, &mut dec, &mut []).expect("a reply");
+        assert_eq!(reply, Some(Frame::Proto(Msg::Nack { tag, reason })));
+    }
+    drop(stranger);
+
+    let mut ctl = CtlClient::connect(addrs[0]).expect("control");
+    assert_eq!(ctl.request(CtlReq::Ping), Ok(CtlRep::Pong { down: false }));
+    let ep = SocketEndpoint::client(0, EP_BASE, addrs);
+    let mut client = SocketClient::new(ep, G, ROWS, BLOCK);
+    client.set_incarnation(1);
+    assert_eq!(client.read(0, 1).expect("read served"), x.to_vec());
+    client.write(0, 1, &[0x44; BLOCK]).expect("write served");
+    assert_eq!(client.read(0, 1).expect("read served"), vec![0x44; BLOCK]);
+    client.verify_parity().expect("parity holds");
+    drop(client);
+    shutdown(&control, handles);
+}
+
 /// A peer that asks for more than its socket buffers hold and never reads
 /// a byte of it. The site's reader thread blocks writing a reply while it
 /// holds the site lock; the write timeout must end that, forget the

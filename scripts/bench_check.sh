@@ -96,6 +96,12 @@
 # blocks (bench_pair). Computing must cost at least 1.5x keeping; ten runs
 # read 1.88-2.27, and a kept check that is ignored reads 1.0.
 #
+# The same run counts the frame a client sends to change 128 bytes of a
+# 4 KiB block its own last write left: a `WriteMask` of the change
+# mask, 194 bytes, where the block whole is 4,138. A count, so the bound,
+# CLIENT_WRITE_SPARSE_MAX (256), is exact, and a client that ships the
+# block again fails it.
+#
 # A seventh gate covers the change mask: in one run of the
 # change_mask bench, diffing a 64 KiB block rewritten whole and encoding
 # the mask must beat the same work as it ran before 2x
@@ -143,6 +149,7 @@ WAL_MAX_COMMIT_BYTES=$((4096 + 256))
 WAL_COMMIT_DEVICE_BYTES=4608
 CRC_CLMUL_MIN=8.0
 WAL_WRITE_BACK_MAX=290
+CLIENT_WRITE_SPARSE_MAX=256
 
 # measure DIR: run every gate's benches in DIR, print what they print, and
 # leave the `bench` lines in PC_OUT, MG_OUT, RB_OUT, DC_OUT, FP_OUT and
@@ -233,6 +240,8 @@ gates() {
     gate "write_frame_64k/copy" "$(row "$FP_OUT" frame_path/write_frame_64k/ratio)" "<=" 3.6
     ratio "decode/copy_64k" "$(row "$FP_OUT" frame_path/decode_64k)" "$(row "$FP_OUT" frame_path/copy_64k)" "<=" 4.2
     gate "send_readok_cold_64k/kept" "$(row "$FP_OUT" frame_path/send_readok_cold_64k/ratio)" ">=" 1.5
+    gate "client_write_sparse_4k_bytes" "$(row "$FP_OUT" frame_path/client_write_sparse_4k_bytes)" "<=" \
+        "$CLIENT_WRITE_SPARSE_MAX"
 }
 
 # verdict VALUE OP BOUND: `ok` or `FAIL`; `==` compares the strings.

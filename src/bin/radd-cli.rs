@@ -19,7 +19,7 @@
 //! interesting — still responds. `obs` fetches the PR-4 observability
 //! snapshot (metrics + flight-recorder tail) as JSON and renders it.
 
-use radd_obs::StorageSnapshot;
+use radd_obs::{MetricsSnapshot, StorageSnapshot};
 use radd_rt::frame::{CtlRep, CtlReq};
 use radd_rt::{ClusterConfig, CtlClient};
 use std::process::ExitCode;
@@ -93,27 +93,49 @@ fn storage_line(json: &str) -> Option<String> {
     let json = compact(json);
     let start = json.find("\"storage\":{")?;
     let object = &json[start..start + json[start..].find('}')?];
-    // The value after `"key":` in `within`, up to the next `,` or `}`.
-    let field = |within: &str, key: &str| {
-        let needle = format!("\"{key}\":");
-        let at = within
-            .find(&needle)
-            .map_or(within.len(), |at| at + needle.len());
-        within[at..]
-            .split([',', '}'])
-            .next()
-            .unwrap_or("")
-            .to_string()
-    };
-    let number = |within: &str, key: &str| field(within, key).parse().unwrap_or(0);
     let storage = StorageSnapshot {
-        commits: number(object, "commits"),
-        log_bytes: number(object, "log_bytes"),
-        checkpoints: number(object, "checkpoints"),
-        written_back: number(object, "written_back"),
-        direct: field(object, "direct") == "true",
+        commits: json_number(object, "commits"),
+        log_bytes: json_number(object, "log_bytes"),
+        checkpoints: json_number(object, "checkpoints"),
+        written_back: json_number(object, "written_back"),
+        direct: json_field(object, "direct") == "true",
     };
-    Some(storage.line(number(&json, "commit_failures")))
+    Some(storage.line(json_number(&json, "commit_failures")))
+}
+
+/// The `masks:` line of a raw obs snapshot: the writes a site took as
+/// change masks and the ones it refused. A site that has seen none has no
+/// line.
+fn masks_line(json: &str) -> Option<String> {
+    let json = compact(json);
+    let metrics = MetricsSnapshot {
+        writes_as_masks: json_number(&json, "writes_as_masks"),
+        writes_as_blocks: json_number(&json, "writes_as_blocks"),
+        stale_bases: json_number(&json, "stale_bases"),
+        masks_applied: json_number(&json, "masks_applied"),
+        masks_refused: json_number(&json, "masks_refused"),
+        ..MetricsSnapshot::default()
+    };
+    metrics.masks_line()
+}
+
+/// The value after the first `"key":` in compacted JSON `within`, up to
+/// the next `,` or `}` (empty when there is no such key).
+fn json_field(within: &str, key: &str) -> String {
+    let needle = format!("\"{key}\":");
+    let at = within
+        .find(&needle)
+        .map_or(within.len(), |at| at + needle.len());
+    within[at..]
+        .split([',', '}'])
+        .next()
+        .unwrap_or("")
+        .to_string()
+}
+
+/// [`json_field`] as a number, 0 when absent or not one.
+fn json_number(within: &str, key: &str) -> u64 {
+    json_field(within, key).parse().unwrap_or(0)
 }
 
 /// What one member slot reported (or failed to).
@@ -260,6 +282,9 @@ fn obs(cfg: &ClusterConfig, group: usize, site: usize, raw_json: bool) -> Result
         if let Some(line) = storage_line(&json) {
             println!("{line}");
         }
+        if let Some(line) = masks_line(&json) {
+            println!("{line}");
+        }
         println!("{json}");
     }
     Ok(())
@@ -399,6 +424,30 @@ mod tests {
             )
         );
         assert_eq!(storage_line(&wire_json(None)), None);
+    }
+
+    /// A site that took writes as change masks prints what it applied and
+    /// refused; one that has taken none prints no `masks:` line.
+    #[test]
+    fn a_site_that_took_masks_gets_a_masks_line() {
+        let metrics = MetricsSnapshot {
+            masks_applied: 7,
+            masks_refused: 2,
+            ..MetricsSnapshot::default()
+        };
+        let json = ObsSnapshot {
+            machines: vec![MachineSnapshot {
+                name: "site 1".into(),
+                metrics,
+                flight: Vec::new(),
+            }],
+        }
+        .to_json();
+        assert_eq!(
+            masks_line(&json).as_deref(),
+            Some("masks: sent=0 blocks=0 stale_base=0 applied=7 refused=2")
+        );
+        assert_eq!(masks_line(&wire_json(None)), None);
     }
 
     #[test]

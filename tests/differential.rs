@@ -36,7 +36,7 @@ use radd::core::{RaddCluster, RaddConfig};
 use radd::layout::{Geometry, Placement, ShardMap};
 use radd::node::NodeCluster;
 use radd::obs::ObsSnapshot;
-use radd::protocol::{CoalescePolicy, GroupCluster, ObsEvent, Router};
+use radd::protocol::{CoalescePolicy, GroupCluster, MsgKind, ObsEvent, Router};
 use radd::rt::SocketCluster;
 use radd::workload::faults::{
     payload, seed_from_name, FailureKind, FaultEvent, FaultPlan, Outcome, PlanDriver, PlanShape,
@@ -357,4 +357,81 @@ fn parity_site_down_traces_identically_on_all_runtimes() {
         .expect("the plan recovers its site");
     assert_eq!(outcomes[recover], Outcome::Drained(1));
     assert!(!outcomes.contains(&Outcome::Skipped));
+}
+
+/// Rewrites sent as change masks, on all three runtimes alike: a client
+/// rewrites blocks it wrote by their masks, a site that fails and comes
+/// back in between takes the first rewrite after the drain whole (the
+/// degraded write dropped the client's image), and the traces, the
+/// blocks read back and every stripe's parity agree.
+#[test]
+fn sparse_rewrites_trace_identically_on_all_runtimes() {
+    fn run<C: GroupCluster>(name: &'static str, mut cluster: C) -> (Vec<Vec<ObsEvent>>, Vec<u8>) {
+        let bs = cluster.block_size();
+        let rewrite = |block: &mut Vec<u8>, round: usize| {
+            for b in &mut block[round * 8..round * 8 + 8] {
+                *b = b.wrapping_add(1 + round as u8);
+            }
+        };
+        cluster.record_traces(true);
+        let mut block = payload(0x5E, bs);
+        cluster.write(0, 1, &block).unwrap();
+        for round in 0..3 {
+            rewrite(&mut block, round);
+            cluster.write(0, 1, &block).unwrap();
+        }
+        cluster.quiesce().unwrap();
+        cluster.fail(0);
+        rewrite(&mut block, 3);
+        cluster.write(0, 1, &block).unwrap();
+        cluster.restore(0);
+        assert_eq!(cluster.recover(0).unwrap(), 1, "{name}: the spare drained");
+        for round in 4..6 {
+            rewrite(&mut block, round);
+            cluster.write(0, 1, &block).unwrap();
+        }
+        let got = cluster.read(0, 1).unwrap();
+        assert_eq!(got, block, "{name}: the last write reads back");
+        cluster.quiesce().unwrap();
+        // Taken before the sweep, whose oracle reads only the DES traces.
+        let traces = cluster.take_traces();
+        cluster
+            .verify_parity()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        cluster.shutdown();
+        (traces, got)
+    }
+    let cfg = RaddConfig::small_g4();
+    let (g, rows, bs) = (cfg.group_size, cfg.rows, cfg.block_size);
+    let off = CoalescePolicy::Off;
+    let des = run("DES", RaddCluster::new(cfg).unwrap());
+    let masks = des.0[0]
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                ObsEvent::Send {
+                    kind: MsgKind::WriteMask,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(
+        masks, 4,
+        "three rewrites, and the second one after the drain"
+    );
+    for (name, other) in [
+        (
+            "threaded",
+            run("threaded", NodeCluster::start_with(g, rows, bs, 1, off).0),
+        ),
+        (
+            "socket",
+            run("socket", SocketCluster::start_with(g, rows, bs, 1, off).0),
+        ),
+    ] {
+        assert_eq!(other.1, des.1, "{name}: the block read back");
+        assert_eq!(other.0, des.0, "{name}: the normalised traces");
+    }
 }
